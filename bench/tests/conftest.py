@@ -1,0 +1,9 @@
+"""Make ``repro`` (src/) and the ``bench`` package importable from bench/tests."""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+for path in (ROOT, os.path.join(ROOT, "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
