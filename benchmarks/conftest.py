@@ -28,7 +28,7 @@ def run_once(benchmark):
     """Run an experiment exactly once under the benchmark fixture.
 
     The experiments are long, deterministic end-to-end runs whose
-    *internal* stopwatches produce the paper's numbers; the benchmark
+    *internal* timings produce the paper's numbers; the benchmark
     fixture wraps them so `--benchmark-only` reports the wall-clock of the
     whole reproduction as well.
     """

@@ -241,14 +241,8 @@ class AdaptiveIndexService(IndexService):
         self, elapsed: float, version: int, route: Route, key, cached: bool
     ) -> None:
         """Base-service bookkeeping plus the adaptive.* metric surface."""
+        self._record_query(elapsed, version)
         obs = current_obs()
-        self.stats.queries += 1
-        self.stats.query_seconds.append(elapsed)
-        with self._query_count_lock:
-            if version == self._snapshot.version:
-                self._queries_this_version += 1
-        obs.add("service.queries")
-        obs.observe("service.query_seconds", elapsed)
         obs.add("adaptive.queries")
         obs.observe("adaptive.query_seconds", elapsed)
         obs.add(f"adaptive.routed.{key}")
@@ -263,14 +257,13 @@ class AdaptiveIndexService(IndexService):
         """Publish + ladder capture + footprint-based cache advancement.
 
         Runs on the writer with the batch's TouchedSet still intact
-        (the base ``_commit`` clears it only after publish), which is
+        (``_publish_next`` clears it only after publish), which is
         exactly what the invalidation sets are derived from.  A full
-        capture (degrade rebuild, reconstruction, incremental publish
-        off) flushes the cache — no footprint survives a renaming.
+        capture (degrade rebuild, reconstruction) flushes the cache —
+        no footprint survives a renaming.
         """
         incremental = (
-            self._touched is not None
-            and not self._touched.full
+            not self._touched.full
             and snapshot.version == self._snapshot.version + 1
         )
         changed: "Optional[dict]" = None
@@ -349,12 +342,8 @@ class AdaptiveIndexService(IndexService):
                     reconstruct_via_index_graph(self.guarded.index)
                 else:
                     self.guarded.maintainer.rebuild_from_graph()
-                if self._touched is not None:
-                    self._touched.mark_all()
-                snapshot = self._next_snapshot(self._snapshot.version + 1)
-                self._publish(snapshot)
-                if self._touched is not None:
-                    self._touched.clear()
+                self._touched.mark_all()
+                self._publish_next()
         obs.add("adaptive.reconstructions")
         obs.event("adaptive.reconstructed", reason=reason, version=self.version)
 

@@ -17,7 +17,7 @@ the compact building blocks the rewritten cores are made of:
 * :mod:`~repro.core.sizing` — deep ``approx_bytes`` accounting;
 * :mod:`~repro.core.refimpl` — the retained dict-backed reference
   implementations (:class:`DictGraph`/:class:`DictIndex`), kept as the
-  differential-testing oracle and the ``--legacy-core`` A/B baseline.
+  differential-testing oracle.
 """
 
 from repro.core.codec import delta_decode, delta_encode

@@ -3,14 +3,10 @@
 :class:`DictGraph` and :class:`DictIndex` are the dict-of-sets
 implementations that :class:`~repro.graph.datagraph.DataGraph` and
 :class:`~repro.index.base.StructuralIndex` had before the array-backed
-rewrite, preserved verbatim (modulo class names).  They serve two
-purposes:
-
-* the **differential oracle** — ``tests/core/test_differential.py``
-  drives both cores through identical mutation scripts and asserts
-  byte-identical observable state, rollbacks and fingerprints;
-* the **memory/speed baseline** — ``bench_hotpath``'s memory tiers and
-  the ``--legacy-core`` escape hatch A/B the slab core against this one.
+rewrite, preserved verbatim (modulo class names).  They are the
+**differential oracle**: ``tests/core/test_differential.py`` drives both
+cores through identical mutation scripts and asserts byte-identical
+observable state, rollbacks and fingerprints.
 
 Do not "fix" or modernise this module: its value is that it reproduces
 the historical behaviour exactly.

@@ -11,7 +11,8 @@ Two ingest paths share the compiler:
 
 * :meth:`CorpusService.bulk_load` applies the compiled ops with raw
   graph surgery and *then* builds the index — one refinement pass over
-  the finished corpus (the fast path measured by ``bench-corpus``);
+  the finished corpus (the benchmark's ``setup_s`` on the corpus
+  workloads);
 * :meth:`add_document` / :meth:`replace_document` /
   :meth:`remove_document` submit the same ops through the service, so
   the index is maintained incrementally while queries keep serving.

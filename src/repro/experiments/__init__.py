@@ -13,12 +13,6 @@ or programmatically::
 from repro.experiments import (
     ablation_worstcase,
     adaptive,
-    bench_adaptive,
-    bench_corpus,
-    bench_hotpath,
-    bench_replicate,
-    bench_serve,
-    bench_store,
     corpus,
     fig09_imdb_quality,
     fig10_xmark_quality,
@@ -47,17 +41,11 @@ EXPERIMENTS = {
     "tab3": tab3_storage,
     "ablation": ablation_worstcase,
     "serve": serve,
-    "bench-serve": bench_serve,
-    "bench-hotpath": bench_hotpath,
     "persist": persist,
     "recover": recover,
-    "bench-store": bench_store,
     "replicate": replicate,
-    "bench-replicate": bench_replicate,
     "corpus": corpus,
-    "bench-corpus": bench_corpus,
     "adaptive": adaptive,
-    "bench-adaptive": bench_adaptive,
 }
 
 __all__ = [

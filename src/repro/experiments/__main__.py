@@ -11,7 +11,7 @@ Examples::
     python -m repro.experiments --scale smoke --trace-summary fig11
 
     # profile the run: cProfile stats land next to the trace output
-    python -m repro.experiments --scale smoke --profile hot.pstats bench-hotpath
+    python -m repro.experiments --scale smoke --profile hot.pstats serve
 
     # transactional maintenance (repro.resilience): run the 1-index
     # maintainers under a guard and see the overhead in the fig11 table

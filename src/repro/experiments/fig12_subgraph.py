@@ -17,6 +17,7 @@ per-addition times of all three.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from repro.experiments.config import ExperimentScale
@@ -28,7 +29,6 @@ from repro.maintenance.propagate import PropagateMaintainer
 from repro.maintenance.reconstruction import reconstruct_from_scratch
 from repro.maintenance.split_merge import SplitMergeMaintainer
 from repro.metrics.quality import minimum_1index_size_of
-from repro.metrics.timing import Stopwatch
 from repro.workload.updates import (
     ExtractedSubgraph,
     average_size,
@@ -99,7 +99,6 @@ def run(scale: ExperimentScale) -> Fig12Result:
             extracted_reference = extracted
         index = OneIndex.build(graph)
         run_record = SubgraphRun(name=alternative)
-        watch = Stopwatch()
         maintainer: SplitMergeMaintainer | PropagateMaintainer | None
         if alternative == "split/merge":
             maintainer = SplitMergeMaintainer(index)
@@ -109,14 +108,15 @@ def run(scale: ExperimentScale) -> Fig12Result:
             maintainer = None
 
         for number, item in enumerate(extracted, 1):
-            with watch:
-                if maintainer is not None:
-                    maintainer.add_subgraph(item.subgraph, item.root, item.cross_edges)
-                else:
-                    mapping = graph.add_subgraph(item.subgraph)
-                    for a, b, kind in item.cross_edges:
-                        graph.add_edge(mapping.get(a, a), mapping.get(b, b), kind)
-                    reconstruct_from_scratch(index)
+            started = time.perf_counter()
+            if maintainer is not None:
+                maintainer.add_subgraph(item.subgraph, item.root, item.cross_edges)
+            else:
+                mapping = graph.add_subgraph(item.subgraph)
+                for a, b, kind in item.cross_edges:
+                    graph.add_edge(mapping.get(a, a), mapping.get(b, b), kind)
+                reconstruct_from_scratch(index)
+            run_record.total_seconds += time.perf_counter() - started
             run_record.additions += 1
             if number % sample_every == 0:
                 run_record.points.append(
@@ -126,7 +126,6 @@ def run(scale: ExperimentScale) -> Fig12Result:
                         minimum_size=minimum_1index_size_of(graph),
                     )
                 )
-        run_record.total_seconds = watch.total_seconds
         runs[alternative] = run_record
 
     assert extracted_reference is not None

@@ -71,7 +71,7 @@ def run_dataset_comparison(
         if scale.guard is not None:
             # Guarded runs keep the identical update sequence; the guard's
             # transaction/check overhead lands in the same per-update
-            # stopwatch, so Figure 11's table reports it directly.
+            # timing, so Figure 11's table reports it directly.
             maintainer = GuardedMaintainer(maintainer, scale.guard)
         policy = ReconstructionPolicy(threshold=scale.reconstruct_threshold)
         results[algorithm] = run_mixed_updates(

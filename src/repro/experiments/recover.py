@@ -13,9 +13,9 @@ without a final checkpoint — recovery must replay the tail.
 
 Reported per family: what was replayed, the full recovery wall-clock
 (including the ``valid``-level invariant post-check), and the wall-clock
-of rebuilding the same index from the recovered graph.  The CI-gated
-A/B (``bench-store`` / ``benchmarks/bench_store.py``) asserts the
-ordering; this experiment reports it.
+of rebuilding the same index from the recovered graph.  The benchmark
+(``bench/run.py``, workload ``ingest-recover-large``) measures the same
+pair at scale as ``recovery_s`` beside ``setup_s``.
 """
 
 from __future__ import annotations

@@ -21,13 +21,14 @@ equal by construction).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol
 
 from repro.graph.datagraph import DataGraph, EdgeKind
 from repro.maintenance.base import UpdateStats
 from repro.maintenance.reconstruction import ReconstructionPolicy
-from repro.metrics.timing import Stopwatch, max_ms, p50_ms, p95_ms
+from repro.metrics.timing import max_ms, p50_ms, p95_ms
 from repro.obs import MetricsRegistry, Observer, current
 from repro.workload.updates import MixedUpdateWorkload
 
@@ -172,10 +173,10 @@ def run_mixed_updates(
     """
     registry = MetricsRegistry()
     result = MixedRunResult(name=name)
-    update_watch = Stopwatch()
-    recon_watch = Stopwatch()
     # Hoisted registry slots: the loop's per-update cost must stay at a
-    # handful of attribute bumps, observability on or off.
+    # handful of attribute bumps, observability on or off.  A lap is
+    # observed only after its call returns, so a raising update leaves
+    # no sample behind.
     lap_hist = registry.histogram("run.update_seconds")
     recon_hist = registry.histogram("run.reconstruction_seconds")
     recon_counter = registry.counter("run.reconstructions")
@@ -190,13 +191,14 @@ def run_mixed_updates(
         # boundary with the offending step index.
         steps = workload.steps(num_pairs, validate=True)
         for op_number, (op, source, target) in enumerate(steps, 1):
-            with update_watch:
-                if op == "insert":
-                    # workload edges come from the IDREF pool
-                    stats = maintainer.insert_edge(source, target, EdgeKind.IDREF)
-                else:
-                    stats = maintainer.delete_edge(source, target)
-            lap_hist.observe(update_watch.last_seconds)
+            started = time.perf_counter()
+            if op == "insert":
+                # workload edges come from the IDREF pool
+                stats = maintainer.insert_edge(source, target, EdgeKind.IDREF)
+            else:
+                stats = maintainer.delete_edge(source, target)
+            update_seconds = time.perf_counter() - started
+            lap_hist.observe(update_seconds)
             stats.record_to(registry, "run")
             if obs.enabled:
                 obs.event(
@@ -208,21 +210,22 @@ def run_mixed_updates(
                     merges=stats.merges,
                     moves=stats.moves,
                     trivial=stats.trivial,
-                    seconds=update_watch.last_seconds,
+                    seconds=update_seconds,
                 )
 
             if policy is not None and reconstruct is not None:
                 if policy.should_reconstruct(maintainer.index_size()):
-                    with recon_watch:
-                        reconstruct()
-                    recon_hist.observe(recon_watch.last_seconds)
+                    started = time.perf_counter()
+                    reconstruct()
+                    recon_seconds = time.perf_counter() - started
+                    recon_hist.observe(recon_seconds)
                     recon_counter.inc()
                     if obs.enabled:
                         obs.event(
                             "run.reconstruction",
                             update=op_number,
                             index_size=maintainer.index_size(),
-                            seconds=recon_watch.last_seconds,
+                            seconds=recon_seconds,
                         )
                     policy.reconstructed(maintainer.index_size())
 

@@ -9,7 +9,7 @@ from repro.metrics.quality import (
     quality_from_sizes,
 )
 from repro.metrics.storage import UNIT_BYTES, StorageEstimate, estimate_storage
-from repro.metrics.timing import Stopwatch, max_ms, mean_ms, p50_ms, p95_ms
+from repro.metrics.timing import max_ms, mean_ms, p50_ms, p95_ms
 
 __all__ = [
     "quality_from_sizes",
@@ -21,7 +21,6 @@ __all__ = [
     "StorageEstimate",
     "estimate_storage",
     "UNIT_BYTES",
-    "Stopwatch",
     "mean_ms",
     "p50_ms",
     "p95_ms",

@@ -1,75 +1,15 @@
 """Small timing helpers for the experiment harness.
 
 The paper reports wall-clock milliseconds (Figure 11, Table 2); the
-harness accumulates per-update times with :class:`Stopwatch` and reports
-means with :func:`mean_ms` and tails with :func:`p50_ms`/:func:`p95_ms`/
-:func:`max_ms`.  ``perf_counter`` is used throughout — monotonic and the
-highest resolution the platform offers.
+harness times each update with ``perf_counter`` — monotonic and the
+highest resolution the platform offers — into its run's metrics
+registry and reports means with :func:`mean_ms` and tails with
+:func:`p50_ms`/:func:`p95_ms`/:func:`max_ms`.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-
 from repro.obs.metrics import percentile
-
-
-@dataclass
-class Stopwatch:
-    """Accumulates durations of repeated timed sections.
-
-    A lap is recorded only when the timed block exits cleanly: if the
-    block raises, the lap is discarded (a failing update must not
-    pollute ``total_seconds``/``laps``) and the exception propagates.
-    :meth:`discard` does the same for manually abandoned laps.
-    """
-
-    total_seconds: float = 0.0
-    laps: int = 0
-    lap_seconds: list[float] = field(default_factory=list)
-    keep_laps: bool = False
-    #: duration of the most recent completed lap (None before any lap)
-    last_seconds: float | None = None
-    _started: float | None = None
-
-    def __enter__(self) -> "Stopwatch":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        assert self._started is not None, "stopwatch was not started"
-        if exc_type is not None:
-            self.discard()
-            return  # propagate the exception
-        elapsed = time.perf_counter() - self._started
-        self._started = None
-        self.total_seconds += elapsed
-        self.laps += 1
-        self.last_seconds = elapsed
-        if self.keep_laps:
-            self.lap_seconds.append(elapsed)
-
-    def discard(self) -> None:
-        """Abandon the running lap without recording anything."""
-        self._started = None
-
-    @property
-    def mean_seconds(self) -> float:
-        """Mean lap duration in seconds (0.0 before any lap)."""
-        if self.laps == 0:
-            return 0.0
-        return self.total_seconds / self.laps
-
-    @property
-    def mean_ms(self) -> float:
-        """Mean lap duration in milliseconds."""
-        return self.mean_seconds * 1000
-
-    @property
-    def total_ms(self) -> float:
-        """Total accumulated milliseconds."""
-        return self.total_seconds * 1000
 
 
 def mean_ms(seconds: list[float]) -> float:

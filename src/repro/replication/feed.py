@@ -99,7 +99,10 @@ class Primary:
         The frame's ``last_lsn`` is the log's end at fetch time, so a
         follower that receives fewer records than that end implies knows
         it has more catching up to do (and one that receives zero knows
-        it is current).
+        it is current).  Raises :class:`ReplicationError` when the log
+        ends past *since_lsn* but retains nothing after it: a checkpoint
+        truncated the records this follower still needed, and no amount
+        of re-fetching will bring them back.
         """
         if max_records < 1:
             raise ReplicationError("max_records must be >= 1")
@@ -121,6 +124,13 @@ class Primary:
             records.append(feed_record(record.lsn, record.ops))
             if len(records) >= max_records:
                 break
+        last_lsn = self.last_lsn
+        if not records and last_lsn > since_lsn:
+            raise ReplicationError(
+                f"replication gap: the log ends at lsn {last_lsn} but retains "
+                f"no record after {since_lsn} — the primary truncated past "
+                "this follower; re-bootstrap from a fresh checkpoint"
+            )
         self.records_shipped += len(records)
         current_obs().add("replication.records_shipped", len(records))
-        return encode_feed_frame(self.epoch, self.last_lsn, records)
+        return encode_feed_frame(self.epoch, last_lsn, records)

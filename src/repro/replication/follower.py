@@ -22,7 +22,10 @@ duplicate delivery (a retransmit, or the duplicate fault) — it is
 counted, logged and skipped, never re-applied.  A record that skips
 ahead (``lsn > applied_lsn + 1``) means the primary checkpoint-truncated
 the records this follower still needed; the follower raises and must
-re-bootstrap from a fresh checkpoint.
+re-bootstrap from a fresh checkpoint.  When the truncation swallowed the
+whole tail the feed itself raises the same error
+(:meth:`~repro.replication.feed.Primary.fetch`), so :meth:`catch_up`
+terminates instead of polling an end that will never ship.
 
 Followers are **read-only**: :meth:`submit` raises.  The only writer of
 a follower's structures is its own apply loop.
@@ -97,7 +100,7 @@ class FollowerIndexService(IndexService):
 
         The index family and ``k`` always come from the checkpoint — a
         replica of an A(2) primary *is* an A(2) index; *config* may tune
-        everything else (guard policy, publication mode).
+        everything else (the guard policy).
         """
         started = time.perf_counter()
         raw = link.fetch_checkpoint()
@@ -240,10 +243,7 @@ class FollowerIndexService(IndexService):
                 self.guarded.apply_batch(ops)
             # empty records bump the version too: the primary logged the
             # fully-coalesced batch to keep LSNs and versions in lockstep
-            snapshot = self._next_snapshot(version=self._snapshot.version + 1)
-            self._publish(snapshot)
-            if self._touched is not None:
-                self._touched.clear()
+            self._publish_next()
             self.applied_lsn = lsn
         self.records_applied += 1
         self.stats.batches += 1

@@ -86,9 +86,6 @@ class ServiceConfig:
     guard: GuardConfig = field(default_factory=lambda: GuardConfig(policy="degrade"))
     #: background-writer poll interval while the queue is empty (seconds)
     writer_idle_wait: float = 0.05
-    #: publish via copy-on-write evolve (O(touched)) instead of a full
-    #: O(|G|+|I|) capture per commit; off = always full capture (A/B knob)
-    incremental_publish: bool = True
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -189,11 +186,8 @@ class IndexService:
                     f"{self.config.family!r} (no .{expected})"
                 )
         self.guarded = GuardedMaintainer(maintainer, self.config.guard, fault_injector)
-        self._touched: Optional[TouchedSet] = (
-            TouchedSet() if self.config.incremental_publish else None
-        )
-        if self._touched is not None:
-            self.guarded.track_touched(self._touched)
+        self._touched = TouchedSet()
+        self.guarded.track_touched(self._touched)
         self.queue = BoundedQueue(self.config.queue_capacity)
         self.stats = ServiceStats()
         self._writer_lock = threading.Lock()  # the single-writer discipline
@@ -231,18 +225,21 @@ class IndexService:
         snapshot = self._snapshot  # one atomic grab; evaluate only this
         started = time.perf_counter()
         report = snapshot.evaluate(query)
-        elapsed = time.perf_counter() - started
+        self._record_query(time.perf_counter() - started, snapshot.version)
+        return ServedQuery(report=report, version=snapshot.version)
+
+    def _record_query(self, elapsed: float, version: int) -> None:
+        """Tally one served query against the version that answered it."""
         obs = current_obs()
         self.stats.queries += 1
         self.stats.query_seconds.append(elapsed)
         with self._query_count_lock:
-            if snapshot.version == self._snapshot.version:
+            if version == self._snapshot.version:
                 self._queries_this_version += 1
             # else: served a just-retired version; its count was already
             # rolled into queries_per_version by the publisher
         obs.add("service.queries")
         obs.observe("service.query_seconds", elapsed)
-        return ServedQuery(report=report, version=snapshot.version)
 
     # ------------------------------------------------------------------
     # Write side
@@ -371,13 +368,7 @@ class IndexService:
             # batch before the snapshot becomes visible to readers
             self._on_batch_applied(survivors)
             publish_started = time.perf_counter()
-            snapshot = self._next_snapshot(version=self._snapshot.version + 1)
-            self._publish(snapshot)
-            # only now may the accumulator reset: an exception anywhere
-            # above leaves the touches in place, so the next successful
-            # publish still re-captures everything this batch perturbed
-            if self._touched is not None:
-                self._touched.clear()
+            snapshot = self._publish_next()
             obs.observe(
                 "service.publish_seconds", time.perf_counter() - publish_started
             )
@@ -429,14 +420,27 @@ class IndexService:
             return IndexSnapshot.capture(version, self.graph, index=self.guarded.index)
         return IndexSnapshot.capture(version, self.graph, family=self.guarded.family)
 
+    def _publish_next(self) -> IndexSnapshot:
+        """Publish the live state as the next version (writer lock held).
+
+        The touched accumulator resets only after the publish: an
+        exception anywhere before leaves the touches in place, so the
+        next successful publish still re-captures everything the lost
+        one perturbed.
+        """
+        snapshot = self._next_snapshot(self._snapshot.version + 1)
+        self._publish(snapshot)
+        self._touched.clear()
+        return snapshot
+
     def _next_snapshot(self, version: int) -> IndexSnapshot:
         """Evolve the published version by the batch's touched set.
 
-        Full capture when incremental publication is off or the touched
-        set was invalidated wholesale (degrade-rebuild renames every
-        inode — nothing of the previous version is reusable).
+        Full capture when the touched set was invalidated wholesale
+        (degrade-rebuild renames every inode — nothing of the previous
+        version is reusable).
         """
-        if self._touched is None or self._touched.full:
+        if self._touched.full:
             return self._capture(version)
         if self.config.family == "one":
             return IndexSnapshot.evolve(

@@ -34,7 +34,7 @@ from repro.store.checkpoint import (
     write_checkpoint,
 )
 from repro.store.epoch import EPOCH_FILE, read_epoch, write_epoch
-from repro.store.recovery import RecoveryResult, apply_ops_raw, recover
+from repro.store.recovery import RecoveryResult, recover
 from repro.store.service import DurableIndexService, StoreConfig
 from repro.store.wal import (
     FSYNC_POLICIES,
@@ -63,7 +63,6 @@ __all__ = [
     "read_epoch",
     "write_epoch",
     "RecoveryResult",
-    "apply_ops_raw",
     "recover",
     "DurableIndexService",
     "StoreConfig",

@@ -19,11 +19,6 @@ The recovery protocol, in order:
 4. **Post-check**: an :class:`InvariantGuard` pass at ``valid`` depth
    over the recovered pair, so a recovery that produced an inconsistent
    index fails loudly here instead of corrupting the first live commit.
-
-:func:`apply_ops_raw` is the index-free counterpart (graph mutations
-only) used by the recovery-time A/B benchmark: replaying the log onto
-the bare graph and rebuilding the index from scratch is the baseline
-that checkpointed-index recovery must beat.
 """
 
 from __future__ import annotations
@@ -37,7 +32,7 @@ from repro.graph.datagraph import DataGraph
 from repro.index.akindex import AkIndexFamily
 from repro.index.oneindex import OneIndex
 from repro.maintenance.ak_split_merge import AkSplitMergeMaintainer
-from repro.maintenance.split_merge import SplitMergeMaintainer, _normalise_cross_edges
+from repro.maintenance.split_merge import SplitMergeMaintainer
 from repro.obs import current as current_obs
 from repro.resilience.guard import GuardConfig, GuardedMaintainer
 from repro.resilience.invariants import InvariantGuard
@@ -152,33 +147,3 @@ def recover(
             replayed_records=replayed_records,
             replayed_ops=replayed_ops,
         )
-
-
-def apply_ops_raw(graph: DataGraph, ops: list[tuple[str, tuple]]) -> None:
-    """Apply decoded batch operations to the bare graph (no index).
-
-    The rebuild-from-scratch baseline: replay the log onto the graph
-    alone, then reconstruct the index once at the end.  Mirrors
-    :meth:`GuardedMaintainer._raw_for` for every wire operation.
-    """
-    for method, args in ops:
-        if method == "insert_edge":
-            source, target, kind = args
-            graph.add_edge(source, target, kind)
-        elif method == "delete_edge":
-            graph.remove_edge(*args)
-        elif method == "insert_node":
-            parent, label, value = args
-            oid = graph.add_node(label, value)
-            graph.add_edge(parent, oid)
-        elif method == "delete_node":
-            graph.remove_node(args[0])
-        elif method == "add_subgraph":
-            subgraph, _subgraph_root, cross_edges = args
-            mapping = graph.add_subgraph(subgraph)
-            for a, b, kind in _normalise_cross_edges(cross_edges):
-                graph.add_edge(mapping.get(a, a), mapping.get(b, b), kind)
-        elif method == "delete_subgraph":
-            graph.remove_nodes(graph.subgraph_from(args[0]).nodes())
-        else:
-            raise RecoveryError(f"cannot raw-apply unknown operation {method!r}")

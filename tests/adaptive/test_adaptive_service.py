@@ -104,6 +104,9 @@ def test_cache_revalidates_across_commits():
         stats = service.cache.stats
         assert stats.hits > 0
         assert stats.revalidated > 0, stats.as_dict()
+        # repeats in the shifting mix are served from the cache more
+        # often than not, even with every commit invalidating
+        assert stats.hit_rate >= 0.5, stats.as_dict()
     finally:
         service.close()
 

@@ -39,11 +39,8 @@ class TestConfig:
         assert set(EXPERIMENTS) == {
             "fig9", "fig10", "fig11", "fig12", "fig13",
             "tab1", "tab2", "tab3", "ablation",
-            "serve", "bench-serve", "bench-hotpath",
-            "persist", "recover", "bench-store",
-            "replicate", "bench-replicate",
-            "corpus", "bench-corpus",
-            "adaptive", "bench-adaptive",
+            "serve", "persist", "recover",
+            "replicate", "corpus", "adaptive",
         }
 
 

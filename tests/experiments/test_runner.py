@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments import runner
 from repro.experiments.reporting import (
     format_percent,
     format_quality_series,
@@ -15,6 +16,7 @@ from repro.index.oneindex import OneIndex
 from repro.maintenance.reconstruction import ReconstructionPolicy
 from repro.maintenance.split_merge import SplitMergeMaintainer
 from repro.metrics.quality import minimum_1index_size_of
+from repro.obs import MetricsRegistry
 from repro.workload.updates import MixedUpdateWorkload
 from repro.workload.xmark import XMarkConfig, generate_xmark
 
@@ -62,6 +64,31 @@ class TestRunMixedUpdates:
             reconstruct=lambda: calls.append(1),
         )
         assert result.reconstructions == len(calls)
+
+    def test_raising_update_records_no_lap(self, monkeypatch):
+        graph = generate_xmark(CONFIG).graph
+        workload = MixedUpdateWorkload.prepare(graph, seed=3)
+        maintainer = SplitMergeMaintainer(OneIndex.build(graph))
+        registry = MetricsRegistry()
+        monkeypatch.setattr(runner, "MetricsRegistry", lambda: registry)
+
+        def failing_delete(source, target):
+            raise RuntimeError("boom")
+
+        maintainer.delete_edge = failing_delete
+        with pytest.raises(RuntimeError, match="boom"):
+            run_mixed_updates(
+                name="test",
+                maintainer=maintainer,
+                workload=workload,
+                num_pairs=5,
+                sample_every=100,
+                minimum_size_fn=minimum_1index_size_of,
+            )
+        # insert, then the failing delete: one completed lap, none for
+        # the update that raised
+        assert registry.histogram("run.update_seconds").count == 1
+        assert registry.counter("run.updates").value == 1
 
     def test_mean_with_recon(self):
         result = MixedRunResult(name="x", updates=10)

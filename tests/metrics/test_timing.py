@@ -2,74 +2,9 @@
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
-from repro.metrics.timing import Stopwatch, max_ms, mean_ms, p50_ms, p95_ms
-
-
-class TestStopwatch:
-    def test_accumulates_laps(self):
-        watch = Stopwatch()
-        for _ in range(3):
-            with watch:
-                time.sleep(0.001)
-        assert watch.laps == 3
-        assert watch.total_seconds >= 0.003
-        assert watch.mean_seconds == pytest.approx(watch.total_seconds / 3)
-        assert watch.mean_ms == pytest.approx(watch.mean_seconds * 1000)
-        assert watch.total_ms == pytest.approx(watch.total_seconds * 1000)
-
-    def test_zero_laps(self):
-        assert Stopwatch().mean_seconds == 0.0
-
-    def test_keep_laps(self):
-        watch = Stopwatch(keep_laps=True)
-        with watch:
-            pass
-        with watch:
-            pass
-        assert len(watch.lap_seconds) == 2
-
-    def test_laps_not_kept_by_default(self):
-        watch = Stopwatch()
-        with watch:
-            pass
-        assert watch.lap_seconds == []
-
-    def test_exception_discards_lap(self):
-        watch = Stopwatch(keep_laps=True)
-        with pytest.raises(RuntimeError):
-            with watch:
-                raise RuntimeError("boom")
-        assert watch.laps == 0
-        assert watch.total_seconds == 0.0
-        assert watch.lap_seconds == []
-
-    def test_exception_keeps_earlier_laps(self):
-        watch = Stopwatch()
-        with watch:
-            pass
-        with pytest.raises(ValueError):
-            with watch:
-                raise ValueError("boom")
-        assert watch.laps == 1
-
-    def test_discard(self):
-        watch = Stopwatch()
-        watch.__enter__()
-        watch.discard()
-        assert watch.laps == 0
-        assert watch.total_seconds == 0.0
-
-    def test_last_seconds(self):
-        watch = Stopwatch()
-        assert watch.last_seconds is None
-        with watch:
-            pass
-        assert watch.last_seconds is not None
-        assert watch.last_seconds == pytest.approx(watch.total_seconds)
+from repro.metrics.timing import max_ms, mean_ms, p50_ms, p95_ms
 
 
 class TestMeanMs:

@@ -12,6 +12,7 @@ from repro.obs import FlightRecorder, observed
 from repro.replication import STALL_SYNCS, FollowerIndexService, Primary, ReplicationLink
 from repro.resilience.faults import REPLICATION_FAULTS, FaultInjector
 from repro.service import Update
+from repro.store import StoreConfig
 
 from tests.replication.conftest import commit_inserts, every_fetch_fault, make_primary
 
@@ -99,6 +100,31 @@ class TestIdempotence:
         follower = bootstrap_follower(service)
         with pytest.raises(ReplicationError, match="re-bootstrap"):
             follower._apply_record(follower.applied_lsn + 2, [])
+        follower.close()
+        service.close()
+
+    def test_checkpoint_truncating_the_whole_tail_ends_catch_up(self, store_dir):
+        # every commit's cadence checkpoint truncates the record it just
+        # logged, before any follower can fetch it
+        service = make_primary(
+            store_dir,
+            store_config=StoreConfig(fsync="always", checkpoint_every_records=1),
+        )
+        follower = bootstrap_follower(service)
+        commit_inserts(service, 1)
+        real_sync = follower.sync
+        syncs = 0
+
+        def bounded_sync(max_records=64):
+            nonlocal syncs
+            syncs += 1
+            assert syncs <= STALL_SYNCS, "catch_up polls a log that will never ship"
+            return real_sync(max_records)
+
+        follower.sync = bounded_sync
+        with pytest.raises(ReplicationError, match="re-bootstrap"):
+            follower.catch_up()  # no deadline: must terminate on its own
+        assert follower.applied_lsn == 0
         follower.close()
         service.close()
 
