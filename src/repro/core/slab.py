@@ -172,6 +172,9 @@ class SlotSlabs:
     # ------------------------------------------------------------------
 
     def _grow(self, slot: int) -> None:
+        # compact *before* growing: compaction trims every capacity to its
+        # length, which would take back the room the caller appends into
+        self._maybe_compact()
         cap = self._cap[slot]
         new_cap = 4 if cap == 0 else cap * 2
         data = self._data
@@ -183,7 +186,6 @@ class SlotSlabs:
         data.frombytes(bytes(8 * (new_cap - cap)))
         self._off[slot] = new_off
         self._cap[slot] = new_cap
-        self._maybe_compact()
 
     def _maybe_compact(self) -> None:
         if self._dead > COMPACT_MIN_DEAD and self._dead * 2 > len(self._data):

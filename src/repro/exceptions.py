@@ -119,7 +119,16 @@ class InjectedFaultError(ResilienceError):
 
 
 class InvariantViolationError(ResilienceError):
-    """A guarded post-check found the graph or index in an invalid state."""
+    """A guarded post-check found the graph or index in an invalid state.
+
+    *definition* numbers the paper's definition violated (1 stability,
+    4 A(k) signature, 5 minimality), *pair* the offending inodes, if known.
+    """
+
+    def __init__(self, message: str, definition: int | None = None, pair=None):
+        super().__init__(message)
+        self.definition = definition
+        self.pair = pair
 
 
 class RollbackError(ResilienceError):

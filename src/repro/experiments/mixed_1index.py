@@ -11,7 +11,7 @@ safety net — which in practice never fires).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from repro.graph.datagraph import DataGraph
@@ -72,7 +72,10 @@ def run_dataset_comparison(
             # Guarded runs keep the identical update sequence; the guard's
             # transaction/check overhead lands in the same per-update
             # timing, so Figure 11's table reports it directly.
-            maintainer = GuardedMaintainer(maintainer, scale.guard)
+            guard = scale.guard
+            if algorithm == "propagate" and guard.check_level == "minimal":
+                guard = replace(guard, check_level="valid")  # never minimal
+            maintainer = GuardedMaintainer(maintainer, guard)
         policy = ReconstructionPolicy(threshold=scale.reconstruct_threshold)
         results[algorithm] = run_mixed_updates(
             name=f"{dataset}/{algorithm}",

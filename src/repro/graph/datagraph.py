@@ -622,28 +622,39 @@ class DataGraph:
     # Invariants
     # ------------------------------------------------------------------
 
-    def check_invariants(self) -> None:
+    def check_invariants(self, nodes: Optional[Iterable[int]] = None) -> None:
         """Verify internal consistency; raise :class:`AssertionError` on bugs.
 
         Beyond the node bookkeeping this also verifies edge-kind
         consistency: every IDREF entry corresponds to a live edge,
         ``pred``/``succ`` mirror each other in *both* directions, the
         slot maps are bijective, and no IDREF edge targets the root.
-        Intended for tests and guarded maintenance post-checks, not hot
-        paths: O(n + m).
+        O(n + m).
+
+        With *nodes* only those oids are examined, at a cost of the sum
+        of their degrees: a live one's slot entry and both adjacency
+        mirrors, a dead one's absence from every map.  The whole-graph
+        facts — edge counter, IDREF table — need the unscoped check.
         """
-        live_slots = 0
-        for oid, slot in self._slot_of.items():
-            assert self._oid_at[slot] == oid, f"slot map broken for oid {oid}"
-            assert self._label_at[slot] >= 0, f"label missing for oid {oid}"
+        slot_of = self._slot_of
+        scoped = nodes is not None
+        entries = slot_of.items()
+        if scoped:
+            entries = ((oid, slot_of.get(oid)) for oid in nodes)
+        live_slots = edge_count = 0
+        for source, slot in entries:
+            if slot is None:
+                assert source not in self._values, f"value leaked for dead oid {source}"
+                continue
+            assert 0 <= slot < len(self._oid_at) and self._oid_at[slot] == source, (
+                f"slot map broken for oid {source}"
+            )
+            assert self._label_at[slot] >= 0, f"label missing for oid {source}"
             live_slots += 1
-        assert live_slots == len(self._slot_of), "slot count out of sync"
-        edge_count = 0
-        for source, slot in self._slot_of.items():
             targets = self._succ_slabs.to_list(slot)
             assert len(set(targets)) == len(targets), f"duplicate succ at {source}"
             for target in targets:
-                target_slot = self._slot_of.get(target)
+                target_slot = slot_of.get(target)
                 assert target_slot is not None, f"dangling edge {source}->{target}"
                 assert self._pred_slabs.contains(target_slot, source), (
                     f"pred missing for {source}->{target}"
@@ -652,22 +663,25 @@ class DataGraph:
             sources = self._pred_slabs.to_list(slot)
             assert len(set(sources)) == len(sources), f"duplicate pred at {source}"
             for origin in sources:
-                origin_slot = self._slot_of.get(origin)
+                origin_slot = slot_of.get(origin)
                 assert origin_slot is not None, f"dangling pred {origin}->{source}"
                 assert self._succ_slabs.contains(origin_slot, source), (
                     f"succ missing for {origin}->{source}"
                 )
-        assert edge_count == self._num_edges, "edge counter out of sync"
-        mask = OID_LIMIT - 1
-        for packed in self._idref:
-            source, target = packed >> _OID_SHIFT, packed & mask
-            source_slot = self._slot_of.get(source)
-            assert source_slot is not None and self._succ_slabs.contains(
-                source_slot, target
-            ), f"IDREF entry for non-edge {source}->{target}"
-            assert target != self._root, f"IDREF edge {source}->{target} targets root"
+        if not scoped:
+            assert live_slots == len(slot_of), "slot count out of sync"
+            assert edge_count == self._num_edges, "edge counter out of sync"
+            mask = OID_LIMIT - 1
+            for packed in self._idref:
+                source, target = packed >> _OID_SHIFT, packed & mask
+                source_slot = slot_of.get(source)
+                assert source_slot is not None and self._succ_slabs.contains(
+                    source_slot, target
+                ), f"IDREF entry for non-edge {source}->{target}"
+                assert target != self._root, f"IDREF edge {source}->{target} targets root"
         if self._root is not None:
-            root_slot = self._slot_of[self._root]
+            root_slot = slot_of.get(self._root)
+            assert root_slot is not None, f"root oid {self._root} is not a live node"
             assert (
                 self._interner.name_of(self._label_at[root_slot]) == ROOT_LABEL
             ), "root label corrupted"

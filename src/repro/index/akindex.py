@@ -21,6 +21,7 @@ do not depend on the physical layout.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -217,40 +218,136 @@ class AkIndexFamily:
     # Invariants
     # ------------------------------------------------------------------
 
-    def check_invariants(self) -> None:
-        """Assert structural consistency of all levels and tree links."""
-        nodes = set(self.graph.nodes())
+    def check_invariants(
+        self,
+        dnodes: Optional[Iterable[int]] = None,
+        tokens: Optional[Iterable[tuple[int, int]]] = None,
+    ) -> None:
+        """Assert structural consistency of all levels and tree links.
+
+        At every level each examined dnode must be a member of the class
+        its map entry names, inside that class's tree parent (Lemma 2;
+        level 0 is by label), and each examined class non-empty and
+        linked both ways to its tree parent and children.
+
+        Unscoped that is every dnode and class, plus the cover.  With
+        *dnodes* / ``(level, token)`` *tokens* (what a batch touched;
+        dead ones are verified absent from every map) it costs
+        O(k · given ids).
+        """
+        graph = self.graph
+        scoped = dnodes is not None or tokens is not None
+        live: list[int] = []
+        dead: list[int] = []
+        for w in (dnodes or ()) if scoped else graph.nodes():
+            (live if graph.has_node(w) else dead).append(w)
         for i, level in enumerate(self.levels):
-            assert set(level.class_of) == nodes, f"level {i} does not cover the graph"
-            for token, extent in level.extents.items():
+            coarser = self.levels[i - 1] if i else None
+            for w in dead:
+                assert w not in level.class_of, f"dead dnode {w} still classed at level {i}"
+            for w in live:
+                token = level.class_of.get(w)
+                extent = level.extents.get(token, ())
+                assert w in extent, f"class map broken at level {i} for dnode {w}"
+                if coarser is None:
+                    assert graph.label(w) == graph.label(next(iter(extent))), (
+                        f"inode {token}@0 mixes labels at dnode {w}"
+                    )
+                else:
+                    assert coarser.class_of.get(w) == level.parent.get(token), (
+                        f"inode {token}@{i} spans tree parents at dnode {w}"
+                    )
+            examine = (t for lvl, t in tokens or () if lvl == i) if scoped else level.extents
+            for token in list(examine):
+                extent = level.extents.get(token)
+                if extent is None:
+                    assert token not in level.parent and token not in level.children, (
+                        f"dead inode {token}@{i} leaked a tree link"
+                    )
+                    continue
                 assert extent, f"empty inode {token} at level {i}"
-                for dnode in extent:
-                    assert level.class_of[dnode] == token, (
-                        f"class map broken at level {i} for dnode {dnode}"
+                if coarser is not None:
+                    parent = level.parent.get(token)
+                    assert (
+                        parent == coarser.class_of.get(next(iter(extent)))
+                        and token in coarser.children.get(parent, ())
+                    ), f"tree parent wrong for {token}@{i}"
+                for child in level.children.get(token, ()):
+                    assert self.levels[i + 1].parent.get(child) == token, (
+                        f"stale child {child} under {token}@{i}"
                     )
-                labels = {self.graph.label(w) for w in extent}
-                assert len(labels) == 1, f"inode {token}@{i} mixes labels {labels}"
-            covered = sum(len(e) for e in level.extents.values())
-            assert covered == len(nodes), f"extents at level {i} overlap or leak"
-        for i in range(1, self.k + 1):
-            level = self.levels[i]
-            coarser = self.levels[i - 1]
-            for token, extent in level.extents.items():
-                parents = {coarser.class_of[w] for w in extent}
-                assert len(parents) == 1, f"inode {token}@{i} spans parents {parents}"
-                parent = parents.pop()
-                assert level.parent.get(token) == parent, (
-                    f"tree parent wrong for {token}@{i}"
+            if not scoped:
+                covered = sum(map(len, level.extents.values()))
+                assert len(level.class_of) == covered == graph.num_nodes, (
+                    f"level {i} does not cover the graph exactly once"
                 )
-                assert token in coarser.children.get(parent, set()), (
-                    f"children link missing for {token}@{i}"
+                assert i == 0 or level.parent.keys() == level.extents.keys(), (
+                    f"parent keys drift @{i}"
                 )
-            for token in self.levels[i - 1].extents:
-                for child in self.levels[i - 1].children.get(token, set()):
-                    assert child in level.extents, (
-                        f"stale child {child} under {token}@{i - 1}"
-                    )
-            assert set(level.parent) == set(level.extents), f"parent keys drift @{i}"
+
+    def signature_violations(
+        self, dnodes: Optional[Iterable[int]] = None
+    ) -> list[tuple[int, int, Optional[int]]]:
+        """``(level, token, other)`` wherever Definition 4 fails.
+
+        A dnode's class is fixed by its signature, read off graph
+        adjacency: its label at level 0, above that its class one level
+        down with the set of its parents' classes there.  A class is
+        reported with ``other=None`` when an examined member signs
+        differently from its representative, and with the *other* class
+        when two sign the same: the family is the minimum iff nothing is
+        reported (Lemma 6).
+
+        Unscoped, every dnode is examined.  With *dnodes* (those whose
+        class, or a parent's, a batch may have changed) only they are,
+        each against a member of its class outside the scope when there
+        is one, and each such class against its tree siblings.
+        """
+        graph = self.graph
+        scoped = dnodes is not None
+        nodes = [w for w in dnodes if graph.has_node(w)] if scoped else list(graph.nodes())
+        violations: list[tuple[int, int, Optional[int]]] = []
+        for i, level in enumerate(self.levels):
+            if i == 0:
+                sign = graph.label
+            else:
+                below = self.levels[i - 1].class_of.get
+
+                def sign(w):  # (only called within this iteration)
+                    return below(w), frozenset(map(below, graph.iter_pred(w)))
+
+            members_of: dict[Optional[int], list[int]] = {}
+            for w in nodes:
+                members_of.setdefault(level.class_of.get(w), []).append(w)
+            signed: dict[int, object] = {}
+            for token, members in members_of.items():
+                extent = level.extents.get(token)
+                if not extent:
+                    violations.append((i, token, None))
+                    continue
+                examined = set(members)
+                outside = (w for w in extent if w not in examined)
+                signed[token] = base = sign(next(outside, members[0]))
+                if any(sign(w) != base for w in members):
+                    violations.append((i, token, None))
+            siblings: Iterable[int] = level.extents if scoped else ()
+            if scoped and i:  # only the classes under the same tree parents
+                children = self.levels[i - 1].children
+                parents = {signature[0] for signature in signed.values()}
+                siblings = [t for parent in parents for t in children.get(parent, ())]
+            for other in siblings:
+                if other not in signed:
+                    extent = level.extents.get(other)
+                    if extent:
+                        signed[other] = sign(next(iter(extent)))
+                    else:
+                        violations.append((i, other, None))
+            owner: dict[object, int] = {}
+            for token, signature in signed.items():
+                clash = owner.setdefault(signature, token)
+                if clash != token:
+                    violations.append((i, token, clash))
+        return violations
 
     def is_minimum(self) -> bool:
         """Whether every level equals the freshly-constructed minimum.

@@ -40,7 +40,7 @@ from collections.abc import Iterable, Iterator
 from typing import Optional
 
 from repro.core.intmap import PAGE_BITS, PAGE_MASK, PagedIntMap
-from repro.exceptions import InvalidIndexError, StructuralIndexError
+from repro.exceptions import InvalidIndexError, NodeNotFoundError, StructuralIndexError
 from repro.graph.datagraph import DataGraph
 
 
@@ -401,8 +401,7 @@ class StructuralIndex:
         (see the proof of Lemma 3); on an intermediate partition the two
         may differ, and the dnode-level notion is the meaningful one.
         """
-        inode_of = self._inode_of
-        return frozenset(inode_of[p] for p in self.graph.iter_pred(dnode))
+        return frozenset(map(self._inode_of.get, self.graph.iter_pred(dnode)))
 
     # ------------------------------------------------------------------
     # Partition surgery
@@ -759,38 +758,87 @@ class StructuralIndex:
                 total += sys.getsizeof(inner) + 56 * len(inner) + 64
         return total
 
-    def check_invariants(self) -> None:
-        """Assert partition/iedge consistency against the from-scratch oracle."""
-        covered: set[int] = set()
-        for inode, arr in self._extent_arr.items():
-            assert len(arr), f"inode {inode} has an empty extent"
-            extent = set(arr)
-            assert len(extent) == len(arr), f"extent of inode {inode} has duplicates"
-            for pos, w in enumerate(arr):
-                assert self._inode_of.get(w) == inode, f"mapping broken for dnode {w}"
-                assert self._pos_of.get(w) == pos, f"position broken for dnode {w}"
-                assert self.graph.label(w) == self._label[inode], (
-                    f"label mismatch in inode {inode}"
-                )
-            assert not (covered & extent), "extents overlap"
-            covered |= extent
-        assert covered == set(self.graph.nodes()), "partition does not cover the graph"
+    def check_invariants(
+        self,
+        inodes: Optional[Iterable[int]] = None,
+        dnodes: Optional[Iterable[int]] = None,
+    ) -> None:
+        """Assert partition/iedge consistency, re-derived from graph adjacency.
 
-        oracle: dict[int, dict[int, int]] = {i: {} for i in self._extent_arr}
-        for source, target in self.graph.edges():
-            self._bump(oracle[self._inode_of[source]], self._inode_of[target], 1)
-        for inode in self._extent_arr:
-            assert self._succ_support[inode] == oracle[inode], (
-                f"succ supports of inode {inode} drifted: "
-                f"{self._succ_support[inode]} != {oracle[inode]}"
+        Every examined dnode must sit in the extent its map entry names
+        (right position, right label), and its inode's incoming support
+        row is recounted from its parents: the stored row must *equal*
+        the recount when every member of the extent was examined and
+        *dominate* it otherwise, and either way the parent inode's
+        outgoing row must mirror each recounted iedge.  (A dedge is
+        recounted at its target, so the scope must hold the children of
+        a dnode that changed inode.)  Every examined inode must have a
+        non-empty extent.
+
+        Unscoped that is every dnode and inode, plus the cover: O(n + m).
+        With *inodes* / *dnodes* (the ids a batch touched; dead ones are
+        verified absent from every map) it costs the in-degrees of the
+        given dnodes.
+        """
+        graph = self.graph
+        scoped = inodes is not None or dnodes is not None
+        inode_at, pos_at = self._inode_of.get, self._pos_of.get
+        extent_arr, succs, preds = self._extent_arr, self._succ_support, self._pred_support
+        recount: dict[int, dict[int, int]] = {}
+        examined: dict[int, int] = {}
+        for w in (dnodes or ()) if scoped else graph.nodes():
+            inode, pos = inode_at(w), pos_at(w)
+            try:
+                parents = graph.iter_pred(w)
+            except NodeNotFoundError:
+                assert inode is None and pos is None, (
+                    f"dead dnode {w} is still mapped (inode {inode})"
+                )
+                continue
+            arr = extent_arr.get(inode)
+            assert arr is not None, f"partition does not cover dnode {w}"
+            assert pos is not None and pos < len(arr) and arr[pos] == w, (
+                f"mapping broken for dnode {w}: not at position {pos} of inode {inode}"
             )
-        pred_oracle: dict[int, dict[int, int]] = {i: {} for i in self._extent_arr}
-        for source, targets in oracle.items():
-            for target, count in targets.items():
-                self._bump(pred_oracle[target], source, count)
-        for inode in self._extent_arr:
-            assert self._pred_support[inode] == pred_oracle[inode], (
-                f"pred supports of inode {inode} drifted"
+            assert graph.label(w) == self._label.get(inode), (
+                f"label mismatch in inode {inode} at dnode {w}"
+            )
+            examined[inode] = examined.get(inode, 0) + 1
+            row = recount.setdefault(inode, {})
+            for j in map(inode_at, parents):
+                row[j] = row.get(j, 0) + 1  # (an uncovered parent counts under None)
+        for inode, row in recount.items():
+            stored = preds.get(inode)
+            assert stored is not None, f"inode {inode} has no support row"
+            whole = examined[inode] == len(extent_arr[inode])
+            ok = row == stored if whole else all(
+                stored.get(j, 0) >= count for j, count in row.items()
+            )
+            assert ok, f"supports of inode {inode} drifted: {stored} vs {row}"
+            for j in row:
+                assert succs.get(j, {}).get(inode) == stored[j], (
+                    f"iedge from inode {j} to inode {inode} is not mirrored"
+                )
+        tables = (self._label, succs, preds)
+        for inode in (inodes or ()) if scoped else extent_arr:
+            if inode in extent_arr:
+                assert len(extent_arr[inode]), f"inode {inode} has an empty extent"
+            else:
+                assert not any(inode in table for table in tables), (
+                    f"dead inode {inode} leaked a map entry"
+                )
+        if not scoped:
+            # every dnode sits at its own position of exactly one extent, and
+            # every incoming iedge is mirrored by an outgoing one: equal
+            # totals leave no room for duplicates, overlaps or strays
+            assert sum(map(len, extent_arr.values())) == graph.num_nodes, (
+                "extents overlap or hold dnodes outside the graph"
+            )
+            assert sum(map(len, succs.values())) == sum(map(len, preds.values())), (
+                "an outgoing iedge has no incoming mirror"
+            )
+            assert all(table.keys() == extent_arr.keys() for table in tables), (
+                "a dead inode leaked a map entry"
             )
 
     # ------------------------------------------------------------------

@@ -1,14 +1,18 @@
 """Stability, validity, minimality and minimum-ness oracles.
 
-These functions are the executable versions of Definitions 1, 2, 5 and 6
-and are used both by the maintenance layer (cheap minimality predicates)
-and by the test-suite as ground truth (expensive whole-index checks,
-O(n + m) or worse — never called on hot paths).
+These functions are the executable versions of Definitions 1, 2, 5 and 6.
+Each reads graph adjacency, never the maintainers' own bookkeeping, so it
+is ground truth for the test-suite and for the guarded post-check
+(:mod:`repro.resilience.invariants`).  Unscoped they cost O(n + m) or
+worse; :func:`unstable_pairs` and :func:`mergeable_pairs` also take the
+ids a batch touched and then cost only that neighbourhood — the same
+predicate over fewer dnodes, which is what runs after every commit.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
+from typing import Optional
 
 from repro.graph.datagraph import DataGraph
 from repro.index.base import StructuralIndex
@@ -30,21 +34,48 @@ def is_stable_wrt(index: StructuralIndex, target: int, splitter: int) -> bool:
     return hit == 0 or hit == len(extent)
 
 
-def unstable_pairs(index: StructuralIndex) -> list[tuple[int, int]]:
-    """All ``(target, splitter)`` inode pairs violating stability.
+def unstable_pairs(
+    index: StructuralIndex,
+    inodes: Optional[Iterable[int]] = None,
+    dnodes: Optional[Iterable[int]] = None,
+) -> list[tuple[int, int]]:
+    """``(target, splitter)`` inode pairs violating stability.
 
-    Only pairs connected by an iedge can be unstable (if no dedge runs from
-    ``J`` to ``I`` the intersection is empty), so the scan is limited to
-    iedges.
+    ``I`` is stable w.r.t. every ``J`` iff all its members have the same
+    index parents, so each examined dnode's index-parent set (read off
+    graph adjacency) is compared with a representative member's, and
+    that with the inode's stored index parents; ``J`` is reported
+    wherever two of them disagree.
+
+    Unscoped, every dnode is examined.  With *dnodes* (those whose own
+    inode, or a parent's, a batch may have changed) only they are, each
+    against a member of its inode outside the scope when there is one;
+    *inodes* are examined through their representative alone.
     """
+    members_of: dict[int, Sequence[int]] = {}
+    if inodes is None and dnodes is None:
+        members_of = index._extent_arr
+    else:
+        for inode in inodes or ():
+            if index.has_inode(inode):
+                members_of[inode] = []
+        for w in dnodes or ():
+            if index.covers(w):
+                members_of.setdefault(index.inode_of(w), []).append(w)
     violations: list[tuple[int, int]] = []
-    for splitter in index.inodes():
-        succ = index.succ_extent(splitter)
-        for target in index.isucc(splitter):
-            extent = index.extent(target)
-            hit = sum(1 for w in extent if w in succ)
-            if 0 < hit < len(extent):
-                violations.append((target, splitter))
+    for inode, members in members_of.items():
+        extent = index._extent_arr[inode]
+        representative = extent[0]
+        if len(members) < len(extent):
+            examined = set(members)
+            representative = next(w for w in extent if w not in examined)
+        # (an uncovered parent shows up as the splitter ``None``)
+        base = index.dnode_iparents(representative)
+        drift = base ^ index.ipred_set(inode)
+        for w in members:
+            if w != representative and index.dnode_iparents(w) != base:
+                drift |= index.dnode_iparents(w) ^ base
+        violations.extend((inode, splitter) for splitter in drift)
     return violations
 
 
@@ -64,21 +95,47 @@ def is_valid_1index(index: StructuralIndex) -> bool:
     return is_self_stable(index)
 
 
-def mergeable_pairs(index: StructuralIndex) -> list[tuple[int, int]]:
+def mergeable_pairs(
+    index: StructuralIndex, inodes: Optional[Iterable[int]] = None
+) -> list[tuple[int, int]]:
     """Inode pairs with the same label and the same index-parent set.
 
     By the remark under Definition 5, a 1-index is minimal iff this list
     is empty.  Runs in O(#inodes) expected time via signature grouping.
+
+    With *inodes* (those whose label or index parents a batch may have
+    changed) only they are probed: a partner shares every index parent,
+    so it is among the index children of whichever parent has the
+    fewest.  A parentless inode's partners are the other parentless
+    ones; the root's own inode (nothing else is labelled ``ROOT``) is
+    left to the unscoped check.
     """
+    label, preds, succs = index._label, index._pred_support, index._succ_support
+    pairs: list[tuple[int, int]] = []
+    if inodes is not None:
+        graph = index.graph
+        root_inode = index._inode_of.get(graph.root) if graph.has_root else None
+        for inode in inodes:
+            parents = preds.get(inode)
+            if parents is None or (not parents and inode == root_inode):
+                continue
+            if parents:
+                siblings: Iterable[int] = succs[min(parents, key=lambda p: len(succs[p]))]
+            else:
+                siblings = (i for i, row in preds.items() if not row)
+            pairs.extend(
+                (inode, other)
+                for other in siblings
+                if other != inode
+                and label[other] == label[inode]
+                and preds[other].keys() == parents.keys()
+            )
+        return pairs
     groups: dict[tuple[str, frozenset[int]], list[int]] = {}
     for inode in index.inodes():
-        signature = (index.label_of(inode), index.ipred_set(inode))
-        groups.setdefault(signature, []).append(inode)
-    pairs: list[tuple[int, int]] = []
+        groups.setdefault((label[inode], frozenset(preds[inode])), []).append(inode)
     for members in groups.values():
-        if len(members) > 1:
-            anchor = members[0]
-            pairs.extend((anchor, other) for other in members[1:])
+        pairs.extend((members[0], other) for other in members[1:])
     return pairs
 
 

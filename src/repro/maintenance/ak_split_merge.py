@@ -58,11 +58,24 @@ class AkSplitMergeMaintainer:
         for token, extent in level0.extents.items():
             self._label_tokens[self.graph.label(next(iter(extent)))] = token
         #: optional :class:`repro.resilience.TouchedSet` for incremental
-        #: snapshot publication.  The family is rolled back by snapshot,
-        #: not journaled, so leaf-level (= level k) membership changes
-        #: are reported here directly: ``leaf_moves`` entries for every
-        #: placement/move/removal, ``leaf_tokens`` for emptied classes.
+        #: snapshot publication and scoped invariant checks.  The family
+        #: is rolled back by snapshot, not journaled, so membership
+        #: changes are reported here directly: ``moved`` / ``tokens`` at
+        #: every level, plus ``leaf_moves`` entries for every level-k
+        #: placement/move/removal and ``leaf_tokens`` for emptied classes.
         self.touched = None
+
+    def _note_move(
+        self, level_no: int, dnode: int, old: Optional[int], new: Optional[int]
+    ) -> None:
+        """Report one membership change (``None`` = not covered) as touched."""
+        touched = self.touched
+        if touched is None:
+            return
+        touched.moved.add(dnode)
+        touched.tokens.update(((level_no, old), (level_no, new)))  # None is inert
+        if level_no == self.family.k:
+            touched.leaf_moves.append((dnode, old, new))
 
     # ------------------------------------------------------------------
     # Edge insertion / deletion
@@ -114,8 +127,7 @@ class AkSplitMergeMaintainer:
         token = self._level0_token(label)
         level0.class_of[oid] = token
         level0.extents[token].add(oid)
-        if self.touched is not None and self.family.k == 0:
-            self.touched.leaf_moves.append((oid, None, token))
+        self._note_move(0, oid, None, token)
         stats = self._propagate(set(), initial_changed={oid})
         return oid, stats
 
@@ -136,8 +148,7 @@ class AkSplitMergeMaintainer:
             token = level.class_of.pop(dnode)
             extent = level.extents[token]
             extent.discard(dnode)
-            if level_no == family.k and self.touched is not None:
-                self.touched.leaf_moves.append((dnode, token, None))
+            self._note_move(level_no, dnode, token, None)
             if not extent:
                 self._remove_empty_class(level_no, token, stats)
         graph.remove_node(dnode)
@@ -193,13 +204,11 @@ class AkSplitMergeMaintainer:
                 entry_points.add(target)
 
         level0 = self.family.levels[0]
-        track_leaf0 = self.touched is not None and self.family.k == 0
         for w in sorted(new_nodes):
             token = self._level0_token(graph.label(w))
             level0.class_of[w] = token
             level0.extents[token].add(w)
-            if track_leaf0:
-                self.touched.leaf_moves.append((w, None, token))
+            self._note_move(0, w, None, token)
         stats = self._propagate(entry_points, initial_changed=new_nodes)
         return mapping, stats
 
@@ -222,14 +231,12 @@ class AkSplitMergeMaintainer:
         stats = UpdateStats()
         for level_no in range(family.k + 1):
             level = family.levels[level_no]
-            track_leaf = level_no == family.k and self.touched is not None
             emptied: set[int] = set()
             for w in doomed:
                 token = level.class_of.pop(w)
                 extent = level.extents[token]
                 extent.discard(w)
-                if track_leaf:
-                    self.touched.leaf_moves.append((w, token, None))
+                self._note_move(level_no, w, token, None)
                 if not extent:
                     emptied.add(token)
             for token in emptied:
@@ -365,9 +372,12 @@ class AkSplitMergeMaintainer:
                     kids.discard(old_token)
                 level.parent[old_token] = new_parent
                 coarser.children.setdefault(new_parent, set()).add(old_token)
+                if self.touched is not None:
+                    self.touched.tokens.update(
+                        ((level_no - 1, old_parent), (level_no - 1, new_parent))
+                    )
 
         # Assign every affected dnode to the class of its signature.
-        track = self.touched if level_no == family.k else None
         changed: set[int] = set()
         for w in ordered:
             sig = sigs[w]
@@ -380,6 +390,8 @@ class AkSplitMergeMaintainer:
                 coarser.children.setdefault(sig[0], set()).add(target)
                 if level_no < family.k:
                     level.children[target] = set()
+                if self.touched is not None:
+                    self.touched.tokens.add((level_no - 1, sig[0]))
                 stats.splits += 1
             old = level.class_of.get(w)
             if old == target:
@@ -388,8 +400,7 @@ class AkSplitMergeMaintainer:
                 level.extents[old].discard(w)
             level.class_of[w] = target
             level.extents[target].add(w)
-            if track is not None:
-                track.leaf_moves.append((w, old, target))
+            self._note_move(level_no, w, old, target)
             changed.add(w)
             stats.moves += 1
 
@@ -405,11 +416,16 @@ class AkSplitMergeMaintainer:
     def _remove_empty_class(self, level_no: int, token: int, stats: UpdateStats) -> None:
         family = self.family
         level = family.levels[level_no]
-        if level_no == family.k and self.touched is not None:
-            self.touched.leaf_tokens.add(token)
+        touched = self.touched
+        if touched is not None:
+            touched.tokens.add((level_no, token))
+            if level_no == family.k:
+                touched.leaf_tokens.add(token)
         del level.extents[token]
         if level_no > 0:
             parent = level.parent.pop(token)
+            if touched is not None:
+                touched.tokens.add((level_no - 1, parent))
             kids = family.levels[level_no - 1].children.get(parent)
             if kids is not None:
                 kids.discard(token)

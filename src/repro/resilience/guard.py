@@ -65,7 +65,7 @@ class GuardConfig:
     #: what to do after a rollback: ``raise`` / ``retry`` / ``degrade``
     policy: str = "raise"
     #: invariant depth: ``basic`` / ``valid`` / ``minimal``
-    check_level: str = "valid"
+    check_level: str = "minimal"
     #: post-check every N-th update (0 disables checks)
     check_every: int = 1
     #: instead of a fixed cadence, check a sampled fraction of updates
@@ -222,10 +222,11 @@ class GuardedMaintainer:
         """Install (or remove, with ``None``) a touched-set accumulator.
 
         While installed, every transaction feeds its journal records into
-        *touched*, and A(k) maintainers additionally report leaf-level
-        membership changes (the family is snapshot-rolled-back, not
-        journaled).  The accumulator is a conservative superset across
-        rollbacks; the consumer clears it after each successful publish.
+        *touched*, and A(k) maintainers additionally report membership
+        changes (the family is snapshot-rolled-back, not journaled).
+        The accumulator is a conservative superset across rollbacks —
+        which is also what lets it scope the post-check — and the
+        consumer clears it after each successful publish.
         """
         self.touched = touched
         if hasattr(self.maintainer, "touched"):
@@ -370,15 +371,20 @@ class GuardedMaintainer:
             if self.invariants.due():
                 self.stats.checks += 1
                 obs.add("resilience.checks")
-                self.invariants.check(self.graph, index=self.index, family=self.family)
+                # a usable scope only if the maintainer reports into it too
+                # (the A(k) family is not journaled)
+                scope = self.touched if hasattr(self.maintainer, "touched") else None
+                self.invariants.check(
+                    self.graph, index=self.index, family=self.family, touched=scope
+                )
         except BaseException as exc:
             txn.rollback()
             self.stats.rollbacks += 1
             obs.add("resilience.rollbacks")
-            obs.event(
-                "resilience.rolled_back",
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            attrs = {"error": f"{type(exc).__name__}: {exc}"}
+            if getattr(exc, "definition", None) is not None:
+                attrs.update(definition=exc.definition, pair=exc.pair)
+            obs.event("resilience.rolled_back", **attrs)
             raise
         txn.commit()
         self.stats.commits += 1

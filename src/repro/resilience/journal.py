@@ -8,7 +8,7 @@ Every public mutator of :class:`~repro.graph.datagraph.DataGraph` and
 
 ``_journal`` is ``None`` outside a transaction, so the hook costs one
 attribute load and an ``is not None`` test — the zero-overhead contract
-``benchmarks/bench_guard_overhead.py`` enforces.  Inside a transaction
+(``tests/resilience/test_journal.py`` counts it).  Inside a transaction
 the hook appends an undo record *after* the mutation has been applied;
 :meth:`MutationJournal.rollback` replays the records in reverse,
 dispatching each to its target's ``_undo_journal``.
@@ -61,16 +61,24 @@ class TouchedSet:
     * :class:`~repro.maintenance.ak_split_merge.AkSplitMergeMaintainer`
       — the A(k) family is snapshot-rolled-back, not journaled, so the
       maintainer reports leaf-level membership changes directly into
-      :attr:`leaf_moves` / :attr:`leaf_tokens`.
+      :attr:`leaf_moves` / :attr:`leaf_tokens`, and membership changes
+      at *every* level into :attr:`moved` / :attr:`tokens`, which also
+      scope the post-check (:mod:`repro.resilience.invariants`).
     """
 
-    __slots__ = ("dnodes", "inodes", "leaf_moves", "leaf_tokens", "full")
+    __slots__ = (
+        "dnodes", "inodes", "moved", "tokens", "leaf_moves", "leaf_tokens", "full"
+    )
 
     def __init__(self) -> None:
         #: dnodes whose label/value/adjacency changed (including dead ones)
         self.dnodes: set[int] = set()
         #: 1-index inodes whose extent or iedges changed (including dead ones)
         self.inodes: set[int] = set()
+        #: dnodes whose inode (1-index) or class at any A(k) level changed
+        self.moved: set[int] = set()
+        #: A(k) ``(level, token)`` classes (dead too) whose members or links changed
+        self.tokens: set[tuple[int, int]] = set()
         #: A(k) leaf-level membership changes: ``(dnode, old_token, new_token)``
         #: with ``None`` for "not covered before" / "no longer covered"
         self.leaf_moves: list[tuple[int, Optional[int], Optional[int]]] = []
@@ -87,6 +95,8 @@ class TouchedSet:
         """Reset after a publish consumed the accumulated touches."""
         self.dnodes.clear()
         self.inodes.clear()
+        self.moved.clear()
+        self.tokens.clear()
         self.leaf_moves.clear()
         self.leaf_tokens.clear()
         self.full = False
@@ -96,6 +106,7 @@ class TouchedSet:
             self.full
             or self.dnodes
             or self.inodes
+            or self.moved or self.tokens
             or self.leaf_moves
             or self.leaf_tokens
         )
@@ -130,22 +141,26 @@ class TouchedSet:
         elif op == "dnode_moved":
             dnode, source = payload
             self.inodes.add(source)
+            self.moved.add(dnode)
             self._touch_inode_neighbourhood(target, dnode)
         elif op in ("dnode_covered", "dnode_dropped"):
             dnode, inode = payload
             self.inodes.add(inode)
+            self.moved.add(dnode)
             self._touch_inode_neighbourhood(target, dnode)
         elif op == "merge_folded":
             survivor, other = payload[0], payload[1]
             other_succ, other_pred = payload[4], payload[5]
             self.inodes.add(survivor)
             self.inodes.add(other)
+            self.moved.update(payload[3])
             # third parties had `other` popped / `survivor` bumped in
             # their support tables — their iedge sets changed too
             self.inodes.update(other_succ)
             self.inodes.update(other_pred)
         elif op == "blocks_absorbed":
             (new_nodes,) = payload
+            self.moved.update(new_nodes)
             for dnode in new_nodes:
                 self._touch_inode_neighbourhood(target, dnode)
         # unknown ops fall through silently: the journal's rollback path

@@ -198,6 +198,8 @@ class IndexService:
         self._writer_thread: Optional[threading.Thread] = None
         self._writer_stop = threading.Event()
         self._telemetry = None  # LiveTelemetry bundle, see start_telemetry()
+        #: newest version whose state a whole-graph check has verified
+        self._last_audit_version: Optional[int] = None
         self._snapshot = self._capture(version=initial_version)
         self.stats.versions_published = 1
 
@@ -431,6 +433,9 @@ class IndexService:
         snapshot = self._next_snapshot(self._snapshot.version + 1)
         self._publish(snapshot)
         self._touched.clear()
+        guard = self.guarded.invariants
+        if guard.last_audit_ok and not guard.checks_since_audit:
+            self._last_audit_version = snapshot.version  # newest check was full
         return snapshot
 
     def _next_snapshot(self, version: int) -> IndexSnapshot:
@@ -463,8 +468,9 @@ class IndexService:
         self.stats.versions_published += 1
         obs.observe("service.queries_per_version", retired)
         obs.add("service.versions")
-        obs.set("graph.bytes", self._graph_bytes())
-        obs.set("index.bytes", self._index_bytes())
+        if obs.enabled:  # sizing the index is O(#inodes): only for a live gauge
+            obs.set("graph.bytes", self._graph_bytes())
+            obs.set("index.bytes", self._index_bytes())
 
     def _graph_bytes(self) -> int:
         """Approximate resident bytes of the live graph (O(#pages))."""
@@ -543,6 +549,7 @@ class IndexService:
 
     def health(self) -> dict:
         """Service-level liveness facts for the ``/health`` endpoint."""
+        guard = self.guarded.invariants
         return {
             "family": self.config.family,
             "version": self.version,
@@ -561,6 +568,11 @@ class IndexService:
             "versions_published": self.stats.versions_published,
             "graph_bytes": self._graph_bytes(),
             "index_bytes": self._index_bytes(),
+            "last_audit_version": self._last_audit_version,
+            "last_audit_ok": guard.last_audit_ok,
+            "commits_since_audit": guard.checks_since_audit,
+            "checks_local": guard.checks_local,
+            "checks_full": guard.checks_full,
         }
 
     def _writer_loop(self) -> None:
@@ -578,18 +590,17 @@ class IndexService:
     def check(self) -> None:
         """Assert the live graph/index pair is internally consistent.
 
-        Runs the library's full oracles (graph invariants + index
-        support-counter check against from-scratch derivation).  The
+        Runs the guard's whole-graph audit at the configured depth (the
+        one "full check" recovery and the amortised audit also run) and
+        raises :class:`~repro.exceptions.InvariantViolationError`.  The
         soak suite calls this after fault-injected runs to prove the
         service never served from, nor left behind, corrupt state.
         """
-        self.graph.check_invariants()
-        if self.guarded.index is not None:
-            self.guarded.index.check_invariants()
-        if self.guarded.family is not None:
-            # materialising a level re-derives the partition's iedges and
-            # validates extents against the graph
-            self.guarded.family.level_index(self.config.k).check_invariants()
+        with self._writer_lock:
+            self.guarded.invariants.check(
+                self.graph, index=self.guarded.index, family=self.guarded.family
+            )
+            self._last_audit_version = self.version
 
     def queue_depth(self) -> int:
         """Updates currently waiting for the writer."""

@@ -147,6 +147,28 @@ class TestCompaction:
         for slot in slots:
             assert s.to_list(slot) == expected[slot]
 
+    def test_compaction_triggered_by_growth_keeps_the_new_capacity(self):
+        # regression: _grow used to compact *after* allocating the doubled
+        # segment; compaction trimmed it back to the old length and the
+        # pending append overwrote the first member of the next slot
+        s = SlotSlabs()
+        grower, victim, filler = s.new_slot(), s.new_slot(), s.new_slot()
+        for v in range(2048):
+            s.append(grower, v)
+        for v in range(4):
+            s.append(victim, 9000 + v)
+        for v in range(600):
+            s.append(filler, v)
+        s.clear_slot(filler)
+        # more than half the slab is dead, but still under the floor: the
+        # tombstone of the grower's next doubling is what crosses it
+        assert s._dead * 2 > len(s._data) and s._dead <= COMPACT_MIN_DEAD
+        assert s._dead + 2048 > COMPACT_MIN_DEAD
+        s.append(grower, 2048)
+        assert s.to_list(victim) == [9000, 9001, 9002, 9003]
+        assert s.to_list(grower) == list(range(2049))
+        assert s.contains(grower, 2048) and s.length(grower) == 2049
+
     def test_compact_preserves_free_and_empty_slots(self):
         s = SlotSlabs()
         a, b, c = s.new_slot(), s.new_slot(), s.new_slot()

@@ -231,7 +231,7 @@ class TestGuardConfig:
     def test_defaults(self):
         config = GuardConfig()
         assert config.policy == "raise"
-        assert config.check_level == "valid"
+        assert config.check_level == "minimal"
 
 
 class TestAkGuard:

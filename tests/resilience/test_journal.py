@@ -224,3 +224,41 @@ class TestTransactionProtocol:
         assert [n for _, n in observed] == [1, 2]
         journal.rollback()
         assert not tiny_tree.has_node(oid)
+
+    def test_journaling_work_is_one_record_per_mutator_call(self):
+        """The guard-overhead gate, as counts instead of a stopwatch.
+
+        (``benchmarks/bench_guard_overhead.py`` bounded the journaled /
+        unguarded time ratio of a mixed workload; what that ratio
+        measured is this.)  Outside a transaction the hooks find no
+        journal, so an unguarded run leaves none behind; inside one,
+        every mutator call — each bumps its structure's generation
+        exactly once — appends exactly one record, so journaling adds
+        O(1) per primitive the maintenance already performed.
+        """
+        from repro.resilience import GuardConfig, GuardedMaintainer
+        from repro.workload.updates import MixedUpdateWorkload
+        from repro.workload.xmark import generate_xmark
+        from tests.resilience.conftest import CHAOS_XMARK
+
+        records: list[int] = []
+        for guarded in (False, True):
+            graph = generate_xmark(CHAOS_XMARK).graph
+            workload = MixedUpdateWorkload.prepare(graph, seed=11)
+            index = OneIndex.build(graph)
+            maintainer = SplitMergeMaintainer(index)
+            if guarded:
+                maintainer = GuardedMaintainer(
+                    maintainer, GuardConfig(policy="raise", check_every=0)
+                )
+                maintainer.fault_injector = lambda op, count: records.append(count)
+            before = graph.generation + index.generation
+            for op, source, target in workload.steps(40, validate=True):
+                if op == "insert":
+                    maintainer.insert_edge(source, target, EdgeKind.IDREF)
+                else:
+                    maintainer.delete_edge(source, target)
+                assert graph._journal is None and index._journal is None
+            mutator_calls = graph.generation + index.generation - before
+            assert len(records) == (mutator_calls if guarded else 0)
+        assert len(records) > 80  # at least one record per update

@@ -1,0 +1,565 @@
+"""The scoped post-check against the whole-graph one.
+
+After a batch the guard verifies the batch's neighbourhood, not the
+graph (:mod:`repro.resilience.invariants`).  That is only sound if
+
+* on every state a workload can produce, the scoped verdict equals the
+  full verdict (the differential runs — chaos, service-soak and
+  corpus-churn workloads, both families, seeded by ``CHAOS_SEED``);
+* a corruption *inside* the touched region is caught by the scoped check
+  with the same exception type as the full one (the corruption matrix),
+  while one *outside* it is the next audit's to catch — that is the
+  contract, and the last matrix row documents it;
+* the fall-backs (no touched set, ``TouchedSet.full``, recovery) really
+  take the whole-graph path, and the audit fires when its visit budget
+  is spent, deterministically;
+* what the scoped check visits does not grow with the graph.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.corpus import CorpusChurnWorkload, CorpusService
+from repro.exceptions import InvariantViolationError
+from repro.graph.datagraph import EdgeKind
+from repro.index.akindex import AkIndexFamily
+from repro.index.oneindex import OneIndex
+from repro.maintenance.ak_split_merge import AkSplitMergeMaintainer
+from repro.maintenance.split_merge import SplitMergeMaintainer
+from repro.obs import InMemorySink, observed
+from repro.resilience import (
+    FaultInjector,
+    GuardConfig,
+    GuardedMaintainer,
+    InvariantGuard,
+    TouchedSet,
+)
+from repro.resilience.invariants import AUDIT_BUDGET
+from repro.service import IndexService, ServiceConfig, Update
+from repro.store import DurableIndexService, StoreConfig
+from repro.workload.queries import QueryWorkload
+from repro.workload.sessions import ClosedLoopDriver, SessionMix
+from repro.workload.updates import MixedUpdateWorkload
+from repro.workload.xmark import XMarkConfig, generate_xmark
+from tests.resilience.conftest import CHAOS_SEED, CHAOS_XMARK
+
+FAMILIES = ("one", "ak")
+AK_K = 2
+
+
+def build(family: str, graph):
+    """A fresh maintainer of *family* over *graph*."""
+    if family == "one":
+        return SplitMergeMaintainer(OneIndex.build(graph))
+    return AkSplitMergeMaintainer(AkIndexFamily.build(graph, AK_K))
+
+
+def prepared(seed: int, config: XMarkConfig = CHAOS_XMARK):
+    """A graph with its update pool already carved out, and the pool.
+
+    ``prepare`` removes the pooled IDREF edges from the graph, so it
+    must run before anything indexes the graph.
+    """
+    graph = generate_xmark(config).graph
+    return graph, MixedUpdateWorkload.prepare(graph, seed=seed)
+
+
+def structures(maintainer) -> dict:
+    return {
+        "index": getattr(maintainer, "index", None),
+        "family": getattr(maintainer, "family", None),
+    }
+
+
+def edge_call(step) -> tuple[str, tuple]:
+    op, source, target = step
+    if op == "insert":
+        return "insert_edge", (source, target, EdgeKind.IDREF)
+    return "delete_edge", (source, target)
+
+
+def verdict(level: str, graph, touched=None, **kinds):
+    """The exception a fresh guard raises on this state, or ``None``."""
+    guard = InvariantGuard(level=level)
+    try:
+        guard.check(graph, touched=touched, **kinds)
+    except InvariantViolationError as exc:
+        return exc
+    assert (guard.checks_local == 1) == (touched is not None)
+    return None
+
+
+# ----------------------------------------------------------------------
+# Differential: scoped verdict == full verdict after every batch
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def paired(monkeypatch):
+    """Every scoped post-check is followed by a full one on the same state."""
+    tally = {"local": 0, "violations": [], "disagreements": []}
+    scoped_check = InvariantGuard.check
+
+    def both(self, graph, index=None, family=None, touched=None):
+        scoped = full = None
+        local_before = self.checks_local
+        try:
+            scoped_check(self, graph, index=index, family=family, touched=touched)
+        except InvariantViolationError as exc:
+            scoped = exc
+        if self.checks_local > local_before:
+            tally["local"] += 1
+            try:
+                scoped_check(
+                    InvariantGuard(level=self.level), graph, index=index, family=family
+                )
+            except InvariantViolationError as exc:
+                full = exc
+            if type(scoped) is not type(full):  # (a raise here would be "handled")
+                tally["disagreements"].append((scoped, full))
+        if scoped is not None:
+            tally["violations"].append(scoped)
+            raise scoped
+
+    monkeypatch.setattr(InvariantGuard, "check", both)
+    return tally
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_differential_chaos(family, paired):
+    """Single guarded operations of every kind under injected faults."""
+    graph, workload = prepared(61 + CHAOS_SEED)
+    guard = GuardedMaintainer(
+        build(family, graph),
+        GuardConfig(policy="degrade"),
+        FaultInjector(at_record=37 + CHAOS_SEED, rearm=True),
+    )
+    touched = TouchedSet()
+    guard.track_touched(touched)
+    for count, step in enumerate(workload.steps(60, validate=True)):
+        method, args = edge_call(step)
+        getattr(guard, method)(*args)
+        touched.clear()
+        if count % 10 == 0:  # node and subgraph surgery ride along
+            oid, _ = guard.insert_node(args[0], "chaos", count)
+            touched.clear()
+            guard.set_value(oid, "v")
+            touched.clear()
+            guard.delete_node(oid)
+            touched.clear()
+    assert guard.stats.faults > 0, "the injector never fired"
+    assert paired["local"] > 100
+    assert paired["disagreements"] == paired["violations"] == []
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_differential_service_soak(family, paired):
+    """Coalesced batches through the serving layer, with rollbacks."""
+    graph, workload = prepared(29 + CHAOS_SEED)
+    service = IndexService(
+        graph,
+        ServiceConfig(family=family, k=AK_K, batch_max_ops=16, queue_capacity=64),
+        fault_injector=FaultInjector(rate=0.002, seed=31 + CHAOS_SEED, rearm=True),
+    )
+    driver = ClosedLoopDriver(
+        service,
+        workload,
+        QueryWorkload.generate(graph, count=24, seed=37 + CHAOS_SEED),
+        SessionMix(steps=300, seed=41 + CHAOS_SEED),
+    )
+    report = driver.run()
+    assert report.batch_failures == 0
+    assert paired["local"] >= report.batches - service.guarded.stats.degradations
+    assert paired["disagreements"] == paired["violations"] == []
+    service.check()
+    service.close()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_differential_corpus_churn(family, paired):
+    """Document add / remove / replace: subgraph surgery and value edits."""
+    pool = generate_xmark(CHAOS_XMARK).as_documents(12)
+    corpus = CorpusService.bulk_load(
+        pool, config=ServiceConfig(family=family, k=AK_K)
+    )
+    churn = CorpusChurnWorkload(pool=pool, steps=30, seed=13 + CHAOS_SEED)
+    report = churn.run(corpus, compare="full", check_every=1)  # commit each step
+    assert report.converged, report.summary()
+    assert paired["local"] >= 30 - report.noop_replaces
+    assert paired["disagreements"] == paired["violations"] == []
+    corpus.close()
+
+
+# ----------------------------------------------------------------------
+# Corruption matrix
+# ----------------------------------------------------------------------
+
+
+class NoMerge(SplitMergeMaintainer):
+    def _merge_phase(self, start, stats):
+        """Skip Figure 3's merge phase: valid, but no longer minimal."""
+
+
+def batched(family: str, build=build, pairs: int = 8):
+    """One committed, *unchecked* batch and the touched set it left."""
+    graph, workload = prepared(7 + CHAOS_SEED)
+    maintainer = build(family, graph)
+    guard = GuardedMaintainer(maintainer, GuardConfig(policy="raise", check_every=0))
+    touched = TouchedSet()
+    guard.track_touched(touched)
+    while not touched.moved:  # (a seed may open with trivial updates only)
+        guard.apply_batch([edge_call(step) for step in workload.steps(pairs)])
+    assert guard.stats.checks == 0
+    return graph, maintainer, touched
+
+
+def touched_edge(graph, touched) -> tuple[int, int]:
+    """A live dedge with both endpoints in the touched dnodes."""
+    for target in sorted(touched.dnodes):
+        if graph.has_node(target):
+            for source in sorted(graph.iter_pred(target)):
+                if source in touched.dnodes:
+                    return source, target
+    raise AssertionError("the batch left no touched edge")
+
+
+def swap_extent_member(graph, maintainer, touched):
+    index = maintainer.index
+    _, w = touched_edge(graph, touched)
+    inode = index.inode_of(w)
+    stranger = next(v for v in graph.nodes() if index.inode_of(v) != inode)
+    index._extent_arr[inode][index._pos_of[w]] = stranger
+
+
+def drop_iedge_support(graph, maintainer, touched):
+    index = maintainer.index
+    source, target = touched_edge(graph, touched)
+    del index._succ_support[index.inode_of(source)][index.inode_of(target)]
+
+
+def add_iedge_support(graph, maintainer, touched):
+    index = maintainer.index
+    _, target = touched_edge(graph, touched)
+    inode = index.inode_of(target)
+    stranger = next(
+        i for i in index.inodes() if i != inode and not index.has_iedge(i, inode)
+    )
+    index._succ_support[stranger][inode] = 1
+    index._pred_support[inode][stranger] = 1
+
+
+def repoint_dnode(graph, maintainer, touched):
+    index = maintainer.index
+    _, w = touched_edge(graph, touched)
+    index._inode_of[w] = next(i for i in index.inodes() if i != index.inode_of(w))
+
+
+def drop_dnode_entry(graph, maintainer, touched):
+    # the bare KeyError of old: an oracle's lookup misses the entry
+    del maintainer.index._inode_of[touched_edge(graph, touched)[1]]
+
+
+def leak_dead_inode(graph, maintainer, touched):
+    index = maintainer.index
+    dead = next(
+        (i for i in sorted(touched.inodes) if not index.has_inode(i)), index._next_id
+    )
+    touched.inodes.add(dead)  # (in case every inode the batch made survived)
+    index._label[dead] = "leaked"
+
+
+def break_graph_mirror(graph, maintainer, touched):
+    source, target = touched_edge(graph, touched)
+    graph._pred_slabs.remove(graph._slot_of[target], source)
+
+
+def break_class_map(graph, maintainer, touched):
+    level = maintainer.family.levels[1]
+    w = next(w for w in sorted(touched.moved) if graph.has_node(w))
+    level.class_of[w] = next(t for t in level.extents if t != level.class_of[w])
+
+
+def break_tree_parent(graph, maintainer, touched):
+    family = maintainer.family
+    level = family.levels[1]
+    token = next(t for lvl, t in sorted(touched.tokens) if lvl == 1 and t in level.extents)
+    level.parent[token] = next(
+        t for t in family.levels[0].extents if t != level.parent[token]
+    )
+
+
+def unmerge_ak_class(graph, maintainer, touched):
+    # a class split in two although both halves sign the same (Def. 4)
+    family = maintainer.family
+    level, coarser = family.levels[AK_K], family.levels[AK_K - 1]
+    token = next(
+        t for lvl, t in sorted(touched.tokens)
+        if lvl == AK_K and len(level.extents.get(t, ())) > 1
+    )
+    w = min(level.extents[token])
+    fresh = level.fresh_token()
+    level.extents[token].discard(w)
+    level.extents[fresh] = {w}
+    level.class_of[w] = fresh
+    level.parent[fresh] = level.parent[token]
+    coarser.children[level.parent[token]].add(fresh)
+    touched.moved.add(w)
+
+
+MATRIX = [
+    ("one", swap_extent_member),
+    ("one", drop_iedge_support),
+    ("one", add_iedge_support),
+    ("one", repoint_dnode),
+    ("one", drop_dnode_entry),
+    ("one", leak_dead_inode),
+    ("one", break_graph_mirror),
+    ("ak", break_graph_mirror),
+    ("ak", break_class_map),
+    ("ak", break_tree_parent),
+]
+
+
+@pytest.mark.parametrize(
+    "family,corrupt", MATRIX, ids=[f"{f}-{c.__name__}" for f, c in MATRIX]
+)
+def test_corruption_inside_the_touched_region_is_caught(family, corrupt):
+    graph, maintainer, touched = batched(family)
+    kinds = structures(maintainer)
+    assert verdict("minimal", graph, touched, **kinds) is None
+    assert verdict("minimal", graph, **kinds) is None
+    corrupt(graph, maintainer, touched)
+    scoped = verdict("minimal", graph, touched, **kinds)
+    full = verdict("minimal", graph, **kinds)
+    assert type(scoped) is type(full) is InvariantViolationError, (scoped, full)
+
+
+@pytest.mark.parametrize("family,definition", [("one", 5), ("ak", 4)])
+def test_a_missed_merge_is_caught_at_minimal_only(family, definition):
+    if family == "one":  # the batch ran without Figure 3's merge phase
+        graph, maintainer, touched = batched(
+            family, lambda _, graph: NoMerge(OneIndex.build(graph)), pairs=32
+        )
+    else:
+        graph, maintainer, touched = batched(family)
+        unmerge_ak_class(graph, maintainer, touched)
+    kinds = structures(maintainer)
+    assert verdict("valid", graph, touched, **kinds) is None
+    assert verdict("valid", graph, **kinds) is None
+    scoped = verdict("minimal", graph, touched, **kinds)
+    full = verdict("minimal", graph, **kinds)
+    assert type(scoped) is type(full) is InvariantViolationError
+    assert scoped.definition == full.definition == definition
+    assert scoped.pair is not None
+
+
+def test_corruption_outside_the_touched_region_waits_for_the_audit():
+    """The contract: local checks vouch for the batch's neighbourhood
+    only; the rest of the graph is re-verified by the next audit."""
+    graph, workload = prepared(3 + CHAOS_SEED)
+    service = IndexService(graph, ServiceConfig(guard=GuardConfig(policy="raise")))
+    index = service.guarded.index
+    steps = workload.steps(1 << 20, validate=False)
+
+    def commit():
+        for _ in range(16):
+            method, args = edge_call(next(steps))
+            service.submit(Update(method, args))
+        return service.flush()
+
+    commit()
+    # a support counter between two inodes no IDREF batch ever reaches
+    root_inode = index.inode_of(graph.root)
+    child = next(iter(index.isucc(root_inode)))
+    index._succ_support[root_inode][child] += 1
+    index._pred_support[child][root_inode] += 1
+
+    guard = service.guarded.invariants
+    commits = 0
+    with pytest.raises(InvariantViolationError, match="supports of inode"):
+        while True:
+            assert guard.audits == 0 and service.health()["last_audit_ok"] is None
+            commit()  # local checks keep passing...
+            commits += 1
+    assert commits > 5  # ...until the budget is spent and the audit runs
+    assert guard.audits == 1 and guard.checks_full == 1
+    health = service.health()
+    assert health["last_audit_ok"] is False
+    assert health["checks_local"] == 1 + commits  # all but the raising one
+    service.close()
+
+
+# ----------------------------------------------------------------------
+# Typed failures are counted; fall-backs take the full path
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("tracked", [True, False], ids=["scoped", "full"])
+def test_a_corrupted_map_is_a_counted_check_failure(tracked):
+    class Corrupting(SplitMergeMaintainer):
+        def insert_edge(self, source, target, kind=EdgeKind.TREE):
+            stats = super().insert_edge(source, target, kind)
+            del self.index._inode_of[target]
+            return stats
+
+    graph, workload = prepared(5)
+    guard = GuardedMaintainer(
+        Corrupting(OneIndex.build(graph)), GuardConfig(policy="raise")
+    )
+    if tracked:
+        guard.track_touched(TouchedSet())
+    step = next(s for s in workload.steps(50) if s[0] == "insert")
+    sink = InMemorySink()
+    with observed(sink), pytest.raises(InvariantViolationError, match=str(step[2])):
+        guard.insert_edge(step[1], step[2], EdgeKind.IDREF)
+    assert guard.stats.check_failures == 1
+    assert guard.invariants.checks_local == int(tracked)
+    assert guard.stats.rollbacks == 1
+
+
+def test_rolled_back_event_names_the_definition_and_the_pair():
+    graph, workload = prepared(9 + CHAOS_SEED)
+    guard = GuardedMaintainer(NoMerge(OneIndex.build(graph)), GuardConfig(policy="raise"))
+    guard.track_touched(TouchedSet())
+    sink = InMemorySink()
+    with observed(sink), pytest.raises(InvariantViolationError) as caught:
+        for step in workload.steps(60):
+            method, args = edge_call(step)
+            getattr(guard, method)(*args)
+    (event,) = sink.events("resilience.rolled_back")
+    assert event["attrs"]["definition"] == caught.value.definition == 5
+    assert tuple(event["attrs"]["pair"]) == caught.value.pair
+    assert guard.invariants.checks_full == 0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_untracked_and_full_touched_sets_take_the_full_path(family):
+    graph, workload = prepared(11)
+    guard = GuardedMaintainer(build(family, graph), GuardConfig(policy="degrade"))
+    steps = workload.steps(20, validate=True)
+    method, args = edge_call(next(steps))
+    getattr(guard, method)(*args)  # no touched set installed
+    assert (guard.invariants.checks_full, guard.invariants.checks_local) == (1, 0)
+    touched = TouchedSet()
+    guard.track_touched(touched)
+    method, args = edge_call(next(steps))
+    getattr(guard, method)(*args)
+    assert (guard.invariants.checks_full, guard.invariants.checks_local) == (1, 1)
+    touched.clear()
+    guard.fault_injector = FaultInjector(at_record=1)
+    method, args = edge_call(next(steps))
+    getattr(guard, method)(*args)  # degrade: rebuild marks the set full
+    assert touched.full and guard.stats.degradations == 1
+    assert (guard.invariants.checks_full, guard.invariants.checks_local) == (2, 1)
+    assert guard.invariants.audits == 0  # fall-backs are not budget audits
+
+
+def test_recovery_post_check_is_a_full_check(tmp_path, monkeypatch):
+    graph, workload = prepared(13)
+    service = DurableIndexService(
+        graph, str(tmp_path / "store"), ServiceConfig(), StoreConfig(fsync="off")
+    )
+    for step in workload.steps(8, validate=True):
+        service.submit(Update(*edge_call(step)))
+    service.flush()
+    assert service.guarded.invariants.checks_local == 1
+    service.close(checkpoint=False)
+
+    guards = []
+    real_check = InvariantGuard.check
+
+    def spy(self, *args, **kwargs):
+        guards.append(self)
+        return real_check(self, *args, **kwargs)
+
+    monkeypatch.setattr(InvariantGuard, "check", spy)
+    recovered = IndexService.recover(str(tmp_path / "store"))
+    assert len(guards) == 1  # replay is unchecked; one post-check covers it
+    assert (guards[0].checks_full, guards[0].checks_local) == (1, 0)
+    assert guards[0].last_audit_ok is True
+    recovered.close(checkpoint=False)
+
+
+# ----------------------------------------------------------------------
+# Health, audit cadence, O(touched)
+# ----------------------------------------------------------------------
+
+
+def drive(service, workload, batches: int) -> list[tuple[int, int]]:
+    """Commit 16-op IDREF batches; ``(visited, audits so far)`` per commit."""
+    steps = workload.steps(1 << 20, validate=False)
+    guard = service.guarded.invariants
+    trail = []
+    for _ in range(batches):
+        for _ in range(16):
+            service.submit(Update(*edge_call(next(steps))))
+        service.flush()
+        trail.append((guard.last_visited, guard.audits))
+    return trail
+
+
+def test_the_audit_fires_when_the_visit_budget_is_spent():
+    trails = []
+    for _ in range(2):  # identically across two runs of one seed
+        graph, workload = prepared(17 + CHAOS_SEED)
+        with observed(InMemorySink()) as obs:
+            service = IndexService(graph, ServiceConfig())
+            trails.append(drive(service, workload, batches=150))
+            counters = {
+                name: obs.metrics.counter(f"resilience.{name}").value
+                for name in ("checks", "audits", "check_visited")
+            }
+        guard = service.guarded.invariants
+        health = service.health()
+        assert counters["checks"] == 150 == guard.checks_local + guard.checks_full
+        assert counters["audits"] == guard.audits == guard.checks_full >= 2
+        assert counters["check_visited"] == sum(visited for visited, _ in trails[-1])
+        assert health["checks_local"] == guard.checks_local
+        assert health["checks_full"] == guard.checks_full
+        assert health["last_audit_ok"] is True
+        assert health["commits_since_audit"] == guard.checks_since_audit
+        assert (
+            health["last_audit_version"]
+            == service.version - health["commits_since_audit"]
+        )
+        service.close()
+    assert trails[0] == trails[1]
+
+    # replay the rule over the trail: a check is the audit exactly when
+    # the local visits since the last full check exceed the budget
+    spent = audits = 0
+    size = graph.num_nodes + graph.num_edges  # IDREF churn: |E| moves by a few
+    for visited, audits_so_far in trails[0]:
+        if audits_so_far > audits:
+            assert spent > AUDIT_BUDGET * (size - 64)
+            audits, spent = audits_so_far, 0
+        else:
+            assert spent <= AUDIT_BUDGET * (size + 64)
+            spent += visited
+
+
+def test_scoped_visits_do_not_grow_with_the_graph():
+    """Count-based O(touched): the same seeded 16-op IDREF batches on
+    XMark(1) and on XMark at 4x of every count."""
+    base = XMarkConfig()
+    visits = {}
+    for scale in (1, 4):
+        graph, workload = prepared(19, XMarkConfig(
+            num_items=base.num_items * scale,
+            num_persons=base.num_persons * scale,
+            num_open_auctions=base.num_open_auctions * scale,
+            num_closed_auctions=base.num_closed_auctions * scale,
+            num_categories=base.num_categories * scale,
+        ))
+        service = IndexService(graph, ServiceConfig())
+        trail = drive(service, workload, batches=12)
+        assert service.guarded.invariants.checks_full == 0
+        full = InvariantGuard(level="minimal")
+        full.check(graph, index=service.guarded.index)
+        visits[scale] = (sum(visited for visited, _ in trail), full.last_visited)
+        service.close()
+    (local_1, full_1), (local_4, full_4) = visits[1], visits[4]
+    assert local_4 <= 1.5 * local_1, visits
+    assert 3.5 * full_1 <= full_4 <= 4.5 * full_1, visits
+    assert local_1 < 0.05 * full_1 * 12, visits
