@@ -20,9 +20,9 @@ check accepted.  That induction needs the touched set to really be a
 superset, so the unscoped, whole-graph check still runs when there is no
 usable scope (``touched`` absent or ``full`` after a degrade-rebuild,
 recovery's post-check, :meth:`IndexService.check`) and as an **audit**
-once the local checks since the last full one have visited more than
-``AUDIT_BUDGET × (|V| + |E|)`` dnodes and adjacency entries — a bound on
-the audits' share of checking cost that needs no knob.
+spread over the local checks: each is followed by one of the check's
+three steps (:data:`AUDIT_STEPS`) unscoped, in turn, so every commit pays
+about the same and none pays for the whole graph (DESIGN.md §5).
 
 Whether a transaction is post-checked at all is the cadence's call:
 every update, every N-th, or a seeded sampled fraction.  A failed check
@@ -48,8 +48,8 @@ from repro.resilience.journal import TouchedSet
 #: + validity (stability), + minimality.
 LEVELS = ("basic", "valid", "minimal")
 
-#: local checks may visit this many times (|V| + |E|) before a full audit
-AUDIT_BUDGET = 4
+#: the whole-graph audit, cut into steps; every local check runs the next one
+AUDIT_STEPS = ("graph", "structure", "depth")
 
 
 class InvariantGuard:
@@ -74,11 +74,9 @@ class InvariantGuard:
         #: dnodes + adjacency entries the last check was scoped to
         self.last_visited = 0
         self.checks_local = self.checks_full = 0
-        #: full checks that ran because the visit budget was spent
-        self.audits = 0
-        #: local checks, and the visits they made, since the last full one
-        self.checks_since_audit = self._visited_since_audit = 0
-        #: verdict of the last full check (``None``: none has run yet)
+        #: audits completed, and local checks since (= the next audit step)
+        self.audits = self.checks_since_audit = 0
+        #: verdict of the last full check or audit step (``None``: none yet)
         self.last_audit_ok: Optional[bool] = None
 
     def due(self) -> bool:
@@ -102,21 +100,15 @@ class InvariantGuard:
     ) -> None:
         """Run the configured checks; raise :class:`InvariantViolationError`.
 
-        Scoped to *touched* unless it is unusable or an audit is due; a
-        lookup an oracle misses (a corrupted map) is a violation too.
+        Scoped to *touched* and followed by the audit step whose turn it
+        is, or every step unscoped when there is no usable scope.
         """
-        obs = current_obs()
-        size = graph.num_nodes + graph.num_edges
-        audit = self._visited_since_audit > AUDIT_BUDGET * size
         dnodes = inodes = tokens = None
-        if audit or touched is None or touched.full:
+        if touched is None or touched.full:
             self.checks_full += 1
-            if audit:
-                self.audits += 1
-                obs.add("resilience.audits")
-            self.checks_since_audit = self._visited_since_audit = 0
+            self.checks_since_audit = 0  # the audit starts over
             self.last_audit_ok = False  # until the checks below pass
-            self.last_visited = size + graph.num_edges  # both adjacency mirrors
+            self.last_visited = graph.num_nodes + 2 * graph.num_edges  # both mirrors
         else:
             inodes, tokens = touched.inodes, touched.tokens
             dnodes = touched.dnodes | touched.moved
@@ -129,26 +121,47 @@ class InvariantGuard:
                 if graph.has_node(w)
             )
             self.checks_local += 1
-            self.checks_since_audit += 1
-            self._visited_since_audit += self.last_visited
-        obs.add("resilience.check_visited", self.last_visited)
+        current_obs().add("resilience.check_visited", self.last_visited)
+        for step in AUDIT_STEPS:
+            self._run(step, graph, index, family, dnodes, inodes, tokens)
+        if dnodes is None:
+            self.last_audit_ok = True
+        else:
+            self.audit_step(graph, index, family)
+
+    def audit_step(self, graph: DataGraph, index=None, family=None) -> None:
+        """Run the next step of the whole-graph audit; the last completes it."""
+        self.last_audit_ok = False
+        self._run(AUDIT_STEPS[self.checks_since_audit], graph, index, family)
+        self.last_audit_ok = True
+        self.checks_since_audit += 1
+        if self.checks_since_audit == len(AUDIT_STEPS):
+            self.checks_since_audit = 0
+            self.audits += 1
+            current_obs().add("resilience.audits")
+
+    def _run(self, step, graph, index, family, dnodes=None, inodes=None, tokens=None):
+        """One step of the check, over the given ids or (none given) everything;
+        a lookup an oracle misses (a corrupted map) is a violation too."""
         try:
-            graph.check_invariants(dnodes)
-            if index is not None:
-                self._check_index(index, inodes, dnodes)
-            if family is not None:
-                self._check_family(family, dnodes, tokens)
+            if step == "graph":
+                graph.check_invariants(dnodes)
+            elif step == "structure":
+                if index is not None:
+                    index.check_invariants(inodes, dnodes)
+                if family is not None:
+                    family.check_invariants(dnodes, tokens)
+            elif self.level != "basic":
+                if index is not None:
+                    self._check_stability(index, inodes, dnodes)
+                if family is not None and self.level == "minimal":
+                    self._check_signatures(family, dnodes)
         except (AssertionError, LookupError, StructuralIndexError) as exc:
             raise InvariantViolationError(
                 f"structural invariant broken: {type(exc).__name__}: {exc}"
             ) from exc
-        if dnodes is None:
-            self.last_audit_ok = True
 
-    def _check_index(self, index: StructuralIndex, inodes, dnodes) -> None:
-        index.check_invariants(inodes, dnodes)
-        if self.level == "basic":
-            return
+    def _check_stability(self, index: StructuralIndex, inodes, dnodes) -> None:
         for pair in unstable_pairs(index, inodes, dnodes):
             raise InvariantViolationError(
                 "index is no longer a valid 1-index: inode %s is not stable "
@@ -160,12 +173,10 @@ class InvariantGuard:
                     f"index is valid but no longer minimal: inodes {pair} merge", 5, pair
                 )
 
-    def _check_family(self, family: AkIndexFamily, dnodes, tokens) -> None:
-        family.check_invariants(dnodes, tokens)
-        if self.level == "minimal":
-            for level, token, other in family.signature_violations(dnodes):
-                raise InvariantViolationError(
-                    f"A(k) family drifted from the minimum: inode {token}@{level} "
-                    + ("mixes signatures" if other is None else f"signs like {other}"),
-                    4, (token, other),
-                )
+    def _check_signatures(self, family: AkIndexFamily, dnodes) -> None:
+        for level, token, other in family.signature_violations(dnodes):
+            raise InvariantViolationError(
+                f"A(k) family drifted from the minimum: inode {token}@{level} "
+                + ("mixes signatures" if other is None else f"signs like {other}"),
+                4, (token, other),
+            )

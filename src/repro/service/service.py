@@ -590,8 +590,8 @@ class IndexService:
     def check(self) -> None:
         """Assert the live graph/index pair is internally consistent.
 
-        Runs the guard's whole-graph audit at the configured depth (the
-        one "full check" recovery and the amortised audit also run) and
+        Runs the guard's whole-graph check at the configured depth (the
+        one recovery runs, and the audit runs a step at a time) and
         raises :class:`~repro.exceptions.InvariantViolationError`.  The
         soak suite calls this after fault-injected runs to prove the
         service never served from, nor left behind, corrupt state.

@@ -8,12 +8,17 @@ graph (:mod:`repro.resilience.invariants`).  That is only sound if
   corpus-churn workloads, both families, seeded by ``CHAOS_SEED``);
 * a corruption *inside* the touched region is caught by the scoped check
   with the same exception type as the full one (the corruption matrix),
-  while one *outside* it is the next audit's to catch — that is the
-  contract, and the last matrix row documents it;
+  while one *outside* it is the audit's to catch — that is the contract,
+  and the last matrix row documents it;
 * the fall-backs (no touched set, ``TouchedSet.full``, recovery) really
-  take the whole-graph path, and the audit fires when its visit budget
-  is spent, deterministically;
+  take the whole-graph path, and the audit — one whole-graph step riding
+  on every local check — completes every ``len(AUDIT_STEPS)`` checks,
+  deterministically;
 * what the scoped check visits does not grow with the graph.
+
+The differential and the matrix judge the scoped check *alone*
+(``local_only``): with the audit step riding along, a third of what it
+misses would be caught by accident.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from repro.resilience import (
     InvariantGuard,
     TouchedSet,
 )
-from repro.resilience.invariants import AUDIT_BUDGET
+from repro.resilience.invariants import AUDIT_STEPS
 from repro.service import IndexService, ServiceConfig, Update
 from repro.store import DurableIndexService, StoreConfig
 from repro.workload.queries import QueryWorkload
@@ -79,6 +84,12 @@ def edge_call(step) -> tuple[str, tuple]:
     return "delete_edge", (source, target)
 
 
+@pytest.fixture
+def local_only(monkeypatch):
+    """Local checks without the audit step that normally rides on them."""
+    monkeypatch.setattr(InvariantGuard, "audit_step", lambda self, *structures: None)
+
+
 def verdict(level: str, graph, touched=None, **kinds):
     """The exception a fresh guard raises on this state, or ``None``."""
     guard = InvariantGuard(level=level)
@@ -96,7 +107,7 @@ def verdict(level: str, graph, touched=None, **kinds):
 
 
 @pytest.fixture
-def paired(monkeypatch):
+def paired(monkeypatch, local_only):
     """Every scoped post-check is followed by a full one on the same state."""
     tally = {"local": 0, "violations": [], "disagreements": []}
     scoped_check = InvariantGuard.check
@@ -324,7 +335,7 @@ MATRIX = [
 @pytest.mark.parametrize(
     "family,corrupt", MATRIX, ids=[f"{f}-{c.__name__}" for f, c in MATRIX]
 )
-def test_corruption_inside_the_touched_region_is_caught(family, corrupt):
+def test_corruption_inside_the_touched_region_is_caught(family, corrupt, local_only):
     graph, maintainer, touched = batched(family)
     kinds = structures(maintainer)
     assert verdict("minimal", graph, touched, **kinds) is None
@@ -336,7 +347,7 @@ def test_corruption_inside_the_touched_region_is_caught(family, corrupt):
 
 
 @pytest.mark.parametrize("family,definition", [("one", 5), ("ak", 4)])
-def test_a_missed_merge_is_caught_at_minimal_only(family, definition):
+def test_a_missed_merge_is_caught_at_minimal_only(family, definition, local_only):
     if family == "one":  # the batch ran without Figure 3's merge phase
         graph, maintainer, touched = batched(
             family, lambda _, graph: NoMerge(OneIndex.build(graph)), pairs=32
@@ -355,12 +366,14 @@ def test_a_missed_merge_is_caught_at_minimal_only(family, definition):
 
 
 def test_corruption_outside_the_touched_region_waits_for_the_audit():
-    """The contract: local checks vouch for the batch's neighbourhood
-    only; the rest of the graph is re-verified by the next audit."""
+    """The contract: the local check vouches for the batch's neighbourhood
+    only; the rest of the graph is the audit's, one step per check, so a
+    corruption anywhere is found within ``len(AUDIT_STEPS)`` commits."""
     graph, workload = prepared(3 + CHAOS_SEED)
     service = IndexService(graph, ServiceConfig(guard=GuardConfig(policy="raise")))
     index = service.guarded.index
     steps = workload.steps(1 << 20, validate=False)
+    guard = service.guarded.invariants
 
     def commit():
         for _ in range(16):
@@ -368,25 +381,28 @@ def test_corruption_outside_the_touched_region_waits_for_the_audit():
             service.submit(Update(method, args))
         return service.flush()
 
-    commit()
+    while AUDIT_STEPS[guard.checks_since_audit] != "depth":
+        commit()
     # a support counter between two inodes no IDREF batch ever reaches
     root_inode = index.inode_of(graph.root)
     child = next(iter(index.isucc(root_inode)))
     index._succ_support[root_inode][child] += 1
     index._pred_support[child][root_inode] += 1
+    touched = TouchedSet()
+    touched.dnodes.update(service.guarded.touched.dnodes)
+    assert verdict("minimal", graph, touched, index=index) is None  # locally fine
 
-    guard = service.guarded.invariants
     commits = 0
     with pytest.raises(InvariantViolationError, match="supports of inode"):
         while True:
-            assert guard.audits == 0 and service.health()["last_audit_ok"] is None
-            commit()  # local checks keep passing...
+            commit()  # "depth", then "graph": neither recounts supports...
             commits += 1
-    assert commits > 5  # ...until the budget is spent and the audit runs
-    assert guard.audits == 1 and guard.checks_full == 1
+            assert service.health()["last_audit_ok"] is True
+    assert commits == 2  # ...the "structure" step does
     health = service.health()
     assert health["last_audit_ok"] is False
-    assert health["checks_local"] == 1 + commits  # all but the raising one
+    assert health["checks_full"] == 0
+    assert guard.checks_since_audit == AUDIT_STEPS.index("structure")
     service.close()
 
 
@@ -452,7 +468,7 @@ def test_untracked_and_full_touched_sets_take_the_full_path(family):
     getattr(guard, method)(*args)  # degrade: rebuild marks the set full
     assert touched.full and guard.stats.degradations == 1
     assert (guard.invariants.checks_full, guard.invariants.checks_local) == (2, 1)
-    assert guard.invariants.audits == 0  # fall-backs are not budget audits
+    assert guard.invariants.audits == 0  # a fall-back is not an audit
 
 
 def test_recovery_post_check_is_a_full_check(tmp_path, monkeypatch):
@@ -499,44 +515,39 @@ def drive(service, workload, batches: int) -> list[tuple[int, int]]:
     return trail
 
 
-def test_the_audit_fires_when_the_visit_budget_is_spent():
+def test_an_audit_completes_every_few_checks():
     trails = []
     for _ in range(2):  # identically across two runs of one seed
         graph, workload = prepared(17 + CHAOS_SEED)
         with observed(InMemorySink()) as obs:
             service = IndexService(graph, ServiceConfig())
-            trails.append(drive(service, workload, batches=150))
+            trails.append(drive(service, workload, batches=20))
             counters = {
                 name: obs.metrics.counter(f"resilience.{name}").value
                 for name in ("checks", "audits", "check_visited")
             }
         guard = service.guarded.invariants
         health = service.health()
-        assert counters["checks"] == 150 == guard.checks_local + guard.checks_full
-        assert counters["audits"] == guard.audits == guard.checks_full >= 2
+        assert counters["checks"] == 20 == guard.checks_local
+        assert counters["audits"] == guard.audits == 20 // len(AUDIT_STEPS)
         assert counters["check_visited"] == sum(visited for visited, _ in trails[-1])
         assert health["checks_local"] == guard.checks_local
-        assert health["checks_full"] == guard.checks_full
+        assert health["checks_full"] == guard.checks_full == 0
         assert health["last_audit_ok"] is True
-        assert health["commits_since_audit"] == guard.checks_since_audit
+        assert health["commits_since_audit"] == 20 % len(AUDIT_STEPS)
         assert (
             health["last_audit_version"]
             == service.version - health["commits_since_audit"]
         )
+        service.check()  # the full check starts the next audit over
+        health = service.health()
+        assert (health["checks_full"], health["commits_since_audit"]) == (1, 0)
         service.close()
     assert trails[0] == trails[1]
-
-    # replay the rule over the trail: a check is the audit exactly when
-    # the local visits since the last full check exceed the budget
-    spent = audits = 0
-    size = graph.num_nodes + graph.num_edges  # IDREF churn: |E| moves by a few
-    for visited, audits_so_far in trails[0]:
-        if audits_so_far > audits:
-            assert spent > AUDIT_BUDGET * (size - 64)
-            audits, spent = audits_so_far, 0
-        else:
-            assert spent <= AUDIT_BUDGET * (size + 64)
-            spent += visited
+    # one step per check: the n-th check completes audit n // len(AUDIT_STEPS)
+    assert [audits for _, audits in trails[0]] == [
+        n // len(AUDIT_STEPS) for n in range(1, 21)
+    ]
 
 
 def test_scoped_visits_do_not_grow_with_the_graph():
