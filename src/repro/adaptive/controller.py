@@ -26,7 +26,9 @@ writer thread, a flush() caller or a watchdog tick interchangeably.
 from __future__ import annotations
 
 import time
+from collections.abc import Reversible
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING, Optional
 
 from repro.adaptive.cost_model import CostBasedPolicy, CostInputs, CostModel
@@ -43,12 +45,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _WINDOW = 64
 
 
-def _p95(samples: list[float]) -> Optional[float]:
+def _p95(samples: Reversible[float]) -> Optional[float]:
     """p95 of the trailing window of *samples* (None when empty)."""
-    tail = samples[-_WINDOW:]
-    if not tail:
+    ordered = sorted(islice(reversed(samples), _WINDOW))
+    if not ordered:
         return None
-    ordered = sorted(tail)
     return ordered[min(len(ordered) - 1, int(0.95 * len(ordered)))]
 
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.exceptions import ServiceError, StructuralIndexError
-from repro.graph.datagraph import ROOT_LABEL
 from repro.index.akindex import AkIndexFamily
 from repro.service.snapshot import FrozenGraph, FrozenIndex
 
@@ -60,17 +59,21 @@ def validate_ladder_levels(levels: tuple[int, ...], k: int) -> tuple[int, ...]:
 class LadderLevel:
     """The frozen A(j) evaluation surface, derived from the leaf level.
 
-    Duck-types what :func:`repro.query.evaluate_on_index` and
-    :func:`repro.query.evaluate_on_ak` consume (``inodes`` / ``label_of``
-    / ``isucc`` / ``extent`` / ``.graph``).  Extents are computed lazily
-    and memoised — a query pays only for the inodes it matches.
+    Implements what :func:`repro.query.evaluate_on_index` and
+    :func:`repro.query.evaluate_on_ak` consume (``evaluation_tables`` /
+    ``.graph``) plus the checked public reads.  Extents are computed
+    lazily and memoised — a query pays only for the inodes it matches.
     """
 
-    __slots__ = ("level", "graph", "_leaf", "_groups", "_label", "_isucc", "_extents")
+    __slots__ = (
+        "level", "graph", "roots", "_leaf", "_groups", "_label", "_isucc", "_extents"
+    )
 
     def __init__(self, level: int, leaf: FrozenIndex, anc: dict[int, int]):
         self.level = level
         self.graph: FrozenGraph = leaf.graph
+        #: the evaluation seed: the level-j ancestor of the leaf's root token
+        self.roots = tuple(anc[t] for t in leaf.roots)
         self._leaf = leaf
         groups: dict[int, list[int]] = {}
         for token, ancestor in anc.items():
@@ -88,6 +91,10 @@ class LadderLevel:
         self._extents: dict[int, frozenset[int]] = {}
 
     # -- the evaluation surface of StructuralIndex ---------------------
+
+    def evaluation_tables(self) -> tuple:
+        """``(roots, children_of, label_of, extent_of)`` for the query kernel."""
+        return self.roots, self._isucc.__getitem__, self._label.__getitem__, self.extent
 
     def inodes(self) -> Iterator[int]:
         """Iterate over the level's tokens."""
@@ -137,9 +144,11 @@ class LadderState:
     """Per-version ladder artifacts riding alongside one snapshot.
 
     ``anc[j]`` maps every leaf token to its level-j ancestor in the
-    refinement tree *as of this version*; ``root_tokens[j]`` is the set
-    of ROOT-labelled tokens per level (the evaluation's seed set — a
-    change there invalidates every cached entry of the level, see
+    refinement tree *as of this version*; ``root_tokens[j]`` is the
+    level's evaluation seed — the level-j ancestor of the leaf token
+    holding the graph's root, i.e. ``anc[j]`` applied to
+    ``FrozenIndex.roots`` (empty on a rootless graph; a change there
+    invalidates every cached entry of the level, see
     :func:`invalidation_sets`); ``sizes[j]`` is the level's token count
     for the cost model's per-level bloat accounting.  Level views are
     derived lazily per version and cached (readers may race the first
@@ -211,14 +220,11 @@ def build_ladder_state(
             if want == level:
                 anc[level][token] = current
                 want = next(cursor, None)
-    roots_leaf = frozenset(
-        t for t in index.inodes() if index.label_of(t) == ROOT_LABEL
-    )
-    root_tokens = {k: roots_leaf}
+    root_tokens = {k: frozenset(index.roots)}
     sizes = {k: index.num_inodes}
     for j in levels:
         mapping = anc[j]
-        root_tokens[j] = frozenset(mapping[t] for t in roots_leaf)
+        root_tokens[j] = frozenset(mapping[t] for t in index.roots)
         sizes[j] = len(set(mapping.values()))
     return LadderState(version, k, tuple(sorted(levels)), index, anc, root_tokens, sizes)
 

@@ -324,6 +324,21 @@ class StructuralIndex:
         self._require(inode)
         return iter(self._pred_support[inode])
 
+    def evaluation_tables(self) -> tuple:
+        """``(roots, children_of, label_of, extent_of)`` for the query kernel.
+
+        The one method every evaluation surface implements (see
+        :func:`repro.query.evaluate_on_index`): *roots* is the inode that
+        holds ``graph.root`` — never a label scan, so a stray dnode that
+        merely carries the ROOT label is not a seed — and the callables
+        read the live tables directly (``children_of`` returns the
+        support row, whose keys are the index successors).
+        """
+        graph = self.graph
+        root = self._inode_of.get(graph.root) if graph.has_root else None
+        roots = () if root is None else (root,)
+        return roots, self._succ_support.__getitem__, self._label.__getitem__, self.extent
+
     @property
     def generation(self) -> int:
         """Mutation counter; bumped by every mutator.

@@ -13,6 +13,36 @@ return the union of the extents of the matching inodes.
   positives; :func:`evaluate_on_ak` runs the **validation** step of
   Section 3 — a data-graph evaluation confined to the ancestor cone of
   the candidate dnodes — to eliminate them.
+
+One kernel, every surface
+-------------------------
+:func:`evaluate_on_index` is the only index-side evaluator.  It never
+asks what kind of index it was handed: the live
+:class:`~repro.index.base.StructuralIndex`, a published
+:class:`~repro.service.snapshot.FrozenIndex` and a derived
+:class:`~repro.adaptive.ladder.LadderLevel` each implement one method,
+``evaluation_tables()``, returning ``(roots, children_of, label_of,
+extent_of)`` — the seed plus three plain callables, for the frozen
+surfaces the ``__getitem__`` of their own dicts.
+
+* **The seed** is *the inode that holds* ``graph.root``, read off the
+  partition map in O(1) (at publish time, for the frozen surfaces) — not
+  "every inode labelled ROOT".  An element named ``ROOT`` below the real
+  root is legal XML; seeding it would return paths that do not start at
+  the root and cost the 1-index its precision, besides making every
+  query pay a scan of the whole index.  A rootless graph has no seed and
+  answers nothing.
+* **Cost follows the walk**: one ``children_of`` read per inode popped,
+  one ``label_of`` read per iedge followed, one ``extent_of`` read per
+  accepting inode — ``/site`` reads the same entries whatever hangs
+  below ``site``.  The kernel checks no inode for existence: inside one
+  version every seed and every iedge target is a key of the tables it
+  came from (the public ``label_of`` / ``isucc`` / ``extent`` methods
+  keep raising :class:`~repro.exceptions.StructuralIndexError` for
+  callers that bring their own ids).
+* :func:`repro.query.evaluator.evaluate_on_graph` deliberately does
+  *not* share this loop — it is the reference the suites and the
+  benchmark's answer audit compare against.
 """
 
 from __future__ import annotations
@@ -21,7 +51,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.graph.datagraph import ROOT_LABEL
 from repro.index.akindex import AkIndexFamily
 from repro.index.base import StructuralIndex
 from repro.query.automaton import PathNfa, as_nfa
@@ -69,41 +98,36 @@ def evaluate_on_index(
     :func:`repro.query.evaluator.evaluate_on_graph`.
     """
     nfa = _as_nfa(query)
-    report = EvaluationReport(matches=frozenset())
-    roots = [
-        inode for inode in index.inodes() if index.label_of(inode) == ROOT_LABEL
-    ]
-    if not roots:
-        return report
+    roots, children_of, label_of, extent_of = index.evaluation_tables()
     read = footprint.inodes if footprint is not None else None
     if read is not None:
         read.update(roots)
-    states_of: dict[int, frozenset[int]] = {
-        inode: frozenset({nfa.start}) for inode in roots
-    }
+    step, accept = nfa.step, nfa.accept
+    nothing: frozenset[int] = frozenset()
+    states_of = dict.fromkeys(roots, frozenset({nfa.start}))
     queue: deque[int] = deque(roots)
+    visited = followed = 0
     while queue:
         inode = queue.popleft()
-        report.nodes_visited += 1
+        visited += 1
         current = states_of[inode]
-        for child in index.isucc(inode):
-            report.edges_followed += 1
-            if read is not None:
-                read.add(child)
-            advanced = nfa.step(current, index.label_of(child))
+        children = children_of(inode)
+        followed += len(children)
+        if read is not None:
+            read.update(children)
+        for child in children:
+            advanced = step(current, label_of(child))
             if not advanced:
                 continue
-            known = states_of.get(child, frozenset())
+            known = states_of.get(child, nothing)
             union = known | advanced
             if union != known:
                 states_of[child] = union
                 queue.append(child)
-    matched: set[int] = set()
-    for inode, states in states_of.items():
-        if nfa.accepts_states(states):
-            matched.update(index.extent(inode))
-    report.matches = frozenset(matched)
-    return report
+    matches = nothing.union(
+        *[extent_of(inode) for inode, states in states_of.items() if accept in states]
+    )
+    return EvaluationReport(matches, nodes_visited=visited, edges_followed=followed)
 
 
 def evaluate_on_family(

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -63,6 +64,16 @@ from repro.service.snapshot import IndexSnapshot
 
 FAMILIES = ("one", "ak")
 ADMISSION_POLICIES = ("block", "shed", "flush")
+
+#: Samples each :class:`ServiceStats` series keeps.  A service lives for
+#: days and the series' only readers want a trailing window (the adaptive
+#: controller's p95, a driver run's since-mark slice), so the series are
+#: bounded; the lifetime *counts* are the plain integer fields.
+STATS_WINDOW = 4096
+
+
+def _window() -> deque:
+    return deque(maxlen=STATS_WINDOW)
 
 
 @dataclass(frozen=True)
@@ -101,7 +112,11 @@ class ServiceConfig:
 
 @dataclass
 class ServiceStats:
-    """Lifetime tallies of one service (mirrors the ``service.*`` metrics)."""
+    """Lifetime tallies of one service (mirrors the ``service.*`` metrics).
+
+    The counters are lifetime totals; the three sample series are
+    trailing windows of :data:`STATS_WINDOW` entries.
+    """
 
     queries: int = 0
     submitted: int = 0
@@ -112,12 +127,12 @@ class ServiceStats:
     applied_ops: int = 0
     versions_published: int = 0
     coalescing: CoalesceStats = field(default_factory=CoalesceStats)
-    #: per-batch commit wall-clock (seconds), for p50/p95 reporting
-    commit_seconds: list[float] = field(default_factory=list)
-    #: per-query wall-clock (seconds)
-    query_seconds: list[float] = field(default_factory=list)
-    #: queries served by each retired version (staleness distribution)
-    queries_per_version: list[int] = field(default_factory=list)
+    #: per-batch commit wall-clock (seconds) of the last STATS_WINDOW batches
+    commit_seconds: deque[float] = field(default_factory=_window)
+    #: per-query wall-clock (seconds) of the last STATS_WINDOW queries
+    query_seconds: deque[float] = field(default_factory=_window)
+    #: queries served by each of the last STATS_WINDOW retired versions
+    queries_per_version: deque[int] = field(default_factory=_window)
 
 
 @dataclass

@@ -31,6 +31,17 @@ Both frozen views duck-type exactly the surface the evaluators in
 and ``snapshot.evaluate(q)`` run unchanged — the differential serving
 tests lean on that to byte-compare index-served answers against
 from-scratch graph evaluation *of the same version*.
+
+A :class:`FrozenIndex` also carries the version's **evaluation seed**
+(``roots``): the inode that holds the graph's root, read off the live
+partition map by every ``capture*`` / ``evolve*`` (O(1); a split can
+move the root to a fresh inode id, so it is re-read, never copied from
+the previous version).  ``FrozenIndex.evaluation_tables()`` hands the
+query kernel that seed and the raw ``__getitem__`` of the version's
+three dicts.  The kernel may skip the per-inode existence check the
+public ``label_of`` / ``isucc`` / ``extent`` methods make because a
+version is closed: its seed and every iedge target are keys of the
+same immutable dicts, so a lookup the kernel makes cannot miss.
 """
 
 from __future__ import annotations
@@ -184,23 +195,27 @@ class FrozenGraph:
 class FrozenIndex:
     """A read-only extent/iedge copy of a :class:`StructuralIndex`.
 
-    Duck-types the surface :func:`repro.query.evaluate_on_index` and
-    :func:`repro.query.evaluate_on_ak` consume (``inodes`` / ``label_of``
-    / ``isucc`` / ``extent`` / ``.graph``); the attached graph is the
+    Implements the surface :func:`repro.query.evaluate_on_index` and
+    :func:`repro.query.evaluate_on_ak` consume (``evaluation_tables`` /
+    ``.graph``) plus the checked public reads (``inodes`` / ``label_of``
+    / ``isucc`` / ``extent``); the attached graph is the
     :class:`FrozenGraph` of the same version, so A(k) validation walks
     the matching data, never the writer's live copy.
     """
 
-    __slots__ = ("graph", "_extent", "_label", "_isucc")
+    __slots__ = ("graph", "roots", "_extent", "_label", "_isucc")
 
     def __init__(
         self,
         graph: FrozenGraph,
+        root: Optional[int],
         extent: dict[int, frozenset[int]],
         label: dict[int, str],
         isucc: dict[int, tuple[int, ...]],
     ):
         self.graph = graph
+        #: the evaluation seed: the inode holding ``graph.root`` (``()`` if rootless)
+        self.roots: tuple[int, ...] = () if root is None else (root,)
         self._extent = extent
         self._label = label
         self._isucc = isucc
@@ -211,7 +226,8 @@ class FrozenIndex:
         extent = {i: frozenset(index.extent(i)) for i in index.inodes()}
         label = {i: index.label_of(i) for i in index.inodes()}
         isucc = {i: tuple(index.isucc(i)) for i in index.inodes()}
-        return cls(graph, extent, label, isucc)
+        root = index.inode_of(graph.root) if graph.has_root else None
+        return cls(graph, root, extent, label, isucc)
 
     @classmethod
     def evolve(
@@ -241,7 +257,8 @@ class FrozenIndex:
                 extent.pop(i, None)
                 label.pop(i, None)
                 isucc.pop(i, None)
-        return cls(graph, extent, label, isucc)
+        root = index.inode_of(graph.root) if graph.has_root else None
+        return cls(graph, root, extent, label, isucc)
 
     @classmethod
     def capture_family(cls, family: AkIndexFamily, graph: FrozenGraph) -> "FrozenIndex":
@@ -264,7 +281,8 @@ class FrozenIndex:
         for source, target in live.edges():
             isucc_sets[class_of[source]].add(class_of[target])
         isucc = {t: tuple(s) for t, s in isucc_sets.items()}
-        return cls(graph, extent, label, isucc)
+        root = class_of[graph.root] if graph.has_root else None
+        return cls(graph, root, extent, label, isucc)
 
     @classmethod
     def evolve_family(
@@ -299,7 +317,8 @@ class FrozenIndex:
             isucc[t] = tuple(
                 {class_of[c] for w in members for c in live.iter_succ(w)}
             )
-        return cls(graph, extent, label, isucc)
+        root = class_of[graph.root] if graph.has_root else None
+        return cls(graph, root, extent, label, isucc)
 
     def same_entry(self, other: "FrozenIndex", token: int) -> bool:
         """Whether *token*'s captured extent/label/iedges agree with *other*.
@@ -323,6 +342,20 @@ class FrozenIndex:
         return mine is theirs or set(mine) == set(theirs)
 
     # -- the evaluation surface of StructuralIndex ---------------------
+
+    def evaluation_tables(self) -> tuple:
+        """``(roots, children_of, label_of, extent_of)`` for the query kernel.
+
+        The raw ``__getitem__`` of this version's own dicts: every iedge
+        target of an immutable version is a key of all three, so the
+        kernel needs no per-edge existence check.
+        """
+        return (
+            self.roots,
+            self._isucc.__getitem__,
+            self._label.__getitem__,
+            self._extent.__getitem__,
+        )
 
     def inodes(self) -> Iterator[int]:
         """Iterate over the captured inode ids."""

@@ -206,9 +206,7 @@ class _StatsMark:
         self.batch_failures = stats.batch_failures
         self.versions = stats.versions_published
         self.coalesced = stats.coalescing.removed
-        self.query_laps = len(stats.query_seconds)
-        self.commit_laps = len(stats.commit_seconds)
-        self.versions_mark = len(stats.queries_per_version)
+        self.queries = stats.queries
 
     def fill(self, report: DriverReport) -> None:
         stats = self.service.stats
@@ -217,10 +215,17 @@ class _StatsMark:
         report.batch_failures = stats.batch_failures - self.batch_failures
         report.versions_published = stats.versions_published - self.versions
         report.coalesced_away = stats.coalescing.removed - self.coalesced
-        query_laps = stats.query_seconds[self.query_laps :]
-        commit_laps = stats.commit_seconds[self.commit_laps :]
+        query_laps = _newest(stats.query_seconds, stats.queries - self.queries)
+        commit_laps = _newest(stats.commit_seconds, report.batches)
         report.query_p50_ms = percentile(query_laps, 50) * 1000
         report.query_p95_ms = percentile(query_laps, 95) * 1000
         report.commit_p50_ms = percentile(commit_laps, 50) * 1000
         report.commit_p95_ms = percentile(commit_laps, 95) * 1000
-        report.queries_per_version = stats.queries_per_version[self.versions_mark :]
+        report.queries_per_version = _newest(
+            stats.queries_per_version, report.versions_published
+        )
+
+
+def _newest(window, count: int) -> list:
+    """The *count* newest samples of a bounded stats series (all it holds, if fewer)."""
+    return list(window)[-count:] if count > 0 else []

@@ -101,11 +101,11 @@ class TestVersioning:
         (update,) = idref_ops(xmark_graph, 1)
         service.submit(update)
         service.flush()
-        assert service.stats.queries_per_version == [5]
+        assert list(service.stats.queries_per_version) == [5]
         service.query("//person")
         service.submit(Update.delete_edge(update.args[0], update.args[1]))
         service.flush()
-        assert service.stats.queries_per_version == [5, 1]
+        assert list(service.stats.queries_per_version) == [5, 1]
 
 
 class TestAdmission:
