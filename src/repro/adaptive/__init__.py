@@ -13,7 +13,8 @@ The subsystem between queries and :class:`repro.service.IndexService`
   the closed loop replacing the paper's flat 5 % reconstruction
   trigger with a yield- and pressure-aware policy plus ladder retuning.
 
-Entry point: :class:`repro.adaptive.AdaptiveIndexService`.
+Entry point: ``IndexService(graph, config, adaptive=AdaptiveConfig())``,
+which attaches an :class:`AdaptivePlane` to the service.
 """
 
 from repro.adaptive.controller import AdaptiveController
@@ -41,6 +42,7 @@ from repro.adaptive.router import QueryRouter, Route, SAFE
 from repro.adaptive.service import (
     AdaptiveConfig,
     AdaptiveIndexService,
+    AdaptivePlane,
     default_ladder,
 )
 
@@ -48,6 +50,7 @@ __all__ = [
     "AdaptiveConfig",
     "AdaptiveController",
     "AdaptiveIndexService",
+    "AdaptivePlane",
     "CacheEntry",
     "CacheStats",
     "CostBasedPolicy",

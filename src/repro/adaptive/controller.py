@@ -1,45 +1,50 @@
 """The adaptive controller: the loop that closes serving back onto itself.
 
-Runs at two cadences against one :class:`AdaptiveIndexService`:
+Runs at two cadences against one service's adaptive plane:
 
-* **per commit** — :meth:`AdaptiveController.on_commit` is invoked by
-  the service's flush hook after the writer lock is released.  It folds
-  the latest serving signals (commit/query p95, cache hit rate, ladder
-  sizes) into the :class:`~repro.adaptive.cost_model.CostModel`, asks
-  the reconstruction policy whether the observed bloat is worth a
-  rebuild, and performs the rebuild through
-  :meth:`AdaptiveIndexService.reconstruct_now` when it is.  Every
-  ``retune_every`` commits it also snapshots the router's demand window
-  and applies the model's ladder advice (add a rung under-served demand
-  keeps landing far coarser than it needs, drop a rung nobody uses).
+* **per commit** — the service calls :meth:`AdaptiveController.on_commit`
+  after every commit, once the writer lock is released.  It folds the
+  latest serving signals (commit/query p95, cache hit rate, ladder
+  sizes) into the :class:`~repro.adaptive.cost_model.CostModel` and, on
+  a 1-index, asks the reconstruction policy whether the observed bloat
+  is worth a reconstruction.  When it is, the controller **submits** a
+  ``reconstruct`` operation like any client (at most one outstanding) —
+  it never applies or publishes anything itself, so the merge runs
+  inside a later commit's guarded transaction, lands in its WAL record
+  and is published by that commit's one publish.  An A(k) family is
+  never reconstructed: its maintenance keeps the unique minimum
+  (Theorem 2), so growth there is data growth, not bloat.  Every
+  ``retune_every`` commits the controller also applies the model's
+  ladder advice over the router's demand window (add a rung under-served
+  demand keeps landing far coarser than it needs, drop one nobody uses).
 * **on alert** — :meth:`AdaptiveController.on_alert` plugs into
   :class:`repro.obs.slo.SloWatchdog` ``on_alert``: a CRITICAL
   transition on a latency rule marks the model pressured, so the very
-  next commit may fire a reconstruction the relaxed policy would still
-  have deferred.
+  next commit may request a reconstruction the relaxed policy would
+  still have deferred.
 
 The controller never takes the writer lock itself — all mutation goes
 through the service's own entry points — so it can be driven from the
-writer thread, a flush() caller or a watchdog tick interchangeably.
+writer thread, a flush() caller or a replica's tail interchangeably.
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Reversible
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import TYPE_CHECKING, Optional
 
 from repro.adaptive.cost_model import CostBasedPolicy, CostInputs, CostModel
+from repro.exceptions import QueueFullError
 from repro.maintenance.reconstruction import ReconstructionPolicyProtocol
 from repro.obs import current as current_obs
 from repro.obs.slo import CRITICAL
+from repro.service.queue import Update
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.adaptive.service import AdaptiveIndexService
     from repro.obs.slo import SloStatus
-    from repro.service.service import BatchResult
+    from repro.service.service import BatchResult, IndexService
 
 #: how many trailing samples the p95 estimates look at
 _WINDOW = 64
@@ -57,7 +62,7 @@ def _p95(samples: Reversible[float]) -> Optional[float]:
 class AdaptiveController:
     """Cost-based reconstruction + ladder retuning for one service."""
 
-    service: "AdaptiveIndexService"
+    service: "IndexService"
     policy: ReconstructionPolicyProtocol = field(default_factory=CostBasedPolicy)
     model: CostModel = field(default_factory=CostModel)
     #: apply ladder advice every this many commits (0 = never retune)
@@ -66,33 +71,51 @@ class AdaptiveController:
     retunes: int = 0
     #: alert names that most recently went CRITICAL (cleared on recovery)
     critical: set = field(default_factory=set)
+    #: whether this controller requests reconstructions: on a 1-index
+    #: only (a replica, which replays its primary's, turns it off)
+    reconstructs: bool = field(init=False)
 
     def __post_init__(self) -> None:
         self.policy.start(self.service.snapshot.num_inodes)
+        self.reconstructs = self.service.config.family == "one"
 
     # ------------------------------------------------------------------
 
     def on_commit(self, result: "BatchResult") -> None:
-        """One committed batch: feed the model, maybe reconstruct/retune."""
+        """One committed batch: feed the model, maybe request/retune."""
         self.commits_seen += 1
         service = self.service
+        obs = current_obs()
         inputs = CostInputs(
             commit_p95_seconds=_p95(service.stats.commit_seconds),
             query_p95_seconds=_p95(service.stats.query_seconds),
-            cache_hit_rate=service.cache.stats.hit_rate,
-            sizes=dict(service.ladder_sizes()),
+            cache_hit_rate=service.adaptive.cache.stats.hit_rate,
+            sizes=dict(service.adaptive.ladder_sizes()),
             slo_critical=bool(self.critical),
         )
         if isinstance(self.policy, CostBasedPolicy):
             self.model.update(inputs, self.policy)
-        if self.policy.should_reconstruct(service.snapshot.num_inodes):
-            started = time.perf_counter()
-            service.reconstruct_now(reason="cost-policy")
-            elapsed = time.perf_counter() - started
-            self.policy.reconstructed(service.snapshot.num_inodes)
+        size = service.snapshot.num_inodes
+        if result.reconstructed:
+            # whoever asked for it: the commit that carried the merge is
+            # the reconstruction, and its wall-clock the cost observed
+            self.policy.reconstructed(size)
             if isinstance(self.policy, CostBasedPolicy):
-                self.policy.note_reconstruction_seconds(elapsed)
-            current_obs().observe("adaptive.reconstruction_seconds", elapsed)
+                self.policy.note_reconstruction_seconds(result.seconds)
+            obs.add("adaptive.reconstructions")
+            obs.observe("adaptive.reconstruction_seconds", result.seconds)
+            obs.event("adaptive.reconstructed", version=result.version, inodes=size)
+        elif (
+            self.reconstructs
+            and self.policy.should_reconstruct(size)
+            and not service.queue.holds("reconstruct")
+        ):
+            try:
+                service.submit_nowait(Update.reconstruct())
+            except QueueFullError:
+                pass  # the bloat persists: the trigger fires again next commit
+            else:
+                obs.event("adaptive.reconstruct_requested", reason="cost-policy")
         if self.retune_every and self.commits_seen % self.retune_every == 0:
             self.retune()
 
@@ -104,8 +127,8 @@ class AdaptiveController:
         make the advice more conservative (it needs ``min_window``
         decisions to say anything).
         """
-        service = self.service
-        window = service.router.window()
+        plane = self.service.adaptive
+        window = plane.router.window()
         advice = self.model.ladder_advice(window)
         if not advice:
             return False
@@ -122,7 +145,7 @@ class AdaptiveController:
             drop=sorted(advice.drop),
             levels=sorted(wanted),
         )
-        service.set_ladder_levels(tuple(sorted(wanted)))
+        plane.set_ladder_levels(tuple(sorted(wanted)))
         return True
 
     # ------------------------------------------------------------------

@@ -135,6 +135,8 @@ class CostBasedPolicy:
             else:
                 alpha = self.config.yield_alpha
                 self.expected_yield = alpha * observed + (1 - alpha) * self.expected_yield
+        # consumed: a reconstruction nobody fired (a manual one) teaches no yield
+        self._size_at_fire = 0
         self.baseline_size = new_size
         self.updates_since = 0
 

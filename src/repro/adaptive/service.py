@@ -1,23 +1,31 @@
-"""`AdaptiveIndexService` — ladder-routed, cached, cost-governed serving.
+"""`AdaptivePlane` — the adaptive part of an :class:`IndexService`.
 
-Sits exactly where :class:`repro.service.IndexService` sits — one graph,
-one maintainer, snapshot isolation — and adds the adaptive plane on the
-read path plus a closed control loop on the write path:
+A service built with ``adaptive=AdaptiveConfig()`` sits exactly where a
+plain one sits — one graph, one maintainer, snapshot isolation — and
+gains the adaptive plane on the read path plus a closed control loop on
+the write path:
 
 * at every publish the writer captures the **A(k) ladder** ancestor
-  maps off the live refinement tree (:mod:`repro.adaptive.ladder`), so
-  readers can evaluate short child-only paths on a far coarser level;
+  maps off the live refinement tree (:mod:`repro.adaptive.ladder`) and
+  hangs them on the version's snapshot, so readers can evaluate short
+  child-only paths on a far coarser level;
 * each query is classified by the :class:`~repro.adaptive.router.QueryRouter`
   and dispatched to the smallest level that answers it *exactly*, with
-  everything else falling back to the safe leaf + validation path the
-  base service always takes;
+  everything else falling back to the safe leaf + validation path a
+  plain service always takes;
 * answers land in the :class:`~repro.adaptive.result_cache.ResultCache`
   keyed by (route, compiled path, version); each commit invalidates by
   intersecting the batch's TouchedSet-derived change sets with the
   entries' recorded footprints instead of flushing wholesale;
 * after every commit the :class:`~repro.adaptive.controller.AdaptiveController`
-  feeds live serving signals to the cost model, reconstructs when the
-  observed bloat is worth it, and retunes the ladder to demand.
+  feeds live serving signals to the cost model, submits a ``reconstruct``
+  operation when a 1-index's observed bloat is worth it, and retunes the
+  ladder to demand.
+
+The ``ak`` family gets the full plane; the ``one`` family — already
+precise at a single level — gets the result cache and the cost-based
+reconstruction loop, which is where its split/merge bloat goes.  One
+read path (:meth:`AdaptivePlane.answer`) serves both.
 
 Correctness stance: routing and caching may only change *where* an
 answer is computed, never the answer.  ``AdaptiveConfig(audit=True)``
@@ -44,7 +52,6 @@ from repro.adaptive.result_cache import DEFAULT_CAPACITY, ResultCache
 from repro.adaptive.router import SAFE, QueryRouter, Route
 from repro.exceptions import ServiceError
 from repro.graph.datagraph import DataGraph
-from repro.maintenance.reconstruction import reconstruct_via_index_graph
 from repro.obs import current as current_obs
 from repro.query.automaton import PathNfa, as_nfa
 from repro.query.evaluator import EvaluationReport, evaluate_on_graph
@@ -53,13 +60,9 @@ from repro.query.index_evaluator import (
     evaluate_on_ak,
     evaluate_on_index,
 )
-from repro.resilience.faults import FaultInjector
-from repro.service.service import (
-    BatchResult,
-    IndexService,
-    ServedQuery,
-    ServiceConfig,
-)
+from repro.resilience.journal import TouchedSet
+from repro.service.queue import Update
+from repro.service.service import IndexService, ServedQuery, ServiceConfig
 from repro.service.snapshot import IndexSnapshot, touched_leaf_tokens
 
 
@@ -70,7 +73,7 @@ def default_ladder(k: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """How an :class:`AdaptiveIndexService` routes, caches and retunes."""
+    """How an :class:`AdaptivePlane` routes, caches and retunes."""
 
     #: published ladder levels below the leaf; ``None`` = :func:`default_ladder`
     levels: Optional[tuple[int, ...]] = None
@@ -86,266 +89,172 @@ class AdaptiveConfig:
     cost: CostConfig = field(default_factory=CostConfig)
 
 
-class AdaptiveIndexService(IndexService):
-    """An :class:`IndexService` with the adaptive serving plane attached.
+class AdaptivePlane:
+    """Router, result cache, ladder and controller of one service.
 
-    Drop-in: the constructor, ``submit``/``flush``/``start``/``stop``
-    surface and :class:`~repro.service.service.ServedQuery` results are
-    unchanged.  The ``ak`` family gets the full plane (ladder routing +
-    cache + controller); the ``one`` family — already precise at a
-    single level — gets the result cache and the cost-based
-    reconstruction loop, which is where its split/merge bloat goes.
+    The service calls :meth:`answer` for every query, :meth:`stage` and
+    :meth:`advance` around the snapshot swap of every commit, and ticks
+    :attr:`controller` once the commit's writer lock is released.
     """
 
-    def __init__(
-        self,
-        graph: DataGraph,
-        config: Optional[ServiceConfig] = None,
-        adaptive: Optional[AdaptiveConfig] = None,
-        fault_injector: Optional[FaultInjector] = None,
-        maintainer: Optional[object] = None,
-        initial_version: int = 0,
-    ):
-        self.adaptive = adaptive if adaptive is not None else AdaptiveConfig()
-        super().__init__(
-            graph,
-            config,
-            fault_injector=fault_injector,
-            maintainer=maintainer,
-            initial_version=initial_version,
-        )
-        if self.config.family == "ak":
-            k = self.config.k
-            levels = (
-                self.adaptive.levels
-                if self.adaptive.levels is not None
-                else default_ladder(k)
-            )
-            self._levels = validate_ladder_levels(tuple(levels), k)
+    def __init__(self, service: IndexService, config: AdaptiveConfig):
+        self.service = service
+        self.config = config
+        family = service.guarded.family
+        if family is not None:
+            levels = config.levels if config.levels is not None else default_ladder(family.k)
+            self._levels = validate_ladder_levels(tuple(levels), family.k)
         else:
-            k = 0
             self._levels = ()
-        self.router = QueryRouter(self._levels, k)
-        self.cache = ResultCache(capacity=self.adaptive.cache_capacity)
-        self._ladder: Optional[LadderState] = None
-        if self.config.family == "ak":
-            self._ladder = build_ladder_state(
-                self.guarded.family,
-                self._snapshot.index,
-                self._snapshot.version,
-                self._levels,
-            )
+        self.router = QueryRouter(self._levels, family.k if family is not None else 0)
+        self.cache = ResultCache(capacity=config.cache_capacity)
         self.audits = 0
+        self._hang_ladder(service.snapshot)
         self.controller = AdaptiveController(
-            service=self,
-            policy=CostBasedPolicy(config=self.adaptive.cost),
-            model=CostModel(config=self.adaptive.cost),
-            retune_every=self.adaptive.retune_every,
+            service=service,
+            policy=CostBasedPolicy(config=config.cost),
+            model=CostModel(config=config.cost),
+            retune_every=config.retune_every,
         )
         self._publish_gauges()
 
     # ------------------------------------------------------------------
-    # Read side: route -> cache -> evaluate -> account
+    # Read side: route -> cache -> evaluate -> store -> audit -> account
     # ------------------------------------------------------------------
 
-    def query(self, query: "str | PathNfa") -> ServedQuery:
-        """Answer a path expression through the adaptive plane.
-
-        Same contract as the base service — the answer is exact for the
-        version it names — only the evaluation surface differs.
-        """
+    def answer(self, query: "str | PathNfa") -> ServedQuery:
+        """Answer a path expression through the adaptive plane."""
         nfa = as_nfa(query)
-        if self.config.family == "ak":
-            return self._query_ak(nfa)
-        return self._query_one(nfa)
-
-    def _query_ak(self, nfa: PathNfa) -> ServedQuery:
         text = nfa.expression.text
         route = self.router.route(nfa)
-        state = self._ladder  # one atomic grab; serve only this version
+        snapshot = self.service._snapshot  # one atomic grab; serve only this version
+        ladder: Optional[LadderState] = snapshot.ladder
         started = time.perf_counter()
-        level = route.level
-        if level is not None and level != state.k and level not in state.levels:
-            # the router ran ahead of (or behind) the published ladder;
-            # fall back to the coarsest *published* level that is exact
-            level = next(
-                (j for j in state.levels if j >= route.length),
-                state.k if route.length <= state.k else None,
-            )
+        # a 1-index has one level and is precise there: always the safe key
+        level = route.level if ladder is not None else None
+        if level is not None and level != ladder.k and level not in ladder.levels:
+            level = self._published_level(route, ladder)
         key = level if level is not None else SAFE
-        entry = self.cache.lookup(key, text, state.version)
+        entry = self.cache.lookup(key, text, snapshot.version)
         if entry is not None:
             report = EvaluationReport(matches=entry.matches, validated=entry.validated)
-            cached = True
         else:
             footprint = EvalFootprint()
-            if level is not None:
-                surface = state.level_view(level)
+            if ladder is None:
+                report = evaluate_on_index(snapshot.index, nfa, footprint=footprint)
+            elif level is not None:
+                surface = ladder.level_view(level)
                 report = evaluate_on_ak(surface, level, nfa, footprint=footprint)
             else:
-                report = evaluate_on_ak(state.index, state.k, nfa, footprint=footprint)
+                report = evaluate_on_ak(snapshot.index, ladder.k, nfa, footprint=footprint)
             self.cache.store(
                 key,
-                text,
-                state.version,
-                report,
-                frozenset(footprint.inodes),
-                frozenset(footprint.dnodes),
-            )
-            cached = False
-        elapsed = time.perf_counter() - started
-        if self.adaptive.audit:
-            self._audit(state.index.graph, nfa, report.matches, state.version, key)
-        self._account(elapsed, state.version, route, key, cached)
-        return ServedQuery(report=report, version=state.version)
-
-    def _query_one(self, nfa: PathNfa) -> ServedQuery:
-        text = nfa.expression.text
-        route = self.router.route(nfa)
-        snapshot = self._snapshot  # one atomic grab
-        started = time.perf_counter()
-        entry = self.cache.lookup(SAFE, text, snapshot.version)
-        if entry is not None:
-            report = EvaluationReport(matches=entry.matches, validated=entry.validated)
-            cached = True
-        else:
-            footprint = EvalFootprint()
-            report = evaluate_on_index(snapshot.index, nfa, footprint=footprint)
-            self.cache.store(
-                SAFE,
                 text,
                 snapshot.version,
                 report,
                 frozenset(footprint.inodes),
                 frozenset(footprint.dnodes),
             )
-            cached = False
         elapsed = time.perf_counter() - started
-        if self.adaptive.audit:
-            self._audit(snapshot.graph, nfa, report.matches, snapshot.version, SAFE)
-        self._account(elapsed, snapshot.version, route, SAFE, cached)
-        return ServedQuery(report=report, version=snapshot.version)
-
-    def _audit(self, graph, nfa: PathNfa, matches, version: int, key) -> None:
-        """Re-derive the answer from the version's own frozen graph."""
-        self.audits += 1
-        exact = evaluate_on_graph(graph, nfa)
-        if exact.matches != matches:
-            raise ServiceError(
-                f"adaptive serving diverged at v{version} for "
-                f"{nfa.expression.text!r} (route={key!r}): "
-                f"served {len(matches)} dnodes, ground truth {len(exact.matches)}"
-            )
-
-    def _account(
-        self, elapsed: float, version: int, route: Route, key, cached: bool
-    ) -> None:
-        """Base-service bookkeeping plus the adaptive.* metric surface."""
-        self._record_query(elapsed, version)
+        if self.config.audit:
+            self._audit(snapshot, nfa, report.matches, key)
+        self.service._record_query(elapsed, snapshot.version)
         obs = current_obs()
         obs.add("adaptive.queries")
         obs.observe("adaptive.query_seconds", elapsed)
         obs.add(f"adaptive.routed.{key}")
-        obs.add("adaptive.cache_hits" if cached else "adaptive.cache_misses")
+        obs.add("adaptive.cache_hits" if entry is not None else "adaptive.cache_misses")
         obs.set("adaptive.cache_hit_rate", self.cache.stats.hit_rate)
+        return ServedQuery(report=report, version=snapshot.version)
 
-    # ------------------------------------------------------------------
-    # Write side: publish the ladder, advance the cache, close the loop
-    # ------------------------------------------------------------------
-
-    def _publish(self, snapshot: IndexSnapshot) -> None:
-        """Publish + ladder capture + footprint-based cache advancement.
-
-        Runs on the writer with the batch's TouchedSet still intact
-        (``_publish_next`` clears it only after publish), which is
-        exactly what the invalidation sets are derived from.  A full
-        capture (degrade rebuild, reconstruction) flushes the cache —
-        no footprint survives a renaming.
-        """
-        incremental = (
-            not self._touched.full
-            and snapshot.version == self._snapshot.version + 1
+    @staticmethod
+    def _published_level(route: Route, ladder: LadderState) -> Optional[int]:
+        # the router ran ahead of (or behind) the published ladder; fall
+        # back to the coarsest *published* level that is exact
+        return next(
+            (j for j in ladder.levels if j >= route.length),
+            ladder.k if route.length <= ladder.k else None,
         )
-        changed: "Optional[dict]" = None
-        changed_dnodes: set[int] = set()
-        if self.config.family == "ak":
-            family = self.guarded.family
-            new_state = build_ladder_state(
+
+    def _audit(self, snapshot: IndexSnapshot, nfa: PathNfa, matches, key) -> None:
+        """Re-derive the answer from the version's own frozen graph."""
+        self.audits += 1
+        exact = evaluate_on_graph(snapshot.graph, nfa)
+        if exact.matches != matches:
+            raise ServiceError(
+                f"adaptive serving diverged at v{snapshot.version} for "
+                f"{nfa.expression.text!r} (route={key!r}): "
+                f"served {len(matches)} dnodes, ground truth {len(exact.matches)}"
+            )
+
+    # ------------------------------------------------------------------
+    # Write side: publish the ladder, carry the cache across the swap
+    # ------------------------------------------------------------------
+
+    def _hang_ladder(self, snapshot: IndexSnapshot) -> None:
+        family = self.service.guarded.family
+        if family is not None:
+            snapshot.ladder = build_ladder_state(
                 family, snapshot.index, snapshot.version, self._levels
             )
-            if incremental and self._ladder is not None:
-                # refine the TouchedSet's conservative superset down to
-                # the tokens whose serialized form actually differs —
-                # evolve shares untouched entries, so this is mostly
-                # pointer comparisons, and it is what lets entries
-                # survive commits that merely brushed their neighbours
-                prev_index = self._ladder.index
-                tokens = {
-                    t
-                    for t in touched_leaf_tokens(family, self._touched)
-                    if not snapshot.index.same_entry(prev_index, t)
-                }
-                changed = invalidation_sets(self._ladder, new_state, tokens)
-                # safe-route entries evaluate in leaf token space (their
-                # validation cone is covered by the dnode footprint)
-                changed[SAFE] = changed[new_state.k]
-                changed_dnodes = {
-                    w
-                    for w in self._touched.dnodes
-                    if not snapshot.graph.same_node(prev_index.graph, w)
-                }
-            self._ladder = new_state
-            self.router.set_levels(new_state.levels)
-        elif incremental:
-            prev_snapshot = self._snapshot
-            changed = {
-                SAFE: {
-                    i
-                    for i in self._touched.inodes
-                    if not snapshot.index.same_entry(prev_snapshot.index, i)
-                }
-            }
-            changed_dnodes = {
-                w
-                for w in self._touched.dnodes
-                if not snapshot.graph.same_node(prev_snapshot.graph, w)
-            }
-        super()._publish(snapshot)
+
+    def stage(
+        self, snapshot: IndexSnapshot, touched: TouchedSet
+    ) -> tuple[Optional[dict], set[int]]:
+        """Before the swap: hang the ladder on *snapshot*, derive what changed.
+
+        Runs on the writer with the batch's TouchedSet still intact and
+        the previous version still published.  Returns what
+        :meth:`advance` takes: per route key the tokens the batch
+        changed, and the changed dnodes — or ``None`` for the former
+        after a full capture (degrade rebuild), when no footprint
+        survives the renaming.
+        """
+        self._hang_ladder(snapshot)
+        if touched.full:
+            return None, set()
+        prev = self.service.snapshot
+        # refine the TouchedSet's conservative superset down to the
+        # tokens whose serialized form actually differs — evolve shares
+        # untouched entries, so this is mostly pointer comparisons, and
+        # it is what lets entries survive commits that merely brushed
+        # their neighbours
+        family = self.service.guarded.family
+        tokens = (
+            touched_leaf_tokens(family, touched) if family is not None else touched.inodes
+        )
+        differing = {t for t in tokens if not snapshot.index.same_entry(prev.index, t)}
+        if family is not None:
+            changed = invalidation_sets(prev.ladder, snapshot.ladder, differing)
+            # safe-route entries evaluate in leaf token space (their
+            # validation cone is covered by the dnode footprint)
+            changed[SAFE] = changed[snapshot.k]
+        else:
+            changed = {SAFE: differing}
+        changed_dnodes = {
+            w for w in touched.dnodes if not snapshot.graph.same_node(prev.graph, w)
+        }
+        return changed, changed_dnodes
+
+    def advance(self, version: int, changed: Optional[dict], changed_dnodes: set) -> None:
+        """After the swap: carry the cache across the commit edge."""
         if changed is None:
             self.cache.flush()
         else:
-            self.cache.on_commit(snapshot.version, changed, changed_dnodes)
+            self.cache.on_commit(version, changed, changed_dnodes)
         self._publish_gauges()
 
-    def flush(self) -> Optional[BatchResult]:
-        """Commit one batch, then run the controller outside the lock."""
-        result = super().flush()
-        if result is not None:
-            self.controller.on_commit(result)
-        return result
-
     def reconstruct_now(self, reason: str = "manual") -> None:
-        """Rebuild the index to minimum and publish the result as a version.
+        """Submit a ``reconstruct`` operation and commit everything queued.
 
-        ``one``: quotient-graph reconstruction (Kaushik et al. [8]) on
-        the live index.  ``ak``: full from-scratch rebuild of the family
-        (split/merge A(k) maintenance already keeps the minimum
-        partition — Theorem 2 — so this fires only when the cost model
-        sees genuine drift, e.g. after a degrade rebuild).  Either way
-        every token is renamed, so the publish is a full capture and the
-        result cache flushes.
+        The merge of bisimilar inodes (Kaushik et al. [8]) runs like any
+        other operation of a commit.  A 1-index only: ``submit`` refuses
+        it on an A(k) family, which maintenance already keeps at the
+        unique minimum (Theorem 2).
         """
-        obs = current_obs()
-        with self._writer_lock:
-            with obs.span("adaptive.reconstruct", reason=reason):
-                if self.config.family == "one":
-                    reconstruct_via_index_graph(self.guarded.index)
-                else:
-                    self.guarded.maintainer.rebuild_from_graph()
-                self._touched.mark_all()
-                self._publish_next()
-        obs.add("adaptive.reconstructions")
-        obs.event("adaptive.reconstructed", reason=reason, version=self.version)
+        self.service.submit(Update.reconstruct())
+        current_obs().event("adaptive.reconstruct_requested", reason=reason)
+        self.service.drain()
 
     # ------------------------------------------------------------------
     # Ladder control
@@ -360,18 +269,19 @@ class AdaptiveIndexService(IndexService):
         the levels that disappear through ``invalidation_sets`` marking
         newly absent levels as full drops.
         """
-        if self.config.family != "ak":
+        if self.service.config.family != "ak":
             raise ServiceError("ladder levels only apply to the ak family")
-        cleaned = validate_ladder_levels(tuple(levels), self.config.k)
+        cleaned = validate_ladder_levels(tuple(levels), self.service.config.k)
         self._levels = cleaned
         self.router.set_levels(cleaned)
         current_obs().event("adaptive.ladder_levels", levels=list(cleaned))
 
     def ladder_sizes(self) -> dict:
         """Token count per published level (leaf included) at this version."""
-        if self.config.family == "ak" and self._ladder is not None:
-            return dict(self._ladder.sizes)
-        return {0: self._snapshot.num_inodes}
+        snapshot = self.service.snapshot
+        if snapshot.ladder is not None:
+            return dict(snapshot.ladder.sizes)
+        return {0: snapshot.num_inodes}
 
     def _publish_gauges(self) -> None:
         obs = current_obs()
@@ -380,39 +290,31 @@ class AdaptiveIndexService(IndexService):
         obs.set("adaptive.cache_entries", len(self.cache))
         obs.set("adaptive.cache_hit_rate", self.cache.stats.hit_rate)
 
-    # ------------------------------------------------------------------
-    # Telemetry / introspection
-    # ------------------------------------------------------------------
-
-    def start_telemetry(self, **kwargs) -> "object":
-        """Base telemetry plus the adaptive SLO rules and the controller
-        wired into the watchdog's alert hook (unless the caller supplied
-        their own rules/hook)."""
-        if self._telemetry is not None:
-            return self._telemetry
-        if "rules" not in kwargs:
-            from repro.obs.slo import default_adaptive_rules, default_service_rules
-
-            kwargs["rules"] = default_service_rules() + default_adaptive_rules()
-        bundle = super().start_telemetry(**kwargs)
-        if bundle.watchdog.on_alert is None:
-            bundle.watchdog.on_alert = self.controller.on_alert
-        return bundle
-
     def health(self) -> dict:
-        doc = super().health()
-        doc["adaptive"] = {
+        """The adaptive plane's state for ``/health``."""
+        return {
             "levels": list(self._levels),
-            "k": self.config.k if self.config.family == "ak" else 0,
+            "k": self.router.k,
             "ladder_sizes": {str(j): s for j, s in self.ladder_sizes().items()},
             "cache": self.cache.stats.as_dict(),
             "reconstructions": self.controller.policy.reconstructions,
             "retunes": self.controller.retunes,
         }
-        return doc
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<AdaptiveIndexService family={self.config.family!r} v{self.version} "
-            f"levels={self._levels} cache={len(self.cache)}>"
-        )
+
+class AdaptiveIndexService(IndexService):
+    """The name an adaptive service has always been built under.
+
+    ``AdaptiveIndexService(graph, config, adaptive, ...)`` is
+    ``IndexService(graph, config, ..., adaptive=adaptive or
+    AdaptiveConfig())``; it adds nothing to the base class.
+    """
+
+    def __init__(
+        self,
+        graph: DataGraph,
+        config: Optional[ServiceConfig] = None,
+        adaptive: Optional[AdaptiveConfig] = None,
+        **parts,
+    ):
+        super().__init__(graph, config, adaptive=adaptive or AdaptiveConfig(), **parts)

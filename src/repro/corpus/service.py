@@ -1,8 +1,8 @@
 """Document-granular serving: :class:`CorpusService` over the index service.
 
 The corpus facade owns a :class:`~repro.corpus.builder.CorpusCatalog`
-and an :class:`~repro.service.service.IndexService` (or its durable
-subclass).  Document operations parse, compile against the catalog, and
+and an :class:`~repro.service.service.IndexService` with whatever parts
+it was asked for.  Document operations parse, compile against the catalog, and
 submit the resulting updates to the service's queue — nothing below the
 facade knows documents exist, so guarded maintenance, coalescing, the
 WAL, delta publication and replication all apply unchanged.
@@ -59,6 +59,7 @@ class CorpusService:
         config: Optional[ServiceConfig] = None,
         store_dir: Optional[str] = None,
         store_config=None,
+        adaptive=None,
         fault_injector=None,
         attribute_nodes: bool = True,
     ) -> "CorpusService":
@@ -67,21 +68,20 @@ class CorpusService:
         Every document subgraph is spliced under ROOT with raw graph
         surgery; the single refinement pass happens when the service
         constructor builds its index over the finished graph.  With
-        *store_dir* the corpus is served durably (WAL + snapshots).
+        *store_dir* the corpus is served durably (WAL + snapshots), with
+        *adaptive* (an ``AdaptiveConfig``) through the adaptive plane.
         """
         builder = CorpusBuilder(attribute_nodes)
         builder.add_all(documents)
         graph, catalog = builder.build()
-        if store_dir is not None:
-            from repro.store.service import DurableIndexService
-
-            service = DurableIndexService(
-                graph, store_dir, config=config, store_config=store_config,
-                fault_injector=fault_injector,
-            )
-        else:
-            service = IndexService(graph, config=config,
-                                   fault_injector=fault_injector)
+        service = IndexService(
+            graph,
+            config,
+            fault_injector,
+            store_dir=store_dir,
+            store_config=store_config,
+            adaptive=adaptive,
+        )
         return cls(service, catalog, attribute_nodes)
 
     @classmethod

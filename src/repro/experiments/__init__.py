@@ -12,16 +12,11 @@ or programmatically::
 
 from repro.experiments import (
     ablation_worstcase,
-    adaptive,
-    corpus,
     fig09_imdb_quality,
     fig10_xmark_quality,
     fig11_running_times,
     fig12_subgraph,
     fig13_ak_quality,
-    persist,
-    recover,
-    replicate,
     serve,
     tab1_reconstruction_frequency,
     tab2_ak_times,
@@ -41,11 +36,6 @@ EXPERIMENTS = {
     "tab3": tab3_storage,
     "ablation": ablation_worstcase,
     "serve": serve,
-    "persist": persist,
-    "recover": recover,
-    "replicate": replicate,
-    "corpus": corpus,
-    "adaptive": adaptive,
 }
 
 __all__ = [

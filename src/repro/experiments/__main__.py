@@ -88,13 +88,6 @@ def main(argv: list[str] | None = None) -> int:
         "by cumulative time are also printed at the end",
     )
     parser.add_argument(
-        "--store-dir",
-        metavar="DIR",
-        default=None,
-        help="directory for the durable-store experiments (persist writes a "
-        "store there; recover reopens it); default: a temporary directory",
-    )
-    parser.add_argument(
         "--serve-metrics",
         type=int,
         metavar="PORT",
@@ -149,8 +142,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown experiment(s) {unknown}; choose from {list(EXPERIMENTS)}")
 
     scale = scale_by_name(args.scale)
-    if args.store_dir:
-        scale = replace(scale, store_dir=args.store_dir)
     if args.reconstruct_threshold is not None:
         if args.reconstruct_threshold <= 0:
             parser.error("--reconstruct-threshold must be > 0")

@@ -50,9 +50,6 @@ class ExperimentScale:
     #: run maintainers under a transactional guard (``--guard`` on the
     #: CLI); ``None`` = unguarded, the paper's configuration
     guard: Optional[GuardConfig] = None
-    #: directory for the durable-store experiments (``--store-dir`` on
-    #: the CLI); ``None`` = a throwaway temporary directory per run
-    store_dir: Optional[str] = None
     #: growth fraction that triggers reconstruction in the baseline
     #: experiments (``--reconstruct-threshold`` on the CLI; the paper
     #: hard-codes 5 %)

@@ -41,7 +41,7 @@ from __future__ import annotations
 import enum
 import sys
 from array import array
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from typing import Any, Optional
 
 from repro.core.intmap import PagedIntMap
@@ -740,30 +740,6 @@ class DataGraph:
                 self._values[oid] = old
         else:  # pragma: no cover - guards against journal format drift
             raise ValueError(f"unknown graph journal op {op!r}")
-
-    # ------------------------------------------------------------------
-    # Internal fast paths (construction / index layers)
-    # ------------------------------------------------------------------
-
-    def _pred_lists(self) -> Iterator[tuple[int, Sequence[int]]]:
-        """Yield ``(oid, parent oids)`` over live slots in slot order.
-
-        Slot order equals oid order for graphs built without deletions,
-        which is what keeps signature interning deterministic across the
-        slab and dict cores.  Used by the construction fast path; the
-        parents come back as ``array('q')`` slices (C-speed copies), so
-        consumers must only read them.
-        """
-        oid_at = self._oid_at
-        pred_slabs = self._pred_slabs
-        for slot in range(len(oid_at)):
-            oid = oid_at[slot]
-            if oid >= 0:
-                yield oid, pred_slabs.segment(slot)
-
-    def _succ_list(self, oid: int) -> list[int]:
-        """The successors of *oid* as a list (no existence check)."""
-        return self._succ_slabs.to_list(self._slot_of[oid])
 
     def _require_node(self, oid: int) -> None:
         if self._slot_of.get(oid) is None:

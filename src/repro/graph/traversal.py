@@ -15,7 +15,7 @@ rely on:
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from repro.exceptions import GraphError
 from repro.graph.datagraph import DataGraph
@@ -197,18 +197,6 @@ def graph_depth(graph: DataGraph) -> int:
             depth += 1
         frontier = next_frontier
     return depth
-
-
-def for_each_edge_bfs(
-    graph: DataGraph, start: int, visit: Callable[[int, int], None]
-) -> None:
-    """Invoke *visit(parent, child)* for every edge reached in BFS order.
-
-    Every edge whose source is reachable is visited exactly once.
-    """
-    for node in bfs_order(graph, start):
-        for child in graph.iter_succ(node):
-            visit(node, child)
 
 
 def induced_edge_count(graph: DataGraph, nodes: Iterable[int]) -> int:

@@ -26,7 +26,7 @@ from collections.abc import Iterable, Sequence
 from typing import Optional
 
 from repro.exceptions import XmlFormatError
-from repro.graph.datagraph import ROOT_LABEL, DataGraph, EdgeKind
+from repro.graph.datagraph import DataGraph, EdgeKind
 
 #: Attribute names that define an element identifier.
 DEFAULT_ID_ATTRIBUTES = ("id",)
@@ -233,8 +233,3 @@ def describe(graph: DataGraph) -> str:
         f"{graph.num_nodes} dnodes, {graph.num_edges} dedges "
         f"({idref} IDREF), {len(graph.labels())} labels"
     )
-
-
-def root_label() -> str:
-    """The distinguished root label (re-exported for API symmetry)."""
-    return ROOT_LABEL

@@ -69,11 +69,15 @@ def quotient_graph(index: StructuralIndex) -> tuple[DataGraph, dict[int, int]]:
     quotient = DataGraph()
     to_inode: dict[int, int] = {}
     oid_of: dict[int, int] = {}
-    for inode in index.inodes():
+    # ascending inode id, not table order: a checkpoint-loaded index and
+    # the live one it was saved from hold the same inodes in different
+    # orders, and reconstruction must do the same merges on both
+    inodes = sorted(index.inodes())
+    for inode in inodes:
         oid = quotient.add_node(index.label_of(inode))
         oid_of[inode] = oid
         to_inode[oid] = inode
-    for inode in index.inodes():
+    for inode in inodes:
         for target in index.isucc(inode):
             quotient.add_edge(oid_of[inode], oid_of[target])
     return quotient, to_inode
@@ -86,14 +90,18 @@ def reconstruct_via_index_graph(index: StructuralIndex) -> None:
     construction then computes which inodes are bisimilar; merging each
     bisimilarity class yields the coarsest stable partition of the data
     graph, i.e. the minimum 1-index (Lemma 1).
+
+    Which inode survives each merge is a function of the partition and
+    its inode ids alone (classes by smallest member, members ascending),
+    so a logged ``reconstruct`` replays to the primary's ids.
     """
     obs = current_obs()
     with obs.span("one.reconstruction", before=index.num_inodes) as span:
         quotient, to_inode = quotient_graph(index)
         classes = bisimulation_partition(quotient)
         groups: dict[int, list[int]] = {}
-        for oid, cls in classes.items():
-            groups.setdefault(cls, []).append(to_inode[oid])
+        for oid in sorted(classes):  # quotient oids ascend with inode ids
+            groups.setdefault(classes[oid], []).append(to_inode[oid])
         for members in groups.values():
             if len(members) > 1:
                 index.merge_inodes(members)

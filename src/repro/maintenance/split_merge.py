@@ -38,6 +38,10 @@ from repro.graph.datagraph import DataGraph, EdgeKind
 from repro.index.base import StructuralIndex
 from repro.index.construction import bisimulation_partition, blocks_of, stabilize
 from repro.maintenance.base import UpdateStats
+from repro.maintenance.reconstruction import (
+    reconstruct_from_scratch,
+    reconstruct_via_index_graph,
+)
 from repro.obs import current as current_obs
 
 
@@ -488,6 +492,19 @@ class SplitMergeMaintainer:
         """Current number of inodes."""
         return self.index.num_inodes
 
+    def reconstruct(self) -> UpdateStats:
+        """Merge the index back to its minimum (Section 7's reconstruction).
+
+        Split/merge keeps the index minimal, which on cyclic data can
+        still exceed the minimum.  Only journaled merges run, so the
+        operation rolls back, scopes its post-check and publishes
+        incrementally like any other.
+        """
+        before = self.index.num_inodes
+        reconstruct_via_index_graph(self.index)
+        after = self.index.num_inodes
+        return UpdateStats(merges=before - after, peak_inodes=before, trivial=before == after)
+
     def rebuild_from_graph(self) -> None:
         """Discard the partition and rebuild the minimum 1-index.
 
@@ -496,8 +513,6 @@ class SplitMergeMaintainer:
         wrong is replaced by a from-scratch construction over the (clean)
         data graph, and maintenance continues incrementally from there.
         """
-        from repro.maintenance.reconstruction import reconstruct_from_scratch
-
         if self.touched is not None:
             self.touched.mark_all()
         reconstruct_from_scratch(self.index)

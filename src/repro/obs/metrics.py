@@ -61,14 +61,6 @@ def bucket_index(value: float) -> int:
     return index
 
 
-def bucket_bounds(index: int) -> tuple[float, float]:
-    """The ``[low, high)`` value range of bucket *index*."""
-    return (
-        2.0 ** (index / BUCKETS_PER_OCTAVE),
-        2.0 ** ((index + 1) / BUCKETS_PER_OCTAVE),
-    )
-
-
 def bucket_representative(index: int) -> float:
     """The value reported for observations that landed in bucket *index*
     (the geometric midpoint of its bounds)."""
@@ -278,10 +270,6 @@ class Histogram:
     @property
     def p99(self) -> float:
         return self.percentile(99)
-
-    def bucket_counts(self) -> dict[int, int]:
-        """The log-bucket digest (index → count), non-positives excluded."""
-        return dict(self._buckets)
 
     def approx_bytes(self) -> int:
         """Approximate heap footprint of this histogram's sample storage.

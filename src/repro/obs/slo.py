@@ -198,9 +198,6 @@ class SloWatchdog:
         self.breaches = 0
         self.recoveries = 0
 
-    def add_rule(self, rule: SloRule) -> None:
-        self.rules.append(rule)
-
     def evaluate(self, now: Optional[float] = None) -> list[SloStatus]:
         """One watchdog tick: every rule over its fast and slow windows."""
         from repro.obs import current as current_obs  # late: avoid cycle

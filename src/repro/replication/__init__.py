@@ -8,7 +8,7 @@ paper describes — replication is recovery running continuously.
 * :class:`Primary` (:mod:`~repro.replication.feed`) — the WAL exposed
   as a feed: ``fetch(since_lsn, max_records)`` frames plus
   newest-checkpoint shipping for bootstrap.  Works over a live
-  :class:`~repro.store.DurableIndexService` or a bare store directory.
+  service with a store or a bare store directory.
 * :class:`ReplicationLink` (:mod:`~repro.replication.link`) — the
   hostile-network wrapper: deadline/timeout, capped exponential backoff
   with jitter, resumable re-fetch after torn or corrupt frames, epoch
@@ -16,8 +16,8 @@ paper describes — replication is recovery running continuously.
   :data:`~repro.resilience.faults.REPLICATION_FAULTS`.
 * :class:`FollowerIndexService` (:mod:`~repro.replication.follower`) —
   bootstrap from the newest valid checkpoint, tail the WAL from its
-  LSN, apply through ``GuardedMaintainer.apply_batch``, publish local
-  snapshots via ``evolve()``; duplicate deliveries are logged no-ops.
+  LSN and hand each record to the service's own ``_commit``; duplicate
+  deliveries are logged no-ops.
 * :class:`ReplicaRouter` (:mod:`~repro.replication.router`) —
   staleness-bounded round-robin query spreading with primary fallback.
 * :func:`promote` (:mod:`~repro.replication.failover`) — drain the dead

@@ -21,9 +21,10 @@ The promotion protocol, in order:
    :class:`~repro.exceptions.StalePrimaryError` instead of forking the
    log's history.
 5. **Promote**: the winner's graph + maintainer are adopted into a new
-   :class:`~repro.store.DurableIndexService` over the same directory
-   (the recovery adoption path — no rebuild), which resumes the LSN
-   sequence after the last drained record.
+   :class:`~repro.service.IndexService` whose store *reopens* the same
+   directory (the recovery adoption path — no rebuild, no checkpoint),
+   which resumes the LSN sequence after the last drained record.  An
+   adaptive winner's configuration carries across; its cache does not.
 
 The surviving followers keep their link objects; re-point them at a
 feed over the promoted primary and they tail on, their epoch check
@@ -41,14 +42,14 @@ from repro.obs import current as current_obs
 from repro.replication.follower import FollowerIndexService
 from repro.service.service import IndexService
 from repro.store.epoch import read_epoch, write_epoch
-from repro.store.service import DurableIndexService, StoreConfig
+from repro.store.service import ServiceStore, StoreConfig
 
 
 @dataclass
 class FailoverResult:
     """What one promotion did."""
 
-    promoted: DurableIndexService
+    promoted: IndexService
     #: position of the winner within the followers sequence
     winner: int
     epoch: int
@@ -118,15 +119,14 @@ def promote(
     # durable fence before the winner takes the pen
     write_epoch(store_dir, new_epoch)
 
-    promoted = DurableIndexService(
+    promoted = IndexService(
         winner.graph,
-        store_dir,
-        config=winner.config,
-        store_config=store_config,
+        winner.config,
         maintainer=winner.guarded.maintainer,
         initial_version=winner.version,
-        _recovered=True,
+        adaptive=winner.adaptive.config if winner.adaptive is not None else None,
     )
+    promoted.store = ServiceStore.reopen(store_dir, store_config)
     elapsed = time.perf_counter() - started
     obs.add("replication.promotions")
     obs.observe("replication.failover_seconds", elapsed)

@@ -1,7 +1,7 @@
 """The primary side of WAL shipping: the log served as a feed.
 
 A :class:`Primary` wraps a store directory — optionally with the live
-:class:`~repro.store.DurableIndexService` writing into it — and answers
+:class:`~repro.service.IndexService` writing into it — and answers
 two questions a follower has:
 
 * :meth:`checkpoint_bytes` — "give me your newest checkpoint" (the
@@ -35,7 +35,7 @@ from repro.resilience.faults import FaultInjector
 from repro.resilience.wire import encode_feed_frame, feed_record
 from repro.store.checkpoint import latest_checkpoint
 from repro.store.epoch import read_epoch
-from repro.store.service import DurableIndexService
+from repro.service.service import IndexService
 from repro.store.wal import last_lsn_on_disk, read_records_since
 
 
@@ -53,13 +53,13 @@ class Primary:
     def __init__(
         self,
         store_dir: Optional[str] = None,
-        service: Optional[DurableIndexService] = None,
+        service: Optional[IndexService] = None,
         fault_injector: Optional[FaultInjector] = None,
     ):
         if (store_dir is None) == (service is None):
             raise ReplicationError("Primary needs exactly one of store_dir= or service=")
         self.service = service
-        self.store_dir = store_dir if store_dir is not None else service.store_dir
+        self.store_dir = store_dir if store_dir is not None else service.store.store_dir
         self.fault_injector = fault_injector
         #: lifetime tallies
         self.fetches = 0
@@ -74,7 +74,7 @@ class Primary:
     def last_lsn(self) -> int:
         """The end of the primary's log right now."""
         if self.service is not None:
-            return self.service.wal.last_lsn
+            return self.service.store.wal.last_lsn
         return last_lsn_on_disk(self.store_dir)
 
     def checkpoint_bytes(self) -> bytes:

@@ -5,17 +5,24 @@ like :func:`repro.store.recovery.recover` (newest valid checkpoint →
 materialise → adopt the maintainer), except the checkpoint bytes arrive
 through the :class:`~repro.replication.link.ReplicationLink` instead of
 the local filesystem; it then **tails** the primary's WAL from its
-checkpoint LSN, applying each shipped record through
-``GuardedMaintainer.apply_batch`` — the same code path that applied the
-batch on the primary, so replicas are deterministic clones: identical
-oids, identical inode ids, identical split/merge order, byte-identical
-snapshot fingerprints.
+checkpoint LSN, handing each shipped record to the inherited
+:meth:`IndexService._commit` — the code path that applied the batch on
+the primary, minus coalescing (the record *is* the coalesced batch) —
+so replicas are deterministic clones: identical oids, identical inode
+ids, identical split/merge order, byte-identical snapshot fingerprints,
+and their commits show up in their own latency series, spans and
+failure counts like a primary's.
 
-The LSN↔version lockstep the durable service maintains carries over:
-every shipped record (including an empty one — a batch fully coalesced
-away) bumps the local version by one and publishes through ``evolve()``,
-so ``version = checkpoint.version + records applied`` matches the
-primary's numbering record for record.
+This class is the replica part of a service: it adds the tail (link,
+LSN / duplicate / gap bookkeeping) and overrides nothing on the commit
+or read path.  The adaptive part composes with it
+(``bootstrap(link, adaptive=AdaptiveConfig())``); a store does not — a
+follower's durability is its primary's log.
+
+The LSN↔version lockstep a store maintains carries over: every shipped
+record (an empty one, or one carrying only a ``reconstruct``, included)
+bumps the local version by one, so ``version = checkpoint.version +
+records applied`` matches the primary's numbering record for record.
 
 **Idempotence**: a record whose LSN is ``<= applied_lsn`` is a
 duplicate delivery (a retransmit, or the duplicate fault) — it is
@@ -38,9 +45,7 @@ import time
 from dataclasses import replace
 from typing import Optional
 
-from repro.exceptions import ReplicationError
-from repro.maintenance.ak_split_merge import AkSplitMergeMaintainer
-from repro.maintenance.split_merge import SplitMergeMaintainer
+from repro.exceptions import ReplicationError, ServiceError
 from repro.obs import current as current_obs
 from repro.replication.link import ReplicationLink
 from repro.resilience.wire import batch_from_wire
@@ -68,10 +73,18 @@ class FollowerIndexService(IndexService):
         maintainer: object,
         applied_lsn: int,
         initial_version: int,
+        adaptive: Optional[object] = None,
     ):
         super().__init__(
-            graph, config, maintainer=maintainer, initial_version=initial_version
+            graph,
+            config,
+            maintainer=maintainer,
+            initial_version=initial_version,
+            adaptive=adaptive,
         )
+        if self.adaptive is not None:
+            # a replica replays its primary's reconstructions
+            self.adaptive.controller.reconstructs = False
         self.link = link
         #: LSN of the last record applied locally
         self.applied_lsn = applied_lsn
@@ -95,21 +108,26 @@ class FollowerIndexService(IndexService):
         cls,
         link: ReplicationLink,
         config: Optional[ServiceConfig] = None,
+        adaptive: Optional[object] = None,
+        store_dir: Optional[str] = None,
     ) -> "FollowerIndexService":
         """Checkpoint-load over the wire, then stand ready to tail.
 
         The index family and ``k`` always come from the checkpoint — a
         replica of an A(2) primary *is* an A(2) index; *config* may tune
-        everything else (the guard policy).
+        everything else (the guard policy) and *adaptive* attaches the
+        adaptive plane.  *store_dir* is refused: a second WAL with its
+        own LSN origin could not be told apart from the primary's log
+        after a promotion.
         """
+        if store_dir is not None:
+            raise ServiceError(
+                "a follower takes no store: its durability is its primary's log"
+            )
         started = time.perf_counter()
         raw = link.fetch_checkpoint()
         ckpt = checkpoint_from_bytes(raw, origin=f"feed:{link.feed.store_dir}")
-        graph, index, family = ckpt.materialize()
-        if index is not None:
-            maintainer = SplitMergeMaintainer(index)
-        else:
-            maintainer = AkSplitMergeMaintainer(family)
+        graph, maintainer = ckpt.adopt()
         base = config if config is not None else ServiceConfig()
         base = replace(base, family=ckpt.kind, k=ckpt.k if ckpt.kind == "ak" else base.k)
         follower = cls(
@@ -119,6 +137,7 @@ class FollowerIndexService(IndexService):
             maintainer=maintainer,
             applied_lsn=ckpt.wal_lsn,
             initial_version=ckpt.version,
+            adaptive=adaptive,
         )
         elapsed = time.perf_counter() - started
         obs = current_obs()
@@ -238,16 +257,11 @@ class FollowerIndexService(IndexService):
             )
         started = time.perf_counter()
         with self._writer_lock:
-            ops = batch_from_wire(wire_ops)
-            if ops:
-                self.guarded.apply_batch(ops)
-            # empty records bump the version too: the primary logged the
-            # fully-coalesced batch to keep LSNs and versions in lockstep
-            self._publish_next()
+            batch = [Update(op, args) for op, args in batch_from_wire(wire_ops)]
+            result = self._commit(batch, replayed=True)
             self.applied_lsn = lsn
+        self._after_commit(result)
         self.records_applied += 1
-        self.stats.batches += 1
-        self.stats.applied_ops += len(ops)
         obs.add("replication.records_applied")
         obs.observe("replication.apply_seconds", time.perf_counter() - started)
         return True
@@ -296,15 +310,8 @@ class FollowerIndexService(IndexService):
     # Read-only surface
     # ------------------------------------------------------------------
 
-    def submit(self, update: Update) -> bool:
-        raise ReplicationError(
-            "followers are read-only; submit updates to the primary"
-        )
-
-    def submit_nowait(self, update: Update) -> None:
-        raise ReplicationError(
-            "followers are read-only; submit updates to the primary"
-        )
+    def _check_admissible(self, update: Update) -> None:
+        raise ReplicationError("followers are read-only; submit updates to the primary")
 
     def health(self) -> dict:
         """Service health plus this replica's replication position."""
@@ -321,9 +328,3 @@ class FollowerIndexService(IndexService):
             "tailing": self._tail_thread is not None,
         }
         return doc
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<FollowerIndexService family={self.config.family!r} "
-            f"v{self.version} applied_lsn={self.applied_lsn} lag={self.lag_lsns}>"
-        )

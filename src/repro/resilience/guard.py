@@ -177,6 +177,10 @@ class GuardedMaintainer:
         """Change a dnode's value transactionally."""
         return self._call("set_value", (dnode, value))
 
+    def reconstruct(self) -> UpdateStats:
+        """Merge a 1-index back to its minimum transactionally."""
+        return self._call("reconstruct", ())
+
     def apply_batch(self, operations: Sequence[tuple[str, tuple]]) -> UpdateStats:
         """Apply a whole sequence of mutations in **one** transaction.
 
@@ -306,6 +310,11 @@ class GuardedMaintainer:
             def raw() -> UpdateStats:
                 self.graph.remove_nodes(self.graph.subgraph_from(subgraph_root).nodes())
                 return UpdateStats()
+
+        elif method == "reconstruct":
+
+            def raw() -> UpdateStats:
+                return UpdateStats()  # no graph change; the rebuild is the minimum
 
         else:
             raise MaintenanceError(f"unknown guarded method {method!r}")

@@ -27,6 +27,9 @@ Wire shapes (``{"op": <name>, "args": [...]}``):
   unchanged)
 * ``delete_subgraph`` — ``[subgraph_root]``
 * ``set_value``       — ``[dnode, value]`` (value JSON-serialisable)
+* ``reconstruct``     — ``[]`` (merge the 1-index to its minimum; the
+  merge order is a function of the index alone, so the record replays
+  identically; logs older than the operation replay unchanged)
 
 Malformed payloads raise :class:`SerializationError`, never a bare
 ``KeyError`` / ``TypeError`` / ``ValueError`` — the same hardened-loader
@@ -54,7 +57,18 @@ WIRE_OPS = (
     "add_subgraph",
     "delete_subgraph",
     "set_value",
+    "reconstruct",
 )
+
+#: operations whose arguments travel as they are → how many they take
+_PLAIN_ARITY = {
+    "delete_edge": 2,
+    "insert_node": 3,
+    "delete_node": 1,
+    "delete_subgraph": 1,
+    "set_value": 2,
+    "reconstruct": 0,
+}
 
 
 def _cross_edges_to_wire(cross_edges: tuple) -> list[list]:
@@ -72,18 +86,15 @@ def _cross_edges_to_wire(cross_edges: tuple) -> list[list]:
 
 def op_to_wire(method: str, args: tuple) -> dict[str, Any]:
     """Lower one ``(method, args)`` batch operation to a JSON-safe dict."""
-    if method == "insert_edge":
+    if method in _PLAIN_ARITY:
+        if len(args) != _PLAIN_ARITY[method]:
+            raise SerializationError(
+                f"{method!r} takes {_PLAIN_ARITY[method]} arguments, got {len(args)}"
+            )
+        wire_args = list(args)
+    elif method == "insert_edge":
         source, target, kind = args
         wire_args = [source, target, kind.value]
-    elif method == "delete_edge":
-        source, target = args
-        wire_args = [source, target]
-    elif method == "insert_node":
-        parent, label, value = args
-        wire_args = [parent, label, value]
-    elif method == "delete_node":
-        (dnode,) = args
-        wire_args = [dnode]
     elif method == "add_subgraph":
         subgraph, subgraph_root, cross_edges = args[:3]
         wire_args = [
@@ -93,12 +104,6 @@ def op_to_wire(method: str, args: tuple) -> dict[str, Any]:
         ]
         if len(args) > 3 and args[3]:
             wire_args.append(True)
-    elif method == "delete_subgraph":
-        (subgraph_root,) = args
-        wire_args = [subgraph_root]
-    elif method == "set_value":
-        dnode, value = args
-        wire_args = [dnode, value]
     else:
         raise SerializationError(
             f"cannot encode unknown operation {method!r}; choose from {WIRE_OPS}"
@@ -114,18 +119,13 @@ def op_from_wire(payload: dict[str, Any]) -> tuple[str, tuple]:
     except (KeyError, TypeError) as exc:
         raise SerializationError(f"malformed wire operation: {exc!r}") from exc
     try:
+        if method in _PLAIN_ARITY:
+            if len(wire_args) != _PLAIN_ARITY[method]:
+                raise ValueError(f"expected {_PLAIN_ARITY[method]} arguments")
+            return method, tuple(wire_args)
         if method == "insert_edge":
             source, target, kind = wire_args
             return method, (source, target, EdgeKind(kind))
-        if method == "delete_edge":
-            source, target = wire_args
-            return method, (source, target)
-        if method == "insert_node":
-            parent, label, value = wire_args
-            return method, (parent, label, value)
-        if method == "delete_node":
-            (dnode,) = wire_args
-            return method, (dnode,)
         if method == "add_subgraph":
             graph_dict, subgraph_root, cross_wire = wire_args[:3]
             cross_edges = tuple(
@@ -135,12 +135,6 @@ def op_from_wire(payload: dict[str, Any]) -> tuple[str, tuple]:
             if len(wire_args) > 3 and wire_args[3]:
                 decoded += (True,)
             return method, decoded
-        if method == "delete_subgraph":
-            (subgraph_root,) = wire_args
-            return method, (subgraph_root,)
-        if method == "set_value":
-            dnode, value = wire_args
-            return method, (dnode, value)
     except SerializationError:
         raise
     except (ValueError, TypeError) as exc:

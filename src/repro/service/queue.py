@@ -43,7 +43,9 @@ EDGE_OPS = ("insert_edge", "delete_edge")
 SUBGRAPH_OPS = ("add_subgraph", "delete_subgraph")
 NODE_OPS = ("insert_node", "delete_node")
 VALUE_OPS = ("set_value",)
-ALL_OPS = EDGE_OPS + SUBGRAPH_OPS + NODE_OPS + VALUE_OPS
+#: index-only operations: the data graph is untouched (1-index only)
+INDEX_OPS = ("reconstruct",)
+ALL_OPS = EDGE_OPS + SUBGRAPH_OPS + NODE_OPS + VALUE_OPS + INDEX_OPS
 
 
 @dataclass(frozen=True)
@@ -120,6 +122,15 @@ class Update:
     def set_value(cls, dnode: int, value: object) -> "Update":
         """A dnode value change (index-neutral, but journaled/replicated)."""
         return cls("set_value", (dnode, value))
+
+    @classmethod
+    def reconstruct(cls) -> "Update":
+        """Merge the 1-index back to its minimum (Section 7's reconstruction).
+
+        Transacted, logged and replayed like any operation; refused on an
+        A(k) service, whose maintenance keeps the minimum (Theorem 2).
+        """
+        return cls("reconstruct", ())
 
     # -- classification ------------------------------------------------
 
@@ -277,6 +288,11 @@ class BoundedQueue:
         """Block until at least one update is queued (writer idle loop)."""
         with self.not_empty:
             return self.not_empty.wait_for(lambda: len(self._items) > 0, timeout=timeout)
+
+    def holds(self, op: str) -> bool:
+        """Whether an update named *op* is waiting."""
+        with self._lock:
+            return any(update.op == op for update in self._items)
 
     def drain(self, max_ops: int = 0) -> list[Update]:
         """Dequeue up to *max_ops* updates in FIFO order (0 = everything)."""

@@ -26,6 +26,19 @@ queue means: ``block`` waits for capacity (applying inline when no
 writer thread runs), ``shed`` rejects the update and counts it,
 ``flush`` forces an immediate synchronous commit to make room.
 
+**One commit path.**  :meth:`IndexService._commit` is the only place a
+batch becomes a version: fence → coalesce → guarded apply (with its
+scoped post-check) → log → publish → account, in that order.  Durability,
+the adaptive plane and replication are optional **parts** the service
+holds and those steps call by name — ``service.store``
+(:class:`repro.store.service.ServiceStore`, from ``store_dir=``),
+``service.adaptive`` (:class:`repro.adaptive.service.AdaptivePlane`, from
+``adaptive=AdaptiveConfig()``) and the WAL tail of a
+:class:`repro.replication.FollowerIndexService` — and their public names
+read through the service (``service.wal``, ``service.cache``), so a
+capability is present exactly when its part is.  DESIGN.md "Commit
+pipeline" has the invariants the order buys.
+
 Everything the service does is tallied both in :class:`ServiceStats`
 and through the process-wide :mod:`repro.obs` observer (``service.*``
 counters/histograms), so a traced serve run shows queue pressure,
@@ -39,6 +52,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Optional
 
 from repro.exceptions import (
@@ -150,7 +164,7 @@ class ServedQuery:
 
 @dataclass
 class BatchResult:
-    """What one writer flush committed."""
+    """What one commit did."""
 
     version: int
     drained: int
@@ -158,6 +172,8 @@ class BatchResult:
     coalesced_away: int
     seconds: float
     failed: bool = False
+    #: the batch carried a ``reconstruct`` operation
+    reconstructed: bool = False
 
 
 class IndexService:
@@ -167,8 +183,14 @@ class IndexService:
     :meth:`submit` / :meth:`flush`.  Construction builds the configured
     index from the graph's current state and publishes version 0.
 
-    *fault_injector* is threaded into every batch transaction (soak
-    testing); production leaves it ``None``.
+    *store_dir* (with *store_config*) attaches a store over a fresh
+    directory and writes checkpoint 0, so the service is recoverable
+    from its first commit (an initialised directory is refused: use
+    :meth:`recover`); *adaptive*, an ``AdaptiveConfig``, attaches the
+    adaptive plane.  The two compose.
+
+    *fault_injector* is threaded into every batch transaction and into
+    the store (soak testing); production leaves it ``None``.
     """
 
     def __init__(
@@ -178,9 +200,17 @@ class IndexService:
         fault_injector: Optional[FaultInjector] = None,
         maintainer: Optional[object] = None,
         initial_version: int = 0,
+        *,
+        store_dir: Optional[str] = None,
+        store_config: Optional[object] = None,
+        adaptive: Optional[object] = None,
     ):
         self.config = config if config is not None else ServiceConfig()
         self.graph = graph
+        #: the store part, or ``None`` for a volatile service
+        self.store = None
+        #: the adaptive part, or ``None`` for plain snapshot evaluation
+        self.adaptive = None
         if maintainer is None:
             if self.config.family == "one":
                 index = OneIndex.build(graph)
@@ -215,8 +245,33 @@ class IndexService:
         self._telemetry = None  # LiveTelemetry bundle, see start_telemetry()
         #: newest version whose state a whole-graph check has verified
         self._last_audit_version: Optional[int] = None
-        self._snapshot = self._capture(version=initial_version)
+        self._snapshot = IndexSnapshot.capture(
+            initial_version, graph, index=self.guarded.index, family=self.guarded.family
+        )
         self.stats.versions_published = 1
+        # the parts build on this module, so their imports are late
+        if adaptive is not None:
+            from repro.adaptive.service import AdaptivePlane
+
+            self.adaptive = AdaptivePlane(self, adaptive)
+        if store_dir is not None:
+            from repro.store.service import ServiceStore
+
+            self.store = ServiceStore.create(self, store_dir, store_config, fault_injector)
+
+    # the public names of the parts read through the service; without the
+    # part they raise AttributeError, so ``hasattr`` is the capability check
+    wal = property(attrgetter("store.wal"))
+    checkpointer = property(attrgetter("store.checkpointer"))
+    store_dir = property(attrgetter("store.store_dir"))
+    recovery = property(attrgetter("store.recovery"))
+    cache = property(attrgetter("adaptive.cache"))
+    router = property(attrgetter("adaptive.router"))
+    controller = property(attrgetter("adaptive.controller"))
+    audits = property(attrgetter("adaptive.audits"))
+    ladder_sizes = property(attrgetter("adaptive.ladder_sizes"))
+    set_ladder_levels = property(attrgetter("adaptive.set_ladder_levels"))
+    reconstruct_now = property(attrgetter("adaptive.reconstruct_now"))
 
     # ------------------------------------------------------------------
     # Read side
@@ -237,8 +292,11 @@ class IndexService:
 
         Never blocks on the writer; the answer is exact for the version
         it names (1-index precision, or A(k) + validation against the
-        snapshot's own frozen graph).
+        snapshot's own frozen graph).  With the adaptive part attached
+        only the evaluation surface differs: router, ladder and cache.
         """
+        if self.adaptive is not None:
+            return self.adaptive.answer(query)
         snapshot = self._snapshot  # one atomic grab; evaluate only this
         started = time.perf_counter()
         report = snapshot.evaluate(query)
@@ -268,9 +326,7 @@ class IndexService:
         Returns whether the update was admitted (``shed`` is the only
         policy that can return ``False``).
         """
-        if self._closed:
-            raise ServiceClosedError("service is closed")
-        self._check_fence()
+        self._check_admissible(update)
         obs = current_obs()
         # stamp the submitter's trace context so the writer-side commit
         # span stays a descendant of whatever span enqueued the work
@@ -299,12 +355,20 @@ class IndexService:
 
     def submit_nowait(self, update: Update) -> None:
         """Enqueue or raise :class:`QueueFullError` (no policy applied)."""
-        if self._closed:
-            raise ServiceClosedError("service is closed")
-        self._check_fence()
+        self._check_admissible(update)
         if not self.queue.offer(update):
             raise QueueFullError(self.queue.capacity)
         self.stats.submitted += 1
+
+    def _check_admissible(self, update: Update) -> None:
+        if self._closed:
+            raise ServiceClosedError("service is closed")
+        self._check_fence()
+        if update.op == "reconstruct" and self.config.family == "ak":
+            raise ServiceError(
+                "an A(k) family is never reconstructed: its maintenance "
+                "keeps the unique minimum (Theorem 2)"
+            )
 
     def flush(self) -> Optional[BatchResult]:
         """Drain, coalesce, apply and publish one batch synchronously.
@@ -318,16 +382,16 @@ class IndexService:
             batch = self.queue.drain(self.config.batch_max_ops)
             if not batch:
                 return None
-            return self._commit(batch)
+            result = self._commit(batch)
+        self._after_commit(result)
+        return result
 
     def drain(self) -> list[BatchResult]:
         """Flush until the queue is empty; returns every batch committed."""
         results = []
-        while True:
-            result = self.flush()
-            if result is None:
-                return results
+        while (result := self.flush()) is not None:
             results.append(result)
+        return results
 
     def fence(self, epoch: int) -> None:
         """Demote this service: refuse every write from now on.
@@ -336,9 +400,9 @@ class IndexService:
         *epoch*.  Queries keep working (they are merely stale); any
         :meth:`submit` or commit raises
         :class:`~repro.exceptions.StalePrimaryError`.  The in-memory
-        flag is the fast path — a durable subclass additionally checks
-        the store's epoch file in its commit hook, which catches the
-        partitioned zombie that never heard the :meth:`fence` call.
+        flag is the fast path — a store additionally re-reads its epoch
+        file before every log append, which catches the partitioned
+        zombie that never heard the :meth:`fence` call.
         """
         self._fenced_epoch = epoch
         current_obs().event("service.fenced", epoch=epoch)
@@ -352,11 +416,23 @@ class IndexService:
         if self._fenced_epoch is not None:
             raise StalePrimaryError(self._fenced_epoch - 1, self._fenced_epoch)
 
-    def _commit(self, batch: list[Update]) -> BatchResult:
-        """Apply one drained batch and publish the next version."""
+    def _commit(self, batch: list[Update], replayed: bool = False) -> BatchResult:
+        """Turn one batch into the next version (writer lock held).
+
+        The only place that happens, in this order: fence → coalesce →
+        guarded apply with its scoped post-check → log → publish →
+        account.  A raise in apply leaves nothing logged or published
+        and the touched set in place; a raise in log leaves the batch
+        applied but invisible, and the instance must be abandoned
+        (:meth:`recover` returns the last published state).  Empty
+        batches are logged and published too, which keeps versions and
+        LSNs in lockstep.  *replayed* marks a record a replica received
+        from its primary's log: it was coalesced where it was first
+        committed and is applied verbatim.
+        """
         self._check_fence()
         obs = current_obs()
-        if self.config.coalesce:
+        if self.config.coalesce and not replayed:
             survivors, pass_stats = coalesce(batch, self.graph)
             self.stats.coalescing.merge(pass_stats)
             obs.add("service.coalesced_away", pass_stats.removed)
@@ -381,9 +457,8 @@ class IndexService:
                 self.stats.batch_failures += 1
                 obs.add("service.batch_failures")
                 raise
-            # durability hook: a persistent subclass logs the applied
-            # batch before the snapshot becomes visible to readers
-            self._on_batch_applied(survivors)
+            if self.store is not None:
+                self.store.log(self, survivors)
             publish_started = time.perf_counter()
             snapshot = self._publish_next()
             obs.observe(
@@ -403,93 +478,91 @@ class IndexService:
             applied=len(survivors),
             coalesced_away=len(batch) - len(survivors),
             seconds=elapsed,
+            reconstructed=any(u.op == "reconstruct" for u in survivors),
         )
 
-    def _on_batch_applied(self, survivors: list[Update]) -> None:
-        """Commit hook between a successful apply and snapshot publish.
+    def _after_commit(self, result: BatchResult) -> None:
+        """What follows a commit once the writer lock is released."""
+        if self.adaptive is not None:
+            self.adaptive.controller.on_commit(result)
 
-        The base service is volatile — this is a no-op.
-        :class:`repro.store.DurableIndexService` overrides it to append
-        the batch to the write-ahead log (and maybe checkpoint) so a
-        snapshot is only ever published once its batch is logged.  A
-        raise here fails the commit *after* the in-memory apply: nothing
-        is published, and the caller must treat the service instance as
-        lost (recovery from the store reconstructs the last published
-        state).
+    @staticmethod
+    def recover(
+        store_dir: str,
+        config: Optional[ServiceConfig] = None,
+        store_config: Optional[object] = None,
+        fault_injector: Optional[FaultInjector] = None,
+        check_level: str = "valid",
+        adaptive: Optional[object] = None,
+    ) -> "IndexService":
+        """Reopen a store: checkpoint + WAL replay + invariant post-check.
+
+        The recovered service continues exactly where the last published
+        version left off — same version number, same graph, same index
+        partition (byte-identical wire dumps; the torture tests assert
+        it).  *config* may tune serving parameters but the index family
+        and ``k`` always come from the store; *adaptive* attaches the
+        adaptive plane, which is rebuilt, not recovered.
         """
+        from repro.store import service as store
 
-    @classmethod
-    def recover(cls, store_dir: str, **kwargs) -> "IndexService":
-        """Reopen a durable service from its store directory.
-
-        Convenience alias for
-        :meth:`repro.store.DurableIndexService.recover` (checkpoint load
-        + WAL replay + invariant post-check); see that method for the
-        keyword arguments.
-        """
-        from repro.store.service import DurableIndexService
-
-        return DurableIndexService.recover(store_dir, **kwargs)
-
-    def _capture(self, version: int) -> IndexSnapshot:
-        """Freeze the live structures into a publishable version."""
-        if self.config.family == "one":
-            return IndexSnapshot.capture(version, self.graph, index=self.guarded.index)
-        return IndexSnapshot.capture(version, self.graph, family=self.guarded.family)
+        result = store.recover(store_dir, check_level=check_level)
+        base = config if config is not None else ServiceConfig()
+        base = replace(base, family=result.kind, k=result.k if result.kind == "ak" else base.k)
+        service = IndexService(
+            result.graph,
+            base,
+            fault_injector,
+            maintainer=result.maintainer,
+            initial_version=result.version,
+            adaptive=adaptive,
+        )
+        service.store = store.ServiceStore.reopen(
+            store_dir, store_config, fault_injector, recovery=result
+        )
+        return service
 
     def _publish_next(self) -> IndexSnapshot:
         """Publish the live state as the next version (writer lock held).
 
-        The touched accumulator resets only after the publish: an
-        exception anywhere before leaves the touches in place, so the
-        next successful publish still re-captures everything the lost
-        one perturbed.
+        The next snapshot evolves the published one by the batch's
+        touched set (a full capture when a degrade rebuild renamed every
+        inode).  The adaptive part derives what the batch changed before
+        the swap and carries its cache across only after it, so a reader
+        never meets an entry stamped with a version it cannot see.  The
+        touched accumulator resets last: an exception anywhere before
+        leaves the touches in place, so the next successful publish
+        still re-captures everything the lost one perturbed.
         """
-        snapshot = self._next_snapshot(self._snapshot.version + 1)
-        self._publish(snapshot)
-        self._touched.clear()
-        guard = self.guarded.invariants
-        if guard.last_audit_ok and not guard.checks_since_audit:
-            self._last_audit_version = snapshot.version  # newest check was full
-        return snapshot
-
-    def _next_snapshot(self, version: int) -> IndexSnapshot:
-        """Evolve the published version by the batch's touched set.
-
-        Full capture when the touched set was invalidated wholesale
-        (degrade-rebuild renames every inode — nothing of the previous
-        version is reusable).
-        """
-        if self._touched.full:
-            return self._capture(version)
-        if self.config.family == "one":
-            return IndexSnapshot.evolve(
-                self._snapshot, version, self.graph, self._touched,
-                index=self.guarded.index,
-            )
-        return IndexSnapshot.evolve(
-            self._snapshot, version, self.graph, self._touched,
-            family=self.guarded.family,
-        )
-
-    def _publish(self, snapshot: IndexSnapshot) -> None:
-        """Swap the served version and retire the old one's staleness count."""
         obs = current_obs()
-        with self._query_count_lock:
+        guarded = self.guarded
+        snapshot = IndexSnapshot.evolve(
+            self._snapshot,
+            self._snapshot.version + 1,
+            self.graph,
+            self._touched,
+            index=guarded.index,
+            family=guarded.family,
+        )
+        if self.adaptive is not None:
+            changed = self.adaptive.stage(snapshot, self._touched)
+        with self._query_count_lock:  # the swap; retires the old version's count
             retired = self._queries_this_version
             self._queries_this_version = 0
             self._snapshot = snapshot
+        if self.adaptive is not None:
+            self.adaptive.advance(snapshot.version, *changed)
+        self._touched.clear()
+        if guarded.invariants.last_audit_ok and not guarded.invariants.checks_since_audit:
+            self._last_audit_version = snapshot.version  # newest check was full
         self.stats.queries_per_version.append(retired)
         self.stats.versions_published += 1
         obs.observe("service.queries_per_version", retired)
         obs.add("service.versions")
         if obs.enabled:  # sizing the index is O(#inodes): only for a live gauge
-            obs.set("graph.bytes", self._graph_bytes())
+            obs.set("graph.bytes", self.graph.approx_bytes())
             obs.set("index.bytes", self._index_bytes())
-
-    def _graph_bytes(self) -> int:
-        """Approximate resident bytes of the live graph (O(#pages))."""
-        return self.graph.approx_bytes()
+        return snapshot
 
     def _index_bytes(self) -> int:
         """Approximate resident bytes of the live index or family."""
@@ -523,12 +596,35 @@ class IndexService:
         self._writer_thread = None
         self.drain()
 
-    def close(self) -> None:
-        """Stop serving: drain outstanding work, reject new submissions."""
+    def checkpoint(self) -> str:
+        """Snapshot the live pair into the store now; truncate the WAL behind it.
+
+        Serialises against the writer: taken mid-commit (a background
+        writer thread, or another thread flushing), an unlocked snapshot
+        could pair a half-applied graph/index with a racing WAL position
+        and then truncate segments the published state still needs.
+        """
+        if self.store is None:
+            raise ServiceError("checkpoint() needs a store (store_dir=)")
+        with self._writer_lock:
+            return self.store.checkpoint(self, self.version)
+
+    def close(self, checkpoint: bool = True) -> None:
+        """Stop serving: drain outstanding work, reject new submissions.
+
+        A store then writes a closing checkpoint, which makes the next
+        :meth:`recover` a pure checkpoint load (no replay) — pass
+        ``checkpoint=False`` to exercise the replay path or to model an
+        unclean shutdown — and closes its WAL.
+        """
         self.stop()
         self.drain()
         self.stop_telemetry()
         self._closed = True
+        if self.store is not None:
+            if checkpoint:
+                self.checkpoint()
+            self.store.close()
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -545,15 +641,24 @@ class IndexService:
         pass ``serve=False`` for windows-only operation).  Keyword
         arguments are forwarded to ``LiveTelemetry``; the bundle is
         stopped by :meth:`close` or an explicit :meth:`stop_telemetry`.
+        The adaptive part adds its SLO rules and wires its controller
+        into the watchdog's alert hook, unless the caller supplied
+        their own rules or hook.
 
         Returns the bundle (read ``.port`` / ``.url`` / ``.health()``).
         """
         if self._telemetry is not None:
             return self._telemetry
         from repro.obs.export import LiveTelemetry
+        from repro.obs.slo import default_adaptive_rules, default_service_rules
 
+        if self.adaptive is not None:
+            kwargs.setdefault("rules", default_service_rules() + default_adaptive_rules())
         self._telemetry = LiveTelemetry(service=self, **kwargs)
         self._telemetry.start()
+        watchdog = self._telemetry.watchdog
+        if self.adaptive is not None and watchdog.on_alert is None:
+            watchdog.on_alert = self.adaptive.controller.on_alert
         return self._telemetry
 
     def stop_telemetry(self) -> None:
@@ -563,9 +668,9 @@ class IndexService:
             self._telemetry = None
 
     def health(self) -> dict:
-        """Service-level liveness facts for the ``/health`` endpoint."""
+        """Liveness facts for the ``/health`` endpoint, one section per part."""
         guard = self.guarded.invariants
-        return {
+        doc = {
             "family": self.config.family,
             "version": self.version,
             "closed": self._closed,
@@ -581,7 +686,7 @@ class IndexService:
             "batches": self.stats.batches,
             "batch_failures": self.stats.batch_failures,
             "versions_published": self.stats.versions_published,
-            "graph_bytes": self._graph_bytes(),
+            "graph_bytes": self.graph.approx_bytes(),
             "index_bytes": self._index_bytes(),
             "last_audit_version": self._last_audit_version,
             "last_audit_ok": guard.last_audit_ok,
@@ -589,6 +694,11 @@ class IndexService:
             "checks_local": guard.checks_local,
             "checks_full": guard.checks_full,
         }
+        if self.store is not None:
+            doc["store"] = self.store.health()
+        if self.adaptive is not None:
+            doc["adaptive"] = self.adaptive.health()
+        return doc
 
     def _writer_loop(self) -> None:
         """The background single writer: batch up, commit, repeat."""
@@ -623,6 +733,6 @@ class IndexService:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<IndexService family={self.config.family!r} v{self.version} "
+            f"<{type(self).__name__} family={self.config.family!r} v{self.version} "
             f"queued={len(self.queue)} inodes={self._snapshot.num_inodes}>"
         )

@@ -400,7 +400,7 @@ class IndexSnapshot:
     graph (Section 3's validation, version-consistently).
     """
 
-    __slots__ = ("version", "kind", "k", "graph", "index")
+    __slots__ = ("version", "kind", "k", "graph", "index", "ladder")
 
     def __init__(
         self,
@@ -417,6 +417,9 @@ class IndexSnapshot:
         self.k = k
         self.graph = graph
         self.index = index
+        #: the adaptive plane's ``LadderState`` of this version, hung here
+        #: before publication: one reference read, a consistent pair
+        self.ladder = None
 
     @classmethod
     def capture(
@@ -478,7 +481,7 @@ class IndexSnapshot:
                 frozen_graph,
                 FrozenIndex.evolve(prev.index, index, frozen_graph, touched.inodes),
             )
-        tokens = _touched_leaf_tokens(family, touched)
+        tokens = touched_leaf_tokens(family, touched)
         return cls(
             version,
             "ak",
@@ -535,7 +538,7 @@ class IndexSnapshot:
         )
 
 
-def _touched_leaf_tokens(family: AkIndexFamily, touched: "TouchedSet") -> set[int]:
+def touched_leaf_tokens(family: AkIndexFamily, touched: "TouchedSet") -> set[int]:
     """Resolve a batch's touched set to the leaf tokens it may have changed.
 
     The union of: tokens the maintainer reported directly (emptied
@@ -545,6 +548,8 @@ def _touched_leaf_tokens(family: AkIndexFamily, touched: "TouchedSet") -> set[in
     dnode still alive plus the classes of its current parents.  Parents
     that changed on *their* side (edge add/remove) appear in
     ``touched.dnodes`` themselves, so post-batch adjacency is sufficient.
+    The adaptive plane invalidates its result cache through the same
+    superset, so it can never disagree with publication about a batch.
     """
     leaf = family.levels[family.k]
     class_of = leaf.class_of
@@ -566,9 +571,3 @@ def _touched_leaf_tokens(family: AkIndexFamily, touched: "TouchedSet") -> set[in
             tokens.add(class_of[p])
     return tokens
 
-
-#: Public name: the adaptive serving plane (repro.adaptive) resolves each
-#: commit's TouchedSet to leaf tokens through the same superset logic the
-#: evolve path uses, so snapshot publication and result-cache
-#: invalidation can never disagree about what a batch may have changed.
-touched_leaf_tokens = _touched_leaf_tokens

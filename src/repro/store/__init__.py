@@ -12,9 +12,10 @@ disk; this package adds the persistent spine underneath them:
 * :mod:`repro.store.recovery` — crash recovery: newest valid
   checkpoint, torn-tail-tolerant WAL replay through the guarded
   maintainer, invariant post-check.
-* :mod:`repro.store.service` — :class:`DurableIndexService`, the
-  :class:`~repro.service.IndexService` subclass that logs every commit
-  before publishing it and reopens via :meth:`DurableIndexService.recover`.
+* :mod:`repro.store.service` — :class:`ServiceStore`, the part an
+  :class:`~repro.service.IndexService` built with ``store_dir=`` holds:
+  it logs every commit before it is published; ``IndexService.recover``
+  reopens one.
 
 The crash contract, end to end: any state a reader ever observed is
 reconstructible after a crash at any byte of any write — the torture
@@ -35,7 +36,7 @@ from repro.store.checkpoint import (
 )
 from repro.store.epoch import EPOCH_FILE, read_epoch, write_epoch
 from repro.store.recovery import RecoveryResult, recover
-from repro.store.service import DurableIndexService, StoreConfig
+from repro.store.service import DurableIndexService, ServiceStore, StoreConfig
 from repro.store.wal import (
     FSYNC_POLICIES,
     WAL_FORMAT_VERSION,
@@ -65,6 +66,7 @@ __all__ = [
     "RecoveryResult",
     "recover",
     "DurableIndexService",
+    "ServiceStore",
     "StoreConfig",
     "FSYNC_POLICIES",
     "WAL_FORMAT_VERSION",

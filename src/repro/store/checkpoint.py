@@ -49,6 +49,8 @@ from repro.index.serialize import (
     index_from_dict,
     index_to_dict,
 )
+from repro.maintenance.ak_split_merge import AkSplitMergeMaintainer
+from repro.maintenance.split_merge import SplitMergeMaintainer
 from repro.obs import current as current_obs
 from repro.resilience.faults import FaultInjector
 from repro.store.wal import WriteAheadLog, _fsync_dir
@@ -101,6 +103,13 @@ class Checkpoint:
         if self.kind == "one":
             return graph, index_from_dict(graph, self.index_dict, cls=OneIndex), None
         return graph, None, family_from_dict(graph, self.index_dict)
+
+    def adopt(self) -> tuple[DataGraph, Any]:
+        """The live graph plus the split/merge maintainer over its index or family."""
+        graph, index, family = self.materialize()
+        if index is not None:
+            return graph, SplitMergeMaintainer(index)
+        return graph, AkSplitMergeMaintainer(family)
 
 
 def write_checkpoint(

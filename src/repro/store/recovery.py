@@ -31,8 +31,6 @@ from repro.exceptions import RecoveryError
 from repro.graph.datagraph import DataGraph
 from repro.index.akindex import AkIndexFamily
 from repro.index.oneindex import OneIndex
-from repro.maintenance.ak_split_merge import AkSplitMergeMaintainer
-from repro.maintenance.split_merge import SplitMergeMaintainer
 from repro.obs import current as current_obs
 from repro.resilience.guard import GuardConfig, GuardedMaintainer
 from repro.resilience.invariants import InvariantGuard
@@ -91,12 +89,7 @@ def recover(
                 f"no loadable checkpoint in {store_dir!r}; the store was never "
                 "initialised (or every checkpoint is corrupt)"
             )
-        graph, index, family = ckpt.materialize()
-        maintainer: Any
-        if index is not None:
-            maintainer = SplitMergeMaintainer(index)
-        else:
-            maintainer = AkSplitMergeMaintainer(family)
+        graph, maintainer = ckpt.adopt()
         config = guard if guard is not None else GuardConfig(policy="raise", check_every=0)
         guarded = GuardedMaintainer(maintainer, config)
 

@@ -1,8 +1,8 @@
-"""`DurableIndexService` — the serving layer with a persistent spine.
+"""`ServiceStore` — the durability part of an :class:`IndexService`.
 
-Same serving discipline as :class:`~repro.service.IndexService`
-(single writer, snapshot-isolated readers, batched guarded commits),
-plus durability:
+A service built with ``store_dir=`` keeps the serving discipline it has
+without one (single writer, snapshot-isolated readers, batched guarded
+commits) and gains a persistent spine:
 
 * **every commit is logged before it is published**: the writer applies
   the coalesced batch transactionally, appends it — in the stable
@@ -15,27 +15,27 @@ plus durability:
   the OS had not written back.  Everything the log retains is
   reconstructible from checkpoint + log.
 * **cadenced checkpoints**: every ``checkpoint_every_records`` commits
-  (and on clean :meth:`close`), the live graph + index pair is written
+  (and on a clean ``close()``), the live graph + index pair is written
   atomically and the WAL truncated behind it, bounding replay time.
-* **recovery** (:meth:`recover`): newest valid checkpoint + surviving
-  WAL tail → a fresh ``DurableIndexService`` at the exact version the
-  crashed process last published.
+* **recovery** (:meth:`IndexService.recover`): newest valid checkpoint +
+  surviving WAL tail → a fresh service at the exact version the crashed
+  process last published.
 
 Empty batches (everything coalesced away) are logged too: versions and
 LSNs stay in lockstep — ``version = checkpoint.version + records after
 checkpoint`` — which is what lets recovery name the version it restored.
 
-A failure *inside* the durability hook (an injected io fault, a full
-disk) aborts the commit after the in-memory apply but before publish.
-The instance is then divergent from its log and must be abandoned;
-:meth:`recover` on the same directory reconstructs the last published
-state.  That is the crash model the torture tests drive.
+A failure *inside* :meth:`ServiceStore.log` (an injected io fault, a
+full disk) aborts the commit after the in-memory apply but before
+publish.  The instance is then divergent from its log and must be
+abandoned; ``recover`` on the same directory reconstructs the last
+published state.  That is the crash model the torture tests drive.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.exceptions import StalePrimaryError, StoreError
@@ -50,10 +50,12 @@ from repro.store.epoch import read_epoch
 from repro.store.recovery import RecoveryResult, recover
 from repro.store.wal import FSYNC_POLICIES, WriteAheadLog
 
+__all__ = ["DurableIndexService", "ServiceStore", "StoreConfig", "recover"]
+
 
 @dataclass(frozen=True)
 class StoreConfig:
-    """How a :class:`DurableIndexService` logs, syncs and checkpoints."""
+    """How a :class:`ServiceStore` logs, syncs and checkpoints."""
 
     #: WAL durability policy: ``always`` / ``batch`` / ``off``
     fsync: str = "batch"
@@ -77,47 +79,22 @@ class StoreConfig:
             raise StoreError("keep_checkpoints must be >= 1")
 
 
-class DurableIndexService(IndexService):
-    """An :class:`IndexService` whose commits survive the process.
+class ServiceStore:
+    """WAL, checkpointer and fencing epoch over one store directory.
 
-    Opening a fresh directory builds the index and writes **checkpoint
-    0** immediately, so the store is recoverable from its very first
-    commit.  Opening a directory that already has a checkpoint is an
-    error — use :meth:`recover`, which replays the log instead of
-    silently rebuilding over it.
+    Get one through :meth:`create` (a fresh directory) or :meth:`reopen`
+    (an initialised one, after recovery or promotion); the service
+    calls :meth:`log` between apply and publish of every commit.
     """
 
     def __init__(
         self,
-        graph: DataGraph,
         store_dir: str,
-        config: Optional[ServiceConfig] = None,
-        store_config: Optional[StoreConfig] = None,
+        config: Optional[StoreConfig] = None,
         fault_injector: Optional[FaultInjector] = None,
-        maintainer: Optional[object] = None,
-        initial_version: int = 0,
-        _recovered: bool = False,
     ):
-        self.store_config = store_config if store_config is not None else StoreConfig()
         self.store_dir = store_dir
-        #: populated by :meth:`recover` with how this instance came back
-        self.recovery: Optional[RecoveryResult] = None
-        # refuse an already-initialised store *before* building the index
-        # or opening (and tail-repairing) the WAL: the refusal path must
-        # not mutate the store it refuses, nor leak an open file handle
-        if not _recovered and os.path.isdir(store_dir):
-            if latest_checkpoint(store_dir) is not None:
-                raise StoreError(
-                    f"store {store_dir!r} already holds a checkpoint; use "
-                    "DurableIndexService.recover() to reopen it"
-                )
-        super().__init__(
-            graph,
-            config,
-            fault_injector,
-            maintainer=maintainer,
-            initial_version=initial_version,
-        )
+        self.store_config = config if config is not None else StoreConfig()
         self.wal = WriteAheadLog(
             store_dir,
             fsync=self.store_config.fsync,
@@ -135,62 +112,84 @@ class DurableIndexService(IndexService):
         #: the fencing epoch this writer was opened under; a promotion
         #: bumps the durable epoch file past this and fences us off
         self.epoch = read_epoch(store_dir)
-        if not _recovered:
-            # checkpoint 0: the store is recoverable before any commit
-            self.checkpoint()
+        #: how this store came back, when :meth:`reopen` followed a recovery
+        self.recovery: Optional[RecoveryResult] = None
 
-    # ------------------------------------------------------------------
-    # Durability hooks
-    # ------------------------------------------------------------------
+    @classmethod
+    def create(
+        cls,
+        service: IndexService,
+        store_dir: str,
+        config: Optional[StoreConfig] = None,
+        fault_injector: Optional[FaultInjector] = None,
+    ) -> "ServiceStore":
+        """A store over a fresh directory, holding *service* as checkpoint 0.
 
-    def _on_batch_applied(self, survivors: list[Update]) -> None:
-        """Log the committed batch; checkpoint when the cadence fires.
+        A directory that already has a checkpoint is refused before the
+        WAL is opened (opening repairs a torn tail; a refusal must not
+        change the store it refuses) — :meth:`IndexService.recover`
+        replays such a log instead of silently rebuilding over it.
+        """
+        if os.path.isdir(store_dir) and latest_checkpoint(store_dir) is not None:
+            raise StoreError(
+                f"store {store_dir!r} already holds a checkpoint; use "
+                "IndexService.recover() to reopen it"
+            )
+        store = cls(store_dir, config, fault_injector)
+        store.checkpoint(service, service.version)
+        return store
 
-        Called between the in-memory apply and the snapshot publish, so
-        the live structures already hold the batch but ``self.version``
-        does not yet name it — a cadence checkpoint here must carry the
-        version the batch is about to become, or recovery would report
-        an off-by-one version.
+    @classmethod
+    def reopen(
+        cls,
+        store_dir: str,
+        config: Optional[StoreConfig] = None,
+        fault_injector: Optional[FaultInjector] = None,
+        recovery: Optional[RecoveryResult] = None,
+    ) -> "ServiceStore":
+        """A store over an initialised directory; nothing is written.
 
-        The epoch check runs **before** the append: a zombie primary —
-        demoted by a failover it never heard about — re-reads the
-        durable epoch here and refuses to extend a WAL history that a
-        promoted follower now owns.  The in-memory apply is lost, which
-        is exactly the abandoned-instance crash model above.
+        For a service whose state already matches the log's end: one
+        :func:`recover` just rebuilt (pass its *recovery*, so the cadence
+        counts the replayed records) or a promoted follower.
+        """
+        store = cls(store_dir, config, fault_injector)
+        if recovery is not None:
+            store.checkpointer.records_since_checkpoint = recovery.replayed_records
+            store.recovery = recovery
+        return store
+
+    def log(self, service: IndexService, survivors: list[Update]) -> None:
+        """Log one applied batch; checkpoint when the cadence fires.
+
+        Called between the in-memory apply and the snapshot publish: the
+        live structures hold the batch but ``service.version`` does not
+        yet name it, so a cadence checkpoint here carries the version
+        the batch is about to become.  The epoch check runs **before**
+        the append: a zombie primary — demoted by a failover it never
+        heard about — re-reads the durable epoch here and refuses to
+        extend a WAL history that a promoted follower now owns.
         """
         current = read_epoch(self.store_dir)
         if current > self.epoch:
-            self.fence(current)
+            service.fence(current)
             raise StalePrimaryError(self.epoch, current)
         self.wal.append(batch_to_wire([u.as_call() for u in survivors]))
         if self.checkpointer.note_record():
-            self._checkpoint_at(self.version + 1)
+            self.checkpoint(service, service.version + 1)
 
-    def checkpoint(self) -> str:
-        """Snapshot the live pair now and truncate the WAL behind it.
-
-        Serialises against the writer: taken mid-commit (a background
-        writer thread, or another thread flushing), an unlocked snapshot
-        could pair a half-applied graph/index with a racing WAL position
-        and then truncate segments the published state still needs.
-        """
-        with self._writer_lock:
-            return self._checkpoint_at(self.version)
-
-    def _checkpoint_at(self, version: int) -> str:
-        # caller must hold _writer_lock (checkpoint() takes it; the
-        # cadence path in _on_batch_applied runs inside _commit's hold)
+    def checkpoint(self, service: IndexService, version: int) -> str:
+        """Write *service*'s live pair as *version* (its writer lock held)."""
         return self.checkpointer.checkpoint(
-            self.graph,
+            service.graph,
             version=version,
-            index=self.guarded.index,
-            family=self.guarded.family,
+            index=service.guarded.index,
+            family=service.guarded.family,
         )
 
     def health(self) -> dict:
-        """Service health plus the durability plane's position."""
-        doc = super().health()
-        doc["store"] = {
+        """The durability plane's position."""
+        return {
             "dir": self.store_dir,
             "epoch": self.epoch,
             "last_lsn": self.wal.last_lsn,
@@ -202,55 +201,29 @@ class DurableIndexService(IndexService):
             "checkpoints_written": self.checkpointer.checkpoints_written,
             "records_since_checkpoint": self.checkpointer.records_since_checkpoint,
         }
-        return doc
 
-    def close(self, checkpoint: bool = True) -> None:
-        """Drain, optionally write a final checkpoint, and close the WAL.
-
-        A closing checkpoint makes the next :meth:`recover` a pure
-        checkpoint load (no replay) — skip it to exercise the replay
-        path or to model an unclean shutdown.
-        """
-        super().close()
-        if checkpoint:
-            self.checkpoint()
+    def close(self) -> None:
+        """Close the WAL (the service has stopped committing)."""
         self.wal.close()
         current_obs().add("store.closes")
 
-    # ------------------------------------------------------------------
-    # Recovery
-    # ------------------------------------------------------------------
 
-    @classmethod
-    def recover(
-        cls,
+class DurableIndexService(IndexService):
+    """The name a durable service has always been built under.
+
+    ``DurableIndexService(graph, store_dir, config, store_config, ...)``
+    is ``IndexService(graph, config, ..., store_dir=store_dir,
+    store_config=store_config)``; it adds nothing to the base class.
+    """
+
+    def __init__(
+        self,
+        graph: DataGraph,
         store_dir: str,
         config: Optional[ServiceConfig] = None,
         store_config: Optional[StoreConfig] = None,
-        fault_injector: Optional[FaultInjector] = None,
-        check_level: str = "valid",
-    ) -> "DurableIndexService":
-        """Reopen a store: checkpoint + WAL replay + invariant post-check.
-
-        The recovered service continues exactly where the last published
-        version left off — same version number, same graph, same index
-        partition (byte-identical wire dumps; the torture tests assert
-        it).  *config* may tune serving parameters but the index family
-        and ``k`` always come from the store.
-        """
-        result: RecoveryResult = recover(store_dir, check_level=check_level)
-        base = config if config is not None else ServiceConfig()
-        base = replace(base, family=result.kind, k=result.k if result.kind == "ak" else base.k)
-        service = cls(
-            result.graph,
-            store_dir,
-            config=base,
-            store_config=store_config,
-            fault_injector=fault_injector,
-            maintainer=result.maintainer,
-            initial_version=result.version,
-            _recovered=True,
+        **parts,
+    ):
+        super().__init__(
+            graph, config, store_dir=store_dir, store_config=store_config, **parts
         )
-        service.checkpointer.records_since_checkpoint = result.replayed_records
-        service.recovery = result
-        return service

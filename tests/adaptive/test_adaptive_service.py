@@ -15,7 +15,7 @@ from repro.adaptive import AdaptiveConfig, AdaptiveIndexService
 from repro.adaptive.router import SAFE
 from repro.exceptions import ServiceError
 from repro.query.evaluator import evaluate_on_graph
-from repro.service import ServiceConfig
+from repro.service import ServiceConfig, Update
 from repro.workload.queries import QueryWorkload, ShiftingQueryPool
 from repro.workload.sessions import ClosedLoopDriver, SessionMix
 from repro.workload.updates import MixedUpdateWorkload
@@ -111,21 +111,44 @@ def test_cache_revalidates_across_commits():
         service.close()
 
 
-@pytest.mark.parametrize("family", ["ak", "one"])
+@pytest.mark.parametrize("family", ["one"])
 def test_reconstruct_now_publishes_a_correct_version(family):
     graph = generate_xmark(ADAPTIVE_XMARK).graph
     service = build_service(graph, family=family)
     try:
         pool = QueryWorkload.generate(graph, count=8, seed=7 + ADAPT_SEED)
         before = {e: service.query(e).report.matches for e in pool}
-        version = service.version
+        version, published = service.version, service.stats.versions_published
         service.reconstruct_now(reason="test")
+        # one ordinary commit: one version, published once
         assert service.version == version + 1
-        # a reconstruction renames every token: the cache must flush
-        assert service.cache.stats.flushes >= 1
+        assert service.stats.versions_published == published + 1
+        assert service.controller.policy.reconstructions == 1
+        # published incrementally from the journaled merges: entries whose
+        # footprint misses the merged inodes survive, nothing is flushed
+        assert service.cache.stats.flushes == 0
+        assert service.cache.stats.revalidated > 0
         for expression, matches in before.items():
             assert service.query(expression).report.matches == matches
         service.check()
+    finally:
+        service.close()
+
+
+def test_an_ak_family_is_never_reconstructed():
+    # Theorem 2: A(k) maintenance keeps the unique minimum, so a
+    # "reconstruction" could only rename tokens and flush the cache
+    graph = generate_xmark(ADAPTIVE_XMARK).graph
+    service = build_service(graph, family="ak")
+    try:
+        version = service.version
+        with pytest.raises(ServiceError, match="never reconstructed"):
+            service.reconstruct_now(reason="test")
+        with pytest.raises(ServiceError, match="never reconstructed"):
+            service.submit_nowait(Update.reconstruct())
+        assert service.queue_depth() == 0 and service.version == version
+        assert not service.controller.reconstructs
+        assert service.controller.policy.reconstructions == 0
     finally:
         service.close()
 

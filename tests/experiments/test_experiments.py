@@ -39,8 +39,7 @@ class TestConfig:
         assert set(EXPERIMENTS) == {
             "fig9", "fig10", "fig11", "fig12", "fig13",
             "tab1", "tab2", "tab3", "ablation",
-            "serve", "persist", "recover",
-            "replicate", "corpus", "adaptive",
+            "serve",
         }
 
 

@@ -7,14 +7,20 @@ import time
 
 import pytest
 
-from repro.exceptions import ReplicationError
-from repro.obs import FlightRecorder, observed
+from repro.exceptions import InjectedFaultError, ReplicationError
+from repro.obs import FlightRecorder, InMemorySink, observed
 from repro.replication import STALL_SYNCS, FollowerIndexService, Primary, ReplicationLink
 from repro.resilience.faults import REPLICATION_FAULTS, FaultInjector
+from repro.resilience.guard import GuardConfig
 from repro.service import Update
 from repro.store import StoreConfig
 
-from tests.replication.conftest import commit_inserts, every_fetch_fault, make_primary
+from tests.replication.conftest import (
+    commit_inserts,
+    every_fetch_fault,
+    make_primary,
+    service_config,
+)
 
 
 def bootstrap_follower(service, injector=None, **link_overrides):
@@ -125,6 +131,58 @@ class TestIdempotence:
         with pytest.raises(ReplicationError, match="re-bootstrap"):
             follower.catch_up()  # no deadline: must terminate on its own
         assert follower.applied_lsn == 0
+        follower.close()
+        service.close()
+
+
+class TestCommitTelemetry:
+    """A replica's applies go through ``IndexService._commit``, so they
+    show up in its own latency series, spans and failure counts."""
+
+    def test_every_applied_record_is_a_measured_commit(self, store_dir):
+        sink = InMemorySink()
+        with observed(sink) as obs:
+            service = make_primary(store_dir)
+            commit_inserts(service, 2)
+            service.checkpoint()
+            commit_inserts(service, 3, tag="tail")
+            follower = bootstrap_follower(service)
+            flushes_before = len(sink.spans("service.commit"))
+            assert follower.catch_up() == 3
+            assert len(follower.stats.commit_seconds) == follower.records_applied == 3
+            assert follower.stats.batches == 3 and follower.stats.applied_ops == 3
+            assert follower.stats.coalescing.examined == 0  # applied verbatim
+            assert len(sink.spans("service.commit")) == flushes_before + 3
+            metrics = obs.metrics.snapshot()
+            assert metrics["counters"]["replication.records_applied"] == 3
+            # the primary's five commits plus the replica's three
+            histograms = metrics["histograms"]
+            assert histograms["service.batch_commit_seconds"]["count"] == 8
+            assert histograms["replication.apply_seconds"]["count"] == 3
+            names = [e["name"] for e in sink.events() if e["name"].startswith("replication.")]
+            assert names == ["replication.bootstrap", "replication.batch_applied"]
+            follower.close()
+            service.close()
+
+    def test_a_failing_record_counts_and_moves_nothing(self, store_dir):
+        service = make_primary(store_dir)
+        commit_inserts(service, 2)
+        service.checkpoint()
+        commit_inserts(service, 2, tag="tail")
+        link = ReplicationLink(Primary(service=service), sleep=lambda _s: None)
+        follower = FollowerIndexService.bootstrap(
+            link, service_config(guard=GuardConfig(policy="raise"))
+        )
+        follower.guarded.fault_injector = FaultInjector(at_record=1)
+        before = (follower.applied_lsn, follower.version, follower.snapshot)
+        with pytest.raises(InjectedFaultError):
+            follower.sync()
+        assert follower.stats.batch_failures == 1
+        assert (follower.applied_lsn, follower.version, follower.snapshot) == before
+        assert follower.records_applied == 0 and not follower.stats.commit_seconds
+        # the fault was one-shot: the same record applies on the retry
+        assert follower.catch_up() == 2
+        assert follower.snapshot.fingerprint() == service.snapshot.fingerprint()
         follower.close()
         service.close()
 

@@ -26,6 +26,7 @@ import json
 import pytest
 
 from repro.adaptive import AdaptiveConfig, AdaptiveIndexService
+from repro.adaptive.cost_model import CostConfig
 from repro.query.evaluator import evaluate_on_graph
 from repro.resilience.faults import FaultInjector
 from repro.service.snapshot import IndexSnapshot
@@ -163,7 +164,7 @@ class RoutedChecker:
         self.versions_checked.append(snapshot.version)
 
 
-def run_adaptive_differential(family: str, injector=None, guard=None):
+def run_adaptive_differential(family: str, injector=None, guard=None, cost=None):
     graph = generate_xmark(SERVICE_XMARK).graph
     updates = MixedUpdateWorkload.prepare(graph, seed=17 + SOAK_SEED)
     config = ServiceConfig(
@@ -172,9 +173,8 @@ def run_adaptive_differential(family: str, injector=None, guard=None):
         batch_max_ops=16,
         guard=guard if guard is not None else ServiceConfig().guard,
     )
-    service = AdaptiveIndexService(
-        graph, config, AdaptiveConfig(audit=True), fault_injector=injector
-    )
+    adaptive = AdaptiveConfig(audit=True, cost=cost if cost is not None else CostConfig())
+    service = AdaptiveIndexService(graph, config, adaptive, fault_injector=injector)
     # a shifting mix: short child-only traffic giving way to a deeper
     # descendant-heavy phase, so both exact routes and the safe path are
     # on trial at every version
@@ -203,9 +203,10 @@ def test_adaptive_routed_answers_are_ground_truth_at_every_version(family):
     service, checker, report = run_adaptive_differential(family)
     assert report.steps == STEPS
     assert report.batches > 0 and report.batch_failures == 0
-    # reconstruct_now publishes versions of its own, so the committed
-    # batches are a subset of all published versions — every one checked
+    # the controller submits its reconstructions through the queue, so
+    # the committed batches are exactly the published versions
     assert len(checker.versions_checked) == report.batches
+    assert report.versions_published == report.batches
     assert checker.versions_checked == sorted(checker.versions_checked)
     # the driver's own queries were audited too (AdaptiveConfig.audit)
     assert service.audits >= report.queries
@@ -226,4 +227,36 @@ def test_adaptive_ground_truth_survives_forced_rollbacks(family):
     # ...and every routed/cached answer stayed exact at every version
     assert report.batch_failures == 0
     assert len(checker.versions_checked) == report.batches
+    service.check()
+
+
+@pytest.mark.parametrize("family", ["one", "ak"])
+def test_every_adaptive_flush_publishes_exactly_one_version(family, monkeypatch):
+    """One ``flush()``, one version — with reconstructions in the stream.
+
+    The controller used to reconstruct *inside* ``flush()`` through a
+    publish of its own, so ``flush()`` could return a ``BatchResult``
+    naming a version older than the one being served.  The trigger here
+    fires on any growth at all, so the ``one`` session is dense with
+    ``reconstruct`` commits.
+    """
+    seen = []
+    plain_flush = IndexService.flush
+
+    def checked_flush(service):
+        published = service.stats.versions_published
+        result = plain_flush(service)
+        if result is not None:
+            assert result.version == service.version
+            assert service.stats.versions_published == published + 1
+            seen.append(result)
+        return result
+
+    monkeypatch.setattr(IndexService, "flush", checked_flush)
+    eager = CostConfig(min_bloat=0.0, hard_bloat=0.0)
+    service, checker, report = run_adaptive_differential(family, cost=eager)
+    assert len(seen) >= report.batches > 0
+    reconstructions = sum(result.reconstructed for result in seen)
+    assert reconstructions == service.controller.policy.reconstructions
+    assert (reconstructions > 0) == (family == "one")
     service.check()

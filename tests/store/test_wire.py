@@ -101,6 +101,7 @@ class TestRoundTrip:
             ("add_subgraph", (sub, root, ())),
             ("delete_subgraph", (5,)),
             ("set_value", (6, "text")),
+            ("reconstruct", ()),
         ]
         assert {method for method, _ in batch} == set(WIRE_OPS)
         wire = batch_to_wire(batch)
