@@ -105,17 +105,14 @@ class AdaptiveController:
             obs.add("adaptive.reconstructions")
             obs.observe("adaptive.reconstruction_seconds", result.seconds)
             obs.event("adaptive.reconstructed", version=result.version, inodes=size)
-        elif (
-            self.reconstructs
-            and self.policy.should_reconstruct(size)
-            and not service.queue.holds("reconstruct")
-        ):
+        elif self.reconstructs and self.policy.should_reconstruct(size):
+            request = Update.reconstruct()
             try:
-                service.submit_nowait(Update.reconstruct())
+                if not service.queue.holds(request.op):  # at most one outstanding
+                    service.submit_nowait(request)
+                    obs.event("adaptive.reconstruct_requested", reason="cost-policy")
             except QueueFullError:
                 pass  # the bloat persists: the trigger fires again next commit
-            else:
-                obs.event("adaptive.reconstruct_requested", reason="cost-policy")
         if self.retune_every and self.commits_seen % self.retune_every == 0:
             self.retune()
 

@@ -12,8 +12,8 @@ the compact building blocks the rewritten cores are made of:
   small int sequences packed into one ``array('q')`` with per-slot
   capacity, amortized-doubling growth and tombstone compaction;
 * :class:`~repro.core.labels.LabelInterner` — a string↔int label table;
-* :mod:`~repro.core.codec` — delta codecs for sorted int arrays (the
-  wire format of v2 extents);
+* :mod:`~repro.core.codec` — the byte-level codecs: delta-coded sorted
+  int arrays (v2 extents), the CRC-stamped log record, the CRC envelope;
 * :mod:`~repro.core.sizing` — deep ``approx_bytes`` accounting;
 * :mod:`~repro.core.refimpl` — the retained dict-backed reference
   implementations (:class:`DictGraph`/:class:`DictIndex`), kept as the

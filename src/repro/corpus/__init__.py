@@ -17,7 +17,6 @@ from repro.corpus.builder import (
     CorpusBuilder,
     CorpusCatalog,
     DocumentManifest,
-    apply_update_raw,
     corpus_fingerprint,
     corpus_graph_fingerprint,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "CorpusBuilder",
     "CorpusCatalog",
     "DocumentManifest",
-    "apply_update_raw",
     "corpus_fingerprint",
     "corpus_graph_fingerprint",
     "CorpusService",

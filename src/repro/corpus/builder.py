@@ -39,6 +39,7 @@ from repro.exceptions import (
     DuplicateDocumentError,
 )
 from repro.graph.datagraph import DataGraph, EdgeKind
+from repro.maintenance.operations import OPERATIONS
 from repro.service.queue import Update
 
 #: cross-reference key: (source_local, target_doc, target_local)
@@ -521,11 +522,12 @@ class CorpusCatalog:
 class CorpusBuilder:
     """Collect parsed documents, then build one graph + catalog in bulk.
 
-    The bulk path is the fast path: every document's subgraph is spliced
-    under ROOT with raw graph surgery (re-using the compiled
-    ``add_subgraph`` ops, so bulk and incremental ingest are the same
-    code), and the *one* refinement pass happens afterwards when an
-    index is built over the finished graph — no per-edge maintenance.
+    The bulk path is the fast path: every document's compiled updates
+    (the ones incremental ingest submits, so bulk and incremental ingest
+    are the same code) are applied through the operation table's
+    index-free graph effect, and the *one* refinement pass happens
+    afterwards when an index is built over the finished graph — no
+    per-edge maintenance.
     """
 
     def __init__(self, attribute_nodes: bool = True):
@@ -556,33 +558,8 @@ class CorpusBuilder:
         catalog = CorpusCatalog(next_oid=graph._next_oid)
         for document in self._documents:
             for update in catalog.compile_add(document, root):
-                apply_update_raw(graph, update)
+                OPERATIONS[update.op].raw(graph, *update.args)
         return graph, catalog
-
-
-def apply_update_raw(graph: DataGraph, update: Update) -> None:
-    """Apply one compiled update with raw graph surgery (no index).
-
-    Only the ops the corpus compiler emits are supported; this is the
-    bulk-load path and the A/B baseline, not a general interpreter.
-    """
-    if update.op == "add_subgraph":
-        sub, _root, cross_edges = update.args[:3]
-        preserve = len(update.args) > 3 and update.args[3]
-        mapping = graph.add_subgraph(sub, preserve)
-        for a, b, kind in cross_edges:
-            graph.add_edge(mapping.get(a, a), mapping.get(b, b), kind)
-    elif update.op == "insert_edge":
-        source, target, kind = update.args
-        graph.add_edge(source, target, kind)
-    elif update.op == "delete_edge":
-        graph.remove_edge(update.args[0], update.args[1])
-    elif update.op == "delete_subgraph":
-        graph.remove_nodes(graph.subgraph_from(update.args[0]).nodes())
-    elif update.op == "set_value":
-        graph.set_value(update.args[0], update.args[1])
-    else:  # pragma: no cover - the compiler never emits other ops
-        raise CorpusError(f"raw application does not support {update.op!r}")
 
 
 # ----------------------------------------------------------------------

@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 from typing import Any, TextIO
 
+from repro.core.codec import is_count
 from repro.exceptions import GraphError, SerializationError
 from repro.graph.datagraph import ROOT_LABEL, DataGraph, EdgeKind
 
@@ -51,7 +52,7 @@ def check_format_version(data: Any, current: int, error: type) -> int:
     if not isinstance(data, dict):
         return 0
     version = data.get("format_version", 0)
-    if not isinstance(version, int) or isinstance(version, bool) or version < 0:
+    if not is_count(version):
         raise error(f"malformed format_version {version!r}: expected a non-negative int")
     if version > current:
         raise error(

@@ -3,6 +3,7 @@
 from repro.maintenance.ak_simple import SimpleAkMaintainer
 from repro.maintenance.ak_split_merge import AkSplitMergeMaintainer
 from repro.maintenance.base import MaintenanceTotals, Maintainer, UpdateStats
+from repro.maintenance.operations import OPERATIONS, Operation
 from repro.maintenance.propagate import PropagateMaintainer
 from repro.maintenance.reconstruction import (
     DEFAULT_THRESHOLD,
@@ -18,6 +19,8 @@ __all__ = [
     "Maintainer",
     "UpdateStats",
     "MaintenanceTotals",
+    "OPERATIONS",
+    "Operation",
     "SplitMergeMaintainer",
     "PropagateMaintainer",
     "AkSplitMergeMaintainer",

@@ -42,6 +42,7 @@ from repro.exceptions import MaintenanceError
 from repro.graph.datagraph import DataGraph, EdgeKind
 from repro.index.akindex import AkIndexFamily
 from repro.maintenance.base import UpdateStats
+from repro.maintenance.operations import normalise_cross_edges, require_disjoint_oids
 from repro.obs import current as current_obs
 
 LevelSig = tuple[int, frozenset[int]]
@@ -185,18 +186,14 @@ class AkSplitMergeMaintainer:
         """
         if subgraph.num_nodes == 0:
             raise MaintenanceError("cannot add an empty subgraph")
-        from repro.maintenance.split_merge import _require_disjoint_oids
-
         cross_edges = list(cross_edges)
-        _require_disjoint_oids(self.graph, subgraph, cross_edges, preserve_oids)
+        require_disjoint_oids(self.graph, subgraph, cross_edges, preserve_oids)
         del subgraph_root  # the batched A(k) path needs no special root handling
         graph = self.graph
         mapping = graph.add_subgraph(subgraph, preserve_oids)
         new_nodes = set(mapping.values())
         entry_points: set[int] = set()
-        from repro.maintenance.split_merge import _normalise_cross_edges
-
-        for a, b, kind in _normalise_cross_edges(cross_edges):
+        for a, b, kind in normalise_cross_edges(cross_edges):
             source = mapping.get(a, a)
             target = mapping.get(b, b)
             graph.add_edge(source, target, kind)

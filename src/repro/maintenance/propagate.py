@@ -22,6 +22,7 @@ from repro.graph.datagraph import DataGraph, EdgeKind
 from repro.index.base import StructuralIndex
 from repro.index.construction import stabilize
 from repro.maintenance.base import UpdateStats
+from repro.maintenance.operations import normalise_cross_edges, require_disjoint_oids
 from repro.obs import current as current_obs
 
 
@@ -106,9 +107,8 @@ class PropagateMaintainer:
         pass ever runs and quality decays with each addition.
         """
         from repro.index.construction import bisimulation_partition, blocks_of
-        from repro.maintenance.split_merge import _require_disjoint_oids
 
-        _require_disjoint_oids(self.graph, subgraph, list(cross_edges))
+        require_disjoint_oids(self.graph, subgraph, list(cross_edges))
         cross_edges = list(cross_edges)
         index = self.index
         stats = UpdateStats()
@@ -122,9 +122,7 @@ class PropagateMaintainer:
             stats.splits += 1
             split_stats = stabilize(index, [[singleton, root_inode]], self.splitter_choice)
             stats.splits += split_stats.splits
-        from repro.maintenance.split_merge import _normalise_cross_edges
-
-        for a, b, kind in _normalise_cross_edges(cross_edges):
+        for a, b, kind in normalise_cross_edges(cross_edges):
             stats.absorb(
                 self.insert_edge(mapping.get(a, a), mapping.get(b, b), kind)
             )

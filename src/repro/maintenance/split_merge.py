@@ -38,56 +38,12 @@ from repro.graph.datagraph import DataGraph, EdgeKind
 from repro.index.base import StructuralIndex
 from repro.index.construction import bisimulation_partition, blocks_of, stabilize
 from repro.maintenance.base import UpdateStats
+from repro.maintenance.operations import normalise_cross_edges, require_disjoint_oids
 from repro.maintenance.reconstruction import (
     reconstruct_from_scratch,
     reconstruct_via_index_graph,
 )
 from repro.obs import current as current_obs
-
-
-def _normalise_cross_edges(
-    cross_edges: Iterable[tuple]
-) -> list[tuple[int, int, EdgeKind]]:
-    """Accept ``(a, b)`` or ``(a, b, kind)`` cross-edge tuples."""
-    normalised = []
-    for item in cross_edges:
-        if len(item) == 2:
-            a, b = item
-            normalised.append((a, b, EdgeKind.TREE))
-        else:
-            a, b, kind = item
-            normalised.append((a, b, kind))
-    return normalised
-
-
-def _require_disjoint_oids(
-    graph: DataGraph,
-    subgraph: DataGraph,
-    cross_edges: Iterable[tuple[int, int]],
-    preserve_oids: bool = False,
-) -> None:
-    """Reject ambiguous cross-edge endpoints (and, when the subgraph's
-    oids are to be preserved, any oid collision at all).
-
-    Cross edges are resolved "subgraph oid first, host oid otherwise", so
-    when a subgraph oid is *also* a live host oid the reference is
-    ambiguous.  Subgraphs extracted from a host
-    (:func:`repro.workload.updates.extract_subgraphs`) are naturally
-    disjoint (their oids just left the host); hand-built subgraphs should
-    pass explicit non-colliding oids to ``DataGraph.add_node``.
-    """
-    if not cross_edges and not preserve_oids:
-        return
-    colliding = [oid for oid in subgraph.nodes() if graph.has_node(oid)]
-    if colliding:
-        raise MaintenanceError(
-            f"subgraph oids {sorted(colliding)[:5]} also exist in the host graph; "
-            + (
-                "cannot preserve them — use disjoint oids"
-                if preserve_oids
-                else "cross-edge endpoints would be ambiguous — use disjoint oids"
-            )
-        )
 
 
 class SplitMergeMaintainer:
@@ -342,7 +298,7 @@ class SplitMergeMaintainer:
         """
         if subgraph.num_nodes == 0:
             raise MaintenanceError("cannot add an empty subgraph")
-        _require_disjoint_oids(self.graph, subgraph, cross_edges, preserve_oids)
+        require_disjoint_oids(self.graph, subgraph, cross_edges, preserve_oids)
         obs = current_obs()
         index = self.index
         stats = UpdateStats()
@@ -391,7 +347,7 @@ class SplitMergeMaintainer:
         # 2. Batch all incoming cross edges to the root, merge once.
         incoming_root: list[tuple[int, int, EdgeKind]] = []
         other_edges: list[tuple[int, int, EdgeKind]] = []
-        for a, b, kind in _normalise_cross_edges(cross_edges):
+        for a, b, kind in normalise_cross_edges(cross_edges):
             source = mapping.get(a, a)
             target = mapping.get(b, b)
             if target == root:

@@ -28,13 +28,16 @@ paper describes — replication is recovery running continuously.
 """
 
 from repro.replication.failover import FailoverResult, promote
-from repro.replication.feed import Primary
+from repro.replication.feed import FeedFrame, Primary, decode_feed_frame, encode_feed_frame
 from repro.replication.follower import STALL_SYNCS, FollowerIndexService
 from repro.replication.link import ReplicationLink
 from repro.replication.router import ReplicaRouter
 
 __all__ = [
     "Primary",
+    "FeedFrame",
+    "encode_feed_frame",
+    "decode_feed_frame",
     "ReplicationLink",
     "FollowerIndexService",
     "STALL_SYNCS",

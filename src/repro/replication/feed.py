@@ -10,8 +10,8 @@ two questions a follower has:
 * :meth:`fetch` — "give me everything after LSN *n*" (the catch-up
   path: records are read through the segment-skipping
   :func:`~repro.store.wal.read_records_since`, wrapped in a CRC-framed
-  :class:`~repro.resilience.wire.FeedFrame` stamped with the store's
-  fencing epoch and the log's current end).
+  :class:`FeedFrame` stamped with the store's fencing epoch and the
+  log's current end).
 
 Replication is recovery running continuously: both answers are pure
 functions of the store directory, so a feed over a *dead* primary's
@@ -22,21 +22,96 @@ When a live service is attached, :meth:`fetch` holds its writer lock:
 the WAL may rotate or checkpoint-truncate mid-scan otherwise.  Fetches
 are short (``max_records``-bounded) and read-only, so the contention is
 the same order as one commit.
+
+**The frame.**  One feed response is one sealed JSON document
+(:func:`repro.core.codec.seal`) around records stamped exactly as their
+WAL lines are (:func:`repro.core.codec.stamp_record`)::
+
+    {"crc": <frame crc>, "data": {
+        "v": 1,
+        "epoch": 3,            # the primary's fencing epoch
+        "last_lsn": 42,        # end of the primary's log at fetch time
+        "records": [{"crc": <record crc>, "lsn": 7, "ops": [...], "v": 1}, ...]
+    }}
+
+The frame CRC catches a truncated or bit-flipped response as a whole;
+the record CRCs catch a payload that was re-framed around damaged
+records — a corrupt proxy can produce a frame whose envelope checks out
+but whose cargo does not.  Either failure is a
+:class:`SerializationError`; the link treats it as a retriable torn
+response, never applying a partial frame.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional
+from dataclasses import dataclass
+from typing import Any, Optional
 
-from repro.exceptions import ReplicationError
+from repro.core.codec import decode_record, is_count, seal, stamp_record, unseal
+from repro.exceptions import ReplicationError, SerializationError
 from repro.obs import current as current_obs
 from repro.resilience.faults import FaultInjector
-from repro.resilience.wire import encode_feed_frame, feed_record
 from repro.store.checkpoint import latest_checkpoint
 from repro.store.epoch import read_epoch
 from repro.service.service import IndexService
 from repro.store.wal import last_lsn_on_disk, read_records_since
+
+#: current feed frame format version; bump on structural changes
+FEED_FORMAT_VERSION = 1
+
+@dataclass(frozen=True)
+class FeedFrame:
+    """One decoded, CRC-verified replication feed response."""
+
+    epoch: int
+    last_lsn: int
+    #: ``(lsn, wire-encoded ops)`` pairs, in LSN order
+    records: list[tuple[int, list[dict[str, Any]]]]
+
+
+def encode_feed_frame(epoch: int, last_lsn: int, records: list[dict[str, Any]]) -> bytes:
+    """Encode one feed response; *records* are ``stamp_record`` dicts."""
+    data = {
+        "v": FEED_FORMAT_VERSION,
+        "epoch": epoch,
+        "last_lsn": last_lsn,
+        "records": records,
+    }
+    return seal(data).encode("utf-8")
+
+
+def decode_feed_frame(raw: bytes) -> FeedFrame:
+    """Verify and decode one feed response.
+
+    Checks, in order: the envelope and its CRC, the format version, then
+    every record's CRC and shape.  Any failure raises
+    :class:`SerializationError` — the caller must treat the whole frame
+    as undelivered and re-fetch from its own applied LSN.
+    """
+    data = unseal(raw, SerializationError, "feed frame")
+    try:
+        version = data.get("v", 0)
+        epoch, last_lsn, raw_records = data["epoch"], data["last_lsn"], data["records"]
+    except (AttributeError, KeyError) as exc:
+        raise SerializationError(f"malformed feed frame: {exc!r}") from exc
+    if not is_count(version) or version > FEED_FORMAT_VERSION:
+        raise SerializationError(
+            f"feed frame format version {version!r} is not one this reader "
+            f"supports (<= {FEED_FORMAT_VERSION})"
+        )
+    if not is_count(epoch) or not is_count(last_lsn) or not isinstance(raw_records, list):
+        raise SerializationError("malformed feed frame: bad epoch/last_lsn/records")
+    records = []
+    for item in raw_records:
+        try:
+            decoded = decode_record(item)
+        except ValueError as exc:
+            raise SerializationError(f"malformed feed record: {exc}") from exc
+        if decoded is None:
+            raise SerializationError("feed record failed its CRC or shape check")
+        records.append(decoded)
+    return FeedFrame(epoch=epoch, last_lsn=last_lsn, records=records)
 
 
 class Primary:
@@ -121,7 +196,7 @@ class Primary:
     def _build_frame(self, since_lsn: int, max_records: int) -> bytes:
         records = []
         for record in read_records_since(self.store_dir, since_lsn):
-            records.append(feed_record(record.lsn, record.ops))
+            records.append(stamp_record(record.lsn, record.ops))
             if len(records) >= max_records:
                 break
         last_lsn = self.last_lsn

@@ -37,7 +37,6 @@ from __future__ import annotations
 import json
 import random
 import time
-import zlib
 from typing import Callable, Optional
 
 from repro.exceptions import (
@@ -47,9 +46,9 @@ from repro.exceptions import (
     StaleEpochError,
 )
 from repro.obs import current as current_obs
-from repro.replication.feed import Primary
+from repro.core.codec import seal
+from repro.replication.feed import FeedFrame, Primary, decode_feed_frame, encode_feed_frame
 from repro.resilience.faults import FaultInjector
-from repro.resilience.wire import FeedFrame, decode_feed_frame, encode_feed_frame
 
 
 class _InjectedDrop(Exception):
@@ -220,11 +219,7 @@ class ReplicationLink:
             return bytes(mangled)
         record = records[0]
         record["lsn"] = record.get("lsn", 0) + 1  # CRC no longer matches
-        payload = json.dumps(
-            document["data"], sort_keys=True, separators=(",", ":")
-        )
-        crc = zlib.crc32(payload.encode("utf-8"))
-        return f'{{"crc": {crc}, "data": {payload}}}'.encode("utf-8")
+        return seal(document["data"]).encode("utf-8")
 
     def _backoff(self, attempt: int) -> float:
         base = min(self.backoff_base * (2 ** (attempt - 1)), self.backoff_cap)

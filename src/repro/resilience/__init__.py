@@ -27,30 +27,13 @@ from repro.resilience.journal import (
     TouchedSet,
     Transaction,
 )
-from repro.resilience.wire import (
-    FEED_FORMAT_VERSION,
-    WIRE_OPS,
-    FeedFrame,
-    batch_from_wire,
-    batch_to_wire,
-    decode_feed_frame,
-    encode_feed_frame,
-    feed_record,
-    op_from_wire,
-    op_to_wire,
-)
+from repro.resilience.wire import batch_from_wire, batch_to_wire, op_from_wire, op_to_wire
 
 __all__ = [
-    "WIRE_OPS",
     "op_to_wire",
     "op_from_wire",
     "batch_to_wire",
     "batch_from_wire",
-    "FEED_FORMAT_VERSION",
-    "FeedFrame",
-    "feed_record",
-    "encode_feed_frame",
-    "decode_feed_frame",
     "MutationJournal",
     "Transaction",
     "TouchedSet",

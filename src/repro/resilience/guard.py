@@ -36,9 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
-from repro.exceptions import MaintenanceError, RollbackError
+from repro.exceptions import RollbackError
 from repro.graph.datagraph import DataGraph, EdgeKind
 from repro.maintenance.base import UpdateStats
+from repro.maintenance.operations import OPERATIONS
 from repro.obs import current as current_obs
 from repro.resilience.faults import FaultInjector
 from repro.resilience.invariants import InvariantGuard
@@ -209,7 +210,7 @@ class GuardedMaintainer:
 
         def raw_fn() -> UpdateStats:
             for method, args in ops:
-                self._raw_for(method, args)()
+                self._raw(method, args)
             return UpdateStats()
 
         return self._execute("batch", apply_fn, raw_fn, num_ops=len(ops))
@@ -245,80 +246,18 @@ class GuardedMaintainer:
         return self._execute(
             method,
             lambda: getattr(self.maintainer, method)(*args),
-            self._raw_for(method, args),
+            lambda: self._raw(method, args),
         )
 
-    def _raw_for(self, method: str, args: tuple) -> Callable[[], Any]:
-        """The index-free graph mutation equivalent to a maintainer call.
+    def _raw(self, method: str, args: tuple) -> Any:
+        """One operation's index-free graph effect, shaped like the maintainer's return.
 
-        Used by the ``degrade`` policy's last resort: apply the bare
-        graph change journal-free, then rebuild the index — this cannot
-        fail on account of index state, so the guard always makes
-        progress.
+        The ``degrade`` policy's last resort: apply the bare graph change
+        journal-free, then rebuild the index — this cannot fail on
+        account of index state, so the guard always makes progress.
         """
-        if method == "insert_edge":
-            source, target, kind = args
-
-            def raw() -> UpdateStats:
-                self.graph.add_edge(source, target, kind)
-                return UpdateStats()
-
-        elif method == "delete_edge":
-            source, target = args
-
-            def raw() -> UpdateStats:
-                self.graph.remove_edge(source, target)
-                return UpdateStats()
-
-        elif method == "insert_node":
-            parent, label, value = args
-
-            def raw() -> tuple[int, UpdateStats]:
-                oid = self.graph.add_node(label, value)
-                self.graph.add_edge(parent, oid)
-                return oid, UpdateStats()
-
-        elif method == "delete_node":
-            (dnode,) = args
-
-            def raw() -> UpdateStats:
-                self.graph.remove_node(dnode)
-                return UpdateStats()
-
-        elif method == "add_subgraph":
-            subgraph, _subgraph_root, cross_edges = args[:3]
-            preserve_oids = args[3] if len(args) > 3 else False
-
-            def raw() -> tuple[dict[int, int], UpdateStats]:
-                from repro.maintenance.split_merge import _normalise_cross_edges
-
-                mapping = self.graph.add_subgraph(subgraph, preserve_oids)
-                for a, b, kind in _normalise_cross_edges(cross_edges):
-                    self.graph.add_edge(mapping.get(a, a), mapping.get(b, b), kind)
-                return mapping, UpdateStats()
-
-        elif method == "set_value":
-            dnode, value = args
-
-            def raw() -> UpdateStats:
-                self.graph.set_value(dnode, value)
-                return UpdateStats()
-
-        elif method == "delete_subgraph":
-            (subgraph_root,) = args
-
-            def raw() -> UpdateStats:
-                self.graph.remove_nodes(self.graph.subgraph_from(subgraph_root).nodes())
-                return UpdateStats()
-
-        elif method == "reconstruct":
-
-            def raw() -> UpdateStats:
-                return UpdateStats()  # no graph change; the rebuild is the minimum
-
-        else:
-            raise MaintenanceError(f"unknown guarded method {method!r}")
-        return raw
+        payload = OPERATIONS[method].raw(self.graph, *args)
+        return UpdateStats() if payload is None else (payload, UpdateStats())
 
     def _execute(
         self,

@@ -23,7 +23,6 @@ or from the CLI: ``python -m repro.experiments serve``.
 """
 
 from repro.service.queue import (
-    ALL_OPS,
     BoundedQueue,
     CoalesceStats,
     Update,
@@ -52,7 +51,6 @@ __all__ = [
     "BoundedQueue",
     "coalesce",
     "CoalesceStats",
-    "ALL_OPS",
     "IndexSnapshot",
     "FrozenGraph",
     "FrozenIndex",

@@ -37,20 +37,18 @@ from typing import Iterable, Optional
 
 from repro.exceptions import ServiceError
 from repro.graph.datagraph import DataGraph, EdgeKind
+from repro.maintenance.operations import operation
 
-#: queued operation names → the GuardedMaintainer method they map to
+#: the operations that coalesce; every other one is a barrier
 EDGE_OPS = ("insert_edge", "delete_edge")
-SUBGRAPH_OPS = ("add_subgraph", "delete_subgraph")
-NODE_OPS = ("insert_node", "delete_node")
-VALUE_OPS = ("set_value",)
-#: index-only operations: the data graph is untouched (1-index only)
-INDEX_OPS = ("reconstruct",)
-ALL_OPS = EDGE_OPS + SUBGRAPH_OPS + NODE_OPS + VALUE_OPS + INDEX_OPS
 
 
 @dataclass(frozen=True)
 class Update:
-    """One queued mutation: a guarded-maintainer method name plus args.
+    """One queued mutation: an operation of the vocabulary plus its args.
+
+    Name and argument count are checked against the operation table on
+    construction, so a malformed update is refused before it is queued.
 
     ``trace_parent`` is the submitting thread's open span id (stamped by
     ``IndexService.submit`` from ``Observer.trace_context``); the writer
@@ -65,8 +63,7 @@ class Update:
     trace_parent: Optional[int] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.op not in ALL_OPS:
-            raise ServiceError(f"unknown update op {self.op!r}; choose from {ALL_OPS}")
+        operation(self.op, len(self.args), ServiceError)
 
     # -- constructors --------------------------------------------------
 

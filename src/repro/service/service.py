@@ -60,11 +60,13 @@ from repro.exceptions import (
     ServiceClosedError,
     ServiceError,
     StalePrimaryError,
+    StoreError,
 )
 from repro.graph.datagraph import DataGraph
 from repro.index.akindex import AkIndexFamily
 from repro.index.oneindex import OneIndex
 from repro.maintenance.ak_split_merge import AkSplitMergeMaintainer
+from repro.maintenance.operations import FAMILIES, OPERATIONS
 from repro.maintenance.split_merge import SplitMergeMaintainer
 from repro.obs import current as current_obs
 from repro.query.automaton import PathNfa
@@ -76,7 +78,6 @@ from repro.resilience.journal import TouchedSet
 from repro.service.queue import BoundedQueue, CoalesceStats, Update, coalesce
 from repro.service.snapshot import IndexSnapshot
 
-FAMILIES = ("one", "ak")
 ADMISSION_POLICIES = ("block", "shed", "flush")
 
 #: Samples each :class:`ServiceStats` series keeps.  A service lives for
@@ -240,6 +241,8 @@ class IndexService:
         self._query_count_lock = threading.Lock()
         self._closed = False
         self._fenced_epoch: Optional[int] = None  # set by fence(); see below
+        #: why the live pair is ahead of the log, once a log stage failed
+        self._diverged: Optional[str] = None
         self._writer_thread: Optional[threading.Thread] = None
         self._writer_stop = threading.Event()
         self._telemetry = None  # LiveTelemetry bundle, see start_telemetry()
@@ -364,10 +367,12 @@ class IndexService:
         if self._closed:
             raise ServiceClosedError("service is closed")
         self._check_fence()
-        if update.op == "reconstruct" and self.config.family == "ak":
+        self._check_diverged()
+        if self.config.family not in OPERATIONS[update.op].families:
             raise ServiceError(
-                "an A(k) family is never reconstructed: its maintenance "
-                "keeps the unique minimum (Theorem 2)"
+                f"{update.op!r} is not an operation of family "
+                f"{self.config.family!r} (an A(k) family is never reconstructed: "
+                "its maintenance keeps the unique minimum, Theorem 2)"
             )
 
     def flush(self) -> Optional[BatchResult]:
@@ -379,6 +384,7 @@ class IndexService:
         untouched either way.
         """
         with self._writer_lock:
+            self._check_diverged()
             batch = self.queue.drain(self.config.batch_max_ops)
             if not batch:
                 return None
@@ -387,9 +393,13 @@ class IndexService:
         return result
 
     def drain(self) -> list[BatchResult]:
-        """Flush until the queue is empty; returns every batch committed."""
+        """Flush until the queue is empty; returns every batch committed.
+
+        None once a log stage has failed: what is queued then never
+        commits (:meth:`stop` and :meth:`close` still have to work).
+        """
         results = []
-        while (result := self.flush()) is not None:
+        while self._diverged is None and (result := self.flush()) is not None:
             results.append(result)
         return results
 
@@ -416,19 +426,36 @@ class IndexService:
         if self._fenced_epoch is not None:
             raise StalePrimaryError(self._fenced_epoch - 1, self._fenced_epoch)
 
+    def _check_diverged(self) -> None:
+        """Refuse to write once the live pair is ahead of the log.
+
+        The next publish would serve, and the next checkpoint persist,
+        effects no log record carries — a state no recovery and no
+        follower can reproduce.
+        """
+        if self._diverged is not None:
+            raise StoreError(
+                f"a commit failed between apply and publish ({self._diverged}): "
+                "the live state is ahead of the log and is never published; "
+                "close this service and recover from the store"
+            )
+
     def _commit(self, batch: list[Update], replayed: bool = False) -> BatchResult:
         """Turn one batch into the next version (writer lock held).
 
         The only place that happens, in this order: fence → coalesce →
-        guarded apply with its scoped post-check → log → publish →
-        account.  A raise in apply leaves nothing logged or published
-        and the touched set in place; a raise in log leaves the batch
-        applied but invisible, and the instance must be abandoned
-        (:meth:`recover` returns the last published state).  Empty
-        batches are logged and published too, which keeps versions and
-        LSNs in lockstep.  *replayed* marks a record a replica received
-        from its primary's log: it was coalesced where it was first
-        committed and is applied verbatim.
+        serialise the log record → guarded apply with its scoped
+        post-check → log → publish → account.  A raise while serialising
+        or applying is a failed batch: nothing applied, logged or
+        published, the touched set in place, the service healthy.  A
+        raise in log leaves the batch applied but neither logged nor
+        published: the service stops writing for good (see
+        :meth:`_check_diverged`) and keeps answering the last published
+        version; :meth:`recover` returns that state.  Empty batches are
+        logged and published too, which keeps versions and LSNs in
+        lockstep.  *replayed* marks a record a replica received from its
+        primary's log: it was coalesced where it was first committed and
+        is applied verbatim.
         """
         self._check_fence()
         obs = current_obs()
@@ -448,17 +475,26 @@ class IndexService:
         if parent is not None:
             span.set_parent(parent)
         with span:
+            calls = [u.as_call() for u in survivors]
             try:
-                if survivors:
-                    self.guarded.apply_batch([u.as_call() for u in survivors])
+                # lowered before anything changes: a batch the log cannot
+                # carry fails here, like one the maintainer cannot apply
+                record = self.store.encode(calls) if self.store is not None else None
+                if calls:
+                    self.guarded.apply_batch(calls)
             except Exception:
                 # rolled back: graph/index/snapshot all still consistent,
                 # but the batch's effects are lost — surface that loudly
                 self.stats.batch_failures += 1
                 obs.add("service.batch_failures")
                 raise
-            if self.store is not None:
-                self.store.log(self, survivors)
+            if record is not None:
+                try:
+                    self.store.log(self, *record)
+                except Exception as exc:
+                    self._diverged = f"{type(exc).__name__}: {exc}"
+                    obs.event("service.diverged", error=self._diverged)
+                    raise
             publish_started = time.perf_counter()
             snapshot = self._publish_next()
             obs.observe(
@@ -478,7 +514,7 @@ class IndexService:
             applied=len(survivors),
             coalesced_away=len(batch) - len(survivors),
             seconds=elapsed,
-            reconstructed=any(u.op == "reconstruct" for u in survivors),
+            reconstructed=Update.reconstruct() in survivors,
         )
 
     def _after_commit(self, result: BatchResult) -> None:
@@ -607,6 +643,7 @@ class IndexService:
         if self.store is None:
             raise ServiceError("checkpoint() needs a store (store_dir=)")
         with self._writer_lock:
+            self._check_diverged()
             return self.store.checkpoint(self, self.version)
 
     def close(self, checkpoint: bool = True) -> None:
@@ -615,14 +652,16 @@ class IndexService:
         A store then writes a closing checkpoint, which makes the next
         :meth:`recover` a pure checkpoint load (no replay) — pass
         ``checkpoint=False`` to exercise the replay path or to model an
-        unclean shutdown — and closes its WAL.
+        unclean shutdown — and closes its WAL.  A service whose log
+        stage failed writes none: the store keeps the last published
+        state.
         """
         self.stop()
         self.drain()
         self.stop_telemetry()
         self._closed = True
         if self.store is not None:
-            if checkpoint:
+            if checkpoint and self._diverged is None:
                 self.checkpoint()
             self.store.close()
 
@@ -685,6 +724,7 @@ class IndexService:
             "shed": self.stats.shed,
             "batches": self.stats.batches,
             "batch_failures": self.stats.batch_failures,
+            "diverged": self._diverged,
             "versions_published": self.stats.versions_published,
             "graph_bytes": self.graph.approx_bytes(),
             "index_bytes": self._index_bytes(),

@@ -3,7 +3,8 @@
 Recovery replays a short log over a checkpoint instead of rebuilding the
 1-index/A(k) family from scratch — the I/O-conscious discipline of
 Hellings et al.'s external-memory bisimulation work, transplanted to the
-incremental setting.  A checkpoint file is one JSON document::
+incremental setting.  A checkpoint file is one JSON document in the
+CRC envelope of :mod:`repro.core.codec`::
 
     {"crc": 123..., "data": {
         "format_version": 2,
@@ -30,13 +31,12 @@ retention count are pruned (newest-first survivors).
 
 from __future__ import annotations
 
-import json
 import os
 import time
-import zlib
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro.core.codec import seal, unseal
 from repro.exceptions import CheckpointError
 from repro.graph.datagraph import DataGraph
 from repro.graph.serialize import check_format_version, graph_from_dict, graph_to_dict
@@ -144,9 +144,7 @@ def write_checkpoint(
         "graph": graph_to_dict(graph),
         "index": index_dict,
     }
-    payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    crc = zlib.crc32(payload.encode("utf-8"))
-    document = f'{{"crc": {crc}, "data": {payload}}}'
+    document = seal(data)
     final_path = os.path.join(directory, checkpoint_name(wal_lsn))
     tmp_path = final_path + ".tmp"
     obs = current_obs()
@@ -178,20 +176,7 @@ def checkpoint_from_bytes(raw: bytes, origin: str = "<bytes>") -> Checkpoint:
     source in error messages — a path for local loads, a feed label for
     shipped bootstraps.
     """
-    try:
-        document = json.loads(raw)
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise CheckpointError(
-            f"checkpoint {origin!r} is not valid JSON: {exc}"
-        ) from exc
-    try:
-        crc = document["crc"]
-        data = document["data"]
-    except (KeyError, TypeError) as exc:
-        raise CheckpointError(f"malformed checkpoint {origin!r}: {exc!r}") from exc
-    payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    if zlib.crc32(payload.encode("utf-8")) != crc:
-        raise CheckpointError(f"checkpoint {origin!r} failed its CRC check")
+    data = unseal(raw, CheckpointError, f"checkpoint {origin!r}")
     check_format_version(data, CHECKPOINT_FORMAT_VERSION, CheckpointError)
     try:
         kind = data["kind"]

@@ -4,10 +4,11 @@ A service built with ``store_dir=`` keeps the serving discipline it has
 without one (single writer, snapshot-isolated readers, batched guarded
 commits) and gains a persistent spine:
 
-* **every commit is logged before it is published**: the writer applies
-  the coalesced batch transactionally, appends it — in the stable
-  :mod:`repro.resilience.wire` encoding — to the write-ahead log, and
-  only then swaps the new snapshot in.  What a crash can lose is
+* **every commit is logged before it is published**: the writer lowers
+  the coalesced batch to its log record (the stable
+  :mod:`repro.resilience.wire` encoding), applies it transactionally,
+  appends the record to the write-ahead log, and only then swaps the new
+  snapshot in.  What a crash can lose is
   bounded by the fsync policy: under ``always``, nothing a reader ever
   saw; under the default ``batch``, a power cut may drop up to
   ``sync_every`` published versions (a plain process crash drops
@@ -27,9 +28,10 @@ checkpoint`` — which is what lets recovery name the version it restored.
 
 A failure *inside* :meth:`ServiceStore.log` (an injected io fault, a
 full disk) aborts the commit after the in-memory apply but before
-publish.  The instance is then divergent from its log and must be
-abandoned; ``recover`` on the same directory reconstructs the last
-published state.  That is the crash model the torture tests drive.
+publish.  The instance is then ahead of its log: it refuses every
+further write and keeps answering the last published version, and
+``recover`` on the same directory reconstructs that state.  That is the
+crash model the torture tests drive.
 """
 
 from __future__ import annotations
@@ -38,17 +40,16 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.exceptions import StalePrimaryError, StoreError
+from repro.exceptions import SerializationError, StalePrimaryError, StoreError
 from repro.graph.datagraph import DataGraph
 from repro.obs import current as current_obs
 from repro.resilience.faults import FaultInjector
 from repro.resilience.wire import batch_to_wire
-from repro.service.queue import Update
 from repro.service.service import IndexService, ServiceConfig
 from repro.store.checkpoint import Checkpointer, latest_checkpoint
 from repro.store.epoch import read_epoch
 from repro.store.recovery import RecoveryResult, recover
-from repro.store.wal import FSYNC_POLICIES, WriteAheadLog
+from repro.store.wal import FSYNC_POLICIES, WriteAheadLog, encode_record
 
 __all__ = ["DurableIndexService", "ServiceStore", "StoreConfig", "recover"]
 
@@ -159,8 +160,23 @@ class ServiceStore:
             store.recovery = recovery
         return store
 
-    def log(self, service: IndexService, survivors: list[Update]) -> None:
-        """Log one applied batch; checkpoint when the cadence fires.
+    def encode(self, calls: list[tuple[str, tuple]]) -> tuple[list, bytes]:
+        """The record the next :meth:`log` will append, serialised now.
+
+        Called before the batch is applied, while failing is free: a
+        batch the log cannot carry — a value that is not JSON — raises
+        :class:`SerializationError` here and nothing has changed.
+        Returns the wire-encoded ops and the record line.
+        """
+        ops = batch_to_wire(calls)
+        try:
+            return ops, encode_record(self.wal.next_lsn, ops)
+        except (TypeError, ValueError) as exc:
+            raise SerializationError(f"the log cannot carry this batch: {exc}") from exc
+
+    def log(self, service: IndexService, ops: list, line: bytes) -> None:
+        """Log one applied batch, as :meth:`encode` lowered it; checkpoint
+        when the cadence fires.
 
         Called between the in-memory apply and the snapshot publish: the
         live structures hold the batch but ``service.version`` does not
@@ -174,7 +190,7 @@ class ServiceStore:
         if current > self.epoch:
             service.fence(current)
             raise StalePrimaryError(self.epoch, current)
-        self.wal.append(batch_to_wire([u.as_call() for u in survivors]))
+        self.wal.append(ops, line)
         if self.checkpointer.note_record():
             self.checkpoint(service, service.version + 1)
 

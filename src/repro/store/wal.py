@@ -3,16 +3,16 @@
 One WAL record is one committed service batch — the list of coalesced
 operations in the :mod:`repro.resilience.wire` encoding — stamped with a
 monotonically increasing **LSN** (log sequence number, one per commit)
-and a CRC32 over the record's canonical JSON.  On disk a record is one
-line of a segment file::
+and a CRC32.  On disk a record is one line of a segment file, in the
+record format of :mod:`repro.core.codec` (the one a feed frame carries
+in flight)::
 
-    {"crc": 2868999698, "lsn": 7, "ops": [{"op": "insert_edge", ...}], "v": 1}
+    {"crc":2868999698,"lsn":7,"ops":[{"args":[...],"op":"insert_edge"}],"v":1}
 
-``crc`` covers the compact sorted-key JSON of the record *without* the
-``crc`` field, so a reader re-serialises and compares — any torn or
-bit-flipped line fails either JSON parsing or the CRC and marks the end
-of the recoverable log (see below).  ``v`` is the WAL format version;
-readers reject records from a future format instead of misparsing them.
+Any torn or bit-flipped line fails either JSON parsing or the CRC and
+marks the end of the recoverable log (see below).  ``v`` is the record
+format version; readers reject records from a future format instead of
+misparsing them.
 
 **Segments** are named ``wal-<first_lsn>.jsonl`` and rotated when the
 active segment exceeds ``segment_max_bytes``, so checkpoint truncation
@@ -29,7 +29,7 @@ rewriting one unbounded log.
   (the data is in the page cache) but not power loss.
 
 **Torn tails.**  A crash mid-append leaves a partial final line.  The
-reader (:func:`read_records`) accepts every valid record up to the first
+reader (:func:`read_records_since`) accepts every valid record up to the first
 bad line of the **final** segment and truncates the file there — that is
 exactly the prefix the writer could have acknowledged.  A crash that
 cuts only the trailing newline leaves a whole, valid record, which is
@@ -44,16 +44,16 @@ from __future__ import annotations
 import json
 import os
 import time
-import zlib
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
+from repro.core import codec
 from repro.exceptions import StoreError, WalCorruptionError
 from repro.obs import current as current_obs
 from repro.resilience.faults import FaultInjector
 
 #: current WAL record format version; bump on structural changes
-WAL_FORMAT_VERSION = 1
+WAL_FORMAT_VERSION = codec.RECORD_FORMAT_VERSION
 
 #: fsync policies, strongest first
 FSYNC_POLICIES = ("always", "batch", "off")
@@ -82,20 +82,9 @@ def list_segments(directory: str) -> list[str]:
     return sorted(names, key=segment_first_lsn)
 
 
-def _record_crc(body: dict[str, Any]) -> int:
-    """CRC32 over the canonical JSON of a record body (no ``crc`` field)."""
-    payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return zlib.crc32(payload.encode("utf-8"))
-
-
 def encode_record(lsn: int, ops: list[dict[str, Any]]) -> bytes:
     """One WAL record as a CRC-stamped JSONL line."""
-    body = {"lsn": lsn, "ops": ops, "v": WAL_FORMAT_VERSION}
-    record = dict(body)
-    record["crc"] = _record_crc(body)
-    return (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode(
-        "utf-8"
-    )
+    return (codec.encode_record(lsn, ops) + "\n").encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -120,25 +109,15 @@ def _decode_line(line: bytes) -> Optional[WalRecord]:
     """Decode one segment line; ``None`` marks a torn/corrupt record."""
     try:
         record = json.loads(line)
-    except (ValueError, UnicodeDecodeError):
+    except ValueError:  # not JSON, or not UTF-8
         return None
-    if not isinstance(record, dict):
-        return None
-    crc = record.pop("crc", None)
-    if crc is None or crc != _record_crc(record):
-        return None
-    version = record.get("v", 0)
-    if not isinstance(version, int) or version > WAL_FORMAT_VERSION:
-        # a future format is not a torn tail; surface it loudly
-        raise WalCorruptionError(
-            "<record>", 0, f"record format version {version!r} is newer than "
-            f"the supported version {WAL_FORMAT_VERSION}"
-        )
-    lsn = record.get("lsn")
-    ops = record.get("ops")
-    if not isinstance(lsn, int) or not isinstance(ops, list):
-        return None
-    return WalRecord(lsn=lsn, ops=ops)
+    try:
+        decoded = codec.decode_record(record)
+    except ValueError as exc:
+        # whole, but of a format this reader does not know: not a torn
+        # tail; surface it loudly
+        raise WalCorruptionError("<record>", 0, str(exc)) from exc
+    return None if decoded is None else WalRecord(*decoded)
 
 
 @dataclass(frozen=True)
@@ -152,26 +131,17 @@ class _SegmentScan:
     missing_newline: bool  # final record is whole but its newline was cut
 
 
-def _record_like_follows(data: bytes, offset: int) -> bool:
-    """Does any whole, structurally valid record line sit at/after *offset*?
+def _record_like(line: bytes) -> bool:
+    """Is *line* a whole, structurally valid record?
 
-    Distinguishes a torn tail (junk with nothing after it — safe to
-    truncate) from mid-log corruption (a bad line *followed by* records
-    the writer acknowledged — must never be dropped).
+    Tells a torn tail (junk with nothing after it — safe to truncate)
+    from mid-log corruption (a bad line *followed by* records the writer
+    acknowledged — must never be dropped).
     """
-    while offset < len(data):
-        newline = data.find(b"\n", offset)
-        end = len(data) if newline < 0 else newline
-        try:
-            if _decode_line(data[offset:end]) is not None:
-                return True
-        except WalCorruptionError:
-            # a future-format record is still a record, not torn junk
-            return True
-        if newline < 0:
-            return False
-        offset = newline + 1
-    return False
+    try:
+        return _decode_line(line) is not None
+    except WalCorruptionError:
+        return True  # a future-format record is still a record, not torn junk
 
 
 def _scan_segment(path: str) -> _SegmentScan:
@@ -183,99 +153,38 @@ def _scan_segment(path: str) -> _SegmentScan:
     """
     with open(path, "rb") as fp:
         data = fp.read()
+    # rest: what follows the last newline (nothing, after a clean append)
+    *lines, rest = data.split(b"\n")
     records: list[WalRecord] = []
     offset = 0
-    while offset < len(data):
-        newline = data.find(b"\n", offset)
-        if newline < 0:
-            # unterminated final line: accept it only if it decodes whole
-            # (the crash cut exactly the trailing newline)
-            record = _decode_line(data[offset:])
-            if record is None:
-                return _SegmentScan(records, offset, "torn final record", True, False)
-            records.append(record)
-            return _SegmentScan(records, len(data), None, True, True)
-        record = _decode_line(data[offset:newline])
+    for position, line in enumerate(lines):
+        record = _decode_line(line)
         if record is None:
-            tail_only = not _record_like_follows(data, newline + 1)
+            tail_only = not any(map(_record_like, lines[position + 1 :] + [rest]))
             reason = f"bad record at byte {offset}"
             if not tail_only:
                 reason += " with valid records after it"
             return _SegmentScan(records, offset, reason, tail_only, False)
         records.append(record)
-        offset = newline + 1
-    return _SegmentScan(records, offset, None, True, False)
+        offset += len(line) + 1
+    if not rest:
+        return _SegmentScan(records, offset, None, True, False)
+    # unterminated final line: accept it only if it decodes whole (the
+    # crash cut exactly the trailing newline)
+    record = _decode_line(rest)
+    if record is None:
+        return _SegmentScan(records, offset, "torn final record", True, False)
+    records.append(record)
+    return _SegmentScan(records, len(data), None, True, True)
 
 
 def read_records(directory: str, repair: bool = False) -> list[WalRecord]:
     """Read every surviving record of the log, in LSN order.
 
-    A torn tail — a bad line with nothing record-like after it, in the
-    **last** segment — is tolerated: reading stops at the last valid
-    record, and with ``repair=True`` the segment file is truncated to
-    that prefix so subsequent appends continue from a clean end.  A bad
-    line *followed by* valid records, in any segment, is real corruption
-    and raises :class:`WalCorruptionError` — replay must not silently
-    skip the middle of a log.  LSNs must increase by exactly one across
-    segment boundaries; a gap or repeat is corruption.
-
-    A crash can also cut exactly the final record's newline, leaving a
-    whole, valid, unterminated line; the record is accepted, and
-    ``repair=True`` restores the missing terminator so a reopened writer
-    cannot glue its next append onto the same line.
+    The whole log as a list: :func:`read_records_since` from before the
+    first record, with its torn-tail, repair and corruption semantics.
     """
-    obs = current_obs()
-    segments = list_segments(directory)
-    records: list[WalRecord] = []
-    expected: Optional[int] = None
-    for position, name in enumerate(segments):
-        path = os.path.join(directory, name)
-        scan = _scan_segment(path)
-        if scan.bad_reason is not None:
-            if position != len(segments) - 1 or not scan.tail_only:
-                obs.event(
-                    "store.wal_corruption",
-                    segment=name,
-                    valid_bytes=scan.valid_bytes,
-                    reason=scan.bad_reason,
-                )
-                raise WalCorruptionError(name, scan.valid_bytes, scan.bad_reason)
-            if repair:
-                with open(path, "rb+") as fp:
-                    fp.truncate(scan.valid_bytes)
-                obs.add("store.wal_tail_repairs")
-                obs.event(
-                    "store.wal_tail_repaired",
-                    segment=name,
-                    valid_bytes=scan.valid_bytes,
-                    reason=scan.bad_reason,
-                )
-        elif scan.missing_newline and repair:
-            with open(path, "ab") as fp:
-                fp.write(b"\n")
-            obs.add("store.wal_tail_repairs")
-            obs.event(
-                "store.wal_tail_repaired",
-                segment=name,
-                valid_bytes=scan.valid_bytes,
-                reason="missing newline on final record",
-            )
-        for record in scan.records:
-            if expected is not None and record.lsn != expected:
-                obs.event(
-                    "store.wal_corruption",
-                    segment=name,
-                    valid_bytes=scan.valid_bytes,
-                    reason=f"LSN gap: expected {expected}, found {record.lsn}",
-                )
-                raise WalCorruptionError(
-                    name,
-                    scan.valid_bytes,
-                    f"LSN gap: expected {expected}, found {record.lsn}",
-                )
-            expected = record.lsn + 1
-            records.append(record)
-    return records
+    return list(read_records_since(directory, -1, repair=repair))
 
 
 def read_records_since(
@@ -283,10 +192,10 @@ def read_records_since(
 ) -> Iterator[WalRecord]:
     """Yield every surviving record with ``record.lsn > lsn``, lazily.
 
-    The streaming counterpart of :func:`read_records` for consumers that
-    only need a suffix of the log — recovery replaying past a checkpoint,
-    and the replication feed serving a follower's ``since=LSN`` catch-up
-    fetch.  Two costs are saved over ``read_records``:
+    The one walk over the segments — recovery replaying past a
+    checkpoint, the replication feed serving a follower's ``since=LSN``
+    fetch, and :func:`read_records` for the whole log all read through
+    it.  A consumer of a suffix saves two costs:
 
     * **whole segments are skipped by name**: segment *i* holds LSNs
       ``[first_i, first_{i+1})``, so any segment whose successor's
@@ -295,14 +204,16 @@ def read_records_since(
     * **records are yielded one at a time**, one segment resident in
       memory at once, instead of materialising the whole log up front.
 
-    Corruption semantics match :func:`read_records` exactly over the
-    segments actually scanned: a torn tail is tolerated (and repaired
-    with ``repair=True``) only in the final segment; a bad line followed
-    by valid records raises :class:`WalCorruptionError`; LSNs must
-    increase by exactly one within the scanned suffix.  ``lsn`` past the
-    end of the log yields nothing — an empty feed, not an error.
+    Over the segments actually scanned, tails are read as the module
+    docstring says (*Torn tails*): damage with nothing record-like after
+    it, in the **last** segment, ends the log — ``repair=True`` truncates
+    the file to the valid prefix, or restores a cut final newline, so a
+    reopened writer appends from a clean end — and a bad line *followed
+    by* valid records, in any segment, raises
+    :class:`WalCorruptionError`.  LSNs must increase by exactly one
+    across segment boundaries; a gap or repeat is corruption.  ``lsn``
+    past the end of the log yields nothing — an empty feed, not an error.
     """
-    obs = current_obs()
     segments = list_segments(directory)
     expected: Optional[int] = None
     for position, name in enumerate(segments):
@@ -316,49 +227,43 @@ def read_records_since(
         scan = _scan_segment(path)
         if scan.bad_reason is not None:
             if position != len(segments) - 1 or not scan.tail_only:
-                obs.event(
-                    "store.wal_corruption",
-                    segment=name,
-                    valid_bytes=scan.valid_bytes,
-                    reason=scan.bad_reason,
-                )
-                raise WalCorruptionError(name, scan.valid_bytes, scan.bad_reason)
-            if repair:
-                with open(path, "rb+") as fp:
-                    fp.truncate(scan.valid_bytes)
-                obs.add("store.wal_tail_repairs")
-                obs.event(
-                    "store.wal_tail_repaired",
-                    segment=name,
-                    valid_bytes=scan.valid_bytes,
-                    reason=scan.bad_reason,
-                )
-        elif scan.missing_newline and repair:
-            with open(path, "ab") as fp:
-                fp.write(b"\n")
-            obs.add("store.wal_tail_repairs")
-            obs.event(
-                "store.wal_tail_repaired",
-                segment=name,
-                valid_bytes=scan.valid_bytes,
-                reason="missing newline on final record",
-            )
+                raise _corruption(name, scan, scan.bad_reason)
+        if repair and (scan.bad_reason is not None or scan.missing_newline):
+            _repair_tail(path, scan)
         for record in scan.records:
             if expected is not None and record.lsn != expected:
-                obs.event(
-                    "store.wal_corruption",
-                    segment=name,
-                    valid_bytes=scan.valid_bytes,
-                    reason=f"LSN gap: expected {expected}, found {record.lsn}",
-                )
-                raise WalCorruptionError(
-                    name,
-                    scan.valid_bytes,
-                    f"LSN gap: expected {expected}, found {record.lsn}",
+                raise _corruption(
+                    name, scan, f"LSN gap: expected {expected}, found {record.lsn}"
                 )
             expected = record.lsn + 1
             if record.lsn > lsn:
                 yield record
+
+
+def _corruption(segment: str, scan: _SegmentScan, reason: str) -> WalCorruptionError:
+    """Put a corruption finding on the event stream; returns the error to raise."""
+    current_obs().event(
+        "store.wal_corruption", segment=segment, valid_bytes=scan.valid_bytes, reason=reason
+    )
+    return WalCorruptionError(segment, scan.valid_bytes, reason)
+
+
+def _repair_tail(path: str, scan: _SegmentScan) -> None:
+    """Cut a torn tail off the final segment, or restore its cut newline."""
+    if scan.bad_reason is not None:
+        with open(path, "rb+") as fp:
+            fp.truncate(scan.valid_bytes)
+    else:
+        with open(path, "ab") as fp:
+            fp.write(b"\n")
+    obs = current_obs()
+    obs.add("store.wal_tail_repairs")
+    obs.event(
+        "store.wal_tail_repaired",
+        segment=os.path.basename(path),
+        valid_bytes=scan.valid_bytes,
+        reason=scan.bad_reason or "missing newline on final record",
+    )
 
 
 def last_lsn_on_disk(directory: str) -> int:
@@ -481,16 +386,22 @@ class WriteAheadLog:
         """File name of the segment currently being appended to."""
         return self._segment
 
-    def append(self, ops: list[dict[str, Any]]) -> AppendResult:
+    def append(
+        self, ops: list[dict[str, Any]], line: Optional[bytes] = None
+    ) -> AppendResult:
         """Append one commit batch (already wire-encoded) as one record.
 
-        Returns the assigned LSN plus the record's byte span within its
-        segment.  Durability on return depends on the fsync policy.
+        *line* is ``encode_record(self.next_lsn, ops)`` when the caller
+        built it already — the commit path does, before it applies the
+        batch, so the record is serialised once.  Returns the assigned
+        LSN plus the record's byte span within its segment.  Durability
+        on return depends on the fsync policy.
         """
         if self._fp is None or self._fp.tell() >= self.segment_max_bytes:
             self._rotate()
         lsn = self.next_lsn
-        line = encode_record(lsn, ops)
+        if line is None:
+            line = encode_record(lsn, ops)
         if self.fault_injector is not None:
             self.fault_injector.io("wal.append")
         write_started = time.perf_counter()

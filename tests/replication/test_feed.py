@@ -6,7 +6,7 @@ import pytest
 
 from repro.exceptions import ReplicationError
 from repro.replication import Primary
-from repro.resilience.wire import decode_feed_frame
+from repro.replication.feed import decode_feed_frame
 from repro.store import write_epoch
 from repro.store.checkpoint import latest_checkpoint
 

@@ -8,11 +8,11 @@ import zlib
 import pytest
 
 from repro.exceptions import SerializationError
-from repro.resilience.wire import (
+from repro.core.codec import stamp_record as feed_record
+from repro.replication.feed import (
     FEED_FORMAT_VERSION,
     decode_feed_frame,
     encode_feed_frame,
-    feed_record,
 )
 
 
@@ -80,3 +80,15 @@ class TestDetection:
     def test_not_json_at_all(self):
         with pytest.raises(SerializationError):
             decode_feed_frame(b"\x00\x01\x02")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("lsn", True), ("lsn", -1), ("v", True), ("v", -1), ("v", FEED_FORMAT_VERSION + 1)],
+    )
+    def test_record_lsn_and_version_must_be_counts(self, field, value):
+        """CRC-valid records behind a valid envelope, refused on shape."""
+        body = {"lsn": 1, "ops": [], "v": FEED_FORMAT_VERSION, field: value}
+        payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        record = dict(body, crc=zlib.crc32(payload.encode("utf-8")))
+        with pytest.raises(SerializationError):
+            decode_feed_frame(encode_feed_frame(0, 1, [record]))

@@ -18,13 +18,14 @@ answers as every other.  Three layers of evidence:
 from __future__ import annotations
 
 import ast
+import json
 import pathlib
 
 import pytest
 
 import repro
 from repro.adaptive import AdaptiveConfig
-from repro.exceptions import InjectedFaultError, ServiceError
+from repro.exceptions import InjectedFaultError, ReproError, ServiceError, StoreError
 from repro.graph.datagraph import DataGraph, EdgeKind
 from repro.index.oneindex import OneIndex
 from repro.index.stability import is_minimum_1index
@@ -36,7 +37,7 @@ from repro.resilience.faults import FaultInjector
 from repro.resilience.guard import GuardConfig
 from repro.service import IndexService, ServiceConfig, Update
 from repro.service.snapshot import IndexSnapshot
-from repro.store import StoreConfig
+from repro.store import StoreConfig, list_segments
 from repro.workload.queries import QueryWorkload
 from repro.workload.updates import MixedUpdateWorkload
 from repro.workload.xmark import generate_xmark
@@ -420,6 +421,112 @@ def test_a_fault_in_apply_logs_and_publishes_nothing(tmp_path, family):
     service.close()
 
 
+def whole_state(service: IndexService):
+    """The visible state plus the live pair, the touched set and the log's bytes."""
+    live = IndexSnapshot.capture(
+        0, service.graph, index=service.guarded.index, family=service.guarded.family
+    )
+    touched = service._touched
+    log = [
+        pathlib.Path(service.store_dir, name).read_bytes()
+        for name in list_segments(service.store_dir)
+    ]
+    return (
+        visible_state(service),
+        live.fingerprint(),
+        [service.graph.value(oid) for oid in sorted(service.graph.nodes())],
+        {name: repr(getattr(touched, name)) for name in touched.__slots__},
+        log,
+    )
+
+
+def unencodable_value(service: IndexService) -> list[Update]:
+    anchor = min(service.graph.nodes())
+    return [
+        Update.insert_node(anchor, "extra", "legit"),
+        Update.set_value(anchor, {1, 2, 3}),
+    ]
+
+
+def unencodable_subgraph(service: IndexService) -> list[Update]:
+    anchor = min(service.graph.nodes())
+    subgraph = DataGraph()
+    top = subgraph.add_node("extra", {1, 2, 3}, oid=max(service.graph.nodes()) + 10)
+    return [
+        Update.set_value(anchor, "legit"),
+        Update.add_subgraph(subgraph, top, ((anchor, top),)),
+    ]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("batch_of", [unencodable_value, unencodable_subgraph])
+def test_a_batch_the_log_cannot_carry_fails_before_it_is_applied(
+    tmp_path, family, batch_of, monkeypatch
+):
+    stream, store_dir, service = durable_adaptive(tmp_path, family)
+    follower = bootstrap(service, "plain")
+    before = whole_state(service)
+    failures = service.stats.batch_failures
+    for update in batch_of(service):
+        service.submit(update)
+    with pytest.raises(ReproError):  # typed: not json's bare TypeError
+        service.flush()
+    assert service.stats.batch_failures == failures + 1
+    assert whole_state(service) == before
+    assert service.health()["diverged"] is None
+
+    # the next commit is unaffected, and serialises its record exactly once
+    dumps = []
+    real_dumps = json.dumps
+    monkeypatch.setattr(
+        json, "dumps", lambda *args, **kwargs: dumps.append(1) or real_dumps(*args, **kwargs)
+    )
+    stream.commit(service, 4)
+    monkeypatch.undo()
+    assert len(dumps) == 1
+    stream.drive(service, [follower], rounds=range(5, 8))
+    service.check()
+    acknowledged = (service.version, service.snapshot.fingerprint())
+    follower.close()
+    service.close(checkpoint=False)
+    recovered = IndexService.recover(store_dir, store_config=DURABLE)
+    assert (recovered.version, recovered.snapshot.fingerprint()) == acknowledged
+    recovered.close()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_volatile_service_carries_any_python_value(family):
+    stream = Stream()
+    service = IndexService(stream.graph, service_config(family))
+    for update in unencodable_value(service):
+        service.submit(update)
+    assert service.flush().applied == 2
+    assert service.graph.value(min(service.graph.nodes())) == {1, 2, 3}
+    service.close()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_malformed_update_is_refused_before_it_is_queued(tmp_path, family):
+    stream, store_dir, service = durable_adaptive(tmp_path, family)
+    follower = bootstrap(service, "plain")
+    anchor = min(service.graph.nodes())
+    service.submit(Update.set_value(anchor, "well-formed"))
+    with pytest.raises(ServiceError):
+        service.submit(Update("delete_edge", (anchor,)))
+    assert service.queue_depth() == 1
+    # the well-formed update drained beside it is committed, not lost
+    assert service.flush().applied == 1
+    assert service.stats.batch_failures == 0
+    assert service.graph.value(anchor) == "well-formed"
+    stream.drive(service, [follower], rounds=range(4, 6))
+    acknowledged = (service.version, service.snapshot.fingerprint())
+    follower.close()
+    service.close(checkpoint=False)
+    recovered = IndexService.recover(store_dir, store_config=DURABLE)
+    assert (recovered.version, recovered.snapshot.fingerprint()) == acknowledged
+    recovered.close()
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_a_fault_in_the_log_leaves_the_batch_invisible(tmp_path, family):
     stream, store_dir, service = durable_adaptive(tmp_path, family)
@@ -434,7 +541,26 @@ def test_a_fault_in_the_log_leaves_the_batch_invisible(tmp_path, family):
     )
     assert live.fingerprint() != service.snapshot.fingerprint()
     assert visible_state(service) == before
-    service.wal.close()  # the instance diverged from its log: abandon it
+    # ahead of its log for good: it refuses every write and says why ...
+    anchor = min(service.graph.nodes())
+    for write in (
+        lambda: service.submit(Update.set_value(anchor, "late")),
+        lambda: service.submit_nowait(Update.set_value(anchor, "late")),
+        service.flush,
+        service.checkpoint,
+    ):
+        with pytest.raises(StoreError, match="InjectedFaultError.*recover from the store"):
+            write()
+    assert "InjectedFaultError" in service.health()["diverged"]
+    # ... while readers keep the last published version
+    assert visible_state(service) == before
+    for expression in stream.pool:
+        served = service.query(expression)
+        truth = evaluate_on_graph(service.snapshot.graph, expression).matches
+        assert (served.version, served.matches) == (acknowledged[0], truth)
+    service.close()  # closes the WAL; no checkpoint of the unlogged state
+    assert service.wal._fp is None
+    assert service.checkpointer.checkpoints_written == 1
 
     recovered = IndexService.recover(
         store_dir, store_config=DURABLE, adaptive=AdaptiveConfig(audit=True)

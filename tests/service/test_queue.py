@@ -22,6 +22,22 @@ class TestUpdate:
         with pytest.raises(ServiceError):
             Update("frobnicate", ())
 
+    @pytest.mark.parametrize(
+        "op, args",
+        [
+            ("delete_edge", (1,)),
+            ("insert_edge", (1, 2)),
+            ("insert_node", (1, "label")),
+            ("add_subgraph", (DataGraph(), 0)),
+            ("add_subgraph", (DataGraph(), 0, (), True, "extra")),
+            ("reconstruct", (1,)),
+        ],
+    )
+    def test_wrong_arity_rejected(self, op, args):
+        # it used to be admitted, and killed the flush that drained it
+        with pytest.raises(ServiceError):
+            Update(op, args)
+
     def test_edge_key_and_kind(self):
         update = ins(3, 4, EdgeKind.TREE)
         assert update.edge_key == (3, 4)

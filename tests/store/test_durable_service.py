@@ -217,7 +217,19 @@ class TestIoFaultMidCommit:
             service.flush()
         # nothing was published: readers still see version 1
         assert service.version == 1
-        service.wal.close()  # abandon the divergent instance
+        # and nothing ever will be: the live pair is ahead of the log
+        for write in (
+            lambda: service.submit(Update.insert_node(root, "late", 3)),
+            lambda: service.submit_nowait(Update.insert_node(root, "late", 3)),
+            service.flush,
+            service.checkpoint,
+        ):
+            with pytest.raises(StoreError, match="InjectedFaultError.*recover from the store"):
+                write()
+        assert "InjectedFaultError" in service.health()["diverged"]
+        assert service.query("//good").version == service.version == 1
+        service.close(checkpoint=False)
+        assert service.wal._fp is None
 
         # recovery reconstructs exactly the last *published* state
         result = recover(store_dir)

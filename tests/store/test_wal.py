@@ -328,3 +328,31 @@ class TestTornTails:
             fp.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
         with pytest.raises(WalCorruptionError):
             read_records(store_dir)
+
+    @pytest.mark.parametrize(
+        "field, value, corrupt",
+        [
+            ("v", True, True),
+            ("v", -1, True),
+            ("v", "1", True),
+            ("lsn", True, False),
+            ("lsn", -1, False),
+            ("lsn", 1.0, False),
+        ],
+    )
+    def test_lsn_and_version_must_be_counts(self, store_dir, field, value, corrupt):
+        # a CRC-valid record all the same: an unreadable version is
+        # corruption, an unreadable LSN is a damaged (torn) line
+        import json
+        import zlib
+
+        body = {"lsn": 1, "ops": [], "v": WAL_FORMAT_VERSION, field: value}
+        payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        record = dict(body, crc=zlib.crc32(payload.encode()))
+        with open(os.path.join(store_dir, segment_name(1)), "w") as fp:
+            fp.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+        if corrupt:
+            with pytest.raises(WalCorruptionError):
+                read_records(store_dir)
+        else:
+            assert read_records(store_dir) == []

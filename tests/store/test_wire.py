@@ -8,8 +8,8 @@ import pytest
 
 from repro.exceptions import SerializationError
 from repro.graph.datagraph import DataGraph, EdgeKind
+from repro.maintenance.operations import OPERATIONS
 from repro.resilience.wire import (
-    WIRE_OPS,
     batch_from_wire,
     batch_to_wire,
     op_from_wire,
@@ -103,7 +103,7 @@ class TestRoundTrip:
             ("set_value", (6, "text")),
             ("reconstruct", ()),
         ]
-        assert {method for method, _ in batch} == set(WIRE_OPS)
+        assert {method for method, _ in batch} == set(OPERATIONS)
         wire = batch_to_wire(batch)
         decoded = batch_from_wire(json.loads(json.dumps(wire)))
         assert [m for m, _ in decoded] == [m for m, _ in batch]
@@ -135,6 +135,18 @@ class TestHardening:
             op_from_wire({"op": "delete_edge", "args": [1]})
         with pytest.raises(SerializationError):
             op_from_wire({"op": "insert_edge", "args": [1, 2, "idref", 4]})
+
+    @pytest.mark.parametrize(
+        "args", ["ab", {"a": 1, "b": 2}, 7, None], ids=["str", "dict", "int", "null"]
+    )
+    def test_args_must_be_a_list(self, args):
+        # a two-character string or a two-key dict has the right "length"
+        with pytest.raises(SerializationError):
+            op_from_wire({"op": "delete_edge", "args": args})
+
+    def test_op_must_be_a_name(self):
+        with pytest.raises(SerializationError):
+            op_from_wire({"op": ["delete_edge"], "args": [1, 2]})
 
     def test_bad_edge_kind(self):
         with pytest.raises(SerializationError):

@@ -1,0 +1,166 @@
+"""The shape of ``src/repro``, read with :mod:`ast`: who may import whom,
+and that each fact of the update path is stated in one place.
+
+A lower layer that needs something from a higher one does not get a
+local copy "because importing back would cycle" — it gets this test
+failing, and the thing moves down to where both can reach it.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+import repro
+from repro.maintenance import OPERATIONS
+
+SRC = pathlib.Path(repro.__file__).parent
+TREES = {
+    path.relative_to(SRC).as_posix(): ast.parse(path.read_text())
+    for path in sorted(SRC.rglob("*.py"))
+}
+
+#: a package imports only from the rows above its own
+LAYERS = (
+    {"exceptions", "obs"},
+    {"core"},
+    {"graph"},
+    {"index", "workload"},
+    {"maintenance", "query", "metrics"},
+    {"resilience"},
+    {"service"},
+    {"store", "adaptive", "corpus"},
+    {"replication"},
+    {"experiments"},
+    {"__init__"},
+)
+RANK = {package: rank for rank, row in enumerate(LAYERS) for package in row}
+
+#: the upward imports that exist today, ``(importing file, imported package)``.
+#: This set may only shrink.
+UPWARD = {
+    ("core/refimpl.py", "graph"),  # the dict-backed reference implementation
+    ("core/refimpl.py", "index"),  # the differential tests compare against
+    ("workload/sessions.py", "service"),  # a workload that drives a service
+    ("service/service.py", "adaptive"),  # the two parts a service may hold,
+    ("service/service.py", "store"),  # imported where they are attached
+    ("obs/export.py", "query"),  # function-local
+    ("workload/queries.py", "query"),  # function-local
+}
+
+
+def package_of(module: str) -> str:
+    return module.split("/")[0].removesuffix(".py")
+
+
+def imports(tree: ast.AST):
+    """``(imported repro package, imported names)`` of every import, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro."):
+            yield node.module.split(".")[1], [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("repro."):
+                    yield alias.name.split(".")[1], []
+
+
+def test_every_package_has_a_layer():
+    assert {package_of(module) for module in TREES} == set(RANK)
+
+
+def test_imports_point_down_the_layers():
+    upward = {
+        (module, imported)
+        for module, tree in TREES.items()
+        for imported, _ in imports(tree)
+        if imported != package_of(module) and RANK[imported] >= RANK[package_of(module)]
+    }
+    assert upward == UPWARD
+
+
+def test_no_private_name_crosses_a_package():
+    crossing = [
+        (module, imported, name)
+        for module, tree in TREES.items()
+        for imported, names in imports(tree)
+        for name in names
+        if name.startswith("_") and imported != package_of(module)
+    ]
+    assert crossing == []
+
+
+# ----------------------------------------------------------------------
+# Each fact of the update path, stated once
+# ----------------------------------------------------------------------
+
+OPERATION_NAMES = {
+    "insert_edge", "delete_edge", "insert_node", "delete_node",
+    "add_subgraph", "delete_subgraph", "set_value", "reconstruct",
+}
+
+
+def literals_by_function(tree: ast.AST, enclosing: str = ""):
+    """``(string literal, name of the innermost enclosing def)`` pairs."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, enclosing
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else enclosing
+        yield from literals_by_function(node, inner)
+
+
+def test_the_operation_names_are_spelled_in_three_places():
+    assert set(OPERATIONS) == OPERATION_NAMES
+    elsewhere = [
+        (module, literal, function)
+        for module, tree in TREES.items()
+        if module not in ("maintenance/operations.py", "service/queue.py")
+        for literal, function in literals_by_function(tree)
+        if literal in OPERATION_NAMES
+        # GuardedMaintainer forwards each operation from a method of its name
+        and not (module == "resilience/guard.py" and function == literal)
+    ]
+    assert elsewhere == []
+
+
+def calls_of(attribute: str) -> set[str]:
+    return {
+        module
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == attribute
+    }
+
+
+def test_one_checksum_one_record_decoder_one_envelope():
+    # obs/metrics.py seeds a histogram's sampler with it: not a checksum
+    assert calls_of("crc32") == {"core/codec.py", "obs/metrics.py"}
+    assert calls_of("decode_record") == {"store/wal.py", "replication/feed.py"}
+    assert calls_of("unseal") == {"store/checkpoint.py", "replication/feed.py"}
+    assert calls_of("seal") == {
+        "store/checkpoint.py", "replication/feed.py", "replication/link.py"
+    }
+
+
+def test_one_function_walks_the_wal_segments():
+    walkers = [
+        function.name
+        for function in ast.walk(TREES["store/wal.py"])
+        if isinstance(function, ast.FunctionDef)
+        for loop in ast.walk(function)
+        if isinstance(loop, ast.For)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_scan_segment"
+    ]
+    assert walkers == ["read_records_since"]
+
+
+def test_the_replaced_names_are_gone():
+    gone = (
+        "apply_update_raw", "_raw_for", "_PLAIN_ARITY", "_canonical_crc",
+        "_cross_edges_to_wire", "WIRE_OPS", "_record_crc",
+        "_normalise_cross_edges", "_require_disjoint_oids",
+    )
+    for path in SRC.rglob("*.py"):
+        text = path.read_text()
+        assert not [name for name in gone if name in text], path
