@@ -63,7 +63,7 @@ from repro.query.index_evaluator import (
 from repro.resilience.journal import TouchedSet
 from repro.service.queue import Update
 from repro.service.service import IndexService, ServedQuery, ServiceConfig
-from repro.service.snapshot import IndexSnapshot, touched_leaf_tokens
+from repro.service.snapshot import IndexSnapshot
 
 
 def default_ladder(k: int) -> tuple[int, ...]:
@@ -214,17 +214,15 @@ class AdaptivePlane:
         if touched.full:
             return None, set()
         prev = self.service.snapshot
-        # refine the TouchedSet's conservative superset down to the
-        # tokens whose serialized form actually differs — evolve shares
-        # untouched entries, so this is mostly pointer comparisons, and
-        # it is what lets entries survive commits that merely brushed
-        # their neighbours
-        family = self.service.guarded.family
-        tokens = (
-            touched_leaf_tokens(family, touched) if family is not None else touched.inodes
-        )
-        differing = {t for t in tokens if not snapshot.index.same_entry(prev.index, t)}
-        if family is not None:
+        # refine the TouchedSet's conservative superset (inodes, or the
+        # leaf tokens publication resolved) down to the entries whose
+        # serialized form actually differs — evolve shares untouched
+        # entries, so this is mostly pointer comparisons, and it is what
+        # lets entries survive commits that merely brushed their neighbours
+        differing = {
+            t for t in touched.inodes if not snapshot.index.same_entry(prev.index, t)
+        }
+        if snapshot.ladder is not None:
             changed = invalidation_sets(prev.ladder, snapshot.ladder, differing)
             # safe-route entries evaluate in leaf token space (their
             # validation cone is covered by the dnode footprint)

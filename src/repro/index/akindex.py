@@ -17,6 +17,14 @@ by :mod:`repro.metrics.storage` (Table 3 counts tree edges, inter-iedges
 and level-k extents, which are representation-independent quantities).
 The algorithmic claims — locality of updates, minimum index maintained —
 do not depend on the physical layout.
+
+Mutation goes through four primitives — :meth:`~AkIndexFamily.move`,
+:meth:`~AkIndexFamily.open_class`, :meth:`~AkIndexFamily.close_class`,
+:meth:`~AkIndexFamily.reparent` — each carrying the journal hook of
+:mod:`repro.resilience.journal` (one ``_journal is not None`` test
+outside a transaction) and an exact inverse in ``_undo_journal``, token
+issue included, so a family rolls back and reports what a batch touched
+the way a graph and a 1-index do.
 """
 
 from __future__ import annotations
@@ -67,6 +75,12 @@ class AkIndexFamily:
         self.graph = graph
         self.k = k
         self.levels: list[AkLevel] = [AkLevel() for _ in range(k + 1)]
+        #: label -> the level-0 token last opened for it (level 0 is by
+        #: label).  An entry may outlive its class; it never names another
+        #: label's, because undoing an opening — the only way a token is
+        #: issued twice — restores the entry it displaced
+        self.label_tokens: dict[str, int] = {}
+        self._journal = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -96,7 +110,16 @@ class AkIndexFamily:
             level = family.levels[i]
             for token in level.extents:
                 level.children.setdefault(token, set())
+        family.index_labels()
         return family
+
+    def index_labels(self) -> None:
+        """Derive :attr:`label_tokens` from level 0 (its classes filled wholesale)."""
+        label = self.graph.label
+        self.label_tokens = {
+            label(next(iter(extent))): token
+            for token, extent in self.levels[0].extents.items()
+        }
 
     # ------------------------------------------------------------------
     # Lookups
@@ -213,6 +236,126 @@ class AkIndexFamily:
         self._require_level(level)
         class_of = self.levels[level].class_of
         return len({(class_of[s], class_of[t]) for s, t in self.graph.edges()})
+
+    # ------------------------------------------------------------------
+    # Mutation primitives (journaled; see repro.resilience.journal)
+    # ------------------------------------------------------------------
+
+    def move(self, level_no: int, dnode: int, token: Optional[int]) -> Optional[int]:
+        """Put *dnode* in class *token* at one level; returns the class it left.
+
+        ``None`` on either side means "not covered": a new dnode is
+        placed from ``None``, a deleted one removed to ``None``.
+        """
+        level = self.levels[level_no]
+        old = level.class_of.get(dnode)
+        if old is not None:
+            level.extents[old].discard(dnode)
+        if token is None:
+            del level.class_of[dnode]
+        else:
+            level.class_of[dnode] = token
+            level.extents[token].add(dnode)
+        if self._journal is not None:
+            self._journal.record(self, "member_moved", (level_no, dnode, old, token))
+        return old
+
+    def open_class(self, level_no: int, under) -> int:
+        """Open an empty class under a fresh token; returns the token.
+
+        *under* is what the class refines: its tree parent at the level
+        below or, at level 0, its label.
+        """
+        level = self.levels[level_no]
+        token = level.fresh_token()
+        level.extents[token] = set()
+        if level_no < self.k:
+            level.children[token] = set()
+        displaced = None
+        if level_no:
+            level.parent[token] = under
+            self.levels[level_no - 1].children[under].add(token)
+        else:
+            displaced = self.label_tokens.get(under)
+            self.label_tokens[under] = token
+        if self._journal is not None:
+            self._journal.record(self, "class_opened", (level_no, token, under, displaced))
+        return token
+
+    def close_class(self, level_no: int, token: int) -> None:
+        """Remove the emptied class *token* and its refinement-tree links."""
+        level = self.levels[level_no]
+        del level.extents[token]
+        parent = level.parent.pop(token) if level_no else None
+        if parent is not None:
+            # (a parent closed first took its child set with it)
+            siblings = self.levels[level_no - 1].children.get(parent)
+            if siblings is not None:
+                siblings.discard(token)
+        children = level.children.pop(token, None)
+        if self._journal is not None:
+            self._journal.record(self, "class_closed", (level_no, token, parent, children))
+
+    def reparent(self, level_no: int, token: int, parent: int) -> None:
+        """Hang class *token* under another tree parent at the level below."""
+        level = self.levels[level_no]
+        kids_of = self.levels[level_no - 1].children
+        old = level.parent[token]
+        siblings = kids_of.get(old)
+        if siblings is not None:
+            siblings.discard(token)
+        level.parent[token] = parent
+        kids_of[parent].add(token)
+        if self._journal is not None:
+            self._journal.record(self, "class_reparented", (level_no, token, old, parent))
+
+    def _undo_journal(self, op: str, payload: tuple) -> None:
+        """Apply the inverse of one journaled mutation.
+
+        Called by :meth:`repro.resilience.MutationJournal.rollback` with
+        records in reverse order, so every map is as the record left it.
+        """
+        level_no = payload[0]
+        level = self.levels[level_no]
+        kids_of = self.levels[level_no - 1].children if level_no else {}
+        if op == "member_moved":
+            _, dnode, old, new = payload
+            if new is not None:
+                level.extents[new].discard(dnode)
+            if old is None:
+                del level.class_of[dnode]
+            else:
+                level.class_of[dnode] = old
+                level.extents[old].add(dnode)
+        elif op == "class_opened":
+            _, token, under, displaced = payload
+            del level.extents[token]
+            level.children.pop(token, None)
+            if level_no:
+                del level.parent[token]
+                kids_of[under].discard(token)
+            elif displaced is None:
+                del self.label_tokens[under]
+            else:
+                self.label_tokens[under] = displaced
+            level.next_token = token
+        elif op == "class_closed":
+            _, token, parent, children = payload
+            level.extents[token] = set()
+            if children is not None:
+                level.children[token] = children
+            if parent is not None:
+                level.parent[token] = parent
+                if parent in kids_of:
+                    kids_of[parent].add(token)
+        elif op == "class_reparented":
+            _, token, old, parent = payload
+            kids_of[parent].discard(token)
+            level.parent[token] = old
+            if old in kids_of:
+                kids_of[old].add(token)
+        else:  # pragma: no cover - guards against journal format drift
+            raise ValueError(f"unknown family journal op {op!r}")
 
     # ------------------------------------------------------------------
     # Invariants
@@ -373,6 +516,7 @@ class AkIndexFamily:
             target.parent = dict(level.parent)
             target.children = {t: set(c) for t, c in level.children.items()}
             target.next_token = level.next_token
+        clone.label_tokens = dict(self.label_tokens)
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -381,3 +525,43 @@ class AkIndexFamily:
     def _require_level(self, level: int) -> None:
         if not 0 <= level <= self.k:
             raise InvalidIndexError(f"level {level} out of range 0..{self.k}")
+
+
+class LeafView:
+    """The live leaf level of a family, read like a :class:`StructuralIndex`.
+
+    The surface :class:`repro.service.snapshot.FrozenIndex` freezes —
+    ``inodes`` / ``has_inode`` / ``extent`` / ``label_of`` / ``isucc`` /
+    ``inode_of`` — keyed by **leaf tokens**: unaffected classes keep
+    their token across maintenance, so successive versions can share
+    entries, which the freshly assigned ids of :meth:`AkIndexFamily.level_index`
+    would defeat.  The family stores no iedges; a class's are derived
+    from its members' out-edges, O(extent + out-degree).
+    """
+
+    __slots__ = ("_graph", "_extents", "_class_of")
+
+    def __init__(self, family: AkIndexFamily):
+        leaf = family.levels[family.k]
+        self._graph = family.graph
+        self._extents = leaf.extents
+        self._class_of = leaf.class_of
+
+    def inodes(self) -> Iterator[int]:
+        return iter(self._extents)
+
+    def has_inode(self, token: int) -> bool:
+        return token in self._extents
+
+    def extent(self, token: int) -> set[int]:
+        return self._extents[token]
+
+    def label_of(self, token: int) -> str:
+        return self._graph.label(next(iter(self._extents[token])))
+
+    def isucc(self, token: int) -> set[int]:
+        class_of, succ = self._class_of, self._graph.iter_succ
+        return {class_of[c] for w in self._extents[token] for c in succ(w)}
+
+    def inode_of(self, dnode: int) -> int:
+        return self._class_of[dnode]

@@ -193,6 +193,7 @@ def family_from_dict(graph: DataGraph, data: dict[str, Any]) -> AkIndexFamily:
         family.check_invariants()
     except AssertionError as exc:
         raise InvalidIndexError(f"family payload violates invariants: {exc}") from exc
+    family.index_labels()
     return family
 
 

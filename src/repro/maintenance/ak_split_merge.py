@@ -31,6 +31,12 @@ changed dnodes, k times), never to the graph size — the locality the
 paper designs for.  The per-level work is reported through
 :class:`UpdateStats` (``moves``, ``splits`` = classes created, ``merges``
 = classes removed, ``levels_touched``).
+
+Every write to the family goes through its journaled primitives
+(:meth:`AkIndexFamily.move` / ``open_class`` / ``close_class`` /
+``reparent``), so a transaction rolls a half-done refresh back and learns
+what it touched from the journal alone; the maintainer keeps no state of
+its own beside the family.
 """
 
 from __future__ import annotations
@@ -54,29 +60,6 @@ class AkSplitMergeMaintainer:
     def __init__(self, family: AkIndexFamily):
         self.family = family
         self.graph: DataGraph = family.graph
-        self._label_tokens: dict[str, int] = {}
-        level0 = family.levels[0]
-        for token, extent in level0.extents.items():
-            self._label_tokens[self.graph.label(next(iter(extent)))] = token
-        #: optional :class:`repro.resilience.TouchedSet` for incremental
-        #: snapshot publication and scoped invariant checks.  The family
-        #: is rolled back by snapshot, not journaled, so membership
-        #: changes are reported here directly: ``moved`` / ``tokens`` at
-        #: every level, plus ``leaf_moves`` entries for every level-k
-        #: placement/move/removal and ``leaf_tokens`` for emptied classes.
-        self.touched = None
-
-    def _note_move(
-        self, level_no: int, dnode: int, old: Optional[int], new: Optional[int]
-    ) -> None:
-        """Report one membership change (``None`` = not covered) as touched."""
-        touched = self.touched
-        if touched is None:
-            return
-        touched.moved.add(dnode)
-        touched.tokens.update(((level_no, old), (level_no, new)))  # None is inert
-        if level_no == self.family.k:
-            touched.leaf_moves.append((dnode, old, new))
 
     # ------------------------------------------------------------------
     # Edge insertion / deletion
@@ -101,17 +84,12 @@ class AkSplitMergeMaintainer:
     def rebuild_from_graph(self) -> None:
         """Rebuild the whole family from the data graph (``degrade`` path).
 
-        Replaces every level with a fresh minimum construction and
-        refreshes the label-token cache — level-0 tokens are not preserved
-        across a rebuild.
+        Replaces every level with a fresh minimum construction; tokens
+        are not preserved across a rebuild.
         """
-        if self.touched is not None:
-            self.touched.mark_all()
         fresh = AkIndexFamily.build(self.graph, self.family.k)
         self.family.levels = fresh.levels
-        self._label_tokens = {}
-        for token, extent in self.family.levels[0].extents.items():
-            self._label_tokens[self.graph.label(next(iter(extent)))] = token
+        self.family.label_tokens = fresh.label_tokens
 
     # ------------------------------------------------------------------
     # Node insertion / deletion (composed from the edge machinery)
@@ -124,11 +102,7 @@ class AkSplitMergeMaintainer:
         graph = self.graph
         oid = graph.add_node(label, value)
         graph.add_edge(parent, oid)
-        level0 = self.family.levels[0]
-        token = self._level0_token(label)
-        level0.class_of[oid] = token
-        level0.extents[token].add(oid)
-        self._note_move(0, oid, None, token)
+        self.family.move(0, oid, self._level0_token(label))
         stats = self._propagate(set(), initial_changed={oid})
         return oid, stats
 
@@ -145,13 +119,7 @@ class AkSplitMergeMaintainer:
             graph.remove_edge(p, dnode)
         stats = UpdateStats()
         for level_no in range(family.k + 1):
-            level = family.levels[level_no]
-            token = level.class_of.pop(dnode)
-            extent = level.extents[token]
-            extent.discard(dnode)
-            self._note_move(level_no, dnode, token, None)
-            if not extent:
-                self._remove_empty_class(level_no, token, stats)
+            self._uncover(level_no, dnode, stats)
         graph.remove_node(dnode)
         # classes emptied here are removed outside _propagate's tally
         current_obs().add("ak.merges", stats.merges)
@@ -200,12 +168,8 @@ class AkSplitMergeMaintainer:
             if target not in new_nodes:
                 entry_points.add(target)
 
-        level0 = self.family.levels[0]
         for w in sorted(new_nodes):
-            token = self._level0_token(graph.label(w))
-            level0.class_of[w] = token
-            level0.extents[token].add(w)
-            self._note_move(0, w, None, token)
+            self.family.move(0, w, self._level0_token(graph.label(w)))
         stats = self._propagate(entry_points, initial_changed=new_nodes)
         return mapping, stats
 
@@ -227,17 +191,8 @@ class AkSplitMergeMaintainer:
 
         stats = UpdateStats()
         for level_no in range(family.k + 1):
-            level = family.levels[level_no]
-            emptied: set[int] = set()
             for w in doomed:
-                token = level.class_of.pop(w)
-                extent = level.extents[token]
-                extent.discard(w)
-                self._note_move(level_no, w, token, None)
-                if not extent:
-                    emptied.add(token)
-            for token in emptied:
-                self._remove_empty_class(level_no, token, stats)
+                self._uncover(level_no, w, stats)
         for w in doomed:
             graph.remove_node(w)
         # classes emptied here are removed outside _propagate's tally
@@ -361,18 +316,8 @@ class AkSplitMergeMaintainer:
             if best_sig is None or best_sig in sig_table:
                 continue
             sig_table[best_sig] = old_token
-            new_parent = best_sig[0]
-            old_parent = level.parent[old_token]
-            if new_parent != old_parent:
-                kids = coarser.children.get(old_parent)
-                if kids is not None:
-                    kids.discard(old_token)
-                level.parent[old_token] = new_parent
-                coarser.children.setdefault(new_parent, set()).add(old_token)
-                if self.touched is not None:
-                    self.touched.tokens.update(
-                        ((level_no - 1, old_parent), (level_no - 1, new_parent))
-                    )
+            if best_sig[0] != level.parent[old_token]:
+                family.reparent(level_no, old_token, best_sig[0])
 
         # Assign every affected dnode to the class of its signature.
         changed: set[int] = set()
@@ -380,24 +325,11 @@ class AkSplitMergeMaintainer:
             sig = sigs[w]
             target = sig_table.get(sig)
             if target is None:
-                target = level.fresh_token()
-                sig_table[sig] = target
-                level.extents[target] = set()
-                level.parent[target] = sig[0]
-                coarser.children.setdefault(sig[0], set()).add(target)
-                if level_no < family.k:
-                    level.children[target] = set()
-                if self.touched is not None:
-                    self.touched.tokens.add((level_no - 1, sig[0]))
+                target = sig_table[sig] = family.open_class(level_no, sig[0])
                 stats.splits += 1
-            old = level.class_of.get(w)
-            if old == target:
+            if level.class_of.get(w) == target:
                 continue
-            if old is not None:
-                level.extents[old].discard(w)
-            level.class_of[w] = target
-            level.extents[target].add(w)
-            self._note_move(level_no, w, old, target)
+            family.move(level_no, w, target)
             changed.add(w)
             stats.moves += 1
 
@@ -407,37 +339,22 @@ class AkSplitMergeMaintainer:
                 continue
             extent = level.extents.get(old_token)
             if extent is not None and not extent:
-                self._remove_empty_class(level_no, old_token, stats)
+                family.close_class(level_no, old_token)
+                stats.merges += 1
         return changed
 
-    def _remove_empty_class(self, level_no: int, token: int, stats: UpdateStats) -> None:
+    def _uncover(self, level_no: int, dnode: int, stats: UpdateStats) -> None:
+        """Take a doomed dnode out of its class at one level; an emptied class goes."""
         family = self.family
-        level = family.levels[level_no]
-        touched = self.touched
-        if touched is not None:
-            touched.tokens.add((level_no, token))
-            if level_no == family.k:
-                touched.leaf_tokens.add(token)
-        del level.extents[token]
-        if level_no > 0:
-            parent = level.parent.pop(token)
-            if touched is not None:
-                touched.tokens.add((level_no - 1, parent))
-            kids = family.levels[level_no - 1].children.get(parent)
-            if kids is not None:
-                kids.discard(token)
-        if level_no < family.k:
-            level.children.pop(token, None)
-        stats.merges += 1
+        token = family.move(level_no, dnode, None)
+        if not family.levels[level_no].extents[token]:
+            family.close_class(level_no, token)
+            stats.merges += 1
 
     def _level0_token(self, label: str) -> int:
-        token = self._label_tokens.get(label)
-        level0 = self.family.levels[0]
-        if token is not None and token in level0.extents:
-            return token
-        token = level0.fresh_token()
-        level0.extents[token] = set()
-        if self.family.k > 0:
-            level0.children[token] = set()
-        self._label_tokens[label] = token
+        """The level-0 class of *label*, opened when none is live."""
+        family = self.family
+        token = family.label_tokens.get(label)
+        if token is None or token not in family.levels[0].extents:
+            token = family.open_class(0, label)
         return token

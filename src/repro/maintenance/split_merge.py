@@ -62,11 +62,6 @@ class SplitMergeMaintainer:
         #: forwarded to :func:`repro.index.construction.stabilize`; only
         #: the ablation benchmark changes it.
         self.splitter_choice = splitter_choice
-        #: optional :class:`repro.resilience.TouchedSet` for incremental
-        #: snapshot publication.  The 1-index journals every mutation, so
-        #: the only direct report needed here is the wholesale
-        #: invalidation on :meth:`rebuild_from_graph`.
-        self.touched = None
 
     # ------------------------------------------------------------------
     # Edge insertion / deletion (Figure 3)
@@ -469,6 +464,4 @@ class SplitMergeMaintainer:
         wrong is replaced by a from-scratch construction over the (clean)
         data graph, and maintenance continues incrementally from there.
         """
-        if self.touched is not None:
-            self.touched.mark_all()
         reconstruct_from_scratch(self.index)

@@ -12,8 +12,9 @@ Trigger modes, combinable:
   ``rearm=True`` the trigger is periodic (every M-th record), otherwise
   it is one-shot — a retry of the same operation then succeeds;
 * ``at_phase="split"`` / ``"merge"`` — fire on the first record emitted
-  by the named maintenance phase (inode creation marks split work, inode
-  folding/destruction marks merge work);
+  by the named maintenance phase (inode or class creation and dnode moves
+  mark split work, inode folding/destruction and class closing mark merge
+  work), in either index family;
 * ``rate=p, seed=s`` — fire each record independently with probability
   *p* from a seeded stream; deterministic for a fixed seed.
 
@@ -51,10 +52,10 @@ REPLICATION_FAULTS = ("drop", "truncate", "corrupt", "duplicate", "stall")
 
 #: journal record kinds emitted by each named maintenance phase
 PHASE_KINDS: dict[str, frozenset[str]] = {
-    # split work creates inodes and moves dnodes between them
-    "split": frozenset({"inode_created", "dnode_moved"}),
-    # merge work folds inodes together and destroys emptied ones
-    "merge": frozenset({"merge_folded", "inode_destroyed"}),
+    # split work creates inodes / classes and moves dnodes between them
+    "split": frozenset({"inode_created", "dnode_moved", "class_opened", "member_moved"}),
+    # merge work folds inodes together and destroys emptied ones / closes classes
+    "merge": frozenset({"merge_folded", "inode_destroyed", "class_closed"}),
 }
 
 

@@ -69,12 +69,8 @@ class GuardConfig:
     check_level: str = "minimal"
     #: post-check every N-th update (0 disables checks)
     check_every: int = 1
-    #: instead of a fixed cadence, check a sampled fraction of updates
-    sample_rate: Optional[float] = None
     #: attempts after the first failure under the ``retry`` policy
     max_retries: int = 2
-    #: seed for sampled cadence
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
@@ -127,10 +123,7 @@ class GuardedMaintainer:
         #: publication (set via :meth:`track_touched`); ``None`` = off
         self.touched: Optional[TouchedSet] = None
         self.invariants = InvariantGuard(
-            level=self.config.check_level,
-            check_every=self.config.check_every,
-            sample_rate=self.config.sample_rate,
-            seed=self.config.seed,
+            level=self.config.check_level, check_every=self.config.check_every
         )
 
     # ------------------------------------------------------------------
@@ -227,15 +220,11 @@ class GuardedMaintainer:
         """Install (or remove, with ``None``) a touched-set accumulator.
 
         While installed, every transaction feeds its journal records into
-        *touched*, and A(k) maintainers additionally report membership
-        changes (the family is snapshot-rolled-back, not journaled).
-        The accumulator is a conservative superset across rollbacks —
-        which is also what lets it scope the post-check — and the
-        consumer clears it after each successful publish.
+        *touched*.  The accumulator is a conservative superset across
+        rollbacks — which is also what lets it scope the post-check — and
+        the consumer clears it after each successful publish.
         """
         self.touched = touched
-        if hasattr(self.maintainer, "touched"):
-            self.maintainer.touched = touched
 
     # ------------------------------------------------------------------
     # Transaction engine
@@ -319,11 +308,8 @@ class GuardedMaintainer:
             if self.invariants.due():
                 self.stats.checks += 1
                 obs.add("resilience.checks")
-                # a usable scope only if the maintainer reports into it too
-                # (the A(k) family is not journaled)
-                scope = self.touched if hasattr(self.maintainer, "touched") else None
                 self.invariants.check(
-                    self.graph, index=self.index, family=self.family, touched=scope
+                    self.graph, index=self.index, family=self.family, touched=self.touched
                 )
         except BaseException as exc:
             txn.rollback()

@@ -25,7 +25,7 @@ three steps (:data:`AUDIT_STEPS`) unscoped, in turn, so every commit pays
 about the same and none pays for the whole graph (DESIGN.md §5).
 
 Whether a transaction is post-checked at all is the cadence's call:
-every update, every N-th, or a seeded sampled fraction.  A failed check
+every update or every N-th.  A failed check
 raises :class:`repro.exceptions.InvariantViolationError`, which the
 :class:`~repro.resilience.guard.GuardedMaintainer` treats exactly like a
 mid-operation exception — roll back, then apply the failure policy.
@@ -33,7 +33,6 @@ mid-operation exception — roll back, then apply the failure policy.
 
 from __future__ import annotations
 
-import random
 from typing import Optional
 
 from repro.exceptions import InvariantViolationError, StructuralIndexError
@@ -55,21 +54,11 @@ AUDIT_STEPS = ("graph", "structure", "depth")
 class InvariantGuard:
     """Cadenced invariant checks over a graph and its index or family."""
 
-    def __init__(
-        self,
-        level: str = "valid",
-        check_every: int = 1,
-        sample_rate: Optional[float] = None,
-        seed: int = 0,
-    ):
+    def __init__(self, level: str = "valid", check_every: int = 1):
         if level not in LEVELS:
             raise ValueError(f"unknown level {level!r}; choose from {LEVELS}")
-        if sample_rate is not None and not 0.0 <= sample_rate <= 1.0:
-            raise ValueError("sample_rate must lie in [0, 1]")
         self.level = level
         self.check_every = check_every
-        self.sample_rate = sample_rate
-        self._rng = random.Random(seed)
         self._since_check = 0
         #: dnodes + adjacency entries the last check was scoped to
         self.last_visited = 0
@@ -81,8 +70,6 @@ class InvariantGuard:
 
     def due(self) -> bool:
         """Advance the cadence by one update; report whether to check now."""
-        if self.sample_rate is not None:
-            return self._rng.random() < self.sample_rate
         if self.check_every <= 0:
             return False
         self._since_check += 1

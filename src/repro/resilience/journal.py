@@ -1,7 +1,8 @@
 """The mutation journal and transaction scope for atomic maintenance.
 
-Every public mutator of :class:`~repro.graph.datagraph.DataGraph` and
-:class:`~repro.index.base.StructuralIndex` carries a journal hook::
+Every public mutator of :class:`~repro.graph.datagraph.DataGraph`,
+:class:`~repro.index.base.StructuralIndex` and
+:class:`~repro.index.akindex.AkIndexFamily` carries a journal hook::
 
     if self._journal is not None:
         self._journal.record(self, op, payload)
@@ -18,12 +19,8 @@ is what makes rollback correct: index undo paths read graph adjacency
 (``_detach``/``_attach``), and reverse-order replay guarantees the graph
 looks exactly as it did when the index record was written.
 
-The :class:`AkIndexFamily` is the one structure rolled back by snapshot
-instead of journaling: its maintainer rewrites per-level dicts directly
-rather than going through narrow mutation primitives, so a before-copy
-(cost O(k·n), taken only when a transaction opens) is both simpler and
-cheaper than journaling every dict write.  The graph side of an A(k)
-update is still journaled.
+The same log is the one feed of the :class:`TouchedSet`: what a batch
+may have changed is read off its records, for either index family.
 """
 
 from __future__ import annotations
@@ -54,36 +51,24 @@ class TouchedSet:
     :meth:`mark_all` exists for wholesale events (``rebuild_from_graph``
     renames every inode, so the only safe answer is "everything").
 
-    Fed from two sources:
-
-    * :meth:`MutationJournal.record` — every journaled graph / 1-index
-      mutation maps to touched dnodes / inodes (see :meth:`observe`);
-    * :class:`~repro.maintenance.ak_split_merge.AkSplitMergeMaintainer`
-      — the A(k) family is snapshot-rolled-back, not journaled, so the
-      maintainer reports leaf-level membership changes directly into
-      :attr:`leaf_moves` / :attr:`leaf_tokens`, and membership changes
-      at *every* level into :attr:`moved` / :attr:`tokens`, which also
-      scope the post-check (:mod:`repro.resilience.invariants`).
+    Fed by :meth:`MutationJournal.record` alone: every journaled graph,
+    1-index or A(k)-family mutation maps to touched dnodes / inodes (see
+    :meth:`observe`), and to the :attr:`moved` / :attr:`tokens` that also
+    scope the post-check (:mod:`repro.resilience.invariants`).
     """
 
-    __slots__ = (
-        "dnodes", "inodes", "moved", "tokens", "leaf_moves", "leaf_tokens", "full"
-    )
+    __slots__ = ("dnodes", "inodes", "moved", "tokens", "full")
 
     def __init__(self) -> None:
         #: dnodes whose label/value/adjacency changed (including dead ones)
         self.dnodes: set[int] = set()
-        #: 1-index inodes whose extent or iedges changed (including dead ones)
+        #: published index entries — 1-index inodes, A(k) leaf tokens —
+        #: whose extent or iedges changed (including dead ones)
         self.inodes: set[int] = set()
         #: dnodes whose inode (1-index) or class at any A(k) level changed
         self.moved: set[int] = set()
         #: A(k) ``(level, token)`` classes (dead too) whose members or links changed
         self.tokens: set[tuple[int, int]] = set()
-        #: A(k) leaf-level membership changes: ``(dnode, old_token, new_token)``
-        #: with ``None`` for "not covered before" / "no longer covered"
-        self.leaf_moves: list[tuple[int, Optional[int], Optional[int]]] = []
-        #: A(k) leaf tokens touched directly (e.g. classes emptied)
-        self.leaf_tokens: set[int] = set()
         #: everything invalidated — evolve must fall back to full capture
         self.full: bool = False
 
@@ -97,18 +82,11 @@ class TouchedSet:
         self.inodes.clear()
         self.moved.clear()
         self.tokens.clear()
-        self.leaf_moves.clear()
-        self.leaf_tokens.clear()
         self.full = False
 
     def __bool__(self) -> bool:
         return bool(
-            self.full
-            or self.dnodes
-            or self.inodes
-            or self.moved or self.tokens
-            or self.leaf_moves
-            or self.leaf_tokens
+            self.full or self.dnodes or self.inodes or self.moved or self.tokens
         )
 
     # ------------------------------------------------------------------
@@ -118,13 +96,15 @@ class TouchedSet:
     def observe(self, target: Any, op: str, payload: tuple) -> None:
         """Fold one journal record into the touched sets.
 
-        Op names are globally unique across graph and index journals.
-        Records are appended *after* their mutation applied, so adjacency
-        and partition lookups here see the post-mutation state — exactly
-        what the next snapshot will capture.  Index records expand to the
-        neighbour inodes whose support tables the mutation bumped
+        Op names are globally unique across the graph, index and family
+        journals.  Records are appended *after* their mutation applied, so
+        adjacency and partition lookups here see the post-mutation state —
+        exactly what the next snapshot will capture.  Index records expand
+        to the neighbour inodes whose support tables the mutation bumped
         (``_attach``/``_detach`` are not journaled per-bump), at the same
-        O(degree) cost the mutation itself already paid.
+        O(degree) cost the mutation itself already paid.  Family records
+        name ``(level, token)`` classes; those of the leaf level — the
+        published one — are touched ``inodes`` too.
         """
         if self.full:
             return
@@ -163,6 +143,32 @@ class TouchedSet:
             self.moved.update(new_nodes)
             for dnode in new_nodes:
                 self._touch_inode_neighbourhood(target, dnode)
+        elif op == "member_moved":
+            level, dnode, old, new = payload
+            self.moved.add(dnode)
+            self.tokens.update(((level, old), (level, new)))  # None is inert
+            if level == target.k:
+                # both classes' entries change, and the iedges of the
+                # classes of the dnode's parents (a parent not yet placed,
+                # or re-placed later, touches its own class when it is)
+                class_of = target.levels[level].class_of.get
+                self.inodes.update((old, new))
+                self.inodes.update(class_of(p) for p in target.graph.iter_pred(dnode))
+                self.inodes.discard(None)
+        elif op == "class_opened":
+            level, _, under, _ = payload
+            if level:  # the parent's child set changed
+                self.tokens.add((level - 1, under))
+        elif op == "class_closed":
+            level, token, parent, _ = payload
+            self.tokens.add((level, token))
+            if level:
+                self.tokens.add((level - 1, parent))
+            if level == target.k:
+                self.inodes.add(token)
+        elif op == "class_reparented":
+            level, _, old, new = payload
+            self.tokens.update(((level - 1, old), (level - 1, new)))
         # unknown ops fall through silently: the journal's rollback path
         # is the format authority and raises on drift
 
@@ -242,10 +248,10 @@ class MutationJournal:
 class Transaction:
     """Journal-attach/detach scope around one maintenance operation.
 
-    Enlists a graph, optionally a :class:`StructuralIndex` (journaled)
-    and/or an :class:`AkIndexFamily` (snapshot), then either
-    :meth:`commit` (drop the log) or :meth:`rollback` (restore the exact
-    pre-transaction state).  Usable as a context manager: an exception
+    Enlists a graph and optionally a :class:`StructuralIndex` and/or an
+    :class:`AkIndexFamily`, then either :meth:`commit` (drop the log) or
+    :meth:`rollback` (undo it: the exact pre-transaction state).  Usable
+    as a context manager: an exception
     escaping the ``with`` block triggers rollback, normal exit commits.
 
     Transactions do not nest — the journal hooks hold a single slot.
@@ -259,26 +265,18 @@ class Transaction:
         on_record: Optional[Callable[[str, int], None]] = None,
         touched: Optional[TouchedSet] = None,
     ):
-        self.graph = graph
-        self.index = index
-        self.family = family
+        self.enlisted = [s for s in (graph, index, family) if s is not None]
         self.journal = MutationJournal(on_record, touched=touched)
-        self._family_backup: Optional[AkIndexFamily] = None
         self._active = False
 
     def begin(self) -> "Transaction":
         """Attach the journal to every enlisted structure."""
         if self._active:
             raise RollbackError("transaction is already active")
-        if self.graph._journal is not None or (
-            self.index is not None and self.index._journal is not None
-        ):
+        if any(structure._journal is not None for structure in self.enlisted):
             raise RollbackError("structure is already enlisted in a transaction")
-        self.graph._journal = self.journal
-        if self.index is not None:
-            self.index._journal = self.journal
-        if self.family is not None:
-            self._family_backup = self.family.copy()
+        for structure in self.enlisted:
+            structure._journal = self.journal
         self._active = True
         return self
 
@@ -286,17 +284,11 @@ class Transaction:
         """Detach the journal and keep all mutations."""
         self._detach()
         self.journal.clear()
-        self._family_backup = None
 
     def rollback(self) -> None:
         """Detach the journal and restore the pre-transaction state."""
         self._detach()
-        try:
-            self.journal.rollback()
-        finally:
-            if self._family_backup is not None:
-                self.family.levels = self._family_backup.levels
-                self._family_backup = None
+        self.journal.rollback()
 
     def _detach(self) -> None:
         # Detach before touching state so the undo paths (which write the
@@ -304,9 +296,8 @@ class Transaction:
         if not self._active:
             raise RollbackError("transaction is not active")
         self._active = False
-        self.graph._journal = None
-        if self.index is not None:
-            self.index._journal = None
+        for structure in self.enlisted:
+            structure._journal = None
 
     def __enter__(self) -> "Transaction":
         return self.begin()

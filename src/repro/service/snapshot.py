@@ -19,7 +19,10 @@ touched keys are re-captured.  That makes publish cost O(touched keys)
 plus an O(|dict|) pointer copy, instead of re-freezing every adjacency
 tuple and extent frozenset — the same
 update-cost-proportional-to-the-change principle the paper applies to
-the index itself, applied one layer up.  A full :meth:`capture` remains
+the index itself, applied one layer up.  One ``capture`` / ``evolve``
+pair freezes either family: a 1-index is read through its public
+surface, an A(k) family through the :class:`~repro.index.akindex.LeafView`
+that gives its leaf level the same one.  A full :meth:`capture` remains
 the cold-start path and the fallback whenever the touched set is marked
 ``full`` (e.g. after a degrade-rebuild, which renames every inode).
 Batching still amortises the per-publish work, and the per-batch
@@ -34,7 +37,7 @@ from-scratch graph evaluation *of the same version*.
 
 A :class:`FrozenIndex` also carries the version's **evaluation seed**
 (``roots``): the inode that holds the graph's root, read off the live
-partition map by every ``capture*`` / ``evolve*`` (O(1); a split can
+partition map by every ``capture`` / ``evolve`` (O(1); a split can
 move the root to a fresh inode id, so it is re-read, never copied from
 the previous version).  ``FrozenIndex.evaluation_tables()`` hands the
 query kernel that seed and the raw ``__getitem__`` of the version's
@@ -51,7 +54,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from repro.exceptions import GraphError, StructuralIndexError
 from repro.graph.datagraph import DataGraph
-from repro.index.akindex import AkIndexFamily
+from repro.index.akindex import AkIndexFamily, LeafView
 from repro.index.base import StructuralIndex
 from repro.query.automaton import PathNfa
 from repro.query.evaluator import EvaluationReport
@@ -193,7 +196,8 @@ class FrozenGraph:
 
 
 class FrozenIndex:
-    """A read-only extent/iedge copy of a :class:`StructuralIndex`.
+    """A read-only extent/iedge copy of a :class:`StructuralIndex` or of
+    an A(k) family's leaf level (its :class:`~repro.index.akindex.LeafView`).
 
     Implements the surface :func:`repro.query.evaluate_on_index` and
     :func:`repro.query.evaluate_on_ak` consume (``evaluation_tables`` /
@@ -221,7 +225,9 @@ class FrozenIndex:
         self._isucc = isucc
 
     @classmethod
-    def capture(cls, index: StructuralIndex, graph: FrozenGraph) -> "FrozenIndex":
+    def capture(
+        cls, index: "StructuralIndex | LeafView", graph: FrozenGraph
+    ) -> "FrozenIndex":
         """Freeze an index's partition and iedges against *graph*."""
         extent = {i: frozenset(index.extent(i)) for i in index.inodes()}
         label = {i: index.label_of(i) for i in index.inodes()}
@@ -233,7 +239,7 @@ class FrozenIndex:
     def evolve(
         cls,
         prev: "FrozenIndex",
-        index: StructuralIndex,
+        index: "StructuralIndex | LeafView",
         graph: FrozenGraph,
         touched: Iterable[int],
     ) -> "FrozenIndex":
@@ -258,66 +264,6 @@ class FrozenIndex:
                 label.pop(i, None)
                 isucc.pop(i, None)
         root = index.inode_of(graph.root) if graph.has_root else None
-        return cls(graph, root, extent, label, isucc)
-
-    @classmethod
-    def capture_family(cls, family: AkIndexFamily, graph: FrozenGraph) -> "FrozenIndex":
-        """Freeze an A(k) family's leaf level, keyed by its **leaf tokens**.
-
-        The leaf partition is read straight off the family — one pass
-        over the extents plus one edge scan for the iedges — instead of
-        materialising a :class:`StructuralIndex` via
-        ``family.level_index()``, whose freshly assigned inode ids would
-        differ every version and defeat structural sharing.  Leaf tokens
-        are stable across maintenance (unaffected classes keep their
-        token), which is exactly what :meth:`evolve_family` needs.
-        """
-        leaf = family.levels[family.k]
-        live = family.graph
-        class_of = leaf.class_of
-        extent = {t: frozenset(e) for t, e in leaf.extents.items()}
-        label = {t: live.label(next(iter(e))) for t, e in leaf.extents.items()}
-        isucc_sets: dict[int, set[int]] = {t: set() for t in leaf.extents}
-        for source, target in live.edges():
-            isucc_sets[class_of[source]].add(class_of[target])
-        isucc = {t: tuple(s) for t, s in isucc_sets.items()}
-        root = class_of[graph.root] if graph.has_root else None
-        return cls(graph, root, extent, label, isucc)
-
-    @classmethod
-    def evolve_family(
-        cls,
-        prev: "FrozenIndex",
-        family: AkIndexFamily,
-        graph: FrozenGraph,
-        touched: Iterable[int],
-    ) -> "FrozenIndex":
-        """The next leaf-level version, re-capturing *touched* tokens only.
-
-        A touched token's extent and label are re-frozen from the leaf
-        level, its iedges re-derived from the extent's out-edges (cost
-        O(extent + out-degree), the same locality the maintenance loop
-        itself has); vanished tokens are dropped.
-        """
-        leaf = family.levels[family.k]
-        live = family.graph
-        class_of = leaf.class_of
-        extent = prev._extent.copy()
-        label = prev._label.copy()
-        isucc = prev._isucc.copy()
-        for t in touched:
-            members = leaf.extents.get(t)
-            if not members:
-                extent.pop(t, None)
-                label.pop(t, None)
-                isucc.pop(t, None)
-                continue
-            extent[t] = frozenset(members)
-            label[t] = live.label(next(iter(members)))
-            isucc[t] = tuple(
-                {class_of[c] for w in members for c in live.iter_succ(w)}
-            )
-        root = class_of[graph.root] if graph.has_root else None
         return cls(graph, root, extent, label, isucc)
 
     def same_entry(self, other: "FrozenIndex", token: int) -> bool:
@@ -437,17 +383,11 @@ class IndexSnapshot:
         if (index is None) == (family is None):
             raise ValueError("capture needs exactly one of index= or family=")
         frozen_graph = FrozenGraph.capture(graph)
-        if index is not None:
-            return cls(
-                version, "one", 0, frozen_graph, FrozenIndex.capture(index, frozen_graph)
-            )
-        return cls(
-            version,
-            "ak",
-            family.k,
-            frozen_graph,
-            FrozenIndex.capture_family(family, frozen_graph),
-        )
+        if family is None:
+            kind, k, live = "one", 0, index
+        else:
+            kind, k, live = "ak", family.k, LeafView(family)
+        return cls(version, kind, k, frozen_graph, FrozenIndex.capture(live, frozen_graph))
 
     @classmethod
     def evolve(
@@ -473,21 +413,16 @@ class IndexSnapshot:
         if touched.full:
             return cls.capture(version, graph, index=index, family=family)
         frozen_graph = FrozenGraph.evolve(prev.graph, graph, touched.dnodes)
-        if index is not None:
-            return cls(
-                version,
-                "one",
-                0,
-                frozen_graph,
-                FrozenIndex.evolve(prev.index, index, frozen_graph, touched.inodes),
-            )
-        tokens = touched_leaf_tokens(family, touched)
+        live = index
+        if family is not None:
+            resolve_touched_leaves(family, touched)
+            live = LeafView(family)
         return cls(
             version,
-            "ak",
-            family.k,
+            prev.kind,
+            prev.k,
             frozen_graph,
-            FrozenIndex.evolve_family(prev.index, family, frozen_graph, tokens),
+            FrozenIndex.evolve(prev.index, live, frozen_graph, touched.inodes),
         )
 
     def evaluate(self, query: "str | PathExpression | PathNfa") -> EvaluationReport:
@@ -538,36 +473,22 @@ class IndexSnapshot:
         )
 
 
-def touched_leaf_tokens(family: AkIndexFamily, touched: "TouchedSet") -> set[int]:
-    """Resolve a batch's touched set to the leaf tokens it may have changed.
+def resolve_touched_leaves(family: AkIndexFamily, touched: "TouchedSet") -> None:
+    """Complete ``touched.inodes`` with the leaf tokens graph changes reach.
 
-    The union of: tokens the maintainer reported directly (emptied
-    classes), both endpoints of every reported leaf move, and — because a
-    dnode's adjacency or membership change also changes the iedge sets of
-    the classes around it — the current class of every touched-or-moved
-    dnode still alive plus the classes of its current parents.  Parents
-    that changed on *their* side (edge add/remove) appear in
-    ``touched.dnodes`` themselves, so post-batch adjacency is sufficient.
-    The adaptive plane invalidates its result cache through the same
-    superset, so it can never disagree with publication about a batch.
+    The journal already put there both classes of every leaf-level move
+    and every closed leaf class.  A dnode's adjacency change also changes
+    the iedge sets of the classes around it, which only the post-batch
+    partition can name: the class of every touched dnode still alive and
+    the classes of its current parents.  Parents that changed on *their*
+    side (edge add/remove) are touched dnodes themselves.  Done once per
+    commit, here; the adaptive plane invalidates its result cache through
+    the same superset, so it can never disagree with publication.
     """
-    leaf = family.levels[family.k]
-    class_of = leaf.class_of
+    class_of = family.levels[family.k].class_of
     graph = family.graph
-    tokens: set[int] = set(touched.leaf_tokens)
-    dnodes: set[int] = set(touched.dnodes)
-    for w, old, new in touched.leaf_moves:
-        if old is not None:
-            tokens.add(old)
-        if new is not None:
-            tokens.add(new)
-        dnodes.add(w)
-    for w in dnodes:
+    for w in touched.dnodes:
         token = class_of.get(w)
-        if token is None:
-            continue  # deleted this batch; its old token is already touched
-        tokens.add(token)
-        for p in graph.iter_pred(w):
-            tokens.add(class_of[p])
-    return tokens
-
+        if token is not None:  # else deleted this batch: its old token is there
+            touched.inodes.add(token)
+            touched.inodes.update(class_of[p] for p in graph.iter_pred(w))

@@ -34,6 +34,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Optional
 
 from repro.core.codec import seal, unseal
@@ -53,7 +54,7 @@ from repro.maintenance.ak_split_merge import AkSplitMergeMaintainer
 from repro.maintenance.split_merge import SplitMergeMaintainer
 from repro.obs import current as current_obs
 from repro.resilience.faults import FaultInjector
-from repro.store.wal import WriteAheadLog, _fsync_dir
+from repro.store.wal import WriteAheadLog, replace_file
 
 #: current checkpoint format version; bump on structural changes.
 #: v2 embeds v2 graph/index payloads (label table, delta-encoded
@@ -146,20 +147,14 @@ def write_checkpoint(
     }
     document = seal(data)
     final_path = os.path.join(directory, checkpoint_name(wal_lsn))
-    tmp_path = final_path + ".tmp"
     obs = current_obs()
     started = time.perf_counter()
     with obs.span("store.checkpoint", lsn=wal_lsn, kind=kind, bytes=len(document)):
+        before_rename = None
         if fault_injector is not None:
             fault_injector.io("checkpoint.write")
-        with open(tmp_path, "w", encoding="utf-8") as fp:
-            fp.write(document)
-            fp.flush()
-            os.fsync(fp.fileno())
-        if fault_injector is not None:
-            fault_injector.io("checkpoint.rename")
-        os.replace(tmp_path, final_path)
-        _fsync_dir(directory)
+            before_rename = partial(fault_injector.io, "checkpoint.rename")
+        replace_file(final_path, document, before_rename)
     obs.add("store.checkpoints")
     obs.add("store.checkpoint_bytes", len(document))
     obs.observe("store.checkpoint_write_seconds", time.perf_counter() - started)

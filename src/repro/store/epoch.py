@@ -23,8 +23,9 @@ from __future__ import annotations
 import json
 import os
 
+from repro.core.codec import is_count
 from repro.exceptions import StoreError
-from repro.store.wal import _fsync_dir
+from repro.store.wal import replace_file
 
 EPOCH_FILE = "epoch.json"
 
@@ -44,7 +45,7 @@ def read_epoch(store_dir: str) -> int:
     except (OSError, ValueError) as exc:
         raise StoreError(f"cannot read epoch file {path!r}: {exc}") from exc
     epoch = document.get("epoch") if isinstance(document, dict) else None
-    if not isinstance(epoch, int) or epoch < 0:
+    if not is_count(epoch):
         raise StoreError(f"malformed epoch file {path!r}: {document!r}")
     return epoch
 
@@ -63,11 +64,4 @@ def write_epoch(store_dir: str, epoch: int) -> None:
         raise StoreError(
             f"refusing to lower the fencing epoch from {current} to {epoch}"
         )
-    path = os.path.join(store_dir, EPOCH_FILE)
-    tmp_path = path + ".tmp"
-    with open(tmp_path, "w", encoding="utf-8") as fp:
-        json.dump({"epoch": epoch}, fp)
-        fp.flush()
-        os.fsync(fp.fileno())
-    os.replace(tmp_path, path)
-    _fsync_dir(store_dir)
+    replace_file(os.path.join(store_dir, EPOCH_FILE), json.dumps({"epoch": epoch}))

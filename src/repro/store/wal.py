@@ -45,7 +45,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.core import codec
 from repro.exceptions import StoreError, WalCorruptionError
@@ -296,6 +296,26 @@ def _fsync_dir(directory: str) -> None:
         pass
     finally:
         os.close(fd)
+
+
+def replace_file(
+    path: str, text: str, before_rename: Optional[Callable[[], None]] = None
+) -> None:
+    """Put *text* at *path* atomically: a crash leaves the old file or the new.
+
+    Written to ``<path>.tmp``, flushed and fsynced, renamed over *path*,
+    then the directory is fsynced; *before_rename* runs between the
+    write and the rename (the atomicity tests' fault point).
+    """
+    tmp_path = path + ".tmp"
+    with open(tmp_path, "w", encoding="utf-8") as fp:
+        fp.write(text)
+        fp.flush()
+        os.fsync(fp.fileno())
+    if before_rename is not None:
+        before_rename()
+    os.replace(tmp_path, path)
+    _fsync_dir(os.path.dirname(path))
 
 
 class WriteAheadLog:

@@ -61,7 +61,18 @@ AK_K = 2
 
 
 def _pick_idref_edge(graph: DataGraph, salt: int) -> tuple[int, int]:
-    edges = sorted(graph.edges_of_kind(EdgeKind.IDREF))
+    # an edge from a label no other parent of its target carries: adding
+    # or removing it changes the target's class in both families, so the
+    # operation is never the trivial case that journals the graph only
+    edges = sorted(
+        (source, target)
+        for source, target in graph.edges_of_kind(EdgeKind.IDREF)
+        if all(
+            graph.label(p) != graph.label(source)
+            for p in graph.iter_pred(target)
+            if p != source
+        )
+    )
     assert edges, "chaos dataset must have IDREF edges"
     return edges[(CHAOS_SEED + salt) % len(edges)]
 
@@ -130,6 +141,9 @@ def _journal_length(kind: str, method: str, chaos_graph_dict: dict) -> int:
     txn = Transaction(graph, **structures).begin()
     thunk()
     length = len(txn.journal)
+    # the index's or family's own records are in the sweep: a fault
+    # position can cut a split/merge cascade or a level refresh
+    assert length > sum(target is graph for target, _, _ in txn.journal.records)
     txn.rollback()
     assert fingerprints() == before  # the no-fault rollback is exact too
     return length

@@ -5,7 +5,22 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import InjectedFaultError
-from repro.resilience import PHASE_KINDS, FaultInjector, Transaction
+from repro.index.akindex import AkIndexFamily
+from repro.index.oneindex import OneIndex
+from repro.maintenance.ak_split_merge import AkSplitMergeMaintainer
+from repro.maintenance.split_merge import SplitMergeMaintainer
+from repro.resilience import (
+    PHASE_KINDS,
+    FaultInjector,
+    GuardConfig,
+    GuardedMaintainer,
+    Transaction,
+)
+from tests.resilience.conftest import (
+    family_fingerprint,
+    graph_fingerprint,
+    index_fingerprint,
+)
 
 
 def feed(injector: FaultInjector, ops: list[str]) -> list[int]:
@@ -78,6 +93,39 @@ class TestAtPhase:
         injector = FaultInjector(at_phase="merge")
         assert feed(injector, ["edge_added", "node_added", "dnode_moved"]) == []
         assert injector.fired == 0
+
+    @pytest.mark.parametrize(
+        "kind,phase,op",
+        [
+            ("one", "split", "inode_created"),
+            ("one", "merge", "merge_folded"),
+            ("ak", "split", "member_moved"),
+            ("ak", "merge", "class_closed"),
+        ],
+    )
+    def test_a_phase_fires_inside_the_maintenance_of_either_family(
+        self, figure2_builder, kind, phase, op
+    ):
+        graph = figure2_builder.build()
+        if kind == "one":
+            index = OneIndex.build(graph)
+            maintainer = SplitMergeMaintainer(index)
+            fingerprints = lambda: (graph_fingerprint(graph), index_fingerprint(index))
+        else:
+            family = AkIndexFamily.build(graph, 2)
+            maintainer = AkSplitMergeMaintainer(family)
+            fingerprints = lambda: (graph_fingerprint(graph), family_fingerprint(family))
+        injector = FaultInjector(at_phase=phase)
+        guard = GuardedMaintainer(
+            maintainer, GuardConfig(policy="raise", check_every=0), injector
+        )
+        before = fingerprints()
+        d, b3, b4 = (figure2_builder.oid(n) for n in (2, 3, 4))
+        with pytest.raises(InjectedFaultError, match=rf"phase {phase} \({op}\)"):
+            # 4 joins 5's class; then 3 follows and theirs is left empty
+            guard.apply_batch([("insert_edge", (d, b4)), ("insert_edge", (d, b3))])
+        assert injector.seen > 1  # past the graph's own record of the edge
+        assert fingerprints() == before
 
 
 class TestRate:

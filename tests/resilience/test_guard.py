@@ -191,14 +191,6 @@ class TestInvariantChecking:
         guard.insert_edge(figure2_builder.oid(2), figure2_builder.oid(4))
         assert guard.stats.checks == 0
 
-    def test_sampled_cadence_is_seeded(self):
-        a = InvariantGuard(sample_rate=0.5, seed=9)
-        b = InvariantGuard(sample_rate=0.5, seed=9)
-        pattern_a = [a.due() for _ in range(50)]
-        pattern_b = [b.due() for _ in range(50)]
-        assert pattern_a == pattern_b
-        assert any(pattern_a) and not all(pattern_a)
-
     def test_minimal_level_flags_valid_but_nonminimal(self, diamond_dag):
         # splitting {x, y} (bisimilar siblings) keeps the index valid but
         # leaves two mergeable blocks — only the 'minimal' level objects
@@ -253,6 +245,35 @@ class TestAkGuard:
         # the one-shot injector is spent: the same update now lands
         guard.insert_edge(figure2_builder.oid(2), figure2_builder.oid(4))
         assert guard.stats.commits == 1
+        family.check_invariants()
+        assert family.is_minimum()
+
+    @pytest.mark.parametrize("policy", ["raise", "retry"])
+    def test_a_rolled_back_label_leaves_no_stale_level0_token(
+        self, figure2_builder, policy
+    ):
+        """A batch opens the level-0 class of a new label and rolls back
+        (under ``retry``: every attempt does); the next new label is issued
+        the same token, and the first label must not be filed under it."""
+        graph = figure2_builder.build()
+        family = AkIndexFamily.build(graph, 2)
+        guard = GuardedMaintainer(
+            AkSplitMergeMaintainer(family),
+            GuardConfig(policy=policy, check_every=0),
+            FaultInjector(at_record=3, rearm=policy == "retry"),
+        )
+        root = graph.root
+        f_before = family_fingerprint(family)
+        with pytest.raises(InjectedFaultError):
+            guard.apply_batch(
+                [("insert_node", (root, "foo")), ("insert_node", (root, "x"))]
+            )
+        assert guard.stats.rollbacks == (3 if policy == "retry" else 1)
+        assert family_fingerprint(family) == f_before
+        guard.fault_injector = None
+        bar, _ = guard.insert_node(root, "bar")
+        foo, _ = guard.insert_node(root, "foo")
+        assert family.class_at(0, bar) != family.class_at(0, foo)
         family.check_invariants()
         assert family.is_minimum()
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import RollbackError
+from repro.graph.builder import GraphBuilder
 from repro.graph.datagraph import DataGraph, EdgeKind
 from repro.index.akindex import AkIndexFamily
 from repro.index.oneindex import OneIndex
@@ -152,7 +153,7 @@ class TestIndexRollback:
 
 
 class TestFamilyRollback:
-    """A(k) families roll back by snapshot; the graph side stays journaled."""
+    """A(k) families roll back through the journal they share with the graph."""
 
     def test_family_snapshot_restored(self, figure2_builder):
         graph = figure2_builder.build()
@@ -162,11 +163,50 @@ class TestFamilyRollback:
         f_before = family_fingerprint(family)
         txn = Transaction(graph, family=family).begin()
         maintainer.insert_edge(figure2_builder.oid(2), figure2_builder.oid(4))
+        assert [op for target, op, _ in txn.journal.records if target is family] == [
+            "member_moved"
+        ] * 3  # 4 joins 5 at levels 1 and 2, 7 joins 8 at level 2
         txn.rollback()
         assert graph_fingerprint(graph) == g_before
         assert family_fingerprint(family) == f_before
         family.check_invariants()
         assert family.is_minimum()
+
+    def test_every_family_primitive_rolls_back(self):
+        """One transaction through all four record kinds, tokens included.
+
+        B-dnodes 3 (under A) and 5 (under A and the D below E): giving 3
+        the D below the root as a second parent moves it into 5's class
+        at level 1 — closing its own — while its level-2 class keeps its
+        token and is re-parented; taking the edge away opens the classes
+        again, under fresh tokens.
+        """
+        builder = (
+            GraphBuilder()
+            .node(1, "A").node(2, "D").node(9, "E").node(10, "D").node(3, "B").node(5, "B")
+            .edge("root", 1).edge("root", 2).edge("root", 9).edge(9, 10)
+            .edge(1, 3).edge(1, 5).edge(10, 5)
+        )
+        graph = builder.build()
+        family = AkIndexFamily.build(graph, 2)
+        maintainer = AkSplitMergeMaintainer(family)
+        before = graph_fingerprint(graph), family_fingerprint(family)
+        labels_before = dict(family.label_tokens)
+        txn = Transaction(graph, family=family).begin()
+        maintainer.insert_edge(builder.oid(2), builder.oid(3), EdgeKind.IDREF)
+        maintainer.delete_edge(builder.oid(2), builder.oid(3))
+        maintainer.insert_node(builder.oid(3), "new-label")
+        family.check_invariants()
+        assert family.is_minimum()
+        assert {op for target, op, _ in txn.journal.records if target is family} == {
+            "member_moved", "class_opened", "class_closed", "class_reparented"
+        }
+        assert family_fingerprint(family) != before[1]  # (the fresh tokens)
+        txn.rollback()
+        assert (graph_fingerprint(graph), family_fingerprint(family)) == before
+        assert family.label_tokens == labels_before
+        assert family._journal is None
+        family.check_invariants()
 
     def test_family_commit_keeps_update(self, figure2_builder):
         graph = figure2_builder.build()
@@ -241,24 +281,44 @@ class TestTransactionProtocol:
         from repro.workload.xmark import generate_xmark
         from tests.resilience.conftest import CHAOS_XMARK
 
-        records: list[int] = []
-        for guarded in (False, True):
-            graph = generate_xmark(CHAOS_XMARK).graph
-            workload = MixedUpdateWorkload.prepare(graph, seed=11)
-            index = OneIndex.build(graph)
-            maintainer = SplitMergeMaintainer(index)
-            if guarded:
-                maintainer = GuardedMaintainer(
-                    maintainer, GuardConfig(policy="raise", check_every=0)
-                )
-                maintainer.fault_injector = lambda op, count: records.append(count)
-            before = graph.generation + index.generation
-            for op, source, target in workload.steps(40, validate=True):
-                if op == "insert":
-                    maintainer.insert_edge(source, target, EdgeKind.IDREF)
+        class CountedFamily(AkIndexFamily):
+            """A family that counts its mutator calls (it keeps no generation)."""
+
+            generation = 0
+
+        def counted(primitive):
+            def call(self, *args):
+                self.generation += 1
+                return primitive(self, *args)
+
+            return call
+
+        for name in ("move", "open_class", "close_class", "reparent"):
+            setattr(CountedFamily, name, counted(getattr(AkIndexFamily, name)))
+
+        for kind in ("one", "ak"):
+            records: list[int] = []
+            for guarded in (False, True):
+                graph = generate_xmark(CHAOS_XMARK).graph
+                workload = MixedUpdateWorkload.prepare(graph, seed=11)
+                if kind == "one":
+                    index = OneIndex.build(graph)
+                    maintainer = SplitMergeMaintainer(index)
                 else:
-                    maintainer.delete_edge(source, target)
-                assert graph._journal is None and index._journal is None
-            mutator_calls = graph.generation + index.generation - before
-            assert len(records) == (mutator_calls if guarded else 0)
-        assert len(records) > 80  # at least one record per update
+                    index = CountedFamily.build(graph, 2)
+                    maintainer = AkSplitMergeMaintainer(index)
+                if guarded:
+                    maintainer = GuardedMaintainer(
+                        maintainer, GuardConfig(policy="raise", check_every=0)
+                    )
+                    maintainer.fault_injector = lambda op, count: records.append(count)
+                before = graph.generation + index.generation
+                for op, source, target in workload.steps(40, validate=True):
+                    if op == "insert":
+                        maintainer.insert_edge(source, target, EdgeKind.IDREF)
+                    else:
+                        maintainer.delete_edge(source, target)
+                    assert graph._journal is None and index._journal is None
+                mutator_calls = graph.generation + index.generation - before
+                assert len(records) == (mutator_calls if guarded else 0)
+            assert len(records) > 80, kind  # more than one record per update

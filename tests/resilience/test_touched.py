@@ -15,7 +15,13 @@ from repro.graph.datagraph import DataGraph, EdgeKind
 from repro.index.oneindex import OneIndex
 from repro.maintenance.ak_split_merge import AkSplitMergeMaintainer
 from repro.index.akindex import AkIndexFamily
-from repro.resilience import Transaction, TouchedSet
+from repro.resilience import (
+    FaultInjector,
+    GuardConfig,
+    GuardedMaintainer,
+    Transaction,
+    TouchedSet,
+)
 
 
 def build_graph() -> tuple[DataGraph, dict[str, int]]:
@@ -113,46 +119,61 @@ class TestLifecycle:
         touched = TouchedSet()
         touched.dnodes.add(1)
         touched.inodes.add(2)
-        touched.leaf_moves.append((3, None, 0))
-        touched.leaf_tokens.add(4)
+        touched.moved.add(3)
+        touched.tokens.add((0, 4))
         touched.mark_all()
         touched.clear()
         assert not touched
         assert not touched.full
-        assert not (
-            touched.dnodes or touched.inodes or touched.leaf_moves
-            or touched.leaf_tokens
-        )
+        assert not (touched.dnodes or touched.inodes or touched.moved or touched.tokens)
 
     def test_empty_is_falsy(self):
         assert not TouchedSet()
 
 
 class TestAkLeafReporting:
-    """The A(k) maintainer reports leaf membership changes directly."""
+    """Leaf membership changes reach the touched set through the journal."""
 
     def make(self, k: int):
         graph, n = build_graph()
-        maintainer = AkSplitMergeMaintainer(AkIndexFamily.build(graph, k))
-        maintainer.touched = TouchedSet()
-        return graph, maintainer, n
+        family = AkIndexFamily.build(graph, k)
+        return graph, AkSplitMergeMaintainer(family), n, TouchedSet()
 
     def test_insert_node_reports_leaf_move_at_k0(self):
-        graph, maintainer, n = self.make(0)
-        new, _ = maintainer.insert_node(n["a1"], "b")
-        moves = [(w, old) for w, old, _ in maintainer.touched.leaf_moves]
-        assert (new, None) in moves
+        graph, maintainer, n, touched = self.make(0)
+        with Transaction(graph, family=maintainer.family, touched=touched):
+            new, _ = maintainer.insert_node(n["a1"], "b")
+        token = maintainer.family.levels[0].class_of[new]
+        assert new in touched.moved
+        assert (0, token) in touched.tokens
+        assert token in touched.inodes  # level 0 is the leaf here
 
     def test_delete_node_reports_departure(self):
-        graph, maintainer, n = self.make(2)
+        graph, maintainer, n, touched = self.make(2)
         old_token = maintainer.family.levels[2].class_of[n["b1"]]
-        maintainer.delete_node(n["b1"])
-        assert any(
-            w == n["b1"] and old == old_token and new is None
-            for w, old, new in maintainer.touched.leaf_moves
-        )
+        with Transaction(graph, family=maintainer.family, touched=touched):
+            maintainer.delete_node(n["b1"])
+        assert n["b1"] in touched.moved
+        assert (2, old_token) in touched.tokens
+        assert old_token in touched.inodes
+
+    def test_only_leaf_classes_are_touched_inodes(self):
+        graph, maintainer, n, touched = self.make(2)
+        leaf = maintainer.family.levels[2].extents
+        before = set(leaf)
+        with Transaction(graph, family=maintainer.family, touched=touched):
+            maintainer.insert_edge(n["root"], n["b1"], EdgeKind.IDREF)  # splits b1 off
+        assert {level for level, _ in touched.tokens} >= {1, 2}
+        # (tokens of the other levels share the leaf's number space: the
+        # set below holds nothing a leaf-level record did not name)
+        assert touched.inodes <= before | set(leaf)
+        assert touched.inodes >= before ^ set(leaf)
 
     def test_rebuild_marks_full(self):
-        graph, maintainer, n = self.make(2)
-        maintainer.rebuild_from_graph()
-        assert maintainer.touched.full
+        graph, maintainer, n, touched = self.make(2)
+        guard = GuardedMaintainer(
+            maintainer, GuardConfig(policy="degrade"), FaultInjector(at_record=1)
+        )
+        guard.track_touched(touched)
+        guard.insert_edge(n["a1"], n["b2"], EdgeKind.IDREF)
+        assert guard.stats.degradations == 1 and touched.full

@@ -421,6 +421,51 @@ def test_a_fault_in_apply_logs_and_publishes_nothing(tmp_path, family):
     service.close()
 
 
+class AfterATokenIssue:
+    """An ``on_record`` hook: fault once, on the first family record that
+    follows a class opening in the same transaction — mid level refresh,
+    with a fresh token already handed out."""
+
+    def __init__(self) -> None:
+        self.opened = False
+        self.fired = 0
+
+    def __call__(self, op: str, count: int) -> None:
+        if count == 1:
+            self.opened = False
+        if op == "class_opened":
+            self.opened = True
+        elif self.opened and not self.fired and op in ("member_moved", "class_closed"):
+            self.fired += 1
+            raise InjectedFaultError(f"after a token issue ({op})", count)
+
+
+def test_a_retried_ak_batch_issues_the_tokens_of_a_run_that_never_failed(tmp_path):
+    stream = Stream()
+    store_dir = str(tmp_path / "store")
+    primary = IndexService(
+        stream.graph,
+        service_config("ak", guard=GuardConfig(policy="retry")),
+        store_dir=store_dir,
+        store_config=DURABLE,
+    )
+    follower = bootstrap(primary, "plain")  # replays every record fault-free
+    primary.guarded.fault_injector = injector = AfterATokenIssue()
+    # leaf tokens key the published entries: equal fingerprints at every
+    # version (``drive``) mean the retry re-issued what the rollback took back
+    stream.drive(primary, [follower], rounds=range(ROUNDS // 2))
+    assert injector.fired == 1
+    assert primary.guarded.stats.rollbacks == primary.guarded.stats.retries == 1
+    assert primary.stats.batch_failures == 0
+    acknowledged = (primary.version, primary.snapshot.fingerprint())
+    primary.close(checkpoint=False)
+    follower.close()
+    recovered = IndexService.recover(store_dir, store_config=DURABLE)
+    assert (recovered.version, recovered.snapshot.fingerprint()) == acknowledged
+    recovered.check()
+    recovered.close()
+
+
 def whole_state(service: IndexService):
     """The visible state plus the live pair, the touched set and the log's bytes."""
     live = IndexSnapshot.capture(

@@ -155,11 +155,104 @@ def test_one_function_walks_the_wal_segments():
     assert walkers == ["read_records_since"]
 
 
+# ----------------------------------------------------------------------
+# One transaction surface for both index families
+# ----------------------------------------------------------------------
+
+TOUCHED_FIELDS = {"dnodes", "inodes", "moved", "tokens", "full"}
+MUTATORS = {"add", "update", "discard", "remove", "pop", "clear", "difference_update"}
+
+
+def enclosing_functions(tree: ast.AST, enclosing: str = ""):
+    """``(node, name of the innermost enclosing def)`` for every node."""
+    for node in ast.iter_child_nodes(tree):
+        yield node, enclosing
+        inner = node.name if isinstance(node, ast.FunctionDef) else enclosing
+        yield from enclosing_functions(node, inner)
+
+
+def is_touched_field(node: ast.AST) -> bool:
+    """``<... touched>.<field of TouchedSet>``, whatever holds the set."""
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in TOUCHED_FIELDS
+        and ast.unparse(node.value).endswith("touched")
+    )
+
+
+def test_the_journal_is_the_only_writer_of_the_touched_set():
+    from repro.resilience.journal import TouchedSet
+
+    assert set(TouchedSet.__slots__) == TOUCHED_FIELDS
+    writers = set()
+    for module, tree in TREES.items():
+        if module == "resilience/journal.py":
+            continue
+        for node, function in enclosing_functions(tree):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                written = any(map(is_touched_field, targets))
+            else:
+                written = (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in MUTATORS
+                    and is_touched_field(node.func.value)
+                )
+            if written:
+                writers.add((module, function))
+    # the one exception: graph changes reach leaf tokens only through the
+    # post-batch partition, resolved by the publish, once per commit
+    assert writers == {("service/snapshot.py", "resolve_touched_leaves")}
+    resolutions = [
+        (module, function)
+        for module, tree in TREES.items()
+        for node, function in enclosing_functions(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "resolve_touched_leaves"
+    ]
+    assert resolutions == [("service/snapshot.py", "evolve")]
+    publishes = [
+        (module, function)
+        for module, tree in TREES.items()
+        for node, function in enclosing_functions(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "IndexSnapshot.evolve"
+    ]
+    assert publishes == [("service/service.py", "_publish_next")]
+
+
+def test_maintainers_do_not_know_the_touched_set():
+    knows = [
+        (module, node.lineno)
+        for module, tree in TREES.items()
+        if module.startswith("maintenance/")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "touched"
+    ]
+    assert knows == []
+
+
+def test_no_transaction_copies_a_family():
+    copies = [
+        (module, node.lineno)
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "copy"
+        and ast.unparse(node.func.value).endswith("family")
+    ]
+    assert copies == []
+
+
 def test_the_replaced_names_are_gone():
     gone = (
         "apply_update_raw", "_raw_for", "_PLAIN_ARITY", "_canonical_crc",
         "_cross_edges_to_wire", "WIRE_OPS", "_record_crc",
         "_normalise_cross_edges", "_require_disjoint_oids",
+        "_family_backup", "leaf_moves", "leaf_tokens", "capture_family",
+        "evolve_family", "_note_move", "sample_rate",
     )
     for path in SRC.rglob("*.py"):
         text = path.read_text()
