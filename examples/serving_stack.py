@@ -7,20 +7,25 @@ Run with::
 One document corpus served through every part an ``IndexService`` can
 hold at once: a store (WAL + checkpoints) and the adaptive plane on the
 primary, an adaptive follower fed by WAL shipping, reads spread by a
-``ReplicaRouter``.  Documents churn, the primary crashes, the store is
-recovered, and finally the follower is promoted over the same log —
-with snapshot fingerprints compared at every hand-over.
+``ReplicaRouter``.  Documents churn with the live telemetry plane
+attached (``/health`` judged by the stock SLO rules), the primary
+crashes, the store is recovered, and finally the follower is promoted
+over the same log — with snapshot fingerprints compared at every
+hand-over.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import sys
 import tempfile
+import urllib.request
 
 from repro.adaptive import AdaptiveConfig
 from repro.corpus import CorpusService
 from repro.corpus.churn import mutate_document
+from repro.obs import default_service_rules, observed
 from repro.replication import (
     FollowerIndexService,
     Primary,
@@ -60,18 +65,27 @@ def main(workdir: str) -> None:
     )
     router = ReplicaRouter([follower], primary, max_lag_lsns=0)
 
-    # 3. Document churn on the primary; reads go through the router.
+    # 3. Document churn on the primary; reads go through the router.  The
+    #    live plane serves /metrics and /health on an ephemeral port meanwhile.
     rng = random.Random(7)
-    for round_number, doc_id in enumerate(sorted(documents)):
-        if round_number % 3 == 2:
-            corpus.remove_document(doc_id)
-        else:
-            corpus.replace_document(doc_id, mutate_document(documents[doc_id], rng))
-        corpus.await_quiescent()
-        follower.catch_up()
-        assert follower.snapshot.fingerprint() == primary.snapshot.fingerprint()
-        for expression in QUERIES:
-            assert router.query(expression).matches == primary.query(expression).matches
+    with observed():
+        telemetry = primary.start_telemetry(rules=default_service_rules())
+        for round_number, doc_id in enumerate(sorted(documents)):
+            if round_number % 3 == 2:
+                corpus.remove_document(doc_id)
+            else:
+                corpus.replace_document(doc_id, mutate_document(documents[doc_id], rng))
+            corpus.await_quiescent()
+            follower.catch_up()
+            assert follower.snapshot.fingerprint() == primary.snapshot.fingerprint()
+            for expression in QUERIES:
+                assert router.query(expression).matches == primary.query(expression).matches
+        with urllib.request.urlopen(f"{telemetry.url}/health") as reply:
+            health = json.load(reply)
+        assert reply.status == 200 and health["status"] == "ok", health
+        assert health["service"]["version"] == primary.version
+        print(f"live plane: {telemetry.url}/health is {health['status']} under the stock SLO rules")
+        primary.stop_telemetry()
     assert router.fallbacks == 0 and follower.cache.stats.hits > 0
     acknowledged = (primary.version, primary.snapshot.fingerprint())
     print(f"churned to v{primary.version}; follower applied {follower.records_applied} records")

@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.adaptive.cost_model import CostBasedPolicy, CostInputs, CostModel
 from repro.exceptions import QueueFullError
+from repro.maintenance.operations import OPERATIONS
 from repro.maintenance.reconstruction import ReconstructionPolicyProtocol
 from repro.obs import current as current_obs
 from repro.obs.slo import CRITICAL
@@ -71,13 +72,15 @@ class AdaptiveController:
     retunes: int = 0
     #: alert names that most recently went CRITICAL (cleared on recovery)
     critical: set = field(default_factory=set)
-    #: whether this controller requests reconstructions: on a 1-index
-    #: only (a replica, which replays its primary's, turns it off)
+    #: whether this controller requests reconstructions: where the served
+    #: structure admits the operation (a 1-index); a replica, which
+    #: replays its primary's, turns it off
     reconstructs: bool = field(init=False)
 
     def __post_init__(self) -> None:
         self.policy.start(self.service.snapshot.num_inodes)
-        self.reconstructs = self.service.config.family == "one"
+        admitted = OPERATIONS[Update.reconstruct().op].families
+        self.reconstructs = self.service.structure.kind in admitted
 
     # ------------------------------------------------------------------
 

@@ -195,21 +195,21 @@ class LadderState:
 
 def build_ladder_state(
     family: AkIndexFamily,
-    index: FrozenIndex,
+    leaf: FrozenIndex,
     version: int,
     levels: tuple[int, ...],
 ) -> LadderState:
     """Capture the ancestor maps for *levels* off the live refinement tree.
 
-    Called by the writer at publish time, after the leaf
-    :class:`FrozenIndex` for *version* exists, while the family still
+    Called by the writer at publish time, after *leaf* — the
+    :class:`FrozenIndex` of *version* — exists, while the family still
     reflects exactly that version.  One parent-chain walk per leaf
     token; the chain is recorded at every requested ladder level.
     """
     k = family.k
     wanted = sorted(levels, reverse=True)
     anc: dict[int, dict[int, int]] = {j: {} for j in levels}
-    for token in index.inodes():
+    for token in leaf.inodes():
         current = token
         cursor = iter(wanted)
         want = next(cursor, None)
@@ -220,13 +220,13 @@ def build_ladder_state(
             if want == level:
                 anc[level][token] = current
                 want = next(cursor, None)
-    root_tokens = {k: frozenset(index.roots)}
-    sizes = {k: index.num_inodes}
+    root_tokens = {k: frozenset(leaf.roots)}
+    sizes = {k: leaf.num_inodes}
     for j in levels:
         mapping = anc[j]
-        root_tokens[j] = frozenset(mapping[t] for t in index.roots)
+        root_tokens[j] = frozenset(mapping[t] for t in leaf.roots)
         sizes[j] = len(set(mapping.values()))
-    return LadderState(version, k, tuple(sorted(levels)), index, anc, root_tokens, sizes)
+    return LadderState(version, k, tuple(sorted(levels)), leaf, anc, root_tokens, sizes)
 
 
 def invalidation_sets(

@@ -267,9 +267,10 @@ class AdaptivePlane:
         the levels that disappear through ``invalidation_sets`` marking
         newly absent levels as full drops.
         """
-        if self.service.config.family != "ak":
+        family = self.service.guarded.family
+        if family is None:
             raise ServiceError("ladder levels only apply to the ak family")
-        cleaned = validate_ladder_levels(tuple(levels), self.service.config.k)
+        cleaned = validate_ladder_levels(tuple(levels), family.k)
         self._levels = cleaned
         self.router.set_levels(cleaned)
         current_obs().event("adaptive.ladder_levels", levels=list(cleaned))

@@ -139,14 +139,9 @@ class CorpusService:
         while self.service.flush() is not None:
             pass
 
-    def extents(self) -> list[set[int]]:
+    def extents(self) -> list[frozenset[int]]:
         """The live partition blocks of the served index."""
-        maintainer = self.service.guarded.maintainer
-        family = getattr(maintainer, "family", None)
-        if family is not None:
-            return [set(e) for e in family.levels[-1].extents.values()]
-        index = maintainer.index
-        return [set(index.extent(inode)) for inode in index.inodes()]
+        return self.service.structure.blocks()
 
     def graph_fingerprint(self) -> str:
         """Oid-independent digest of the corpus graph (no partition)."""

@@ -17,7 +17,6 @@ from repro.experiments import (
     fig11_running_times,
     fig12_subgraph,
     fig13_ak_quality,
-    serve,
     tab1_reconstruction_frequency,
     tab2_ak_times,
     tab3_storage,
@@ -35,7 +34,6 @@ EXPERIMENTS = {
     "tab2": tab2_ak_times,
     "tab3": tab3_storage,
     "ablation": ablation_worstcase,
-    "serve": serve,
 }
 
 __all__ = [

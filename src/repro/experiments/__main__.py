@@ -11,7 +11,7 @@ Examples::
     python -m repro.experiments --scale smoke --trace-summary fig11
 
     # profile the run: cProfile stats land next to the trace output
-    python -m repro.experiments --scale smoke --profile hot.pstats serve
+    python -m repro.experiments --scale smoke --profile hot.pstats fig11
 
     # transactional maintenance (repro.resilience): run the 1-index
     # maintainers under a guard and see the overhead in the fig11 table
@@ -20,8 +20,8 @@ Examples::
 
     # live telemetry (repro.obs.live): serve /metrics + /health while the
     # run is in flight, and evaluate SLO rules over the sliding windows
-    python -m repro.experiments --scale small --serve-metrics 9100 serve
-    python -m repro.experiments --serve-metrics 0 --slo rules.json serve
+    python -m repro.experiments --scale small --serve-metrics 9100 fig11
+    python -m repro.experiments --serve-metrics 0 --slo rules.json fig11
 """
 
 from __future__ import annotations

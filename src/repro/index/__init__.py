@@ -22,8 +22,11 @@ from repro.index.serialize import (
     index_from_dict,
     index_to_dict,
     load_index,
+    structure_from_dict,
+    structure_to_dict,
 )
 from repro.index.stability import (
+    depth_violations,
     is_minimal_1index,
     is_minimum_1index,
     is_minimum_ak,
@@ -36,8 +39,15 @@ from repro.index.stability import (
     minimum_ak_size,
     unstable_pairs,
 )
+from repro.index.structure import KINDS, Structure, build_structure
 
 __all__ = [
+    "Structure",
+    "KINDS",
+    "build_structure",
+    "depth_violations",
+    "structure_to_dict",
+    "structure_from_dict",
     "StructuralIndex",
     "INodeView",
     "OneIndex",

@@ -69,6 +69,9 @@ class AkIndexFamily:
     :class:`StructuralIndex` (with iedges) for query evaluation.
     """
 
+    #: the structure protocol (:mod:`repro.index.structure`)
+    kind = "ak"
+
     def __init__(self, graph: DataGraph, k: int):
         if k < 0:
             raise ValueError("k must be non-negative")
@@ -172,6 +175,14 @@ class AkIndexFamily:
             for kids in level.children.values():
                 total += sys.getsizeof(kids) + 64
         return total
+
+    def leaf(self) -> "LeafView":
+        """The read surface a published version freezes: the leaf level."""
+        return LeafView(self)
+
+    def blocks(self) -> list[frozenset[int]]:
+        """The served (level-k) partition as a list of frozen extents."""
+        return [frozenset(extent) for extent in self.levels[self.k].extents.values()]
 
     def tokens_at(self, level: int) -> Iterator[int]:
         """Iterate over the inode tokens of one level."""
@@ -365,6 +376,7 @@ class AkIndexFamily:
         self,
         dnodes: Optional[Iterable[int]] = None,
         tokens: Optional[Iterable[tuple[int, int]]] = None,
+        inodes: object = None,
     ) -> None:
         """Assert structural consistency of all levels and tree links.
 
@@ -376,7 +388,8 @@ class AkIndexFamily:
         Unscoped that is every dnode and class, plus the cover.  With
         *dnodes* / ``(level, token)`` *tokens* (what a batch touched;
         dead ones are verified absent from every map) it costs
-        O(k · given ids).
+        O(k · given ids).  (*inodes* is the 1-index's part of a scope; the
+        leaf tokens it holds for a family are among *tokens*.)
         """
         graph = self.graph
         scoped = dnodes is not None or tokens is not None
@@ -506,19 +519,6 @@ class AkIndexFamily:
                 return False
         return True
 
-    def copy(self) -> "AkIndexFamily":
-        """An independent copy (shares the graph object)."""
-        clone = AkIndexFamily(self.graph, self.k)
-        for i, level in enumerate(self.levels):
-            target = clone.levels[i]
-            target.class_of = dict(level.class_of)
-            target.extents = {t: set(e) for t, e in level.extents.items()}
-            target.parent = dict(level.parent)
-            target.children = {t: set(c) for t, c in level.children.items()}
-            target.next_token = level.next_token
-        clone.label_tokens = dict(self.label_tokens)
-        return clone
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<AkIndexFamily k={self.k} sizes={self.sizes()}>"
 
@@ -565,3 +565,16 @@ class LeafView:
 
     def inode_of(self, dnode: int) -> int:
         return self._class_of[dnode]
+
+    def derived_entries(self, dnodes: Iterable[int]) -> Iterator[int]:
+        """Tokens whose iedges follow *dnodes*' adjacency with no journal
+        record naming them: the class of each one still alive and the
+        classes of its current parents (a deleted dnode's old class was
+        journaled when it left)."""
+        class_of, pred = self._class_of, self._graph.iter_pred
+        for w in dnodes:
+            token = class_of.get(w)
+            if token is not None:
+                yield token
+                for p in pred(w):
+                    yield class_of[p]

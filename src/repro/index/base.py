@@ -98,6 +98,12 @@ class StructuralIndex:
     construction and maintenance layers.
     """
 
+    #: the structure protocol (:mod:`repro.index.structure`): the layers
+    #: above serve, check and persist a bare partition as a 1-index, which
+    #: has no level bound — ``k`` is the 0 its checkpoints carry
+    kind = "one"
+    k = 0
+
     def __init__(self, graph: DataGraph):
         self.graph = graph
         #: dnode oid -> inode id (the partition map)
@@ -735,9 +741,18 @@ class StructuralIndex:
                 self._bump(pred_support[ti], si, 1)
         self._generation += 1
 
-    def partition(self) -> list[frozenset[int]]:
-        """The partition as a list of frozen extents (testing helper)."""
+    def blocks(self) -> list[frozenset[int]]:
+        """The partition as a list of frozen extents."""
         return [frozenset(arr) for arr in self._extent_arr.values()]
+
+    def leaf(self) -> "StructuralIndex":
+        """The read surface a published version freezes: the index itself."""
+        return self
+
+    def derived_entries(self, dnodes: Iterable[int]) -> tuple:
+        """Inodes whose iedges follow *dnodes*' adjacency with no journal
+        record naming them: none — supports are stored, every bump journaled."""
+        return ()
 
     def as_blocks(self) -> set[frozenset[int]]:
         """The partition as a set of frozen extents (order-insensitive)."""
@@ -777,6 +792,7 @@ class StructuralIndex:
         self,
         inodes: Optional[Iterable[int]] = None,
         dnodes: Optional[Iterable[int]] = None,
+        tokens: object = None,
     ) -> None:
         """Assert partition/iedge consistency, re-derived from graph adjacency.
 
@@ -793,7 +809,7 @@ class StructuralIndex:
         Unscoped that is every dnode and inode, plus the cover: O(n + m).
         With *inodes* / *dnodes* (the ids a batch touched; dead ones are
         verified absent from every map) it costs the in-degrees of the
-        given dnodes.
+        given dnodes.  (*tokens* is the family's part of a scope.)
         """
         graph = self.graph
         scoped = inodes is not None or dnodes is not None

@@ -32,6 +32,7 @@ from repro.graph.datagraph import DataGraph
 from repro.graph.serialize import check_format_version
 from repro.index.akindex import AkIndexFamily
 from repro.index.base import StructuralIndex
+from repro.index.oneindex import OneIndex
 
 IndexT = TypeVar("IndexT", bound=StructuralIndex)
 
@@ -195,6 +196,24 @@ def family_from_dict(graph: DataGraph, data: dict[str, Any]) -> AkIndexFamily:
         raise InvalidIndexError(f"family payload violates invariants: {exc}") from exc
     family.index_labels()
     return family
+
+
+def structure_to_dict(structure: "StructuralIndex | AkIndexFamily") -> dict[str, Any]:
+    """Serialise either structure; its ``kind`` travels beside the payload."""
+    if structure.kind == AkIndexFamily.kind:
+        return family_to_dict(structure)
+    return index_to_dict(structure)
+
+
+def structure_from_dict(
+    graph: DataGraph, kind: str, data: dict[str, Any]
+) -> "OneIndex | AkIndexFamily":
+    """Rebuild the structure of *kind* over *graph* from its payload."""
+    if kind == AkIndexFamily.kind:
+        return family_from_dict(graph, data)
+    if kind == OneIndex.kind:
+        return index_from_dict(graph, data, cls=OneIndex)
+    raise InvalidIndexError(f"unknown structure kind {kind!r}")
 
 
 def dump_index(index: StructuralIndex, fp: TextIO) -> None:

@@ -7,14 +7,17 @@ is ground truth for the test-suite and for the guarded post-check
 worse; :func:`unstable_pairs` and :func:`mergeable_pairs` also take the
 ids a batch touched and then cost only that neighbourhood — the same
 predicate over fewer dnodes, which is what runs after every commit.
+:func:`depth_violations` is the one question the post-check asks of
+either structure: which Definition fails at ``valid`` / ``minimal``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import Optional
 
 from repro.graph.datagraph import DataGraph
+from repro.index.akindex import AkIndexFamily
 from repro.index.base import StructuralIndex
 from repro.index.construction import (
     ClassMap,
@@ -142,6 +145,41 @@ def mergeable_pairs(
 def is_minimal_1index(index: StructuralIndex) -> bool:
     """Definition 5 via the same-label/same-parents characterisation."""
     return is_valid_1index(index) and not mergeable_pairs(index)
+
+
+def depth_violations(
+    structure: "StructuralIndex | AkIndexFamily",
+    minimal: bool,
+    dnodes: Optional[Iterable[int]] = None,
+    inodes: Optional[Iterable[int]] = None,
+    tokens: object = None,
+) -> Iterator[tuple[str, int, tuple]]:
+    """``(what is wrong, definition violated, offending pair)`` for either
+    structure, within a scope or (none given) everywhere.
+
+    Validity first: an unstable inode pair of a 1-index (Definition 1),
+    a class of an A(k) family whose members sign differently
+    (Definition 4).  With *minimal*, also what a merge would remove:
+    same-label same-parents inodes (Definition 5), family classes that
+    sign alike (the family is then not the minimum, Lemma 6).
+    """
+    if structure.kind == AkIndexFamily.kind:
+        for level, token, other in structure.signature_violations(dnodes):
+            if other is None or minimal:
+                yield (
+                    f"A(k) family drifted from the minimum: inode {token}@{level} "
+                    + ("mixes signatures" if other is None else f"signs like {other}"),
+                    4, (token, other),
+                )
+        return
+    for pair in unstable_pairs(structure, inodes, dnodes):
+        yield (
+            "index is no longer a valid 1-index: inode %s is not stable "
+            "w.r.t. inode %s" % pair, 1, pair,
+        )
+    if minimal:
+        for pair in mergeable_pairs(structure, inodes):
+            yield f"index is valid but no longer minimal: inodes {pair} merge", 5, pair
 
 
 def minimum_1index_size(graph: DataGraph) -> int:

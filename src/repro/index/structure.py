@@ -1,0 +1,61 @@
+"""The structure protocol: what every layer above ``repro.index`` may ask
+of the thing it maintains, serves and persists.
+
+The paper treats the 1-index and the A(k) family as two instances of one
+idea — a partition refined level by level (Definition 4, Lemma 2) and
+repaired by split-then-merge (Figures 3 and 7).  :class:`StructuralIndex`
+and :class:`AkIndexFamily` therefore share the surface below, and a
+transaction, a post-check, a snapshot or a checkpoint takes **the
+structure** as one argument and never asks which of the two it holds.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Iterable
+from typing import Any, Optional, Protocol
+
+from repro.graph.datagraph import DataGraph
+from repro.index.akindex import AkIndexFamily
+from repro.index.oneindex import OneIndex
+
+#: the kinds of structure, as spelled on disk, on the wire and in ``/health``
+KINDS = (OneIndex.kind, AkIndexFamily.kind)
+
+
+class Structure(Protocol):
+    """A maintained partition of a data graph's dnodes."""
+
+    graph: DataGraph
+    #: one of :data:`KINDS`
+    kind: str
+    #: the leaf level of an A(k) family; 0 for a 1-index, which has no bound
+    k: int
+
+    def leaf(self) -> Any:
+        """The live read surface a published version freezes
+        (``inodes`` / ``has_inode`` / ``extent`` / ``label_of`` / ``isucc`` /
+        ``inode_of`` / ``derived_entries``): a 1-index itself, a family's
+        :class:`~repro.index.akindex.LeafView`."""
+
+    def blocks(self) -> list[frozenset[int]]:
+        """The served partition, one frozen extent per inode."""
+
+    def check_invariants(
+        self,
+        *,
+        dnodes: Optional[Iterable[int]] = None,
+        inodes: Optional[Iterable[int]] = None,
+        tokens: Optional[Iterable[tuple[int, int]]] = None,
+    ) -> None:
+        """Assert structural consistency: of everything, or of what a batch
+        touched (each structure reads the ids it has and ignores the rest)."""
+
+    def approx_bytes(self) -> int:
+        """Approximate resident bytes."""
+
+
+def build_structure(graph: DataGraph, kind: str, k: int) -> Structure:
+    """The minimum structure of *kind* over *graph*, built from scratch."""
+    if kind == AkIndexFamily.kind:
+        return AkIndexFamily.build(graph, k)
+    return OneIndex.build(graph)

@@ -1,5 +1,6 @@
 """Incremental index maintenance: the paper's algorithms and baselines."""
 
+from repro.index.akindex import AkIndexFamily
 from repro.maintenance.ak_simple import SimpleAkMaintainer
 from repro.maintenance.ak_split_merge import AkSplitMergeMaintainer
 from repro.maintenance.base import MaintenanceTotals, Maintainer, UpdateStats
@@ -15,8 +16,17 @@ from repro.maintenance.reconstruction import (
 )
 from repro.maintenance.split_merge import SplitMergeMaintainer
 
+
+def maintainer_for(structure) -> "SplitMergeMaintainer | AkSplitMergeMaintainer":
+    """The split/merge maintainer of *structure*'s kind (Figure 3 or Figure 7)."""
+    if structure.kind == AkIndexFamily.kind:
+        return AkSplitMergeMaintainer(structure)
+    return SplitMergeMaintainer(structure)
+
+
 __all__ = [
     "Maintainer",
+    "maintainer_for",
     "UpdateStats",
     "MaintenanceTotals",
     "OPERATIONS",

@@ -44,7 +44,7 @@ class SimpleAkMaintainer:
     """Stand-alone A(k) maintenance by definition (the baseline of §7.2)."""
 
     def __init__(self, index: StructuralIndex, k: int, memoize: bool = False):
-        self.index = index
+        self.structure = self.index = index
         self.graph: DataGraph = index.graph
         self.k = k
         self.memoize = memoize

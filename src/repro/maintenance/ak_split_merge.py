@@ -58,7 +58,7 @@ class AkSplitMergeMaintainer:
     """Maintains an :class:`AkIndexFamily` at the minimum (Theorem 2)."""
 
     def __init__(self, family: AkIndexFamily):
-        self.family = family
+        self.structure = self.family = family
         self.graph: DataGraph = family.graph
 
     # ------------------------------------------------------------------

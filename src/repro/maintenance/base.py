@@ -96,6 +96,9 @@ class Maintainer(Protocol):
     """An incremental index maintainer bound to one data graph."""
 
     graph: DataGraph
+    #: what it maintains (:class:`repro.index.Structure`), also reachable
+    #: under its kind's name: ``.index`` or ``.family``
+    structure: object
 
     def insert_edge(self, source: int, target: int) -> UpdateStats:
         """Insert the dedge and repair the index."""

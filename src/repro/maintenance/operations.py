@@ -39,9 +39,10 @@ from typing import Any
 from repro.exceptions import MaintenanceError
 from repro.graph.datagraph import DataGraph, EdgeKind
 from repro.graph.serialize import graph_from_dict, graph_to_dict
+from repro.index.structure import KINDS
 
 #: the index families a service can maintain
-FAMILIES = ("one", "ak")
+FAMILIES = KINDS
 
 
 def normalise_cross_edges(cross_edges: Iterable[tuple]) -> list[tuple[int, int, EdgeKind]]:

@@ -30,7 +30,7 @@ class PropagateMaintainer:
     """Split-only maintenance of a 1-index (the baseline of [8])."""
 
     def __init__(self, index: StructuralIndex, splitter_choice: str = "small"):
-        self.index = index
+        self.structure = self.index = index
         self.graph: DataGraph = index.graph
         #: forwarded to :func:`repro.index.construction.stabilize`.
         self.splitter_choice = splitter_choice

@@ -57,7 +57,7 @@ class SplitMergeMaintainer:
     """
 
     def __init__(self, index: StructuralIndex, splitter_choice: str = "small"):
-        self.index = index
+        self.structure = self.index = index
         self.graph: DataGraph = index.graph
         #: forwarded to :func:`repro.index.construction.stabilize`; only
         #: the ablation benchmark changes it.

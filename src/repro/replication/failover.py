@@ -20,7 +20,10 @@ The promotion protocol, in order:
    superseded, and raises
    :class:`~repro.exceptions.StalePrimaryError` instead of forking the
    log's history.
-5. **Promote**: the winner's graph + maintainer are adopted into a new
+5. **Promote**: the winner is **retired** — its tail stopped, every
+   later ``sync`` / ``catch_up`` / ``start_tailing`` a
+   :class:`~repro.exceptions.ReplicationError`, its reads still served —
+   and its graph + maintainer are adopted into a new
    :class:`~repro.service.IndexService` whose store *reopens* the same
    directory (the recovery adoption path — no rebuild, no checkpoint),
    which resumes the LSN sequence after the last drained record.  An
@@ -75,9 +78,11 @@ def promote(
     the failover coordinator, which is reading the log directly.
 
     The winner's graph and maintainer are **adopted** by the promoted
-    service — remove it from the replica set afterwards (it must not
-    keep applying shipped records over structures the new primary now
-    mutates); the losers re-point their links at the winner and tail on.
+    service, so the winner is retired first
+    (:meth:`FollowerIndexService.retire`): left tailing the directory it
+    would fetch the new primary's own records and apply them a second
+    time over the structures that just produced them.  The losers
+    re-point their links at the promoted primary and tail on.
     """
     from repro.replication.feed import Primary
     from repro.replication.link import ReplicationLink
@@ -115,6 +120,7 @@ def promote(
         range(len(followers)), key=lambda position: followers[position].applied_lsn
     )
     winner = followers[winner_position]
+    winner.retire(new_epoch)
 
     # durable fence before the winner takes the pen
     write_epoch(store_dir, new_epoch)

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import replace
 from typing import Optional
 
 from repro.exceptions import ReplicationError, ServiceError
@@ -69,7 +68,7 @@ class FollowerIndexService(IndexService):
         self,
         graph,
         link: ReplicationLink,
-        config: ServiceConfig,
+        config: Optional[ServiceConfig],
         maintainer: object,
         applied_lsn: int,
         initial_version: int,
@@ -98,6 +97,8 @@ class FollowerIndexService(IndexService):
         self._stall_reported = False
         self._tail_thread: Optional[threading.Thread] = None
         self._tail_stop = threading.Event()
+        #: the epoch whose promotion handed our structures to a primary
+        self._retired_epoch: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Bootstrap
@@ -113,12 +114,12 @@ class FollowerIndexService(IndexService):
     ) -> "FollowerIndexService":
         """Checkpoint-load over the wire, then stand ready to tail.
 
-        The index family and ``k`` always come from the checkpoint — a
-        replica of an A(2) primary *is* an A(2) index; *config* may tune
-        everything else (the guard policy) and *adaptive* attaches the
-        adaptive plane.  *store_dir* is refused: a second WAL with its
-        own LSN origin could not be told apart from the primary's log
-        after a promotion.
+        The structure served is the checkpoint's — a replica of an A(2)
+        primary *is* an A(2) index, whatever family *config* names;
+        *config* tunes the rest (the guard policy) and *adaptive*
+        attaches the adaptive plane.  *store_dir* is refused: a second
+        WAL with its own LSN origin could not be told apart from the
+        primary's log after a promotion.
         """
         if store_dir is not None:
             raise ServiceError(
@@ -128,12 +129,10 @@ class FollowerIndexService(IndexService):
         raw = link.fetch_checkpoint()
         ckpt = checkpoint_from_bytes(raw, origin=f"feed:{link.feed.store_dir}")
         graph, maintainer = ckpt.adopt()
-        base = config if config is not None else ServiceConfig()
-        base = replace(base, family=ckpt.kind, k=ckpt.k if ckpt.kind == "ak" else base.k)
         follower = cls(
             graph,
             link,
-            base,
+            config,
             maintainer=maintainer,
             applied_lsn=ckpt.wal_lsn,
             initial_version=ckpt.version,
@@ -163,8 +162,27 @@ class FollowerIndexService(IndexService):
         """LSNs between the primary's last-advertised log end and us."""
         return max(0, self.primary_last_lsn - self.applied_lsn)
 
+    def retire(self, epoch: int) -> None:
+        """Stop applying for good: the promotion at *epoch* made this
+        replica's graph and maintainer the new primary's.
+
+        The tail is stopped first (its last sync completes); from then on
+        :meth:`sync`, :meth:`catch_up` and :meth:`start_tailing` raise.
+        Reads keep answering the last version this replica published.
+        """
+        self.stop_tailing()
+        self._retired_epoch = epoch
+
+    def _check_retired(self) -> None:
+        if self._retired_epoch is not None:
+            raise ReplicationError(
+                f"this follower was promoted at epoch {self._retired_epoch}: its "
+                "structures are the new primary's and it applies no more records"
+            )
+
     def sync(self, max_records: int = 64) -> int:
         """One fetch + apply round; returns how many records were applied."""
+        self._check_retired()
         started = time.perf_counter()
         frame = self.link.fetch(self.applied_lsn, max_records)
         obs = current_obs()
@@ -240,23 +258,25 @@ class FollowerIndexService(IndexService):
     def _apply_record(self, lsn: int, wire_ops: list) -> bool:
         """Apply one shipped record; returns whether it advanced state."""
         obs = current_obs()
-        if lsn <= self.applied_lsn:
-            # duplicate delivery: a retransmit (or the duplicate fault)
-            # re-shipped something already applied — a logged no-op
-            self.duplicates_skipped += 1
-            obs.add("replication.duplicates_skipped")
-            obs.event(
-                "replication.duplicate_skipped", lsn=lsn, applied_lsn=self.applied_lsn
-            )
-            return False
-        if lsn != self.applied_lsn + 1:
-            raise ReplicationError(
-                f"replication gap: next record is lsn {lsn} but only "
-                f"{self.applied_lsn} is applied — the primary truncated past "
-                "this follower; re-bootstrap from a fresh checkpoint"
-            )
-        started = time.perf_counter()
+        # the LSN test and the apply are one step: two syncs may race (a
+        # tail thread and a failover's final drain fetch the same record)
         with self._writer_lock:
+            if lsn <= self.applied_lsn:
+                # duplicate delivery: a retransmit (or the duplicate fault)
+                # re-shipped something already applied — a logged no-op
+                self.duplicates_skipped += 1
+                obs.add("replication.duplicates_skipped")
+                obs.event(
+                    "replication.duplicate_skipped", lsn=lsn, applied_lsn=self.applied_lsn
+                )
+                return False
+            if lsn != self.applied_lsn + 1:
+                raise ReplicationError(
+                    f"replication gap: next record is lsn {lsn} but only "
+                    f"{self.applied_lsn} is applied — the primary truncated past "
+                    "this follower; re-bootstrap from a fresh checkpoint"
+                )
+            started = time.perf_counter()
             batch = [Update(op, args) for op, args in batch_from_wire(wire_ops)]
             result = self._commit(batch, replayed=True)
             self.applied_lsn = lsn
@@ -272,6 +292,7 @@ class FollowerIndexService(IndexService):
 
     def start_tailing(self, poll_interval: float = 0.02, max_records: int = 64) -> None:
         """Tail the feed from a background thread (idempotent)."""
+        self._check_retired()
         if self._tail_thread is not None:
             return
         self._tail_stop.clear()

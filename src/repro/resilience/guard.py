@@ -116,7 +116,9 @@ class GuardedMaintainer:
         self.config = config if config is not None else GuardConfig()
         self.fault_injector = fault_injector
         self.stats = GuardStats()
-        #: 1-index maintainers expose ``.index``; A(k) maintainers ``.family``
+        #: what is maintained (:class:`repro.index.structure.Structure`) ...
+        self.structure = maintainer.structure
+        #: ... and the same object under its kind's name, the other ``None``
         self.index = getattr(maintainer, "index", None)
         self.family = getattr(maintainer, "family", None)
         #: optional :class:`TouchedSet` accumulator for incremental
@@ -294,13 +296,7 @@ class GuardedMaintainer:
 
     def _attempt(self, apply_fn: Callable[[], Any], obs) -> Any:
         """One transactional attempt: mutate, post-check, commit."""
-        txn = Transaction(
-            self.graph,
-            index=self.index,
-            family=self.family,
-            on_record=self.fault_injector,
-            touched=self.touched,
-        )
+        txn = Transaction(self.graph, self.structure, self.fault_injector, self.touched)
         txn.begin()
         obs.add("resilience.txns")
         try:
@@ -308,9 +304,7 @@ class GuardedMaintainer:
             if self.invariants.due():
                 self.stats.checks += 1
                 obs.add("resilience.checks")
-                self.invariants.check(
-                    self.graph, index=self.index, family=self.family, touched=self.touched
-                )
+                self.invariants.check(self.graph, self.structure, self.touched)
         except BaseException as exc:
             txn.rollback()
             self.stats.rollbacks += 1

@@ -1,13 +1,12 @@
 """Post-transaction invariant checking: the batch's neighbourhood, then audits.
 
 The guard reuses the library's oracles instead of reimplementing checks:
-:meth:`DataGraph.check_invariants` and
-:meth:`StructuralIndex.check_invariants` for structural consistency,
-:func:`repro.index.stability.unstable_pairs` /
-:func:`~repro.index.stability.mergeable_pairs` for the 1-index, and
-:meth:`AkIndexFamily.check_invariants` /
-:meth:`~AkIndexFamily.signature_violations` for the family (minimal and
-minimum coincide for A(k), Lemma 6).
+:meth:`DataGraph.check_invariants` and the structure's own
+``check_invariants`` for structural consistency, then
+:func:`repro.index.stability.depth_violations` for what the structure
+claims to be — a valid, or a minimal, 1-index or A(k) family (minimal
+and minimum coincide for A(k), Lemma 6).  It never asks which of the two
+it was handed (:class:`repro.index.structure.Structure`).
 
 Each oracle takes an optional *scope*.  Split and merge are local — an
 update can only destabilise inodes reachable from the changed edge — and
@@ -37,9 +36,8 @@ from typing import Optional
 
 from repro.exceptions import InvariantViolationError, StructuralIndexError
 from repro.graph.datagraph import DataGraph
-from repro.index.akindex import AkIndexFamily
-from repro.index.base import StructuralIndex
-from repro.index.stability import mergeable_pairs, unstable_pairs
+from repro.index.stability import depth_violations
+from repro.index.structure import Structure
 from repro.obs import current as current_obs
 from repro.resilience.journal import TouchedSet
 
@@ -52,7 +50,7 @@ AUDIT_STEPS = ("graph", "structure", "depth")
 
 
 class InvariantGuard:
-    """Cadenced invariant checks over a graph and its index or family."""
+    """Cadenced invariant checks over a graph and the structure maintained over it."""
 
     def __init__(self, level: str = "valid", check_every: int = 1):
         if level not in LEVELS:
@@ -81,8 +79,7 @@ class InvariantGuard:
     def check(
         self,
         graph: DataGraph,
-        index: Optional[StructuralIndex] = None,
-        family: Optional[AkIndexFamily] = None,
+        structure: Structure,
         touched: Optional[TouchedSet] = None,
     ) -> None:
         """Run the configured checks; raise :class:`InvariantViolationError`.
@@ -90,18 +87,18 @@ class InvariantGuard:
         Scoped to *touched* and followed by the audit step whose turn it
         is, or every step unscoped when there is no usable scope.
         """
-        dnodes = inodes = tokens = None
+        scope: dict = {}
         if touched is None or touched.full:
             self.checks_full += 1
             self.checks_since_audit = 0  # the audit starts over
             self.last_audit_ok = False  # until the checks below pass
             self.last_visited = graph.num_nodes + 2 * graph.num_edges  # both mirrors
         else:
-            inodes, tokens = touched.inodes, touched.tokens
             dnodes = touched.dnodes | touched.moved
             for w in touched.moved:
                 if graph.has_node(w):  # its children's index parents changed name
                     dnodes.update(graph.iter_succ(w))
+            scope = {"dnodes": dnodes, "inodes": touched.inodes, "tokens": touched.tokens}
             self.last_visited = sum(
                 1 + graph.in_degree(w) + graph.out_degree(w)
                 for w in dnodes
@@ -110,16 +107,16 @@ class InvariantGuard:
             self.checks_local += 1
         current_obs().add("resilience.check_visited", self.last_visited)
         for step in AUDIT_STEPS:
-            self._run(step, graph, index, family, dnodes, inodes, tokens)
-        if dnodes is None:
-            self.last_audit_ok = True
+            self._run(step, graph, structure, **scope)
+        if scope:
+            self.audit_step(graph, structure)
         else:
-            self.audit_step(graph, index, family)
+            self.last_audit_ok = True
 
-    def audit_step(self, graph: DataGraph, index=None, family=None) -> None:
+    def audit_step(self, graph: DataGraph, structure: Structure) -> None:
         """Run the next step of the whole-graph audit; the last completes it."""
         self.last_audit_ok = False
-        self._run(AUDIT_STEPS[self.checks_since_audit], graph, index, family)
+        self._run(AUDIT_STEPS[self.checks_since_audit], graph, structure)
         self.last_audit_ok = True
         self.checks_since_audit += 1
         if self.checks_since_audit == len(AUDIT_STEPS):
@@ -127,43 +124,19 @@ class InvariantGuard:
             self.audits += 1
             current_obs().add("resilience.audits")
 
-    def _run(self, step, graph, index, family, dnodes=None, inodes=None, tokens=None):
-        """One step of the check, over the given ids or (none given) everything;
-        a lookup an oracle misses (a corrupted map) is a violation too."""
+    def _run(self, step: str, graph: DataGraph, structure: Structure, **scope) -> None:
+        """One step of the check, over the ids of *scope* or (none given)
+        everything; a lookup an oracle misses (a corrupted map) is a
+        violation too."""
         try:
             if step == "graph":
-                graph.check_invariants(dnodes)
+                graph.check_invariants(scope.get("dnodes"))
             elif step == "structure":
-                if index is not None:
-                    index.check_invariants(inodes, dnodes)
-                if family is not None:
-                    family.check_invariants(dnodes, tokens)
+                structure.check_invariants(**scope)
             elif self.level != "basic":
-                if index is not None:
-                    self._check_stability(index, inodes, dnodes)
-                if family is not None and self.level == "minimal":
-                    self._check_signatures(family, dnodes)
+                for violation in depth_violations(structure, self.level == "minimal", **scope):
+                    raise InvariantViolationError(*violation)
         except (AssertionError, LookupError, StructuralIndexError) as exc:
             raise InvariantViolationError(
                 f"structural invariant broken: {type(exc).__name__}: {exc}"
             ) from exc
-
-    def _check_stability(self, index: StructuralIndex, inodes, dnodes) -> None:
-        for pair in unstable_pairs(index, inodes, dnodes):
-            raise InvariantViolationError(
-                "index is no longer a valid 1-index: inode %s is not stable "
-                "w.r.t. inode %s" % pair, 1, pair,
-            )
-        if self.level == "minimal":
-            for pair in mergeable_pairs(index, inodes):
-                raise InvariantViolationError(
-                    f"index is valid but no longer minimal: inodes {pair} merge", 5, pair
-                )
-
-    def _check_signatures(self, family: AkIndexFamily, dnodes) -> None:
-        for level, token, other in family.signature_violations(dnodes):
-            raise InvariantViolationError(
-                f"A(k) family drifted from the minimum: inode {token}@{level} "
-                + ("mixes signatures" if other is None else f"signs like {other}"),
-                4, (token, other),
-            )

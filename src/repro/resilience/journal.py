@@ -29,8 +29,7 @@ from typing import Any, Callable, Optional
 
 from repro.exceptions import RollbackError
 from repro.graph.datagraph import DataGraph
-from repro.index.akindex import AkIndexFamily
-from repro.index.base import StructuralIndex
+from repro.index.structure import Structure
 
 #: one undo record: (target structure, operation name, inverse payload)
 JournalRecord = tuple[Any, str, tuple]
@@ -248,10 +247,10 @@ class MutationJournal:
 class Transaction:
     """Journal-attach/detach scope around one maintenance operation.
 
-    Enlists a graph and optionally a :class:`StructuralIndex` and/or an
-    :class:`AkIndexFamily`, then either :meth:`commit` (drop the log) or
-    :meth:`rollback` (undo it: the exact pre-transaction state).  Usable
-    as a context manager: an exception
+    Enlists a graph and the :class:`~repro.index.structure.Structure`
+    maintained over it (none for graph-only surgery), then either
+    :meth:`commit` (drop the log) or :meth:`rollback` (undo it: the exact
+    pre-transaction state).  Usable as a context manager: an exception
     escaping the ``with`` block triggers rollback, normal exit commits.
 
     Transactions do not nest — the journal hooks hold a single slot.
@@ -260,12 +259,11 @@ class Transaction:
     def __init__(
         self,
         graph: DataGraph,
-        index: Optional[StructuralIndex] = None,
-        family: Optional[AkIndexFamily] = None,
+        structure: Optional[Structure] = None,
         on_record: Optional[Callable[[str, int], None]] = None,
         touched: Optional[TouchedSet] = None,
     ):
-        self.enlisted = [s for s in (graph, index, family) if s is not None]
+        self.enlisted = [graph] if structure is None else [graph, structure]
         self.journal = MutationJournal(on_record, touched=touched)
         self._active = False
 

@@ -18,8 +18,8 @@ Quickstart::
     answer = service.query("//person/name")
     answer.matches, answer.version
 
-Drive it under load with :class:`repro.workload.sessions.ClosedLoopDriver`
-or from the CLI: ``python -m repro.experiments serve``.
+Drive it under load with :class:`repro.workload.sessions.ClosedLoopDriver`;
+``examples/serving_stack.py`` composes it with every part it can hold.
 """
 
 from repro.service.queue import (

@@ -36,8 +36,8 @@ holds and those steps call by name — ``service.store``
 ``adaptive=AdaptiveConfig()``) and the WAL tail of a
 :class:`repro.replication.FollowerIndexService` — and their public names
 read through the service (``service.wal``, ``service.cache``), so a
-capability is present exactly when its part is.  DESIGN.md "Commit
-pipeline" has the invariants the order buys.
+capability is present exactly when its part is.  DESIGN.md §4 has the
+invariants the order buys.
 
 Everything the service does is tallied both in :class:`ServiceStats`
 and through the process-wide :mod:`repro.obs` observer (``service.*``
@@ -63,11 +63,9 @@ from repro.exceptions import (
     StoreError,
 )
 from repro.graph.datagraph import DataGraph
-from repro.index.akindex import AkIndexFamily
-from repro.index.oneindex import OneIndex
-from repro.maintenance.ak_split_merge import AkSplitMergeMaintainer
+from repro.index.structure import Structure, build_structure
+from repro.maintenance import maintainer_for
 from repro.maintenance.operations import FAMILIES, OPERATIONS
-from repro.maintenance.split_merge import SplitMergeMaintainer
 from repro.obs import current as current_obs
 from repro.query.automaton import PathNfa
 from repro.query.evaluator import EvaluationReport
@@ -95,9 +93,11 @@ def _window() -> deque:
 class ServiceConfig:
     """How an :class:`IndexService` batches, admits and guards updates."""
 
-    #: which index family serves queries: ``one`` (1-index) or ``ak``
+    #: which index family a fresh service builds: ``one`` (1-index) or
+    #: ``ak``; a recovered, bootstrapped or promoted service serves the
+    #: structure it adopts, whatever this says (``service.structure``)
     family: str = "one"
-    #: leaf level for the ``ak`` family (ignored for ``one``)
+    #: leaf level of a freshly built ``ak`` family (ignored for ``one``)
     k: int = 2
     #: most operations drained into one batch (the commit unit)
     batch_max_ops: int = 64
@@ -182,7 +182,9 @@ class IndexService:
 
     The service **owns** its graph and maintainer: mutate only through
     :meth:`submit` / :meth:`flush`.  Construction builds the configured
-    index from the graph's current state and publishes version 0.
+    structure from the graph's current state — or adopts *maintainer*
+    with the structure it already maintains over *graph*, checkpoint-loaded
+    rather than rebuilt — and publishes it as *initial_version*.
 
     *store_dir* (with *store_config*) attaches a store over a fresh
     directory and writes checkpoint 0, so the service is recoverable
@@ -213,25 +215,14 @@ class IndexService:
         #: the adaptive part, or ``None`` for plain snapshot evaluation
         self.adaptive = None
         if maintainer is None:
-            if self.config.family == "one":
-                index = OneIndex.build(graph)
-                maintainer = SplitMergeMaintainer(index)
-            else:
-                family = AkIndexFamily.build(graph, self.config.k)
-                maintainer = AkSplitMergeMaintainer(family)
-        else:
-            # adopt a pre-built maintainer (the recovery path: its index
-            # was checkpoint-loaded, not rebuilt) — it must wrap this
-            # graph and match the configured family
-            if maintainer.graph is not graph:
-                raise ServiceError("adopted maintainer wraps a different graph")
-            expected = "index" if self.config.family == "one" else "family"
-            if getattr(maintainer, expected, None) is None:
-                raise ServiceError(
-                    f"adopted maintainer does not serve family "
-                    f"{self.config.family!r} (no .{expected})"
-                )
+            maintainer = maintainer_for(
+                build_structure(graph, self.config.family, self.config.k)
+            )
+        elif maintainer.graph is not graph:
+            raise ServiceError("adopted maintainer wraps a different graph")
         self.guarded = GuardedMaintainer(maintainer, self.config.guard, fault_injector)
+        #: the live 1-index or A(k) family; its ``kind`` / ``k`` are this service's
+        self.structure: Structure = self.guarded.structure
         self._touched = TouchedSet()
         self.guarded.track_touched(self._touched)
         self.queue = BoundedQueue(self.config.queue_capacity)
@@ -248,9 +239,7 @@ class IndexService:
         self._telemetry = None  # LiveTelemetry bundle, see start_telemetry()
         #: newest version whose state a whole-graph check has verified
         self._last_audit_version: Optional[int] = None
-        self._snapshot = IndexSnapshot.capture(
-            initial_version, graph, index=self.guarded.index, family=self.guarded.family
-        )
+        self._snapshot = IndexSnapshot.capture(initial_version, graph, self.structure)
         self.stats.versions_published = 1
         # the parts build on this module, so their imports are late
         if adaptive is not None:
@@ -368,10 +357,10 @@ class IndexService:
             raise ServiceClosedError("service is closed")
         self._check_fence()
         self._check_diverged()
-        if self.config.family not in OPERATIONS[update.op].families:
+        if self.structure.kind not in OPERATIONS[update.op].families:
             raise ServiceError(
                 f"{update.op!r} is not an operation of family "
-                f"{self.config.family!r} (an A(k) family is never reconstructed: "
+                f"{self.structure.kind!r} (an A(k) family is never reconstructed: "
                 "its maintenance keeps the unique minimum, Theorem 2)"
             )
 
@@ -536,18 +525,16 @@ class IndexService:
         The recovered service continues exactly where the last published
         version left off — same version number, same graph, same index
         partition (byte-identical wire dumps; the torture tests assert
-        it).  *config* may tune serving parameters but the index family
-        and ``k`` always come from the store; *adaptive* attaches the
-        adaptive plane, which is rebuilt, not recovered.
+        it).  *config* tunes serving; the structure served, its kind and
+        ``k`` are the store's; *adaptive* attaches the adaptive plane,
+        which is rebuilt, not recovered.
         """
         from repro.store import service as store
 
         result = store.recover(store_dir, check_level=check_level)
-        base = config if config is not None else ServiceConfig()
-        base = replace(base, family=result.kind, k=result.k if result.kind == "ak" else base.k)
         service = IndexService(
             result.graph,
-            base,
+            config,
             fault_injector,
             maintainer=result.maintainer,
             initial_version=result.version,
@@ -571,14 +558,8 @@ class IndexService:
         still re-captures everything the lost one perturbed.
         """
         obs = current_obs()
-        guarded = self.guarded
         snapshot = IndexSnapshot.evolve(
-            self._snapshot,
-            self._snapshot.version + 1,
-            self.graph,
-            self._touched,
-            index=guarded.index,
-            family=guarded.family,
+            self._snapshot, self._snapshot.version + 1, self.graph, self._touched, self.structure
         )
         if self.adaptive is not None:
             changed = self.adaptive.stage(snapshot, self._touched)
@@ -589,7 +570,8 @@ class IndexService:
         if self.adaptive is not None:
             self.adaptive.advance(snapshot.version, *changed)
         self._touched.clear()
-        if guarded.invariants.last_audit_ok and not guarded.invariants.checks_since_audit:
+        guard = self.guarded.invariants
+        if guard.last_audit_ok and not guard.checks_since_audit:
             self._last_audit_version = snapshot.version  # newest check was full
         self.stats.queries_per_version.append(retired)
         self.stats.versions_published += 1
@@ -597,14 +579,8 @@ class IndexService:
         obs.add("service.versions")
         if obs.enabled:  # sizing the index is O(#inodes): only for a live gauge
             obs.set("graph.bytes", self.graph.approx_bytes())
-            obs.set("index.bytes", self._index_bytes())
+            obs.set("index.bytes", self.structure.approx_bytes())
         return snapshot
-
-    def _index_bytes(self) -> int:
-        """Approximate resident bytes of the live index or family."""
-        if self.config.family == "one":
-            return self.guarded.index.approx_bytes()
-        return self.guarded.family.approx_bytes()
 
     # ------------------------------------------------------------------
     # Background writer
@@ -710,7 +686,8 @@ class IndexService:
         """Liveness facts for the ``/health`` endpoint, one section per part."""
         guard = self.guarded.invariants
         doc = {
-            "family": self.config.family,
+            "family": self.structure.kind,
+            "k": self.structure.k,
             "version": self.version,
             "closed": self._closed,
             "writer_alive": (
@@ -727,7 +704,7 @@ class IndexService:
             "diverged": self._diverged,
             "versions_published": self.stats.versions_published,
             "graph_bytes": self.graph.approx_bytes(),
-            "index_bytes": self._index_bytes(),
+            "index_bytes": self.structure.approx_bytes(),
             "last_audit_version": self._last_audit_version,
             "last_audit_ok": guard.last_audit_ok,
             "commits_since_audit": guard.checks_since_audit,
@@ -762,9 +739,7 @@ class IndexService:
         service never served from, nor left behind, corrupt state.
         """
         with self._writer_lock:
-            self.guarded.invariants.check(
-                self.graph, index=self.guarded.index, family=self.guarded.family
-            )
+            self.guarded.invariants.check(self.graph, self.structure)
             self._last_audit_version = self.version
 
     def queue_depth(self) -> int:
@@ -773,6 +748,6 @@ class IndexService:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<{type(self).__name__} family={self.config.family!r} v{self.version} "
+            f"<{type(self).__name__} family={self.structure.kind!r} v{self.version} "
             f"queued={len(self.queue)} inodes={self._snapshot.num_inodes}>"
         )

@@ -20,9 +20,10 @@ plus an O(|dict|) pointer copy, instead of re-freezing every adjacency
 tuple and extent frozenset — the same
 update-cost-proportional-to-the-change principle the paper applies to
 the index itself, applied one layer up.  One ``capture`` / ``evolve``
-pair freezes either family: a 1-index is read through its public
-surface, an A(k) family through the :class:`~repro.index.akindex.LeafView`
-that gives its leaf level the same one.  A full :meth:`capture` remains
+pair freezes either structure through its ``leaf()``: a 1-index is its
+own read surface, an A(k) family hands out the
+:class:`~repro.index.akindex.LeafView` that gives its leaf level the
+same one.  A full :meth:`capture` remains
 the cold-start path and the fallback whenever the touched set is marked
 ``full`` (e.g. after a degrade-rebuild, which renames every inode).
 Batching still amortises the per-publish work, and the per-batch
@@ -56,6 +57,7 @@ from repro.exceptions import GraphError, StructuralIndexError
 from repro.graph.datagraph import DataGraph
 from repro.index.akindex import AkIndexFamily, LeafView
 from repro.index.base import StructuralIndex
+from repro.index.structure import Structure
 from repro.query.automaton import PathNfa
 from repro.query.evaluator import EvaluationReport
 from repro.query.index_evaluator import evaluate_on_ak, evaluate_on_index
@@ -335,15 +337,21 @@ class FrozenIndex:
         return f"<FrozenIndex inodes={self.num_inodes}>"
 
 
+#: how a frozen leaf of each kind answers a path: a 1-index is precise on
+#: the index graph alone; an A(k) leaf validates long or descendant-axis
+#: expressions against the version's own frozen data graph (Section 3)
+EVALUATORS = {
+    StructuralIndex.kind: lambda index, k, query: evaluate_on_index(index, query),
+    AkIndexFamily.kind: evaluate_on_ak,
+}
+
+
 class IndexSnapshot:
     """One published, immutable index version.
 
     ``version`` counts committed batches (version 0 is the freshly built
-    index before any update).  ``kind`` records which family produced it:
-    ``"one"`` evaluates precisely on the index graph alone; ``"ak"``
-    evaluates on the materialised leaf level and validates long or
-    descendant-axis expressions against the snapshot's own frozen data
-    graph (Section 3's validation, version-consistently).
+    index before any update).  ``kind`` and ``k`` are those of the
+    structure that produced it and pick its entry of :data:`EVALUATORS`.
     """
 
     __slots__ = ("version", "kind", "k", "graph", "index", "ladder")
@@ -356,7 +364,7 @@ class IndexSnapshot:
         graph: FrozenGraph,
         index: FrozenIndex,
     ):
-        if kind not in ("one", "ak"):
+        if kind not in EVALUATORS:
             raise ValueError(f"unknown snapshot kind {kind!r}")
         self.version = version
         self.kind = kind
@@ -368,26 +376,11 @@ class IndexSnapshot:
         self.ladder = None
 
     @classmethod
-    def capture(
-        cls,
-        version: int,
-        graph: DataGraph,
-        index: Optional[StructuralIndex] = None,
-        family: Optional[AkIndexFamily] = None,
-    ) -> "IndexSnapshot":
-        """Freeze the writer's live structures into one version.
-
-        Exactly one of *index* (1-index service) and *family* (A(k)
-        service, materialised at its leaf level) must be given.
-        """
-        if (index is None) == (family is None):
-            raise ValueError("capture needs exactly one of index= or family=")
+    def capture(cls, version: int, graph: DataGraph, structure: Structure) -> "IndexSnapshot":
+        """Freeze the writer's live graph and structure into one version."""
         frozen_graph = FrozenGraph.capture(graph)
-        if family is None:
-            kind, k, live = "one", 0, index
-        else:
-            kind, k, live = "ak", family.k, LeafView(family)
-        return cls(version, kind, k, frozen_graph, FrozenIndex.capture(live, frozen_graph))
+        frozen_index = FrozenIndex.capture(structure.leaf(), frozen_graph)
+        return cls(version, structure.kind, structure.k, frozen_graph, frozen_index)
 
     @classmethod
     def evolve(
@@ -396,8 +389,7 @@ class IndexSnapshot:
         version: int,
         graph: DataGraph,
         touched: "TouchedSet",
-        index: Optional[StructuralIndex] = None,
-        family: Optional[AkIndexFamily] = None,
+        structure: Structure,
     ) -> "IndexSnapshot":
         """The next version from *prev* + the batch's touched set.
 
@@ -408,15 +400,16 @@ class IndexSnapshot:
         touched set is marked ``full`` (degrade-rebuild renamed every
         inode, so nothing of *prev* is reusable).
         """
-        if (index is None) == (family is None):
-            raise ValueError("evolve needs exactly one of index= or family=")
         if touched.full:
-            return cls.capture(version, graph, index=index, family=family)
+            return cls.capture(version, graph, structure)
         frozen_graph = FrozenGraph.evolve(prev.graph, graph, touched.dnodes)
-        live = index
-        if family is not None:
-            resolve_touched_leaves(family, touched)
-            live = LeafView(family)
+        live = structure.leaf()
+        # the journal named every entry whose members or *stored* iedges a
+        # record changed; iedges a read surface derives from adjacency (a
+        # leaf class's) change with no record, and only the post-batch
+        # partition can name them.  Added once per commit, here: the
+        # adaptive plane invalidates its cache through the same superset
+        touched.inodes.update(live.derived_entries(touched.dnodes))
         return cls(
             version,
             prev.kind,
@@ -426,15 +419,8 @@ class IndexSnapshot:
         )
 
     def evaluate(self, query: "str | PathExpression | PathNfa") -> EvaluationReport:
-        """Answer a path expression from this version, exactly.
-
-        1-index snapshots are precise by construction; A(k) snapshots
-        run the validation pass when the expression needs it, against
-        this snapshot's frozen graph.
-        """
-        if self.kind == "one":
-            return evaluate_on_index(self.index, query)
-        return evaluate_on_ak(self.index, self.k, query)
+        """Answer a path expression from this version, exactly."""
+        return EVALUATORS[self.kind](self.index, self.k, query)
 
     @property
     def num_inodes(self) -> int:
@@ -471,24 +457,3 @@ class IndexSnapshot:
             f"<IndexSnapshot v{self.version} kind={self.kind!r} "
             f"inodes={self.num_inodes} nodes={self.graph.num_nodes}>"
         )
-
-
-def resolve_touched_leaves(family: AkIndexFamily, touched: "TouchedSet") -> None:
-    """Complete ``touched.inodes`` with the leaf tokens graph changes reach.
-
-    The journal already put there both classes of every leaf-level move
-    and every closed leaf class.  A dnode's adjacency change also changes
-    the iedge sets of the classes around it, which only the post-batch
-    partition can name: the class of every touched dnode still alive and
-    the classes of its current parents.  Parents that changed on *their*
-    side (edge add/remove) are touched dnodes themselves.  Done once per
-    commit, here; the adaptive plane invalidates its result cache through
-    the same superset, so it can never disagree with publication.
-    """
-    class_of = family.levels[family.k].class_of
-    graph = family.graph
-    for w in touched.dnodes:
-        token = class_of.get(w)
-        if token is not None:  # else deleted this batch: its old token is there
-            touched.inodes.add(token)
-            touched.inodes.update(class_of[p] for p in graph.iter_pred(w))

@@ -8,12 +8,11 @@ CRC envelope of :mod:`repro.core.codec`::
 
     {"crc": 123..., "data": {
         "format_version": 2,
-        "kind": "one" | "ak",
-        "k": 0,
+        "kind": ..., "k": 0,   # the structure's (repro.index.KINDS)
         "wal_lsn": 42,         # every WAL record <= this is superseded
         "version": 42,         # service version at capture time
         "graph": {...},        # repro.graph.serialize.graph_to_dict
-        "index": {...}         # index_to_dict or family_to_dict
+        "index": {...}         # repro.index.serialize.structure_to_dict
     }}
 
 written **atomically**: serialise to ``<name>.tmp``, flush + fsync, then
@@ -41,17 +40,9 @@ from repro.core.codec import seal, unseal
 from repro.exceptions import CheckpointError
 from repro.graph.datagraph import DataGraph
 from repro.graph.serialize import check_format_version, graph_from_dict, graph_to_dict
-from repro.index.akindex import AkIndexFamily
-from repro.index.base import StructuralIndex
-from repro.index.oneindex import OneIndex
-from repro.index.serialize import (
-    family_from_dict,
-    family_to_dict,
-    index_from_dict,
-    index_to_dict,
-)
-from repro.maintenance.ak_split_merge import AkSplitMergeMaintainer
-from repro.maintenance.split_merge import SplitMergeMaintainer
+from repro.index.serialize import structure_from_dict, structure_to_dict
+from repro.index.structure import KINDS, Structure
+from repro.maintenance import maintainer_for
 from repro.obs import current as current_obs
 from repro.resilience.faults import FaultInjector
 from repro.store.wal import WriteAheadLog, replace_file
@@ -98,52 +89,42 @@ class Checkpoint:
     index_dict: dict[str, Any]
     path: str
 
-    def materialize(self) -> tuple[DataGraph, Optional[OneIndex], Optional[AkIndexFamily]]:
-        """Rebuild the live graph and index/family from the payload."""
+    def materialize(self) -> tuple[DataGraph, Structure]:
+        """Rebuild the live graph and the structure over it from the payload."""
         graph = graph_from_dict(self.graph_dict)
-        if self.kind == "one":
-            return graph, index_from_dict(graph, self.index_dict, cls=OneIndex), None
-        return graph, None, family_from_dict(graph, self.index_dict)
+        return graph, structure_from_dict(graph, self.kind, self.index_dict)
 
     def adopt(self) -> tuple[DataGraph, Any]:
-        """The live graph plus the split/merge maintainer over its index or family."""
-        graph, index, family = self.materialize()
-        if index is not None:
-            return graph, SplitMergeMaintainer(index)
-        return graph, AkSplitMergeMaintainer(family)
+        """The live graph plus the split/merge maintainer over its structure."""
+        graph, structure = self.materialize()
+        return graph, maintainer_for(structure)
 
 
 def write_checkpoint(
     directory: str,
     graph: DataGraph,
+    structure: Structure,
     *,
     wal_lsn: int,
     version: int,
-    index: Optional[StructuralIndex] = None,
-    family: Optional[AkIndexFamily] = None,
     fault_injector: Optional[FaultInjector] = None,
 ) -> str:
-    """Atomically write one checkpoint file; returns its path.
+    """Atomically write *graph* and *structure* as one checkpoint file;
+    returns its path.
 
-    Exactly one of *index* / *family* must be given.  The tmp-write /
-    fsync / rename sequence guarantees no reader ever selects a partial
-    file; *fault_injector* (io hook) can kill the sequence between any
-    two of those steps for the atomicity tests.
+    The tmp-write / fsync / rename sequence guarantees no reader ever
+    selects a partial file; *fault_injector* (io hook) can kill the
+    sequence between any two of those steps for the atomicity tests.
     """
-    if (index is None) == (family is None):
-        raise CheckpointError("write_checkpoint needs exactly one of index= or family=")
-    if index is not None:
-        kind, k, index_dict = "one", 0, index_to_dict(index)
-    else:
-        kind, k, index_dict = "ak", family.k, family_to_dict(family)
+    kind = structure.kind
     data = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "kind": kind,
-        "k": k,
+        "k": structure.k,
         "wal_lsn": wal_lsn,
         "version": version,
         "graph": graph_to_dict(graph),
-        "index": index_dict,
+        "index": structure_to_dict(structure),
     }
     document = seal(data)
     final_path = os.path.join(directory, checkpoint_name(wal_lsn))
@@ -182,7 +163,7 @@ def checkpoint_from_bytes(raw: bytes, origin: str = "<bytes>") -> Checkpoint:
         index_dict = data["index"]
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"malformed checkpoint {origin!r}: {exc!r}") from exc
-    if kind not in ("one", "ak"):
+    if kind not in KINDS:
         raise CheckpointError(f"checkpoint {origin!r} has unknown kind {kind!r}")
     return Checkpoint(
         kind=kind,
@@ -276,23 +257,15 @@ class Checkpointer:
             and self.records_since_checkpoint >= self.every_records
         )
 
-    def checkpoint(
-        self,
-        graph: DataGraph,
-        *,
-        version: int,
-        index: Optional[StructuralIndex] = None,
-        family: Optional[AkIndexFamily] = None,
-    ) -> str:
+    def checkpoint(self, graph: DataGraph, structure: Structure, *, version: int) -> str:
         """Snapshot now, truncate the WAL behind it, prune old checkpoints."""
         lsn = self.wal.last_lsn
         path = write_checkpoint(
             self.directory,
             graph,
+            structure,
             wal_lsn=lsn,
             version=version,
-            index=index,
-            family=family,
             fault_injector=self.fault_injector,
         )
         self.wal.truncate_upto(lsn)

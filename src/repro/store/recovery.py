@@ -7,7 +7,7 @@ The recovery protocol, in order:
    corrupt files fall back to their predecessor.  No checkpoint at all
    is a :class:`RecoveryError` — an initialised store always has one
    (the durable service writes checkpoint 0 on first open).
-2. **Materialise** the graph and index/family through the hardened
+2. **Materialise** the graph and its structure through the hardened
    loaders (they validate partitions, labels, supports — a tampered
    checkpoint fails here, not mid-replay).
 3. **Replay** every WAL record with ``lsn > checkpoint.wal_lsn``
@@ -29,8 +29,7 @@ from typing import Any, Optional
 
 from repro.exceptions import RecoveryError
 from repro.graph.datagraph import DataGraph
-from repro.index.akindex import AkIndexFamily
-from repro.index.oneindex import OneIndex
+from repro.index.structure import Structure
 from repro.obs import current as current_obs
 from repro.resilience.guard import GuardConfig, GuardedMaintainer
 from repro.resilience.invariants import InvariantGuard
@@ -44,10 +43,7 @@ class RecoveryResult:
     """Everything :func:`recover` reconstructed, plus how it got there."""
 
     graph: DataGraph
-    maintainer: Any  # SplitMergeMaintainer | AkSplitMergeMaintainer
-    guarded: GuardedMaintainer
-    kind: str
-    k: int
+    maintainer: Any  # the split/merge maintainer of the recovered structure
     #: service version of the recovered state (checkpoint version + replay)
     version: int
     checkpoint_lsn: int
@@ -56,14 +52,9 @@ class RecoveryResult:
     replayed_ops: int
 
     @property
-    def index(self) -> Optional[OneIndex]:
-        """The recovered 1-index (``None`` for an A(k) store)."""
-        return self.guarded.index
-
-    @property
-    def family(self) -> Optional[AkIndexFamily]:
-        """The recovered A(k) family (``None`` for a 1-index store)."""
-        return self.guarded.family
+    def structure(self) -> Structure:
+        """The recovered 1-index or A(k) family (its ``kind`` / ``k`` are the store's)."""
+        return self.maintainer.structure
 
 
 def recover(
@@ -111,9 +102,7 @@ def recover(
             replayed_ops += len(ops)
             last_lsn = record.lsn
         if check_level:
-            InvariantGuard(level=check_level).check(
-                graph, index=guarded.index, family=guarded.family
-            )
+            InvariantGuard(level=check_level).check(graph, maintainer.structure)
         elapsed = time.perf_counter() - started
         obs.add("store.recoveries")
         obs.add("store.replayed_records", replayed_records)
@@ -131,9 +120,6 @@ def recover(
         return RecoveryResult(
             graph=graph,
             maintainer=maintainer,
-            guarded=guarded,
-            kind=ckpt.kind,
-            k=ckpt.k,
             version=ckpt.version + replayed_records,
             checkpoint_lsn=ckpt.wal_lsn,
             last_lsn=last_lsn,

@@ -196,12 +196,7 @@ class ServiceStore:
 
     def checkpoint(self, service: IndexService, version: int) -> str:
         """Write *service*'s live pair as *version* (its writer lock held)."""
-        return self.checkpointer.checkpoint(
-            service.graph,
-            version=version,
-            index=service.guarded.index,
-            family=service.guarded.family,
-        )
+        return self.checkpointer.checkpoint(service.graph, service.structure, version=version)
 
     def health(self) -> dict:
         """The durability plane's position."""
@@ -210,7 +205,6 @@ class ServiceStore:
             "epoch": self.epoch,
             "last_lsn": self.wal.last_lsn,
             "durable_lsn": self.wal.durable_lsn,
-            "wal_last_lsn": self.wal.last_lsn,
             "wal_active_segment": self.wal.active_segment,
             "wal_fsync_policy": self.wal.fsync,
             "wal_rotations": self.wal.rotations,

@@ -34,7 +34,7 @@ LEVELS = (0, 1, 2)
 
 
 def capture_state(graph, family, version=0, levels=LEVELS):
-    snapshot = IndexSnapshot.capture(version, graph, family=family)
+    snapshot = IndexSnapshot.capture(version, graph, family)
     return snapshot, build_ladder_state(family, snapshot.index, version, levels)
 
 
@@ -155,7 +155,7 @@ class TestInvalidationSets:
 
     def test_newly_published_level_flushes(self, xmark_graph):
         family = AkIndexFamily.build(xmark_graph, K)
-        snapshot = IndexSnapshot.capture(0, xmark_graph, family=family)
+        snapshot = IndexSnapshot.capture(0, xmark_graph, family)
         prev = build_ladder_state(family, snapshot.index, 0, (1,))
         new = build_ladder_state(family, snapshot.index, 1, (0, 1))
         out = invalidation_sets(prev, new, set())
@@ -164,7 +164,7 @@ class TestInvalidationSets:
 
     def test_root_set_change_flushes_the_level(self, xmark_graph):
         family = AkIndexFamily.build(xmark_graph, K)
-        snapshot = IndexSnapshot.capture(0, xmark_graph, family=family)
+        snapshot = IndexSnapshot.capture(0, xmark_graph, family)
         prev = build_ladder_state(family, snapshot.index, 0, LEVELS)
         new = build_ladder_state(family, snapshot.index, 1, LEVELS)
         new.root_tokens[1] = frozenset({-1})  # simulate a ROOT-set change

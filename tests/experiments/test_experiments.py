@@ -39,7 +39,6 @@ class TestConfig:
         assert set(EXPERIMENTS) == {
             "fig9", "fig10", "fig11", "fig12", "fig13",
             "tab1", "tab2", "tab3", "ablation",
-            "serve",
         }
 
 

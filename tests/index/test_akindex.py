@@ -104,18 +104,3 @@ class TestMaterialisation:
     def test_inter_iedges_bounded_by_edges(self, figure4_graph):
         family = AkIndexFamily.build(figure4_graph, 3)
         assert family.count_inter_iedges() <= 3 * figure4_graph.num_edges
-
-
-class TestCopy:
-    def test_copy_is_deep(self, figure2_graph):
-        family = AkIndexFamily.build(figure2_graph, 2)
-        clone = family.copy()
-        token = next(clone.tokens_at(2))
-        clone.levels[2].extents[token].add(-1)
-        family.check_invariants()  # original untouched
-
-    def test_copy_equivalent(self, figure2_graph):
-        family = AkIndexFamily.build(figure2_graph, 2)
-        clone = family.copy()
-        assert clone.sizes() == family.sizes()
-        clone.check_invariants()

@@ -144,7 +144,7 @@ def test_rollback_refreshes_views():
         for inode in index.inodes()
     }
     with pytest.raises(ValueError):
-        with Transaction(graph, index=index):
+        with Transaction(graph, index):
             _split_b(graph, index, nodes)
             raise ValueError("abort")
     assert_views_live(index)

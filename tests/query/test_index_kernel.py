@@ -152,9 +152,7 @@ def surfaces_of(service) -> dict:
 
 
 def fresh_capture(service) -> IndexSnapshot:
-    if service.config.family == "one":
-        return IndexSnapshot.capture(0, service.graph, index=service.guarded.index)
-    return IndexSnapshot.capture(0, service.graph, family=service.guarded.family)
+    return IndexSnapshot.capture(0, service.graph, service.structure)
 
 
 def check_version(service, pool) -> None:
@@ -251,7 +249,7 @@ class TestOnlyTheRootSeeds:
         assert evaluate_on_graph(graph, expression).matches == expected
         index = OneIndex.build(graph)
         assert evaluate_on_index(index, expression).matches == expected
-        snapshot = IndexSnapshot.capture(0, graph, index=index)
+        snapshot = IndexSnapshot.capture(0, graph, index)
         assert evaluate_on_index(snapshot.index, expression).matches == expected
         assert snapshot.evaluate(expression).matches == expected
 
@@ -260,7 +258,7 @@ class TestOnlyTheRootSeeds:
         graph, a = impostor_graph()
         expected = frozenset({a}) if matches else frozenset()
         family = AkIndexFamily.build(graph, K)
-        snapshot = IndexSnapshot.capture(0, graph, family=family)
+        snapshot = IndexSnapshot.capture(0, graph, family)
         assert snapshot.evaluate(expression).matches == expected
         ladder = build_ladder_state(family, snapshot.index, 0, LEVELS)
         for level in LEVELS + (K,):
@@ -311,8 +309,8 @@ class TestOnlyTheRootSeeds:
         graph.add_edge(b, a)
         index = OneIndex.build(graph)
         family = AkIndexFamily.build(graph, K)
-        one = IndexSnapshot.capture(0, graph, index=index)
-        ak = IndexSnapshot.capture(0, graph, family=family)
+        one = IndexSnapshot.capture(0, graph, index)
+        ak = IndexSnapshot.capture(0, graph, family)
         ladder = build_ladder_state(family, ak.index, 0, LEVELS)
         surfaces = [index, one.index, ak.index, *(ladder.level_view(j) for j in LEVELS)]
         for surface in surfaces:
@@ -387,7 +385,7 @@ def test_a_child_path_reads_the_same_tables_at_four_times_the_index():
     for factor in (1, 4):
         graph = scaled_xmark(factor)
         index = OneIndex.build(graph)
-        frozen = IndexSnapshot.capture(0, graph, index=index).index
+        frozen = IndexSnapshot.capture(0, graph, index).index
         for name, surface in (("live", index), ("frozen", frozen)):
             reads[factor, name] = {
                 expression: reads_of(surface, expression)

@@ -11,6 +11,7 @@ primary's last acknowledged state, for both index families.
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -24,7 +25,8 @@ from repro.replication import (
     promote,
 )
 from repro.resilience.faults import REPLICATION_FAULTS, FaultInjector
-from repro.service import Update
+from repro.service import IndexService, Update
+from repro.service.snapshot import IndexSnapshot
 from repro.store import read_epoch
 from repro.workload.updates import MixedUpdateWorkload
 from repro.workload.xmark import generate_xmark
@@ -113,6 +115,57 @@ class TestPromotion:
         assert loser.link.highest_epoch == result.epoch
         promoted.close()
         loser.close()
+        service.close(checkpoint=False)
+
+    @pytest.mark.parametrize("family", ["one", "ak"])
+    def test_the_winner_is_retired_before_its_structures_change_hands(
+        self, store_dir, family
+    ):
+        """A winner left tailing the directory would fetch the promoted
+        primary's own records and apply them a second time over the
+        graph and maintainer that just produced them."""
+        service = make_primary(store_dir, family=family)
+        commit_inserts(service, 2)
+        followers = bootstrap_pair(service)
+        for follower in followers:
+            follower.start_tailing(poll_interval=0.001)
+        commit_inserts(service, 2, tag="tail")
+        deadline = time.monotonic() + 10.0
+        while any(f.applied_lsn < service.wal.last_lsn for f in followers):
+            assert time.monotonic() < deadline, "the tails never caught up"
+            time.sleep(0.005)
+        service.wal.close()  # the primary dies
+
+        result = promote(store_dir, followers, store_config=DURABLE)
+        promoted, winner = result.promoted, followers[result.winner]
+        assert winner.health()["replication"]["tailing"] is False
+        commit_inserts(promoted, 3, tag="after")
+        for refused in (winner.sync, winner.catch_up, winner.start_tailing):
+            with pytest.raises(ReplicationError, match=f"promoted at epoch {result.epoch}"):
+                refused()
+        # reads keep working, at the last version the winner itself published
+        assert (winner.version, winner.query("//tail").version) == (4, 4)
+        assert winner.records_applied == 4
+
+        # live pair == published version == what the log replays to
+        assert promoted.version == promoted.wal.last_lsn == 7
+        live = IndexSnapshot.capture(promoted.version, promoted.graph, promoted.structure)
+        assert live.fingerprint() == promoted.snapshot.fingerprint()
+        promoted.check()
+        # the loser, still tailing the directory, follows the new primary
+        loser = followers[1 - result.winner]
+        deadline = time.monotonic() + 10.0
+        while loser.applied_lsn < 7:
+            assert time.monotonic() < deadline, "the loser's tail stalled"
+            time.sleep(0.005)
+        assert loser.snapshot.fingerprint() == promoted.snapshot.fingerprint()
+        published = (promoted.version, promoted.snapshot.fingerprint())
+        promoted.close(checkpoint=False)
+        recovered = IndexService.recover(store_dir, store_config=DURABLE)
+        assert (recovered.version, recovered.snapshot.fingerprint()) == published
+        recovered.close(checkpoint=False)
+        for follower in followers:
+            follower.close()
         service.close(checkpoint=False)
 
     def test_zombie_primary_is_fenced_durably(self, store_dir):

@@ -41,7 +41,7 @@ class TestBootstrapAndCatchUp:
         # bootstrapped at the checkpoint: LSN and version in lockstep
         assert follower.applied_lsn == 3
         assert follower.version == 3
-        assert follower.config.family == family
+        assert follower.structure.kind == follower.snapshot.kind == family
         applied = follower.catch_up()
         assert applied == 3
         assert follower.applied_lsn == service.wal.last_lsn == 6

@@ -122,23 +122,23 @@ def make_setup(kind: str, method: str, chaos_graph_dict: dict):
     if kind == "one":
         index = OneIndex.build(graph)
         maintainer = SplitMergeMaintainer(index)
-        structures = {"index": index}
+        structure = index
         fingerprints = lambda: (graph_fingerprint(graph), index_fingerprint(index))
     else:
         family = AkIndexFamily.build(graph, AK_K)
         maintainer = AkSplitMergeMaintainer(family)
-        structures = {"family": family}
+        structure = family
         fingerprints = lambda: (graph_fingerprint(graph), family_fingerprint(family))
 
     thunk = lambda: getattr(maintainer, method)(*args)
-    return graph, structures, thunk, fingerprints
+    return graph, structure, thunk, fingerprints
 
 
 def _journal_length(kind: str, method: str, chaos_graph_dict: dict) -> int:
     """How many records one application of *method* journals."""
-    graph, structures, thunk, fingerprints = make_setup(kind, method, chaos_graph_dict)
+    graph, structure, thunk, fingerprints = make_setup(kind, method, chaos_graph_dict)
     before = fingerprints()
-    txn = Transaction(graph, **structures).begin()
+    txn = Transaction(graph, structure).begin()
     thunk()
     length = len(txn.journal)
     # the index's or family's own records are in the sweep: a fault
@@ -165,12 +165,12 @@ def test_rollback_is_byte_identical_at_every_fault_point(
     length = _journal_length(kind, method, chaos_graph_dict)
     assert length > 0, f"{kind}.{method} journaled nothing"
     for position in _fault_positions(length):
-        graph, structures, thunk, fingerprints = make_setup(
+        graph, structure, thunk, fingerprints = make_setup(
             kind, method, chaos_graph_dict
         )
         before = fingerprints()
         injector = FaultInjector(at_record=position)
-        txn = Transaction(graph, **structures, on_record=injector).begin()
+        txn = Transaction(graph, structure, on_record=injector).begin()
         with pytest.raises(InjectedFaultError):
             thunk()
         txn.rollback()
@@ -193,10 +193,10 @@ def test_rollback_property_random_fault_points(
     """Any fault position in [1, journal length] rolls back exactly."""
     length = _journal_length(kind, method, chaos_graph_dict)
     position = 1 + round(fault_fraction * (length - 1))
-    graph, structures, thunk, fingerprints = make_setup(kind, method, chaos_graph_dict)
+    graph, structure, thunk, fingerprints = make_setup(kind, method, chaos_graph_dict)
     before = fingerprints()
     txn = Transaction(
-        graph, **structures, on_record=FaultInjector(at_record=position)
+        graph, structure, on_record=FaultInjector(at_record=position)
     ).begin()
     with pytest.raises(InjectedFaultError):
         thunk()

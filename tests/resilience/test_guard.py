@@ -196,19 +196,19 @@ class TestInvariantChecking:
         # leaves two mergeable blocks — only the 'minimal' level objects
         index = OneIndex.build(diamond_dag)
         guard = InvariantGuard(level="minimal")
-        guard.check(diamond_dag, index=index)  # minimum index passes
+        guard.check(diamond_dag, index)  # minimum index passes
         inode = next(i for i in index.inodes() if len(index.extent(i)) > 1)
         dnode = next(iter(index.extent(inode)))
         fresh = index.new_inode(index.label_of(inode))
         index.move_dnode(dnode, fresh)
         assert is_valid_1index(index)
-        InvariantGuard(level="valid").check(diamond_dag, index=index)
+        InvariantGuard(level="valid").check(diamond_dag, index)
         with pytest.raises(InvariantViolationError):
-            guard.check(diamond_dag, index=index)
+            guard.check(diamond_dag, index)
 
     def test_family_checks(self, figure2_graph):
         family = AkIndexFamily.build(figure2_graph, 2)
-        InvariantGuard(level="minimal").check(figure2_graph, family=family)
+        InvariantGuard(level="minimal").check(figure2_graph, family)
 
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):

@@ -101,7 +101,7 @@ class TestIndexRollback:
         maintainer = SplitMergeMaintainer(index)
         g_before = graph_fingerprint(graph)
         i_before = index_fingerprint(index)
-        txn = Transaction(graph, index=index).begin()
+        txn = Transaction(graph, index).begin()
         # the paper's running example: 2 splits + 2 merges
         stats = maintainer.insert_edge(figure2_builder.oid(2), figure2_builder.oid(4))
         assert stats.splits == 2 and stats.merges == 2
@@ -117,7 +117,7 @@ class TestIndexRollback:
         maintainer = SplitMergeMaintainer(index)
         g_before = graph_fingerprint(graph)
         i_before = index_fingerprint(index)
-        txn = Transaction(graph, index=index).begin()
+        txn = Transaction(graph, index).begin()
         maintainer.delete_edge(figure2_builder.oid(2), figure2_builder.oid(5))
         txn.rollback()
         assert graph_fingerprint(graph) == g_before
@@ -130,7 +130,7 @@ class TestIndexRollback:
         maintainer = SplitMergeMaintainer(index)
         g_before = graph_fingerprint(graph)
         i_before = index_fingerprint(index)
-        txn = Transaction(graph, index=index).begin()
+        txn = Transaction(graph, index).begin()
         oid, _ = maintainer.insert_node(figure2_builder.oid(1), "B")
         assert graph.has_node(oid)
         txn.rollback()
@@ -144,9 +144,9 @@ class TestIndexRollback:
         index = OneIndex.build(graph)
         maintainer = SplitMergeMaintainer(index)
         size = index.num_inodes
-        with Transaction(graph, index=index):
+        with Transaction(graph, index):
             maintainer.insert_edge(figure2_builder.oid(2), figure2_builder.oid(4))
-        with Transaction(graph, index=index):
+        with Transaction(graph, index):
             maintainer.delete_edge(figure2_builder.oid(2), figure2_builder.oid(4))
         assert index.num_inodes == size
         index.check_invariants()
@@ -161,7 +161,7 @@ class TestFamilyRollback:
         maintainer = AkSplitMergeMaintainer(family)
         g_before = graph_fingerprint(graph)
         f_before = family_fingerprint(family)
-        txn = Transaction(graph, family=family).begin()
+        txn = Transaction(graph, family).begin()
         maintainer.insert_edge(figure2_builder.oid(2), figure2_builder.oid(4))
         assert [op for target, op, _ in txn.journal.records if target is family] == [
             "member_moved"
@@ -192,7 +192,7 @@ class TestFamilyRollback:
         maintainer = AkSplitMergeMaintainer(family)
         before = graph_fingerprint(graph), family_fingerprint(family)
         labels_before = dict(family.label_tokens)
-        txn = Transaction(graph, family=family).begin()
+        txn = Transaction(graph, family).begin()
         maintainer.insert_edge(builder.oid(2), builder.oid(3), EdgeKind.IDREF)
         maintainer.delete_edge(builder.oid(2), builder.oid(3))
         maintainer.insert_node(builder.oid(3), "new-label")
@@ -213,7 +213,7 @@ class TestFamilyRollback:
         family = AkIndexFamily.build(graph, 2)
         maintainer = AkSplitMergeMaintainer(family)
         f_before = family_fingerprint(family)
-        with Transaction(graph, family=family):
+        with Transaction(graph, family):
             maintainer.insert_edge(figure2_builder.oid(2), figure2_builder.oid(4))
         assert family_fingerprint(family) != f_before
         family.check_invariants()

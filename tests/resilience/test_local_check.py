@@ -70,13 +70,6 @@ def prepared(seed: int, config: XMarkConfig = CHAOS_XMARK):
     return graph, MixedUpdateWorkload.prepare(graph, seed=seed)
 
 
-def structures(maintainer) -> dict:
-    return {
-        "index": getattr(maintainer, "index", None),
-        "family": getattr(maintainer, "family", None),
-    }
-
-
 def edge_call(step) -> tuple[str, tuple]:
     op, source, target = step
     if op == "insert":
@@ -87,14 +80,14 @@ def edge_call(step) -> tuple[str, tuple]:
 @pytest.fixture
 def local_only(monkeypatch):
     """Local checks without the audit step that normally rides on them."""
-    monkeypatch.setattr(InvariantGuard, "audit_step", lambda self, *structures: None)
+    monkeypatch.setattr(InvariantGuard, "audit_step", lambda self, graph, structure: None)
 
 
-def verdict(level: str, graph, touched=None, **kinds):
+def verdict(level: str, graph, structure, touched=None):
     """The exception a fresh guard raises on this state, or ``None``."""
     guard = InvariantGuard(level=level)
     try:
-        guard.check(graph, touched=touched, **kinds)
+        guard.check(graph, structure, touched)
     except InvariantViolationError as exc:
         return exc
     assert (guard.checks_local == 1) == (touched is not None)
@@ -112,19 +105,17 @@ def paired(monkeypatch, local_only):
     tally = {"local": 0, "violations": [], "disagreements": []}
     scoped_check = InvariantGuard.check
 
-    def both(self, graph, index=None, family=None, touched=None):
+    def both(self, graph, structure, touched=None):
         scoped = full = None
         local_before = self.checks_local
         try:
-            scoped_check(self, graph, index=index, family=family, touched=touched)
+            scoped_check(self, graph, structure, touched)
         except InvariantViolationError as exc:
             scoped = exc
         if self.checks_local > local_before:
             tally["local"] += 1
             try:
-                scoped_check(
-                    InvariantGuard(level=self.level), graph, index=index, family=family
-                )
+                scoped_check(InvariantGuard(level=self.level), graph, structure)
             except InvariantViolationError as exc:
                 full = exc
             if type(scoped) is not type(full):  # (a raise here would be "handled")
@@ -318,6 +309,38 @@ def unmerge_ak_class(graph, maintainer, touched):
     touched.moved.add(w)
 
 
+def move_to_sibling_class(graph, maintainer, touched):
+    # a dnode among leaf classmates that sign differently (Def. 4), under
+    # the same tree parent: every map and link stays consistent
+    family = maintainer.family
+    level, coarser = family.levels[AK_K], family.levels[AK_K - 1]
+    token, sibling = next(
+        (t, s)
+        for lvl, t in sorted(touched.tokens)
+        if lvl == AK_K and len(level.extents.get(t, ())) > 1
+        for s in sorted(coarser.children[level.parent[t]])
+        if s != t
+    )
+    w = min(level.extents[token])
+    level.extents[token].discard(w)
+    level.extents[sibling].add(w)
+    level.class_of[w] = sibling
+    touched.moved.add(w)
+
+
+def move_to_sibling_inode(graph, maintainer, touched):
+    # the 1-index analogue, through the index's own surgery (supports kept)
+    index = maintainer.index
+    w, other = next(
+        (w, i)
+        for w in sorted(touched.moved)
+        if graph.has_node(w) and index.extent_size(index.inode_of(w)) > 1
+        for i in sorted(index.inodes())
+        if i != index.inode_of(w) and index.label_of(i) == graph.label(w)
+    )
+    index.move_dnode(w, other)
+
+
 MATRIX = [
     ("one", swap_extent_member),
     ("one", drop_iedge_support),
@@ -329,6 +352,7 @@ MATRIX = [
     ("ak", break_graph_mirror),
     ("ak", break_class_map),
     ("ak", break_tree_parent),
+    ("ak", move_to_sibling_class),
 ]
 
 
@@ -337,12 +361,12 @@ MATRIX = [
 )
 def test_corruption_inside_the_touched_region_is_caught(family, corrupt, local_only):
     graph, maintainer, touched = batched(family)
-    kinds = structures(maintainer)
-    assert verdict("minimal", graph, touched, **kinds) is None
-    assert verdict("minimal", graph, **kinds) is None
+    structure = maintainer.structure
+    assert verdict("minimal", graph, structure, touched) is None
+    assert verdict("minimal", graph, structure) is None
     corrupt(graph, maintainer, touched)
-    scoped = verdict("minimal", graph, touched, **kinds)
-    full = verdict("minimal", graph, **kinds)
+    scoped = verdict("minimal", graph, structure, touched)
+    full = verdict("minimal", graph, structure)
     assert type(scoped) is type(full) is InvariantViolationError, (scoped, full)
 
 
@@ -355,14 +379,39 @@ def test_a_missed_merge_is_caught_at_minimal_only(family, definition, local_only
     else:
         graph, maintainer, touched = batched(family)
         unmerge_ak_class(graph, maintainer, touched)
-    kinds = structures(maintainer)
-    assert verdict("valid", graph, touched, **kinds) is None
-    assert verdict("valid", graph, **kinds) is None
-    scoped = verdict("minimal", graph, touched, **kinds)
-    full = verdict("minimal", graph, **kinds)
+    structure = maintainer.structure
+    assert verdict("valid", graph, structure, touched) is None
+    assert verdict("valid", graph, structure) is None
+    scoped = verdict("minimal", graph, structure, touched)
+    full = verdict("minimal", graph, structure)
     assert type(scoped) is type(full) is InvariantViolationError
     assert scoped.definition == full.definition == definition
     assert scoped.pair is not None
+
+
+@pytest.mark.parametrize(
+    "family,misplace,definition",
+    [("one", move_to_sibling_inode, 1), ("ak", move_to_sibling_class, 4)],
+    ids=["one", "ak"],
+)
+def test_a_dnode_in_a_sibling_class_is_caught_from_valid_up(
+    family, misplace, definition, local_only
+):
+    """Every map, support and tree link consistent, one dnode where its
+    parents do not put it: nothing for ``basic``, a validity violation of
+    either structure, scoped and full alike, at every level above."""
+    graph, maintainer, touched = batched(family)
+    structure = maintainer.structure
+    misplace(graph, maintainer, touched)
+    assert verdict("basic", graph, structure, touched) is None
+    assert verdict("basic", graph, structure) is None
+    for level in ("valid", "minimal"):
+        scoped = verdict(level, graph, structure, touched)
+        full = verdict(level, graph, structure)
+        assert type(scoped) is type(full) is InvariantViolationError, (level, scoped, full)
+        assert scoped.definition == full.definition == definition
+    if family == "ak":
+        assert "mixes signatures" in str(scoped) and "mixes signatures" in str(full)
 
 
 def test_corruption_outside_the_touched_region_waits_for_the_audit():
@@ -390,7 +439,7 @@ def test_corruption_outside_the_touched_region_waits_for_the_audit():
     index._pred_support[child][root_inode] += 1
     touched = TouchedSet()
     touched.dnodes.update(service.guarded.touched.dnodes)
-    assert verdict("minimal", graph, touched, index=index) is None  # locally fine
+    assert verdict("minimal", graph, index, touched) is None  # locally fine
 
     commits = 0
     with pytest.raises(InvariantViolationError, match="supports of inode"):
@@ -497,6 +546,34 @@ def test_recovery_post_check_is_a_full_check(tmp_path, monkeypatch):
     recovered.close(checkpoint=False)
 
 
+def test_recovery_refuses_an_invalid_family_at_its_default_level(tmp_path):
+    """``valid`` means Definition 4 for a family too: a checkpoint whose
+    family passes every structural check but holds a dnode among leaf
+    classmates that sign differently does not come back as a service."""
+    graph, workload = prepared(13)
+    service = DurableIndexService(
+        graph,
+        str(tmp_path / "store"),
+        ServiceConfig(family="ak", k=AK_K),
+        StoreConfig(fsync="off"),
+    )
+    for step in workload.steps(8, validate=True):
+        service.submit(Update(*edge_call(step)))
+    service.flush()
+    anywhere = TouchedSet()
+    anywhere.tokens.update((AK_K, t) for t in service.structure.levels[AK_K].extents)
+    move_to_sibling_class(graph, service.guarded.maintainer, anywhere)
+    service.structure.check_invariants()  # structurally sound: it loads
+    service.checkpoint()
+    service.close(checkpoint=False)
+
+    with pytest.raises(InvariantViolationError, match="mixes signatures") as caught:
+        IndexService.recover(str(tmp_path / "store"))
+    assert caught.value.definition == 4
+    loaded = IndexService.recover(str(tmp_path / "store"), check_level="basic")
+    loaded.close(checkpoint=False)
+
+
 # ----------------------------------------------------------------------
 # Health, audit cadence, O(touched)
 # ----------------------------------------------------------------------
@@ -567,7 +644,7 @@ def test_scoped_visits_do_not_grow_with_the_graph():
         trail = drive(service, workload, batches=12)
         assert service.guarded.invariants.checks_full == 0
         full = InvariantGuard(level="minimal")
-        full.check(graph, index=service.guarded.index)
+        full.check(graph, service.structure)
         visits[scale] = (sum(visited for visited, _ in trail), full.last_visited)
         service.close()
     (local_1, full_1), (local_4, full_4) = visits[1], visits[4]

@@ -84,7 +84,7 @@ class TestIndexTouches:
         b_inode = index.inode_of(n["b1"])
         a_inode = index.inode_of(n["a1"])
         touched = TouchedSet()
-        with Transaction(graph, index=index, touched=touched):
+        with Transaction(graph, index, touched=touched):
             new = index.split_off(b_inode, {n["b1"]})
         # the split block, the new block, and the parents whose iedge
         # sets now point at the new block
@@ -97,7 +97,7 @@ class TestIndexTouches:
         split = index.split_off(b_inode, {n["b1"]})
         a_inode = index.inode_of(n["a1"])
         touched = TouchedSet()
-        with Transaction(graph, index=index, touched=touched):
+        with Transaction(graph, index, touched=touched):
             index.merge_inodes([b_inode, split])
         assert {b_inode, split} <= touched.inodes
         # the parents' support tables were rewritten by the fold
@@ -141,7 +141,7 @@ class TestAkLeafReporting:
 
     def test_insert_node_reports_leaf_move_at_k0(self):
         graph, maintainer, n, touched = self.make(0)
-        with Transaction(graph, family=maintainer.family, touched=touched):
+        with Transaction(graph, maintainer.family, touched=touched):
             new, _ = maintainer.insert_node(n["a1"], "b")
         token = maintainer.family.levels[0].class_of[new]
         assert new in touched.moved
@@ -151,7 +151,7 @@ class TestAkLeafReporting:
     def test_delete_node_reports_departure(self):
         graph, maintainer, n, touched = self.make(2)
         old_token = maintainer.family.levels[2].class_of[n["b1"]]
-        with Transaction(graph, family=maintainer.family, touched=touched):
+        with Transaction(graph, maintainer.family, touched=touched):
             maintainer.delete_node(n["b1"])
         assert n["b1"] in touched.moved
         assert (2, old_token) in touched.tokens
@@ -161,7 +161,7 @@ class TestAkLeafReporting:
         graph, maintainer, n, touched = self.make(2)
         leaf = maintainer.family.levels[2].extents
         before = set(leaf)
-        with Transaction(graph, family=maintainer.family, touched=touched):
+        with Transaction(graph, maintainer.family, touched=touched):
             maintainer.insert_edge(n["root"], n["b1"], EdgeKind.IDREF)  # splits b1 off
         assert {level for level, _ in touched.tokens} >= {1, 2}
         # (tokens of the other levels share the leaf's number space: the

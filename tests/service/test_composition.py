@@ -7,6 +7,9 @@ answers as every other.  Three layers of evidence:
 * **the matrix** — {volatile, durable} x {plain, adaptive} primaries and
   {plain, adaptive} followers, both families, driven by one mixed
   update/query stream and checked against ground truth at every version;
+  a fresh, a recovered, a bootstrapped and a promoted service each state
+  one ``kind`` / ``k`` — the maintained structure's — in every place
+  that states it;
 * **the stage order** — what a fault between two stages of
   ``IndexService._commit`` leaves behind (nothing half-visible);
 * **the structure** — read off ``src/`` with :mod:`ast`: one commit
@@ -37,7 +40,7 @@ from repro.resilience.faults import FaultInjector
 from repro.resilience.guard import GuardConfig
 from repro.service import IndexService, ServiceConfig, Update
 from repro.service.snapshot import IndexSnapshot
-from repro.store import StoreConfig, list_segments
+from repro.store import StoreConfig, latest_checkpoint, list_segments
 from repro.workload.queries import QueryWorkload
 from repro.workload.updates import MixedUpdateWorkload
 from repro.workload.xmark import generate_xmark
@@ -59,20 +62,34 @@ def service_config(family: str, **overrides) -> ServiceConfig:
     return ServiceConfig(family=family, k=2, batch_max_ops=8, **overrides)
 
 
-def bootstrap(primary: IndexService, plane: str) -> FollowerIndexService:
+def misnamed(family: str) -> ServiceConfig:
+    """A caller's config that names the *other* family than the store's."""
+    return service_config("ak" if family == "one" else "one")
+
+
+def bootstrap(primary: IndexService, plane: str, config=None) -> FollowerIndexService:
     link = ReplicationLink(Primary(service=primary), sleep=lambda _s: None)
-    return FollowerIndexService.bootstrap(link, adaptive=adaptive_config(plane))
+    return FollowerIndexService.bootstrap(link, config, adaptive=adaptive_config(plane))
+
+
+def check_kind(service: IndexService, family: str, store_dir=None) -> None:
+    """``kind`` / ``k`` are the structure's wherever they are stated."""
+    stated = (family, 2 if family == "ak" else 0)
+    health = service.health()
+    assert (service.structure.kind, service.structure.k) == stated
+    assert (service.snapshot.kind, service.snapshot.k) == stated
+    assert (health["family"], health["k"]) == stated
+    if store_dir is not None:
+        checkpoint = latest_checkpoint(store_dir)
+        assert (checkpoint.kind, checkpoint.k) == stated
+    if service.adaptive is not None:
+        assert service.router.k == stated[1]
 
 
 def check_version(service: IndexService, pool) -> None:
     """Ground truth and publication identity at the served version."""
     snapshot = service.snapshot
-    fresh = IndexSnapshot.capture(
-        snapshot.version,
-        service.graph,
-        index=service.guarded.index,
-        family=service.guarded.family,
-    )
+    fresh = IndexSnapshot.capture(snapshot.version, service.graph, service.structure)
     assert snapshot.fingerprint() == fresh.fingerprint()
     for expression in pool:
         served = service.query(expression)
@@ -140,7 +157,9 @@ def test_volatile_primary(family, plane):
     )
     assert not hasattr(service, "wal")
     assert hasattr(service, "cache") == (plane == "adaptive")
+    check_kind(service, family)
     stream.drive(service)
+    check_kind(service, family)
     service.check()
     service.close()
 
@@ -159,21 +178,27 @@ def test_durable_primary_survives_a_crash(tmp_path, family, plane):
     )
     assert hasattr(service, "wal") and service.store_dir == store_dir
     assert hasattr(service, "cache") == (plane == "adaptive")
+    check_kind(service, family, store_dir)
     stream.drive(service, rounds=range(ROUNDS // 2))
     acknowledged = (service.version, service.snapshot.fingerprint())
     service.close(checkpoint=False)  # the crash: recovery must replay the log
 
+    # the store's structure wins over the family the caller's config
+    # names, and the caller's object is handed through, not rewritten
+    requested = misnamed(family)
     recovered = IndexService.recover(
-        store_dir, store_config=DURABLE, adaptive=adaptive_config(plane)
+        store_dir, requested, store_config=DURABLE, adaptive=adaptive_config(plane)
     )
     assert recovered.recovery.replayed_records == ROUNDS // 2
     assert (recovered.version, recovered.snapshot.fingerprint()) == acknowledged
-    assert recovered.config.family == family
+    assert recovered.config is requested and requested.family != family
+    check_kind(recovered, family, store_dir)
     assert hasattr(recovered, "cache") == (plane == "adaptive")
     stream.drive(recovered, rounds=range(ROUNDS // 2, ROUNDS))
     assert recovered.wal.last_lsn == recovered.version == ROUNDS
     recovered.check()
     recovered.close()
+    check_kind(recovered, family, store_dir)  # ... and the closing checkpoint's
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -190,7 +215,10 @@ def test_follower_tracks_its_primary_and_takes_over(tmp_path, family, plane):
         store_config=DURABLE,
         adaptive=adaptive_config("plain" if plane == "adaptive" else "adaptive"),
     )
-    follower = bootstrap(primary, plane)
+    requested = misnamed(family)
+    follower = bootstrap(primary, plane, requested)
+    assert follower.config is requested and requested.family != family
+    check_kind(follower, family)
     assert hasattr(follower, "cache") == (plane == "adaptive")
     assert not hasattr(follower, "wal")
     stream.drive(primary, [follower], rounds=range(ROUNDS // 2))
@@ -204,6 +232,7 @@ def test_follower_tracks_its_primary_and_takes_over(tmp_path, family, plane):
     # the winner's plane carries across, over the primary's own log
     assert hasattr(promoted, "cache") == (plane == "adaptive")
     assert promoted.store_dir == store_dir
+    check_kind(promoted, family, store_dir)
     stream.drive(promoted, rounds=range(ROUNDS // 2, ROUNDS))
     assert promoted.wal.last_lsn == promoted.version == ROUNDS
     promoted.check()
@@ -468,9 +497,7 @@ def test_a_retried_ak_batch_issues_the_tokens_of_a_run_that_never_failed(tmp_pat
 
 def whole_state(service: IndexService):
     """The visible state plus the live pair, the touched set and the log's bytes."""
-    live = IndexSnapshot.capture(
-        0, service.graph, index=service.guarded.index, family=service.guarded.family
-    )
+    live = IndexSnapshot.capture(0, service.graph, service.structure)
     touched = service._touched
     log = [
         pathlib.Path(service.store_dir, name).read_bytes()
@@ -581,9 +608,7 @@ def test_a_fault_in_the_log_leaves_the_batch_invisible(tmp_path, family):
     with pytest.raises(InjectedFaultError):
         stream.commit(service, 3)
     # applied to the live pair, but neither published nor carried into the cache
-    live = IndexSnapshot.capture(
-        0, service.graph, index=service.guarded.index, family=service.guarded.family
-    )
+    live = IndexSnapshot.capture(0, service.graph, service.structure)
     assert live.fingerprint() != service.snapshot.fingerprint()
     assert visible_state(service) == before
     # ahead of its log for good: it refuses every write and says why ...

@@ -60,16 +60,9 @@ class SnapshotChecker:
         assert snapshot.version == batch_result.version
         # the evolve-published version must be byte-identical to a full
         # capture of the live state it claims to freeze
-        if self.service.config.family == "one":
-            fresh = IndexSnapshot.capture(
-                snapshot.version, self.service.graph,
-                index=self.service.guarded.index,
-            )
-        else:
-            fresh = IndexSnapshot.capture(
-                snapshot.version, self.service.graph,
-                family=self.service.guarded.family,
-            )
+        fresh = IndexSnapshot.capture(
+            snapshot.version, self.service.graph, self.service.structure
+        )
         assert snapshot.fingerprint() == fresh.fingerprint(), (
             f"v{snapshot.version}: evolve-published snapshot differs "
             "from a fresh capture of the same state"

@@ -71,12 +71,15 @@ class TestFrozenIndex:
 
 class TestIndexSnapshot:
     def test_capture_needs_exactly_one_source(self, tiny_graph):
+        # one structure, by the signature: there is no pair to get wrong
         index = OneIndex.build(tiny_graph)
         family = AkIndexFamily.build(tiny_graph, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             IndexSnapshot.capture(0, tiny_graph)
-        with pytest.raises(ValueError):
-            IndexSnapshot.capture(0, tiny_graph, index=index, family=family)
+        with pytest.raises(TypeError):
+            IndexSnapshot.capture(0, tiny_graph, index, family)
+        assert IndexSnapshot.capture(0, tiny_graph, index).kind == "one"
+        assert IndexSnapshot.capture(0, tiny_graph, family).kind == "ak"
 
     def test_rejects_unknown_kind(self, tiny_graph):
         frozen = FrozenGraph.capture(tiny_graph)
@@ -88,11 +91,11 @@ class TestIndexSnapshot:
     def test_evaluate_agrees_with_graph_evaluation(self, xmark_graph, kind):
         if kind == "one":
             snapshot = IndexSnapshot.capture(
-                0, xmark_graph, index=OneIndex.build(xmark_graph)
+                0, xmark_graph, OneIndex.build(xmark_graph)
             )
         else:
             snapshot = IndexSnapshot.capture(
-                0, xmark_graph, family=AkIndexFamily.build(xmark_graph, 2)
+                0, xmark_graph, AkIndexFamily.build(xmark_graph, 2)
             )
         assert snapshot.kind == kind and snapshot.version == 0
         for expression in ("//person", "/site/people/person", "//open_auction//person"):
@@ -167,11 +170,7 @@ def _apply_batch(graph, family_name: str, k: int = 2):
     guarded = GuardedMaintainer(maintainer, GuardConfig(policy="degrade"))
     touched = TouchedSet()
     guarded.track_touched(touched)
-    kwargs = (
-        {"index": guarded.index} if family_name == "one"
-        else {"family": guarded.family}
-    )
-    prev = IndexSnapshot.capture(0, graph, **kwargs)
+    prev = IndexSnapshot.capture(0, graph, guarded.structure)
     (person,) = graph.nodes_with_label("people")
     guarded.apply_batch(
         [
@@ -181,7 +180,7 @@ def _apply_batch(graph, family_name: str, k: int = 2):
             ("delete_edge", (graph.root, person)),
         ]
     )
-    return guarded, touched, prev, kwargs
+    return guarded, touched, prev
 
 
 class TestIndexSnapshotEvolve:
@@ -189,37 +188,39 @@ class TestIndexSnapshotEvolve:
     def test_evolve_is_byte_identical_to_fresh_capture(
         self, xmark_graph, family_name
     ):
-        guarded, touched, prev, kwargs = _apply_batch(xmark_graph, family_name)
-        evolved = IndexSnapshot.evolve(prev, 1, xmark_graph, touched, **kwargs)
-        fresh = IndexSnapshot.capture(1, xmark_graph, **kwargs)
+        guarded, touched, prev = _apply_batch(xmark_graph, family_name)
+        evolved = IndexSnapshot.evolve(prev, 1, xmark_graph, touched, guarded.structure)
+        fresh = IndexSnapshot.capture(1, xmark_graph, guarded.structure)
         assert evolved.version == 1
         assert evolved.fingerprint() == fresh.fingerprint()
 
     @pytest.mark.parametrize("family_name", ["one", "ak"])
     def test_full_touched_set_falls_back_to_capture(self, xmark_graph, family_name):
-        guarded, touched, prev, kwargs = _apply_batch(xmark_graph, family_name)
+        guarded, touched, prev = _apply_batch(xmark_graph, family_name)
         touched.mark_all()
-        evolved = IndexSnapshot.evolve(prev, 1, xmark_graph, touched, **kwargs)
-        fresh = IndexSnapshot.capture(1, xmark_graph, **kwargs)
+        evolved = IndexSnapshot.evolve(prev, 1, xmark_graph, touched, guarded.structure)
+        fresh = IndexSnapshot.capture(1, xmark_graph, guarded.structure)
         assert evolved.fingerprint() == fresh.fingerprint()
 
     def test_evolve_needs_exactly_one_source(self, tiny_graph):
         index = OneIndex.build(tiny_graph)
-        prev = IndexSnapshot.capture(0, tiny_graph, index=index)
-        with pytest.raises(ValueError):
+        prev = IndexSnapshot.capture(0, tiny_graph, index)
+        with pytest.raises(TypeError):
             IndexSnapshot.evolve(prev, 1, tiny_graph, TouchedSet())
+        with pytest.raises(TypeError):
+            IndexSnapshot.evolve(prev, 1, tiny_graph, TouchedSet(), index, index)
 
     def test_fingerprint_excludes_version(self, tiny_graph):
         index = OneIndex.build(tiny_graph)
-        v0 = IndexSnapshot.capture(0, tiny_graph, index=index)
-        v7 = IndexSnapshot.capture(7, tiny_graph, index=index)
+        v0 = IndexSnapshot.capture(0, tiny_graph, index)
+        v7 = IndexSnapshot.capture(7, tiny_graph, index)
         assert v0.fingerprint() == v7.fingerprint()
 
     def test_fingerprint_differs_across_state_change(self, tiny_graph):
         index = OneIndex.build(tiny_graph)
-        before = IndexSnapshot.capture(0, tiny_graph, index=index).fingerprint()
+        before = IndexSnapshot.capture(0, tiny_graph, index).fingerprint()
         maintainer = SplitMergeMaintainer(index)
         (b,) = tiny_graph.nodes_with_label("b")
         maintainer.insert_node(b, "new")
-        after = IndexSnapshot.capture(1, tiny_graph, index=index).fingerprint()
+        after = IndexSnapshot.capture(1, tiny_graph, index).fingerprint()
         assert before != after

@@ -41,34 +41,34 @@ def graph(store_graph_dict):
 class TestRoundTrip:
     def test_one_index_round_trip(self, store_dir, graph):
         index = OneIndex.build(graph)
-        path = write_checkpoint(store_dir, graph, wal_lsn=7, version=7, index=index)
+        path = write_checkpoint(store_dir, graph, index, wal_lsn=7, version=7)
         assert os.path.basename(path) == checkpoint_name(7)
         ckpt = load_checkpoint(path)
         assert (ckpt.kind, ckpt.k, ckpt.wal_lsn, ckpt.version) == ("one", 0, 7, 7)
-        restored_graph, restored_index, restored_family = ckpt.materialize()
-        assert restored_family is None
+        restored_graph, restored_index = ckpt.materialize()
+        assert isinstance(restored_index, OneIndex)
         assert graph_fingerprint(restored_graph) == graph_fingerprint(graph)
         assert index_fingerprint(restored_index) == index_fingerprint(index)
 
     def test_ak_family_round_trip(self, store_dir, graph):
         family = AkIndexFamily.build(graph, 2)
-        path = write_checkpoint(store_dir, graph, wal_lsn=3, version=3, family=family)
+        path = write_checkpoint(store_dir, graph, family, wal_lsn=3, version=3)
         ckpt = load_checkpoint(path)
         assert (ckpt.kind, ckpt.k) == ("ak", 2)
-        restored_graph, restored_index, restored_family = ckpt.materialize()
-        assert restored_index is None
+        restored_graph, restored_family = ckpt.materialize()
+        assert isinstance(restored_family, AkIndexFamily)
         assert graph_fingerprint(restored_graph) == graph_fingerprint(graph)
         assert family_fingerprint(restored_family) == family_fingerprint(family)
 
     def test_exactly_one_of_index_or_family(self, store_dir, graph):
+        # one structure, by the signature: there is no pair to get wrong
         index = OneIndex.build(graph)
         family = AkIndexFamily.build(graph, 2)
-        with pytest.raises(CheckpointError):
+        with pytest.raises(TypeError):
             write_checkpoint(store_dir, graph, wal_lsn=1, version=1)
-        with pytest.raises(CheckpointError):
-            write_checkpoint(
-                store_dir, graph, wal_lsn=1, version=1, index=index, family=family
-            )
+        with pytest.raises(TypeError):
+            write_checkpoint(store_dir, graph, index, family, wal_lsn=1, version=1)
+        assert list_checkpoints(store_dir) == []
 
 
 class TestAtomicity:
@@ -77,7 +77,7 @@ class TestAtomicity:
 
     def _write_generation(self, store_dir, graph, lsn):
         index = OneIndex.build(graph)
-        return write_checkpoint(store_dir, graph, wal_lsn=lsn, version=lsn, index=index)
+        return write_checkpoint(store_dir, graph, index, wal_lsn=lsn, version=lsn)
 
     def test_crash_before_tmp_write(self, store_dir, graph):
         self._write_generation(store_dir, graph, 1)
@@ -85,7 +85,7 @@ class TestAtomicity:
         index = OneIndex.build(graph)
         with pytest.raises(InjectedFaultError):
             write_checkpoint(
-                store_dir, graph, wal_lsn=2, version=2, index=index,
+                store_dir, graph, index, wal_lsn=2, version=2,
                 fault_injector=injector,
             )
         ckpt = latest_checkpoint(store_dir)
@@ -97,7 +97,7 @@ class TestAtomicity:
         index = OneIndex.build(graph)
         with pytest.raises(InjectedFaultError):
             write_checkpoint(
-                store_dir, graph, wal_lsn=2, version=2, index=index,
+                store_dir, graph, index, wal_lsn=2, version=2,
                 fault_injector=injector,
             )
         # the tmp file exists but is invisible to selection
@@ -106,7 +106,7 @@ class TestAtomicity:
         ckpt = latest_checkpoint(store_dir)
         assert ckpt is not None and ckpt.wal_lsn == 1
         # the previous checkpoint still materialises
-        restored_graph, restored_index, _ = ckpt.materialize()
+        restored_graph, _ = ckpt.materialize()
         assert graph_fingerprint(restored_graph) == graph_fingerprint(graph)
 
     def test_torn_final_checkpoint_falls_back(self, store_dir, graph):
@@ -147,7 +147,7 @@ class TestHardening:
 
     def test_future_format_version_rejected(self, store_dir, graph):
         index = OneIndex.build(graph)
-        path = write_checkpoint(store_dir, graph, wal_lsn=1, version=1, index=index)
+        path = write_checkpoint(store_dir, graph, index, wal_lsn=1, version=1)
         with open(path) as fp:
             document = json.load(fp)
         document["data"]["format_version"] = CHECKPOINT_FORMAT_VERSION + 1
@@ -162,7 +162,7 @@ class TestHardening:
 
     def test_unknown_kind_rejected(self, store_dir, graph):
         index = OneIndex.build(graph)
-        path = write_checkpoint(store_dir, graph, wal_lsn=1, version=1, index=index)
+        path = write_checkpoint(store_dir, graph, index, wal_lsn=1, version=1)
         with open(path) as fp:
             document = json.load(fp)
         document["data"]["kind"] = "btree"
@@ -179,7 +179,7 @@ class TestPruning:
     def test_prune_keeps_newest(self, store_dir, graph):
         index = OneIndex.build(graph)
         for lsn in (1, 2, 3, 4):
-            write_checkpoint(store_dir, graph, wal_lsn=lsn, version=lsn, index=index)
+            write_checkpoint(store_dir, graph, index, wal_lsn=lsn, version=lsn)
         removed = prune_checkpoints(store_dir, keep=2)
         assert removed == 2
         assert [checkpoint_lsn(n) for n in list_checkpoints(store_dir)] == [3, 4]
@@ -196,7 +196,7 @@ class TestCheckpointer:
         for i in range(4):
             wal.append([{"op": "delete_node", "args": [i]}])
             if checkpointer.note_record():
-                checkpointer.checkpoint(graph, version=wal.last_lsn, index=index)
+                checkpointer.checkpoint(graph, index, version=wal.last_lsn)
                 due.append(wal.last_lsn)
         assert due == [2, 4]
         assert checkpointer.checkpoints_written == 2

@@ -312,12 +312,16 @@ class TestRecoverConfiguration:
         )
         expected = family_fingerprint(service.guarded.family)
         service.close()
-        # a mismatched requested family is overridden by the checkpoint
+        # the store's structure is served whatever family the caller's
+        # config names — and the caller's object is passed through as is
+        requested = _config(family="one")
         recovered = DurableIndexService.recover(
-            store_dir, config=_config(family="one"), store_config=VOLATILE
+            store_dir, config=requested, store_config=VOLATILE
         )
-        assert recovered.config.family == "ak"
-        assert family_fingerprint(recovered.guarded.family) == expected
+        assert recovered.config is requested and requested.family == "one"
+        assert (recovered.structure.kind, recovered.snapshot.kind) == ("ak", "ak")
+        assert recovered.health()["family"] == "ak"
+        assert family_fingerprint(recovered.structure) == expected
         recovered.close(checkpoint=False)
 
     def test_recovered_service_rotates_into_existing_log(self, store_dir):

@@ -154,10 +154,11 @@ def torture(request, tmp_path_factory) -> TortureRun:
 
 def _recover_fingerprints(store_dir: str, family: str) -> tuple[int, str, str]:
     result = recover(store_dir)
+    assert result.structure.kind == family
     if family == "one":
-        index_fp = index_fingerprint(result.index)
+        index_fp = index_fingerprint(result.structure)
     else:
-        index_fp = family_fingerprint(result.family)
+        index_fp = family_fingerprint(result.structure)
     return result.version, graph_fingerprint(result.graph), index_fp
 
 

@@ -106,7 +106,7 @@ class TestCheckpointTelemetry:
         with observed() as obs:
             for lsn in (1, 2, 3):
                 write_checkpoint(
-                    store_dir, graph, wal_lsn=lsn, version=lsn, index=index
+                    store_dir, graph, index, wal_lsn=lsn, version=lsn
                 )
             removed = prune_checkpoints(store_dir, keep=1)
             assert removed == 2
@@ -119,7 +119,7 @@ class TestRecoveryTelemetry:
     def test_recover_times_and_announces_itself(self, store_dir):
         graph = tiny_graph()
         index = OneIndex.build(graph)
-        write_checkpoint(store_dir, graph, wal_lsn=0, version=0, index=index)
+        write_checkpoint(store_dir, graph, index, wal_lsn=0, version=0)
         wal = WriteAheadLog(store_dir, fsync="off")
         root = min(graph.nodes())
         wal.append([{"op": "insert_node", "args": [root, "y", None]}])

@@ -27,8 +27,8 @@ class TestV1CheckpointFixtures:
         assert cp.kind == "one"
         assert cp.wal_lsn == 7
         assert cp.version == 3
-        graph, index, family = cp.materialize()
-        assert family is None
+        graph, index = cp.materialize()
+        assert index.kind == "one"
         graph.check_invariants()
         index.check_invariants()
         assert graph.num_nodes == 30
@@ -43,8 +43,8 @@ class TestV1CheckpointFixtures:
         cp = load_checkpoint(str(FIXTURES / "checkpoint-v1-ak.json"))
         assert cp.kind == "ak"
         assert cp.k == 1
-        graph, index, family = cp.materialize()
-        assert index is None
+        graph, family = cp.materialize()
+        assert family.kind == "ak"
         graph.check_invariants()
         family.check_invariants()
         assert family.k == 1

@@ -201,17 +201,10 @@ def test_the_journal_is_the_only_writer_of_the_touched_set():
                 )
             if written:
                 writers.add((module, function))
-    # the one exception: graph changes reach leaf tokens only through the
-    # post-batch partition, resolved by the publish, once per commit
-    assert writers == {("service/snapshot.py", "resolve_touched_leaves")}
-    resolutions = [
-        (module, function)
-        for module, tree in TREES.items()
-        for node, function in enclosing_functions(tree)
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", None) == "resolve_touched_leaves"
-    ]
-    assert resolutions == [("service/snapshot.py", "evolve")]
+    # the one exception: graph changes reach derived entries (leaf tokens)
+    # only through the post-batch partition, added by the publish, once
+    # per commit
+    assert writers == {("service/snapshot.py", "evolve")}
     publishes = [
         (module, function)
         for module, tree in TREES.items()
@@ -253,7 +246,54 @@ def test_the_replaced_names_are_gone():
         "_normalise_cross_edges", "_require_disjoint_oids",
         "_family_backup", "leaf_moves", "leaf_tokens", "capture_family",
         "evolve_family", "_note_move", "sample_rate",
+        "resolve_touched_leaves", "wal_last_lsn",
     )
     for path in SRC.rglob("*.py"):
         text = path.read_text()
         assert not [name for name in gone if name in text], path
+
+
+# ----------------------------------------------------------------------
+# One structure argument above ``repro.index``
+# ----------------------------------------------------------------------
+
+KIND_LITERALS = {"one", "ak"}
+
+
+def test_no_function_outside_the_index_package_takes_the_index_family_pair():
+    pairs = [
+        (module, function.name)
+        for module, tree in TREES.items()
+        if not module.startswith("index/")
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and {"index", "family"}
+        <= {
+            arg.arg
+            for arg in function.args.posonlyargs + function.args.args + function.args.kwonlyargs
+        }
+    ]
+    assert pairs == []
+
+
+def test_the_kinds_are_spelled_where_the_structures_are_defined():
+    spelled = {
+        (module, function)
+        for module, tree in TREES.items()
+        if not module.startswith(("index/", "experiments/"))
+        for literal, function in literals_by_function(tree)
+        if literal in KIND_LITERALS
+    }
+    # the operation table (which kinds admit ``reconstruct``) and the one
+    # default: the family a *fresh* service builds when nobody says
+    assert spelled == {("maintenance/operations.py", ""), ("service/service.py", "ServiceConfig")}
+
+
+def test_no_layer_checks_that_it_got_exactly_one_of_the_pair():
+    checks = [
+        (module, literal)
+        for module, tree in TREES.items()
+        for literal, _ in literals_by_function(tree)
+        if "exactly one of" in literal and ("index" in literal or "family" in literal)
+    ]
+    assert checks == []
