@@ -123,12 +123,16 @@ class InvariantViolationError(ResilienceError):
 
     *definition* numbers the paper's definition violated (1 stability,
     4 A(k) signature, 5 minimality), *pair* the offending inodes, if known.
+    *audit_range* is set when an audit slice found it, not the batch's own
+    check: the cursor the slice started at and the last leaf inode id it
+    covered.
     """
 
     def __init__(self, message: str, definition: int | None = None, pair=None):
         super().__init__(message)
         self.definition = definition
         self.pair = pair
+        self.audit_range: tuple[int, int] | None = None
 
 
 class RollbackError(ResilienceError):

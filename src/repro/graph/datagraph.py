@@ -634,14 +634,12 @@ class DataGraph:
         With *nodes* only those oids are examined, at a cost of the sum
         of their degrees: a live one's slot entry and both adjacency
         mirrors, a dead one's absence from every map.  The whole-graph
-        facts — edge counter, IDREF table — need the unscoped check.
+        facts are :meth:`check_totals`, which the unscoped check ends with.
         """
         slot_of = self._slot_of
-        scoped = nodes is not None
         entries = slot_of.items()
-        if scoped:
+        if nodes is not None:
             entries = ((oid, slot_of.get(oid)) for oid in nodes)
-        live_slots = edge_count = 0
         for source, slot in entries:
             if slot is None:
                 assert source not in self._values, f"value leaked for dead oid {source}"
@@ -650,7 +648,6 @@ class DataGraph:
                 f"slot map broken for oid {source}"
             )
             assert self._label_at[slot] >= 0, f"label missing for oid {source}"
-            live_slots += 1
             targets = self._succ_slabs.to_list(slot)
             assert len(set(targets)) == len(targets), f"duplicate succ at {source}"
             for target in targets:
@@ -659,7 +656,6 @@ class DataGraph:
                 assert self._pred_slabs.contains(target_slot, source), (
                     f"pred missing for {source}->{target}"
                 )
-                edge_count += 1
             sources = self._pred_slabs.to_list(slot)
             assert len(set(sources)) == len(sources), f"duplicate pred at {source}"
             for origin in sources:
@@ -668,17 +664,8 @@ class DataGraph:
                 assert self._succ_slabs.contains(origin_slot, source), (
                     f"succ missing for {origin}->{source}"
                 )
-        if not scoped:
-            assert live_slots == len(slot_of), "slot count out of sync"
-            assert edge_count == self._num_edges, "edge counter out of sync"
-            mask = OID_LIMIT - 1
-            for packed in self._idref:
-                source, target = packed >> _OID_SHIFT, packed & mask
-                source_slot = slot_of.get(source)
-                assert source_slot is not None and self._succ_slabs.contains(
-                    source_slot, target
-                ), f"IDREF entry for non-edge {source}->{target}"
-                assert target != self._root, f"IDREF edge {source}->{target} targets root"
+        if nodes is None:
+            self.check_totals()
         if self._root is not None:
             root_slot = slot_of.get(self._root)
             assert root_slot is not None, f"root oid {self._root} is not a live node"
@@ -688,6 +675,26 @@ class DataGraph:
             assert self._pred_slabs.length(root_slot) == 0, (
                 "root must have no incoming edges"
             )
+
+    def check_totals(self) -> None:
+        """The facts no per-oid check states: the live-slot count, the
+        edge counter and the IDREF table.  O(n + #IDREF), no adjacency walk."""
+        slot_of = self._slot_of
+        out_degree = self._succ_slabs.length
+        live_slots = edge_count = 0
+        for _, slot in slot_of.items():
+            live_slots += 1
+            edge_count += out_degree(slot)
+        assert live_slots == len(slot_of), "slot count out of sync"
+        assert edge_count == self._num_edges, "edge counter out of sync"
+        mask = OID_LIMIT - 1
+        for packed in self._idref:
+            source, target = packed >> _OID_SHIFT, packed & mask
+            source_slot = slot_of.get(source)
+            assert source_slot is not None and self._succ_slabs.contains(
+                source_slot, target
+            ), f"IDREF entry for non-edge {source}->{target}"
+            assert target != self._root, f"IDREF edge {source}->{target} targets root"
 
     # ------------------------------------------------------------------
     # Journal undo (repro.resilience)

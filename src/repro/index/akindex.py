@@ -29,6 +29,7 @@ the way a graph and a 1-index do.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -377,6 +378,7 @@ class AkIndexFamily:
         dnodes: Optional[Iterable[int]] = None,
         tokens: Optional[Iterable[tuple[int, int]]] = None,
         inodes: object = None,
+        whole: bool = False,
     ) -> None:
         """Assert structural consistency of all levels and tree links.
 
@@ -385,17 +387,24 @@ class AkIndexFamily:
         level 0 is by label), and each examined class non-empty and
         linked both ways to its tree parent and children.
 
-        Unscoped that is every dnode and class, plus the cover.  With
-        *dnodes* / ``(level, token)`` *tokens* (what a batch touched;
+        Unscoped that is every dnode and leaf class, then :meth:`check_totals`.
+        With *dnodes* / ``(level, token)`` *tokens* (what a batch touched;
         dead ones are verified absent from every map) it costs
-        O(k · given ids).  (*inodes* is the 1-index's part of a scope; the
-        leaf tokens it holds for a family are among *tokens*.)
+        O(k · given ids).  *whole* says the dnodes were read off the
+        extents of the given classes (an audit slice): a class that does
+        not find every member among them holds a dnode classed elsewhere.
+        (*inodes* is the 1-index's part of a scope; the leaf tokens it
+        holds for a family are among *tokens*.)
         """
         graph = self.graph
-        scoped = dnodes is not None or tokens is not None
+        if dnodes is None and tokens is None:
+            leaves = [(self.k, token) for token in self.levels[self.k].extents]
+            self.check_invariants(graph.nodes(), leaves)
+            self.check_totals()
+            return
         live: list[int] = []
         dead: list[int] = []
-        for w in (dnodes or ()) if scoped else graph.nodes():
+        for w in dnodes or ():
             (live if graph.has_node(w) else dead).append(w)
         for i, level in enumerate(self.levels):
             coarser = self.levels[i - 1] if i else None
@@ -413,8 +422,9 @@ class AkIndexFamily:
                     assert coarser.class_of.get(w) == level.parent.get(token), (
                         f"inode {token}@{i} spans tree parents at dnode {w}"
                     )
-            examine = (t for lvl, t in tokens or () if lvl == i) if scoped else level.extents
-            for token in list(examine):
+            given = [t for lvl, t in tokens or () if lvl == i]
+            examined = Counter(map(level.class_of.get, live)) if whole and given else {}
+            for token in given:
                 extent = level.extents.get(token)
                 if extent is None:
                     assert token not in level.parent and token not in level.children, (
@@ -422,6 +432,9 @@ class AkIndexFamily:
                     )
                     continue
                 assert extent, f"empty inode {token} at level {i}"
+                assert not whole or examined.get(token) == len(extent), (
+                    f"inode {token}@{i} holds a dnode classed elsewhere"
+                )
                 if coarser is not None:
                     parent = level.parent.get(token)
                     assert (
@@ -432,14 +445,21 @@ class AkIndexFamily:
                     assert self.levels[i + 1].parent.get(child) == token, (
                         f"stale child {child} under {token}@{i}"
                     )
-            if not scoped:
-                covered = sum(map(len, level.extents.values()))
-                assert len(level.class_of) == covered == graph.num_nodes, (
-                    f"level {i} does not cover the graph exactly once"
-                )
-                assert i == 0 or level.parent.keys() == level.extents.keys(), (
-                    f"parent keys drift @{i}"
-                )
+
+    def check_totals(self) -> None:
+        """What no whole leaf class states: every level covers the graph
+        exactly once under the keys its tree links use, and the classes
+        above the leaf level are sound.  O(#classes + #tree links)."""
+        for i, level in enumerate(self.levels):
+            covered = sum(map(len, level.extents.values()))
+            assert len(level.class_of) == covered == self.graph.num_nodes, (
+                f"level {i} does not cover the graph exactly once"
+            )
+            assert i == 0 or level.parent.keys() == level.extents.keys(), (
+                f"parent keys drift @{i}"
+            )
+        inner = [(i, token) for i in range(self.k) for token in self.levels[i].extents]
+        self.check_invariants((), inner)
 
     def signature_violations(
         self, dnodes: Optional[Iterable[int]] = None

@@ -793,6 +793,7 @@ class StructuralIndex:
         inodes: Optional[Iterable[int]] = None,
         dnodes: Optional[Iterable[int]] = None,
         tokens: object = None,
+        whole: bool = False,
     ) -> None:
         """Assert partition/iedge consistency, re-derived from graph adjacency.
 
@@ -806,10 +807,13 @@ class StructuralIndex:
         a dnode that changed inode.)  Every examined inode must have a
         non-empty extent.
 
-        Unscoped that is every dnode and inode, plus the cover: O(n + m).
-        With *inodes* / *dnodes* (the ids a batch touched; dead ones are
-        verified absent from every map) it costs the in-degrees of the
-        given dnodes.  (*tokens* is the family's part of a scope.)
+        Unscoped that is every dnode and inode, plus :meth:`check_totals`:
+        O(n + m).  With *inodes* / *dnodes* (the ids a batch touched; dead
+        ones are verified absent from every map) it costs the in-degrees
+        of the given dnodes.  *whole* says the dnodes were read off the
+        extents of the given inodes (an audit slice): an extent then not
+        examined slot for slot holds a dnode that is not its own.
+        (*tokens* is the family's part of a scope.)
         """
         graph = self.graph
         scoped = inodes is not None or dnodes is not None
@@ -841,8 +845,8 @@ class StructuralIndex:
         for inode, row in recount.items():
             stored = preds.get(inode)
             assert stored is not None, f"inode {inode} has no support row"
-            whole = examined[inode] == len(extent_arr[inode])
-            ok = row == stored if whole else all(
+            every_slot = examined[inode] == len(extent_arr[inode])
+            ok = row == stored if every_slot else all(
                 stored.get(j, 0) >= count for j, count in row.items()
             )
             assert ok, f"supports of inode {inode} drifted: {stored} vs {row}"
@@ -854,23 +858,31 @@ class StructuralIndex:
         for inode in (inodes or ()) if scoped else extent_arr:
             if inode in extent_arr:
                 assert len(extent_arr[inode]), f"inode {inode} has an empty extent"
+                assert not whole or examined.get(inode) == len(extent_arr[inode]), (
+                    f"extent of inode {inode} holds a dnode that is not its own"
+                )
             else:
                 assert not any(inode in table for table in tables), (
                     f"dead inode {inode} leaked a map entry"
                 )
         if not scoped:
-            # every dnode sits at its own position of exactly one extent, and
-            # every incoming iedge is mirrored by an outgoing one: equal
-            # totals leave no room for duplicates, overlaps or strays
-            assert sum(map(len, extent_arr.values())) == graph.num_nodes, (
-                "extents overlap or hold dnodes outside the graph"
-            )
-            assert sum(map(len, succs.values())) == sum(map(len, preds.values())), (
-                "an outgoing iedge has no incoming mirror"
-            )
-            assert all(table.keys() == extent_arr.keys() for table in tables), (
-                "a dead inode leaked a map entry"
-            )
+            self.check_totals()
+
+    def check_totals(self) -> None:
+        """The facts no per-id check states.  Every dnode sits at its own
+        position of exactly one extent, and every incoming iedge is
+        mirrored by an outgoing one: equal totals leave no room for
+        duplicates, overlaps or strays.  O(#inodes)."""
+        extent_arr, succs, preds = self._extent_arr, self._succ_support, self._pred_support
+        assert sum(map(len, extent_arr.values())) == self.graph.num_nodes, (
+            "extents overlap or hold dnodes outside the graph"
+        )
+        assert sum(map(len, succs.values())) == sum(map(len, preds.values())), (
+            "an outgoing iedge has no incoming mirror"
+        )
+        assert all(table.keys() == extent_arr.keys() for table in (self._label, succs, preds)), (
+            "a dead inode leaked a map entry"
+        )
 
     # ------------------------------------------------------------------
     # Journal undo (repro.resilience)

@@ -111,7 +111,8 @@ def mergeable_pairs(
     so it is among the index children of whichever parent has the
     fewest.  A parentless inode's partners are the other parentless
     ones; the root's own inode (nothing else is labelled ``ROOT``) is
-    left to the unscoped check.
+    not probed — an impostor finds it from its own side, the pair being
+    reported from whichever member is given.
     """
     label, preds, succs = index._label, index._pred_support, index._succ_support
     pairs: list[tuple[int, int]] = []

@@ -46,9 +46,14 @@ class Structure(Protocol):
         dnodes: Optional[Iterable[int]] = None,
         inodes: Optional[Iterable[int]] = None,
         tokens: Optional[Iterable[tuple[int, int]]] = None,
+        whole: bool = False,
     ) -> None:
         """Assert structural consistency: of everything, or of what a batch
-        touched (each structure reads the ids it has and ignores the rest)."""
+        touched (each structure reads the ids it has and ignores the rest),
+        or — *whole* — of leaf inodes handed with their entire extents."""
+
+    def check_totals(self) -> None:
+        """Assert what the unscoped check states and no whole leaf extent does."""
 
     def approx_bytes(self) -> int:
         """Approximate resident bytes."""

@@ -24,9 +24,12 @@ policy decides what happens next:
 
 Observability: every attempt runs in a ``txn`` span and the counters
 ``resilience.txns`` / ``.faults`` / ``.rollbacks`` / ``.retries`` /
-``.degradations`` / ``.checks`` tally the guard's work, so a traced
+``.degradations`` / ``.checks`` tally the guard's work
+(``.check_visited`` / ``.audit_visited`` what the local checks and the
+audit slices walked, ``.audits`` the cycles completed), so a traced
 guarded run (``--guard --trace``) shows exactly where resilience cost
-went.  The failure paths additionally emit ``resilience.rolled_back`` /
+went.  The failure paths additionally emit ``resilience.rolled_back``
+(with the ``audit_range`` when an audit slice found it) /
 ``.degraded`` / ``.gave_up`` events — the triggers a
 :class:`~repro.obs.flight.FlightRecorder` dumps its ring on.
 """
@@ -301,7 +304,7 @@ class GuardedMaintainer:
         obs.add("resilience.txns")
         try:
             result = apply_fn()
-            if self.invariants.due():
+            if self.invariants.due(self.touched):
                 self.stats.checks += 1
                 obs.add("resilience.checks")
                 self.invariants.check(self.graph, self.structure, self.touched)
@@ -312,6 +315,8 @@ class GuardedMaintainer:
             attrs = {"error": f"{type(exc).__name__}: {exc}"}
             if getattr(exc, "definition", None) is not None:
                 attrs.update(definition=exc.definition, pair=exc.pair)
+            if getattr(exc, "audit_range", None) is not None:
+                attrs.update(audit_range=exc.audit_range)
             obs.event("resilience.rolled_back", **attrs)
             raise
         txn.commit()

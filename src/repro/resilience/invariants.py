@@ -1,4 +1,4 @@
-"""Post-transaction invariant checking: the batch's neighbourhood, then audits.
+"""Post-transaction invariant checking: the batch's neighbourhood, then an audit slice.
 
 The guard reuses the library's oracles instead of reimplementing checks:
 :meth:`DataGraph.check_invariants` and the structure's own
@@ -16,15 +16,40 @@ over the touched dnodes, the children of those that changed inode (their
 index parents were renamed) and the touched inodes: O(touched), every
 fact re-derived from graph adjacency; the rest is what the previous
 check accepted.  That induction needs the touched set to really be a
-superset, so the unscoped, whole-graph check still runs when there is no
+superset, so the rest of the graph is re-verified behind it by an
+**audit cursor**: every local check is followed by the same oracles over
+the next *slice* of leaf inodes (1-index inodes, leaf classes of a
+family, in id order), cut after :data:`AUDIT_SLICE_VISITS` dnode visits.
+A commit costs O(touched + constant) and the whole graph comes round
+every ⌈(|V| + 2|E|) ÷ AUDIT_SLICE_VISITS⌉ commits.  One cycle states
+everything the unscoped check states:
+
+* a slice hands **whole extents** (``whole=True``): the scoped structure
+  oracle asserts stored supports *equal* the recount only for an extent
+  it saw slot for slot, and refuses an extent that lists a dnode mapped
+  elsewhere — a slice reads its dnodes off the extents where the
+  unscoped check reads them off the graph;
+* the facts with no per-id form — counters, cover sums, key sets, a
+  family's classes above the leaf level (``check_totals`` of the graph
+  and the structure) — run with the slice that ends the cycle;
+* a mergeable pair is found from either side, so the root's inode, which
+  the scoped minimality oracle skips, is covered by its would-be partner
+  (a parentless inode probes every parentless one).  Its sibling probes
+  ride uncounted: ≈ 0.8 per visit on XMark at 1× and 4×, a label
+  comparison each (≈ 5 % of a slice), and counting them would break the
+  cycle bound above;
+* the cycle walks the ids alive when it began; an id created, or a dnode
+  moved, since then was in that batch's touched set — the induction the
+  local check already rests on — and dead ids are verified absent.
+
+The unscoped check in one go remains the fall-back when there is no
 usable scope (``touched`` absent or ``full`` after a degrade-rebuild,
-recovery's post-check, :meth:`IndexService.check`) and as an **audit**
-spread over the local checks: each is followed by one of the check's
-three steps (:data:`AUDIT_STEPS`) unscoped, in turn, so every commit pays
-about the same and none pays for the whole graph (DESIGN.md §5).
+recovery's post-check, :meth:`IndexService.check`); it restarts the
+cursor (DESIGN.md §5).
 
 Whether a transaction is post-checked at all is the cadence's call:
-every update or every N-th.  A failed check
+every update or every N-th, the ids of the skipped ones kept for the
+check that is.  A failed check
 raises :class:`repro.exceptions.InvariantViolationError`, which the
 :class:`~repro.resilience.guard.GuardedMaintainer` treats exactly like a
 mid-operation exception — roll back, then apply the failure policy.
@@ -32,9 +57,14 @@ mid-operation exception — roll back, then apply the failure policy.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from typing import Optional
 
-from repro.exceptions import InvariantViolationError, StructuralIndexError
+from repro.exceptions import (
+    InvariantViolationError,
+    NodeNotFoundError,
+    StructuralIndexError,
+)
 from repro.graph.datagraph import DataGraph
 from repro.index.stability import depth_violations
 from repro.index.structure import Structure
@@ -45,8 +75,9 @@ from repro.resilience.journal import TouchedSet
 #: + validity (stability), + minimality.
 LEVELS = ("basic", "valid", "minimal")
 
-#: the whole-graph audit, cut into steps; every local check runs the next one
-AUDIT_STEPS = ("graph", "structure", "depth")
+#: dnode visits (1 + in-degree + out-degree each, the unit of
+#: ``last_visited``) after which an audit slice takes no further inode
+AUDIT_SLICE_VISITS = 16384
 
 
 class InvariantGuard:
@@ -58,22 +89,37 @@ class InvariantGuard:
         self.level = level
         self.check_every = check_every
         self._since_check = 0
-        #: dnodes + adjacency entries the last check was scoped to
-        self.last_visited = 0
+        #: what the transactions the cadence skipped touched, for the next check
+        self._unchecked = TouchedSet()
+        #: dnodes + adjacency entries the last check was scoped to, and its audit slice
+        self.last_visited = self.last_audit_visited = 0
         self.checks_local = self.checks_full = 0
-        #: audits completed, and local checks since (= the next audit step)
+        #: audit cycles completed, and local checks since the last (or a full check)
         self.audits = self.checks_since_audit = 0
-        #: verdict of the last full check or audit step (``None``: none yet)
+        #: verdict of the last full check or audit slice (``None``: none yet)
         self.last_audit_ok: Optional[bool] = None
+        #: leaf inode id the next slice starts at (0: a new cycle), and the
+        #: visits of the cycle so far
+        self.audit_cursor = self.cycle_visited = 0
+        #: the cycle under way: the leaf ids alive when it began, ascending,
+        #: and how many of them are done
+        self._cycle: Sequence[int] = ()
+        self._cycle_done = 0
 
-    def due(self) -> bool:
-        """Advance the cadence by one update; report whether to check now."""
+    def due(self, touched: Optional[TouchedSet] = None) -> bool:
+        """Advance the cadence by one update; report whether to check now.
+
+        An update that goes unchecked leaves what it *touched* with the
+        guard, and the next check is scoped to the union.
+        """
         if self.check_every <= 0:
             return False
         self._since_check += 1
         if self._since_check >= self.check_every:
             self._since_check = 0
             return True
+        if touched is not None:
+            self._unchecked.absorb(touched)
         return False
 
     def check(
@@ -84,59 +130,139 @@ class InvariantGuard:
     ) -> None:
         """Run the configured checks; raise :class:`InvariantViolationError`.
 
-        Scoped to *touched* and followed by the audit step whose turn it
-        is, or every step unscoped when there is no usable scope.
+        Scoped to *touched* (and what went unchecked before it) and
+        followed by the next audit slice, or everything unscoped when
+        there is no usable scope.
         """
+        if touched is not None and self._unchecked:
+            self._unchecked.absorb(touched)
+            touched = self._unchecked
         scope: dict = {}
         if touched is None or touched.full:
             self.checks_full += 1
-            self.checks_since_audit = 0  # the audit starts over
+            self._restart_audit()
             self.last_audit_ok = False  # until the checks below pass
-            self.last_visited = graph.num_nodes + 2 * graph.num_edges  # both mirrors
+            self.last_visited = _visits_of_all(graph)
         else:
             dnodes = touched.dnodes | touched.moved
             for w in touched.moved:
                 if graph.has_node(w):  # its children's index parents changed name
                     dnodes.update(graph.iter_succ(w))
             scope = {"dnodes": dnodes, "inodes": touched.inodes, "tokens": touched.tokens}
-            self.last_visited = sum(
-                1 + graph.in_degree(w) + graph.out_degree(w)
-                for w in dnodes
-                if graph.has_node(w)
-            )
+            self.last_visited = _visits(graph, dnodes)
             self.checks_local += 1
         current_obs().add("resilience.check_visited", self.last_visited)
-        for step in AUDIT_STEPS:
-            self._run(step, graph, structure, **scope)
+        self._run(graph, structure, **scope)
+        self._unchecked.clear()
         if scope:
-            self.audit_step(graph, structure)
+            self._audit_slice(graph, structure)
         else:
             self.last_audit_ok = True
 
-    def audit_step(self, graph: DataGraph, structure: Structure) -> None:
-        """Run the next step of the whole-graph audit; the last completes it."""
-        self.last_audit_ok = False
-        self._run(AUDIT_STEPS[self.checks_since_audit], graph, structure)
+    def adopt_full_check(self) -> None:
+        """Take over the verdict of an unscoped check that another guard
+        passed on this very state (recovery's post-check)."""
+        self.checks_full += 1
+        self._restart_audit()
         self.last_audit_ok = True
-        self.checks_since_audit += 1
-        if self.checks_since_audit == len(AUDIT_STEPS):
-            self.checks_since_audit = 0
-            self.audits += 1
-            current_obs().add("resilience.audits")
 
-    def _run(self, step: str, graph: DataGraph, structure: Structure, **scope) -> None:
-        """One step of the check, over the ids of *scope* or (none given)
-        everything; a lookup an oracle misses (a corrupted map) is a
-        violation too."""
+    def audit_progress(self, graph: DataGraph) -> dict:
+        """Where the cursor stands, for ``/health``."""
+        units = max(1, _visits_of_all(graph))
+        return {
+            "audit_cursor": self.audit_cursor,
+            "audit_coverage": round(min(1.0, self.cycle_visited / units), 4),
+            "commits_per_full_audit": -(-units // AUDIT_SLICE_VISITS),
+        }
+
+    def _restart_audit(self) -> None:
+        self._cycle = ()
+        self._cycle_done = self.audit_cursor = self.cycle_visited = 0
+        self.checks_since_audit = 0
+
+    def _audit_slice(self, graph: DataGraph, structure: Structure) -> None:
+        """Re-verify the next slice of leaf inodes, whole; the slice that
+        reaches the end of the cycle states the totals and completes it."""
+        leaf = structure.leaf()
+        if not self._cycle_done:
+            self._cycle = sorted(leaf.inodes())
+        cycle, done = self._cycle, self._cycle_done
+        dnodes: set[int] = set()
+        visited = 0
+        while done < len(cycle) and visited < AUDIT_SLICE_VISITS:
+            if leaf.has_inode(cycle[done]):
+                members = leaf.extent(cycle[done])
+                dnodes.update(members)
+                visited += _visits(graph, members)
+            done += 1
+        ids = cycle[self._cycle_done : done]
+        self.last_audit_ok = False
         try:
-            if step == "graph":
-                graph.check_invariants(scope.get("dnodes"))
-            elif step == "structure":
-                structure.check_invariants(**scope)
-            elif self.level != "basic":
-                for violation in depth_violations(structure, self.level == "minimal", **scope):
+            self._run(
+                graph,
+                structure,
+                dnodes=dnodes,
+                inodes=ids,
+                tokens=[(structure.k, inode) for inode in ids],
+                whole=True,
+                totals=done == len(cycle),
+            )
+        except InvariantViolationError as exc:
+            exc.audit_range = (self.audit_cursor, ids[-1] if ids else self.audit_cursor)
+            raise
+        self.last_audit_ok = True
+        self.last_audit_visited = visited
+        self.cycle_visited += visited
+        self.checks_since_audit += 1
+        obs = current_obs()
+        obs.add("resilience.audit_visited", visited)
+        if done == len(cycle):
+            self._restart_audit()
+            self.audits += 1
+            obs.add("resilience.audits")
+        else:
+            self._cycle_done, self.audit_cursor = done, cycle[done]
+
+    def _run(
+        self,
+        graph: DataGraph,
+        structure: Structure,
+        dnodes: Optional[Iterable[int]] = None,
+        inodes: Optional[Iterable[int]] = None,
+        tokens: Optional[Iterable[tuple[int, int]]] = None,
+        whole: bool = False,
+        totals: bool = False,
+    ) -> None:
+        """The check — graph, structure, depth — over the ids of a scope or
+        (none given) everything, then the *totals* if asked; a lookup an
+        oracle misses (a corrupted map) is a violation too."""
+        try:
+            graph.check_invariants(dnodes)
+            structure.check_invariants(dnodes=dnodes, inodes=inodes, tokens=tokens, whole=whole)
+            if self.level != "basic":
+                minimal = self.level == "minimal"
+                for violation in depth_violations(structure, minimal, dnodes, inodes, tokens):
                     raise InvariantViolationError(*violation)
+            if totals:
+                graph.check_totals()
+                structure.check_totals()
         except (AssertionError, LookupError, StructuralIndexError) as exc:
             raise InvariantViolationError(
                 f"structural invariant broken: {type(exc).__name__}: {exc}"
             ) from exc
+
+
+def _visits_of_all(graph: DataGraph) -> int:
+    """What :func:`_visits` would count over every dnode: a cycle's worth."""
+    return graph.num_nodes + 2 * graph.num_edges  # both mirrors
+
+
+def _visits(graph: DataGraph, dnodes: Iterable[int]) -> int:
+    """The live *dnodes* and their adjacency entries, both mirrors."""
+    visits = 0
+    for w in dnodes:
+        try:
+            visits += 1 + graph.in_degree(w) + graph.out_degree(w)
+        except NodeNotFoundError:
+            pass  # a dead one: looked up, never walked
+    return visits

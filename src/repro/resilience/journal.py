@@ -83,6 +83,14 @@ class TouchedSet:
         self.tokens.clear()
         self.full = False
 
+    def absorb(self, other: "TouchedSet") -> None:
+        """Add everything *other* holds (the union is a superset of both)."""
+        self.dnodes |= other.dnodes
+        self.inodes |= other.inodes
+        self.moved |= other.moved
+        self.tokens |= other.tokens
+        self.full |= other.full
+
     def __bool__(self) -> bool:
         return bool(
             self.full or self.dnodes or self.inodes or self.moved or self.tokens

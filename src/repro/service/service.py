@@ -237,7 +237,7 @@ class IndexService:
         self._writer_thread: Optional[threading.Thread] = None
         self._writer_stop = threading.Event()
         self._telemetry = None  # LiveTelemetry bundle, see start_telemetry()
-        #: newest version whose state a whole-graph check has verified
+        #: newest version at which a full check or an audit cycle completed
         self._last_audit_version: Optional[int] = None
         self._snapshot = IndexSnapshot.capture(initial_version, graph, self.structure)
         self.stats.versions_published = 1
@@ -543,6 +543,9 @@ class IndexService:
         service.store = store.ServiceStore.reopen(
             store_dir, store_config, fault_injector, recovery=result
         )
+        if check_level:  # recovery's post-check is this state's first full check
+            service.guarded.invariants.adopt_full_check()
+            service._last_audit_version = result.version
         return service
 
     def _publish_next(self) -> IndexSnapshot:
@@ -572,7 +575,7 @@ class IndexService:
         self._touched.clear()
         guard = self.guarded.invariants
         if guard.last_audit_ok and not guard.checks_since_audit:
-            self._last_audit_version = snapshot.version  # newest check was full
+            self._last_audit_version = snapshot.version  # a cycle just completed
         self.stats.queries_per_version.append(retired)
         self.stats.versions_published += 1
         obs.observe("service.queries_per_version", retired)
@@ -710,6 +713,7 @@ class IndexService:
             "commits_since_audit": guard.checks_since_audit,
             "checks_local": guard.checks_local,
             "checks_full": guard.checks_full,
+            **guard.audit_progress(self.graph),
         }
         if self.store is not None:
             doc["store"] = self.store.health()
@@ -733,8 +737,8 @@ class IndexService:
         """Assert the live graph/index pair is internally consistent.
 
         Runs the guard's whole-graph check at the configured depth (the
-        one recovery runs, and the audit runs a step at a time) and
-        raises :class:`~repro.exceptions.InvariantViolationError`.  The
+        one recovery runs, and the audit cursor spreads over a cycle of
+        commits) and raises :class:`~repro.exceptions.InvariantViolationError`.  The
         soak suite calls this after fault-injected runs to prove the
         service never served from, nor left behind, corrupt state.
         """

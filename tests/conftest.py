@@ -43,6 +43,15 @@ def ci_flight_recorder():
         install(previous)
 
 
+@pytest.fixture(autouse=True)
+def small_audit_slices(monkeypatch):
+    """Tier-1 graphs are a few thousand visits: at the served constant
+    every commit would audit all of one, and no suite would ever hold a
+    cursor between two commits.  A slice of 1024 visits makes their audit
+    cycles span several commits, rollbacks and recoveries."""
+    monkeypatch.setattr("repro.resilience.invariants.AUDIT_SLICE_VISITS", 1024)
+
+
 @pytest.fixture
 def tiny_tree() -> DataGraph:
     """root -> a -> b, root -> c (labels A, B, C)."""

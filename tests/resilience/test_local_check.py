@@ -10,18 +10,27 @@ graph (:mod:`repro.resilience.invariants`).  That is only sound if
   with the same exception type as the full one (the corruption matrix),
   while one *outside* it is the audit's to catch — that is the contract,
   and the last matrix row documents it;
+* the audit cursor — the same oracles over the next slice of whole leaf
+  extents, riding on every local check — states in one cycle everything
+  the unscoped check states (the cycle differential: every matrix row
+  planted *outside* the touched region, and the rows only a cycle can
+  see), raises on no clean stream, finds a corruption anywhere within
+  ``commits_per_full_audit`` + 1 commits, and walks deterministically;
 * the fall-backs (no touched set, ``TouchedSet.full``, recovery) really
-  take the whole-graph path, and the audit — one whole-graph step riding
-  on every local check — completes every ``len(AUDIT_STEPS)`` checks,
-  deterministically;
-* what the scoped check visits does not grow with the graph.
+  take the whole-graph path and restart the cursor, and a cadence that
+  skips checks keeps the skipped commits' scope for the next one;
+* what a commit visits — local scope and audit slice — does not grow
+  with the graph.
 
-The differential and the matrix judge the scoped check *alone*
-(``local_only``): with the audit step riding along, a third of what it
-misses would be caught by accident.
+The scoped differential and the matrix judge the scoped check *alone*
+(``local_only``): with a slice riding along, some of what it misses
+would be caught by accident.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from typing import NamedTuple
 
 import pytest
 
@@ -40,7 +49,8 @@ from repro.resilience import (
     InvariantGuard,
     TouchedSet,
 )
-from repro.resilience.invariants import AUDIT_STEPS
+from repro.resilience import invariants
+from repro.resilience.invariants import AUDIT_SLICE_VISITS as SERVED_SLICE  # (before any patch)
 from repro.service import IndexService, ServiceConfig, Update
 from repro.store import DurableIndexService, StoreConfig
 from repro.workload.queries import QueryWorkload
@@ -51,6 +61,8 @@ from tests.resilience.conftest import CHAOS_SEED, CHAOS_XMARK
 
 FAMILIES = ("one", "ak")
 AK_K = 2
+#: ``CHAOS_XMARK`` is ≈ 4k visits: a cycle of at least four slices
+SLICE = 900
 
 
 def build(family: str, graph):
@@ -77,10 +89,19 @@ def edge_call(step) -> tuple[str, tuple]:
     return "delete_edge", (source, target)
 
 
+def without_audit(patch) -> None:
+    patch.setattr(InvariantGuard, "_audit_slice", lambda self, graph, structure: None)
+
+
 @pytest.fixture
 def local_only(monkeypatch):
-    """Local checks without the audit step that normally rides on them."""
-    monkeypatch.setattr(InvariantGuard, "audit_step", lambda self, graph, structure: None)
+    """Local checks without the audit slice that normally rides on them."""
+    without_audit(monkeypatch)
+
+
+@pytest.fixture
+def small_slices(monkeypatch):
+    monkeypatch.setattr(invariants, "AUDIT_SLICE_VISITS", SLICE)
 
 
 def verdict(level: str, graph, structure, touched=None):
@@ -128,8 +149,7 @@ def paired(monkeypatch, local_only):
     return tally
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_differential_chaos(family, paired):
+def chaos_stream(family: str):
     """Single guarded operations of every kind under injected faults."""
     graph, workload = prepared(61 + CHAOS_SEED)
     guard = GuardedMaintainer(
@@ -151,12 +171,10 @@ def test_differential_chaos(family, paired):
             guard.delete_node(oid)
             touched.clear()
     assert guard.stats.faults > 0, "the injector never fired"
-    assert paired["local"] > 100
-    assert paired["disagreements"] == paired["violations"] == []
+    return graph, guard.structure, guard.invariants, 101
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_differential_service_soak(family, paired):
+def soak_stream(family: str, steps: int = 300):
     """Coalesced batches through the serving layer, with rollbacks."""
     graph, workload = prepared(29 + CHAOS_SEED)
     service = IndexService(
@@ -168,18 +186,17 @@ def test_differential_service_soak(family, paired):
         service,
         workload,
         QueryWorkload.generate(graph, count=24, seed=37 + CHAOS_SEED),
-        SessionMix(steps=300, seed=41 + CHAOS_SEED),
+        SessionMix(steps=steps, seed=41 + CHAOS_SEED),
     )
     report = driver.run()
     assert report.batch_failures == 0
-    assert paired["local"] >= report.batches - service.guarded.stats.degradations
-    assert paired["disagreements"] == paired["violations"] == []
     service.check()
     service.close()
+    promised = report.batches - service.guarded.stats.degradations
+    return graph, service.structure, service.guarded.invariants, promised
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_differential_corpus_churn(family, paired):
+def churn_stream(family: str):
     """Document add / remove / replace: subgraph surgery and value edits."""
     pool = generate_xmark(CHAOS_XMARK).as_documents(12)
     corpus = CorpusService.bulk_load(
@@ -188,9 +205,59 @@ def test_differential_corpus_churn(family, paired):
     churn = CorpusChurnWorkload(pool=pool, steps=30, seed=13 + CHAOS_SEED)
     report = churn.run(corpus, compare="full", check_every=1)  # commit each step
     assert report.converged, report.summary()
-    assert paired["local"] >= 30 - report.noop_replaces
-    assert paired["disagreements"] == paired["violations"] == []
     corpus.close()
+    service = corpus.service
+    return service.graph, service.structure, service.guarded.invariants, 30 - report.noop_replaces
+
+
+#: every stream: ``(graph, structure, its guard, local checks it promises)``,
+#: each long enough to take the cursor round at ``SLICE`` visits a commit
+STREAMS = {"chaos": chaos_stream, "soak": partial(soak_stream, steps=1500), "churn": churn_stream}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_differential_chaos(family, paired):
+    *_, promised = chaos_stream(family)
+    assert paired["local"] >= promised
+    assert paired["disagreements"] == paired["violations"] == []
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_differential_service_soak(family, paired):
+    *_, promised = soak_stream(family)
+    assert paired["local"] >= promised
+    assert paired["disagreements"] == paired["violations"] == []
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_differential_corpus_churn(family, paired):
+    *_, promised = churn_stream(family)
+    assert paired["local"] >= promised
+    assert paired["disagreements"] == paired["violations"] == []
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("stream", STREAMS)
+def test_no_slice_raises_on_a_clean_stream(stream, family, small_slices, monkeypatch):
+    """The cursor under mutation, rollbacks and degrade-rebuilds: where the
+    full check passes, no slice of any cycle raises."""
+    raised = []
+    real_check = InvariantGuard.check
+
+    def recording(self, graph, structure, touched=None):
+        try:
+            real_check(self, graph, structure, touched)
+        except InvariantViolationError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(InvariantGuard, "check", recording)
+    # (the streams' own full checks would restart the cursor at every step)
+    monkeypatch.setattr(IndexService, "check", lambda self: None)
+    graph, structure, guard, _ = STREAMS[stream](family)
+    assert raised == []
+    assert guard.audits >= 1, "the stream never completed a cycle"
+    assert verdict("minimal", graph, structure) is None
 
 
 # ----------------------------------------------------------------------
@@ -414,10 +481,128 @@ def test_a_dnode_in_a_sibling_class_is_caught_from_valid_up(
         assert "mixes signatures" in str(scoped) and "mixes signatures" in str(full)
 
 
-def test_corruption_outside_the_touched_region_waits_for_the_audit():
+# ----------------------------------------------------------------------
+# The audit cursor: one cycle of slices == the unscoped check
+# ----------------------------------------------------------------------
+
+
+def classes_of(structure, w: int) -> list[tuple[int, int]]:
+    """``(level, class)`` of a dnode at every level (a 1-index has one)."""
+    if structure.kind == "one":
+        return [(0, structure.inode_of(w))]
+    return [(i, level.class_of[w]) for i, level in enumerate(structure.levels)]
+
+
+def outside(graph, maintainer, touched) -> TouchedSet:
+    """A region the batch's scope misses, described the way a touched set
+    describes the batch's own, so a matrix row can plant there: the dnodes
+    that share no inode or class with anything the local check may read —
+    the scope, its classmates (a representative is drawn from them) and
+    their neighbours."""
+    structure = maintainer.structure
+    taken = touched.tokens | {(structure.k, inode) for inode in touched.inodes}
+    for w in touched.dnodes | touched.moved:
+        if graph.has_node(w):
+            taken.update(classes_of(structure, w))
+            if w in touched.moved:
+                taken.update(cls for c in graph.iter_succ(w) for cls in classes_of(structure, c))
+    near = {w for w in graph.nodes() if not taken.isdisjoint(classes_of(structure, w))}
+    for w in list(near):  # (every oracle reads a dnode's parents, none its children)
+        near.update(graph.iter_pred(w))
+    taken.update(cls for w in near for cls in classes_of(structure, w))
+    region = TouchedSet()
+    for w in graph.nodes():
+        if taken.isdisjoint(classes_of(structure, w)):
+            region.dnodes.add(w)
+            region.moved.add(w)
+            region.tokens.update(classes_of(structure, w))
+    region.inodes = {token for level, token in region.tokens if level == structure.k}
+    return region
+
+
+def inflate_support(graph, maintainer, touched):
+    # consistent in both mirrors, so only an extent recounted whole sees it
+    index = maintainer.index
+    source, target = touched_edge(graph, touched)
+    i, j = index.inode_of(source), index.inode_of(target)
+    index._succ_support[i][j] += 1
+    index._pred_support[j][i] += 1
+
+
+def duplicate_extent_slot(graph, maintainer, touched):
+    # a dnode listed twice over a classmate, which no extent lists any more
+    index = maintainer.index
+    arr = next(
+        index._extent_arr[i] for i in sorted(touched.inodes) if index.extent_size(i) > 1
+    )
+    arr[1] = arr[0]
+
+
+def plant_root_impostor(graph, maintainer, touched):
+    # a second parentless ROOT-labelled inode, every map consistent: it
+    # merges with the root's, which the scoped minimality oracle skips
+    maintainer.index.add_dnode(graph.add_node(graph.label(graph.root)))
+
+
+def empty_inner_class(graph, maintainer, touched):
+    family = maintainer.family
+    token = family.open_class(1, next(iter(family.levels[0].extents)))
+    assert not family.levels[1].extents[token]
+
+
+#: every row of ``MATRIX``, and what only a cycle can see; at ``basic`` where
+#: a depth oracle would see it first (an empty class also fails to sign)
+CYCLE_MATRIX = [(family, corrupt, "minimal") for family, corrupt in MATRIX] + [
+    ("one", inflate_support, "minimal"),
+    ("one", duplicate_extent_slot, "minimal"),
+    ("one", move_to_sibling_inode, "minimal"),
+    ("one", plant_root_impostor, "minimal"),
+    ("ak", unmerge_ak_class, "minimal"),
+    ("ak", empty_inner_class, "basic"),
+]
+
+
+def cycle_verdict(level: str, graph, structure):
+    """What one cycle of audit slices raises on this state (the first
+    slice that raises ends it), and the slices it took."""
+    guard = InvariantGuard(level=level)
+    slices = 0
+    while not guard.audits:
+        slices += 1
+        try:
+            guard.check(graph, structure, TouchedSet())
+        except InvariantViolationError as exc:
+            assert exc.audit_range is not None and guard.last_audit_ok is False
+            return exc, slices
+    assert guard.audit_cursor == guard.checks_since_audit == 0
+    return None, slices
+
+
+@pytest.mark.parametrize(
+    "family,corrupt,level", CYCLE_MATRIX, ids=[f"{f}-{c.__name__}" for f, c, _ in CYCLE_MATRIX]
+)
+def test_one_cycle_of_slices_states_what_the_unscoped_check_states(
+    family, corrupt, level, small_slices, monkeypatch
+):
+    graph, maintainer, touched = batched(family)
+    structure = maintainer.structure
+    clean, slices = cycle_verdict(level, graph, structure)
+    assert clean is None and slices >= 4
+    corrupt(graph, maintainer, outside(graph, maintainer, touched))
+    with monkeypatch.context() as patch:  # out of the local check's sight
+        without_audit(patch)
+        assert verdict(level, graph, structure, touched) is None
+    full = verdict(level, graph, structure)
+    cycle, _ = cycle_verdict(level, graph, structure)
+    assert type(cycle) is type(full) is InvariantViolationError, (cycle, full)
+    assert cycle.definition == full.definition
+
+
+def test_corruption_outside_the_touched_region_waits_for_the_audit(small_slices, monkeypatch):
     """The contract: the local check vouches for the batch's neighbourhood
-    only; the rest of the graph is the audit's, one step per check, so a
-    corruption anywhere is found within ``len(AUDIT_STEPS)`` commits."""
+    only; the rest of the graph is the cursor's, one slice per check, so a
+    corruption anywhere — here right behind the cursor, the worst place —
+    is found within ``commits_per_full_audit`` + 1 commits."""
     graph, workload = prepared(3 + CHAOS_SEED)
     service = IndexService(graph, ServiceConfig(guard=GuardConfig(policy="raise")))
     index = service.guarded.index
@@ -430,28 +615,38 @@ def test_corruption_outside_the_touched_region_waits_for_the_audit():
             service.submit(Update(method, args))
         return service.flush()
 
-    while AUDIT_STEPS[guard.checks_since_audit] != "depth":
-        commit()
     # a support counter between two inodes no IDREF batch ever reaches
     root_inode = index.inode_of(graph.root)
     child = next(iter(index.isucc(root_inode)))
+    while guard.audit_cursor <= max(root_inode, child):
+        commit()
     index._succ_support[root_inode][child] += 1
     index._pred_support[child][root_inode] += 1
-    touched = TouchedSet()
-    touched.dnodes.update(service.guarded.touched.dnodes)
-    assert verdict("minimal", graph, index, touched) is None  # locally fine
+    with monkeypatch.context() as patch:  # no batch's own check will see it
+        without_audit(patch)
+        assert verdict("minimal", graph, index, TouchedSet()) is None
 
-    commits = 0
-    with pytest.raises(InvariantViolationError, match="supports of inode"):
+    bound = service.health()["commits_per_full_audit"] + 1
+    assert bound >= 5
+    cursors = []
+    sink = InMemorySink()
+    with observed(sink), pytest.raises(
+        InvariantViolationError, match="supports of inode"
+    ) as caught:
         while True:
-            commit()  # "depth", then "graph": neither recounts supports...
-            commits += 1
+            cursors.append(guard.audit_cursor)
+            commit()  # the rest of this cycle, then the slice that recounts it
             assert service.health()["last_audit_ok"] is True
-    assert commits == 2  # ...the "structure" step does
+    assert 1 < len(cursors) <= bound
+    first, last = caught.value.audit_range
+    assert first == cursors[-1] == guard.audit_cursor  # a failed slice is not done
+    assert first <= child <= last
+    (event,) = sink.events("resilience.rolled_back")
+    assert tuple(event["attrs"]["audit_range"]) == (first, last)
     health = service.health()
     assert health["last_audit_ok"] is False
     assert health["checks_full"] == 0
-    assert guard.checks_since_audit == AUDIT_STEPS.index("structure")
+    assert health["audit_cursor"] == first
     service.close()
 
 
@@ -499,7 +694,7 @@ def test_rolled_back_event_names_the_definition_and_the_pair():
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_untracked_and_full_touched_sets_take_the_full_path(family):
+def test_untracked_and_full_touched_sets_take_the_full_path(family, small_slices):
     graph, workload = prepared(11)
     guard = GuardedMaintainer(build(family, graph), GuardConfig(policy="degrade"))
     steps = workload.steps(20, validate=True)
@@ -511,13 +706,15 @@ def test_untracked_and_full_touched_sets_take_the_full_path(family):
     method, args = edge_call(next(steps))
     getattr(guard, method)(*args)
     assert (guard.invariants.checks_full, guard.invariants.checks_local) == (1, 1)
+    assert guard.invariants.audit_cursor > 0 < guard.invariants.cycle_visited
     touched.clear()
     guard.fault_injector = FaultInjector(at_record=1)
     method, args = edge_call(next(steps))
     getattr(guard, method)(*args)  # degrade: rebuild marks the set full
     assert touched.full and guard.stats.degradations == 1
     assert (guard.invariants.checks_full, guard.invariants.checks_local) == (2, 1)
-    assert guard.invariants.audits == 0  # a fall-back is not an audit
+    assert guard.invariants.audits == 0  # a fall-back is not an audit: it restarts one
+    assert guard.invariants.audit_cursor == guard.invariants.cycle_visited == 0
 
 
 def test_recovery_post_check_is_a_full_check(tmp_path, monkeypatch):
@@ -543,7 +740,17 @@ def test_recovery_post_check_is_a_full_check(tmp_path, monkeypatch):
     assert len(guards) == 1  # replay is unchecked; one post-check covers it
     assert (guards[0].checks_full, guards[0].checks_local) == (1, 0)
     assert guards[0].last_audit_ok is True
+    # ... and is the recovered service's first full check, not a forgotten one
+    health = recovered.health()
+    assert health["last_audit_version"] == recovered.version == 1
+    assert health["last_audit_ok"] is True
+    assert (health["checks_full"], health["checks_local"]) == (1, 0)
+    assert health["audit_cursor"] == health["commits_since_audit"] == 0
     recovered.close(checkpoint=False)
+    unchecked = IndexService.recover(str(tmp_path / "store"), check_level="")
+    assert unchecked.health()["last_audit_ok"] is None
+    assert unchecked.health()["checks_full"] == 0
+    unchecked.close(checkpoint=False)
 
 
 def test_recovery_refuses_an_invalid_family_at_its_default_level(tmp_path):
@@ -575,12 +782,21 @@ def test_recovery_refuses_an_invalid_family_at_its_default_level(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Health, audit cadence, O(touched)
+# Health, audit cycles, O(touched + constant)
 # ----------------------------------------------------------------------
 
 
-def drive(service, workload, batches: int) -> list[tuple[int, int]]:
-    """Commit 16-op IDREF batches; ``(visited, audits so far)`` per commit."""
+class Commit(NamedTuple):
+    """What the guard shows after one commit."""
+
+    local: int  # visits of the local check
+    cursor: int  # where the next audit slice starts
+    audit: int  # visits of this commit's slice
+    cycles: int  # audit cycles completed so far
+
+
+def drive(service, workload, batches: int) -> list[Commit]:
+    """Commit 16-op IDREF batches; the guard's state after each."""
     steps = workload.steps(1 << 20, validate=False)
     guard = service.guarded.invariants
     trail = []
@@ -588,11 +804,13 @@ def drive(service, workload, batches: int) -> list[tuple[int, int]]:
         for _ in range(16):
             service.submit(Update(*edge_call(next(steps))))
         service.flush()
-        trail.append((guard.last_visited, guard.audits))
+        trail.append(
+            Commit(guard.last_visited, guard.audit_cursor, guard.last_audit_visited, guard.audits)
+        )
     return trail
 
 
-def test_an_audit_completes_every_few_checks():
+def test_an_audit_completes_every_few_checks(small_slices):
     trails = []
     for _ in range(2):  # identically across two runs of one seed
         graph, workload = prepared(17 + CHAOS_SEED)
@@ -601,35 +819,71 @@ def test_an_audit_completes_every_few_checks():
             trails.append(drive(service, workload, batches=20))
             counters = {
                 name: obs.metrics.counter(f"resilience.{name}").value
-                for name in ("checks", "audits", "check_visited")
+                for name in ("checks", "audits", "check_visited", "audit_visited")
             }
+        trail = trails[-1]
         guard = service.guarded.invariants
         health = service.health()
+        since = next(n for n in range(20) if trail[-1 - n].cursor == 0)  # commits since a wrap
         assert counters["checks"] == 20 == guard.checks_local
-        assert counters["audits"] == guard.audits == 20 // len(AUDIT_STEPS)
-        assert counters["check_visited"] == sum(visited for visited, _ in trails[-1])
+        assert counters["audits"] == guard.audits == trail[-1].cycles >= 3
+        assert counters["check_visited"] == sum(commit.local for commit in trail)
+        assert counters["audit_visited"] == sum(commit.audit for commit in trail)
         assert health["checks_local"] == guard.checks_local
         assert health["checks_full"] == guard.checks_full == 0
         assert health["last_audit_ok"] is True
-        assert health["commits_since_audit"] == 20 % len(AUDIT_STEPS)
-        assert (
-            health["last_audit_version"]
-            == service.version - health["commits_since_audit"]
+        assert health["commits_since_audit"] == since
+        assert health["last_audit_version"] == service.version - since
+        assert health["audit_cursor"] == trail[-1].cursor
+        assert (health["audit_coverage"] == 0) == (since == 0)
+        assert 0 <= health["audit_coverage"] < 1
+        # a slice takes at least SLICE visits, so a cycle at most this many commits
+        assert health["commits_per_full_audit"] == -(
+            -(graph.num_nodes + 2 * graph.num_edges) // SLICE
         )
-        service.check()  # the full check starts the next audit over
+        wraps = [n for n, commit in enumerate(trail) if commit.cursor == 0]
+        gaps = [b - a for a, b in zip([-1] + wraps, wraps)]
+        assert all(4 <= gap <= health["commits_per_full_audit"] for gap in gaps), gaps
+        service.check()  # the full check starts the next cycle over
         health = service.health()
         assert (health["checks_full"], health["commits_since_audit"]) == (1, 0)
+        assert health["audit_cursor"] == health["audit_coverage"] == 0
+        assert health["last_audit_version"] == service.version
         service.close()
     assert trails[0] == trails[1]
-    # one step per check: the n-th check completes audit n // len(AUDIT_STEPS)
-    assert [audits for _, audits in trails[0]] == [
-        n // len(AUDIT_STEPS) for n in range(1, 21)
-    ]
+    cursors = [commit.cursor for commit in trails[0]]
+    assert all(a < b or b == 0 for a, b in zip(cursors, cursors[1:]))  # forward, then round
 
 
-def test_scoped_visits_do_not_grow_with_the_graph():
-    """Count-based O(touched): the same seeded 16-op IDREF batches on
-    XMark(1) and on XMark at 4x of every count."""
+@pytest.mark.parametrize("family", FAMILIES)
+def test_an_unchecked_commit_is_scoped_into_the_next_due_check(family, local_only):
+    """``check_every=2``: the service clears its touched set at every
+    publish, so the commit the cadence skipped must leave its ids with
+    the guard — the next due *local* check covers both batches."""
+    graph, workload = prepared(23 + CHAOS_SEED)
+    service = IndexService(
+        graph,
+        ServiceConfig(family=family, k=AK_K, guard=GuardConfig(policy="raise", check_every=2)),
+    )
+    _, source, target = next(s for s in workload.steps(50, validate=True) if s[0] == "insert")
+    service.submit(Update("insert_edge", (source, target, EdgeKind.IDREF)))
+    service.flush()
+    assert service.guarded.stats.checks == 0 and not service.guarded.touched
+    graph._pred_slabs.remove(graph._slot_of[target], source)  # inside that commit's scope
+    far = next(w for w in graph.nodes() if w not in (source, target) and not graph.out_degree(w))
+    service.submit(Update.set_value(far, "elsewhere"))
+    with pytest.raises(InvariantViolationError, match=f"pred missing for {source}->{target}"):
+        service.flush()
+    assert service.guarded.stats.checks == 1
+    assert service.guarded.invariants.checks_local == 1
+    service.close()
+
+
+def test_scoped_visits_do_not_grow_with_the_graph(monkeypatch):
+    """Count-based O(touched + constant): the same seeded 16-op IDREF
+    batches on XMark(1) and on XMark at 4x of every count, at the served
+    slice size."""
+    monkeypatch.setattr(invariants, "AUDIT_SLICE_VISITS", SERVED_SLICE)
     base = XMarkConfig()
     visits = {}
     for scale in (1, 4):
@@ -641,13 +895,27 @@ def test_scoped_visits_do_not_grow_with_the_graph():
             num_categories=base.num_categories * scale,
         ))
         service = IndexService(graph, ServiceConfig())
+        index = service.structure
         trail = drive(service, workload, batches=12)
         assert service.guarded.invariants.checks_full == 0
+        largest = max(invariants._visits(graph, index.extent(i)) for i in index.inodes())
         full = InvariantGuard(level="minimal")
         full.check(graph, service.structure)
-        visits[scale] = (sum(visited for visited, _ in trail), full.last_visited)
+        visits[scale] = (
+            sum(commit.local for commit in trail),
+            full.last_visited,
+            max(commit.audit for commit in trail),
+            largest,
+            trail[-1].cycles,
+        )
         service.close()
-    (local_1, full_1), (local_4, full_4) = visits[1], visits[4]
+    (local_1, full_1, audit_1, largest_1, cycles_1) = visits[1]
+    (local_4, full_4, audit_4, largest_4, cycles_4) = visits[4]
     assert local_4 <= 1.5 * local_1, visits
     assert 3.5 * full_1 <= full_4 <= 4.5 * full_1, visits
     assert local_1 < 0.05 * full_1 * 12, visits
+    # a slice ends with the inode that reaches the constant, at either scale
+    assert SERVED_SLICE <= audit_1 <= SERVED_SLICE + largest_1, visits
+    assert SERVED_SLICE <= audit_4 <= SERVED_SLICE + largest_4, visits
+    # ... so twelve commits are two 5-commit cycles at 1x, not yet one of 19 at 4x
+    assert (cycles_1, cycles_4) == (2, 0), visits

@@ -9,6 +9,8 @@ failing, and the thing moves down to where both can reach it.
 from __future__ import annotations
 
 import ast
+import dataclasses
+import importlib
 import pathlib
 
 import repro
@@ -246,7 +248,7 @@ def test_the_replaced_names_are_gone():
         "_normalise_cross_edges", "_require_disjoint_oids",
         "_family_backup", "leaf_moves", "leaf_tokens", "capture_family",
         "evolve_family", "_note_move", "sample_rate",
-        "resolve_touched_leaves", "wal_last_lsn",
+        "resolve_touched_leaves", "wal_last_lsn", "AUDIT_STEPS", "audit_step",
     )
     for path in SRC.rglob("*.py"):
         text = path.read_text()
@@ -297,3 +299,47 @@ def test_no_layer_checks_that_it_got_exactly_one_of_the_pair():
         if "exactly one of" in literal and ("index" in literal or "family" in literal)
     ]
     assert checks == []
+
+
+# ----------------------------------------------------------------------
+# What the benchmark binds to by name, and what the audit may not grow
+# ----------------------------------------------------------------------
+
+
+def test_every_traced_attribute_resolves():
+    """``bench/trace.py`` wraps these from outside: a rename or a re-homing
+    breaks the traced run (ROADMAP rule iv), which no tier-1 test drives."""
+    from bench.trace import SPAN_TABLE
+
+    missing = []
+    for span, module, owner, attribute in SPAN_TABLE:
+        holder = importlib.import_module(module)
+        if owner is not None:
+            holder = getattr(holder, owner, None)
+        if not callable(getattr(holder, attribute, None)):
+            missing.append((span, module, owner, attribute))
+    assert missing == []
+
+
+def test_the_audit_slice_runs_inside_the_check_and_adds_no_setting():
+    # ``resilience.check_s`` / ``check_share`` time InvariantGuard.check:
+    # the slice is part of the post-check only while it is called from there
+    callers = [
+        (module, function)
+        for module, tree in TREES.items()
+        for node, function in enclosing_functions(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_audit_slice"
+    ]
+    assert callers == [("resilience/invariants.py", "check")]
+    # its size is one module constant: no config field, no environment variable
+    from repro.resilience.guard import GuardConfig
+    from repro.service import ServiceConfig
+
+    assert [field.name for field in dataclasses.fields(GuardConfig)] == [
+        "policy", "check_level", "check_every", "max_retries",
+    ]
+    assert [field.name for field in dataclasses.fields(ServiceConfig)] == [
+        "family", "k", "batch_max_ops", "queue_capacity", "admission", "coalesce",
+        "guard", "writer_idle_wait",
+    ]
+    assert "environ" not in (SRC / "resilience" / "invariants.py").read_text()
