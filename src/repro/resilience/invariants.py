@@ -20,8 +20,9 @@ superset, so the rest of the graph is re-verified behind it by an
 **audit cursor**: every local check is followed by the same oracles over
 the next *slice* of leaf inodes (1-index inodes, leaf classes of a
 family, in id order), cut after :data:`AUDIT_SLICE_VISITS` dnode visits.
-A commit costs O(touched + constant) and the whole graph comes round
-every ⌈(|V| + 2|E|) ÷ AUDIT_SLICE_VISITS⌉ commits.  One cycle states
+A slice ends with the extent that reaches the constant, so a commit costs
+O(touched + constant + the largest leaf extent) and the whole graph comes
+round every ⌈(|V| + 2|E|) ÷ AUDIT_SLICE_VISITS⌉ commits.  One cycle states
 everything the unscoped check states:
 
 * a slice hands **whole extents** (``whole=True``): the scoped structure
@@ -77,7 +78,7 @@ LEVELS = ("basic", "valid", "minimal")
 
 #: dnode visits (1 + in-degree + out-degree each, the unit of
 #: ``last_visited``) after which an audit slice takes no further inode
-AUDIT_SLICE_VISITS = 16384
+AUDIT_SLICE_VISITS = 8192
 
 
 class InvariantGuard:
@@ -94,13 +95,13 @@ class InvariantGuard:
         #: dnodes + adjacency entries the last check was scoped to, and its audit slice
         self.last_visited = self.last_audit_visited = 0
         self.checks_local = self.checks_full = 0
-        #: audit cycles completed, and local checks since the last (or a full check)
-        self.audits = self.checks_since_audit = 0
+        #: audit cycles completed, and the largest slice of the last one
+        self.audits = self.audit_slice_max_visited = 0
         #: verdict of the last full check or audit slice (``None``: none yet)
         self.last_audit_ok: Optional[bool] = None
-        #: leaf inode id the next slice starts at (0: a new cycle), and the
-        #: visits of the cycle so far
-        self.audit_cursor = self.cycle_visited = 0
+        #: leaf inode id the next slice starts at (0: a new cycle), the visits
+        #: of the cycle so far and of its largest slice
+        self.audit_cursor = self.cycle_visited = self._cycle_slice_max = 0
         #: the cycle under way: the leaf ids alive when it began, ascending,
         #: and how many of them are done
         self._cycle: Sequence[int] = ()
@@ -173,12 +174,13 @@ class InvariantGuard:
             "audit_cursor": self.audit_cursor,
             "audit_coverage": round(min(1.0, self.cycle_visited / units), 4),
             "commits_per_full_audit": -(-units // AUDIT_SLICE_VISITS),
+            "audit_slice_max_visited": self.audit_slice_max_visited,
         }
 
     def _restart_audit(self) -> None:
         self._cycle = ()
-        self._cycle_done = self.audit_cursor = self.cycle_visited = 0
-        self.checks_since_audit = 0
+        self._cycle_done = self.audit_cursor = 0
+        self.cycle_visited = self._cycle_slice_max = 0
 
     def _audit_slice(self, graph: DataGraph, structure: Structure) -> None:
         """Re-verify the next slice of leaf inodes, whole; the slice that
@@ -213,10 +215,12 @@ class InvariantGuard:
         self.last_audit_ok = True
         self.last_audit_visited = visited
         self.cycle_visited += visited
-        self.checks_since_audit += 1
+        self._cycle_slice_max = max(self._cycle_slice_max, visited)
         obs = current_obs()
         obs.add("resilience.audit_visited", visited)
+        obs.observe("resilience.audit_slice_visits", visited)
         if done == len(cycle):
+            self.audit_slice_max_visited = self._cycle_slice_max
             self._restart_audit()
             self.audits += 1
             obs.add("resilience.audits")

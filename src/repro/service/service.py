@@ -448,6 +448,8 @@ class IndexService:
         """
         self._check_fence()
         obs = current_obs()
+        guard = self.guarded.invariants
+        whole_graph_verdicts = guard.audits + guard.checks_full
         if self.config.coalesce and not replayed:
             survivors, pass_stats = coalesce(batch, self.graph)
             self.stats.coalescing.merge(pass_stats)
@@ -489,6 +491,10 @@ class IndexService:
             obs.observe(
                 "service.publish_seconds", time.perf_counter() - publish_started
             )
+        # stamped by the commit whose own check ended a cycle or was a full
+        # one — not by one the cadence skipped or that coalesced to nothing
+        if guard.last_audit_ok and guard.audits + guard.checks_full > whole_graph_verdicts:
+            self._last_audit_version = snapshot.version
         elapsed = time.perf_counter() - started
         self.stats.batches += 1
         self.stats.applied_ops += len(survivors)
@@ -573,9 +579,6 @@ class IndexService:
         if self.adaptive is not None:
             self.adaptive.advance(snapshot.version, *changed)
         self._touched.clear()
-        guard = self.guarded.invariants
-        if guard.last_audit_ok and not guard.checks_since_audit:
-            self._last_audit_version = snapshot.version  # a cycle just completed
         self.stats.queries_per_version.append(retired)
         self.stats.versions_published += 1
         obs.observe("service.queries_per_version", retired)
@@ -688,6 +691,7 @@ class IndexService:
     def health(self) -> dict:
         """Liveness facts for the ``/health`` endpoint, one section per part."""
         guard = self.guarded.invariants
+        audited = self._last_audit_version
         doc = {
             "family": self.structure.kind,
             "k": self.structure.k,
@@ -708,9 +712,12 @@ class IndexService:
             "versions_published": self.stats.versions_published,
             "graph_bytes": self.graph.approx_bytes(),
             "index_bytes": self.structure.approx_bytes(),
-            "last_audit_version": self._last_audit_version,
+            "last_audit_version": audited,
             "last_audit_ok": guard.last_audit_ok,
-            "commits_since_audit": guard.checks_since_audit,
+            # commits published since that version (or, before one, by this service)
+            "commits_since_audit": (
+                self.stats.versions_published - 1 if audited is None else self.version - audited
+            ),
             "checks_local": guard.checks_local,
             "checks_full": guard.checks_full,
             **guard.audit_progress(self.graph),

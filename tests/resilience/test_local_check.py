@@ -270,9 +270,9 @@ class NoMerge(SplitMergeMaintainer):
         """Skip Figure 3's merge phase: valid, but no longer minimal."""
 
 
-def batched(family: str, build=build, pairs: int = 8):
+def batched(family: str, build=build, pairs: int = 8, config: XMarkConfig = CHAOS_XMARK):
     """One committed, *unchecked* batch and the touched set it left."""
-    graph, workload = prepared(7 + CHAOS_SEED)
+    graph, workload = prepared(7 + CHAOS_SEED, config)
     maintainer = build(family, graph)
     guard = GuardedMaintainer(maintainer, GuardConfig(policy="raise", check_every=0))
     touched = TouchedSet()
@@ -574,7 +574,7 @@ def cycle_verdict(level: str, graph, structure):
         except InvariantViolationError as exc:
             assert exc.audit_range is not None and guard.last_audit_ok is False
             return exc, slices
-    assert guard.audit_cursor == guard.checks_since_audit == 0
+    assert guard.audit_cursor == guard.cycle_visited == 0
     return None, slices
 
 
@@ -647,6 +647,59 @@ def test_corruption_outside_the_touched_region_waits_for_the_audit(small_slices,
     assert health["last_audit_ok"] is False
     assert health["checks_full"] == 0
     assert health["audit_cursor"] == first
+    service.close()
+
+
+#: one row of ``MATRIX`` per family for the constant that is served
+SERVED_ROWS = [("one", repoint_dnode), ("ak", move_to_sibling_class)]
+
+
+@pytest.mark.parametrize(
+    "family,corrupt", SERVED_ROWS, ids=[f"{f}-{c.__name__}" for f, c in SERVED_ROWS]
+)
+def test_a_cycle_at_the_served_constant_states_and_finds_what_the_unscoped_check_does(
+    family, corrupt, monkeypatch
+):
+    """The two properties above on XMark(1) at ``SERVED_SLICE`` (tier-1
+    otherwise runs 900 to 1024 visits a slice): one cycle == the unscoped
+    verdict on a row planted outside the touched region, and a served
+    stream whose own checks never reach it finds it within
+    ``commits_per_full_audit`` + 1 commits."""
+    monkeypatch.setattr(invariants, "AUDIT_SLICE_VISITS", SERVED_SLICE)
+    graph, maintainer, touched = batched(family, config=XMarkConfig())
+    structure = maintainer.structure
+    service = IndexService(
+        graph, ServiceConfig(guard=GuardConfig(policy="raise")), maintainer=maintainer
+    )
+    assert service.structure is structure
+    quiet = min(w for w in touched.dnodes if graph.has_node(w))  # inside the batch's scope
+
+    def commit():
+        service.submit(Update.set_value(quiet, service.version))
+        service.flush()
+
+    clean, slices = cycle_verdict("minimal", graph, structure)
+    bound = service.health()["commits_per_full_audit"] + 1
+    assert clean is None and 4 <= slices < bound  # (a slice takes at least the constant)
+    commit()  # the rows plant at low ids: behind the cursor from here on
+    corrupt(graph, maintainer, outside(graph, maintainer, touched))
+    with monkeypatch.context() as patch:
+        without_audit(patch)
+        assert verdict("minimal", graph, structure, touched) is None
+    full = verdict("minimal", graph, structure)
+    cycle, _ = cycle_verdict("minimal", graph, structure)
+    assert type(cycle) is type(full) is InvariantViolationError, (cycle, full)
+    assert cycle.definition == full.definition
+
+    with pytest.raises(InvariantViolationError) as caught:
+        while service.version <= bound:
+            commit()
+            assert service.health()["last_audit_ok"] is True
+    assert caught.value.audit_range is not None
+    assert caught.value.definition == full.definition
+    health = service.health()
+    assert health["last_audit_ok"] is False
+    assert health["checks_local"] == health["version"] + 1  # the last one refused
     service.close()
 
 
@@ -821,6 +874,7 @@ def test_an_audit_completes_every_few_checks(small_slices):
                 name: obs.metrics.counter(f"resilience.{name}").value
                 for name in ("checks", "audits", "check_visited", "audit_visited")
             }
+            slices = obs.metrics.histogram("resilience.audit_slice_visits")
         trail = trails[-1]
         guard = service.guarded.invariants
         health = service.health()
@@ -829,6 +883,7 @@ def test_an_audit_completes_every_few_checks(small_slices):
         assert counters["audits"] == guard.audits == trail[-1].cycles >= 3
         assert counters["check_visited"] == sum(commit.local for commit in trail)
         assert counters["audit_visited"] == sum(commit.audit for commit in trail)
+        assert (slices.count, slices.total) == (20, counters["audit_visited"])
         assert health["checks_local"] == guard.checks_local
         assert health["checks_full"] == guard.checks_full == 0
         assert health["last_audit_ok"] is True
@@ -853,6 +908,46 @@ def test_an_audit_completes_every_few_checks(small_slices):
     assert trails[0] == trails[1]
     cursors = [commit.cursor for commit in trails[0]]
     assert all(a < b or b == 0 for a, b in zip(cursors, cursors[1:]))  # forward, then round
+
+
+@pytest.mark.parametrize("check_every", [1, 2])
+def test_only_a_commit_whose_check_ended_a_cycle_stamps_the_audit(check_every, small_slices):
+    """``last_audit_version`` names a commit whose own check completed a
+    cycle — never one the cadence skipped, nor a batch that coalesced to
+    nothing right behind it — and ``commits_since_audit`` counts the
+    commits published since, checked or not."""
+    graph, workload = prepared(17 + CHAOS_SEED)
+    service = IndexService(
+        graph, ServiceConfig(guard=GuardConfig(policy="raise", check_every=check_every))
+    )
+    steps = workload.steps(1 << 20, validate=False)
+    stats, guard = service.guarded.stats, service.guarded.invariants
+    ended_a_cycle = {}
+    stamps = set()
+    for _ in range(40):
+        checks, audits = stats.checks, guard.audits
+        if ended_a_cycle.get(service.version):
+            source, target = workload.pool[-1]  # cancels itself: a version, no check
+            service.submit(Update("insert_edge", (source, target, EdgeKind.IDREF)))
+            service.submit(Update("delete_edge", (source, target)))
+            assert service.flush().applied == 0 and stats.checks == checks
+        else:
+            for _ in range(8):
+                service.submit(Update(*edge_call(next(steps))))
+            service.flush()
+        ended_a_cycle[service.version] = guard.audits > audits
+        assert stats.checks > checks or not ended_a_cycle[service.version]
+        health = service.health()
+        stamp = health["last_audit_version"]
+        if stamp is None:
+            assert health["commits_since_audit"] == service.version
+        else:
+            assert ended_a_cycle[stamp], f"v{stamp} ran no check that ended a cycle"
+            assert health["commits_since_audit"] == service.version - stamp
+            stamps.add(stamp)
+    assert len(stamps) >= 3 and guard.audits == len(stamps)
+    assert stats.checks < service.version  # some commits went unchecked
+    service.close()
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -880,9 +975,9 @@ def test_an_unchecked_commit_is_scoped_into_the_next_due_check(family, local_onl
 
 
 def test_scoped_visits_do_not_grow_with_the_graph(monkeypatch):
-    """Count-based O(touched + constant): the same seeded 16-op IDREF
-    batches on XMark(1) and on XMark at 4x of every count, at the served
-    slice size."""
+    """Count-based O(touched + constant + largest extent): the same seeded
+    16-op IDREF batches on XMark(1) and on XMark at 4x of every count, at
+    the served slice size."""
     monkeypatch.setattr(invariants, "AUDIT_SLICE_VISITS", SERVED_SLICE)
     base = XMarkConfig()
     visits = {}
@@ -896,26 +991,34 @@ def test_scoped_visits_do_not_grow_with_the_graph(monkeypatch):
         ))
         service = IndexService(graph, ServiceConfig())
         index = service.structure
+        guard = service.guarded.invariants
         trail = drive(service, workload, batches=12)
-        assert service.guarded.invariants.checks_full == 0
+        assert guard.checks_full == 0
+        # /health shows a cycle's largest slice once one has completed
+        assert (service.health()["audit_slice_max_visited"] > 0) == (trail[-1].cycles > 0)
+        while scale == 1 and not guard.audits:
+            trail += drive(service, workload, batches=1)
         largest = max(invariants._visits(graph, index.extent(i)) for i in index.inodes())
         full = InvariantGuard(level="minimal")
         full.check(graph, service.structure)
         visits[scale] = (
-            sum(commit.local for commit in trail),
+            sum(commit.local for commit in trail[:12]),
             full.last_visited,
             max(commit.audit for commit in trail),
             largest,
-            trail[-1].cycles,
+            trail[11].cycles,
+            service.health()["audit_slice_max_visited"],
         )
         service.close()
-    (local_1, full_1, audit_1, largest_1, cycles_1) = visits[1]
-    (local_4, full_4, audit_4, largest_4, cycles_4) = visits[4]
+    (local_1, full_1, audit_1, largest_1, cycles_1, slice_max_1) = visits[1]
+    (local_4, full_4, audit_4, largest_4, cycles_4, _) = visits[4]
     assert local_4 <= 1.5 * local_1, visits
     assert 3.5 * full_1 <= full_4 <= 4.5 * full_1, visits
     assert local_1 < 0.05 * full_1 * 12, visits
     # a slice ends with the inode that reaches the constant, at either scale
     assert SERVED_SLICE <= audit_1 <= SERVED_SLICE + largest_1, visits
     assert SERVED_SLICE <= audit_4 <= SERVED_SLICE + largest_4, visits
-    # ... so twelve commits are two 5-commit cycles at 1x, not yet one of 19 at 4x
-    assert (cycles_1, cycles_4) == (2, 0), visits
+    assert SERVED_SLICE <= slice_max_1 <= audit_1, visits
+    # ... so twelve commits are this many whole cycles of ⌈full ÷ constant⌉ commits
+    assert cycles_1 == 12 // -(-full_1 // SERVED_SLICE), visits
+    assert cycles_4 == 12 // -(-full_4 // SERVED_SLICE), visits

@@ -342,4 +342,14 @@ def test_the_audit_slice_runs_inside_the_check_and_adds_no_setting():
         "family", "k", "batch_max_ops", "queue_capacity", "admission", "coalesce",
         "guard", "writer_idle_wait",
     ]
-    assert "environ" not in (SRC / "resilience" / "invariants.py").read_text()
+    # ... read in one module, and the package looks up no environment variable
+    readers = {
+        module
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if "AUDIT_SLICE_VISITS" in (getattr(node, "id", None), getattr(node, "attr", None))
+    }
+    assert readers == {"resilience/invariants.py"}
+    for path in (SRC / "resilience").glob("*.py"):
+        text = path.read_text()
+        assert "environ" not in text and "getenv" not in text, path
