@@ -13,7 +13,7 @@ for the 1-index never larger") — is checked against this evaluator.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.graph.datagraph import DataGraph
 from repro.query.automaton import PathNfa, as_nfa
@@ -30,7 +30,6 @@ class EvaluationReport:
     edges_followed: int = 0
     validated: bool = False
     candidates_before_validation: int = 0
-    extra: dict[str, int] = field(default_factory=dict)
 
 
 #: String queries are compiled through the bounded LRU in

@@ -33,16 +33,25 @@ surfaces the ``__getitem__`` of their own dicts.
   query pay a scan of the whole index.  A rootless graph has no seed and
   answers nothing.
 * **Cost follows the walk**: one ``children_of`` read per inode popped,
-  one ``label_of`` read per iedge followed, one ``extent_of`` read per
-  accepting inode — ``/site`` reads the same entries whatever hangs
-  below ``site``.  The kernel checks no inode for existence: inside one
-  version every seed and every iedge target is a key of the tables it
-  came from (the public ``label_of`` / ``isucc`` / ``extent`` methods
-  keep raising :class:`~repro.exceptions.StructuralIndexError` for
-  callers that bring their own ids).
+  one ``label_of`` read and one transition-row read per iedge followed,
+  one ``extent_of`` read per accepting inode — ``/site`` reads the same
+  entries whatever hangs below ``site``.  The automaton is determinised
+  on demand: the row of an inode's state set is fetched when the inode
+  is popped, an iedge looks its label up in it, and
+  :meth:`PathNfa.step <repro.query.automaton.PathNfa.step>` — still the
+  one definition of the transition relation — runs once per distinct
+  (state set, label) the walk meets, not once per iedge.  The rows are a
+  local of the call: compiled automata are shared by concurrent readers
+  through the ``as_nfa`` LRU and stay immutable.  The kernel checks no
+  inode for existence: inside one version every seed and every iedge
+  target is a key of the tables it came from (the public ``label_of`` /
+  ``isucc`` / ``extent`` methods keep raising
+  :class:`~repro.exceptions.StructuralIndexError` for callers that bring
+  their own ids).
 * :func:`repro.query.evaluator.evaluate_on_graph` deliberately does
-  *not* share this loop — it is the reference the suites and the
-  benchmark's answer audit compare against.
+  *not* share this loop, nor its transition rows — it steps the
+  automaton per edge and is the reference the suites and the benchmark's
+  answer audit compare against.
 """
 
 from __future__ import annotations
@@ -104,6 +113,9 @@ def evaluate_on_index(
         read.update(roots)
     step, accept = nfa.step, nfa.accept
     nothing: frozenset[int] = frozenset()
+    # rows[states][label] == step(states, label), filled in at first use; a
+    # local, because concurrent readers share the automaton (as_nfa's LRU)
+    rows: dict[frozenset[int], dict[str, frozenset[int]]] = {}
     states_of = dict.fromkeys(roots, frozenset({nfa.start}))
     queue: deque[int] = deque(roots)
     visited = followed = 0
@@ -111,12 +123,18 @@ def evaluate_on_index(
         inode = queue.popleft()
         visited += 1
         current = states_of[inode]
+        row = rows.get(current)
+        if row is None:
+            row = rows[current] = {}
         children = children_of(inode)
         followed += len(children)
         if read is not None:
             read.update(children)
         for child in children:
-            advanced = step(current, label_of(child))
+            label = label_of(child)
+            advanced = row.get(label)
+            if advanced is None:
+                advanced = row[label] = step(current, label)
             if not advanced:
                 continue
             known = states_of.get(child, nothing)

@@ -1,6 +1,6 @@
 """The index-evaluation kernel against an in-test reference, and its cost as counts.
 
-Three statements, none of them timed:
+Four statements, none of them timed:
 
 * **Differential.**  :func:`reference_evaluation` below is the algorithm
   the kernel replaced, written against each surface's *public* methods
@@ -17,11 +17,18 @@ Three statements, none of them timed:
   lost 1-index precision on ``root → x → ROOT' → a``).
 * **O(path).**  No served query iterates the index, and ``/site`` reads
   the same number of table entries on XMark(1) as on XMark at 4x counts.
+* **One ``PathNfa.step`` per distinct (state set, label).**  The kernel
+  determinises the automaton on demand; counted on a compiled automaton
+  of the test's own, ``//name`` over XMark(1) makes at least ten times
+  fewer calls than it follows iedges, and the automata shared through
+  the ``as_nfa`` LRU come out of concurrent evaluations as they went in.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter, deque
+from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 
 import pytest
@@ -31,7 +38,7 @@ from repro.adaptive.service import AdaptiveConfig, AdaptiveIndexService
 from repro.graph.datagraph import ROOT_LABEL, DataGraph, EdgeKind
 from repro.index.akindex import AkIndexFamily
 from repro.index.oneindex import OneIndex
-from repro.query.automaton import as_nfa
+from repro.query.automaton import PathNfa, as_nfa
 from repro.query.evaluator import evaluate_on_graph
 from repro.query.index_evaluator import EvalFootprint, evaluate_on_ak, evaluate_on_index
 from repro.service import IndexService, ServiceConfig
@@ -58,6 +65,20 @@ def scaled_xmark(factor: int) -> DataGraph:
         num_closed_auctions=factor * base.num_closed_auctions,
         num_categories=factor * base.num_categories,
     )).graph
+
+
+#: State sets the walk pool never produces — it emits child-only paths and
+#: at most one ``//``, no ``*``: three and more states held at once,
+#: wildcard rows, labels the graph lacks, and child paths of 11 steps, one
+#: running off the tree and one going twice round the IDREF cycle.
+ADVERSARIAL = (
+    "//*", "/*/*/*", "//*//*//*//*", "//name//name",
+    "//listitem//listitem//listitem", "/site//*//name", "//*/name",
+    "/*//*/*//bold", "//parlist//*//parlist//*", "//nosuch", "/site/nosuch//name",
+    "/site/regions/africa/item/description/parlist/listitem/text/bold/keyword/emph",
+    "/site/people/person/watches/watch/open_auction/bidder/personref/person/watches/watch",
+    "//person//*//person//*", "/ROOT", "//ROOT", "*",
+)
 
 
 def walk_pool(graph: DataGraph) -> list[str]:
@@ -100,15 +121,19 @@ def reference_evaluation(surface, query, roots=None):
     return frozenset(matches), visited, followed, read
 
 
-def assert_kernel_matches_reference(surface, pool, where) -> None:
+def assert_kernel_matches_reference(surface, pool, where, truth=None) -> None:
+    """*truth*: the graph's own answers to ``ADVERSARIAL``, for a precise surface."""
+    truth = truth or {}
     roots = holder_of_root(surface)
     assert list(surface.evaluation_tables()[0]) == roots, where
-    for expression in pool:
+    for expression in (*pool, *ADVERSARIAL):
         footprint = EvalFootprint()
         report = evaluate_on_index(surface, expression, footprint=footprint)
         got = (report.matches, report.nodes_visited, report.edges_followed, footprint.inodes)
         assert got == reference_evaluation(surface, expression, roots), (where, expression)
         assert not footprint.dnodes
+        if expression in truth:
+            assert report.matches == truth[expression], (where, expression)
     for expression in pool[::10]:  # the footprint is optional and changes nothing
         bare = evaluate_on_index(surface, expression)
         with_footprint = evaluate_on_index(surface, expression, footprint=EvalFootprint())
@@ -161,8 +186,12 @@ def check_version(service, pool) -> None:
     # the seed an evolve carried is the seed a cold capture reads
     assert service.snapshot.index.roots == fresh.index.roots, version
     assert service.snapshot.fingerprint() == fresh.fingerprint(), version
+    exact = None
+    if service.config.family == "one":  # precise: the index answer is the graph's
+        graph = service.snapshot.graph
+        exact = {e: evaluate_on_graph(graph, e).matches for e in ADVERSARIAL}
     for name, surface in surfaces_of(service).items():
-        assert_kernel_matches_reference(surface, pool, (version, name))
+        assert_kernel_matches_reference(surface, pool, (version, name), exact)
     for expression in pool[::7]:  # and what is served is the graph's answer
         truth = evaluate_on_graph(service.snapshot.graph, expression).matches
         assert service.query(expression).matches == truth, (version, expression)
@@ -380,12 +409,20 @@ def reads_of(surface, expression) -> Counter:
     return counted.reads
 
 
-def test_a_child_path_reads_the_same_tables_at_four_times_the_index():
-    reads = {}
+@pytest.fixture(scope="module")
+def scaled_surfaces() -> dict:
+    """``{factor: (live 1-index, its frozen capture)}`` on XMark at 1x and 4x counts."""
+    surfaces = {}
     for factor in (1, 4):
         graph = scaled_xmark(factor)
         index = OneIndex.build(graph)
-        frozen = IndexSnapshot.capture(0, graph, index).index
+        surfaces[factor] = (index, IndexSnapshot.capture(0, graph, index).index)
+    return surfaces
+
+
+def test_a_child_path_reads_the_same_tables_at_four_times_the_index(scaled_surfaces):
+    reads = {}
+    for factor, (index, frozen) in scaled_surfaces.items():
         for name, surface in (("live", index), ("frozen", frozen)):
             reads[factor, name] = {
                 expression: reads_of(surface, expression)
@@ -402,3 +439,92 @@ def test_a_child_path_reads_the_same_tables_at_four_times_the_index():
     # //name walks everything reachable, so its reads grow with the index
     for table in ("children_of", "label_of"):
         assert 3.0 < large["//name"][table] / small["//name"][table] < 5.0
+
+
+# ----------------------------------------------------------------------
+# The automaton: determinised on demand, shared untouched
+# ----------------------------------------------------------------------
+
+
+def counted_automaton(expression: str) -> tuple[PathNfa, list]:
+    """A compiled automaton of the test's own whose ``step`` lists its calls."""
+    calls: list[tuple[frozenset[int], str]] = []
+
+    class Counted(PathNfa):
+        def step(self, states, label):
+            calls.append((states, label))
+            return super().step(states, label)
+
+    nfa = as_nfa(expression)
+    return Counted(nfa.expression, nfa.advance, nfa.loops), calls
+
+
+def step_calls_of(surface, expression) -> list:
+    """The kernel's ``step`` calls: one per (state set, label) pair the walk met."""
+    nfa, calls = counted_automaton(expression)
+    report = evaluate_on_index(surface, nfa)
+    per_edge, met = counted_automaton(expression)  # the reference steps per iedge
+    roots = list(surface.evaluation_tables()[0])
+    assert report.matches == reference_evaluation(surface, per_edge, roots)[0]
+    assert len(met) == report.edges_followed
+    assert len(calls) == len(set(calls)), expression  # no pair is stepped twice
+    assert set(calls) == set(met), expression
+    return calls
+
+
+def test_step_runs_once_per_distinct_state_set_and_label(scaled_surfaces):
+    calls = {}
+    for factor, (index, frozen) in scaled_surfaces.items():
+        for name, surface in (("live", index), ("frozen", frozen)):
+            calls[factor, name] = {
+                expression: Counter(step_calls_of(surface, expression))
+                for expression in ("/site", "/site/regions", "//name")
+            }
+        assert calls[factor, "live"] == calls[factor, "frozen"]
+    small, large = calls[1, "frozen"], calls[4, "frozen"]
+    # a child path meets the same pairs whatever the size of the index:
+    # the root's one iedge, then one label per child of site
+    assert small["/site"] == large["/site"] and len(small["/site"]) == 6
+    assert small["/site/regions"] == large["/site/regions"]
+    # //name: one call per label met, not one per iedge — and the same
+    # pairs again at four times the iedges
+    frozen = scaled_surfaces[1][1]
+    followed = evaluate_on_index(frozen, "//name").edges_followed
+    assert followed > 10_000
+    assert 10 * len(small["//name"]) <= followed
+    assert small["//name"] == large["//name"]
+    # a person has children, so //person fills a second row; //*//*//*//*
+    # holds five states at once, a wildcard in every row
+    second = step_calls_of(frozen, "//person")
+    assert {states for states, _ in second} == {frozenset({0}), frozenset({0, 1})}
+    widest = step_calls_of(frozen, "//*//*//*//*")
+    assert max(len(states) for states, _ in widest) == 5
+
+
+def test_the_shared_automata_are_untouched_by_concurrent_readers():
+    graph = generate_xmark(SMALL).graph
+    frozen = IndexSnapshot.capture(0, graph, OneIndex.build(graph)).index
+    pool = [*walk_pool(graph), *ADVERSARIAL]
+    shared = {text: as_nfa(text) for text in pool}  # what the LRU hands every reader
+
+    def one_pass():
+        reports = []
+        for text in pool:
+            footprint = EvalFootprint()
+            report = evaluate_on_index(frozen, text, footprint=footprint)
+            reports.append((report, footprint.inodes))
+        return reports
+
+    serial = one_pass()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as readers:
+            passes = [readers.submit(one_pass) for _ in range(4)]
+            for concurrent in passes:
+                assert concurrent.result(timeout=120) == serial
+    finally:
+        sys.setswitchinterval(interval)
+    for text, nfa in shared.items():
+        assert as_nfa(text) is nfa
+        assert set(vars(nfa)) == {"expression", "advance", "loops"}, text

@@ -306,6 +306,18 @@ def test_no_layer_checks_that_it_got_exactly_one_of_the_pair():
 # ----------------------------------------------------------------------
 
 
+SERVICE_CONFIG_FIELDS = [
+    "family", "k", "batch_max_ops", "queue_capacity", "admission", "coalesce",
+    "guard", "writer_idle_wait",
+]
+
+
+def assert_no_environment_lookup(package: str) -> None:
+    for path in (SRC / package).glob("*.py"):
+        text = path.read_text()
+        assert "environ" not in text and "getenv" not in text, path
+
+
 def test_every_traced_attribute_resolves():
     """``bench/trace.py`` wraps these from outside: a rename or a re-homing
     breaks the traced run (ROADMAP rule iv), which no tier-1 test drives."""
@@ -338,10 +350,7 @@ def test_the_audit_slice_runs_inside_the_check_and_adds_no_setting():
     assert [field.name for field in dataclasses.fields(GuardConfig)] == [
         "policy", "check_level", "check_every", "max_retries",
     ]
-    assert [field.name for field in dataclasses.fields(ServiceConfig)] == [
-        "family", "k", "batch_max_ops", "queue_capacity", "admission", "coalesce",
-        "guard", "writer_idle_wait",
-    ]
+    assert [field.name for field in dataclasses.fields(ServiceConfig)] == SERVICE_CONFIG_FIELDS
     # ... read in one module, and the package looks up no environment variable
     readers = {
         module
@@ -350,6 +359,71 @@ def test_the_audit_slice_runs_inside_the_check_and_adds_no_setting():
         if "AUDIT_SLICE_VISITS" in (getattr(node, "id", None), getattr(node, "attr", None))
     }
     assert readers == {"resilience/invariants.py"}
-    for path in (SRC / "resilience").glob("*.py"):
-        text = path.read_text()
-        assert "environ" not in text and "getenv" not in text, path
+    assert_no_environment_lookup("resilience")
+
+
+# ----------------------------------------------------------------------
+# One index-side kernel, a reference that shares nothing with it
+# ----------------------------------------------------------------------
+
+
+def functions_named(name: str) -> list[tuple[str, ast.FunctionDef]]:
+    return [
+        (module, node)
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+
+
+def step_calls(tree: ast.AST) -> list[ast.Call]:
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "step" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_one_kernel_and_an_independent_reference():
+    # the reference every served answer is audited against imports nothing
+    # of the kernel, and steps the automaton per edge — no memoised rows
+    reference = TREES["query/evaluator.py"]
+    assert not [
+        ast.unparse(node)
+        for node in ast.walk(reference)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and "index_evaluator" in ast.unparse(node)
+    ]
+    ((_, fixpoint),) = functions_named("_product_fixpoint")
+    (edge_loop,) = (node for node in ast.walk(fixpoint) if isinstance(node, ast.For))
+    assert [ast.unparse(call.func) for call in step_calls(edge_loop)] == ["nfa.step"]
+    assert len(step_calls(fixpoint)) == 1
+    # one kernel, the only reader of the surfaces' tables; it steps the
+    # automaton only where its row has no entry for the label
+    ((home, kernel),) = functions_named("evaluate_on_index")
+    table_reads = [
+        (module, ast.unparse(node))
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "evaluation_tables"
+    ]
+    assert table_reads == [(home, "index.evaluation_tables()")]
+    assert home == "query/index_evaluator.py"
+    (miss,) = (
+        node for node in ast.walk(kernel)
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "advanced is None"
+    )
+    assert len(step_calls(kernel)) == 1 and step_calls(miss) == step_calls(kernel)
+    # it has no switch: no environment lookup in the package, no config field
+    assert_no_environment_lookup("query")
+    from repro.adaptive.service import AdaptiveConfig
+    from repro.query.automaton import PathNfa
+    from repro.service import ServiceConfig
+
+    assert [field.name for field in dataclasses.fields(ServiceConfig)] == SERVICE_CONFIG_FIELDS
+    assert [field.name for field in dataclasses.fields(AdaptiveConfig)] == [
+        "levels", "cache_capacity", "audit", "retune_every", "cost",
+    ]
+    # and nothing cached on the automaton the LRU shares between readers
+    assert [field.name for field in dataclasses.fields(PathNfa)] == [
+        "expression", "advance", "loops",
+    ]
