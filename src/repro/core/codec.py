@@ -20,7 +20,11 @@ and compares.  :func:`encode_record` / :func:`stamp_record` write it,
 
 **The envelope.**  A whole document (a checkpoint file, a feed frame)
 travels as ``{"crc": <crc>, "data": <canonical JSON>}``: :func:`seal` /
-:func:`unseal`.
+:func:`unseal`.  A writer that formats its canonical text itself (the
+checkpoint, straight off the slab core) assembles it with
+:func:`canonical_object` / :func:`canonical_array` / :func:`delta_text`
+/ :func:`canonical_value` and hands it to :func:`seal_canonical`, which
+encodes it once for the CRC and the file.
 
 Both formats are frozen: ``tests/store/fixtures/golden/`` holds bytes
 that every later version must reproduce.
@@ -30,7 +34,10 @@ from __future__ import annotations
 
 import json
 import zlib
-from typing import Any, Iterable, Optional, Sequence
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from operator import sub
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 #: version of the record layout; readers refuse anything newer
 RECORD_FORMAT_VERSION = 1
@@ -59,6 +66,37 @@ def delta_decode(deltas: Iterable[int]) -> list[int]:
 def canonical(value: Any) -> str:
     """Compact sorted-key JSON: the text every CRC here is taken over."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def canonical_value(value: Any) -> str:
+    """:func:`canonical` of one node value, on its two short paths.
+
+    ``None`` and plain strings (every XML text value) skip the encoder
+    object ``json.dumps`` builds per call; anything else is handed to it.
+    """
+    if value is None:
+        return "null"
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    return canonical(value)
+
+
+def canonical_object(members: Mapping[str, str]) -> str:
+    """The canonical text of an object whose member values are already
+    canonical texts: keys sorted, no whitespace."""
+    return "{%s}" % ",".join(
+        f"{encode_basestring_ascii(key)}:{members[key]}" for key in sorted(members)
+    )
+
+
+def canonical_array(items: Iterable[str]) -> str:
+    """The canonical text of an array of already-canonical texts."""
+    return "[%s]" % ",".join(items)
+
+
+def delta_text(sorted_values: Sequence[int]) -> str:
+    """``canonical(delta_encode(sorted_values))`` without the list between."""
+    return canonical_array(map(str, map(sub, sorted_values, chain((0,), sorted_values))))
 
 
 def crc_of(text: str) -> int:
@@ -120,10 +158,16 @@ def decode_record(record: Any) -> Optional[tuple[int, list]]:
     return lsn, ops
 
 
+def seal_canonical(payload: str) -> bytes:
+    """The envelope around an already-canonical *payload*, as the bytes
+    of the document: *payload* is encoded once, for the CRC and the file."""
+    body = payload.encode("utf-8")
+    return b'{"crc": %d, "data": %b}' % (zlib.crc32(body), body)
+
+
 def seal(data: Any) -> str:
     """Wrap *data* in the CRC envelope."""
-    payload = canonical(data)
-    return f'{{"crc": {crc_of(payload)}, "data": {payload}}}'
+    return seal_canonical(canonical(data)).decode("utf-8")
 
 
 def unseal(raw: bytes | str, error: type, what: str) -> Any:

@@ -21,6 +21,11 @@ size).  The reader also accepts an inline string where a label id is
 expected, so hand-edited payloads stay loadable.  v0/v1 payloads (no
 ``labels`` table, inline labels) load unchanged.
 
+:func:`graph_to_dict` is the wire form and the reference;
+:func:`graph_to_json` writes the canonical JSON text of the same dict
+straight off the slab core (one scan, no dict between), which is what a
+checkpoint of a large graph pays for.
+
 ``format_version`` makes persisted payloads (checkpoints, WAL subgraph
 operations — see :mod:`repro.store`) evolvable: the reader accepts a
 missing version as v0 (the pre-versioned format, identical minus the
@@ -33,9 +38,15 @@ from __future__ import annotations
 import json
 from typing import Any, TextIO
 
-from repro.core.codec import is_count
+from repro.core.codec import (
+    canonical,
+    canonical_array,
+    canonical_object,
+    canonical_value,
+    is_count,
+)
 from repro.exceptions import GraphError, SerializationError
-from repro.graph.datagraph import ROOT_LABEL, DataGraph, EdgeKind
+from repro.graph.datagraph import _OID_SHIFT, ROOT_LABEL, DataGraph, EdgeKind
 
 #: current graph wire-format version; bump on structural changes
 GRAPH_FORMAT_VERSION = 2
@@ -79,6 +90,44 @@ def graph_to_dict(graph: DataGraph) -> dict[str, Any]:
         ],
         "root": graph.root if graph.has_root else None,
     }
+
+
+def graph_to_json(graph: DataGraph) -> str:
+    """``canonical(graph_to_dict(graph))``, read off the core in bulk.
+
+    One ascending pass over the oid → slot table formats every node and
+    its sorted successor segment once; no public per-dnode accessor is
+    called and no list-of-lists is built.
+    """
+    name_of = graph._interner.name_of
+    label_at = graph._label_at
+    used = sorted((name_of(label_id), label_id) for label_id in set(label_at) if label_id >= 0)
+    #: interned label id -> its wire id (the rank of its name), already as text
+    wire_of = {label_id: str(rank) for rank, (_, label_id) in enumerate(used)}
+    values_get = graph._values.get
+    targets_of = graph._succ_slabs.to_list
+    idref = graph._idref
+    tree_kind, idref_kind = canonical(EdgeKind.TREE.value), canonical(EdgeKind.IDREF.value)
+    nodes: list[str] = []
+    edges: list[str] = []
+    for oid, slot in graph._slot_of.items():
+        nodes.append(f"[{oid},{wire_of[label_at[slot]]},{canonical_value(values_get(oid))}]")
+        targets = targets_of(slot)
+        if len(targets) > 1:
+            targets.sort()
+        packed_source = oid << _OID_SHIFT
+        for target in targets:
+            kind = idref_kind if (packed_source | target) in idref else tree_kind
+            edges.append(f"[{oid},{target},{kind}]")
+    return canonical_object(
+        {
+            "format_version": canonical(GRAPH_FORMAT_VERSION),
+            "labels": canonical([name for name, _ in used]),
+            "nodes": canonical_array(nodes),
+            "edges": canonical_array(edges),
+            "root": canonical(graph._root),
+        }
+    )
 
 
 def graph_from_dict(data: dict[str, Any]) -> DataGraph:

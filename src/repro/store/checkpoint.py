@@ -15,8 +15,14 @@ CRC envelope of :mod:`repro.core.codec`::
         "index": {...}         # repro.index.serialize.structure_to_dict
     }}
 
-written **atomically**: serialise to ``<name>.tmp``, flush + fsync, then
-``os.replace`` onto the final name (and fsync the directory).  A crash
+The file is written as text, not from those dicts: :func:`write_checkpoint`
+joins :func:`~repro.graph.serialize.graph_to_json` and
+:func:`~repro.index.serialize.structure_to_json` — emitters that read the
+slab core in bulk and are tested byte-equal to the canonical JSON of the
+dict writers, which stay the reference and the public wire form.
+
+It is written **atomically**: serialise to ``<name>.tmp``, flush + fsync,
+then ``os.replace`` onto the final name (and fsync the directory).  A crash
 at any byte of that sequence leaves either the previous checkpoint set
 untouched or the new file complete — recovery can never select a
 partial checkpoint, because ``.tmp`` files are invisible to
@@ -24,8 +30,9 @@ partial checkpoint, because ``.tmp`` files are invisible to
 skipped.
 
 File names are ``checkpoint-<wal_lsn>.json``; after a successful write
-the WAL is truncated up to ``wal_lsn`` and older checkpoints beyond a
-retention count are pruned (newest-first survivors).
+the WAL is truncated up to ``wal_lsn``, older checkpoints beyond a
+retention count are pruned (newest-first survivors), and so is any
+``.tmp`` file a crash between write and rename left behind.
 """
 
 from __future__ import annotations
@@ -36,16 +43,16 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Optional
 
-from repro.core.codec import seal, unseal
+from repro.core.codec import canonical, canonical_object, seal_canonical, unseal
 from repro.exceptions import CheckpointError
 from repro.graph.datagraph import DataGraph
-from repro.graph.serialize import check_format_version, graph_from_dict, graph_to_dict
-from repro.index.serialize import structure_from_dict, structure_to_dict
+from repro.graph.serialize import check_format_version, graph_from_dict, graph_to_json
+from repro.index.serialize import structure_from_dict, structure_to_json
 from repro.index.structure import KINDS, Structure
 from repro.maintenance import maintainer_for
 from repro.obs import current as current_obs
 from repro.resilience.faults import FaultInjector
-from repro.store.wal import WriteAheadLog, replace_file
+from repro.store.wal import TMP_SUFFIX, WriteAheadLog, replace_file
 
 #: current checkpoint format version; bump on structural changes.
 #: v2 embeds v2 graph/index payloads (label table, delta-encoded
@@ -115,22 +122,29 @@ def write_checkpoint(
     The tmp-write / fsync / rename sequence guarantees no reader ever
     selects a partial file; *fault_injector* (io hook) can kill the
     sequence between any two of those steps for the atomicity tests.
+    The ``store.checkpoint`` span and ``store.checkpoint_write_seconds``
+    cover the encoding as well as the write: at scale the encoding is
+    most of the stall.
     """
     kind = structure.kind
-    data = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "kind": kind,
-        "k": structure.k,
-        "wal_lsn": wal_lsn,
-        "version": version,
-        "graph": graph_to_dict(graph),
-        "index": structure_to_dict(structure),
-    }
-    document = seal(data)
     final_path = os.path.join(directory, checkpoint_name(wal_lsn))
     obs = current_obs()
     started = time.perf_counter()
-    with obs.span("store.checkpoint", lsn=wal_lsn, kind=kind, bytes=len(document)):
+    with obs.span("store.checkpoint", lsn=wal_lsn, kind=kind) as span:
+        document = seal_canonical(
+            canonical_object(
+                {
+                    "format_version": canonical(CHECKPOINT_FORMAT_VERSION),
+                    "kind": canonical(kind),
+                    "k": canonical(structure.k),
+                    "wal_lsn": canonical(wal_lsn),
+                    "version": canonical(version),
+                    "graph": graph_to_json(graph),
+                    "index": structure_to_json(structure),
+                }
+            )
+        )
+        span.set(bytes=len(document))
         before_rename = None
         if fault_injector is not None:
             fault_injector.io("checkpoint.write")
@@ -207,7 +221,13 @@ def latest_checkpoint(directory: str) -> Optional[Checkpoint]:
 
 
 def prune_checkpoints(directory: str, keep: int = 2) -> int:
-    """Delete all but the *keep* newest checkpoint files; returns count."""
+    """Delete all but the *keep* newest checkpoint files; returns count.
+
+    Orphaned ``checkpoint-*.json.tmp`` files go too (not counted): the
+    single writer calls this after its own rename, so any it finds was
+    left by a crash or fault before an earlier one, under another LSN
+    that no later write would ever replace.
+    """
     if keep < 1:
         raise CheckpointError("must keep at least one checkpoint")
     started = time.perf_counter()
@@ -216,8 +236,17 @@ def prune_checkpoints(directory: str, keep: int = 2) -> int:
     for name in names[:-keep]:
         os.unlink(os.path.join(directory, name))
         removed += 1
+    orphans = [
+        name
+        for name in os.listdir(directory)
+        if name.startswith(CHECKPOINT_PREFIX)
+        and name.endswith(CHECKPOINT_SUFFIX + TMP_SUFFIX)
+    ]
+    for name in orphans:
+        os.unlink(os.path.join(directory, name))
     obs = current_obs()
     obs.add("store.checkpoints_pruned", removed)
+    obs.add("store.checkpoint_orphans_removed", len(orphans))
     obs.observe("store.checkpoint_prune_seconds", time.perf_counter() - started)
     return removed
 
@@ -248,6 +277,11 @@ class Checkpointer:
         self.fault_injector = fault_injector
         self.records_since_checkpoint = 0
         self.checkpoints_written = 0
+        #: how long the last :meth:`checkpoint` held its caller (encode,
+        #: write, truncate, prune) and the size of the file it wrote;
+        #: ``None`` until this process has written one
+        self.last_checkpoint_ms: Optional[float] = None
+        self.last_checkpoint_bytes: Optional[int] = None
 
     def note_record(self) -> bool:
         """Count one appended WAL record; report whether a checkpoint is due."""
@@ -259,6 +293,7 @@ class Checkpointer:
 
     def checkpoint(self, graph: DataGraph, structure: Structure, *, version: int) -> str:
         """Snapshot now, truncate the WAL behind it, prune old checkpoints."""
+        started = time.perf_counter()
         lsn = self.wal.last_lsn
         path = write_checkpoint(
             self.directory,
@@ -272,4 +307,6 @@ class Checkpointer:
         prune_checkpoints(self.directory, keep=self.keep)
         self.records_since_checkpoint = 0
         self.checkpoints_written += 1
+        self.last_checkpoint_ms = (time.perf_counter() - started) * 1e3
+        self.last_checkpoint_bytes = os.path.getsize(path)
         return path

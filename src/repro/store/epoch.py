@@ -64,4 +64,5 @@ def write_epoch(store_dir: str, epoch: int) -> None:
         raise StoreError(
             f"refusing to lower the fencing epoch from {current} to {epoch}"
         )
-    replace_file(os.path.join(store_dir, EPOCH_FILE), json.dumps({"epoch": epoch}))
+    document = json.dumps({"epoch": epoch}).encode("ascii")
+    replace_file(os.path.join(store_dir, EPOCH_FILE), document)

@@ -210,6 +210,8 @@ class ServiceStore:
             "wal_rotations": self.wal.rotations,
             "checkpoints_written": self.checkpointer.checkpoints_written,
             "records_since_checkpoint": self.checkpointer.records_since_checkpoint,
+            "last_checkpoint_ms": self.checkpointer.last_checkpoint_ms,
+            "last_checkpoint_bytes": self.checkpointer.last_checkpoint_bytes,
         }
 
     def close(self) -> None:

@@ -298,18 +298,23 @@ def _fsync_dir(directory: str) -> None:
         os.close(fd)
 
 
+#: what :func:`replace_file` appends to a path while the new bytes are
+#: not yet in place; a crash before the rename leaves such a file behind
+TMP_SUFFIX = ".tmp"
+
+
 def replace_file(
-    path: str, text: str, before_rename: Optional[Callable[[], None]] = None
+    path: str, data: bytes, before_rename: Optional[Callable[[], None]] = None
 ) -> None:
-    """Put *text* at *path* atomically: a crash leaves the old file or the new.
+    """Put *data* at *path* atomically: a crash leaves the old file or the new.
 
     Written to ``<path>.tmp``, flushed and fsynced, renamed over *path*,
     then the directory is fsynced; *before_rename* runs between the
     write and the rename (the atomicity tests' fault point).
     """
-    tmp_path = path + ".tmp"
-    with open(tmp_path, "w", encoding="utf-8") as fp:
-        fp.write(text)
+    tmp_path = path + TMP_SUFFIX
+    with open(tmp_path, "wb") as fp:
+        fp.write(data)
         fp.flush()
         os.fsync(fp.fileno())
     if before_rename is not None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.obs import InMemorySink, observed
 from repro.store.checkpoint import prune_checkpoints, write_checkpoint
 from repro.store.recovery import recover
 from repro.store.wal import WriteAheadLog, list_segments, read_records
+from repro.workload.xmark import XMarkConfig, generate_xmark
 
 from tests.store.conftest import tiny_graph
 
@@ -113,6 +115,31 @@ class TestCheckpointTelemetry:
             assert obs.metrics.histogram("store.checkpoint_write_seconds").count == 3
             assert obs.metrics.histogram("store.checkpoint_prune_seconds").count == 1
             assert obs.metrics.counter("store.checkpoints_pruned").value == 2
+
+    def test_the_write_histogram_and_span_cover_the_encoding(self, store_dir):
+        # On a few thousand dnodes formatting the document is most of the
+        # call; a timer started after it reported a tenth of the stall.
+        graph = generate_xmark(
+            XMarkConfig(
+                num_items=120,
+                num_persons=150,
+                num_open_auctions=80,
+                num_closed_auctions=50,
+                num_categories=20,
+            )
+        ).graph
+        index = OneIndex.build(graph)
+        sink = InMemorySink()
+        with observed(sink) as obs:
+            started = time.perf_counter()
+            path = write_checkpoint(store_dir, graph, index, wal_lsn=1, version=1)
+            wall = time.perf_counter() - started
+            histogram = obs.metrics.histogram("store.checkpoint_write_seconds")
+        assert histogram.count == 1
+        assert wall / 2 <= histogram.total <= wall
+        (span,) = sink.spans("store.checkpoint")
+        assert span["attrs"]["bytes"] == os.path.getsize(path)
+        assert span["dur_ms"] >= wall * 1e3 / 2
 
 
 class TestRecoveryTelemetry:

@@ -15,6 +15,7 @@ import pathlib
 
 import repro
 from repro.maintenance import OPERATIONS
+from repro.store import StoreConfig
 
 SRC = pathlib.Path(repro.__file__).parent
 TREES = {
@@ -139,9 +140,24 @@ def test_one_checksum_one_record_decoder_one_envelope():
     assert calls_of("crc32") == {"core/codec.py", "obs/metrics.py"}
     assert calls_of("decode_record") == {"store/wal.py", "replication/feed.py"}
     assert calls_of("unseal") == {"store/checkpoint.py", "replication/feed.py"}
-    assert calls_of("seal") == {
-        "store/checkpoint.py", "replication/feed.py", "replication/link.py"
+    assert calls_of("seal") == {"replication/feed.py", "replication/link.py"}
+    # the checkpoint formats its canonical text itself; the envelope around
+    # it is still the codec's, and `seal` is that function after `canonical`
+    assert calls_of("seal_canonical") == {"core/codec.py", "store/checkpoint.py"}
+
+
+def test_the_checkpoint_text_has_one_writer():
+    imported = {
+        name
+        for _, names in imports(TREES["store/checkpoint.py"])
+        for name in names
     }
+    assert {"graph_to_json", "structure_to_json"} <= imported
+    assert not imported & {"seal", "graph_to_dict", "structure_to_dict"}
+    assert [field.name for field in dataclasses.fields(StoreConfig)] == [
+        "fsync", "sync_every", "segment_max_bytes",
+        "checkpoint_every_records", "keep_checkpoints",
+    ]
 
 
 def test_one_function_walks_the_wal_segments():
