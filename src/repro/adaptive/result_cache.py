@@ -4,8 +4,10 @@ A naive query cache over snapshot serving must flush on every version
 swap — any commit *might* have changed any answer.  This cache does
 better by storing, with each entry, the **footprint** its evaluation
 actually read (:class:`repro.query.EvalFootprint`): the index tokens the
-fixpoint consulted in the entry's level space, plus the data-graph
-ancestor cone when a validation pass ran.  At each commit the writer
+fixpoint consulted in the entry's level space, plus the dnodes a
+validation pass read — the label-pruned layers above the candidates for
+a child-only expression, their ancestor cone for a descendant-axis one.
+At each commit the writer
 hands the cache the per-level changed-token sets derived from the
 batch's TouchedSet (:func:`repro.adaptive.ladder.invalidation_sets`)
 and the changed dnodes; an entry whose footprint is disjoint from both
@@ -47,7 +49,8 @@ class CacheEntry:
     version: int
     #: index tokens read, in the entry's own level token space
     tokens: frozenset[int]
-    #: validation-cone dnodes read (empty for exact routes)
+    #: dnodes validation read: a child-only expression's backward layers,
+    #: a descendant-axis one's ancestor cone (empty for exact routes)
     dnodes: frozenset[int]
     validated: bool
     hits: int = 0

@@ -159,6 +159,7 @@ class AdaptivePlane:
         if self.config.audit:
             self._audit(snapshot, nfa, report.matches, key)
         self.service._record_query(elapsed, snapshot.version)
+        self.service.stats.queries_validated += report.validated
         obs = current_obs()
         obs.add("adaptive.queries")
         obs.observe("adaptive.query_seconds", elapsed)
@@ -224,8 +225,8 @@ class AdaptivePlane:
         }
         if snapshot.ladder is not None:
             changed = invalidation_sets(prev.ladder, snapshot.ladder, differing)
-            # safe-route entries evaluate in leaf token space (their
-            # validation cone is covered by the dnode footprint)
+            # safe-route entries evaluate in leaf token space (what their
+            # validation read is covered by the dnode footprint)
             changed[SAFE] = changed[snapshot.k]
         else:
             changed = {SAFE: differing}

@@ -11,8 +11,12 @@ return the union of the extents of the matching inodes.
 * The A(k)-index preserves only incoming paths of length <= k, so
   expressions longer than k (or using ``//``) may return false
   positives; :func:`evaluate_on_ak` runs the **validation** step of
-  Section 3 — a data-graph evaluation confined to the ancestor cone of
-  the candidate dnodes — to eliminate them.
+  Section 3 against the data graph to eliminate them.  A child-only
+  expression of L steps costs its candidates and the dnodes at most L
+  edges above them whose labels still spell the expression (L backward
+  layers, L forward ones); a descendant-axis expression costs the
+  candidates' whole ancestor cone, walked once to collect it and once
+  more by the reference product.
 
 One kernel, every surface
 -------------------------
@@ -56,19 +60,22 @@ surfaces the ``__getitem__`` of their own dicts.
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 from repro.index.akindex import AkIndexFamily
 from repro.index.base import StructuralIndex
+from repro.obs import current as current_obs
 from repro.query.automaton import PathNfa, as_nfa
 from repro.query.evaluator import (
     EvaluationReport,
     ancestors_of,
     evaluate_on_subgraph,
 )
-from repro.query.path_expression import PathExpression
+from repro.query.path_expression import WILDCARD, PathExpression
 
 #: shared coercion with the LRU-cached string path (see repro.query.automaton)
 _as_nfa = as_nfa
@@ -82,11 +89,14 @@ class EvalFootprint:
     fixpoint consulted: the seeded roots, every inode that entered the
     worklist, and every child reached through an iedge even when its
     label killed all NFA states (its label was still read, so a later
-    relabel/split there can change the answer).  ``dnodes`` collects the
-    ancestor cone a validation pass walked.  If none of these entries
-    changed between two versions, the evaluation is guaranteed to return
-    the same matches on the later version — the invariant the adaptive
-    result cache's TouchedSet intersection relies on.
+    relabel/split there can change the answer).  ``dnodes`` collects, by
+    the same convention, every dnode whose label or adjacency a
+    validation pass read: the backward layers (and the root) for a
+    child-only expression, the candidates' ancestor cone for a
+    descendant-axis one.  If none of these entries changed between two
+    versions, the evaluation is guaranteed to return the same matches on
+    the later version — the invariant the adaptive result cache's
+    TouchedSet intersection relies on.
     """
 
     inodes: set[int] = field(default_factory=set)
@@ -190,9 +200,18 @@ def evaluate_on_ak(
     :meth:`repro.index.AkIndexFamily.level_index`).  With *validate* left
     at ``None`` the validation pass runs exactly when Section 3 requires
     it: the expression is longer than k or uses the descendant axis.
-    Validation re-runs the expression on the data graph restricted to the
-    ancestor cone of the candidates, so its cost scales with the
-    candidate set, not the database.
+
+    What validation costs depends on the expression alone
+    (``nfa.loops``).  A child-only expression of L steps is decided by
+    :func:`_validate_by_layers`: L label-pruned backward layers from the
+    candidates and L forward layers from the root, so it reads the
+    candidates, the dnodes at most L edges above them that can still
+    spell the expression, and those dnodes' adjacency — not the database,
+    and not what else points at the candidates' ancestors.  A
+    descendant-axis expression re-runs the reference product inside the
+    candidates' whole ancestor cone (``ancestors_of`` +
+    ``evaluate_on_subgraph``), which IDREF in-edges can make most of the
+    graph.
     """
     nfa = _as_nfa(query)
     report = evaluate_on_index(index, nfa, footprint=footprint)
@@ -201,15 +220,79 @@ def evaluate_on_ak(
         validate = needs_validation
     if not validate or not report.matches:
         return report
-    candidates = set(report.matches)
-    cone = ancestors_of(index.graph, candidates)
-    if footprint is not None:
-        footprint.dnodes.update(cone)
-    exact = evaluate_on_subgraph(index.graph, nfa, cone)
+    candidates = report.matches
+    read = footprint.dnodes if footprint is not None else None
+    started = time.perf_counter()
+    if nfa.loops:
+        cone = ancestors_of(index.graph, candidates)
+        if read is not None:
+            read.update(cone)
+        exact = evaluate_on_subgraph(index.graph, nfa, cone)
+        matches = exact.matches & candidates
+        visited, followed = exact.nodes_visited, exact.edges_followed
+    else:
+        matches, visited, followed = _validate_by_layers(index.graph, nfa, candidates, read)
+    obs = current_obs()
+    obs.observe("query.validation_seconds", time.perf_counter() - started)
+    obs.add("query.validation_visits", visited)
     return EvaluationReport(
-        matches=frozenset(exact.matches & candidates),
-        nodes_visited=report.nodes_visited + exact.nodes_visited,
-        edges_followed=report.edges_followed + exact.edges_followed,
+        matches=matches,
+        nodes_visited=report.nodes_visited + visited,
+        edges_followed=report.edges_followed + followed,
         validated=True,
         candidates_before_validation=len(candidates),
     )
+
+
+def _validate_by_layers(
+    graph, nfa: PathNfa, candidates: frozenset[int], read: Optional[set[int]]
+) -> tuple[frozenset[int], int, int]:
+    """Which *candidates* end a root path spelling a loop-free automaton.
+
+    An accepted path of an automaton without loop states has exactly
+    ``L = nfa.accept`` edges, so a candidate is decided by the dnodes at
+    most L edges above it.  Backward: layer L is the candidate set, and
+    layer i-1 is the predecessors of those dnodes of layer i whose label
+    passes step i.  Forward: from ``graph.root`` (if layer 0 holds it),
+    depth i keeps the successors of depth i-1 that lie in layer i and
+    pass step i; depth L is the answer, a subset of the candidates by
+    construction.  Layers are sets per depth, so a cycle merely puts a
+    dnode in several of them; an unreachable or rootless region never
+    meets the forward pass; the root is an oid, never a label.
+
+    *read* (a footprint's ``dnodes``) collects every dnode whose label or
+    adjacency is read: layers 1..L and the root.  That is the dependency
+    set of the answer: of the edges a commit inserted into or deleted
+    from an accepted path, the lowest, u -> v, has v in a layer, because
+    the path below v is unchanged and passes its steps.  Returns
+    ``(matches, dnodes visited, dedges followed)`` — one visit per layer
+    member and per forward expansion, one edge per adjacency entry read.
+    """
+    label, iter_pred, iter_succ = graph.label, graph.iter_pred, graph.iter_succ
+    depth = nfa.accept
+    nothing: frozenset[int] = frozenset()
+    visited = followed = 0
+    # passing[i]: the dnodes of layer i whose label passes step i
+    passing: list[frozenset[int] | set[int]] = [nothing] * (depth + 1)
+    layer: frozenset[int] | set[int] = candidates
+    for i in range(depth, 0, -1):
+        test = nfa.advance[i - 1][0]
+        visited += len(layer)
+        if read is not None:
+            read.update(layer)
+        keep = layer if test == WILDCARD else {w for w in layer if label(w) == test}
+        edges = list(chain.from_iterable(map(iter_pred, keep)))
+        followed += len(edges)
+        passing[i] = keep
+        layer = set(edges)
+    if not graph.has_root or graph.root not in layer:
+        return nothing, visited, followed
+    if read is not None:
+        read.add(graph.root)
+    reached: frozenset[int] | set[int] = {graph.root}
+    for i in range(1, depth + 1):
+        visited += len(reached)
+        edges = list(chain.from_iterable(map(iter_succ, reached)))
+        followed += len(edges)
+        reached = passing[i].intersection(edges)
+    return frozenset(reached), visited, followed

@@ -134,6 +134,9 @@ class ServiceStats:
     """
 
     queries: int = 0
+    #: of those, answers that went through Section 3's validation against
+    #: the data graph (a cached validated answer served again included)
+    queries_validated: int = 0
     submitted: int = 0
     shed: int = 0
     forced_flushes: int = 0
@@ -293,6 +296,7 @@ class IndexService:
         started = time.perf_counter()
         report = snapshot.evaluate(query)
         self._record_query(time.perf_counter() - started, snapshot.version)
+        self.stats.queries_validated += report.validated
         return ServedQuery(report=report, version=snapshot.version)
 
     def _record_query(self, elapsed: float, version: int) -> None:
@@ -704,6 +708,7 @@ class IndexService:
             "queue_capacity": self.queue.capacity,
             "admission": self.config.admission,
             "queries": self.stats.queries,
+            "queries_validated": self.stats.queries_validated,
             "submitted": self.stats.submitted,
             "shed": self.stats.shed,
             "batches": self.stats.batches,

@@ -19,6 +19,8 @@ import pytest
 
 from repro.graph.datagraph import EdgeKind
 from repro.obs import InMemorySink, SloRule, observed
+from repro.obs import current as current_obs
+from repro.query.index_evaluator import evaluate_on_index
 from repro.resilience.faults import FaultInjector
 from repro.resilience.guard import GuardConfig
 from repro.service import IndexService, ServiceConfig, Update
@@ -109,6 +111,46 @@ class TestServiceHealth:
         assert doc["queue_depth"] == 0
         assert doc["submitted"] == 2
         json.dumps(doc)
+
+
+class TestValidationSignals:
+    """Validation apart from index evaluation, on the live plane and ``/health``."""
+
+    EXACT = "/site/people"  # two steps: A(2) answers it without validation
+    LAYERED = "/site/people/person/name"  # four child steps at k = 2
+    CONE = "//name"
+
+    def test_validated_queries_report_time_and_visits(self, xmark_graph):
+        with observed() as obs:
+            service = IndexService(xmark_graph, ServiceConfig(family="ak", k=2))
+            telemetry = service.start_telemetry(serve=False)
+            try:
+                reports = [
+                    service.query(e).report for e in (self.EXACT, self.LAYERED, self.CONE)
+                ]
+                assert [r.validated for r in reports] == [False, True, True]
+                health = telemetry.health()["service"]
+                assert (health["queries"], health["queries_validated"]) == (3, 2)
+                # both validators report; the visits are the validation half only
+                seconds = obs.metrics.histogram("query.validation_seconds")
+                assert seconds.count == 2 and seconds.total > 0
+                index_side = sum(
+                    evaluate_on_index(service.snapshot.index, e).nodes_visited
+                    for e in (self.LAYERED, self.CONE)
+                )
+                visits = sum(r.nodes_visited for r in reports[1:]) - index_side
+                assert obs.metrics.counter("query.validation_visits").value == visits > 0
+                assert telemetry.plane.window("query.validation_seconds").count == 2
+                assert telemetry.plane.window("query.validation_visits").count == visits
+            finally:
+                service.close()
+
+    def test_nobody_watching_is_the_default(self, xmark_graph):
+        service = IndexService(xmark_graph, ServiceConfig(family="ak", k=2))
+        assert not current_obs().enabled
+        assert service.query(self.LAYERED).report.validated
+        assert service.health()["queries_validated"] == 1
+        service.close()
 
 
 class TestLiveServiceSoak:

@@ -429,7 +429,35 @@ def test_one_kernel_and_an_independent_reference():
         if isinstance(node, ast.If) and ast.unparse(node.test) == "advanced is None"
     )
     assert len(step_calls(kernel)) == 1 and step_calls(miss) == step_calls(kernel)
-    # it has no switch: no environment lookup in the package, no config field
+    # validation of a child-only expression lives beside the kernel and steps
+    # no automaton; evaluate_on_ak is its one caller and picks it by the
+    # expression's own shape — nothing a caller, a config or the environment sets
+    ((layers_home, layers),) = functions_named("_validate_by_layers")
+    assert layers_home == home and not step_calls(layers)
+    ((_, on_ak),) = functions_named("evaluate_on_ak")
+    assert [arg.arg for arg in on_ak.args.args + on_ak.args.kwonlyargs] == [
+        "index", "k", "query", "validate", "footprint",
+    ]
+    layer_calls = [
+        (module, node)
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_validate_by_layers"
+    ]
+    assert [module for module, _ in layer_calls] == [home]
+    (choice,) = (
+        node for node in ast.walk(on_ak)
+        if isinstance(node, ast.If) and layer_calls[0][1] in ast.walk(node)
+    )
+    assert ast.unparse(choice.test) == "nfa.loops"
+    # the other branch is still the cone and the reference product inside it
+    assert {"ancestors_of", "evaluate_on_subgraph"} <= {
+        ast.unparse(call.func)
+        for statement in choice.body
+        for call in ast.walk(statement)
+        if isinstance(call, ast.Call)
+    }
+    # neither has a switch: no environment lookup in the package, no config field
     assert_no_environment_lookup("query")
     from repro.adaptive.service import AdaptiveConfig
     from repro.query.automaton import PathNfa
