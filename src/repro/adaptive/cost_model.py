@@ -16,7 +16,7 @@ same size trajectory) and adds two learned terms on top:
 * **pressure** — live serving signals (query p95 against its budget,
   commit p95, cache hit rate, an SLO alert from the watchdog).  Under
   pressure the policy fires as soon as the floor allows; relaxed, it
-  waits for the expected recovery to clear ``yield_floor``.
+  waits for the expected recovery to clear ``YIELD_FLOOR``.
 
 The hard cap bounds worst-case bloat: above it the policy fires
 unconditionally, so skipping low-yield reconstructions can never let
@@ -36,6 +36,17 @@ from typing import Optional
 
 from repro.maintenance.reconstruction import DEFAULT_THRESHOLD
 
+#: skip firing when the expected recovered bloat is below this
+YIELD_FLOOR = 0.02
+#: EWMA weight for newly observed reconstruction yield
+YIELD_ALPHA = 0.5
+#: query p95 budget (seconds) above which serving counts as pressured
+QUERY_P95_BUDGET = 0.25
+#: commit p95 budget (seconds) above which serving counts as pressured
+COMMIT_P95_BUDGET = 0.5
+#: drop a ladder level whose routed share falls below this
+DROP_SHARE = 0.02
+
 
 @dataclass(frozen=True)
 class CostConfig:
@@ -46,16 +57,6 @@ class CostConfig:
     min_bloat: float = DEFAULT_THRESHOLD
     #: always reconstruct above this bloat (bounds drift when yield is low)
     hard_bloat: float = 4 * DEFAULT_THRESHOLD
-    #: skip firing when the expected recovered bloat is below this
-    yield_floor: float = 0.02
-    #: EWMA weight for newly observed reconstruction yield
-    yield_alpha: float = 0.5
-    #: query p95 budget (seconds) above which serving counts as pressured
-    query_p95_budget: float = 0.25
-    #: commit p95 budget (seconds) above which serving counts as pressured
-    commit_p95_budget: float = 0.5
-    #: drop a ladder level whose routed share falls below this
-    drop_share: float = 0.02
     #: add a level for a child-only length taking at least this share...
     add_share: float = 0.20
     #: ...while being routed at least this many levels coarser than needed
@@ -117,7 +118,7 @@ class CostBasedPolicy:
             self._size_at_fire = current_size
             return True
         expected = bloat * (self.expected_yield if self.expected_yield is not None else 1.0)
-        if expected < self.config.yield_floor:
+        if expected < YIELD_FLOOR:
             self.skipped_low_yield += 1
             return False
         self._size_at_fire = current_size
@@ -133,8 +134,9 @@ class CostBasedPolicy:
             if self.expected_yield is None:
                 self.expected_yield = observed
             else:
-                alpha = self.config.yield_alpha
-                self.expected_yield = alpha * observed + (1 - alpha) * self.expected_yield
+                self.expected_yield = (
+                    YIELD_ALPHA * observed + (1 - YIELD_ALPHA) * self.expected_yield
+                )
         # consumed: a reconstruction nobody fired (a manual one) teaches no yield
         self._size_at_fire = 0
         self.baseline_size = new_size
@@ -157,9 +159,8 @@ class CostBasedPolicy:
         if self.reconstruction_seconds is None:
             self.reconstruction_seconds = seconds
         else:
-            alpha = self.config.yield_alpha
             self.reconstruction_seconds = (
-                alpha * seconds + (1 - alpha) * self.reconstruction_seconds
+                YIELD_ALPHA * seconds + (1 - YIELD_ALPHA) * self.reconstruction_seconds
             )
 
 
@@ -199,9 +200,9 @@ class CostModel:
         self.inputs = inputs
         pressured = inputs.slo_critical
         if inputs.query_p95_seconds is not None:
-            pressured = pressured or inputs.query_p95_seconds > self.config.query_p95_budget
+            pressured = pressured or inputs.query_p95_seconds > QUERY_P95_BUDGET
         if inputs.commit_p95_seconds is not None:
-            pressured = pressured or inputs.commit_p95_seconds > self.config.commit_p95_budget
+            pressured = pressured or inputs.commit_p95_seconds > COMMIT_P95_BUDGET
         policy.note_pressure(pressured)
         return pressured
 
@@ -220,9 +221,7 @@ class CostModel:
         routed = window.get("routed", {})
         demand = window.get("demand", {})
         drop = tuple(
-            level
-            for level in levels
-            if routed.get(level, 0) / total < self.config.drop_share
+            level for level in levels if routed.get(level, 0) / total < DROP_SHARE
         )
         surviving = [lvl for lvl in levels if lvl not in drop]
         add: list[int] = []

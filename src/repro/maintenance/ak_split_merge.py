@@ -108,23 +108,7 @@ class AkSplitMergeMaintainer:
 
     def delete_node(self, dnode: int) -> UpdateStats:
         """Delete a dnode and its incident dedges; repair all levels."""
-        graph = self.graph
-        family = self.family
-        entry_points: set[int] = set()
-        for c in list(graph.iter_succ(dnode)):
-            graph.remove_edge(dnode, c)
-            if c != dnode:
-                entry_points.add(c)
-        for p in list(graph.iter_pred(dnode)):
-            graph.remove_edge(p, dnode)
-        stats = UpdateStats()
-        for level_no in range(family.k + 1):
-            self._uncover(level_no, dnode, stats)
-        graph.remove_node(dnode)
-        # classes emptied here are removed outside _propagate's tally
-        current_obs().add("ak.merges", stats.merges)
-        stats.absorb(self._propagate(entry_points))
-        return stats
+        return self._delete({dnode})
 
     def set_value(self, dnode: int, value: object) -> UpdateStats:
         """Change a dnode's value (values never affect A(k) equivalence)."""
@@ -175,10 +159,11 @@ class AkSplitMergeMaintainer:
 
     def delete_subgraph(self, subgraph_root: int) -> UpdateStats:
         """Delete the subtree (via TREE edges) rooted at *subgraph_root*."""
-        graph = self.graph
-        family = self.family
-        doomed = set(graph.subgraph_from(subgraph_root).nodes())
+        return self._delete(set(self.graph.subgraph_from(subgraph_root).nodes()))
 
+    def _delete(self, doomed: set[int]) -> UpdateStats:
+        """Drop the *doomed* dnodes with every dedge that touches one."""
+        graph = self.graph
         entry_points: set[int] = set()
         for w in doomed:
             for c in list(graph.iter_succ(w)):
@@ -190,7 +175,7 @@ class AkSplitMergeMaintainer:
                     graph.remove_edge(p, w)
 
         stats = UpdateStats()
-        for level_no in range(family.k + 1):
+        for level_no in range(self.family.k + 1):
             for w in doomed:
                 self._uncover(level_no, w, stats)
         for w in doomed:

@@ -6,13 +6,17 @@ import random
 
 import pytest
 
+from repro.exceptions import MaintenanceError
 from repro.graph.builder import GraphBuilder
+from repro.graph.datagraph import DataGraph
+from repro.index.akindex import AkIndexFamily
 from repro.index.oneindex import OneIndex
 from repro.index.stability import (
     is_minimal_1index,
     is_valid_1index,
     minimum_1index_size,
 )
+from repro.maintenance.ak_split_merge import AkSplitMergeMaintainer
 from repro.maintenance.propagate import PropagateMaintainer
 from repro.maintenance.split_merge import SplitMergeMaintainer
 from repro.workload.random_graphs import candidate_edges, random_dag
@@ -88,8 +92,6 @@ class TestDegradation:
 
 class TestSubgraphAddition:
     def test_propagate_subgraph_addition_valid_but_not_minimal(self):
-        from repro.graph.datagraph import DataGraph
-
         host = GraphBuilder().edge("root", "hook").build()
         hook = host.nodes_with_label("hook")[0]
         sub = DataGraph()
@@ -102,3 +104,39 @@ class TestSubgraphAddition:
         assert is_valid_1index(index)
         assert index.covers(mapping[s_root])
         del stats
+
+
+MAINTAINERS = {
+    "propagate": lambda graph: PropagateMaintainer(OneIndex.build(graph)),
+    "split/merge": lambda graph: SplitMergeMaintainer(OneIndex.build(graph)),
+    "A(2) split/merge": lambda graph: AkSplitMergeMaintainer(AkIndexFamily.build(graph, 2)),
+}
+
+
+@pytest.mark.parametrize("name", MAINTAINERS)
+class TestEveryMaintainerAddsASubgraphTheSameWay:
+    """Figure 6's first step is shared, so its input handling is too."""
+
+    def test_cross_edges_may_come_from_an_iterator(self, name, figure2_builder):
+        graph = figure2_builder.build()
+        maintainer = MAINTAINERS[name](graph)
+        sub = DataGraph()
+        s_root = sub.add_node("S", oid=500)
+        leaf = sub.add_node("C", oid=501)
+        sub.add_edge(s_root, leaf)
+        edges = [
+            (figure2_builder.oid(1), s_root),
+            (figure2_builder.oid(2), s_root),
+            (leaf, figure2_builder.oid(8)),
+        ]
+        mapping, _ = maintainer.add_subgraph(sub, s_root, (edge for edge in edges))
+        for a, b in edges:
+            assert graph.has_edge(mapping.get(a, a), mapping.get(b, b))
+        maintainer.structure.check_invariants()
+
+    def test_an_empty_subgraph_is_refused(self, name, figure2_graph):
+        maintainer = MAINTAINERS[name](figure2_graph)
+        before = figure2_graph.num_nodes
+        with pytest.raises(MaintenanceError, match="empty subgraph"):
+            maintainer.add_subgraph(DataGraph(), 0)
+        assert figure2_graph.num_nodes == before

@@ -266,7 +266,7 @@ def test_no_slice_raises_on_a_clean_stream(stream, family, small_slices, monkeyp
 
 
 class NoMerge(SplitMergeMaintainer):
-    def _merge_phase(self, start, stats):
+    def _merge_phase(self, starts, stats):
         """Skip Figure 3's merge phase: valid, but no longer minimal."""
 
 

@@ -326,6 +326,7 @@ SERVICE_CONFIG_FIELDS = [
     "family", "k", "batch_max_ops", "queue_capacity", "admission", "coalesce",
     "guard", "writer_idle_wait",
 ]
+ADAPTIVE_CONFIG_FIELDS = ["levels", "cache_capacity", "audit", "retune_every", "cost"]
 
 
 def assert_no_environment_lookup(package: str) -> None:
@@ -347,6 +348,46 @@ def test_every_traced_attribute_resolves():
         if not callable(getattr(holder, attribute, None)):
             missing.append((span, module, owner, attribute))
     assert missing == []
+
+
+def test_figure_3_is_written_once():
+    """One split phase, one merge phase; the propagate baseline is the
+    first alone — by inheritance, not by a switch on either maintainer."""
+    calls = {
+        name: [
+            (module, function)
+            for module, tree in TREES.items()
+            if package_of(module) == "maintenance"
+            for node, function in enclosing_functions(tree)
+            if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+        for name in ("stabilize", "_find_merge_partner")
+    }
+    assert calls == {
+        "stabilize": [("maintenance/propagate.py", "_split_phase")],
+        "_find_merge_partner": [("maintenance/split_merge.py", "_merge_phase")],
+    }
+    from repro.adaptive.cost_model import CostConfig
+    from repro.adaptive.service import AdaptiveConfig
+    from repro.maintenance import PropagateMaintainer, SplitMergeMaintainer
+    from repro.service import ServiceConfig
+
+    assert issubclass(SplitMergeMaintainer, PropagateMaintainer)
+    assert "_split_phase" not in vars(SplitMergeMaintainer)
+    for module in ("maintenance/propagate.py", "maintenance/split_merge.py"):
+        tree = TREES[module]
+        parameters = {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)}
+        keywords = {node.arg for node in ast.walk(tree) if isinstance(node, ast.keyword)}
+        assert not [name for name in parameters if "merge" in name], module
+        assert "merge" not in keywords, module
+    assert_no_environment_lookup("maintenance")
+    assert [field.name for field in dataclasses.fields(ServiceConfig)] == SERVICE_CONFIG_FIELDS
+    assert [field.name for field in dataclasses.fields(AdaptiveConfig)] == ADAPTIVE_CONFIG_FIELDS
+    # the cost policy's five values no caller set are module constants now
+    assert [field.name for field in dataclasses.fields(CostConfig)] == [
+        "min_bloat", "hard_bloat", "add_share", "add_gap", "min_window", "max_levels",
+    ]
 
 
 def test_the_audit_slice_runs_inside_the_check_and_adds_no_setting():
@@ -464,9 +505,7 @@ def test_one_kernel_and_an_independent_reference():
     from repro.service import ServiceConfig
 
     assert [field.name for field in dataclasses.fields(ServiceConfig)] == SERVICE_CONFIG_FIELDS
-    assert [field.name for field in dataclasses.fields(AdaptiveConfig)] == [
-        "levels", "cache_capacity", "audit", "retune_every", "cost",
-    ]
+    assert [field.name for field in dataclasses.fields(AdaptiveConfig)] == ADAPTIVE_CONFIG_FIELDS
     # and nothing cached on the automaton the LRU shares between readers
     assert [field.name for field in dataclasses.fields(PathNfa)] == [
         "expression", "advance", "loops",
