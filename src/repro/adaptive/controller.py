@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING, Optional
 from repro.adaptive.cost_model import CostBasedPolicy, CostInputs, CostModel
 from repro.exceptions import QueueFullError
 from repro.maintenance.operations import OPERATIONS
-from repro.maintenance.reconstruction import ReconstructionPolicyProtocol
 from repro.obs import current as current_obs
 from repro.obs.slo import CRITICAL
 from repro.service.queue import Update
@@ -64,7 +63,7 @@ class AdaptiveController:
     """Cost-based reconstruction + ladder retuning for one service."""
 
     service: "IndexService"
-    policy: ReconstructionPolicyProtocol = field(default_factory=CostBasedPolicy)
+    policy: CostBasedPolicy
     model: CostModel = field(default_factory=CostModel)
     #: apply ladder advice every this many commits (0 = never retune)
     retune_every: int = 32
@@ -96,15 +95,13 @@ class AdaptiveController:
             sizes=dict(service.adaptive.ladder_sizes()),
             slo_critical=bool(self.critical),
         )
-        if isinstance(self.policy, CostBasedPolicy):
-            self.model.update(inputs, self.policy)
+        self.model.update(inputs, self.policy)
         size = service.snapshot.num_inodes
         if result.reconstructed:
             # whoever asked for it: the commit that carried the merge is
             # the reconstruction, and its wall-clock the cost observed
             self.policy.reconstructed(size)
-            if isinstance(self.policy, CostBasedPolicy):
-                self.policy.note_reconstruction_seconds(result.seconds)
+            self.policy.note_reconstruction_seconds(result.seconds)
             obs.add("adaptive.reconstructions")
             obs.observe("adaptive.reconstruction_seconds", result.seconds)
             obs.event("adaptive.reconstructed", version=result.version, inodes=size)
@@ -157,5 +154,4 @@ class AdaptiveController:
             self.critical.add(name)
         else:
             self.critical.discard(name)
-        if isinstance(self.policy, CostBasedPolicy):
-            self.policy.note_pressure(bool(self.critical))
+        self.policy.note_pressure(bool(self.critical))

@@ -71,12 +71,14 @@ class CostConfig:
 class CostBasedPolicy:
     """A yield- and pressure-aware reconstruction trigger.
 
-    Speaks :class:`repro.maintenance.ReconstructionPolicyProtocol`, so
-    every call site of the flat policy (the experiment runner, the
-    adaptive controller) can adopt it unchanged.  Feed the live signals
-    through :meth:`note_pressure` / :meth:`note_reconstruction_seconds`;
-    without any feeding it behaves exactly like the flat policy at
-    ``min_bloat`` until the first reconstruction teaches it a yield.
+    Speaks the flat :class:`repro.maintenance.ReconstructionPolicy`'s
+    calls (``start`` / ``should_reconstruct`` / ``reconstructed``,
+    ``intervals``), so every call site of the flat policy (the
+    experiment runner, the adaptive controller) can adopt it unchanged.
+    Feed the live signals through :meth:`note_pressure` /
+    :meth:`note_reconstruction_seconds`; without any feeding it behaves
+    exactly like the flat policy at ``min_bloat`` until the first
+    reconstruction teaches it a yield.
     """
 
     config: CostConfig = field(default_factory=CostConfig)
@@ -94,7 +96,7 @@ class CostBasedPolicy:
     skipped_low_yield: int = 0
     _size_at_fire: int = 0
 
-    # -- ReconstructionPolicyProtocol ----------------------------------
+    # -- the flat policy's calls ---------------------------------------
 
     def start(self, size: int) -> None:
         self.baseline_size = size

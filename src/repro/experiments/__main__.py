@@ -13,11 +13,6 @@ Examples::
     # profile the run: cProfile stats land next to the trace output
     python -m repro.experiments --scale smoke --profile hot.pstats fig11
 
-    # transactional maintenance (repro.resilience): run the 1-index
-    # maintainers under a guard and see the overhead in the fig11 table
-    python -m repro.experiments --scale smoke --guard fig11
-    python -m repro.experiments --guard --guard-policy degrade --check-every 50 fig11
-
     # live telemetry (repro.obs.live): serve /metrics + /health while the
     # run is in flight, and evaluate SLO rules over the sliding windows
     python -m repro.experiments --scale small --serve-metrics 9100 fig11
@@ -33,7 +28,6 @@ from dataclasses import replace
 
 from repro.experiments import EXPERIMENTS, scale_by_name
 from repro.obs import JsonlSink, Observer, SummarySink, observed
-from repro.resilience import POLICIES, GuardConfig
 
 
 def _run_experiments(chosen: list[str], scale, obs: Observer | None = None) -> None:
@@ -113,27 +107,6 @@ def main(argv: list[str] | None = None) -> int:
         help="growth fraction that triggers baseline reconstruction in the "
         "reconstruction experiments (default: the paper's 0.05, i.e. 5%%)",
     )
-    parser.add_argument(
-        "--guard",
-        action="store_true",
-        help="run maintainers inside transactions (repro.resilience) so every "
-        "update is atomic; overhead shows up in the timing tables",
-    )
-    parser.add_argument(
-        "--guard-policy",
-        default="raise",
-        choices=POLICIES,
-        help="what a guarded run does after a rolled-back failure "
-        "(default: raise)",
-    )
-    parser.add_argument(
-        "--check-every",
-        type=int,
-        default=0,
-        metavar="N",
-        help="with --guard, verify graph/index invariants after every N-th "
-        "update (0 = never; checks are O(n + m))",
-    )
     args = parser.parse_args(argv)
 
     chosen = args.experiments or list(EXPERIMENTS)
@@ -146,15 +119,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.reconstruct_threshold <= 0:
             parser.error("--reconstruct-threshold must be > 0")
         scale = replace(scale, reconstruct_threshold=args.reconstruct_threshold)
-    if args.guard:
-        scale = replace(
-            scale,
-            guard=GuardConfig(
-                policy=args.guard_policy, check_every=args.check_every
-            ),
-        )
-    elif args.guard_policy != "raise" or args.check_every:
-        parser.error("--guard-policy/--check-every require --guard")
     plane = watchdog = server = None
     if args.serve_metrics is not None or args.slo:
         from repro.obs import (

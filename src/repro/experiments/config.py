@@ -16,11 +16,9 @@ the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
 
 from repro.maintenance.reconstruction import DEFAULT_THRESHOLD
-from repro.resilience.guard import GuardConfig
 from repro.workload.imdb import IMDBConfig
 from repro.workload.xmark import XMarkConfig
 
@@ -44,12 +42,6 @@ class ExperimentScale:
     ks: tuple[int, ...] = (2, 3, 4, 5)
     #: cyclicities for the XMark experiments (paper: 1, 0.5, 0.2, 0)
     cyclicities: tuple[float, ...] = (1.0, 0.5, 0.2, 0.0)
-    #: memoise the simple A(k) baseline's signature recursion (an
-    #: ablation of its exponential-in-k cost; see ak_simple.py)
-    simple_ak_memoize: bool = False
-    #: run maintainers under a transactional guard (``--guard`` on the
-    #: CLI); ``None`` = unguarded, the paper's configuration
-    guard: Optional[GuardConfig] = None
     #: growth fraction that triggers reconstruction in the baseline
     #: experiments (``--reconstruct-threshold`` on the CLI; the paper
     #: hard-codes 5 %)

@@ -42,7 +42,7 @@ def run(scale: ExperimentScale) -> Fig13Result:
         index = StructuralIndex.from_partition(
             graph, blocks_of(ak_class_maps(graph, k)[k])
         )
-        maintainer = SimpleAkMaintainer(index, k, memoize=scale.simple_ak_memoize)
+        maintainer = SimpleAkMaintainer(index, k)
         runs[k] = run_mixed_updates(
             name=f"simple A({k})",
             maintainer=maintainer,

@@ -11,7 +11,7 @@ safety net — which in practice never fires).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.graph.datagraph import DataGraph
@@ -23,7 +23,6 @@ from repro.maintenance.reconstruction import (
 )
 from repro.maintenance.split_merge import SplitMergeMaintainer
 from repro.metrics.quality import minimum_1index_size_of
-from repro.resilience import GuardedMaintainer
 from repro.experiments.config import ExperimentScale
 from repro.experiments.runner import MixedRunResult, run_mixed_updates
 from repro.workload.imdb import generate_imdb
@@ -68,14 +67,6 @@ def run_dataset_comparison(
         workload = MixedUpdateWorkload.prepare(graph, seed=WORKLOAD_SEED)
         index = OneIndex.build(graph)
         maintainer = _make_maintainer(algorithm, index)
-        if scale.guard is not None:
-            # Guarded runs keep the identical update sequence; the guard's
-            # transaction/check overhead lands in the same per-update
-            # timing, so Figure 11's table reports it directly.
-            guard = scale.guard
-            if algorithm == "propagate" and guard.check_level == "minimal":
-                guard = replace(guard, check_level="valid")  # never minimal
-            maintainer = GuardedMaintainer(maintainer, guard)
         policy = ReconstructionPolicy(threshold=scale.reconstruct_threshold)
         results[algorithm] = run_mixed_updates(
             name=f"{dataset}/{algorithm}",

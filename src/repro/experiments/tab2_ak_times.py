@@ -73,9 +73,7 @@ def run(scale: ExperimentScale) -> Tab2Result:
                     index = StructuralIndex.from_partition(
                         graph, blocks_of(ak_class_maps(graph, k)[k])
                     )
-                    maintainer = SimpleAkMaintainer(
-                        index, k, memoize=scale.simple_ak_memoize
-                    )
+                    maintainer = SimpleAkMaintainer(index, k)
                     policy = ReconstructionPolicy(threshold=scale.reconstruct_threshold)
                     reconstruct = maintainer.reconstruct
                 result = run_mixed_updates(

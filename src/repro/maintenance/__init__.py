@@ -9,7 +9,6 @@ from repro.maintenance.propagate import PropagateMaintainer
 from repro.maintenance.reconstruction import (
     DEFAULT_THRESHOLD,
     ReconstructionPolicy,
-    ReconstructionPolicyProtocol,
     quotient_graph,
     reconstruct_from_scratch,
     reconstruct_via_index_graph,
@@ -36,7 +35,6 @@ __all__ = [
     "AkSplitMergeMaintainer",
     "SimpleAkMaintainer",
     "ReconstructionPolicy",
-    "ReconstructionPolicyProtocol",
     "reconstruct_via_index_graph",
     "reconstruct_from_scratch",
     "quotient_graph",

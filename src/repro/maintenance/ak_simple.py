@@ -14,19 +14,15 @@ a minor mistake".  After a dedge ``(u, v)`` changes:
        sig_0(w) = label(w)
        sig_j(w) = ( sig_{j-1}(w), { sig_{j-1}(p) : p parent of w } )
 
-   is evaluated from scratch for every member.  Without memoisation this
-   walks every ancestor *path* of length <= k, which is what makes the
-   algorithm exponential in k (the paper: "Notice that the cost of this
-   simple algorithm is exponential in k").
+   is evaluated from scratch for every member.  Unmemoised — as the
+   paper's "fixing a minor mistake" leaves it — this walks every
+   ancestor *path* of length <= k, which is what makes the algorithm
+   exponential in k (the paper: "Notice that the cost of this simple
+   algorithm is exponential in k").
 
 The algorithm only ever splits, so the index monotonically degrades —
 Figure 13's blow-up — and must be reconstructed periodically
 (:class:`~repro.maintenance.reconstruction.ReconstructionPolicy`).
-
-``memoize=True`` caches signatures per update, turning the recursion
-linear in the ancestor set; it is offered as an ablation (the blow-up in
-*index quality* is unchanged, only the time is) and is what the paper's
-"fixing a minor mistake" pointedly does **not** do.
 """
 
 from __future__ import annotations
@@ -43,11 +39,10 @@ from repro.maintenance.base import UpdateStats
 class SimpleAkMaintainer:
     """Stand-alone A(k) maintenance by definition (the baseline of §7.2)."""
 
-    def __init__(self, index: StructuralIndex, k: int, memoize: bool = False):
+    def __init__(self, index: StructuralIndex, k: int):
         self.structure = self.index = index
         self.graph: DataGraph = index.graph
         self.k = k
-        self.memoize = memoize
 
     def insert_edge(
         self, source: int, target: int, kind: EdgeKind = EdgeKind.TREE
@@ -86,14 +81,13 @@ class SimpleAkMaintainer:
         affected.add(v)
         touched = {index.inode_of(w) for w in affected}
 
-        cache: dict[tuple[int, int], Hashable] | None = {} if self.memoize else None
         for inode in sorted(touched):
             members = sorted(index.extent(inode))
             if len(members) == 1:
                 continue
             groups: dict[Hashable, list[int]] = {}
             for w in members:
-                groups.setdefault(self._ksig(w, self.k, cache), []).append(w)
+                groups.setdefault(self._ksig(w, self.k), []).append(w)
             if len(groups) < 2:
                 continue
             ordered = sorted(groups.values(), key=len, reverse=True)
@@ -105,21 +99,11 @@ class SimpleAkMaintainer:
         stats.peak_inodes = index.num_inodes
         return stats
 
-    def _ksig(
-        self, w: int, depth: int, cache: dict[tuple[int, int], Hashable] | None
-    ) -> Hashable:
-        """k-bisimilarity signature by definition (exponential when uncached)."""
+    def _ksig(self, w: int, depth: int) -> Hashable:
+        """k-bisimilarity signature by definition (exponential in *depth*)."""
         if depth == 0:
             return self.graph.label(w)
-        if cache is not None:
-            key = (w, depth)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-        sig = (
-            self._ksig(w, depth - 1, cache),
-            frozenset(self._ksig(p, depth - 1, cache) for p in self.graph.iter_pred(w)),
+        return (
+            self._ksig(w, depth - 1),
+            frozenset(self._ksig(p, depth - 1) for p in self.graph.iter_pred(w)),
         )
-        if cache is not None:
-            cache[(w, depth)] = sig
-        return sig

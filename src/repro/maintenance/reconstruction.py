@@ -21,7 +21,6 @@ periodically reconstructing their indexes.  Two pieces live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
 
 from repro.graph.datagraph import DataGraph
 from repro.index.base import StructuralIndex
@@ -30,35 +29,6 @@ from repro.obs import current as current_obs
 
 #: The paper's reconstruction trigger: 5 % growth since last reconstruction.
 DEFAULT_THRESHOLD = 0.05
-
-
-@runtime_checkable
-class ReconstructionPolicyProtocol(Protocol):
-    """What any reconstruction trigger must speak.
-
-    The experiment runner and the adaptive serving controller drive
-    their triggers through exactly this surface, so the paper's flat
-    5 %-growth :class:`ReconstructionPolicy` and the cost-based
-    :class:`repro.adaptive.cost_model.CostBasedPolicy` are drop-in
-    interchangeable (``--reconstruct-threshold`` tunes the former, the
-    live obs metrics feed the latter).
-    """
-
-    reconstructions: int
-    intervals: list[int]
-
-    def start(self, size: int) -> None:
-        """Initialise with the size of the freshly built index."""
-
-    def should_reconstruct(self, current_size: int) -> bool:
-        """Record one update; report whether the trigger fires."""
-
-    def reconstructed(self, new_size: int) -> None:
-        """Note that a reconstruction happened at the current update."""
-
-    @property
-    def mean_interval(self) -> float:
-        """Average number of updates between reconstructions."""
 
 
 def quotient_graph(index: StructuralIndex) -> tuple[DataGraph, dict[int, int]]:

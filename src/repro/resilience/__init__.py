@@ -2,17 +2,20 @@
 
 The paper's maintainers mutate a graph and its index in lockstep; an
 exception mid-operation would leave both silently corrupt.  This package
-makes every maintenance operation all-or-nothing:
+makes every batch of maintenance operations all-or-nothing:
 
 * :class:`MutationJournal` / :class:`Transaction` — an undo log the
-  graph and index write through while a transaction is open (``None``
-  hooks, i.e. zero cost, otherwise), with snapshot-based enlistment for
-  the :class:`~repro.index.akindex.AkIndexFamily`;
-* :class:`GuardedMaintainer` / :class:`GuardConfig` — runs any
-  maintainer's public mutations transactionally and applies a ``raise``
-  / ``retry`` / ``degrade`` failure policy, where ``degrade`` falls back
-  to reconstruction from the rolled-back graph;
-* :class:`InvariantGuard` — cadenced post-checks reusing the library's
+  graph and the structure write through while a transaction is open
+  (``None`` hooks, i.e. zero cost, otherwise); a 1-index and an
+  :class:`~repro.index.akindex.AkIndexFamily` both enlist through their
+  journaled primitives, so a rollback restores either byte for byte;
+* :class:`GuardedMaintainer` / :class:`GuardConfig` — runs a batch of any
+  maintainer's public mutations as one transaction through
+  ``apply_batch``, post-checks every transaction before it commits, and
+  applies a ``raise`` / ``degrade`` failure policy, where ``degrade``
+  falls back to reconstruction from the rolled-back graph;
+* :class:`InvariantGuard` — the post-check, scoped to a transaction's
+  touched set plus the next audit slice, reusing the library's
   validity/minimality oracles;
 * :class:`FaultInjector` — deterministic, seeded mid-operation faults
   for the chaos suite (``tests/resilience/``).

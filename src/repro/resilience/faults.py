@@ -10,7 +10,7 @@ Trigger modes, combinable:
 
 * ``at_record=M`` — fire when the journal reaches its M-th record; with
   ``rearm=True`` the trigger is periodic (every M-th record), otherwise
-  it is one-shot — a retry of the same operation then succeeds;
+  it is one-shot — a resubmission of the same batch then succeeds;
 * ``at_phase="split"`` / ``"merge"`` — fire on the first record emitted
   by the named maintenance phase (inode or class creation and dnode moves
   mark split work, inode folding/destruction and class closing mark merge

@@ -48,12 +48,12 @@ usable scope (``touched`` absent or ``full`` after a degrade-rebuild,
 recovery's post-check, :meth:`IndexService.check`); it restarts the
 cursor (DESIGN.md §5).
 
-Whether a transaction is post-checked at all is the cadence's call:
-every update or every N-th, the ids of the skipped ones kept for the
-check that is.  A failed check
+The :class:`~repro.resilience.guard.GuardedMaintainer` post-checks every
+transaction it commits; only a guard at level ``""`` checks nothing
+(recovery's replay, which one unscoped check follows).  A failed check
 raises :class:`repro.exceptions.InvariantViolationError`, which the
-:class:`~repro.resilience.guard.GuardedMaintainer` treats exactly like a
-mid-operation exception — roll back, then apply the failure policy.
+guarded maintainer treats exactly like a mid-operation exception — roll
+back, then apply the failure policy.
 """
 
 from __future__ import annotations
@@ -82,16 +82,12 @@ AUDIT_SLICE_VISITS = 8192
 
 
 class InvariantGuard:
-    """Cadenced invariant checks over a graph and the structure maintained over it."""
+    """Invariant checks over a graph and the structure maintained over it."""
 
-    def __init__(self, level: str = "valid", check_every: int = 1):
-        if level not in LEVELS:
-            raise ValueError(f"unknown level {level!r}; choose from {LEVELS}")
+    def __init__(self, level: str = "valid"):
+        if level and level not in LEVELS:
+            raise ValueError(f"unknown level {level!r}; choose from {LEVELS} or '' (none)")
         self.level = level
-        self.check_every = check_every
-        self._since_check = 0
-        #: what the transactions the cadence skipped touched, for the next check
-        self._unchecked = TouchedSet()
         #: dnodes + adjacency entries the last check was scoped to, and its audit slice
         self.last_visited = self.last_audit_visited = 0
         self.checks_local = self.checks_full = 0
@@ -107,22 +103,6 @@ class InvariantGuard:
         self._cycle: Sequence[int] = ()
         self._cycle_done = 0
 
-    def due(self, touched: Optional[TouchedSet] = None) -> bool:
-        """Advance the cadence by one update; report whether to check now.
-
-        An update that goes unchecked leaves what it *touched* with the
-        guard, and the next check is scoped to the union.
-        """
-        if self.check_every <= 0:
-            return False
-        self._since_check += 1
-        if self._since_check >= self.check_every:
-            self._since_check = 0
-            return True
-        if touched is not None:
-            self._unchecked.absorb(touched)
-        return False
-
     def check(
         self,
         graph: DataGraph,
@@ -131,13 +111,12 @@ class InvariantGuard:
     ) -> None:
         """Run the configured checks; raise :class:`InvariantViolationError`.
 
-        Scoped to *touched* (and what went unchecked before it) and
-        followed by the next audit slice, or everything unscoped when
-        there is no usable scope.
+        Scoped to *touched* and followed by the next audit slice, or
+        everything unscoped when there is no usable scope.  At level
+        ``""`` nothing is checked.
         """
-        if touched is not None and self._unchecked:
-            self._unchecked.absorb(touched)
-            touched = self._unchecked
+        if not self.level:
+            return
         scope: dict = {}
         if touched is None or touched.full:
             self.checks_full += 1
@@ -154,18 +133,23 @@ class InvariantGuard:
             self.checks_local += 1
         current_obs().add("resilience.check_visited", self.last_visited)
         self._run(graph, structure, **scope)
-        self._unchecked.clear()
         if scope:
             self._audit_slice(graph, structure)
         else:
             self.last_audit_ok = True
 
-    def adopt_full_check(self) -> None:
+    def adopt_full_check(self, level: str) -> bool:
         """Take over the verdict of an unscoped check that another guard
-        passed on this very state (recovery's post-check)."""
+        passed at *level* on this very state (recovery's post-check) —
+        only if it went at least as deep as this guard's own level, or
+        this guard would vouch for more than was checked.  Returns
+        whether it did; if not, the first audit cycle states the rest."""
+        if not level or (self.level and LEVELS.index(level) < LEVELS.index(self.level)):
+            return False
         self.checks_full += 1
         self._restart_audit()
         self.last_audit_ok = True
+        return True
 
     def audit_progress(self, graph: DataGraph) -> dict:
         """Where the cursor stands, for ``/health``."""

@@ -372,9 +372,8 @@ class IndexService:
         """Drain, coalesce, apply and publish one batch synchronously.
 
         Returns ``None`` when the queue was empty.  A batch whose
-        transaction fails terminally (policy ``raise``, or ``retry``
-        exhausted) re-raises after rollback — the published snapshot is
-        untouched either way.
+        transaction fails terminally (policy ``raise``) re-raises after
+        rollback — the published snapshot is untouched either way.
         """
         with self._writer_lock:
             self._check_diverged()
@@ -496,7 +495,7 @@ class IndexService:
                 "service.publish_seconds", time.perf_counter() - publish_started
             )
         # stamped by the commit whose own check ended a cycle or was a full
-        # one — not by one the cadence skipped or that coalesced to nothing
+        # one — not by one that coalesced to nothing
         if guard.last_audit_ok and guard.audits + guard.checks_full > whole_graph_verdicts:
             self._last_audit_version = snapshot.version
         elapsed = time.perf_counter() - started
@@ -553,8 +552,9 @@ class IndexService:
         service.store = store.ServiceStore.reopen(
             store_dir, store_config, fault_injector, recovery=result
         )
-        if check_level:  # recovery's post-check is this state's first full check
-            service.guarded.invariants.adopt_full_check()
+        # recovery's post-check is this state's first full check, if it
+        # went as deep as the guard's; else the first audit cycle stamps
+        if service.guarded.invariants.adopt_full_check(check_level):
             service._last_audit_version = result.version
         return service
 

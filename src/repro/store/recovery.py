@@ -13,9 +13,11 @@ The recovery protocol, in order:
 3. **Replay** every WAL record with ``lsn > checkpoint.wal_lsn``
    through :meth:`GuardedMaintainer.apply_batch` — the same code path
    that applied the batches the first time, so replay is deterministic:
-   identical oids, identical inode ids, identical split/merge order.  A
-   torn tail is truncated at the first bad CRC (the unacknowledged
-   suffix); a gap *before* the tail aborts recovery.
+   identical oids, identical inode ids, identical split/merge order.  The
+   replay guard raises on any failure and checks no record
+   (``check_level=""``): the post-check below covers them all.  A torn
+   tail is truncated at the first bad CRC (the unacknowledged suffix); a
+   gap *before* the tail aborts recovery.
 4. **Post-check**: an :class:`InvariantGuard` pass at ``valid`` depth
    over the recovered pair, so a recovery that produced an inconsistent
    index fails loudly here instead of corrupting the first live commit.
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 from repro.exceptions import RecoveryError
 from repro.graph.datagraph import DataGraph
@@ -59,17 +61,15 @@ class RecoveryResult:
 
 def recover(
     store_dir: str,
-    guard: Optional[GuardConfig] = None,
     check_level: str = "valid",
     repair: bool = True,
 ) -> RecoveryResult:
     """Run the full recovery protocol over *store_dir*.
 
-    *guard* configures the replay transactions (default: ``raise`` with
-    per-record invariant checks disabled — the single post-check at
-    *check_level* depth covers the recovered state; pass
-    ``check_level=""`` to skip it).  ``repair=True`` truncates a torn
-    WAL tail on disk so the recovered service appends from a clean end.
+    The single post-check at *check_level* depth covers the recovered
+    state (pass ``check_level=""`` to skip it).  ``repair=True``
+    truncates a torn WAL tail on disk so the recovered service appends
+    from a clean end.
     """
     obs = current_obs()
     started = time.perf_counter()
@@ -81,8 +81,7 @@ def recover(
                 "initialised (or every checkpoint is corrupt)"
             )
         graph, maintainer = ckpt.adopt()
-        config = guard if guard is not None else GuardConfig(policy="raise", check_every=0)
-        guarded = GuardedMaintainer(maintainer, config)
+        guarded = GuardedMaintainer(maintainer, GuardConfig(policy="raise", check_level=""))
 
         replayed_records = 0
         replayed_ops = 0

@@ -80,36 +80,14 @@ class TestCorrectness:
 
 
 class TestSignatureRecursion:
-    def test_memoized_and_plain_sigs_agree(self, figure2_graph):
-        index = fresh_ak_index(figure2_graph, 3)
-        maintainer = SimpleAkMaintainer(index, 3)
-        for node in figure2_graph.nodes():
-            plain = maintainer._ksig(node, 3, None)
-            memo = maintainer._ksig(node, 3, {})
-            assert plain == memo
-
     def test_sigs_separate_exactly_the_k_classes(self, figure2_graph):
         index = fresh_ak_index(figure2_graph, 2)
         maintainer = SimpleAkMaintainer(index, 2)
         classes = ak_class_maps(figure2_graph, 2)[2]
-        sig_of = {n: maintainer._ksig(n, 2, {}) for n in figure2_graph.nodes()}
+        sig_of = {n: maintainer._ksig(n, 2) for n in figure2_graph.nodes()}
         for a in figure2_graph.nodes():
             for b in figure2_graph.nodes():
                 assert (sig_of[a] == sig_of[b]) == (classes[a] == classes[b])
-
-    def test_memoize_flag_controls_behaviour_not_result(self, figure2_builder):
-        g1 = figure2_builder.build()
-        g2 = figure2_builder.build()
-        i1 = fresh_ak_index(g1, 3)
-        i2 = fresh_ak_index(g2, 3)
-        m1 = SimpleAkMaintainer(i1, 3, memoize=False)
-        m2 = SimpleAkMaintainer(i2, 3, memoize=True)
-        # same oids in both builds
-        u, v = sorted(g1.nodes())[2], sorted(g1.nodes())[4]
-        if not g1.has_edge(u, v):
-            m1.insert_edge(u, v)
-            m2.insert_edge(u, v)
-            assert i1.as_blocks() == i2.as_blocks()
 
 
 class TestAffectedRegion:

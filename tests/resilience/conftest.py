@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.graph.datagraph import DataGraph
+from repro.graph.datagraph import DataGraph, EdgeKind
 from repro.graph.serialize import graph_to_dict
 from repro.index.akindex import AkIndexFamily
 from repro.index.base import StructuralIndex
@@ -41,6 +41,14 @@ CHAOS_XMARK_ACYCLIC = XMarkConfig(
     num_categories=8,
     cyclicity=0.0,
 )
+
+
+def edge_call(step) -> tuple[str, tuple]:
+    """A mixed-workload step as the ``(method, args)`` pair a batch carries."""
+    op, source, target = step
+    if op == "insert":
+        return "insert_edge", (source, target, EdgeKind.IDREF)
+    return "delete_edge", (source, target)
 
 
 def graph_fingerprint(graph: DataGraph) -> str:

@@ -32,13 +32,20 @@ from repro.index.oneindex import OneIndex
 from repro.index.stability import is_minimal_1index, is_valid_1index
 from repro.maintenance.ak_split_merge import AkSplitMergeMaintainer
 from repro.maintenance.split_merge import SplitMergeMaintainer
-from repro.resilience import FaultInjector, GuardConfig, GuardedMaintainer, Transaction
+from repro.resilience import (
+    FaultInjector,
+    GuardConfig,
+    GuardedMaintainer,
+    TouchedSet,
+    Transaction,
+)
 from repro.workload.updates import MixedUpdateWorkload, extract_subgraphs, remove_subgraph_raw
 from repro.workload.xmark import generate_xmark
 from tests.resilience.conftest import (
     CHAOS_SEED,
     CHAOS_XMARK,
     CHAOS_XMARK_ACYCLIC,
+    edge_call,
     family_fingerprint,
     graph_fingerprint,
     index_fingerprint,
@@ -204,6 +211,13 @@ def test_rollback_property_random_fault_points(
     assert fingerprints() == before
 
 
+def tracked(guard: GuardedMaintainer) -> TouchedSet:
+    """Scope the guard's post-checks the way a service does (clear it per commit)."""
+    touched = TouchedSet()
+    guard.track_touched(touched)
+    return touched
+
+
 class TestGracefulDegradation:
     def test_degrade_completes_200_pair_workload(self):
         # acceptance: acyclic XMark (minimal == minimum there, so the
@@ -213,15 +227,14 @@ class TestGracefulDegradation:
         index = OneIndex.build(graph)
         guard = GuardedMaintainer(
             SplitMergeMaintainer(index),
-            GuardConfig(policy="degrade", check_level="valid", check_every=50),
+            GuardConfig(policy="degrade", check_level="valid"),
             FaultInjector(at_record=53 + CHAOS_SEED, rearm=True),
         )
+        touched = tracked(guard)
         applied = 0
-        for op, source, target in workload.steps(200, validate=True):
-            if op == "insert":
-                guard.insert_edge(source, target, EdgeKind.IDREF)
-            else:
-                guard.delete_edge(source, target)
+        for step in workload.steps(200, validate=True):
+            guard.apply_batch([edge_call(step)])
+            touched.clear()
             applied += 1
         assert applied == 400
         assert guard.stats.faults > 0, "the injector never fired"
@@ -238,15 +251,14 @@ class TestGracefulDegradation:
         family = AkIndexFamily.build(graph, AK_K)
         guard = GuardedMaintainer(
             AkSplitMergeMaintainer(family),
-            GuardConfig(policy="degrade", check_level="minimal", check_every=20),
+            GuardConfig(policy="degrade", check_level="minimal"),
             FaultInjector(at_record=31 + CHAOS_SEED, rearm=True),
         )
+        touched = tracked(guard)
         applied = 0
-        for op, source, target in workload.steps(60, validate=True):
-            if op == "insert":
-                guard.insert_edge(source, target, EdgeKind.IDREF)
-            else:
-                guard.delete_edge(source, target)
+        for step in workload.steps(60, validate=True):
+            guard.apply_batch([edge_call(step)])
+            touched.clear()
             applied += 1
         assert applied == 120
         assert guard.stats.faults > 0
@@ -257,23 +269,27 @@ class TestGracefulDegradation:
 
     def test_retry_policy_survives_transient_faults(self):
         # a one-shot injector re-armed every 40 records by hand: each
-        # fault is transient, so retry alone keeps the workload going
+        # fault is transient, so under ``raise`` resubmitting the batch
+        # the guard handed back keeps the workload going
         graph = generate_xmark(CHAOS_XMARK).graph
         workload = MixedUpdateWorkload.prepare(graph, seed=5 + CHAOS_SEED)
         index = OneIndex.build(graph)
         injector = FaultInjector(at_record=40)
         guard = GuardedMaintainer(
-            SplitMergeMaintainer(index),
-            GuardConfig(policy="retry", max_retries=3),
-            injector,
+            SplitMergeMaintainer(index), GuardConfig(policy="raise"), injector
         )
-        for count, (op, source, target) in enumerate(workload.steps(50, validate=True)):
+        touched = tracked(guard)
+        resubmitted = 0
+        for count, step in enumerate(workload.steps(50, validate=True)):
             if count % 10 == 0:
                 injector.reset()
-            if op == "insert":
-                guard.insert_edge(source, target, EdgeKind.IDREF)
-            else:
-                guard.delete_edge(source, target)
-        assert guard.stats.commits == 100
+            try:
+                guard.apply_batch([edge_call(step)])
+            except InjectedFaultError:
+                resubmitted += 1
+                guard.apply_batch([edge_call(step)])
+            touched.clear()
+        assert resubmitted == guard.stats.rollbacks == injector.fired > 0
+        assert guard.stats.commits == guard.stats.checks == 100
         assert guard.stats.degradations == 0
         assert is_valid_1index(index)

@@ -117,7 +117,7 @@ class TestAtPhase:
             fingerprints = lambda: (graph_fingerprint(graph), family_fingerprint(family))
         injector = FaultInjector(at_phase=phase)
         guard = GuardedMaintainer(
-            maintainer, GuardConfig(policy="raise", check_every=0), injector
+            maintainer, GuardConfig(policy="raise", check_level=""), injector
         )
         before = fingerprints()
         d, b3, b4 = (figure2_builder.oid(n) for n in (2, 3, 4))

@@ -1,4 +1,4 @@
-"""GuardedMaintainer: policies, cadence, stats, obs counters, CLI wiring."""
+"""GuardedMaintainer: one checked transaction per batch, policies, stats, obs counters."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from repro.maintenance.base import UpdateStats
 from repro.maintenance.split_merge import SplitMergeMaintainer
 from repro.obs import NullSink, observed
 from repro.resilience import (
+    POLICIES,
     FaultInjector,
     GuardConfig,
     GuardedMaintainer,
@@ -32,6 +33,32 @@ def guarded_figure2(builder, config=None, injector=None):
     return GuardedMaintainer(SplitMergeMaintainer(index), config, injector)
 
 
+def insert_2_4(builder) -> list[tuple[str, tuple]]:
+    """The one-operation batch most tests commit: Figure 2's edge 2 -> 4."""
+    return [("insert_edge", (builder.oid(2), builder.oid(4)))]
+
+
+def new_nodes(graph: DataGraph, before: set[int]) -> list[int]:
+    """The oids a batch created, ascending (read off the graph)."""
+    return sorted(set(graph.nodes()) - before)
+
+
+class Forgetful:
+    """Mixin: a maintainer whose ``insert_edge`` never tells the structure."""
+
+    def insert_edge(self, source, target, kind=EdgeKind.TREE):
+        self.graph.add_edge(source, target, kind)
+        return UpdateStats()
+
+
+class ForgetfulOne(Forgetful, SplitMergeMaintainer):
+    pass
+
+
+class ForgetfulAk(Forgetful, AkSplitMergeMaintainer):
+    pass
+
+
 class TestRaisePolicy:
     def test_fault_rolls_back_and_reraises(self, figure2_builder):
         guard = guarded_figure2(
@@ -42,7 +69,7 @@ class TestRaisePolicy:
         g_before = graph_fingerprint(guard.graph)
         i_before = index_fingerprint(guard.index)
         with pytest.raises(InjectedFaultError):
-            guard.insert_edge(figure2_builder.oid(2), figure2_builder.oid(4))
+            guard.apply_batch(insert_2_4(figure2_builder))
         assert graph_fingerprint(guard.graph) == g_before
         assert index_fingerprint(guard.index) == i_before
         assert guard.stats.faults == 1
@@ -51,7 +78,7 @@ class TestRaisePolicy:
 
     def test_clean_operation_commits(self, figure2_builder):
         guard = guarded_figure2(figure2_builder, GuardConfig(policy="raise"))
-        stats = guard.insert_edge(figure2_builder.oid(2), figure2_builder.oid(4))
+        stats = guard.apply_batch(insert_2_4(figure2_builder))
         assert stats.splits == 2 and stats.merges == 2
         assert guard.stats.commits == 1
         assert guard.stats.rollbacks == 0
@@ -59,48 +86,55 @@ class TestRaisePolicy:
 
 
 class TestRetryPolicy:
+    """Retrying is no policy of the guard's: under ``raise`` the caller
+    gets the batch back on clean state and resubmits it."""
+
     def test_transient_fault_clears_on_retry(self, figure2_builder):
         guard = guarded_figure2(
             figure2_builder,
-            GuardConfig(policy="retry", max_retries=2),
-            FaultInjector(at_record=1),  # one-shot: second attempt is clean
+            GuardConfig(policy="raise"),
+            FaultInjector(at_record=1),  # one-shot: the resubmission is clean
         )
         # an unguarded twin shows what the final state must be
-        twin_builder_graph = figure2_builder  # same oid mapping
-        reference = guarded_figure2(twin_builder_graph)
-        reference.maintainer.insert_edge(
-            figure2_builder.oid(2), figure2_builder.oid(4)
-        )
-        stats = guard.insert_edge(figure2_builder.oid(2), figure2_builder.oid(4))
+        reference = guarded_figure2(figure2_builder)  # same oid mapping
+        reference.maintainer.insert_edge(figure2_builder.oid(2), figure2_builder.oid(4))
+        with pytest.raises(InjectedFaultError):
+            guard.apply_batch(insert_2_4(figure2_builder))
+        stats = guard.apply_batch(insert_2_4(figure2_builder))
         assert stats.splits == 2 and stats.merges == 2
-        assert guard.stats.retries == 1
-        assert guard.stats.commits == 1
+        assert (guard.stats.rollbacks, guard.stats.commits) == (1, 1)
         assert graph_fingerprint(guard.graph) == graph_fingerprint(reference.graph)
         assert index_fingerprint(guard.index) == index_fingerprint(reference.index)
 
     def test_persistent_fault_exhausts_retries(self, figure2_builder):
         guard = guarded_figure2(
             figure2_builder,
-            GuardConfig(policy="retry", max_retries=2),
+            GuardConfig(policy="raise"),
             FaultInjector(at_record=1, rearm=True),  # fires on every attempt
         )
         g_before = graph_fingerprint(guard.graph)
-        with pytest.raises(InjectedFaultError):
-            guard.insert_edge(figure2_builder.oid(2), figure2_builder.oid(4))
-        assert guard.stats.retries == 2
-        assert guard.stats.rollbacks == 3  # initial attempt + 2 retries
+        for _ in range(3):
+            with pytest.raises(InjectedFaultError):
+                guard.apply_batch(insert_2_4(figure2_builder))
+        assert (guard.stats.rollbacks, guard.stats.commits) == (3, 0)
         assert graph_fingerprint(guard.graph) == g_before
 
     def test_insert_node_returns_oid_through_retry(self, figure2_builder):
+        """The resubmitted ``insert_node`` creates the oid a run that never
+        failed creates: the rollback returned the one it had taken."""
         guard = guarded_figure2(
-            figure2_builder,
-            GuardConfig(policy="retry", max_retries=1),
-            FaultInjector(at_record=1),
+            figure2_builder, GuardConfig(policy="raise"), FaultInjector(at_record=1)
         )
-        oid, stats = guard.insert_node(figure2_builder.oid(1), "B")
-        assert guard.graph.has_node(oid)
-        assert isinstance(stats, UpdateStats)
-        assert guard.stats.retries == 1
+        reference = guarded_figure2(figure2_builder)
+        batch = [("insert_node", (figure2_builder.oid(1), "B"))]
+        before = set(guard.graph.nodes())
+        with pytest.raises(InjectedFaultError):
+            guard.apply_batch(batch)
+        assert isinstance(guard.apply_batch(batch), UpdateStats)
+        reference.apply_batch(batch)
+        (oid,) = new_nodes(guard.graph, before)
+        assert new_nodes(reference.graph, before) == [oid]
+        assert guard.graph.label(oid) == "B"
 
 
 class TestDegradePolicy:
@@ -110,7 +144,7 @@ class TestDegradePolicy:
             GuardConfig(policy="degrade"),
             FaultInjector(at_record=2),  # one-shot: re-apply succeeds
         )
-        stats = guard.insert_edge(figure2_builder.oid(2), figure2_builder.oid(4))
+        stats = guard.apply_batch(insert_2_4(figure2_builder))
         assert isinstance(stats, UpdateStats)
         assert guard.stats.degradations == 1
         assert guard.stats.raw_fallbacks == 0
@@ -124,7 +158,7 @@ class TestDegradePolicy:
             GuardConfig(policy="degrade"),
             FaultInjector(at_record=1, rearm=True),  # every attempt faults
         )
-        guard.insert_edge(figure2_builder.oid(2), figure2_builder.oid(4))
+        guard.apply_batch(insert_2_4(figure2_builder))
         assert guard.stats.degradations == 1
         assert guard.stats.raw_fallbacks == 1
         # the raw path applies the edge journal-free and rebuilds: valid end
@@ -136,60 +170,85 @@ class TestDegradePolicy:
         # a maintainer that corrupts the index (graph edge added, index
         # never told) is caught by the post-check and contained: the
         # degrade path lands the update at reconstruction cost
-        class BuggyMaintainer(SplitMergeMaintainer):
-            def insert_edge(self, source, target, kind=EdgeKind.TREE):
-                self.graph.add_edge(source, target, kind)
-                return UpdateStats()
-
         graph = figure2_builder.build()
         guard = GuardedMaintainer(
-            BuggyMaintainer(OneIndex.build(graph)),
-            GuardConfig(policy="degrade", check_level="valid", check_every=1),
+            ForgetfulOne(OneIndex.build(graph)),
+            GuardConfig(policy="degrade", check_level="valid"),
         )
-        guard.insert_edge(figure2_builder.oid(2), figure2_builder.oid(4))
+        guard.apply_batch(insert_2_4(figure2_builder))
         assert guard.stats.check_failures >= 1
         assert guard.stats.raw_fallbacks == 1
         assert guard.graph.has_edge(figure2_builder.oid(2), figure2_builder.oid(4))
         assert is_valid_1index(guard.index)
 
 
+@pytest.mark.parametrize("family", ["one", "ak"])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_no_guarded_commit_is_one_whose_post_check_failed(figure2_builder, policy, family):
+    """Every batch is checked before it commits: a forgotten index update
+    is rolled back byte for byte under ``raise``, and under ``degrade``
+    the batch lands only through a rebuild that then passes the check."""
+    graph = figure2_builder.build()
+    if family == "one":
+        structure = OneIndex.build(graph)
+        maintainer = ForgetfulOne(structure)
+        fingerprint = index_fingerprint
+    else:
+        structure = AkIndexFamily.build(graph, 2)
+        maintainer = ForgetfulAk(structure)
+        fingerprint = family_fingerprint
+    guard = GuardedMaintainer(maintainer, GuardConfig(policy=policy))
+    before = graph_fingerprint(graph), fingerprint(structure)
+    batch = insert_2_4(figure2_builder)
+    edge = batch[0][1]
+    for _ in range(2):  # a resubmission is checked again, and fails again
+        if policy == "raise":
+            with pytest.raises(InvariantViolationError):
+                guard.apply_batch(batch)
+            assert (graph_fingerprint(graph), fingerprint(structure)) == before
+            assert guard.stats.commits == 0
+        else:
+            guard.apply_batch(batch)
+            assert graph.has_edge(*edge)
+            InvariantGuard(level="minimal").check(graph, structure)
+            guard.apply_batch([("delete_edge", edge)])  # unforgotten: back to the start
+    failures = 2 if policy == "raise" else 4  # degrade: its incremental re-apply fails too
+    assert guard.stats.check_failures == guard.stats.rollbacks == failures
+    assert guard.stats.checks == guard.stats.commits + guard.stats.check_failures
+    assert guard.stats.raw_fallbacks == (2 if policy == "degrade" else 0)
+
+
 class TestInvariantChecking:
     def test_corruption_detected_and_rolled_back(self, figure2_builder):
-        class BuggyMaintainer(SplitMergeMaintainer):
-            def insert_edge(self, source, target, kind=EdgeKind.TREE):
-                self.graph.add_edge(source, target, kind)
-                return UpdateStats()
-
         graph = figure2_builder.build()
         guard = GuardedMaintainer(
-            BuggyMaintainer(OneIndex.build(graph)),
-            GuardConfig(policy="raise", check_level="valid", check_every=1),
+            ForgetfulOne(OneIndex.build(graph)),
+            GuardConfig(policy="raise", check_level="valid"),
         )
         g_before = graph_fingerprint(guard.graph)
         i_before = index_fingerprint(guard.index)
         with pytest.raises(InvariantViolationError):
-            guard.insert_edge(figure2_builder.oid(2), figure2_builder.oid(4))
+            guard.apply_batch(insert_2_4(figure2_builder))
         assert guard.stats.check_failures == 1
         assert graph_fingerprint(guard.graph) == g_before
         assert index_fingerprint(guard.index) == i_before
 
-    def test_cadence_every_n(self, figure2_builder):
-        guard = guarded_figure2(
-            figure2_builder, GuardConfig(policy="raise", check_every=3)
-        )
+    def test_every_batch_is_checked(self, figure2_builder):
+        guard = guarded_figure2(figure2_builder, GuardConfig(policy="raise"))
         edge = (figure2_builder.oid(2), figure2_builder.oid(4))
         for _ in range(3):
-            guard.insert_edge(*edge, EdgeKind.IDREF)
-            guard.delete_edge(*edge)
-        assert guard.stats.commits == 6
-        assert guard.stats.checks == 2
+            guard.apply_batch([("insert_edge", (*edge, EdgeKind.IDREF))])
+            guard.apply_batch([("delete_edge", edge)])
+        guard.apply_batch([])  # no transaction: nothing to check
+        assert guard.stats.commits == guard.stats.checks == 6
 
-    def test_cadence_zero_never_checks(self, figure2_builder):
-        guard = guarded_figure2(
-            figure2_builder, GuardConfig(policy="raise", check_every=0)
-        )
-        guard.insert_edge(figure2_builder.oid(2), figure2_builder.oid(4))
-        assert guard.stats.checks == 0
+    def test_an_empty_check_level_checks_nothing(self, figure2_builder):
+        """Recovery's replay guard: the one post-check follows the replay."""
+        guard = guarded_figure2(figure2_builder, GuardConfig(policy="raise", check_level=""))
+        guard.apply_batch(insert_2_4(figure2_builder))
+        assert guard.stats.commits == 1 and guard.stats.checks == 0
+        guard.invariants.check(guard.graph, guard.structure)
+        assert guard.invariants.checks_full == guard.invariants.checks_local == 0
 
     def test_minimal_level_flags_valid_but_nonminimal(self, diamond_dag):
         # splitting {x, y} (bisimilar siblings) keeps the index valid but
@@ -219,6 +278,8 @@ class TestGuardConfig:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             GuardConfig(policy="shrug")
+        with pytest.raises(ValueError):
+            GuardConfig(policy="retry")
 
     def test_defaults(self):
         config = GuardConfig()
@@ -239,40 +300,45 @@ class TestAkGuard:
         f_before = family_fingerprint(family)
         g_before = graph_fingerprint(graph)
         with pytest.raises(InjectedFaultError):
-            guard.insert_edge(figure2_builder.oid(2), figure2_builder.oid(4))
+            guard.apply_batch(insert_2_4(figure2_builder))
         assert family_fingerprint(family) == f_before
         assert graph_fingerprint(graph) == g_before
         # the one-shot injector is spent: the same update now lands
-        guard.insert_edge(figure2_builder.oid(2), figure2_builder.oid(4))
+        guard.apply_batch(insert_2_4(figure2_builder))
         assert guard.stats.commits == 1
         family.check_invariants()
         assert family.is_minimum()
 
-    @pytest.mark.parametrize("policy", ["raise", "retry"])
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_a_rolled_back_label_leaves_no_stale_level0_token(
         self, figure2_builder, policy
     ):
         """A batch opens the level-0 class of a new label and rolls back
-        (under ``retry``: every attempt does); the next new label is issued
-        the same token, and the first label must not be filed under it."""
+        (under ``degrade``: then lands through the rebuild); the next new
+        label is issued a token of its own, and the first label must not
+        be filed under it."""
         graph = figure2_builder.build()
         family = AkIndexFamily.build(graph, 2)
         guard = GuardedMaintainer(
             AkSplitMergeMaintainer(family),
-            GuardConfig(policy=policy, check_every=0),
-            FaultInjector(at_record=3, rearm=policy == "retry"),
+            GuardConfig(policy=policy, check_level=""),
+            FaultInjector(at_record=3),
         )
         root = graph.root
         f_before = family_fingerprint(family)
-        with pytest.raises(InjectedFaultError):
-            guard.apply_batch(
-                [("insert_node", (root, "foo")), ("insert_node", (root, "x"))]
-            )
-        assert guard.stats.rollbacks == (3 if policy == "retry" else 1)
-        assert family_fingerprint(family) == f_before
-        guard.fault_injector = None
-        bar, _ = guard.insert_node(root, "bar")
-        foo, _ = guard.insert_node(root, "foo")
+        batch = [("insert_node", (root, "foo")), ("insert_node", (root, "x"))]
+        if policy == "raise":
+            with pytest.raises(InjectedFaultError):
+                guard.apply_batch(batch)
+            assert family_fingerprint(family) == f_before
+        else:
+            guard.apply_batch(batch)
+            assert guard.stats.degradations == 1
+        assert guard.stats.rollbacks == 1
+        before = set(graph.nodes())
+        guard.apply_batch([("insert_node", (root, "bar"))])
+        guard.apply_batch([("insert_node", (root, "foo"))])
+        bar, foo = new_nodes(graph, before)
         assert family.class_at(0, bar) != family.class_at(0, foo)
         family.check_invariants()
         assert family.is_minimum()
@@ -283,18 +349,18 @@ class TestObsIntegration:
         with observed(NullSink()) as obs:
             guard = guarded_figure2(
                 figure2_builder,
-                GuardConfig(policy="retry", max_retries=2, check_every=1),
+                GuardConfig(policy="degrade"),
                 FaultInjector(at_record=1),
             )
-            guard.insert_edge(figure2_builder.oid(2), figure2_builder.oid(4))
+            guard.apply_batch(insert_2_4(figure2_builder))
             counters = {
                 name: obs.metrics.counter(f"resilience.{name}").value
-                for name in ("txns", "faults", "rollbacks", "retries", "checks")
+                for name in ("txns", "faults", "rollbacks", "degradations", "checks")
             }
         assert counters["txns"] == guard.stats.commits + guard.stats.rollbacks == 2
         assert counters["faults"] == guard.stats.faults == 1
         assert counters["rollbacks"] == guard.stats.rollbacks == 1
-        assert counters["retries"] == guard.stats.retries == 1
+        assert counters["degradations"] == guard.stats.degradations == 1
         assert counters["checks"] == guard.stats.checks == 1
 
 
@@ -309,15 +375,19 @@ class TestSubgraphMethods:
     def test_add_subgraph_through_guard(self, figure2_builder):
         guard = guarded_figure2(
             figure2_builder,
-            GuardConfig(policy="retry", max_retries=1),
+            GuardConfig(policy="raise"),
             FaultInjector(at_record=1),
         )
         host = figure2_builder.oid(1)
-        mapping, stats = guard.add_subgraph(self._subgraph(), 500, [(host, 500)])
-        assert guard.stats.retries == 1
-        assert isinstance(stats, UpdateStats)
-        new_root = mapping[500]
+        batch = [("add_subgraph", (self._subgraph(), 500, [(host, 500)]))]
+        before = set(guard.graph.nodes())
+        with pytest.raises(InjectedFaultError):
+            guard.apply_batch(batch)
+        assert isinstance(guard.apply_batch(batch), UpdateStats)  # resubmitted
+        new_root, new_leaf = new_nodes(guard.graph, before)
+        assert guard.graph.label(new_root) == "S"
         assert guard.graph.has_edge(host, new_root)
+        assert guard.graph.has_edge(new_root, new_leaf)
         assert is_valid_1index(guard.index)
 
     def test_delete_subgraph_rolls_back(self, figure2_builder):
@@ -329,56 +399,13 @@ class TestSubgraphMethods:
         g_before = graph_fingerprint(guard.graph)
         i_before = index_fingerprint(guard.index)
         with pytest.raises(InjectedFaultError):
-            guard.delete_subgraph(figure2_builder.oid(1))
+            guard.apply_batch([("delete_subgraph", (figure2_builder.oid(1),))])
         assert graph_fingerprint(guard.graph) == g_before
         assert index_fingerprint(guard.index) == i_before
 
     def test_delete_node_commits(self, figure2_builder):
         guard = guarded_figure2(figure2_builder)
         leaf = figure2_builder.oid(6)
-        guard.delete_node(leaf)
+        guard.apply_batch([("delete_node", (leaf,))])
         assert not guard.graph.has_node(leaf)
         assert is_valid_1index(guard.index)
-
-
-class TestCliWiring:
-    def test_guard_flags_require_guard(self):
-        from repro.experiments.__main__ import main
-
-        with pytest.raises(SystemExit):
-            main(["--guard-policy", "degrade", "fig9"])
-        with pytest.raises(SystemExit):
-            main(["--check-every", "5", "fig9"])
-
-    def test_scale_carries_guard_config(self):
-        from dataclasses import replace
-
-        from repro.experiments.config import scale_by_name
-
-        scale = replace(
-            scale_by_name("smoke"),
-            guard=GuardConfig(policy="degrade", check_every=10),
-        )
-        assert scale.guard.policy == "degrade"
-
-    def test_guarded_dataset_comparison_runs(self):
-        # the fig9-11 engine accepts a guarded scale end to end; overhead
-        # lands in the same stopwatch as the unguarded runs
-        from dataclasses import replace
-
-        from repro.experiments.config import scale_by_name
-        from repro.experiments.mixed_1index import (
-            run_dataset_comparison,
-            xmark_factory,
-        )
-
-        scale = replace(
-            scale_by_name("smoke"),
-            pairs_1index=5,
-            guard=GuardConfig(policy="raise", check_every=5),
-        )
-        comparison = run_dataset_comparison(
-            "xmark-guarded", xmark_factory(scale, 1.0), scale
-        )
-        for result in comparison.results.values():
-            assert result.updates == 10

@@ -279,7 +279,7 @@ class TestTransactionProtocol:
         from repro.resilience import GuardConfig, GuardedMaintainer
         from repro.workload.updates import MixedUpdateWorkload
         from repro.workload.xmark import generate_xmark
-        from tests.resilience.conftest import CHAOS_XMARK
+        from tests.resilience.conftest import CHAOS_XMARK, edge_call
 
         class CountedFamily(AkIndexFamily):
             """A family that counts its mutator calls (it keeps no generation)."""
@@ -308,16 +308,17 @@ class TestTransactionProtocol:
                     index = CountedFamily.build(graph, 2)
                     maintainer = AkSplitMergeMaintainer(index)
                 if guarded:
-                    maintainer = GuardedMaintainer(
-                        maintainer, GuardConfig(policy="raise", check_every=0)
+                    guard = GuardedMaintainer(
+                        maintainer, GuardConfig(policy="raise", check_level="")
                     )
-                    maintainer.fault_injector = lambda op, count: records.append(count)
+                    guard.fault_injector = lambda op, count: records.append(count)
                 before = graph.generation + index.generation
-                for op, source, target in workload.steps(40, validate=True):
-                    if op == "insert":
-                        maintainer.insert_edge(source, target, EdgeKind.IDREF)
+                for step in workload.steps(40, validate=True):
+                    method, args = edge_call(step)
+                    if guarded:
+                        guard.apply_batch([(method, args)])
                     else:
-                        maintainer.delete_edge(source, target)
+                        getattr(maintainer, method)(*args)
                     assert graph._journal is None and index._journal is None
                 mutator_calls = graph.generation + index.generation - before
                 assert len(records) == (mutator_calls if guarded else 0)

@@ -17,8 +17,8 @@ graph (:mod:`repro.resilience.invariants`).  That is only sound if
   see), raises on no clean stream, finds a corruption anywhere within
   ``commits_per_full_audit`` + 1 commits, and walks deterministically;
 * the fall-backs (no touched set, ``TouchedSet.full``, recovery) really
-  take the whole-graph path and restart the cursor, and a cadence that
-  skips checks keeps the skipped commits' scope for the next one;
+  take the whole-graph path and restart the cursor, and every non-empty
+  commit is checked;
 * what a commit visits — local scope and audit slice — does not grow
   with the graph.
 
@@ -57,7 +57,7 @@ from repro.workload.queries import QueryWorkload
 from repro.workload.sessions import ClosedLoopDriver, SessionMix
 from repro.workload.updates import MixedUpdateWorkload
 from repro.workload.xmark import XMarkConfig, generate_xmark
-from tests.resilience.conftest import CHAOS_SEED, CHAOS_XMARK
+from tests.resilience.conftest import CHAOS_SEED, CHAOS_XMARK, edge_call
 
 FAMILIES = ("one", "ak")
 AK_K = 2
@@ -80,13 +80,6 @@ def prepared(seed: int, config: XMarkConfig = CHAOS_XMARK):
     """
     graph = generate_xmark(config).graph
     return graph, MixedUpdateWorkload.prepare(graph, seed=seed)
-
-
-def edge_call(step) -> tuple[str, tuple]:
-    op, source, target = step
-    if op == "insert":
-        return "insert_edge", (source, target, EdgeKind.IDREF)
-    return "delete_edge", (source, target)
 
 
 def without_audit(patch) -> None:
@@ -150,7 +143,7 @@ def paired(monkeypatch, local_only):
 
 
 def chaos_stream(family: str):
-    """Single guarded operations of every kind under injected faults."""
+    """Single-operation guarded batches of every kind under injected faults."""
     graph, workload = prepared(61 + CHAOS_SEED)
     guard = GuardedMaintainer(
         build(family, graph),
@@ -159,17 +152,20 @@ def chaos_stream(family: str):
     )
     touched = TouchedSet()
     guard.track_touched(touched)
-    for count, step in enumerate(workload.steps(60, validate=True)):
-        method, args = edge_call(step)
-        getattr(guard, method)(*args)
+
+    def commit(call) -> None:
+        guard.apply_batch([call])
         touched.clear()
+
+    for count, step in enumerate(workload.steps(60, validate=True)):
+        call = edge_call(step)
+        commit(call)
         if count % 10 == 0:  # node and subgraph surgery ride along
-            oid, _ = guard.insert_node(args[0], "chaos", count)
-            touched.clear()
-            guard.set_value(oid, "v")
-            touched.clear()
-            guard.delete_node(oid)
-            touched.clear()
+            before = set(graph.nodes())
+            commit(("insert_node", (call[1][0], "chaos", count)))
+            (oid,) = set(graph.nodes()) - before
+            commit(("set_value", (oid, "v")))
+            commit(("delete_node", (oid,)))
     assert guard.stats.faults > 0, "the injector never fired"
     return graph, guard.structure, guard.invariants, 101
 
@@ -274,7 +270,7 @@ def batched(family: str, build=build, pairs: int = 8, config: XMarkConfig = CHAO
     """One committed, *unchecked* batch and the touched set it left."""
     graph, workload = prepared(7 + CHAOS_SEED, config)
     maintainer = build(family, graph)
-    guard = GuardedMaintainer(maintainer, GuardConfig(policy="raise", check_every=0))
+    guard = GuardedMaintainer(maintainer, GuardConfig(policy="raise", check_level=""))
     touched = TouchedSet()
     guard.track_touched(touched)
     while not touched.moved:  # (a seed may open with trivial updates only)
@@ -725,7 +721,7 @@ def test_a_corrupted_map_is_a_counted_check_failure(tracked):
     step = next(s for s in workload.steps(50) if s[0] == "insert")
     sink = InMemorySink()
     with observed(sink), pytest.raises(InvariantViolationError, match=str(step[2])):
-        guard.insert_edge(step[1], step[2], EdgeKind.IDREF)
+        guard.apply_batch([edge_call(step)])
     assert guard.stats.check_failures == 1
     assert guard.invariants.checks_local == int(tracked)
     assert guard.stats.rollbacks == 1
@@ -738,8 +734,7 @@ def test_rolled_back_event_names_the_definition_and_the_pair():
     sink = InMemorySink()
     with observed(sink), pytest.raises(InvariantViolationError) as caught:
         for step in workload.steps(60):
-            method, args = edge_call(step)
-            getattr(guard, method)(*args)
+            guard.apply_batch([edge_call(step)])
     (event,) = sink.events("resilience.rolled_back")
     assert event["attrs"]["definition"] == caught.value.definition == 5
     assert tuple(event["attrs"]["pair"]) == caught.value.pair
@@ -751,19 +746,16 @@ def test_untracked_and_full_touched_sets_take_the_full_path(family, small_slices
     graph, workload = prepared(11)
     guard = GuardedMaintainer(build(family, graph), GuardConfig(policy="degrade"))
     steps = workload.steps(20, validate=True)
-    method, args = edge_call(next(steps))
-    getattr(guard, method)(*args)  # no touched set installed
+    guard.apply_batch([edge_call(next(steps))])  # no touched set installed
     assert (guard.invariants.checks_full, guard.invariants.checks_local) == (1, 0)
     touched = TouchedSet()
     guard.track_touched(touched)
-    method, args = edge_call(next(steps))
-    getattr(guard, method)(*args)
+    guard.apply_batch([edge_call(next(steps))])
     assert (guard.invariants.checks_full, guard.invariants.checks_local) == (1, 1)
     assert guard.invariants.audit_cursor > 0 < guard.invariants.cycle_visited
     touched.clear()
     guard.fault_injector = FaultInjector(at_record=1)
-    method, args = edge_call(next(steps))
-    getattr(guard, method)(*args)  # degrade: rebuild marks the set full
+    guard.apply_batch([edge_call(next(steps))])  # degrade: rebuild marks the set full
     assert touched.full and guard.stats.degradations == 1
     assert (guard.invariants.checks_full, guard.invariants.checks_local) == (2, 1)
     assert guard.invariants.audits == 0  # a fall-back is not an audit: it restarts one
@@ -789,21 +781,48 @@ def test_recovery_post_check_is_a_full_check(tmp_path, monkeypatch):
         return real_check(self, *args, **kwargs)
 
     monkeypatch.setattr(InvariantGuard, "check", spy)
-    recovered = IndexService.recover(str(tmp_path / "store"))
+    recovered = IndexService.recover(str(tmp_path / "store"), check_level="minimal")
     assert len(guards) == 1  # replay is unchecked; one post-check covers it
     assert (guards[0].checks_full, guards[0].checks_local) == (1, 0)
     assert guards[0].last_audit_ok is True
-    # ... and is the recovered service's first full check, not a forgotten one
+    # ... and, as deep as the guard's, is the recovered service's first full check
     health = recovered.health()
     assert health["last_audit_version"] == recovered.version == 1
     assert health["last_audit_ok"] is True
     assert (health["checks_full"], health["checks_local"]) == (1, 0)
     assert health["audit_cursor"] == health["commits_since_audit"] == 0
     recovered.close(checkpoint=False)
-    unchecked = IndexService.recover(str(tmp_path / "store"), check_level="")
-    assert unchecked.health()["last_audit_ok"] is None
-    assert unchecked.health()["checks_full"] == 0
-    unchecked.close(checkpoint=False)
+    # a shallower one (the default ``valid``) or none is not: a cycle stamps
+    for level in ("valid", ""):
+        shallow = IndexService.recover(str(tmp_path / "store"), check_level=level)
+        assert shallow.health()["last_audit_ok"] is None
+        assert shallow.health()["last_audit_version"] is None
+        assert shallow.health()["checks_full"] == 0
+        shallow.close(checkpoint=False)
+
+
+def test_a_recovered_service_vouches_for_no_more_than_recovery_checked(tmp_path):
+    """A stored 1-index that is valid but not minimal recovers at the
+    default ``valid`` depth; ``/health`` must not then claim the guard's
+    ``minimal`` verdict — the first audit cycle finds the mergeable pair."""
+    graph, workload = prepared(13)
+    service = DurableIndexService(
+        graph, str(tmp_path / "store"), ServiceConfig(), StoreConfig(fsync="off")
+    )
+    index = service.structure
+    inode = next(i for i in sorted(index.inodes()) if index.extent_size(i) > 1)
+    index.move_dnode(min(index.extent(inode)), index.new_inode(index.label_of(inode)))
+    assert verdict("valid", graph, index) is None  # it loads and passes recovery
+    service.checkpoint()
+    service.close(checkpoint=False)
+
+    recovered = IndexService.recover(str(tmp_path / "store"))
+    health = recovered.health()
+    assert health["last_audit_ok"] is None and health["last_audit_version"] is None
+    with pytest.raises(InvariantViolationError, match="no longer minimal"):
+        recovered.check()
+    assert recovered.health()["last_audit_ok"] is False
+    recovered.close(checkpoint=False)
 
 
 def test_recovery_refuses_an_invalid_family_at_its_default_level(tmp_path):
@@ -910,27 +929,29 @@ def test_an_audit_completes_every_few_checks(small_slices):
     assert all(a < b or b == 0 for a, b in zip(cursors, cursors[1:]))  # forward, then round
 
 
-@pytest.mark.parametrize("check_every", [1, 2])
-def test_only_a_commit_whose_check_ended_a_cycle_stamps_the_audit(check_every, small_slices):
+@pytest.mark.parametrize("empties", [1, 2])
+def test_only_a_commit_whose_check_ended_a_cycle_stamps_the_audit(empties, small_slices):
     """``last_audit_version`` names a commit whose own check completed a
-    cycle — never one the cadence skipped, nor a batch that coalesced to
-    nothing right behind it — and ``commits_since_audit`` counts the
-    commits published since, checked or not."""
+    cycle — never one of the *empties* batches that coalesced to nothing
+    right behind it — and ``commits_since_audit`` counts the commits
+    published since, checked or not."""
     graph, workload = prepared(17 + CHAOS_SEED)
-    service = IndexService(
-        graph, ServiceConfig(guard=GuardConfig(policy="raise", check_every=check_every))
-    )
+    service = IndexService(graph, ServiceConfig(guard=GuardConfig(policy="raise")))
     steps = workload.steps(1 << 20, validate=False)
     stats, guard = service.guarded.stats, service.guarded.invariants
     ended_a_cycle = {}
     stamps = set()
+    empty = 0
     for _ in range(40):
         checks, audits = stats.checks, guard.audits
         if ended_a_cycle.get(service.version):
             source, target = workload.pool[-1]  # cancels itself: a version, no check
-            service.submit(Update("insert_edge", (source, target, EdgeKind.IDREF)))
-            service.submit(Update("delete_edge", (source, target)))
-            assert service.flush().applied == 0 and stats.checks == checks
+            for _ in range(empties):
+                service.submit(Update("insert_edge", (source, target, EdgeKind.IDREF)))
+                service.submit(Update("delete_edge", (source, target)))
+                assert service.flush().applied == 0 and stats.checks == checks
+                ended_a_cycle[service.version] = False
+                empty += 1
         else:
             for _ in range(8):
                 service.submit(Update(*edge_call(next(steps))))
@@ -946,31 +967,33 @@ def test_only_a_commit_whose_check_ended_a_cycle_stamps_the_audit(check_every, s
             assert health["commits_since_audit"] == service.version - stamp
             stamps.add(stamp)
     assert len(stamps) >= 3 and guard.audits == len(stamps)
-    assert stats.checks < service.version  # some commits went unchecked
+    assert stats.checks == service.version - empty  # every other commit ran one
     service.close()
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_an_unchecked_commit_is_scoped_into_the_next_due_check(family, local_only):
-    """``check_every=2``: the service clears its touched set at every
-    publish, so the commit the cadence skipped must leave its ids with
-    the guard — the next due *local* check covers both batches."""
+def test_every_non_empty_commit_is_checked_once(family):
+    """At the default ``ServiceConfig`` a seeded mixed stream, with
+    batches that coalesce to nothing among them, runs exactly one
+    post-check — local or full — per commit that applied something."""
     graph, workload = prepared(23 + CHAOS_SEED)
-    service = IndexService(
-        graph,
-        ServiceConfig(family=family, k=AK_K, guard=GuardConfig(policy="raise", check_every=2)),
-    )
-    _, source, target = next(s for s in workload.steps(50, validate=True) if s[0] == "insert")
-    service.submit(Update("insert_edge", (source, target, EdgeKind.IDREF)))
-    service.flush()
-    assert service.guarded.stats.checks == 0 and not service.guarded.touched
-    graph._pred_slabs.remove(graph._slot_of[target], source)  # inside that commit's scope
-    far = next(w for w in graph.nodes() if w not in (source, target) and not graph.out_degree(w))
-    service.submit(Update.set_value(far, "elsewhere"))
-    with pytest.raises(InvariantViolationError, match=f"pred missing for {source}->{target}"):
-        service.flush()
-    assert service.guarded.stats.checks == 1
-    assert service.guarded.invariants.checks_local == 1
+    service = IndexService(graph, ServiceConfig(family=family, k=AK_K))
+    steps = workload.steps(1 << 20, validate=False)
+    source, target = workload.pool[-1]
+    non_empty = 0
+    for size in [3, 1, 0, 5, 4, 0, 2] * 6:
+        for _ in range(size):
+            service.submit(Update(*edge_call(next(steps))))
+        if not size:  # an edge that comes and goes: the batch coalesces to nothing
+            service.submit(Update("insert_edge", (source, target, EdgeKind.IDREF)))
+            service.submit(Update("delete_edge", (source, target)))
+        non_empty += service.flush().applied > 0
+    guard = service.guarded.invariants
+    assert 0 < non_empty < service.version
+    assert service.guarded.stats.checks == guard.checks_local + guard.checks_full == non_empty
+    assert service.guarded.stats.commits == non_empty
+    health = service.health()
+    assert health["checks_local"] + health["checks_full"] == non_empty
     service.close()
 
 

@@ -175,5 +175,5 @@ class TestAkLeafReporting:
             maintainer, GuardConfig(policy="degrade"), FaultInjector(at_record=1)
         )
         guard.track_touched(touched)
-        guard.insert_edge(n["a1"], n["b2"], EdgeKind.IDREF)
+        guard.apply_batch([("insert_edge", (n["a1"], n["b2"], EdgeKind.IDREF))])
         assert guard.stats.degradations == 1 and touched.full

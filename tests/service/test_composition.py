@@ -113,27 +113,45 @@ class Stream:
         )
         self._anchor = min(self.graph.nodes())
 
-    def commit(self, primary: IndexService, round_number: int):
-        """Submit one round (edge churn, a node, a value) and flush it."""
+    def round(self, round_number: int) -> list[Update]:
+        """One round's updates: edge churn, a node, a value."""
+        updates = []
         for _ in range(1 + round_number % 5):
             op, source, target = next(self._ops)
             if op == "insert":
-                primary.submit(Update.insert_edge(source, target, EdgeKind.IDREF))
+                updates.append(Update.insert_edge(source, target, EdgeKind.IDREF))
             else:
-                primary.submit(Update.delete_edge(source, target))
+                updates.append(Update.delete_edge(source, target))
         if round_number % 3 == 0:
-            primary.submit(Update.insert_node(self._anchor, "note", round_number))
+            updates.append(Update.insert_node(self._anchor, "note", round_number))
         if round_number % 4 == 0:
-            primary.submit(Update.set_value(self._anchor, round_number))
+            updates.append(Update.set_value(self._anchor, round_number))
+        return updates
+
+    def commit(self, primary: IndexService, round_number: int, resubmit: bool = False):
+        """Submit one round and flush it; with *resubmit*, a batch that
+        rolled back on an injected fault is submitted once more."""
+        updates = self.round(round_number)
         published = primary.stats.versions_published
-        result = primary.flush()
+        for update in updates:
+            primary.submit(update)
+        try:
+            result = primary.flush()
+        except InjectedFaultError:
+            if not resubmit:
+                raise
+            for update in updates:
+                primary.submit(update)
+            result = primary.flush()
         assert result.version == primary.version
         assert primary.stats.versions_published == published + 1
         return result
 
-    def drive(self, primary: IndexService, followers=(), rounds=range(ROUNDS)) -> None:
+    def drive(
+        self, primary: IndexService, followers=(), rounds=range(ROUNDS), resubmit=False
+    ) -> None:
         for round_number in rounds:
-            self.commit(primary, round_number)
+            self.commit(primary, round_number, resubmit)
             check_version(primary, self.pool)
             for follower in followers:
                 follower.catch_up()
@@ -474,18 +492,18 @@ def test_a_retried_ak_batch_issues_the_tokens_of_a_run_that_never_failed(tmp_pat
     store_dir = str(tmp_path / "store")
     primary = IndexService(
         stream.graph,
-        service_config("ak", guard=GuardConfig(policy="retry")),
+        service_config("ak", guard=GuardConfig(policy="raise")),
         store_dir=store_dir,
         store_config=DURABLE,
     )
     follower = bootstrap(primary, "plain")  # replays every record fault-free
     primary.guarded.fault_injector = injector = AfterATokenIssue()
-    # leaf tokens key the published entries: equal fingerprints at every
-    # version (``drive``) mean the retry re-issued what the rollback took back
-    stream.drive(primary, [follower], rounds=range(ROUNDS // 2))
+    # rolled back under ``raise``, the batch is resubmitted; leaf tokens key
+    # the published entries: equal fingerprints at every version (``drive``)
+    # mean the resubmission re-issued what the rollback took back
+    stream.drive(primary, [follower], rounds=range(ROUNDS // 2), resubmit=True)
     assert injector.fired == 1
-    assert primary.guarded.stats.rollbacks == primary.guarded.stats.retries == 1
-    assert primary.stats.batch_failures == 0
+    assert primary.guarded.stats.rollbacks == primary.stats.batch_failures == 1
     acknowledged = (primary.version, primary.snapshot.fingerprint())
     primary.close(checkpoint=False)
     follower.close()

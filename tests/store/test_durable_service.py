@@ -36,7 +36,7 @@ def _config(family: str = "one", **overrides) -> ServiceConfig:
         k=2,
         batch_max_ops=4,
         queue_capacity=0,
-        guard=GuardConfig(policy="raise", check_every=0),
+        guard=GuardConfig(policy="raise", check_level=""),
     )
     defaults.update(overrides)
     return ServiceConfig(**defaults)

@@ -69,7 +69,7 @@ def _service_config(family: str) -> ServiceConfig:
         batch_max_ops=BATCH_OPS,
         queue_capacity=0,
         coalesce=False,  # every submitted op must reach the log
-        guard=GuardConfig(policy="raise", check_every=0),
+        guard=GuardConfig(policy="raise", check_level=""),
     )
 
 

@@ -111,7 +111,7 @@ def literals_by_function(tree: ast.AST, enclosing: str = ""):
         yield from literals_by_function(node, inner)
 
 
-def test_the_operation_names_are_spelled_in_three_places():
+def test_the_operation_names_are_spelled_in_two_places():
     assert set(OPERATIONS) == OPERATION_NAMES
     elsewhere = [
         (module, literal, function)
@@ -119,8 +119,6 @@ def test_the_operation_names_are_spelled_in_three_places():
         if module not in ("maintenance/operations.py", "service/queue.py")
         for literal, function in literals_by_function(tree)
         if literal in OPERATION_NAMES
-        # GuardedMaintainer forwards each operation from a method of its name
-        and not (module == "resilience/guard.py" and function == literal)
     ]
     assert elsewhere == []
 
@@ -265,6 +263,7 @@ def test_the_replaced_names_are_gone():
         "_family_backup", "leaf_moves", "leaf_tokens", "capture_family",
         "evolve_family", "_note_move", "sample_rate",
         "resolve_touched_leaves", "wal_last_lsn", "AUDIT_STEPS", "audit_step",
+        "ReconstructionPolicyProtocol", "max_retries", "simple_ak_memoize", "_unchecked",
     )
     for path in SRC.rglob("*.py"):
         text = path.read_text()
@@ -335,10 +334,19 @@ def assert_no_environment_lookup(package: str) -> None:
         assert "environ" not in text and "getenv" not in text, path
 
 
-def test_every_traced_attribute_resolves():
-    """``bench/trace.py`` wraps these from outside: a rename or a re-homing
-    breaks the traced run (ROADMAP rule iv), which no tier-1 test drives."""
+def test_every_traced_attribute_resolves(tmp_path):
+    """``bench/trace.py`` wraps these from outside, and
+    ``bench/run.py::service_counters`` reads these off live services: a
+    rename or a re-homing breaks the benchmark (ROADMAP rule iv), which
+    no other tier-1 test drives."""
+    from types import SimpleNamespace
+
+    from bench.run import service_counters
     from bench.trace import SPAN_TABLE
+    from repro.adaptive import AdaptiveConfig
+    from repro.replication import FollowerIndexService, Primary, ReplicationLink
+    from repro.service import IndexService
+    from repro.workload.xmark import XMarkConfig, generate_xmark
 
     missing = []
     for span, module, owner, attribute in SPAN_TABLE:
@@ -348,6 +356,25 @@ def test_every_traced_attribute_resolves():
         if not callable(getattr(holder, attribute, None)):
             missing.append((span, module, owner, attribute))
     assert missing == []
+
+    # every part service_counters asks for: a store, an adaptive plane, a follower
+    graph = generate_xmark(
+        XMarkConfig(num_items=4, num_persons=4, num_open_auctions=2,
+                    num_closed_auctions=2, num_categories=2)
+    ).graph
+    primary = IndexService(
+        graph, store_dir=str(tmp_path / "store"), store_config=StoreConfig(fsync="off"),
+        adaptive=AdaptiveConfig(),
+    )
+    link = ReplicationLink(Primary(service=primary), sleep=lambda _s: None)
+    follower = FollowerIndexService.bootstrap(link, adaptive=AdaptiveConfig())
+    services = [primary, follower]
+    assert all(hasattr(service, "cache") for service in services) and hasattr(primary, "wal")
+    assert hasattr(follower, "records_applied")
+    counters = service_counters(SimpleNamespace(services=lambda: services))
+    assert all(isinstance(value, int) for value in counters.values()), counters
+    follower.close()
+    primary.close()
 
 
 def test_figure_3_is_written_once():
@@ -404,9 +431,7 @@ def test_the_audit_slice_runs_inside_the_check_and_adds_no_setting():
     from repro.resilience.guard import GuardConfig
     from repro.service import ServiceConfig
 
-    assert [field.name for field in dataclasses.fields(GuardConfig)] == [
-        "policy", "check_level", "check_every", "max_retries",
-    ]
+    assert [field.name for field in dataclasses.fields(GuardConfig)] == ["policy", "check_level"]
     assert [field.name for field in dataclasses.fields(ServiceConfig)] == SERVICE_CONFIG_FIELDS
     # ... read in one module, and the package looks up no environment variable
     readers = {
@@ -417,6 +442,32 @@ def test_the_audit_slice_runs_inside_the_check_and_adds_no_setting():
     }
     assert readers == {"resilience/invariants.py"}
     assert_no_environment_lookup("resilience")
+
+
+def test_the_guard_commits_one_checked_batch():
+    """One transactional entry, checked every time: no per-operation
+    wrapper, no retry policy, no check cadence — and the experiments have
+    no guard of their own to configure."""
+    from repro.experiments.config import ExperimentScale
+    from repro.resilience import POLICIES, GuardedMaintainer, InvariantGuard
+
+    assert POLICIES == ("raise", "degrade")
+    public = {
+        name
+        for name, value in vars(GuardedMaintainer).items()
+        if callable(value) and not name.startswith("_")
+    }
+    assert public == {"apply_batch", "track_touched"}
+    assert not hasattr(InvariantGuard, "due")
+    assert not {"guard", "simple_ak_memoize"} & {
+        field.name for field in dataclasses.fields(ExperimentScale)
+    }
+    flags = [
+        literal
+        for literal, _ in literals_by_function(TREES["experiments/__main__.py"])
+        if literal.startswith(("--guard", "--check-every"))
+    ]
+    assert flags == []
 
 
 # ----------------------------------------------------------------------
