@@ -1,4 +1,4 @@
-"""Adaptive serving: ladder routing, footprint caching, cost control.
+"""Adaptive serving: ladder routing, footprint caching, closed-loop control.
 
 The subsystem between queries and :class:`repro.service.IndexService`
 (DESIGN.md §12).  Four cooperating pieces:
@@ -9,22 +9,15 @@ The subsystem between queries and :class:`repro.service.IndexService`
   dispatch it to the smallest level that answers exactly;
 * :mod:`repro.adaptive.result_cache` — versioned result cache
   invalidated by TouchedSet/footprint intersection, not by flushing;
-* :mod:`repro.adaptive.cost_model` / :mod:`repro.adaptive.controller` —
-  the closed loop replacing the paper's flat 5 % reconstruction
-  trigger with a yield- and pressure-aware policy plus ladder retuning.
+* :mod:`repro.adaptive.controller` — the closed loop: the paper's flat
+  5 % reconstruction trigger on a 1-index, plus ladder retuning to
+  demand.
 
 Entry point: ``IndexService(graph, config, adaptive=AdaptiveConfig())``,
 which attaches an :class:`AdaptivePlane` to the service.
 """
 
-from repro.adaptive.controller import AdaptiveController
-from repro.adaptive.cost_model import (
-    CostBasedPolicy,
-    CostConfig,
-    CostInputs,
-    CostModel,
-    LadderAdvice,
-)
+from repro.adaptive.controller import AdaptiveController, LadderAdvice
 from repro.adaptive.ladder import (
     LadderLevel,
     LadderState,
@@ -53,10 +46,6 @@ __all__ = [
     "AdaptivePlane",
     "CacheEntry",
     "CacheStats",
-    "CostBasedPolicy",
-    "CostConfig",
-    "CostInputs",
-    "CostModel",
     "DEFAULT_CAPACITY",
     "LadderAdvice",
     "LadderLevel",

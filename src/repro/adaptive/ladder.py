@@ -150,7 +150,8 @@ class LadderState:
     ``FrozenIndex.roots`` (empty on a rootless graph; a change there
     invalidates every cached entry of the level, see
     :func:`invalidation_sets`); ``sizes[j]`` is the level's token count
-    for the cost model's per-level bloat accounting.  Level views are
+    (what ``ladder_sizes()``, ``/health`` and the
+    ``adaptive.ladder_size.<j>`` gauges report).  Level views are
     derived lazily per version and cached (readers may race the first
     derivation; building twice is benign, both results are identical).
     """

@@ -18,8 +18,8 @@ evaluation to hold that line.
 
 The router also keeps windowed demand statistics — how many child-only
 queries of each length arrived, and where they landed — which is the
-signal the :mod:`repro.adaptive.cost_model` uses to advise adding a
-missing rung or dropping an idle one.
+signal :func:`repro.adaptive.controller.ladder_advice` reads to advise
+adding a missing rung or dropping an idle one.
 """
 
 from __future__ import annotations

@@ -18,13 +18,13 @@ the write path:
   intersecting the batch's TouchedSet-derived change sets with the
   entries' recorded footprints instead of flushing wholesale;
 * after every commit the :class:`~repro.adaptive.controller.AdaptiveController`
-  feeds live serving signals to the cost model, submits a ``reconstruct``
-  operation when a 1-index's observed bloat is worth it, and retunes the
-  ladder to demand.
+  feeds the published size to the paper's 5 % trigger, submits a
+  ``reconstruct`` operation when a 1-index has grown past it, and
+  retunes the ladder to demand.
 
 The ``ak`` family gets the full plane; the ``one`` family — already
-precise at a single level — gets the result cache and the cost-based
-reconstruction loop, which is where its split/merge bloat goes.  One
+precise at a single level — gets the result cache and the paper's
+reconstruction trigger, which is where its split/merge bloat goes.  One
 read path (:meth:`AdaptivePlane.answer`) serves both.
 
 Correctness stance: routing and caching may only change *where* an
@@ -37,21 +37,21 @@ suite runs the whole service in that mode under faults and rollbacks.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.adaptive.controller import AdaptiveController
-from repro.adaptive.cost_model import CostBasedPolicy, CostConfig, CostModel
 from repro.adaptive.ladder import (
     LadderState,
     build_ladder_state,
     invalidation_sets,
     validate_ladder_levels,
 )
-from repro.adaptive.result_cache import DEFAULT_CAPACITY, ResultCache
+from repro.adaptive.result_cache import ResultCache
 from repro.adaptive.router import SAFE, QueryRouter, Route
 from repro.exceptions import ServiceError
 from repro.graph.datagraph import DataGraph
+from repro.maintenance.reconstruction import ReconstructionPolicy
 from repro.obs import current as current_obs
 from repro.query.automaton import PathNfa, as_nfa
 from repro.query.evaluator import EvaluationReport, evaluate_on_graph
@@ -77,16 +77,12 @@ class AdaptiveConfig:
 
     #: published ladder levels below the leaf; ``None`` = :func:`default_ladder`
     levels: Optional[tuple[int, ...]] = None
-    #: result-cache capacity (entries)
-    cache_capacity: int = DEFAULT_CAPACITY
     #: re-derive every served answer from the version's frozen graph and
     #: raise on mismatch (the differential suite's mode; costs a full
     #: data-graph evaluation per query)
     audit: bool = False
     #: apply ladder advice every this many commits (0 = never retune)
     retune_every: int = 32
-    #: cost-model tunables (reconstruction trigger + ladder advice)
-    cost: CostConfig = field(default_factory=CostConfig)
 
 
 class AdaptivePlane:
@@ -107,13 +103,12 @@ class AdaptivePlane:
         else:
             self._levels = ()
         self.router = QueryRouter(self._levels, family.k if family is not None else 0)
-        self.cache = ResultCache(capacity=config.cache_capacity)
+        self.cache = ResultCache()
         self.audits = 0
         self._hang_ladder(service.snapshot)
         self.controller = AdaptiveController(
             service=service,
-            policy=CostBasedPolicy(config=config.cost),
-            model=CostModel(config=config.cost),
+            policy=ReconstructionPolicy(),
             retune_every=config.retune_every,
         )
         self._publish_gauges()

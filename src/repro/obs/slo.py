@@ -19,19 +19,18 @@ retention, the two reads share one set of state.
 
 Status *transitions* (and only transitions) are surfaced as
 ``slo.breach`` / ``slo.recovered`` events through the current observer —
-so they land in trace sinks and trip the flight recorder — and through
-an optional ``on_alert`` callback, the hook the cost-based
-reconstruction trigger of the roadmap can attach to ("staleness SLO
-critical → schedule rebuild").  The health endpoint
-(:mod:`repro.obs.export`) maps the worst rule status to the service
-status it reports.
+so they land in trace sinks and trip the flight recorder.  The health
+endpoint (:mod:`repro.obs.export`) maps the worst rule status to the
+service status it reports.  The verdicts are for operators: nothing in
+the system acts on them (the reconstruction trigger reads the index
+size alone).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.obs.live import LivePlane
 
@@ -184,15 +183,9 @@ class SloWatchdog:
     lock.
     """
 
-    def __init__(
-        self,
-        plane: LivePlane,
-        rules: Iterable[SloRule] = (),
-        on_alert: Optional[Callable[[SloStatus], None]] = None,
-    ):
+    def __init__(self, plane: LivePlane, rules: Iterable[SloRule] = ()):
         self.plane = plane
         self.rules: list[SloRule] = list(rules)
-        self.on_alert = on_alert
         self._last_status: dict[str, str] = {}
         #: lifetime transition tally (breaches entered, recoveries seen)
         self.breaches = 0
@@ -257,8 +250,6 @@ class SloWatchdog:
                         metric=rule.metric,
                         status=status,
                     )
-                if self.on_alert is not None:
-                    self.on_alert(result)
         return statuses
 
     @staticmethod
@@ -378,12 +369,16 @@ def default_adaptive_rules(
 ) -> list[SloRule]:
     """The stock objectives for the adaptive serving plane.
 
-    Routed-query latency is the signal the cost-based reconstruction
-    controller treats as pressure (its ``on_alert`` hook); the cache
-    hit-rate floor catches an invalidation bug or a workload shift the
-    ladder has not been retuned for (a healthy steady mix revalidates
-    most entries across commits, so a sustained near-zero rate is a
-    plane problem, not a traffic problem).
+    Routed-query latency against its budget; and a cache hit-rate floor
+    that catches an invalidation bug or a workload shift the ladder has
+    not been retuned for (a healthy steady mix revalidates most entries
+    across commits, so a sustained near-zero rate is a plane problem,
+    not a traffic problem).  The hit rate is a gauge, read by its
+    windowed ``max``: the rule warns when the rate stayed under the
+    floor for the whole fast window and pages only when it stayed there
+    for the whole slow window too — one dip is not an outage.  (A
+    gauge's ``value`` is the last write whatever the window, so fast and
+    slow would agree and one dip would page.)
     """
     return [
         SloRule(
@@ -397,7 +392,7 @@ def default_adaptive_rules(
         SloRule(
             name="adaptive-cache-hit-rate",
             metric="adaptive.cache_hit_rate",
-            stat="value",
+            stat="max",
             op="<",
             threshold=min_cache_hit_rate,
             description="result-cache lifetime hit rate floor",

@@ -666,9 +666,10 @@ class IndexService:
         pass ``serve=False`` for windows-only operation).  Keyword
         arguments are forwarded to ``LiveTelemetry``; the bundle is
         stopped by :meth:`close` or an explicit :meth:`stop_telemetry`.
-        The adaptive part adds its SLO rules and wires its controller
-        into the watchdog's alert hook, unless the caller supplied
-        their own rules or hook.
+        The adaptive part adds its SLO rules unless the caller supplied
+        their own.  The rules are operator alerts (``slo.breach`` /
+        ``slo.recovered`` events and ``/health``); nothing on the write
+        path reads them.
 
         Returns the bundle (read ``.port`` / ``.url`` / ``.health()``).
         """
@@ -681,9 +682,6 @@ class IndexService:
             kwargs.setdefault("rules", default_service_rules() + default_adaptive_rules())
         self._telemetry = LiveTelemetry(service=self, **kwargs)
         self._telemetry.start()
-        watchdog = self._telemetry.watchdog
-        if self.adaptive is not None and watchdog.on_alert is None:
-            watchdog.on_alert = self.adaptive.controller.on_alert
         return self._telemetry
 
     def stop_telemetry(self) -> None:

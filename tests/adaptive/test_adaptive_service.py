@@ -14,6 +14,7 @@ import pytest
 from repro.adaptive import AdaptiveConfig, AdaptiveIndexService
 from repro.adaptive.router import SAFE
 from repro.exceptions import ServiceError
+from repro.obs.slo import default_adaptive_rules, default_service_rules
 from repro.query.evaluator import evaluate_on_graph
 from repro.service import ServiceConfig, Update
 from repro.workload.queries import QueryWorkload, ShiftingQueryPool
@@ -215,13 +216,15 @@ class TestTelemetryAndHealth:
         finally:
             service.close()
 
-    def test_telemetry_wires_the_controller_to_the_watchdog(self, xmark_graph):
+    def test_stock_rules_and_no_alert_hook(self, xmark_graph):
         service = build_service(xmark_graph, k=3)
         try:
             bundle = service.start_telemetry(serve=False)
-            assert bundle.watchdog.on_alert == service.controller.on_alert
-            rule_names = {rule.name for rule in bundle.watchdog.rules}
-            assert "adaptive-query-latency" in rule_names
-            assert "adaptive-cache-hit-rate" in rule_names
+            stock = default_service_rules() + default_adaptive_rules()
+            assert bundle.watchdog.rules == stock
+            # the verdicts are operator alerts: nothing on the write path
+            # subscribes to them
+            assert not hasattr(bundle.watchdog, "on_alert")
+            assert not hasattr(service.controller, "on_alert")
         finally:
             service.close()

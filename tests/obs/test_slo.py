@@ -13,6 +13,7 @@ from repro.obs import (
     SloRule,
     SloWatchdog,
     WindowConfig,
+    default_adaptive_rules,
     default_service_rules,
     install,
     load_rules,
@@ -144,16 +145,26 @@ class TestWatchdog:
         assert watchdog.recoveries == 1
         assert obs.metrics.counter("slo.breaches").value == 1
 
-    def test_on_alert_hook_fires_on_transitions(self):
-        alerts = []
-        clock = make_clock(0.0)
+    def test_the_cache_hit_rate_rule_pages_only_a_sustained_dip(self):
+        # a gauge's last value ignores the window, so fast == slow and one
+        # dip would page; its windowed max tells a dip from an outage
+        clock = make_clock(1000.0)
         plane = self._plane(clock)
-        watchdog = SloWatchdog(plane, [COMMIT_RULE], on_alert=alerts.append)
-        plane.observe("commit_seconds", 1.0)
-        watchdog.evaluate()
-        watchdog.evaluate()
-        assert len(alerts) == 1
-        assert alerts[0].rule.name == "commit-p95"
+        (rule,) = [r for r in default_adaptive_rules() if r.name == "adaptive-cache-hit-rate"]
+        watchdog = SloWatchdog(plane, [rule])
+        for _ in range(48):  # 240 s at a healthy rate ...
+            plane.set_gauge("adaptive.cache_hit_rate", 0.6)
+            clock.advance(5.0)
+        for _ in range(12):  # ... then 60 s under the floor
+            plane.set_gauge("adaptive.cache_hit_rate", 0.01)
+            clock.advance(5.0)
+        (status,) = watchdog.evaluate()
+        assert (status.status, status.fast_value, status.slow_value) == (WARN, 0.01, 0.6)
+        for _ in range(48):  # under the floor for the whole slow window
+            plane.set_gauge("adaptive.cache_hit_rate", 0.01)
+            clock.advance(5.0)
+        (status,) = watchdog.evaluate()
+        assert (status.status, status.fast_value, status.slow_value) == (CRITICAL, 0.01, 0.01)
 
     def test_gauge_and_rate_rules(self):
         clock = make_clock(0.0)

@@ -26,7 +26,6 @@ import json
 import pytest
 
 from repro.adaptive import AdaptiveConfig, AdaptiveIndexService
-from repro.adaptive.cost_model import CostConfig
 from repro.query.evaluator import evaluate_on_graph
 from repro.resilience.faults import FaultInjector
 from repro.service.snapshot import IndexSnapshot
@@ -157,7 +156,7 @@ class RoutedChecker:
         self.versions_checked.append(snapshot.version)
 
 
-def run_adaptive_differential(family: str, injector=None, guard=None, cost=None):
+def run_adaptive_differential(family: str, injector=None, guard=None, threshold=None):
     graph = generate_xmark(SERVICE_XMARK).graph
     updates = MixedUpdateWorkload.prepare(graph, seed=17 + SOAK_SEED)
     config = ServiceConfig(
@@ -166,8 +165,10 @@ def run_adaptive_differential(family: str, injector=None, guard=None, cost=None)
         batch_max_ops=16,
         guard=guard if guard is not None else ServiceConfig().guard,
     )
-    adaptive = AdaptiveConfig(audit=True, cost=cost if cost is not None else CostConfig())
+    adaptive = AdaptiveConfig(audit=True)
     service = AdaptiveIndexService(graph, config, adaptive, fault_injector=injector)
+    if threshold is not None:
+        service.controller.policy.threshold = threshold
     # a shifting mix: short child-only traffic giving way to a deeper
     # descendant-heavy phase, so both exact routes and the safe path are
     # on trial at every version
@@ -246,8 +247,7 @@ def test_every_adaptive_flush_publishes_exactly_one_version(family, monkeypatch)
         return result
 
     monkeypatch.setattr(IndexService, "flush", checked_flush)
-    eager = CostConfig(min_bloat=0.0, hard_bloat=0.0)
-    service, checker, report = run_adaptive_differential(family, cost=eager)
+    service, checker, report = run_adaptive_differential(family, threshold=0.0)
     assert len(seen) >= report.batches > 0
     reconstructions = sum(result.reconstructed for result in seen)
     assert reconstructions == service.controller.policy.reconstructions

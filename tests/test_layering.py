@@ -264,6 +264,8 @@ def test_the_replaced_names_are_gone():
         "evolve_family", "_note_move", "sample_rate",
         "resolve_touched_leaves", "wal_last_lsn", "AUDIT_STEPS", "audit_step",
         "ReconstructionPolicyProtocol", "max_retries", "simple_ak_memoize", "_unchecked",
+        "CostBasedPolicy", "CostInputs", "CostConfig", "note_pressure", "expected_yield",
+        "cache_capacity",
     )
     for path in SRC.rglob("*.py"):
         text = path.read_text()
@@ -325,7 +327,7 @@ SERVICE_CONFIG_FIELDS = [
     "family", "k", "batch_max_ops", "queue_capacity", "admission", "coalesce",
     "guard", "writer_idle_wait",
 ]
-ADAPTIVE_CONFIG_FIELDS = ["levels", "cache_capacity", "audit", "retune_every", "cost"]
+ADAPTIVE_CONFIG_FIELDS = ["levels", "audit", "retune_every"]
 
 
 def assert_no_environment_lookup(package: str) -> None:
@@ -395,7 +397,6 @@ def test_figure_3_is_written_once():
         "stabilize": [("maintenance/propagate.py", "_split_phase")],
         "_find_merge_partner": [("maintenance/split_merge.py", "_merge_phase")],
     }
-    from repro.adaptive.cost_model import CostConfig
     from repro.adaptive.service import AdaptiveConfig
     from repro.maintenance import PropagateMaintainer, SplitMergeMaintainer
     from repro.service import ServiceConfig
@@ -411,10 +412,35 @@ def test_figure_3_is_written_once():
     assert_no_environment_lookup("maintenance")
     assert [field.name for field in dataclasses.fields(ServiceConfig)] == SERVICE_CONFIG_FIELDS
     assert [field.name for field in dataclasses.fields(AdaptiveConfig)] == ADAPTIVE_CONFIG_FIELDS
-    # the cost policy's five values no caller set are module constants now
-    assert [field.name for field in dataclasses.fields(CostConfig)] == [
-        "min_bloat", "hard_bloat", "add_share", "add_gap", "min_window", "max_levels",
+
+
+def test_one_reconstruction_trigger():
+    """The paper's 5 % policy is the only trigger, and nothing the SLO
+    plane says reaches it: no cost module, no alert hook."""
+    assert "adaptive/cost_model.py" not in TREES
+    triggers = [
+        (module, node.name)
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(item, ast.FunctionDef) and item.name == "should_reconstruct"
+            for item in node.body
+        )
     ]
+    assert triggers == [("maintenance/reconstruction.py", "ReconstructionPolicy")]
+    from repro.adaptive import AdaptiveController
+    from repro.adaptive.service import AdaptiveConfig
+
+    assert AdaptiveController.__dataclass_fields__["policy"].type == "ReconstructionPolicy"
+    assert [field.name for field in dataclasses.fields(AdaptiveConfig)] == ADAPTIVE_CONFIG_FIELDS
+    hooks = [
+        module
+        for module in TREES
+        if (module.startswith("adaptive/") or module == "obs/slo.py")
+        and "on_alert" in (SRC / module).read_text()
+    ]
+    assert hooks == []
 
 
 def test_the_audit_slice_runs_inside_the_check_and_adds_no_setting():
