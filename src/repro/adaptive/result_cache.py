@@ -5,9 +5,9 @@ swap — any commit *might* have changed any answer.  This cache does
 better by storing, with each entry, the **footprint** its evaluation
 actually read (:class:`repro.query.EvalFootprint`): the index tokens the
 fixpoint consulted in the entry's level space, plus the dnodes a
-validation pass read — the label-pruned layers above the candidates for
-a child-only expression, their ancestor cone for a descendant-axis one.
-At each commit the writer
+validation pass read — the label-pruned layers above the candidates,
+closed at the expression's loop states (for ``//x`` and ``/a//x`` the
+candidates' ancestor cone).  At each commit the writer
 hands the cache the per-level changed-token sets derived from the
 batch's TouchedSet (:func:`repro.adaptive.ladder.invalidation_sets`)
 and the changed dnodes; an entry whose footprint is disjoint from both
@@ -49,8 +49,8 @@ class CacheEntry:
     version: int
     #: index tokens read, in the entry's own level token space
     tokens: frozenset[int]
-    #: dnodes validation read: a child-only expression's backward layers,
-    #: a descendant-axis one's ancestor cone (empty for exact routes)
+    #: dnodes validation read: the backward layers, every loop layer and
+    #: the root (empty for exact routes)
     dnodes: frozenset[int]
     validated: bool
     hits: int = 0

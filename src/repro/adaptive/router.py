@@ -7,10 +7,10 @@ positives, no validation pass) by any A(j) with j >= L.  The router
 therefore sends it to the **smallest published ladder level >= L** —
 the coarsest index that is still precise — and everything else
 (descendant axis, or longer than the leaf k) to the *safe level*: the
-leaf A(k) plus validation against the data graph — L label-pruned
-layers above the candidates for a child-only expression of L > k steps,
-the candidates' whole ancestor cone for a descendant-axis one — which is
-exactly what fixed-k serving does for every query.
+leaf A(k) plus validation against the data graph — label-pruned layers
+above the candidates, closed under predecessors at a descendant step's
+loop state — which is exactly what fixed-k serving does for every
+query.
 
 Routing never changes an answer, only which (smaller) graph produces
 it; the differential suite runs every routed answer against a scratch

@@ -8,12 +8,7 @@ from repro.query.automaton import (
     compile_path,
     path_cache_info,
 )
-from repro.query.evaluator import (
-    EvaluationReport,
-    ancestors_of,
-    evaluate_on_graph,
-    evaluate_on_subgraph,
-)
+from repro.query.evaluator import EvaluationReport, evaluate_on_graph
 from repro.query.index_evaluator import (
     EvalFootprint,
     evaluate_on_ak,
@@ -36,9 +31,7 @@ __all__ = [
     "EvaluationReport",
     "EvalFootprint",
     "evaluate_on_graph",
-    "evaluate_on_subgraph",
     "evaluate_on_index",
     "evaluate_on_ak",
     "evaluate_on_family",
-    "ancestors_of",
 ]

@@ -5,9 +5,12 @@ expression iff some root-to-node path spells a label sequence the query
 automaton accepts.  It is a worklist fixpoint over (node, NFA-state-set)
 pairs, linear in ``|E| x |states|`` even on cyclic graphs.
 
-Everything downstream — index evaluation, A(k) validation, the safety
-property tests ("index results are never smaller than data results, and
-for the 1-index never larger") — is checked against this evaluator.
+Nothing on the served read path runs it: index evaluation and A(k)
+validation (:mod:`repro.query.index_evaluator`) have loops of their own,
+and both — with the safety property tests ("index results are never
+smaller than data results, and for the 1-index never larger"), the
+adaptive plane's audit and the benchmark's answer audit — are checked
+against this evaluator.
 """
 
 from __future__ import annotations
@@ -44,30 +47,14 @@ def evaluate_on_graph(graph: DataGraph, query: str | PathExpression | PathNfa) -
     Returns the exact match set (no false positives, no misses).
     """
     nfa = _as_nfa(query)
-    return _product_fixpoint(graph, nfa, restrict=None)
+    return _product_fixpoint(graph, nfa)
 
 
-def evaluate_on_subgraph(
-    graph: DataGraph,
-    query: str | PathExpression | PathNfa,
-    allowed: set[int],
-) -> EvaluationReport:
-    """Evaluate, walking only nodes in *allowed* (which must include the
-    root to find anything).  Used by A(k) validation to confine the walk
-    to the ancestor cone of the candidates."""
-    nfa = _as_nfa(query)
-    return _product_fixpoint(graph, nfa, restrict=allowed)
-
-
-def _product_fixpoint(
-    graph: DataGraph, nfa: PathNfa, restrict: set[int] | None
-) -> EvaluationReport:
+def _product_fixpoint(graph: DataGraph, nfa: PathNfa) -> EvaluationReport:
     report = EvaluationReport(matches=frozenset())
     if not graph.has_root:
         return report
     root = graph.root
-    if restrict is not None and root not in restrict:
-        return report
     states_of: dict[int, frozenset[int]] = {root: frozenset({nfa.start})}
     queue: deque[int] = deque([root])
     while queue:
@@ -75,8 +62,6 @@ def _product_fixpoint(
         report.nodes_visited += 1
         current = states_of[node]
         for child in graph.iter_succ(node):
-            if restrict is not None and child not in restrict:
-                continue
             report.edges_followed += 1
             advanced = nfa.step(current, graph.label(child))
             if not advanced:
@@ -91,15 +76,3 @@ def _product_fixpoint(
     )
     return report
 
-
-def ancestors_of(graph: DataGraph, targets: set[int]) -> set[int]:
-    """All nodes from which some target is reachable (targets included)."""
-    seen = set(targets)
-    queue = deque(targets)
-    while queue:
-        node = queue.popleft()
-        for parent in graph.iter_pred(node):
-            if parent not in seen:
-                seen.add(parent)
-                queue.append(parent)
-    return seen

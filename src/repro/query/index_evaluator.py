@@ -11,12 +11,12 @@ return the union of the extents of the matching inodes.
 * The A(k)-index preserves only incoming paths of length <= k, so
   expressions longer than k (or using ``//``) may return false
   positives; :func:`evaluate_on_ak` runs the **validation** step of
-  Section 3 against the data graph to eliminate them.  A child-only
-  expression of L steps costs its candidates and the dnodes at most L
-  edges above them whose labels still spell the expression (L backward
-  layers, L forward ones); a descendant-axis expression costs the
-  candidates' whole ancestor cone, walked once to collect it and once
-  more by the reference product.
+  Section 3 against the data graph to eliminate them.  An expression of
+  L steps costs its candidates and the dnodes above them that can still
+  spell it (L + 1 backward layers, walked back once and forward once): at
+  most L edges above the candidates for a child-only expression, and
+  every ancestor a loop state may idle through for a descendant-axis one,
+  label-pruned at each child step that follows it.
 
 One kernel, every surface
 -------------------------
@@ -70,11 +70,7 @@ from repro.index.akindex import AkIndexFamily
 from repro.index.base import StructuralIndex
 from repro.obs import current as current_obs
 from repro.query.automaton import PathNfa, as_nfa
-from repro.query.evaluator import (
-    EvaluationReport,
-    ancestors_of,
-    evaluate_on_subgraph,
-)
+from repro.query.evaluator import EvaluationReport
 from repro.query.path_expression import WILDCARD, PathExpression
 
 #: shared coercion with the LRU-cached string path (see repro.query.automaton)
@@ -91,9 +87,10 @@ class EvalFootprint:
     label killed all NFA states (its label was still read, so a later
     relabel/split there can change the answer).  ``dnodes`` collects, by
     the same convention, every dnode whose label or adjacency a
-    validation pass read: the backward layers (and the root) for a
-    child-only expression, the candidates' ancestor cone for a
-    descendant-axis one.  If none of these entries changed between two
+    validation pass read: the backward layers 1..L, every layer at a loop
+    state (layer 0 included), and the root.  For ``//x`` and ``/a//x``
+    that is the candidates' ancestor cone; a child step after a loop
+    prunes it.  If none of these entries changed between two
     versions, the evaluation is guaranteed to return the same matches on
     the later version — the invariant the adaptive result cache's
     TouchedSet intersection relies on.
@@ -201,17 +198,14 @@ def evaluate_on_ak(
     at ``None`` the validation pass runs exactly when Section 3 requires
     it: the expression is longer than k or uses the descendant axis.
 
-    What validation costs depends on the expression alone
-    (``nfa.loops``).  A child-only expression of L steps is decided by
-    :func:`_validate_by_layers`: L label-pruned backward layers from the
-    candidates and L forward layers from the root, so it reads the
-    candidates, the dnodes at most L edges above them that can still
-    spell the expression, and those dnodes' adjacency — not the database,
-    and not what else points at the candidates' ancestors.  A
-    descendant-axis expression re-runs the reference product inside the
-    candidates' whole ancestor cone (``ancestors_of`` +
-    ``evaluate_on_subgraph``), which IDREF in-edges can make most of the
-    graph.
+    Validation is :func:`_validate_by_layers` for every expression:
+    label-pruned backward layers from the candidates, closed under
+    predecessors at each loop state, then one forward pass from the root
+    inside them.  It reads the candidates, the dnodes above them that can
+    still spell the expression, and those dnodes' adjacency — not the
+    database, and not what else points at them.  A child-only expression
+    of L steps reads at most L edges up; a descendant-axis one reads
+    every ancestor its loop states may idle through.
     """
     nfa = _as_nfa(query)
     report = evaluate_on_index(index, nfa, footprint=footprint)
@@ -223,15 +217,7 @@ def evaluate_on_ak(
     candidates = report.matches
     read = footprint.dnodes if footprint is not None else None
     started = time.perf_counter()
-    if nfa.loops:
-        cone = ancestors_of(index.graph, candidates)
-        if read is not None:
-            read.update(cone)
-        exact = evaluate_on_subgraph(index.graph, nfa, cone)
-        matches = exact.matches & candidates
-        visited, followed = exact.nodes_visited, exact.edges_followed
-    else:
-        matches, visited, followed = _validate_by_layers(index.graph, nfa, candidates, read)
+    matches, visited, followed = _validate_by_layers(index.graph, nfa, candidates, read)
     obs = current_obs()
     obs.observe("query.validation_seconds", time.perf_counter() - started)
     obs.add("query.validation_visits", visited)
@@ -247,33 +233,42 @@ def evaluate_on_ak(
 def _validate_by_layers(
     graph, nfa: PathNfa, candidates: frozenset[int], read: Optional[set[int]]
 ) -> tuple[frozenset[int], int, int]:
-    """Which *candidates* end a root path spelling a loop-free automaton.
+    """Which *candidates* end a root path the automaton accepts.
 
-    An accepted path of an automaton without loop states has exactly
-    ``L = nfa.accept`` edges, so a candidate is decided by the dnodes at
-    most L edges above it.  Backward: layer L is the candidate set, and
-    layer i-1 is the predecessors of those dnodes of layer i whose label
-    passes step i.  Forward: from ``graph.root`` (if layer 0 holds it),
-    depth i keeps the successors of depth i-1 that lie in layer i and
-    pass step i; depth L is the answer, a subset of the candidates by
-    construction.  Layers are sets per depth, so a cycle merely puts a
-    dnode in several of them; an unreachable or rootless region never
-    meets the forward pass; the root is an oid, never a label.
+    Along an accepted path, state i is entered by a dnode whose label
+    passes step i (state 0 by the root) and, when i is a loop state, held
+    by any dnodes after it; the accept state ``L = nfa.accept`` never
+    loops.  So a candidate is decided by one layer of dnodes per state.
+    Backward: layer L is the candidate set; layer i-1 is the predecessors
+    of those dnodes of layer i whose label passes step i, closed under
+    predecessors when state i-1 loops.  Forward: from ``graph.root`` (if
+    layer 0 holds it), depth i keeps the successors of depth i-1 that lie
+    in layer i and pass step i, closed under successors inside layer i
+    when state i loops (depth 0 likewise); depth L is the answer, a subset
+    of the candidates by construction.  Layers are sets per state, so a
+    cycle merely puts a dnode in several of them; an unreachable or
+    rootless region never meets the forward pass; ``DataGraph.add_edge``
+    refuses in-edges to the root, so no closure runs through it; the root
+    is an oid, never a label.
 
     *read* (a footprint's ``dnodes``) collects every dnode whose label or
-    adjacency is read: layers 1..L and the root.  That is the dependency
-    set of the answer: of the edges a commit inserted into or deleted
-    from an accepted path, the lowest, u -> v, has v in a layer, because
-    the path below v is unchanged and passes its steps.  Returns
-    ``(matches, dnodes visited, dedges followed)`` — one visit per layer
-    member and per forward expansion, one edge per adjacency entry read.
+    adjacency is read: layers 1..L, every loop layer (layer 0 included)
+    and the root.  That is the dependency set of the answer: of the edges
+    a commit inserted into or deleted from an accepted path, the lowest,
+    u -> v, has v in one of those layers, because the path below v is
+    unchanged and passes its steps, and v holds a state other than a
+    non-loop state 0, which only the root holds.  Returns ``(matches,
+    dnodes visited, dedges followed)`` — one visit per member of those
+    layers and per forward expansion, one edge per adjacency entry read.
     """
     label, iter_pred, iter_succ = graph.label, graph.iter_pred, graph.iter_succ
-    depth = nfa.accept
+    depth, loops = nfa.accept, nfa.loops
     nothing: frozenset[int] = frozenset()
     visited = followed = 0
-    # passing[i]: the dnodes of layer i whose label passes step i
+    # passing[i]: the dnodes of layer i whose label passes step i;
+    # closed[i]: layer i where state i loops, else empty
     passing: list[frozenset[int] | set[int]] = [nothing] * (depth + 1)
+    closed: list[frozenset[int] | set[int]] = [nothing] * (depth + 1)
     layer: frozenset[int] | set[int] = candidates
     for i in range(depth, 0, -1):
         test = nfa.advance[i - 1][0]
@@ -285,14 +280,33 @@ def _validate_by_layers(
         followed += len(edges)
         passing[i] = keep
         layer = set(edges)
+        if i - 1 in loops:
+            frontier = layer
+            while frontier:
+                edges = list(chain.from_iterable(map(iter_pred, frontier)))
+                followed += len(edges)
+                frontier = set(edges).difference(layer)
+                layer |= frontier
+            closed[i - 1] = layer
+    if 0 in loops:
+        visited += len(layer)
+        if read is not None:
+            read.update(layer)
     if not graph.has_root or graph.root not in layer:
         return nothing, visited, followed
     if read is not None:
         read.add(graph.root)
-    reached: frozenset[int] | set[int] = {graph.root}
-    for i in range(1, depth + 1):
-        visited += len(reached)
-        edges = list(chain.from_iterable(map(iter_succ, reached)))
-        followed += len(edges)
-        reached = passing[i].intersection(edges)
+    reached: set[int] = {graph.root}
+    for i in range(depth):
+        inside, target = closed[i], passing[i + 1]
+        following: set[int] = set()
+        frontier: frozenset[int] | set[int] = reached
+        while frontier:
+            visited += len(frontier)
+            edges = list(chain.from_iterable(map(iter_succ, frontier)))
+            followed += len(edges)
+            following.update(target.intersection(edges))
+            frontier = inside.intersection(edges).difference(reached)
+            reached |= frontier
+        reached = following
     return frozenset(reached), visited, followed

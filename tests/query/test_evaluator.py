@@ -2,36 +2,9 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.graph.builder import GraphBuilder
 from repro.graph.datagraph import DataGraph
-from repro.query.evaluator import (
-    ancestors_of,
-    evaluate_on_graph,
-    evaluate_on_subgraph,
-)
-
-
-@pytest.fixture
-def site_builder() -> GraphBuilder:
-    return (
-        GraphBuilder()
-        .node("site", "site")
-        .node("people", "people")
-        .node("p1", "person").node("p2", "person")
-        .node("n1", "name").node("n2", "name")
-        .node("auctions", "open_auctions")
-        .node("a1", "open_auction")
-        .node("n3", "name")
-        .edge("root", "site")
-        .edge("site", "people")
-        .edge("people", "p1").edge("people", "p2")
-        .edge("p1", "n1").edge("p2", "n2")
-        .edge("site", "auctions").edge("auctions", "a1")
-        .edge("a1", "n3")
-        .idref("a1", "p1")
-    )
+from repro.query.evaluator import evaluate_on_graph
 
 
 class TestChildPaths:
@@ -100,25 +73,3 @@ class TestEdgeCases:
         report = evaluate_on_graph(g, "//a")
         assert report.matches == {b.oid("a")}
 
-
-class TestSubgraphEvaluation:
-    def test_restriction_excludes_paths(self, site_builder):
-        g = site_builder.build()
-        allowed = set(g.nodes()) - {site_builder.oid("people")}
-        report = evaluate_on_subgraph(g, "//name", allowed)
-        assert report.matches == {site_builder.oid("n3"), site_builder.oid("n1")}
-
-    def test_restriction_without_root_is_empty(self, site_builder):
-        g = site_builder.build()
-        report = evaluate_on_subgraph(g, "//name", {site_builder.oid("n1")})
-        assert report.matches == frozenset()
-
-
-class TestAncestors:
-    def test_ancestor_cone(self, site_builder):
-        g = site_builder.build()
-        cone = ancestors_of(g, {site_builder.oid("n1")})
-        assert site_builder.oid("n1") in cone
-        assert g.root in cone
-        assert site_builder.oid("a1") in cone  # via the IDREF edge
-        assert site_builder.oid("n2") not in cone

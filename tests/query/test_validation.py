@@ -1,28 +1,33 @@
-"""A(k) validation of child-only expressions: layers against two references, and its cost as counts.
+"""A(k) validation in layers: against two references, and its cost as counts.
 
-A loop-free automaton of L steps is validated in L label-pruned backward
-layers from the candidates and L forward layers from the root
-(``repro.query.index_evaluator``).  Two statements, neither of them timed:
+An automaton of L steps is validated in label-pruned backward layers from
+the candidates, closed under predecessors at each loop state, and one
+forward pass from the root inside them (``repro.query.index_evaluator``).
+Two statements, neither of them timed:
 
 * **Differential.**  On XMark-smoke, the (cyclic) IMDB generator and
-  seeded random cyclic graphs, at k = 0..3, every child-only expression
-  of the 2000-walk pool and of an adversarial pool answers what
+  seeded random cyclic graphs, at k = 0..3, every expression of the
+  2000-walk pool (child-only, ``//x`` and ``/a//x``) and of two
+  adversarial pools, child-only and descendant-axis, answers what
   :func:`~repro.query.evaluator.evaluate_on_graph` answers and what the
-  validator it replaced answers — :func:`cone_validation` below, composed
-  in-test from ``ancestors_of`` + ``evaluate_on_subgraph`` — with a dnode
-  footprint equal to the layers written out from their definition
-  (:func:`layers_of`) and never outside the cone.  Descendant-axis
-  expressions still *are* the cone validator: matches, both counters and
-  the footprint.  Hand-built graphs cover what the generators do not: a
+  validator it replaced answers — ``cone_validation``, kept in
+  ``tests.query.test_cone_reference`` — with a dnode footprint equal to
+  the layers written out from their definition (:func:`layers_of`),
+  never outside the cone, and equal to it when only the last step
+  descends.  Hand-built graphs cover what the generators do not: a
   candidate that is its own ancestor, IDREF in-edges into every layer,
-  an unreachable twin of the reachable subtree, an element named ROOT, a
-  rootless graph.
+  an unrooted cycle feeding the candidates and a loop layer, an
+  unreachable twin of the reachable subtree, an element named ROOT, a
+  rootless graph, and a ``//a/b`` graph whose footprint is strictly
+  inside the cone.
 * **Cost.**  Through a counting graph, label / ``iter_pred`` /
   ``iter_succ`` reads are bounded by the layers and their dnodes'
-  degrees; 1000 IDREF edges pointed at the candidates' ancestors from an
-  unrelated subtree cost at most one label read each (the cone grows by
-  those sources' whole ancestor cones); and ``/site/regions/africa``
-  reads the same on XMark at 1x and 4x counts.
+  degrees, and the dnodes read are the footprint; on the ``//a/b`` graph
+  no ancestor of a parent that fails ``a`` is read; 1000 IDREF edges
+  pointed at the candidates' ancestors from an unrelated subtree cost at
+  most one label read each (the cone grows by those sources' whole
+  ancestor cones); and ``/site/regions/africa`` reads the same on XMark
+  at 1x and 4x counts.
 """
 
 from __future__ import annotations
@@ -38,13 +43,14 @@ from repro.experiments.config import SMOKE
 from repro.graph.datagraph import ROOT_LABEL, DataGraph, EdgeKind
 from repro.index.akindex import AkIndexFamily
 from repro.query.automaton import as_nfa
-from repro.query.evaluator import ancestors_of, evaluate_on_graph, evaluate_on_subgraph
+from repro.query.evaluator import evaluate_on_graph
 from repro.query.index_evaluator import EvalFootprint, evaluate_on_ak, evaluate_on_index
 from repro.query.path_expression import WILDCARD
 from repro.workload.imdb import generate_imdb
 from repro.workload.random_graphs import random_cyclic
 from repro.workload.xmark import generate_xmark
 
+from tests.query.test_cone_reference import ancestors_of, cone_validation
 from tests.query.test_index_kernel import scaled_xmark, walk_pool
 
 KS = (0, 1, 2, 3)
@@ -60,13 +66,16 @@ ADVERSARIAL = (
 )
 
 
-def cone_validation(index, query):
-    """The replaced validator: the reference product inside the ancestor cone."""
-    nfa = as_nfa(query)
-    on_index = evaluate_on_index(index, nfa)
-    cone = ancestors_of(index.graph, set(on_index.matches))
-    exact = evaluate_on_subgraph(index.graph, nfa, cone)
-    return frozenset(exact.matches & on_index.matches), cone, on_index, exact
+#: descendant-axis expressions the walk pool never emits (it emits ``//x``
+#: and ``/a//x`` only): wildcards under a loop, labels no dnode has, ROOT as
+#: a label, two and three loop states, child steps after a loop, a loop
+#: after child steps, and a missing step before one
+DESCENDANT_ADVERSARIAL = (
+    "//*", "//nosuch", "//ROOT", "/*//*", "/site//*//name", "//A//A", "//A//B//A",
+    "//a/b/c", "//A/B/C", "/a/b//c", "/A/B//C", "/nosuch//a", "/nosuch//A",
+    "//person/name", "//*/name", "/site//person//name", "//B/*//D", "//*//*/*",
+    "/site/people//watch/open_auction", "//open_auction/bidder/personref/person",
+)
 
 
 def passes(test: str, label: str) -> bool:
@@ -74,34 +83,51 @@ def passes(test: str, label: str) -> bool:
 
 
 def layers_of(graph, query, candidates) -> list[set[int]]:
-    """Layers L..0 from their definition, until one is empty."""
-    tests = [test for test, _ in as_nfa(query).advance]
+    """Layers L..0 from their definition, until one is empty: layer i-1 is
+    the parents of layer i's dnodes that pass step i, and every ancestor
+    of those when state i-1 loops."""
+    nfa = as_nfa(query)
     layers = [set(candidates)]
-    for test in reversed(tests):
-        layers.append({
+    for state in range(nfa.accept - 1, -1, -1):
+        test = nfa.advance[state][0]
+        parents = {
             parent
             for w in layers[-1] if passes(test, graph.label(w))
             for parent in graph.iter_pred(w)
-        })
+        }
+        layers.append(ancestors_of(graph, parents) if state in nfa.loops else parents)
         if not layers[-1]:
             break
     return layers
 
 
+def read_layers(query, layers) -> list[set[int]]:
+    """The layers whose dnodes validation reads: L..1, and layer 0 when state 0 loops."""
+    nfa = as_nfa(query)
+    if 0 in nfa.loops and len(layers) == nfa.accept + 1:
+        return layers
+    return layers[: nfa.accept]
+
+
 def expected_footprint(graph, query, candidates) -> set[int]:
-    """Layers 1..L — the label reads — plus the root once the forward pass starts."""
+    """The read layers plus the root once the forward pass starts."""
     layers = layers_of(graph, query, candidates)
-    length = as_nfa(query).accept
-    read = set().union(*layers[:length])
-    if len(layers) == length + 1 and graph.has_root and graph.root in layers[-1]:
+    read = set().union(*read_layers(query, layers))
+    if len(layers) == as_nfa(query).accept + 1 and graph.has_root and graph.root in layers[-1]:
         read.add(graph.root)
     return read
+
+
+def only_the_last_step_descends(query) -> bool:
+    """``//x``, ``/a//x``, ``/a/b//x``: shapes whose footprint is the cone."""
+    nfa = as_nfa(query)
+    return nfa.loops == {nfa.accept - 1}
 
 
 def assert_validation_agrees(index, k, expression, where, all_reachable=True) -> None:
     graph = index.graph
     truth = evaluate_on_graph(graph, expression).matches
-    cone_matches, cone, on_index, exact = cone_validation(index, expression)
+    cone_matches, cone, on_index, _ = cone_validation(index, expression)
     assert cone_matches == truth, (where, expression)
     footprint = EvalFootprint()
     report = evaluate_on_ak(index, k, expression, validate=True, footprint=footprint)
@@ -113,15 +139,12 @@ def assert_validation_agrees(index, k, expression, where, all_reachable=True) ->
         return
     assert report.validated
     assert report.candidates_before_validation == len(on_index.matches)
-    if as_nfa(expression).loops:  # still the cone validator, count for count
-        assert footprint.dnodes == cone, (where, expression)
-        assert report.nodes_visited == on_index.nodes_visited + exact.nodes_visited
-        assert report.edges_followed == on_index.edges_followed + exact.edges_followed
-        return
     assert footprint.dnodes == expected_footprint(graph, expression, on_index.matches), (
         where, expression,
     )
     assert footprint.dnodes <= cone, (where, expression)
+    if only_the_last_step_descends(expression):
+        assert footprint.dnodes == cone, (where, expression)
     # the footprint is optional and changes nothing
     assert evaluate_on_ak(index, k, expression, validate=True) == report
 
@@ -152,18 +175,33 @@ def test_layers_equal_graph_and_cone_on_generated_graphs(name):
     pool = walk_pool(graph)
     child_only = [e for e in pool if "//" not in e]
     assert child_only and len(child_only) < len(pool)
+    assert {e.startswith("//") for e in pool if e not in child_only} == {True, False}
     levels = levels_of(graph)
     for k, index in levels:
-        for expression in (*pool, *ADVERSARIAL):
+        for expression in (*pool, *ADVERSARIAL, *DESCENDANT_ADVERSARIAL):
             assert_validation_agrees(index, k, expression, (name, k))
-    # the pool is not vacuous: validation removes something from an A(0) answer
-    # (not on IMDB, whose labels name their depth: its cycles are the point there)
+    # the pools are not vacuous: validation removes something from an A(0)
+    # answer (not on IMDB, whose labels name their depth: its cycles are the
+    # point there)
     coarsest = levels[0][1]
-    assert name == "imdb" or any(
-        evaluate_on_ak(coarsest, 0, e, validate=False).matches
-        != evaluate_on_graph(graph, e).matches
-        for e in child_only
-    )
+    for expressions in (child_only, DESCENDANT_ADVERSARIAL):
+        assert name == "imdb" or any(
+            evaluate_on_ak(coarsest, 0, e, validate=False).matches
+            != evaluate_on_graph(graph, e).matches
+            for e in expressions
+        )
+
+
+def feed_from_an_unrooted_cycle(graph: DataGraph, rng: random.Random, length: int = 8) -> None:
+    """A parentless cycle of *length* labelled dnodes with an edge from each
+    of its first half into the graph: extra candidates no root path reaches,
+    and extra ancestors for every loop layer below them."""
+    targets = [w for w in sorted(graph.nodes()) if w != graph.root]
+    ring = [graph.add_node(rng.choice(STEPS[:4])) for _ in range(length)]
+    for source, target in zip(ring, ring[1:] + ring[:1]):
+        graph.add_edge(source, target, EdgeKind.IDREF)
+    for source in ring[: length // 2] if targets else ():
+        graph.add_edge(source, rng.choice(targets), EdgeKind.IDREF)
 
 
 STEPS = ("A", "B", "C", "D", WILDCARD, "Z")
@@ -174,13 +212,20 @@ STEPS = ("A", "B", "C", "D", WILDCARD, "Z")
     seed=st.integers(min_value=0, max_value=10_000),
     nodes=st.integers(min_value=1, max_value=30),
     extra=st.integers(min_value=0, max_value=40),
-    steps=st.lists(st.sampled_from(STEPS), min_size=1, max_size=6),
+    steps=st.lists(
+        st.tuples(st.sampled_from(("/", "//")), st.sampled_from(STEPS)), min_size=1, max_size=6
+    ),
+    cycle=st.booleans(),
     k=st.sampled_from(KS),
 )
-def test_layers_equal_graph_and_cone_on_random_graphs(seed, nodes, extra, steps, k):
-    graph = random_cyclic(random.Random(seed), nodes, extra)
+def test_layers_equal_graph_and_cone_on_random_graphs(seed, nodes, extra, steps, cycle, k):
+    rng = random.Random(seed)
+    graph = random_cyclic(rng, nodes, extra)
+    if cycle:
+        feed_from_an_unrooted_cycle(graph, rng)
     index = AkIndexFamily.build(graph, k).level_index()
-    assert_validation_agrees(index, k, "/" + "/".join(steps), (seed, nodes, extra, k))
+    expression = "".join(axis + test for axis, test in steps)
+    assert_validation_agrees(index, k, expression, (seed, nodes, extra, cycle, k), not cycle)
 
 
 # ----------------------------------------------------------------------
@@ -196,6 +241,16 @@ def chain(graph: DataGraph, parent: int, *labels: str) -> list[int]:
         nodes.append(node)
         parent = node
     return nodes
+
+
+def parent_failing_the_child_step():
+    """``root -> a -> b`` beside ``root -> y -> y -> y -> c -> b``: for ``//a/b``
+    the ``y`` chain is in b's cone and in no layer."""
+    graph = DataGraph()
+    a, b = chain(graph, graph.add_root(), "a", "b")
+    *above, c = chain(graph, graph.root, "y", "y", "y", "c")
+    graph.add_edge(c, b, EdgeKind.IDREF)
+    return graph, a, b, c, above
 
 
 def assert_exact_at_every_k(
@@ -218,6 +273,14 @@ class TestHandBuiltGraphs:
             assert_exact_at_every_k(graph, expression, {b if length % 2 == 0 else a})
         assert_exact_at_every_k(graph, "/B/A", set())
         assert_exact_at_every_k(graph, "/*/*/*", {a})
+        # a loop state idles round the cycle as often as it likes
+        assert_exact_at_every_k(graph, "//A", {a})
+        assert_exact_at_every_k(graph, "//B", {b, lone})
+        assert_exact_at_every_k(graph, "//A/B", {b})
+        assert_exact_at_every_k(graph, "/A//A", {a})
+        assert_exact_at_every_k(graph, "//B//A", {a})
+        assert_exact_at_every_k(graph, "//B/A//B/A", {a})
+        assert_exact_at_every_k(graph, "/B//*", set())
 
     def test_idref_in_edges_into_every_layer(self):
         graph = DataGraph()
@@ -232,6 +295,44 @@ class TestHandBuiltGraphs:
         assert_exact_at_every_k(graph, "/site/people/person/watches/watch/item", {item, stray})
         assert_exact_at_every_k(graph, "/site/*/*/*/*/item", {item, stray})
         assert_exact_at_every_k(graph, "/site/people/site/regions/namerica/item", {item})
+        assert_exact_at_every_k(graph, "//item", {item, stray})
+        assert_exact_at_every_k(graph, "//namerica/item", {item})
+        assert_exact_at_every_k(graph, "/site//watch//item", {item, stray})
+        assert_exact_at_every_k(graph, "//person//regions/namerica", {n})
+        assert_exact_at_every_k(graph, "//people//site/regions", {r})
+
+    def test_an_unrooted_cycle_feeding_the_candidates_and_a_loop_layer(self):
+        graph = DataGraph()
+        site, regions, item = chain(graph, graph.add_root(), "site", "regions", "item")
+        ring = [graph.add_node(label) for label in ("item", "regions", "X", "site")]
+        for source, target in zip(ring, ring[1:] + ring[:1]):
+            graph.add_edge(source, target, EdgeKind.IDREF)
+        graph.add_edge(ring[2], item, EdgeKind.IDREF)  # into a candidate
+        graph.add_edge(ring[3], regions, EdgeKind.IDREF)  # into //item's loop layer
+        for expression in ("//item", "/site//item", "//regions/item", "//regions//item"):
+            assert_exact_at_every_k(graph, expression, {item}, all_reachable=False)
+        assert_exact_at_every_k(graph, "//X//item", set(), all_reachable=False)
+        assert_exact_at_every_k(graph, "//site/regions", {regions}, all_reachable=False)
+        assert_exact_at_every_k(graph, "//*", {site, regions, item}, all_reachable=False)
+        # the ring's item is a candidate and the ring is in the loop layer:
+        # read, never answered
+        footprint = EvalFootprint()
+        index = AkIndexFamily.build(graph, 0).level_index()
+        report = evaluate_on_ak(index, 0, "//item", footprint=footprint)
+        assert report.candidates_before_validation == 2 and report.matches == {item}
+        assert set(ring) <= footprint.dnodes
+
+    def test_a_child_step_after_a_loop_prunes_the_cone(self):
+        graph, a, b, c, above = parent_failing_the_child_step()
+        assert_exact_at_every_k(graph, "//a/b", {b})
+        assert_exact_at_every_k(graph, "//*/b", {b})
+        assert_exact_at_every_k(graph, "//y/c/b", {b})
+        for k, index in levels_of(graph):
+            footprint = EvalFootprint()
+            evaluate_on_ak(index, k, "//a/b", validate=True, footprint=footprint)
+            cone = cone_validation(index, "//a/b")[1]
+            assert footprint.dnodes == {graph.root, a, b, c}
+            assert cone == footprint.dnodes | set(above)  # strictly larger
 
     def test_an_unreachable_twin_of_the_reachable_subtree(self):
         graph = DataGraph()
@@ -258,13 +359,18 @@ class TestHandBuiltGraphs:
         assert_exact_at_every_k(graph, "/x/ROOT/a", {a})
         assert_exact_at_every_k(graph, "/x/ROOT", {impostor})
         assert_exact_at_every_k(graph, "/*/*/*", {a})
+        assert_exact_at_every_k(graph, "//ROOT", {impostor})
+        assert_exact_at_every_k(graph, "//ROOT/a", {a})
+        assert_exact_at_every_k(graph, "//ROOT//a", {a})
+        assert_exact_at_every_k(graph, "/x//a", {a})
+        assert_exact_at_every_k(graph, "/ROOT//a", set())
 
     def test_a_rootless_graph_answers_nothing(self):
         graph = DataGraph()
         b = graph.add_node(ROOT_LABEL)
         chain(graph, b, "a", "b")
         for k, index in levels_of(graph):
-            for expression in ("/a", "/a/b", "/ROOT/a", "/*"):
+            for expression in ("/a", "/a/b", "/ROOT/a", "/*", "//a", "//b", "//*", "/a//b"):
                 report = evaluate_on_ak(index, k, expression, validate=True)
                 assert report.matches == frozenset(), (k, expression)
 
@@ -284,11 +390,13 @@ class TestHandBuiltGraphs:
 
 
 class CountedGraph:
-    """The evaluation surface of a graph, counting every read."""
+    """The evaluation surface of a graph, counting every read and keeping
+    the dnodes read."""
 
     def __init__(self, graph):
         self.graph = graph
         self.reads: Counter = Counter()
+        self.asked: dict[str, set[int]] = {"label": set(), "iter_pred": set(), "iter_succ": set()}
 
     @property
     def has_root(self) -> bool:
@@ -298,20 +406,27 @@ class CountedGraph:
     def root(self) -> int:
         return self.graph.root
 
+    @property
+    def dnodes(self) -> set[int]:
+        return set().union(*self.asked.values())
+
     def label(self, w: int) -> str:
         self.reads["label"] += 1
+        self.asked["label"].add(w)
         return self.graph.label(w)
 
     def iter_pred(self, w: int):
         parents = list(self.graph.iter_pred(w))
         self.reads["iter_pred"] += 1
         self.reads["edges"] += len(parents)
+        self.asked["iter_pred"].add(w)
         return iter(parents)
 
     def iter_succ(self, w: int):
         children = list(self.graph.iter_succ(w))
         self.reads["iter_succ"] += 1
         self.reads["edges"] += len(children)
+        self.asked["iter_succ"].add(w)
         return iter(children)
 
 
@@ -324,11 +439,11 @@ class CountedSurface:
 
 
 def validation_reads(index, k, expression):
-    """``(the graph reads of one forced validation, its report)``."""
+    """``(the counting graph after one forced validation, its report)``."""
     surface = CountedSurface(index)
     report = evaluate_on_ak(surface, k, expression, validate=True)
     assert report.matches == evaluate_on_graph(index.graph, expression).matches, expression
-    return surface.graph.reads, report
+    return surface.graph, report
 
 
 @pytest.fixture(scope="module")
@@ -338,31 +453,51 @@ def xmark() -> DataGraph:
 
 def test_reads_are_bounded_by_the_layers_and_their_degrees(xmark):
     index = AkIndexFamily.build(xmark, 2).level_index()
-    pool = [e for e in walk_pool(xmark) if "//" not in e]
-    assert len(pool) > 40
-    for expression in (*pool, *ADVERSARIAL):
+    pool = walk_pool(xmark)
+    assert len([e for e in pool if "//" not in e]) > 40
+    in_degree, out_degree = xmark.in_degree, xmark.out_degree
+    for expression in (*pool, *ADVERSARIAL, *DESCENDANT_ADVERSARIAL):
         candidates = evaluate_on_index(index, expression).matches
-        reads, report = validation_reads(index, 2, expression)
+        counted, report = validation_reads(index, 2, expression)
+        reads = counted.reads
         if not candidates:
             assert not reads
             continue
-        layers = layers_of(xmark, expression, candidates)
+        nfa = as_nfa(expression)
+        layers = layers_of(xmark, expression, candidates)  # layers[m] is layer L - m
+        looped = [layers[nfa.accept - j] for j in nfa.loops if nfa.accept - j < len(layers)]
         members = sum(len(layer) for layer in layers)
-        degrees = sum(
-            len(list(xmark.iter_pred(w))) + len(list(xmark.iter_succ(w)))
-            for w in set().union(*layers)
-        )
+        closed = sum(len(layer) for layer in looped)
+        # a layer member's predecessors are read at most twice (for the
+        # closure of a loop layer, and when it passes its step), its
+        # successors at most once (when the forward pass expands it)
+        degrees = sum(in_degree(w) + out_degree(w) for layer in layers for w in layer)
+        degrees += sum(in_degree(w) for layer in looped for w in layer)
         assert reads["label"] <= members, expression
-        assert reads["iter_pred"] <= members and reads["iter_succ"] <= members, expression
-        assert reads["edges"] <= degrees * len(layers), expression
-        # and the report counts them: a visit per layer member (its label
-        # read, unless the step is a wildcard) and per forward expansion,
-        # an edge per adjacency entry
+        assert reads["iter_pred"] <= members + closed, expression
+        assert reads["iter_succ"] <= members, expression
+        assert reads["edges"] <= degrees, expression
+        # what is read is the footprint, and nothing else
+        assert counted.dnodes == expected_footprint(xmark, expression, candidates), expression
+        # and the report counts them: a visit per member of a read layer (its
+        # label read, unless the step is a wildcard) and per forward
+        # expansion, an edge per adjacency entry
         on_index = evaluate_on_index(index, expression)
-        labelled = sum(len(layer) for layer in layers[: as_nfa(expression).accept])
+        labelled = sum(len(layer) for layer in read_layers(expression, layers))
         assert report.edges_followed - on_index.edges_followed == reads["edges"]
         assert report.nodes_visited - on_index.nodes_visited == labelled + reads["iter_succ"]
         assert reads["label"] <= labelled
+
+
+def test_no_ancestor_of_a_parent_that_fails_the_child_step_is_read():
+    graph, a, b, c, above = parent_failing_the_child_step()
+    for k, index in levels_of(graph):
+        counted, report = validation_reads(index, k, "//a/b")
+        assert report.matches == {b}
+        # c's label is read and fails step a; nothing above it is asked for
+        assert c in counted.asked["label"] and c not in counted.asked["iter_pred"]
+        assert not counted.dnodes & set(above)
+        assert counted.dnodes == {graph.root, a, b, c}
 
 
 def test_in_edges_from_an_unrelated_subtree_cost_one_label_read_each():
@@ -375,8 +510,8 @@ def test_in_edges_from_an_unrelated_subtree_cost_one_label_read_each():
 
     def measure():
         index = AkIndexFamily.build(graph, 2).level_index()
-        reads, report = validation_reads(index, 2, expression)
-        return reads, report.matches, cone_validation(index, expression)[1]
+        counted, report = validation_reads(index, 2, expression)
+        return counted.reads, report.matches, cone_validation(index, expression)[1]
 
     before, matches_before, cone_before = measure()
     # deep inside the people subtree and not above any candidate yet:
@@ -408,7 +543,8 @@ def test_an_expression_whose_layers_do_not_grow_reads_the_same_at_four_times_the
     reads = {}
     for factor, graph in ((1, xmark), (4, scaled_xmark(4))):
         index = AkIndexFamily.build(graph, 2).level_index()
-        reads[factor], report = validation_reads(index, 2, expression)
+        counted, report = validation_reads(index, 2, expression)
+        reads[factor] = counted.reads
         assert report.validated and len(report.matches) == 1
     assert graph.num_nodes > 3.5 * xmark.num_nodes
     assert reads[1] == reads[4] and reads[1]["label"] == 3
@@ -416,7 +552,7 @@ def test_an_expression_whose_layers_do_not_grow_reads_the_same_at_four_times_the
     grew = {
         factor: validation_reads(
             AkIndexFamily.build(graph, 2).level_index(), 2, "/site/regions/africa/item"
-        )[0]["label"]
+        )[0].reads["label"]
         for factor, graph in ((1, xmark), (4, graph))
     }
     assert grew[4] > 3 * grew[1]

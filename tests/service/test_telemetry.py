@@ -118,7 +118,7 @@ class TestValidationSignals:
 
     EXACT = "/site/people"  # two steps: A(2) answers it without validation
     LAYERED = "/site/people/person/name"  # four child steps at k = 2
-    CONE = "//name"
+    DESCENDANT = "//name"  # a loop state: layers closed under predecessors
 
     def test_validated_queries_report_time_and_visits(self, xmark_graph):
         with observed() as obs:
@@ -126,17 +126,17 @@ class TestValidationSignals:
             telemetry = service.start_telemetry(serve=False)
             try:
                 reports = [
-                    service.query(e).report for e in (self.EXACT, self.LAYERED, self.CONE)
+                    service.query(e).report for e in (self.EXACT, self.LAYERED, self.DESCENDANT)
                 ]
                 assert [r.validated for r in reports] == [False, True, True]
                 health = telemetry.health()["service"]
                 assert (health["queries"], health["queries_validated"]) == (3, 2)
-                # both validators report; the visits are the validation half only
+                # both shapes report; the visits are the validation half only
                 seconds = obs.metrics.histogram("query.validation_seconds")
                 assert seconds.count == 2 and seconds.total > 0
                 index_side = sum(
                     evaluate_on_index(service.snapshot.index, e).nodes_visited
-                    for e in (self.LAYERED, self.CONE)
+                    for e in (self.LAYERED, self.DESCENDANT)
                 )
                 visits = sum(r.nodes_visited for r in reports[1:]) - index_side
                 assert obs.metrics.counter("query.validation_visits").value == visits > 0

@@ -265,7 +265,7 @@ def test_the_replaced_names_are_gone():
         "resolve_touched_leaves", "wal_last_lsn", "AUDIT_STEPS", "audit_step",
         "ReconstructionPolicyProtocol", "max_retries", "simple_ak_memoize", "_unchecked",
         "CostBasedPolicy", "CostInputs", "CostConfig", "note_pressure", "expected_yield",
-        "cache_capacity",
+        "cache_capacity", "ancestors_of", "evaluate_on_subgraph",
     )
     for path in SRC.rglob("*.py"):
         text = path.read_text()
@@ -531,6 +531,10 @@ def test_one_kernel_and_an_independent_reference():
     (edge_loop,) = (node for node in ast.walk(fixpoint) if isinstance(node, ast.For))
     assert [ast.unparse(call.func) for call in step_calls(edge_loop)] == ["nfa.step"]
     assert len(step_calls(fixpoint)) == 1
+    # ... over the whole graph: no restriction to a subgraph, and no cone
+    # helper left in the package for a validator to compose
+    assert [arg.arg for arg in fixpoint.args.args] == ["graph", "nfa"]
+    assert not functions_named("ancestors_of") and not functions_named("evaluate_on_subgraph")
     # one kernel, the only reader of the surfaces' tables; it steps the
     # automaton only where its row has no entry for the label
     ((home, kernel),) = functions_named("evaluate_on_index")
@@ -547,9 +551,10 @@ def test_one_kernel_and_an_independent_reference():
         if isinstance(node, ast.If) and ast.unparse(node.test) == "advanced is None"
     )
     assert len(step_calls(kernel)) == 1 and step_calls(miss) == step_calls(kernel)
-    # validation of a child-only expression lives beside the kernel and steps
-    # no automaton; evaluate_on_ak is its one caller and picks it by the
-    # expression's own shape — nothing a caller, a config or the environment sets
+    # one validator for every automaton, loop states included: it lives
+    # beside the kernel, steps no automaton, and evaluate_on_ak calls it
+    # once, unconditionally — nothing a caller, a config, the environment
+    # or the expression's shape chooses
     ((layers_home, layers),) = functions_named("_validate_by_layers")
     assert layers_home == home and not step_calls(layers)
     ((_, on_ak),) = functions_named("evaluate_on_ak")
@@ -563,18 +568,15 @@ def test_one_kernel_and_an_independent_reference():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_validate_by_layers"
     ]
     assert [module for module, _ in layer_calls] == [home]
-    (choice,) = (
-        node for node in ast.walk(on_ak)
-        if isinstance(node, ast.If) and layer_calls[0][1] in ast.walk(node)
-    )
-    assert ast.unparse(choice.test) == "nfa.loops"
-    # the other branch is still the cone and the reference product inside it
-    assert {"ancestors_of", "evaluate_on_subgraph"} <= {
-        ast.unparse(call.func)
-        for statement in choice.body
-        for call in ast.walk(statement)
-        if isinstance(call, ast.Call)
+    (call,) = (node for _, node in layer_calls)
+    assert call in {
+        node for statement in on_ak.body if not isinstance(statement, ast.If)
+        for node in ast.walk(statement)
     }
+    assert not [
+        node for node in ast.walk(on_ak)
+        if isinstance(node, ast.If) and "loops" in ast.unparse(node.test)
+    ]
     # neither has a switch: no environment lookup in the package, no config field
     assert_no_environment_lookup("query")
     from repro.adaptive.service import AdaptiveConfig
