@@ -36,32 +36,29 @@ surfaces the ``__getitem__`` of their own dicts.
   the root and cost the 1-index its precision, besides making every
   query pay a scan of the whole index.  A rootless graph has no seed and
   answers nothing.
-* **Cost follows the walk**: one ``children_of`` read per inode popped,
-  one ``label_of`` read and one transition-row read per iedge followed,
-  one ``extent_of`` read per accepting inode — ``/site`` reads the same
-  entries whatever hangs below ``site``.  The automaton is determinised
-  on demand: the row of an inode's state set is fetched when the inode
-  is popped, an iedge looks its label up in it, and
-  :meth:`PathNfa.step <repro.query.automaton.PathNfa.step>` — still the
-  one definition of the transition relation — runs once per distinct
-  (state set, label) the walk meets, not once per iedge.  The rows are a
-  local of the call: compiled automata are shared by concurrent readers
-  through the ``as_nfa`` LRU and stay immutable.  The kernel checks no
+* **One layer per automaton state.**  The automaton is a chain (state i
+  goes only to i or i + 1), so the inodes holding each state are built
+  in state order with set operations, no worklist and no
+  :meth:`PathNfa.step <repro.query.automaton.PathNfa.step>`: layer 0 is
+  the seed, layer i + 1 the children of layer i whose label passes step
+  i, and a loop state's layer is first closed under children.
+* **Cost follows the layers**: one ``children_of`` read per (inode,
+  state) pair, one ``label_of`` read per child a non-accepting layer
+  reaches, one ``extent_of`` read per accepting inode — ``/site`` reads
+  the same entries whatever hangs below ``site``.  The kernel checks no
   inode for existence: inside one version every seed and every iedge
   target is a key of the tables it came from (the public ``label_of`` /
   ``isucc`` / ``extent`` methods keep raising
   :class:`~repro.exceptions.StructuralIndexError` for callers that bring
   their own ids).
 * :func:`repro.query.evaluator.evaluate_on_graph` deliberately does
-  *not* share this loop, nor its transition rows — it steps the
-  automaton per edge and is the reference the suites and the benchmark's
-  answer audit compare against.
+  *not* share this loop — it steps the automaton per edge and is the
+  reference the suites and the benchmark's answer audit compare against.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Optional
@@ -82,10 +79,10 @@ class EvalFootprint:
     """Everything one evaluation *read* — the result's dependency set.
 
     ``inodes`` collects every inode whose label, iedges or extent the
-    fixpoint consulted: the seeded roots, every inode that entered the
-    worklist, and every child reached through an iedge even when its
-    label killed all NFA states (its label was still read, so a later
-    relabel/split there can change the answer).  ``dnodes`` collects, by
+    kernel consulted: the seeded roots, every inode that holds a state,
+    and every child reached through an iedge even when its label killed
+    all NFA states (its label was still read, so a later relabel/split
+    there can change the answer).  ``dnodes`` collects, by
     the same convention, every dnode whose label or adjacency a
     validation pass read: the backward layers 1..L, every layer at a loop
     state (layer 0 included), and the root.  For ``//x`` and ``/a//x``
@@ -108,50 +105,47 @@ def evaluate_on_index(
     """Run the expression on the index graph; return the extent union.
 
     Safe for every structural index; additionally precise when the index
-    is a (valid) 1-index.  The report's effort counters count *inodes*
-    visited and iedges followed, which is what makes index evaluation
-    cheap — compare against
-    :func:`repro.query.evaluator.evaluate_on_graph`.
+    is a (valid) 1-index.  Layer ``S[i]`` holds the inodes in state i:
+    ``S[0]`` is the seed, ``S[i+1]`` the children of ``S[i]`` whose label
+    passes step i, and when state i loops ``S[i]`` is first closed under
+    children (each frontier minus the whole layer, so cycles end).  The
+    matches are the extents of ``S[L]``.  The footprint is the seed plus
+    the children of every layer's inodes, the accepting layer's included.
+    ``nodes_visited`` is the sum of the layer sizes (one per (inode,
+    state) pair) and ``edges_followed`` the children entries read, each
+    layer member's once — with or without a *footprint*.
     """
     nfa = _as_nfa(query)
     roots, children_of, label_of, extent_of = index.evaluation_tables()
     read = footprint.inodes if footprint is not None else None
     if read is not None:
         read.update(roots)
-    step, accept = nfa.step, nfa.accept
-    nothing: frozenset[int] = frozenset()
-    # rows[states][label] == step(states, label), filled in at first use; a
-    # local, because concurrent readers share the automaton (as_nfa's LRU)
-    rows: dict[frozenset[int], dict[str, frozenset[int]]] = {}
-    states_of = dict.fromkeys(roots, frozenset({nfa.start}))
-    queue: deque[int] = deque(roots)
+    layer = set(roots)
     visited = followed = 0
-    while queue:
-        inode = queue.popleft()
-        visited += 1
-        current = states_of[inode]
-        row = rows.get(current)
-        if row is None:
-            row = rows[current] = {}
-        children = children_of(inode)
-        followed += len(children)
+    for state, (test, _) in enumerate(nfa.advance):
+        below: set[int] = set()  # the children of the layer
+        frontier = layer
+        while frontier:
+            edges = list(chain.from_iterable(map(children_of, frontier)))
+            followed += len(edges)
+            reached = set(edges)
+            below |= reached
+            if state not in nfa.loops:
+                break
+            frontier = reached - layer
+            layer |= frontier
+        visited += len(layer)
         if read is not None:
-            read.update(children)
-        for child in children:
-            label = label_of(child)
-            advanced = row.get(label)
-            if advanced is None:
-                advanced = row[label] = step(current, label)
-            if not advanced:
-                continue
-            known = states_of.get(child, nothing)
-            union = known | advanced
-            if union != known:
-                states_of[child] = union
-                queue.append(child)
-    matches = nothing.union(
-        *[extent_of(inode) for inode, states in states_of.items() if accept in states]
-    )
+            read |= below
+        layer = below if test == WILDCARD else {c for c in below if label_of(c) == test}
+    # the accepting layer never loops and feeds no further layer: its
+    # children are counted, and collected only into a footprint
+    visited += len(layer)
+    children = list(map(children_of, layer))
+    followed += sum(map(len, children))
+    if read is not None:
+        read.update(chain.from_iterable(children))
+    matches = frozenset().union(*map(extent_of, layer))
     return EvaluationReport(matches, nodes_visited=visited, edges_followed=followed)
 
 

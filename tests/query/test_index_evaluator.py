@@ -56,11 +56,15 @@ class TestOneIndexPrecision:
         assert evaluate_on_index(discrete, "/A/B").matches == truth
 
     def test_index_evaluation_touches_fewer_nodes(self):
+        # counted alike, one visit per (node, state) pair: the discrete
+        # partition is the data graph seen through the same kernel
         g = random_labeled_graph(11)
         index = OneIndex.build(g)
-        on_graph = evaluate_on_graph(g, "//C")
+        discrete = partition_index(g, {n: n for n in g.nodes()})
+        on_graph = evaluate_on_index(discrete, "//C")
         on_index = evaluate_on_index(index, "//C")
-        assert on_index.nodes_visited <= on_graph.nodes_visited
+        assert on_graph.matches == on_index.matches == evaluate_on_graph(g, "//C").matches
+        assert on_index.nodes_visited < on_graph.nodes_visited
 
 
 class TestAkSafetyAndValidation:

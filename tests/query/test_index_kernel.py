@@ -2,30 +2,35 @@
 
 Four statements, none of them timed:
 
-* **Differential.**  :func:`reference_evaluation` below is the algorithm
-  the kernel replaced, written against each surface's *public* methods
-  (``isucc`` / ``label_of`` / ``extent``) with per-edge reads and seeded
-  at the inode that holds the root, found by scanning extents.  The
-  kernel must agree with it on the matches, both effort counters and the
-  inode footprint for every expression of a 2000-walk pool, on the live
+* **Differential.**  :func:`reference_evaluation` below walks the
+  automaton per iedge with a worklist of state sets, written against each
+  surface's *public* methods (``isucc`` / ``label_of`` / ``extent``) and
+  seeded at the inode that holds the root, found by scanning extents.  It
+  decides the matches and the inode footprint, and derives both effort
+  counters from its own state sets: one visit per (inode, state) pair,
+  each reading that inode's iedges.  The kernel must agree with it on all
+  four for every expression of a 2000-walk pool, on the live
   :class:`StructuralIndex`, the published :class:`FrozenIndex` and every
   :class:`LadderLevel`, at every version of a seeded update stream —
   which also compares the seed an ``evolve`` carried with a fresh
-  ``capture``'s at each version.
+  ``capture``'s at each version — and on the cyclic generated graphs
+  (IMDB and six seeded random ones) at k = 0..3, where a loop layer's
+  closure runs round the index's cycles.
 * **Only the root seeds.**  A dnode that merely carries the ROOT label is
   not a seed on any surface (the parent commit seeded by label scan and
   lost 1-index precision on ``root → x → ROOT' → a``).
 * **O(path).**  No served query iterates the index, and ``/site`` reads
   the same number of table entries on XMark(1) as on XMark at 4x counts.
-* **One ``PathNfa.step`` per distinct (state set, label).**  The kernel
-  determinises the automaton on demand; counted on a compiled automaton
-  of the test's own, ``//name`` over XMark(1) makes at least ten times
-  fewer calls than it follows iedges, and the automata shared through
-  the ``as_nfa`` LRU come out of concurrent evaluations as they went in.
+* **No ``PathNfa.step``.**  The kernel builds one inode layer per
+  automaton state with set operations: an automaton of the test's own
+  whose ``step`` fails is evaluated unharmed, each inode's iedges are read
+  exactly once per state it holds, and the automata shared through the
+  ``as_nfa`` LRU come out of concurrent evaluations as they went in.
 """
 
 from __future__ import annotations
 
+import random
 import sys
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
@@ -35,6 +40,7 @@ import pytest
 
 from repro.adaptive.ladder import LadderLevel, build_ladder_state
 from repro.adaptive.service import AdaptiveConfig, AdaptiveIndexService
+from repro.experiments.config import SMOKE
 from repro.graph.datagraph import ROOT_LABEL, DataGraph, EdgeKind
 from repro.index.akindex import AkIndexFamily
 from repro.index.oneindex import OneIndex
@@ -44,7 +50,9 @@ from repro.query.index_evaluator import EvalFootprint, evaluate_on_ak, evaluate_
 from repro.service import IndexService, ServiceConfig
 from repro.service.queue import Update
 from repro.service.snapshot import FrozenIndex, IndexSnapshot
+from repro.workload.imdb import generate_imdb
 from repro.workload.queries import QueryWorkload
+from repro.workload.random_graphs import random_cyclic
 from repro.workload.updates import MixedUpdateWorkload
 from repro.workload.xmark import XMarkConfig, generate_xmark
 
@@ -94,35 +102,45 @@ def holder_of_root(surface) -> list[int]:
     return [i for i in surface.inodes() if graph.root in surface.extent(i)]
 
 
-def reference_evaluation(surface, query, roots=None):
-    """The replaced algorithm on the public surface; returns what the kernel reports."""
+def reference_states(surface, query, roots=None) -> tuple[dict[int, frozenset[int]], set[int]]:
+    """A per-iedge worklist on the public surface: every inode's state set,
+    and every inode whose label or iedges it read."""
     nfa = as_nfa(query)
     if roots is None:
         roots = holder_of_root(surface)
     states_of = {inode: frozenset({nfa.start}) for inode in roots}
     queue, read = deque(roots), set(roots)
-    visited = followed = 0
     while queue:
         inode = queue.popleft()
-        visited += 1
         current = states_of[inode]
         for child in surface.isucc(inode):
-            followed += 1
             read.add(child)
             advanced = nfa.step(current, surface.label_of(child))
             known = states_of.get(child, frozenset())
             if advanced and known | advanced != known:
                 states_of[child] = known | advanced
                 queue.append(child)
+    return states_of, read
+
+
+def reference_evaluation(surface, query, roots=None):
+    """What the kernel reports, decided per iedge: the matches and the
+    footprint, and the effort counters derived from the state sets — one
+    visit per (inode, state) pair, and each of those reads its iedges."""
+    nfa = as_nfa(query)
+    states_of, read = reference_states(surface, nfa, roots)
     matches: set[int] = set()
     for inode, states in states_of.items():
         if nfa.accepts_states(states):
             matches |= surface.extent(inode)
+    visited = sum(map(len, states_of.values()))
+    followed = sum(len(states) * len(list(surface.isucc(i))) for i, states in states_of.items())
     return frozenset(matches), visited, followed, read
 
 
 def assert_kernel_matches_reference(surface, pool, where, truth=None) -> None:
-    """*truth*: the graph's own answers to ``ADVERSARIAL``, for a precise surface."""
+    """*truth*: the graph's own answers to some of the expressions, for a
+    precise surface."""
     truth = truth or {}
     roots = holder_of_root(surface)
     assert list(surface.evaluation_tables()[0]) == roots, where
@@ -246,6 +264,41 @@ def test_kernel_equals_reference_at_every_version(kind, family):
         commit(*islice(stream, 4))
     service.check()
     service.close()
+
+
+#: The cyclic generated graphs of the validation differential: IMDB's
+#: clustered references and six seeded random graphs over labels A..D.
+CYCLIC = {
+    "imdb": lambda: generate_imdb(SMOKE.imdb).graph,
+    **{
+        f"cyclic-{seed}": lambda seed=seed: random_cyclic(random.Random(seed), 40, 25)
+        for seed in range(6)
+    },
+}
+
+#: Loop layers the random graphs' walk pool never builds: two and six loop
+#: states, a child step between loops, wildcards inside a closure.
+CYCLIC_ADVERSARIAL = (
+    "//A//A", "//A//B//A", "/*//*/*", "//B/*//D", "//A/B//C", "//*//*//*//*//*//*",
+)
+
+
+@pytest.mark.parametrize("name", CYCLIC)
+def test_kernel_equals_reference_on_cyclic_graphs(name):
+    graph = CYCLIC[name]()
+    pool = [*walk_pool(graph), *CYCLIC_ADVERSARIAL]
+    truth = {e: evaluate_on_graph(graph, e).matches for e in (*pool, *ADVERSARIAL)}
+    index = OneIndex.build(graph)
+    for where, surface in (("live", index), ("frozen", IndexSnapshot.capture(0, graph, index).index)):
+        assert_kernel_matches_reference(surface, pool, (name, where), truth)
+    family = AkIndexFamily.build(graph, K)
+    snapshot = IndexSnapshot.capture(0, graph, family)
+    ladder = build_ladder_state(family, snapshot.index, 0, LEVELS)
+    surfaces = {f"live A({k})": family.level_index(k) for k in range(K + 1)}
+    surfaces |= {f"ladder A({level})": ladder.level_view(level) for level in LEVELS}
+    surfaces[f"frozen A({K})"] = snapshot.index
+    for where, surface in surfaces.items():
+        assert_kernel_matches_reference(surface, pool, (name, where))
 
 
 # ----------------------------------------------------------------------
@@ -380,11 +433,13 @@ def test_no_served_query_iterates_the_index(kind, family, monkeypatch):
 
 
 class CountedReads:
-    """A surface whose table callables count how often the kernel calls them."""
+    """A surface whose table callables count how often the kernel calls them,
+    and which inodes' iedges it asked for."""
 
     def __init__(self, surface):
         self.surface = surface
         self.reads: Counter = Counter()
+        self.children_read: Counter = Counter()
 
     def evaluation_tables(self):
         roots, *tables = self.surface.evaluation_tables()
@@ -392,6 +447,8 @@ class CountedReads:
         def counted(name, table):
             def read(key):
                 self.reads[name] += 1
+                if name == "children_of":
+                    self.children_read[key] += 1
                 return table(key)
 
             return read
@@ -405,7 +462,8 @@ def reads_of(surface, expression) -> Counter:
     report = evaluate_on_index(counted, expression)
     assert report.matches == reference_evaluation(surface, expression)[0]
     assert counted.reads["children_of"] == report.nodes_visited
-    assert counted.reads["label_of"] == report.edges_followed
+    # a label is read per child a non-accepting layer reaches, not per iedge
+    assert counted.reads["label_of"] <= report.edges_followed
     return counted.reads
 
 
@@ -432,7 +490,7 @@ def test_a_child_path_reads_the_same_tables_at_four_times_the_index(scaled_surfa
         reads[factor, "inodes"] = index.num_inodes
     assert 3.5 < reads[4, "inodes"] / reads[1, "inodes"] < 4.5
     small, large = reads[1, "frozen"], reads[4, "frozen"]
-    # /site: the root's one iedge, then site's six — whatever hangs below
+    # /site: the root's one iedge, then site's five — whatever hangs below
     assert small["/site"] == large["/site"]
     assert small["/site"]["children_of"] == 2 and small["/site"]["extent_of"] == 1
     assert small["/site/regions"] == large["/site/regions"]
@@ -442,63 +500,47 @@ def test_a_child_path_reads_the_same_tables_at_four_times_the_index(scaled_surfa
 
 
 # ----------------------------------------------------------------------
-# The automaton: determinised on demand, shared untouched
+# The automaton: never stepped, shared untouched
 # ----------------------------------------------------------------------
 
 
-def counted_automaton(expression: str) -> tuple[PathNfa, list]:
-    """A compiled automaton of the test's own whose ``step`` lists its calls."""
-    calls: list[tuple[frozenset[int], str]] = []
+def never_stepped(expression: str) -> PathNfa:
+    """A compiled automaton of the test's own whose ``step`` fails the test."""
 
-    class Counted(PathNfa):
+    class Unstepped(PathNfa):
         def step(self, states, label):
-            calls.append((states, label))
-            return super().step(states, label)
+            raise AssertionError(f"the kernel stepped {expression!r} on {label!r}")
 
     nfa = as_nfa(expression)
-    return Counted(nfa.expression, nfa.advance, nfa.loops), calls
+    return Unstepped(nfa.expression, nfa.advance, nfa.loops)
 
 
-def step_calls_of(surface, expression) -> list:
-    """The kernel's ``step`` calls: one per (state set, label) pair the walk met."""
-    nfa, calls = counted_automaton(expression)
-    report = evaluate_on_index(surface, nfa)
-    per_edge, met = counted_automaton(expression)  # the reference steps per iedge
+def children_reads_of(surface, expression) -> Counter:
+    """How often the kernel read each inode's iedges: once per state it holds."""
+    counted = CountedReads(surface)
+    report = evaluate_on_index(counted, never_stepped(expression))
     roots = list(surface.evaluation_tables()[0])
-    assert report.matches == reference_evaluation(surface, per_edge, roots)[0]
-    assert len(met) == report.edges_followed
-    assert len(calls) == len(set(calls)), expression  # no pair is stepped twice
-    assert set(calls) == set(met), expression
-    return calls
+    states_of, _ = reference_states(surface, expression, roots)
+    assert report.matches == reference_evaluation(surface, expression, roots)[0]
+    assert counted.children_read == {i: len(states) for i, states in states_of.items()}
+    return counted.children_read
 
 
-def test_step_runs_once_per_distinct_state_set_and_label(scaled_surfaces):
-    calls = {}
-    for factor, (index, frozen) in scaled_surfaces.items():
-        for name, surface in (("live", index), ("frozen", frozen)):
-            calls[factor, name] = {
-                expression: Counter(step_calls_of(surface, expression))
-                for expression in ("/site", "/site/regions", "//name")
-            }
-        assert calls[factor, "live"] == calls[factor, "frozen"]
-    small, large = calls[1, "frozen"], calls[4, "frozen"]
-    # a child path meets the same pairs whatever the size of the index:
-    # the root's one iedge, then one label per child of site
-    assert small["/site"] == large["/site"] and len(small["/site"]) == 6
-    assert small["/site/regions"] == large["/site/regions"]
-    # //name: one call per label met, not one per iedge — and the same
-    # pairs again at four times the iedges
-    frozen = scaled_surfaces[1][1]
-    followed = evaluate_on_index(frozen, "//name").edges_followed
-    assert followed > 10_000
-    assert 10 * len(small["//name"]) <= followed
-    assert small["//name"] == large["//name"]
-    # a person has children, so //person fills a second row; //*//*//*//*
-    # holds five states at once, a wildcard in every row
-    second = step_calls_of(frozen, "//person")
-    assert {states for states, _ in second} == {frozenset({0}), frozenset({0, 1})}
-    widest = step_calls_of(frozen, "//*//*//*//*")
-    assert max(len(states) for states, _ in widest) == 5
+def test_the_kernel_never_steps_and_reads_iedges_once_per_state_held(scaled_surfaces):
+    index, frozen = scaled_surfaces[1]
+    for surface in (index, frozen):
+        # //*//*//*//* holds five states at once, in every inode deep enough
+        assert max(children_reads_of(surface, "//*//*//*//*").values()) == 5
+        for expression in ("//name", "/site//*//name"):
+            assert children_reads_of(surface, expression)
+    # and a child path reads the same entries whatever hangs below it
+    followed = {
+        factor: evaluate_on_index(frozen, never_stepped("/site")).edges_followed
+        for factor, (_, frozen) in scaled_surfaces.items()
+    }
+    assert followed[1] == followed[4] == 6  # the root's one iedge, then site's five
+    for factor, (_, frozen) in scaled_surfaces.items():
+        assert sum(children_reads_of(frozen, "/site").values()) == 2, factor
 
 
 def test_the_shared_automata_are_untouched_by_concurrent_readers():

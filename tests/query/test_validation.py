@@ -46,12 +46,11 @@ from repro.query.automaton import as_nfa
 from repro.query.evaluator import evaluate_on_graph
 from repro.query.index_evaluator import EvalFootprint, evaluate_on_ak, evaluate_on_index
 from repro.query.path_expression import WILDCARD
-from repro.workload.imdb import generate_imdb
 from repro.workload.random_graphs import random_cyclic
 from repro.workload.xmark import generate_xmark
 
 from tests.query.test_cone_reference import ancestors_of, cone_validation
-from tests.query.test_index_kernel import scaled_xmark, walk_pool
+from tests.query.test_index_kernel import CYCLIC, scaled_xmark, walk_pool
 
 KS = (0, 1, 2, 3)
 
@@ -159,14 +158,7 @@ def levels_of(graph: DataGraph):
 # ----------------------------------------------------------------------
 
 
-GENERATED = {
-    "xmark": lambda: generate_xmark(SMOKE.xmark).graph,
-    "imdb": lambda: generate_imdb(SMOKE.imdb).graph,
-    **{
-        f"cyclic-{seed}": lambda seed=seed: random_cyclic(random.Random(seed), 40, 25)
-        for seed in range(6)
-    },
-}
+GENERATED = {"xmark": lambda: generate_xmark(SMOKE.xmark).graph, **CYCLIC}
 
 
 @pytest.mark.parametrize("name", GENERATED)

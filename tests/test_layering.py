@@ -535,8 +535,8 @@ def test_one_kernel_and_an_independent_reference():
     # helper left in the package for a validator to compose
     assert [arg.arg for arg in fixpoint.args.args] == ["graph", "nfa"]
     assert not functions_named("ancestors_of") and not functions_named("evaluate_on_subgraph")
-    # one kernel, the only reader of the surfaces' tables; it steps the
-    # automaton only where its row has no entry for the label
+    # one kernel, the only reader of the surfaces' tables; it builds a
+    # layer per automaton state — no worklist, no transition rows, no step
     ((home, kernel),) = functions_named("evaluate_on_index")
     table_reads = [
         (module, ast.unparse(node))
@@ -546,11 +546,21 @@ def test_one_kernel_and_an_independent_reference():
     ]
     assert table_reads == [(home, "index.evaluation_tables()")]
     assert home == "query/index_evaluator.py"
-    (miss,) = (
+    names = {node.id for node in ast.walk(kernel) if isinstance(node, ast.Name)}
+    assert not {"deque", "rows"} & names
+    assert not [
         node for node in ast.walk(kernel)
-        if isinstance(node, ast.If) and ast.unparse(node.test) == "advanced is None"
-    )
-    assert len(step_calls(kernel)) == 1 and step_calls(miss) == step_calls(kernel)
+        if isinstance(node, ast.Attribute) and node.attr in ("step", "rows")
+    ]
+    stepping = [
+        (module, function.name)
+        for module, tree in TREES.items()
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for call in step_calls(function)
+        if ast.unparse(call.func) == "nfa.step"
+    ]
+    assert stepping == [("query/evaluator.py", "_product_fixpoint")]
     # one validator for every automaton, loop states included: it lives
     # beside the kernel, steps no automaton, and evaluate_on_ak calls it
     # once, unconditionally — nothing a caller, a config, the environment
