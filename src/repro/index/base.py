@@ -793,7 +793,6 @@ class StructuralIndex:
         inodes: Optional[Iterable[int]] = None,
         dnodes: Optional[Iterable[int]] = None,
         tokens: object = None,
-        whole: bool = False,
     ) -> None:
         """Assert partition/iedge consistency, re-derived from graph adjacency.
 
@@ -810,10 +809,9 @@ class StructuralIndex:
         Unscoped that is every dnode and inode, plus :meth:`check_totals`:
         O(n + m).  With *inodes* / *dnodes* (the ids a batch touched; dead
         ones are verified absent from every map) it costs the in-degrees
-        of the given dnodes.  *whole* says the dnodes were read off the
-        extents of the given inodes (an audit slice): an extent then not
-        examined slot for slot holds a dnode that is not its own.
-        (*tokens* is the family's part of a scope.)
+        of the given dnodes.  (*tokens* is the family's part of a scope.  An
+        audit slice of whole extents is
+        :func:`repro.index.stability.audit_extents`.)
         """
         graph = self.graph
         scoped = inodes is not None or dnodes is not None
@@ -858,9 +856,6 @@ class StructuralIndex:
         for inode in (inodes or ()) if scoped else extent_arr:
             if inode in extent_arr:
                 assert len(extent_arr[inode]), f"inode {inode} has an empty extent"
-                assert not whole or examined.get(inode) == len(extent_arr[inode]), (
-                    f"extent of inode {inode} holds a dnode that is not its own"
-                )
             else:
                 assert not any(inode in table for table in tables), (
                     f"dead inode {inode} leaked a map entry"

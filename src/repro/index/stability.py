@@ -9,13 +9,18 @@ ids a batch touched and then cost only that neighbourhood — the same
 predicate over fewer dnodes, which is what runs after every commit.
 :func:`depth_violations` is the one question the post-check asks of
 either structure: which Definition fails at ``valid`` / ``minimal``.
+:func:`audit_extents` is the audit slice of a 1-index: one pass over
+whole extents stating what the graph and index oracles and
+:func:`depth_violations` state of them, held to them by a differential
+(``tests/resilience/test_audit_kernel.py``).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from typing import Optional
+from typing import NamedTuple, Optional
 
+from repro.core.intmap import PAGE_BITS, PAGE_MASK
 from repro.graph.datagraph import DataGraph
 from repro.index.akindex import AkIndexFamily
 from repro.index.base import StructuralIndex
@@ -78,8 +83,13 @@ def unstable_pairs(
         for w in members:
             if w != representative and index.dnode_iparents(w) != base:
                 drift |= index.dnode_iparents(w) ^ base
-        violations.extend((inode, splitter) for splitter in drift)
+        # in id order, so the first pair does not depend on the members' order
+        violations.extend((inode, splitter) for splitter in sorted(drift, key=_none_first))
     return violations
+
+
+def _none_first(inode: Optional[int]) -> int:
+    return -1 if inode is None else inode
 
 
 def is_self_stable(index: StructuralIndex) -> bool:
@@ -173,14 +183,196 @@ def depth_violations(
                     4, (token, other),
                 )
         return
-    for pair in unstable_pairs(structure, inodes, dnodes):
-        yield (
-            "index is no longer a valid 1-index: inode %s is not stable "
-            "w.r.t. inode %s" % pair, 1, pair,
-        )
+    yield from map(_unstable, unstable_pairs(structure, inodes, dnodes))
     if minimal:
-        for pair in mergeable_pairs(structure, inodes):
-            yield f"index is valid but no longer minimal: inodes {pair} merge", 5, pair
+        yield from map(_mergeable, mergeable_pairs(structure, inodes))
+
+
+def _unstable(pair: tuple) -> tuple[str, int, tuple]:
+    return (
+        "index is no longer a valid 1-index: inode %s is not stable w.r.t. inode %s" % pair,
+        1, pair,
+    )
+
+
+def _mergeable(pair: tuple) -> tuple[str, int, tuple]:
+    return f"index is valid but no longer minimal: inodes {pair} merge", 5, pair
+
+
+class ExtentAudit(NamedTuple):
+    """What :func:`audit_extents` found in one slice of whole extents."""
+
+    #: the slice is ``ids[start:end]``: it ends with the extent that
+    #: reached the budget, or with the last id
+    end: int
+    #: its dnode visits, 1 + in-degree + out-degree of each live member
+    visits: int
+    #: the first structural fact that failed, as the oracle stating it
+    #: raises it (``AssertionError``); ``None`` if none did
+    broken: Optional[Exception]
+    #: then the first depth violation, as :func:`depth_violations` yields it
+    violations: tuple
+
+
+def audit_extents(
+    index: StructuralIndex,
+    ids: Sequence[int],
+    start: int,
+    budget: int,
+    stable: bool,
+    minimal: bool,
+) -> ExtentAudit:
+    """One pass over the extents of ``ids[start:]``, cut after the extent
+    that takes the visits to *budget*: what :meth:`DataGraph.check_invariants`,
+    :meth:`StructuralIndex.check_invariants` over whole extents and
+    :func:`depth_violations` state of those ids, each member's slot, succ
+    segment and pred segment read once.
+
+    Per member: its slot is its own and labelled; no succ or pred is
+    listed twice, and each is live and mirrored; it sits at its own
+    position of this extent, under the extent's label.  Per extent: it
+    is non-empty, the support row recounted from its members' parents
+    equals the stored one and is mirrored by the parents' outgoing rows.
+    A dead id has left every table.  With *stable*, Definition 1 by
+    count (the proof of Lemma 3): once the recount equals the stored row,
+    a member's index parents are a subset of its keys, so the inode is
+    stable iff every member has exactly ``len(keys)`` distinct parent
+    inodes; only an inode that fails the count asks
+    :func:`unstable_pairs` for its exact pair.  With *minimal*, then
+    :func:`mergeable_pairs` over the slice's ids.
+
+    Structural facts come before depth ones, and a broken one still
+    finishes the cut (from the slab headers alone), so the slice is the
+    same whatever it finds.
+    """
+    graph = index.graph
+    slot_pages = graph._slot_of._pages
+    oid_at, label_at = graph._oid_at, graph._label_at
+    label_ids = graph._interner._ids
+    succ_slabs, pred_slabs = graph._succ_slabs, graph._pred_slabs
+    s_data, s_off, s_len, s_overlay = (
+        succ_slabs._data, succ_slabs._off, succ_slabs._len, succ_slabs._overlay
+    )
+    p_data, p_off, p_len, p_overlay = (
+        pred_slabs._data, pred_slabs._off, pred_slabs._len, pred_slabs._overlay
+    )
+    inode_pages, pos_pages = index._inode_of._pages, index._pos_of._pages
+    extent_arr, labels = index._extent_arr, index._label
+    succs, preds = index._succ_support, index._pred_support
+    s_index, p_index = s_data.index, p_data.index
+    slots = len(oid_at)
+    scratch: set = set()  # (one set reused for every member's distinctness tests)
+    end, visits = start, 0
+    unstable: Optional[int] = None  # the first inode that fails the count
+    arr = None
+    try:
+        graph.check_invariants(())  # the graph's facts with no dnode: the root's
+        while end < len(ids) and visits < budget:
+            inode = ids[end]
+            end += 1
+            arr = extent_arr.get(inode)
+            if arr is None:
+                assert inode not in labels and inode not in succs and inode not in preds, (
+                    f"dead inode {inode} leaked a map entry"
+                )
+                continue
+            before = visits
+            assert len(arr), f"inode {inode} has an empty extent"
+            stored = preds.get(inode)
+            assert stored is not None, f"inode {inode} has no support row"
+            want = label_ids.get(labels.get(inode), -2)
+            keys = len(stored)
+            row: dict[int, int] = {}
+            counted = True
+            for position, w in enumerate(arr):
+                page = slot_pages.get(w >> PAGE_BITS)
+                slot = -1 if page is None else page[w & PAGE_MASK]
+                assert slot >= 0, f"extent of inode {inode} lists dead dnode {w}"
+                assert slot < slots and oid_at[slot] == w, f"slot map broken for oid {w}"
+                assert label_at[slot] >= 0, f"label missing for oid {w}"
+                page = inode_pages.get(w >> PAGE_BITS)
+                mapped = -1 if page is None else page[w & PAGE_MASK]
+                page = pos_pages.get(w >> PAGE_BITS)
+                pos = -1 if page is None else page[w & PAGE_MASK]
+                assert mapped == inode and pos == position, (
+                    f"mapping broken for dnode {w}: not at position {pos} of inode {inode}"
+                )
+                assert label_at[slot] == want, f"label mismatch in inode {inode} at dnode {w}"
+                off = s_off[slot]
+                targets = s_data[off : off + s_len[slot]]
+                off = p_off[slot]
+                sources = p_data[off : off + p_len[slot]]
+                out_degree, in_degree = len(targets), len(sources)
+                visits += 1 + out_degree + in_degree
+                if out_degree > 1:
+                    scratch.clear()
+                    scratch.update(targets)
+                    assert len(scratch) == out_degree, f"duplicate succ at {w}"
+                for t in targets:
+                    page = slot_pages.get(t >> PAGE_BITS)
+                    t_slot = -1 if page is None else page[t & PAGE_MASK]
+                    assert t_slot >= 0, f"dangling edge {w}->{t}"
+                    overlay = p_overlay.get(t_slot)
+                    if overlay is not None:
+                        assert w in overlay, f"pred missing for {w}->{t}"
+                        continue
+                    off = p_off[t_slot]
+                    try:
+                        p_index(w, off, off + p_len[t_slot])
+                    except ValueError:
+                        raise AssertionError(f"pred missing for {w}->{t}") from None
+                if in_degree > 1:
+                    scratch.clear()
+                    scratch.update(sources)
+                    assert len(scratch) == in_degree, f"duplicate pred at {w}"
+                    scratch.clear()
+                for s in sources:
+                    page = slot_pages.get(s >> PAGE_BITS)
+                    s_slot = -1 if page is None else page[s & PAGE_MASK]
+                    assert s_slot >= 0, f"dangling pred {s}->{w}"
+                    overlay = s_overlay.get(s_slot)
+                    if overlay is not None:
+                        assert w in overlay, f"succ missing for {s}->{w}"
+                    else:
+                        off = s_off[s_slot]
+                        try:
+                            s_index(w, off, off + s_len[s_slot])
+                        except ValueError:
+                            raise AssertionError(f"succ missing for {s}->{w}") from None
+                    page = inode_pages.get(s >> PAGE_BITS)
+                    j = -1 if page is None else page[s & PAGE_MASK]
+                    row[j] = row.get(j, 0) + 1  # (an uncovered parent counts under -1)
+                    if in_degree > 1:
+                        scratch.add(j)
+                if counted:  # its distinct parent inodes, against the row's keys
+                    counted = (len(scratch) if in_degree > 1 else in_degree) == keys
+            assert row == stored, f"supports of inode {inode} drifted: {stored} vs {row}"
+            for j, count in row.items():
+                assert succs.get(j, {}).get(inode) == count, (
+                    f"iedge from inode {j} to inode {inode} is not mirrored"
+                )
+            if not counted and unstable is None:
+                unstable = inode
+    except (AssertionError, LookupError) as exc:
+        # the cut, finished from the slab headers: the failing extent over
+        # again, whole, and what is left of the budget after it
+        if arr is not None:
+            end, visits = end - 1, before
+        while end < len(ids) and visits < budget:
+            for w in set(extent_arr.get(ids[end], ())):
+                page = slot_pages.get(w >> PAGE_BITS)
+                slot = -1 if page is None else page[w & PAGE_MASK]
+                if 0 <= slot < slots:
+                    visits += 1 + s_len[slot] + p_len[slot]
+            end += 1
+        return ExtentAudit(end, visits, exc, ())
+    violations: tuple = ()
+    if stable and unstable is not None:
+        pairs = unstable_pairs(index, (unstable,), extent_arr[unstable])
+        violations = (_unstable(pairs[0]),)
+    elif minimal:
+        violations = tuple(map(_mergeable, mergeable_pairs(index, ids[start:end])[:1]))
+    return ExtentAudit(end, visits, None, violations)
 
 
 def minimum_1index_size(graph: DataGraph) -> int:

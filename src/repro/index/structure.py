@@ -50,7 +50,9 @@ class Structure(Protocol):
     ) -> None:
         """Assert structural consistency: of everything, or of what a batch
         touched (each structure reads the ids it has and ignores the rest),
-        or — *whole* — of leaf inodes handed with their entire extents."""
+        or — *whole*, a family's audit slice — of leaf classes handed with
+        their entire extents.  A 1-index takes no *whole*: its audit slice
+        is one pass of :func:`repro.index.stability.audit_extents`."""
 
     def check_totals(self) -> None:
         """Assert what the unscoped check states and no whole leaf extent does."""

@@ -5,8 +5,9 @@ The guard reuses the library's oracles instead of reimplementing checks:
 ``check_invariants`` for structural consistency, then
 :func:`repro.index.stability.depth_violations` for what the structure
 claims to be — a valid, or a minimal, 1-index or A(k) family (minimal
-and minimum coincide for A(k), Lemma 6).  It never asks which of the two
-it was handed (:class:`repro.index.structure.Structure`).
+and minimum coincide for A(k), Lemma 6).  It asks which of the two it
+was handed (:class:`repro.index.structure.Structure`) only to audit a
+slice, below.
 
 Each oracle takes an optional *scope*.  Split and merge are local — an
 update can only destabilise inodes reachable from the changed edge — and
@@ -22,14 +23,25 @@ the next *slice* of leaf inodes (1-index inodes, leaf classes of a
 family, in id order), cut after :data:`AUDIT_SLICE_VISITS` dnode visits.
 A slice ends with the extent that reaches the constant, so a commit costs
 O(touched + constant + the largest leaf extent) and the whole graph comes
-round every ⌈(|V| + 2|E|) ÷ AUDIT_SLICE_VISITS⌉ commits.  One cycle states
+round every ⌈(|V| + 2|E|) ÷ AUDIT_SLICE_VISITS⌉ commits.
+
+The slice of a 1-index is one pass,
+:func:`repro.index.stability.audit_extents`: each member's slot, succ
+segment and pred segment are read once, with one probe of the other
+mirror per adjacency entry, and that one read states every fact the
+three oracles state of those ids — stability by count (the proof of
+Lemma 3: once the recount equals the stored support row, an inode is
+stable iff each member has ``len(row)`` distinct parent inodes).  It
+costs ≈ 1.9 µs a visit at ``valid`` on XMark(1) (one host, in process),
+where the three oracles in turn, each re-reading every member's
+adjacency one lookup call at a time, took ≈ 5.1.  A family's slice still
+runs the oracles over its whole leaf classes.  One cycle states
 everything the unscoped check states:
 
-* a slice hands **whole extents** (``whole=True``): the scoped structure
-  oracle asserts stored supports *equal* the recount only for an extent
-  it saw slot for slot, and refuses an extent that lists a dnode mapped
-  elsewhere — a slice reads its dnodes off the extents where the
-  unscoped check reads them off the graph;
+* a slice takes **whole extents**: stored supports must *equal* the
+  recount, and an extent that lists a dnode mapped elsewhere is refused
+  — a slice reads its dnodes off the extents where the unscoped check
+  reads them off the graph;
 * the facts with no per-id form — counters, cover sums, key sets, a
   family's classes above the leaf level (``check_totals`` of the graph
   and the structure) — run with the slice that ends the cycle;
@@ -37,8 +49,9 @@ everything the unscoped check states:
   the scoped minimality oracle skips, is covered by its would-be partner
   (a parentless inode probes every parentless one).  Its sibling probes
   ride uncounted: ≈ 0.8 per visit on XMark at 1× and 4×, a label
-  comparison each (≈ 5 % of a slice), and counting them would break the
-  cycle bound above;
+  comparison each — ≈ 4.4 ms, 22–24 % of a one-pass slice at either
+  scale (≈ 9 % of the three-oracle slice it replaced) — and counting
+  them would break the cycle bound above;
 * the cycle walks the ids alive when it began; an id created, or a dnode
   moved, since then was in that batch's touched set — the induction the
   local check already rests on — and dead ids are verified absent.
@@ -67,7 +80,8 @@ from repro.exceptions import (
     StructuralIndexError,
 )
 from repro.graph.datagraph import DataGraph
-from repro.index.stability import depth_violations
+from repro.index.akindex import AkIndexFamily
+from repro.index.stability import ExtentAudit, audit_extents, depth_violations
 from repro.index.structure import Structure
 from repro.obs import current as current_obs
 from repro.resilience.journal import TouchedSet
@@ -172,16 +186,25 @@ class InvariantGuard:
         leaf = structure.leaf()
         if not self._cycle_done:
             self._cycle = sorted(leaf.inodes())
-        cycle, done = self._cycle, self._cycle_done
-        dnodes: set[int] = set()
-        visited = 0
-        while done < len(cycle) and visited < AUDIT_SLICE_VISITS:
-            if leaf.has_inode(cycle[done]):
-                members = leaf.extent(cycle[done])
-                dnodes.update(members)
-                visited += _visits(graph, members)
-            done += 1
-        ids = cycle[self._cycle_done : done]
+        cycle, start = self._cycle, self._cycle_done
+        audit = dnodes = tokens = None
+        if structure.kind == AkIndexFamily.kind:
+            dnodes = set()
+            done, visited = start, 0
+            while done < len(cycle) and visited < AUDIT_SLICE_VISITS:
+                if leaf.has_inode(cycle[done]):
+                    members = leaf.extent(cycle[done])
+                    dnodes.update(members)
+                    visited += _visits(graph, members)
+                done += 1
+            tokens = [(structure.k, token) for token in cycle[start:done]]
+        else:  # a 1-index: one pass over its extents states what the oracles state
+            audit = audit_extents(
+                structure, cycle, start, AUDIT_SLICE_VISITS,
+                stable=self.level != "basic", minimal=self.level == "minimal",
+            )
+            done, visited = audit.end, audit.visits
+        ids = cycle[start:done]
         self.last_audit_ok = False
         try:
             self._run(
@@ -189,9 +212,10 @@ class InvariantGuard:
                 structure,
                 dnodes=dnodes,
                 inodes=ids,
-                tokens=[(structure.k, inode) for inode in ids],
-                whole=True,
+                tokens=tokens,
+                whole=audit is None,
                 totals=done == len(cycle),
+                audit=audit,
             )
         except InvariantViolationError as exc:
             exc.audit_range = (self.audit_cursor, ids[-1] if ids else self.audit_cursor)
@@ -220,17 +244,32 @@ class InvariantGuard:
         tokens: Optional[Iterable[tuple[int, int]]] = None,
         whole: bool = False,
         totals: bool = False,
+        audit: Optional[ExtentAudit] = None,
     ) -> None:
         """The check — graph, structure, depth — over the ids of a scope or
         (none given) everything, then the *totals* if asked; a lookup an
-        oracle misses (a corrupted map) is a violation too."""
+        oracle misses (a corrupted map) is a violation too.  *whole*: a
+        family's slice of leaf classes handed with their entire extents; a
+        1-index's slice hands over the *audit* of its one pass instead."""
         try:
-            graph.check_invariants(dnodes)
-            structure.check_invariants(dnodes=dnodes, inodes=inodes, tokens=tokens, whole=whole)
-            if self.level != "basic":
-                minimal = self.level == "minimal"
-                for violation in depth_violations(structure, minimal, dnodes, inodes, tokens):
-                    raise InvariantViolationError(*violation)
+            if audit is not None:
+                if audit.broken is not None:
+                    raise audit.broken
+                violations: Iterable[tuple] = audit.violations
+            else:
+                graph.check_invariants(dnodes)
+                if whole:
+                    structure.check_invariants(
+                        dnodes=dnodes, inodes=inodes, tokens=tokens, whole=True
+                    )
+                else:
+                    structure.check_invariants(dnodes=dnodes, inodes=inodes, tokens=tokens)
+                violations = ()
+                if self.level != "basic":
+                    minimal = self.level == "minimal"
+                    violations = depth_violations(structure, minimal, dnodes, inodes, tokens)
+            for violation in violations:
+                raise InvariantViolationError(*violation)
             if totals:
                 graph.check_totals()
                 structure.check_totals()

@@ -470,6 +470,49 @@ def test_the_audit_slice_runs_inside_the_check_and_adds_no_setting():
     assert_no_environment_lookup("resilience")
 
 
+def called_names(nodes) -> set[str]:
+    return {
+        getattr(call.func, "attr", getattr(call.func, "id", None))
+        for node in nodes
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+    }
+
+
+def test_a_1index_audit_slice_is_one_pass_over_its_extents():
+    # the guard hands a 1-index's slice to the kernel: the frozen extents,
+    # the visit count and the depth oracle stay on the family's side
+    ((_, audit_slice),) = functions_named("_audit_slice")
+    (branch,) = (
+        node for node in ast.walk(audit_slice)
+        if isinstance(node, ast.If) and ast.unparse(node.test).endswith("AkIndexFamily.kind")
+    )
+    assert "audit_extents" in called_names(branch.orelse)
+    assert not {"_visits", "extent", "depth_violations"} & called_names(branch.orelse)
+    # ... which reads the tables themselves, not through the oracles' lookups
+    ((home, kernel),) = functions_named("audit_extents")
+    assert home == "index/stability.py"
+    assert not {
+        "_visits", "extent", "depth_violations", "dnode_iparents", "iter_pred", "iter_succ",
+        "in_degree", "out_degree", "inode_of", "covers", "label", "contains", "segment",
+        "to_list",
+    } & called_names([kernel])
+    checks = [
+        ast.unparse(node) for node in ast.walk(kernel)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "check_invariants"
+    ]
+    assert checks == ["graph.check_invariants(())"]  # the root's facts
+    # and there is no second whole-extent path: the 1-index oracle takes no *whole*
+    (index_check,) = (
+        node
+        for cls in ast.walk(TREES["index/base.py"])
+        if isinstance(cls, ast.ClassDef) and cls.name == "StructuralIndex"
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "check_invariants"
+    )
+    assert "whole" not in {arg.arg for arg in index_check.args.args}
+
+
 def test_the_guard_commits_one_checked_batch():
     """One transactional entry, checked every time: no per-operation
     wrapper, no retry policy, no check cadence — and the experiments have
