@@ -46,13 +46,12 @@ class Structure(Protocol):
         dnodes: Optional[Iterable[int]] = None,
         inodes: Optional[Iterable[int]] = None,
         tokens: Optional[Iterable[tuple[int, int]]] = None,
-        whole: bool = False,
     ) -> None:
         """Assert structural consistency: of everything, or of what a batch
-        touched (each structure reads the ids it has and ignores the rest),
-        or — *whole*, a family's audit slice — of leaf classes handed with
-        their entire extents.  A 1-index takes no *whole*: its audit slice
-        is one pass of :func:`repro.index.stability.audit_extents`."""
+        touched (each structure reads the ids it has and ignores the rest).
+        An audit slice of whole leaf extents is one pass of
+        :func:`repro.index.stability.audit_extents` (a 1-index) or
+        :func:`~repro.index.stability.audit_classes` (a family)."""
 
     def check_totals(self) -> None:
         """Assert what the unscoped check states and no whole leaf extent does."""

@@ -34,9 +34,15 @@ Lemma 3: once the recount equals the stored support row, an inode is
 stable iff each member has ``len(row)`` distinct parent inodes).  It
 costs ≈ 1.9 µs a visit at ``valid`` on XMark(1) (one host, in process),
 where the three oracles in turn, each re-reading every member's
-adjacency one lookup call at a time, took ≈ 5.1.  A family's slice still
-runs the oracles over its whole leaf classes.  One cycle states
-everything the unscoped check states:
+adjacency one lookup call at a time, took ≈ 5.1.  A family's slice is
+the same pass, :func:`repro.index.stability.audit_classes`: each leaf
+class's tree chain resolved once and its members' class maps checked
+along it in one go, Definition 4 tested at every level against a
+parent-class set formed once per class (a member of in-degree 1 is one
+lookup a level), and the oracle asked for the exact pair only when a
+test fails — ≈ 1.2–1.8 µs a visit at A(4) and ≈ 0.9–1.3 at A(2) at
+``minimal`` on XMark(1), where the oracles took ≈ 3.5–6 and ≈ 2.4–4.5.
+One cycle states everything the unscoped check states:
 
 * a slice takes **whole extents**: stored supports must *equal* the
   recount, and an extent that lists a dnode mapped elsewhere is refused
@@ -51,7 +57,11 @@ everything the unscoped check states:
   ride uncounted: ≈ 0.8 per visit on XMark at 1× and 4×, a label
   comparison each — ≈ 4.4 ms, 22–24 % of a one-pass slice at either
   scale (≈ 9 % of the three-oracle slice it replaced) — and counting
-  them would break the cycle bound above;
+  them would break the cycle bound above.  A family's slice signs, as
+  Definition 4's oracle does, each reached class's outside
+  representative and its tree siblings once: ≈ 1.3–1.5 ms a slice at
+  A(4), 8–10 % of it, and ≈ 0.4–0.5 ms, 4–6 %, at A(2), on XMark at 1×
+  and 4× alike;
 * the cycle walks the ids alive when it began; an id created, or a dnode
   moved, since then was in that batch's touched set — the induction the
   local check already rests on — and dead ids are verified absent.
@@ -81,7 +91,12 @@ from repro.exceptions import (
 )
 from repro.graph.datagraph import DataGraph
 from repro.index.akindex import AkIndexFamily
-from repro.index.stability import ExtentAudit, audit_extents, depth_violations
+from repro.index.stability import (
+    ExtentAudit,
+    audit_classes,
+    audit_extents,
+    depth_violations,
+)
 from repro.index.structure import Structure
 from repro.obs import current as current_obs
 from repro.resilience.journal import TouchedSet
@@ -187,36 +202,17 @@ class InvariantGuard:
         if not self._cycle_done:
             self._cycle = sorted(leaf.inodes())
         cycle, start = self._cycle, self._cycle_done
-        audit = dnodes = tokens = None
-        if structure.kind == AkIndexFamily.kind:
-            dnodes = set()
-            done, visited = start, 0
-            while done < len(cycle) and visited < AUDIT_SLICE_VISITS:
-                if leaf.has_inode(cycle[done]):
-                    members = leaf.extent(cycle[done])
-                    dnodes.update(members)
-                    visited += _visits(graph, members)
-                done += 1
-            tokens = [(structure.k, token) for token in cycle[start:done]]
-        else:  # a 1-index: one pass over its extents states what the oracles state
-            audit = audit_extents(
-                structure, cycle, start, AUDIT_SLICE_VISITS,
-                stable=self.level != "basic", minimal=self.level == "minimal",
-            )
-            done, visited = audit.end, audit.visits
+        # one pass over the slice's leaf extents states what the oracles state
+        kernel = audit_classes if structure.kind == AkIndexFamily.kind else audit_extents
+        audit = kernel(
+            structure, cycle, start, AUDIT_SLICE_VISITS,
+            stable=self.level != "basic", minimal=self.level == "minimal",
+        )
+        done, visited = audit.end, audit.visits
         ids = cycle[start:done]
         self.last_audit_ok = False
         try:
-            self._run(
-                graph,
-                structure,
-                dnodes=dnodes,
-                inodes=ids,
-                tokens=tokens,
-                whole=audit is None,
-                totals=done == len(cycle),
-                audit=audit,
-            )
+            self._run(graph, structure, totals=done == len(cycle), audit=audit)
         except InvariantViolationError as exc:
             exc.audit_range = (self.audit_cursor, ids[-1] if ids else self.audit_cursor)
             raise
@@ -242,15 +238,13 @@ class InvariantGuard:
         dnodes: Optional[Iterable[int]] = None,
         inodes: Optional[Iterable[int]] = None,
         tokens: Optional[Iterable[tuple[int, int]]] = None,
-        whole: bool = False,
         totals: bool = False,
         audit: Optional[ExtentAudit] = None,
     ) -> None:
         """The check — graph, structure, depth — over the ids of a scope or
-        (none given) everything, then the *totals* if asked; a lookup an
-        oracle misses (a corrupted map) is a violation too.  *whole*: a
-        family's slice of leaf classes handed with their entire extents; a
-        1-index's slice hands over the *audit* of its one pass instead."""
+        (none given) everything, or what the *audit* of a slice found;
+        then the *totals* if asked.  A lookup an oracle misses (a
+        corrupted map) is a violation too."""
         try:
             if audit is not None:
                 if audit.broken is not None:
@@ -258,12 +252,7 @@ class InvariantGuard:
                 violations: Iterable[tuple] = audit.violations
             else:
                 graph.check_invariants(dnodes)
-                if whole:
-                    structure.check_invariants(
-                        dnodes=dnodes, inodes=inodes, tokens=tokens, whole=True
-                    )
-                else:
-                    structure.check_invariants(dnodes=dnodes, inodes=inodes, tokens=tokens)
+                structure.check_invariants(dnodes=dnodes, inodes=inodes, tokens=tokens)
                 violations = ()
                 if self.level != "basic":
                     minimal = self.level == "minimal"

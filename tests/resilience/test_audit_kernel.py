@@ -1,19 +1,20 @@
-"""The 1-index audit slice's one pass against the oracles it replaces.
+"""The audit slice's one pass against the oracles it replaces.
 
-A 1-index slice is :func:`repro.index.stability.audit_extents`: one walk
-over the slice's extents that states what :meth:`DataGraph.check_invariants`,
-:meth:`StructuralIndex.check_invariants` over whole extents and
-:func:`depth_violations` state of the same ids.  Here
+A 1-index slice is :func:`repro.index.stability.audit_extents`, a family's
+:func:`repro.index.stability.audit_classes`: one walk over the slice's
+leaf extents that states what :meth:`DataGraph.check_invariants`, the
+structure's ``check_invariants`` over whole leaf extents and
+:func:`depth_violations` state of the same ids.  Here, for either kernel,
 
-* every 1-index row of the corruption matrices (planted where
+* every row of the corruption matrices for its structure (planted where
   ``CYCLE_MATRIX`` plants them), and a missed merge, is judged slice for
   slice by the guard (the kernel) and by the three oracles run in
-  sequence over the slice's whole extents: same exception type, same
-  definition, same pair (seeded by ``CHAOS_SEED``);
+  sequence over the slice's whole leaf extents: same exception type, same
+  definition, same pair, same ``audit_range`` (seeded by ``CHAOS_SEED``);
 * on the clean streams neither raises;
 * the kernel reads each member's own succ and pred segment once, plus one
   probe per adjacency entry, and calls no oracle on a clean slice;
-* the cut is the one ``1 + in-degree + out-degree`` over the extents
+* the cut is the one ``1 + in-degree + out-degree`` over the leaf extents
   gives, and ``/health`` shows the same figures.
 """
 
@@ -25,17 +26,19 @@ from collections import Counter
 import pytest
 
 from repro.exceptions import InvariantViolationError, StructuralIndexError
-from repro.graph.datagraph import DataGraph
+from repro.graph.datagraph import DataGraph, EdgeKind
+from repro.index.akindex import AkIndexFamily, LeafView
 from repro.index.base import StructuralIndex
 from repro.index.oneindex import OneIndex
 from repro.index import stability
-from repro.index.stability import audit_extents, depth_violations
+from repro.index.stability import audit_classes, audit_extents, depth_violations
 from repro.resilience import GuardConfig, InvariantGuard, TouchedSet
 from repro.resilience import invariants
 from repro.service import IndexService, ServiceConfig, Update
 from repro.workload.xmark import XMarkConfig
 from tests.resilience.conftest import CHAOS_SEED, edge_call
 from tests.resilience.test_local_check import (
+    AK_K,
     CYCLE_MATRIX,
     MATRIX,
     SERVED_SLICE,
@@ -56,48 +59,72 @@ ROWS = list(
         + [corrupt for family, corrupt, _ in CYCLE_MATRIX if family == "one"]
     )
 ) + [None]
+#: every family row of both matrices; the missed merge is among them
+#: (``unmerge_ak_class``: two leaf classes that sign alike)
+AK_ROWS = list(
+    dict.fromkeys(
+        [corrupt for family, corrupt in MATRIX if family == "ak"]
+        + [corrupt for family, corrupt, _ in CYCLE_MATRIX if family == "ak"]
+    )
+)
+#: rows a depth oracle sees in a slice before the totals do: above
+#: ``basic`` a cycle names Definition 4 where the unscoped check, which
+#: states every structural fact first, names none
+SEEN_FIRST_BY_DEPTH = {corrupt for family, corrupt, level in CYCLE_MATRIX if level == "basic"}
 
 
-def reference_cut(graph, index, cycle, start: int) -> tuple[int, int]:
+def leaf_members(structure, token: int):
+    """The members of a leaf inode or class, ``None`` once it is gone."""
+    if structure.kind == "one":
+        return set(structure._extent_arr[token]) if structure.has_inode(token) else None
+    return structure.levels[structure.k].extents.get(token)
+
+
+def reference_cut(graph, structure, cycle, start: int) -> tuple[int, int]:
     """Where a slice from ``cycle[start]`` ends, and its visits: whole
-    extents, ``1 + in-degree + out-degree`` per live member, until the
-    visits reach the constant."""
+    leaf extents, ``1 + in-degree + out-degree`` per live member, until
+    the visits reach the constant."""
     end, visits = start, 0
     while end < len(cycle) and visits < invariants.AUDIT_SLICE_VISITS:
-        if index.has_inode(cycle[end]):
-            for w in set(index._extent_arr[cycle[end]]):
-                if graph.has_node(w):
-                    visits += 1 + graph.in_degree(w) + graph.out_degree(w)
+        for w in leaf_members(structure, cycle[end]) or ():
+            if graph.has_node(w):
+                visits += 1 + graph.in_degree(w) + graph.out_degree(w)
         end += 1
     return end, visits
 
 
-def oracle_verdict(level: str, graph, index, ids, totals: bool):
-    """The three oracles in sequence over the whole extents of *ids*, as the
-    slice ran them before the one pass; the exception, or ``None``."""
+def oracle_verdict(level: str, graph, structure, ids, totals: bool):
+    """The three oracles in sequence over the whole leaf extents of *ids*,
+    as the slice ran them before the one pass; the exception, or ``None``."""
     dnodes: set[int] = set()
-    for inode in ids:
-        if index.has_inode(inode):
-            dnodes.update(index.extent(inode))
+    for token in ids:
+        dnodes.update(leaf_members(structure, token) or ())
     try:
         try:
             graph.check_invariants(dnodes)
-            index.check_invariants(dnodes=dnodes, inodes=ids)
-            for inode in ids:  # each extent examined slot for slot: none lists a stranger
-                if index.has_inode(inode):
-                    own = sum(
-                        1 for w in dnodes
-                        if graph.has_node(w) and index._inode_of.get(w) == inode
-                    )
-                    assert own == index.extent_size(inode), (
-                        f"extent of inode {inode} holds a dnode that is not its own"
+            if structure.kind == "one":
+                structure.check_invariants(dnodes=dnodes, inodes=ids)
+                classed, size = structure._inode_of.get, structure.extent_size
+            else:
+                structure.check_invariants(
+                    dnodes=dnodes, tokens=[(structure.k, token) for token in ids]
+                )
+                classed = structure.levels[structure.k].class_of.get
+                size = lambda token: len(structure.levels[structure.k].extents[token])  # noqa: E731
+            # each extent examined slot for slot: none lists a stranger (what
+            # the family's ``check_invariants(whole=True)`` stated)
+            own = Counter(classed(w) for w in dnodes if graph.has_node(w))
+            for token in ids:
+                if leaf_members(structure, token):
+                    assert own[token] == size(token), (
+                        f"extent of inode {token} holds a dnode that is not its own"
                     )
             if level != "basic":
-                for violation in depth_violations(index, level == "minimal", dnodes, ids):
+                for violation in depth_violations(structure, level == "minimal", dnodes, ids):
                     raise InvariantViolationError(*violation)
             if totals:
                 graph.check_totals()
-                index.check_totals()
+                structure.check_totals()
         except (AssertionError, LookupError, StructuralIndexError) as exc:
             raise InvariantViolationError(f"structural: {exc}") from exc
     except InvariantViolationError as exc:
@@ -109,11 +136,10 @@ def assert_same_verdict(kernel, oracles) -> None:
     assert type(kernel) is type(oracles), (kernel, oracles)
     if kernel is not None:
         assert kernel.definition == oracles.definition, (kernel, oracles)
-        if kernel.definition in (1, 5):
-            assert kernel.pair == oracles.pair, (kernel, oracles)
+        assert kernel.pair == oracles.pair, (kernel, oracles)
 
 
-def both_ways(level: str, graph, index):
+def both_ways(level: str, graph, structure):
     """One audit cycle through the guard, each slice also judged by the
     oracles over the same ids; the kernel's exception (the first slice that
     raises ends the cycle) or ``None``, and the slices it took."""
@@ -121,14 +147,14 @@ def both_ways(level: str, graph, index):
     slices = 0
     while True:
         start = guard._cycle_done
-        cycle = guard._cycle if start else sorted(index.inodes())
-        end, visits = reference_cut(graph, index, cycle, start)
+        cycle = guard._cycle if start else sorted(structure.leaf().inodes())
+        end, visits = reference_cut(graph, structure, cycle, start)
         ids = cycle[start:end]
-        expected = oracle_verdict(level, graph, index, ids, end == len(cycle))
+        expected = oracle_verdict(level, graph, structure, ids, end == len(cycle))
         cursor = guard.audit_cursor
         slices += 1
         try:
-            guard.check(graph, index, TouchedSet())
+            guard.check(graph, structure, TouchedSet())
         except InvariantViolationError as exc:
             assert_same_verdict(exc, expected)
             assert exc.audit_range == (cursor, ids[-1])
@@ -139,6 +165,22 @@ def both_ways(level: str, graph, index):
             assert end == len(cycle) and guard.audit_cursor == 0
             return None, slices
         assert guard.audit_cursor == cycle[end]
+
+
+def one_cycle_finds_what_the_full_check_finds(
+    level: str, graph, structure, definition: bool = True
+) -> None:
+    """... of the same type and, with *definition*, naming the same one."""
+    full = InvariantGuard(level=level)
+    try:
+        full.check(graph, structure)
+        expected = None
+    except InvariantViolationError as exc:
+        expected = exc
+    found, _ = both_ways(level, graph, structure)
+    assert type(found) is type(expected), (found, expected)
+    if found is not None and definition:
+        assert found.definition == expected.definition
 
 
 @pytest.mark.parametrize("level", LEVELS)
@@ -157,23 +199,61 @@ def test_the_kernel_and_the_oracles_agree_slice_for_slice(corrupt, level):
         clean, slices = both_ways(level, graph, index)
         assert clean is None and slices >= 4
         corrupt(graph, maintainer, outside(graph, maintainer, touched))  # as CYCLE_MATRIX
-    full = InvariantGuard(level=level)
-    try:
-        full.check(graph, index)
-        expected = None
-    except InvariantViolationError as exc:
-        expected = exc
-    found, _ = both_ways(level, graph, index)
     # ... and one cycle of them finds what the unscoped check finds
-    assert type(found) is type(expected), (found, expected)
-    if found is not None:
-        assert found.definition == expected.definition
+    one_cycle_finds_what_the_full_check_finds(level, graph, index)
 
 
-@pytest.mark.parametrize("stream", STREAMS)
-def test_neither_the_kernel_nor_the_oracles_raise_on_a_clean_stream(stream, monkeypatch):
-    """The streams of ``test_no_slice_raises_on_a_clean_stream`` (1-index):
-    before every slice the oracles judge the ids it is about to take."""
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("corrupt", AK_ROWS, ids=[c.__name__ for c in AK_ROWS])
+def test_the_family_kernel_and_the_oracles_agree_slice_for_slice(corrupt, level):
+    graph, maintainer, touched = batched("ak")
+    family = maintainer.family
+    assert family.k == AK_K
+    clean, slices = both_ways(level, graph, family)
+    assert clean is None and slices >= 4
+    corrupt(graph, maintainer, outside(graph, maintainer, touched))  # as CYCLE_MATRIX
+    one_cycle_finds_what_the_full_check_finds(
+        level, graph, family, definition=level == "basic" or corrupt not in SEEN_FIRST_BY_DEPTH
+    )
+
+
+@pytest.mark.parametrize("level", ["valid", "minimal"])
+@pytest.mark.parametrize("below", range(AK_K), ids=lambda i: f"at{i}")
+def test_a_class_below_the_leaf_is_signed_by_the_oracles_representative(below, level):
+    """A slice of one leaf class, which holds the first member of a class
+    ``below`` the leaf level but not all of it: the slice's members agree,
+    and only the member the oracle signs the class by from outside the
+    slice is made to sign otherwise — a label of its own at level 0, one
+    more parent above it."""
+    graph, maintainer, _ = batched("ak")
+    family = maintainer.family
+    leaf, inner = family.levels[AK_K], family.levels[below]
+    slice_token, representative = next(
+        (token, rep)
+        for members in inner.extents.values()
+        for token in [leaf.class_of[next(iter(members))]]
+        for rep in [next((w for w in members if w not in leaf.extents[token]), None)]
+        if rep is not None and rep != graph.root
+    )
+    if below:
+        coarser = family.levels[below - 1].class_of
+        parents = {coarser[p] for p in graph.iter_pred(representative)}
+        source = min(
+            v for v in graph.nodes() if coarser[v] not in parents and v != representative
+        )
+        graph.add_edge(source, representative, EdgeKind.IDREF)
+    else:
+        graph.relabel_node(representative, "relabelled")
+    ids = [slice_token]
+    audit = audit_classes(family, ids, 0, 1 << 30, stable=True, minimal=level == "minimal")
+    expected = oracle_verdict(level, graph, family, ids, totals=False)
+    assert audit.broken is None and expected is not None and expected.definition == 4
+    assert [violation[1:] for violation in audit.violations] == [(4, expected.pair)]
+
+
+def judge_every_slice(family: str, stream: str, monkeypatch) -> None:
+    """The streams of ``test_no_slice_raises_on_a_clean_stream``: before
+    every slice the oracles judge the ids it is about to take."""
     monkeypatch.setattr(invariants, "AUDIT_SLICE_VISITS", 900)
     monkeypatch.setattr(IndexService, "check", lambda self: None)
     judged = []
@@ -181,7 +261,7 @@ def test_neither_the_kernel_nor_the_oracles_raise_on_a_clean_stream(stream, monk
 
     def judged_slice(self, graph, structure):
         start = self._cycle_done
-        cycle = self._cycle if start else sorted(structure.inodes())
+        cycle = self._cycle if start else sorted(structure.leaf().inodes())
         end, visits = reference_cut(graph, structure, cycle, start)
         ids = cycle[start:end]
         assert oracle_verdict(self.level, graph, structure, ids, end == len(cycle)) is None
@@ -190,8 +270,21 @@ def test_neither_the_kernel_nor_the_oracles_raise_on_a_clean_stream(stream, monk
         judged.append(len(ids))
 
     monkeypatch.setattr(InvariantGuard, "_audit_slice", judged_slice)
-    _, _, guard, _ = STREAMS[stream]("one")
+    _, structure, guard, _ = STREAMS[stream](family)
+    assert structure.kind == family
     assert guard.audits >= 1 and len(judged) > guard.audits
+
+
+@pytest.mark.parametrize("stream", STREAMS)
+def test_neither_the_kernel_nor_the_oracles_raise_on_a_clean_stream(stream, monkeypatch):
+    judge_every_slice("one", stream, monkeypatch)
+
+
+@pytest.mark.parametrize("stream", STREAMS)
+def test_neither_the_family_kernel_nor_the_oracles_raise_on_a_clean_stream(
+    stream, monkeypatch
+):
+    judge_every_slice("ak", stream, monkeypatch)
 
 
 # ----------------------------------------------------------------------
@@ -216,11 +309,14 @@ class CountedPages(dict):
 
 
 class CountedSlab(array):
-    """A slab's data array that counts segment reads and membership probes."""
+    """A slab's data array that counts segment reads and membership probes,
+    and logs where each segment starts."""
 
     def __getitem__(self, key):
         if isinstance(key, slice):
             self.tally[f"{self.name} segments"] += 1
+            if key.stop > key.start:
+                self.starts[key.start] += 1
         return super().__getitem__(key)
 
     def index(self, *args):
@@ -234,24 +330,30 @@ class CountedOverlay(dict):
         return super().__contains__(key)
 
 
-def counted(graph, index, tally: Counter) -> None:
-    """Route every table the kernel reads through a counter."""
-    maps = ((graph._slot_of, "slot"), (index._inode_of, "inode"), (index._pos_of, "pos"))
+def counted(graph, index, tally: Counter) -> dict[str, Counter]:
+    """Route every table the kernel reads through a counter; returns, per
+    slab, how often the segment starting at each offset was read."""
+    maps = [(graph._slot_of, "slot")]
+    if index.kind == "one":
+        maps += [(index._inode_of, "inode"), (index._pos_of, "pos")]
     for owner, name in maps:
         owner._pages = CountedPages(owner._pages, tally, name)
+    starts = {}
     for slabs, name in ((graph._succ_slabs, "succ"), (graph._pred_slabs, "pred")):
         data = CountedSlab("q", slabs._data)
         data.tally, data.name = tally, name
+        data.starts = starts[name] = Counter()
         slabs._data = data
         for slot, overlay in list(slabs._overlay.items()):
             wrapped = CountedOverlay(overlay)
             wrapped.tally, wrapped.name = tally, name
             slabs._overlay[slot] = wrapped
+    return starts
 
 
 def never_called(name: str):
     def refuse(*args, **kwargs):
-        raise AssertionError(f"a clean 1-index slice called {name}")
+        raise AssertionError(f"a clean slice called {name}")
 
     return refuse
 
@@ -297,6 +399,69 @@ def test_one_slice_reads_each_member_once_and_calls_no_oracle(config, monkeypatc
     }
 
 
+@pytest.mark.parametrize("config", [None, XMarkConfig()], ids=["chaos", "xmark1"])
+def test_a_family_slice_reads_each_member_once_and_calls_no_oracle(config, monkeypatch):
+    graph, maintainer, _ = batched("ak") if config is None else batched("ak", config=config)
+    family = maintainer.family
+    real_check = AkIndexFamily.check_invariants
+
+    def totals_only(self, dnodes=None, tokens=None, inodes=None):
+        # (the cycle's last slice states the totals: the classes above the leaf level)
+        assert dnodes == (), "a clean slice called check_invariants"
+        return real_check(self, dnodes, tokens, inodes)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(AkIndexFamily, "check_invariants", totals_only)
+        for name in ("signature_violations", "extent_at", "class_at"):
+            patch.setattr(AkIndexFamily, name, never_called(name))
+        patch.setattr(LeafView, "extent", never_called("extent"))
+        patch.setattr(DataGraph, "iter_pred", never_called("iter_pred"))
+        patch.setattr(invariants, "_visits", never_called("_visits"))
+        patch.setattr(invariants, "depth_violations", never_called("depth_violations"))
+        guard = InvariantGuard(level="minimal")
+        while not guard.audits:  # a whole cycle through the guard, no oracle asked
+            guard._audit_slice(graph, family)
+
+    leaf = family.levels[family.k]
+    cycle = sorted(leaf.extents)
+    start = len(cycle) // 3
+    end, visits = reference_cut(graph, family, cycle, start)
+    members = [w for token in cycle[start:end] for w in leaf.extents[token]]
+    in_entries = sum(graph.in_degree(w) for w in members)
+    out_entries = sum(graph.out_degree(w) for w in members)
+    assert visits == len(members) + in_entries + out_entries
+    with_succ = {w: 1 for w in members if graph.out_degree(w)}
+    with_pred = {w: 1 for w in members if graph.in_degree(w)}
+    level_0 = {family.levels[0].class_of[w] for w in members}
+    slot_of = graph._slot_of
+    owner = {  # the dnode whose non-empty segment starts at each offset
+        name: {slabs._off[slot_of[w]]: w for w in graph.nodes() if slabs._len[slot_of[w]]}
+        for slabs, name in ((graph._succ_slabs, "succ"), (graph._pred_slabs, "pred"))
+    }
+    tally: Counter = Counter()
+    starts = counted(graph, family, tally)
+    for stable, minimal in ((False, False), (True, False), (True, True)):
+        tally.clear()
+        for counts in starts.values():
+            counts.clear()
+        audit = audit_classes(family, cycle, start, invariants.AUDIT_SLICE_VISITS, stable, minimal)
+        assert (audit.end, audit.visits, audit.broken, audit.violations) == (end, visits, None, ())
+        read = {
+            name: Counter({owner[name][offset]: times for offset, times in counts.items()})
+            for name, counts in starts.items()
+        }
+        # a member's own segments, once each; no other dnode's succ segment
+        assert tally["succ segments"] == len(members) and read["succ"] == with_succ
+        assert {w: read["pred"][w] for w in with_pred} == with_pred
+        # ... one probe of the other mirror per adjacency entry
+        assert (tally["succ probes"], tally["pred probes"]) == (in_entries, out_entries)
+        if not stable:  # (a signature also reads its representative's parents)
+            assert tally["pred segments"] == len(members)
+            # the member's slot, then each neighbour's, the root's and the
+            # first member's of each level-0 class the slice reaches
+            assert tally["slot"] == visits + 1 + len(level_0)
+
+
 # ----------------------------------------------------------------------
 # The cut
 # ----------------------------------------------------------------------
@@ -306,13 +471,33 @@ def test_one_slice_reads_each_member_once_and_calls_no_oracle(config, monkeypatc
     "budget,config", [(1024, None), (SERVED_SLICE, XMarkConfig())], ids=["tier1", "served"]
 )
 def test_the_slice_cut_is_the_degree_sum_over_whole_extents(budget, config, monkeypatch):
+    assert_the_cut_is_the_reference_cut("one", budget, config, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "budget,config", [(1024, None), (SERVED_SLICE, XMarkConfig())], ids=["tier1", "served"]
+)
+def test_a_family_slice_cut_is_the_degree_sum_over_whole_leaf_classes(
+    budget, config, monkeypatch
+):
+    assert_the_cut_is_the_reference_cut("ak", budget, config, monkeypatch)
+
+
+def assert_the_cut_is_the_reference_cut(family: str, budget: int, config, monkeypatch) -> None:
     """A seeded 16-op IDREF stream: after every commit the cursor and the
     slice's visits are the reference cut's, and ``/health`` states the
     cycle's largest slice and its length in commits as the reference does."""
     monkeypatch.setattr(invariants, "AUDIT_SLICE_VISITS", budget)
     graph, workload = prepared(17 + CHAOS_SEED) if config is None else prepared(17, config)
-    service = IndexService(graph, ServiceConfig(guard=GuardConfig(policy="raise")))
+    guarded = GuardConfig(policy="raise")
+    service = IndexService(
+        graph,
+        ServiceConfig(guard=guarded)
+        if family == "one"
+        else ServiceConfig(family=family, k=AK_K, guard=guarded),
+    )
     index = service.structure
+    assert index.kind == family
     steps = workload.steps(1 << 20, validate=False)
     cycle, start, largest, completed = [], 0, 0, 0
     trail, expected = [], []
@@ -321,7 +506,7 @@ def test_the_slice_cut_is_the_degree_sum_over_whole_extents(budget, config, monk
             service.submit(Update(*edge_call(next(steps))))
         service.flush()
         if not start:
-            cycle = sorted(index.inodes())
+            cycle = sorted(index.leaf().inodes())
         end, visits = reference_cut(graph, index, cycle, start)
         largest = max(largest, visits)
         if end == len(cycle):

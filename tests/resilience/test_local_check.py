@@ -10,12 +10,13 @@ graph (:mod:`repro.resilience.invariants`).  That is only sound if
   with the same exception type as the full one (the corruption matrix),
   while one *outside* it is the audit's to catch — that is the contract,
   and the last matrix row documents it;
-* the audit cursor — the same oracles over the next slice of whole leaf
-  extents, riding on every local check — states in one cycle everything
-  the unscoped check states (the cycle differential: every matrix row
-  planted *outside* the touched region, and the rows only a cycle can
-  see), raises on no clean stream, finds a corruption anywhere within
-  ``commits_per_full_audit`` + 1 commits, and walks deterministically;
+* the audit cursor — one pass over the next slice of whole leaf extents
+  stating what the oracles state of it, riding on every local check —
+  states in one cycle everything the unscoped check states (the cycle
+  differential: every matrix row planted *outside* the touched region,
+  and the rows only a cycle can see), raises on no clean stream, finds a
+  corruption anywhere within ``commits_per_full_audit`` + 1 commits, and
+  walks deterministically;
 * the fall-backs (no touched set, ``TouchedSet.full``, recovery) really
   take the whole-graph path and restart the cursor, and every non-empty
   commit is checked;
@@ -546,8 +547,65 @@ def empty_inner_class(graph, maintainer, touched):
     assert not family.levels[1].extents[token]
 
 
+def stray_leaf_member(graph, maintainer, touched):
+    # a leaf extent also lists a dnode classed under another leaf token, whose
+    # own classes stay consistent: only a leaf class read whole sees it
+    leaf = maintainer.family.levels[AK_K]
+    token, stranger = next(
+        (t, w)
+        for lvl, t in sorted(touched.tokens) if lvl == AK_K
+        for w in sorted(touched.dnodes) if leaf.class_of[w] != t
+    )
+    leaf.extents[token].add(stranger)
+
+
+def dead_dnode_classed_inside(graph, maintainer, touched):
+    # a childless dnode deleted from the graph and from every table but one
+    # class map below the leaf level: no extent lists it any more
+    family = maintainer.family
+    leaf = family.levels[AK_K]
+    w = next(
+        w for w in sorted(touched.dnodes)
+        if graph.out_degree(w) == 0 and len(leaf.extents[leaf.class_of[w]]) > 1
+    )
+    graph.remove_node(w)
+    for i, level in enumerate(family.levels):
+        level.extents[level.class_of[w]].discard(w)
+        if i != AK_K - 1:
+            del level.class_of[w]
+
+
+def stale_inner_child(graph, maintainer, touched):
+    # a live class below the leaf level lists, beside its own children, a
+    # live leaf class whose tree parent is another
+    family = maintainer.family
+    inner = family.levels[AK_K - 1]
+    token, child = next(
+        (t, c)
+        for lvl, t in sorted(touched.tokens) if lvl == AK_K - 1
+        for lvl_c, c in sorted(touched.tokens) if lvl_c == AK_K
+        and family.levels[AK_K].parent[c] != t
+    )
+    inner.children[token].add(child)
+
+
+def relabel_dnode(graph, maintainer, touched):
+    # a dnode takes a label of its own, its classes left as they were: its
+    # level-0 class mixes labels (a slice without it may meet that first
+    # through the representative the class is signed by)
+    graph.relabel_node(min(w for w in touched.dnodes if w != graph.root), "relabelled")
+
+
+def drop_leaf_link(graph, maintainer, touched):
+    # a leaf class's parent no longer lists it among its children
+    family = maintainer.family
+    token = min(t for lvl, t in touched.tokens if lvl == AK_K)
+    family.levels[AK_K - 1].children[family.levels[AK_K].parent[token]].discard(token)
+
+
 #: every row of ``MATRIX``, and what only a cycle can see; at ``basic`` where
-#: a depth oracle would see it first (an empty class also fails to sign)
+#: a depth oracle would see it first (an empty class also fails to sign, a
+#: relabelled dnode signs unlike its classmates)
 CYCLE_MATRIX = [(family, corrupt, "minimal") for family, corrupt in MATRIX] + [
     ("one", inflate_support, "minimal"),
     ("one", duplicate_extent_slot, "minimal"),
@@ -555,6 +613,11 @@ CYCLE_MATRIX = [(family, corrupt, "minimal") for family, corrupt in MATRIX] + [
     ("one", plant_root_impostor, "minimal"),
     ("ak", unmerge_ak_class, "minimal"),
     ("ak", empty_inner_class, "basic"),
+    ("ak", stray_leaf_member, "minimal"),
+    ("ak", dead_dnode_classed_inside, "minimal"),
+    ("ak", stale_inner_child, "minimal"),
+    ("ak", relabel_dnode, "basic"),
+    ("ak", drop_leaf_link, "minimal"),
 ]
 
 

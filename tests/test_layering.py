@@ -479,38 +479,53 @@ def called_names(nodes) -> set[str]:
     }
 
 
-def test_a_1index_audit_slice_is_one_pass_over_its_extents():
-    # the guard hands a 1-index's slice to the kernel: the frozen extents,
-    # the visit count and the depth oracle stay on the family's side
+def test_an_audit_slice_is_one_pass_over_its_leaf_extents():
+    # the guard hands either structure's slice to its kernel: no frozen
+    # extent, no visit count and no depth oracle on the guard's side
     ((_, audit_slice),) = functions_named("_audit_slice")
-    (branch,) = (
-        node for node in ast.walk(audit_slice)
-        if isinstance(node, ast.If) and ast.unparse(node.test).endswith("AkIndexFamily.kind")
-    )
-    assert "audit_extents" in called_names(branch.orelse)
-    assert not {"_visits", "extent", "depth_violations"} & called_names(branch.orelse)
-    # ... which reads the tables themselves, not through the oracles' lookups
-    ((home, kernel),) = functions_named("audit_extents")
-    assert home == "index/stability.py"
-    assert not {
-        "_visits", "extent", "depth_violations", "dnode_iparents", "iter_pred", "iter_succ",
-        "in_degree", "out_degree", "inode_of", "covers", "label", "contains", "segment",
-        "to_list",
-    } & called_names([kernel])
-    checks = [
-        ast.unparse(node) for node in ast.walk(kernel)
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "check_invariants"
+    kernels = {node.id for node in ast.walk(audit_slice) if isinstance(node, ast.Name)}
+    assert {"audit_extents", "audit_classes"} <= kernels
+    assert not {"_visits", "extent", "depth_violations"} & called_names([audit_slice])
+    # ... and each reads the tables themselves, not through the oracles' lookups
+    for name in ("audit_extents", "audit_classes"):
+        ((home, kernel),) = functions_named(name)
+        assert home == "index/stability.py"
+        assert not {
+            "_visits", "extent", "depth_violations", "dnode_iparents", "iter_pred", "iter_succ",
+            "in_degree", "out_degree", "inode_of", "covers", "label", "contains", "segment",
+            "to_list", "class_at", "extent_at",
+        } & called_names([kernel]), name
+        checks = [
+            ast.unparse(node) for node in ast.walk(kernel)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "check_invariants"
+        ]
+        assert checks == ["graph.check_invariants(())"], name  # the root's facts
+    # a family's asks the Definition 4 oracle only once a test has failed
+    def oracle_calls(tree: ast.AST) -> list[ast.Call]:
+        return [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "signature_violations"
+        ]
+
+    failed = [
+        call
+        for node in ast.walk(kernel)
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "suspect"
+        for call in oracle_calls(node)
     ]
-    assert checks == ["graph.check_invariants(())"]  # the root's facts
-    # and there is no second whole-extent path: the 1-index oracle takes no *whole*
-    (index_check,) = (
-        node
-        for cls in ast.walk(TREES["index/base.py"])
-        if isinstance(cls, ast.ClassDef) and cls.name == "StructuralIndex"
-        for node in cls.body
-        if isinstance(node, ast.FunctionDef) and node.name == "check_invariants"
-    )
-    assert "whole" not in {arg.arg for arg in index_check.args.args}
+    assert failed and failed == oracle_calls(kernel)
+    # and there is no second whole-extent path: neither structure's oracle takes *whole*
+    structures = (("index/base.py", "StructuralIndex"), ("index/akindex.py", "AkIndexFamily"))
+    for module, cls_name in structures:
+        (check,) = (
+            node
+            for cls in ast.walk(TREES[module])
+            if isinstance(cls, ast.ClassDef) and cls.name == cls_name
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and node.name == "check_invariants"
+        )
+        assert "whole" not in {arg.arg for arg in check.args.args + check.args.kwonlyargs}
 
 
 def test_the_guard_commits_one_checked_batch():
