@@ -83,10 +83,15 @@ def canonical_value(value: Any) -> str:
 
 def canonical_object(members: Mapping[str, str]) -> str:
     """The canonical text of an object whose member values are already
-    canonical texts: keys sorted, no whitespace."""
-    return "{%s}" % ",".join(
-        f"{encode_basestring_ascii(key)}:{members[key]}" for key in sorted(members)
-    )
+    canonical texts: keys sorted, no whitespace.  One join: a member
+    value (a whole graph's text, in a checkpoint) is copied once."""
+    parts = ["{"]
+    for key in sorted(members):
+        if len(parts) > 1:
+            parts.append(",")
+        parts += (encode_basestring_ascii(key), ":", members[key])
+    parts.append("}")
+    return "".join(parts)
 
 
 def canonical_array(items: Iterable[str]) -> str:

@@ -23,8 +23,14 @@ expected, so hand-edited payloads stay loadable.  v0/v1 payloads (no
 
 :func:`graph_to_dict` is the wire form and the reference;
 :func:`graph_to_json` writes the canonical JSON text of the same dict
-straight off the slab core (one scan, no dict between), which is what a
-checkpoint of a large graph pays for.
+straight off the slab core (no dict between), one oid page
+(``oid >> PAGE_BITS``, the slot map's 1 024-key page) at a time:
+:func:`graph_page_nodes` / :func:`graph_page_edges` render a page's
+entries and :func:`graph_json` joins them.  A checkpoint keeps those page
+texts and re-renders only the pages commits touched
+(:mod:`repro.store.checkpoint`); a node names its label by rank in
+:func:`graph_labels`' table, so its text holds until the set of labels in
+use changes, while edge text never names a label.
 
 ``format_version`` makes persisted payloads (checkpoints, WAL subgraph
 operations — see :mod:`repro.store`) evolvable: the reader accepts a
@@ -36,6 +42,7 @@ understands, instead of misparsing a future layout.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from typing import Any, TextIO
 
 from repro.core.codec import (
@@ -45,6 +52,7 @@ from repro.core.codec import (
     canonical_value,
     is_count,
 )
+from repro.core.intmap import PAGE_BITS
 from repro.exceptions import GraphError, SerializationError
 from repro.graph.datagraph import _OID_SHIFT, ROOT_LABEL, DataGraph, EdgeKind
 
@@ -92,26 +100,56 @@ def graph_to_dict(graph: DataGraph) -> dict[str, Any]:
     }
 
 
-def graph_to_json(graph: DataGraph) -> str:
-    """``canonical(graph_to_dict(graph))``, read off the core in bulk.
+def graph_labels(graph: DataGraph) -> tuple[list[str], dict[int, str]]:
+    """The label table: the names in use, sorted, and each interned label
+    id's wire id (the rank of its name), already as text.
 
-    One ascending pass over the oid → slot table formats every node and
-    its sorted successor segment once; no public per-dnode accessor is
-    called and no list-of-lists is built.
+    A set over the slot label array (C speed, no per-dnode call).
     """
     name_of = graph._interner.name_of
-    label_at = graph._label_at
-    used = sorted((name_of(label_id), label_id) for label_id in set(label_at) if label_id >= 0)
-    #: interned label id -> its wire id (the rank of its name), already as text
+    used = sorted(
+        (name_of(label_id), label_id) for label_id in set(graph._label_at) if label_id >= 0
+    )
     wire_of = {label_id: str(rank) for rank, (_, label_id) in enumerate(used)}
+    return [name for name, _ in used], wire_of
+
+
+def graph_pages(graph: DataGraph) -> list[int]:
+    """The numbers of the oid pages (``oid >> PAGE_BITS``) that hold a slot, ascending."""
+    return sorted(graph._slot_of._pages)
+
+
+def _page_slots(graph: DataGraph, page_no: int) -> list[tuple[int, int]]:
+    """``(oid, slot)`` of every node on oid page *page_no*, ascending."""
+    page = graph._slot_of._pages.get(page_no)
+    if page is None:
+        return []
+    base = page_no << PAGE_BITS
+    return [(base + offset, slot) for offset, slot in enumerate(page) if slot >= 0]
+
+
+def graph_page_nodes(graph: DataGraph, page_no: int, wire_of: dict[int, str]) -> str:
+    """The ``nodes`` entries of oid page *page_no*, comma-joined ("" if none).
+
+    *wire_of* is :func:`graph_labels`' second half; the text is valid for
+    as long as the set of labels in use does not change.
+    """
+    label_at = graph._label_at
     values_get = graph._values.get
+    return ",".join(
+        f"[{oid},{wire_of[label_at[slot]]},{canonical_value(values_get(oid))}]"
+        for oid, slot in _page_slots(graph, page_no)
+    )
+
+
+def graph_page_edges(graph: DataGraph, page_no: int) -> str:
+    """The ``edges`` entries whose source is on oid page *page_no*,
+    comma-joined ("" if none); each source's successor segment sorted once."""
     targets_of = graph._succ_slabs.to_list
     idref = graph._idref
     tree_kind, idref_kind = canonical(EdgeKind.TREE.value), canonical(EdgeKind.IDREF.value)
-    nodes: list[str] = []
     edges: list[str] = []
-    for oid, slot in graph._slot_of.items():
-        nodes.append(f"[{oid},{wire_of[label_at[slot]]},{canonical_value(values_get(oid))}]")
+    for oid, slot in _page_slots(graph, page_no):
         targets = targets_of(slot)
         if len(targets) > 1:
             targets.sort()
@@ -119,14 +157,40 @@ def graph_to_json(graph: DataGraph) -> str:
         for target in targets:
             kind = idref_kind if (packed_source | target) in idref else tree_kind
             edges.append(f"[{oid},{target},{kind}]")
+    return ",".join(edges)
+
+
+def graph_json(
+    graph: DataGraph, labels: list[str], nodes: Iterable[str], edges: Iterable[str]
+) -> str:
+    """The graph's canonical text from its pages' texts, in page order
+    (empty page texts are skipped)."""
     return canonical_object(
         {
             "format_version": canonical(GRAPH_FORMAT_VERSION),
-            "labels": canonical([name for name, _ in used]),
-            "nodes": canonical_array(nodes),
-            "edges": canonical_array(edges),
+            "labels": canonical(labels),
+            "nodes": canonical_array(filter(None, nodes)),
+            "edges": canonical_array(filter(None, edges)),
             "root": canonical(graph._root),
         }
+    )
+
+
+def graph_to_json(graph: DataGraph) -> str:
+    """``canonical(graph_to_dict(graph))``, read off the core in bulk.
+
+    Every oid page rendered by :func:`graph_page_nodes` and
+    :func:`graph_page_edges` and joined: the cold case of a checkpoint's
+    paged text (:class:`repro.store.checkpoint.CheckpointText`).  No
+    public per-dnode accessor is called and no list-of-lists is built.
+    """
+    labels, wire_of = graph_labels(graph)
+    pages = graph_pages(graph)
+    return graph_json(
+        graph,
+        labels,
+        [graph_page_nodes(graph, page_no, wire_of) for page_no in pages],
+        [graph_page_edges(graph, page_no) for page_no in pages],
     )
 
 

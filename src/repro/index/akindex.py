@@ -93,6 +93,7 @@ class AkIndexFamily:
         #: issued twice — restores the entry it displaced
         self.label_tokens: dict[str, int] = {}
         self._journal = None
+        self._generation = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -132,6 +133,18 @@ class AkIndexFamily:
             label(next(iter(extent))): token
             for token, extent in self.levels[0].extents.items()
         }
+
+    @property
+    def generation(self) -> int:
+        """Mutation counter, bumped by every primitive below and by
+        :meth:`_adopt_from` (an undo only follows a bump)."""
+        return self._generation
+
+    def _adopt_from(self, fresh: "AkIndexFamily") -> None:
+        """Swap every level for *fresh*'s (a rebuild keeps this object)."""
+        self.levels = fresh.levels
+        self.label_tokens = fresh.label_tokens
+        self._generation += 1
 
     # ------------------------------------------------------------------
     # Lookups
@@ -276,6 +289,7 @@ class AkIndexFamily:
         else:
             level.class_of[dnode] = token
             level.extents[token].add(dnode)
+        self._generation += 1
         if self._journal is not None:
             self._journal.record(self, "member_moved", (level_no, dnode, old, token))
         return old
@@ -298,6 +312,7 @@ class AkIndexFamily:
         else:
             displaced = self.label_tokens.get(under)
             self.label_tokens[under] = token
+        self._generation += 1
         if self._journal is not None:
             self._journal.record(self, "class_opened", (level_no, token, under, displaced))
         return token
@@ -313,6 +328,7 @@ class AkIndexFamily:
             if siblings is not None:
                 siblings.discard(token)
         children = level.children.pop(token, None)
+        self._generation += 1
         if self._journal is not None:
             self._journal.record(self, "class_closed", (level_no, token, parent, children))
 
@@ -326,6 +342,7 @@ class AkIndexFamily:
             siblings.discard(token)
         level.parent[token] = parent
         kids_of[parent].add(token)
+        self._generation += 1
         if self._journal is not None:
             self._journal.record(self, "class_reparented", (level_no, token, old, parent))
 

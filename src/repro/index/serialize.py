@@ -11,10 +11,16 @@ which collapses the dominant payload cost — dense oid runs — to one or
 two JSON characters per member.  v0/v1 payloads (absolute oids) load
 unchanged.
 
-The ``*_to_dict`` writers are the wire form and the reference; the
-``*_to_json`` emitters beside them write the canonical JSON text of the
-same dicts straight off the extent tables (a checkpoint's encoder), and
-are tested equal to ``canonical(*_to_dict(...))``.
+The ``*_to_dict`` writers are the wire form and the reference;
+:func:`structure_to_json` writes the canonical JSON text of the same
+dicts straight off the extent tables, one page at a time: a page is
+``(level, id >> PAGE_BITS)`` (a 1-index is level 0 keyed by inode id),
+:func:`structure_page` renders its extents and parent links and
+:func:`structure_json` joins pages.  A checkpoint keeps the page texts
+and re-renders only those commits touched (:mod:`repro.store.checkpoint`).
+A family's levels hold a few hundred tokens each, so there a page is
+most of a level.  All of it is tested equal to
+``canonical(structure_to_dict(...))``.
 
 Typical use: persist the graph (:mod:`repro.graph.serialize`) and its
 maintained index together, reload both, resume maintenance::
@@ -29,7 +35,8 @@ from __future__ import annotations
 
 import json
 from array import array
-from collections.abc import Collection, Iterable
+from collections.abc import Collection, Mapping
+from itertools import chain
 from typing import Any, TextIO, Type, TypeVar
 
 from repro.core.codec import (
@@ -40,6 +47,7 @@ from repro.core.codec import (
     delta_encode,
     delta_text,
 )
+from repro.core.intmap import PAGE_BITS, PAGE_SIZE
 from repro.exceptions import InvalidIndexError
 from repro.graph.datagraph import DataGraph
 from repro.graph.serialize import check_format_version
@@ -80,33 +88,6 @@ def index_to_dict(index: StructuralIndex) -> dict[str, Any]:
         ],
         "next_id": index._next_id,
     }
-
-
-def _extents_json(extents: Iterable[tuple[int, Collection[int]]]) -> str:
-    """``[[id, delta-coded extent], ...]`` as canonical text, in the order given.
-
-    Most inodes of a real document hold one dnode (48.6k of 55.4k on the
-    4x XMark corpus): a singleton is its own delta code and skips the sort.
-    """
-    entries = []
-    for ident, extent in extents:
-        if len(extent) == 1:
-            (only,) = extent
-            entries.append(f"[{ident},[{only}]]")
-        else:
-            entries.append(f"[{ident},{delta_text(sorted(extent))}]")
-    return canonical_array(entries)
-
-
-def index_to_json(index: StructuralIndex) -> str:
-    """``canonical(index_to_dict(index))``, read off the extent arrays."""
-    return canonical_object(
-        {
-            "format_version": canonical(INDEX_FORMAT_VERSION),
-            "inodes": _extents_json(sorted(index._extent_arr.items())),
-            "next_id": canonical(index._next_id),
-        }
-    )
 
 
 def index_from_dict(
@@ -190,29 +171,6 @@ def family_to_dict(family: AkIndexFamily) -> dict[str, Any]:
     return {"format_version": INDEX_FORMAT_VERSION, "k": family.k, "levels": levels}
 
 
-def family_to_json(family: AkIndexFamily) -> str:
-    """``canonical(family_to_dict(family))``, read off the level tables."""
-    levels = []
-    for level_no, level in enumerate(family.levels):
-        parents = sorted(level.parent.items()) if level_no > 0 else []
-        levels.append(
-            canonical_object(
-                {
-                    "extents": _extents_json(sorted(level.extents.items())),
-                    "parent": canonical_array(f"[{a},{b}]" for a, b in parents),
-                    "next_token": canonical(level.next_token),
-                }
-            )
-        )
-    return canonical_object(
-        {
-            "format_version": canonical(INDEX_FORMAT_VERSION),
-            "k": canonical(family.k),
-            "levels": canonical_array(levels),
-        }
-    )
-
-
 def family_from_dict(graph: DataGraph, data: dict[str, Any]) -> AkIndexFamily:
     """Rebuild an A(k) family over *graph*; validates the invariants."""
     version = check_format_version(data, INDEX_FORMAT_VERSION, InvalidIndexError)
@@ -268,11 +226,106 @@ def structure_to_dict(structure: "StructuralIndex | AkIndexFamily") -> dict[str,
     return index_to_dict(structure)
 
 
-def structure_to_json(structure: "StructuralIndex | AkIndexFamily") -> str:
-    """``canonical(structure_to_dict(structure))`` for either structure."""
+def structure_pages(structure: "StructuralIndex | AkIndexFamily") -> list[tuple[int, int]]:
+    """The ``(level, id >> PAGE_BITS)`` pages that hold an id, ascending.
+
+    A 1-index is level 0 keyed by inode id; an A(k) family's pages hold
+    the tokens of its extents and (above level 0) of its parent links.
+    """
     if structure.kind == AkIndexFamily.kind:
-        return family_to_json(structure)
-    return index_to_json(structure)
+        return sorted(
+            {
+                (level_no, token >> PAGE_BITS)
+                for level_no, level in enumerate(structure.levels)
+                for token in chain(level.extents, level.parent)
+            }
+        )
+    inode_pages = {inode >> PAGE_BITS for inode in structure._extent_arr}
+    return [(0, page_no) for page_no in sorted(inode_pages)]
+
+
+def _ids_on_page(table: Collection[int], page_no: int) -> list[int]:
+    base = page_no << PAGE_BITS
+    return [ident for ident in range(base, base + PAGE_SIZE) if ident in table]
+
+
+def _extent_entries(extents: Mapping[int, Collection[int]], ids: list[int]) -> str:
+    """``[id, delta-coded extent]`` of each of *ids*, comma-joined.
+
+    Most inodes of a real document hold one dnode (48.6k of 55.4k on the
+    4x XMark corpus): a singleton is its own delta code and skips the sort.
+    """
+    entries = []
+    for ident in ids:
+        extent = extents[ident]
+        if len(extent) == 1:
+            (only,) = extent
+            entries.append(f"[{ident},[{only}]]")
+        else:
+            entries.append(f"[{ident},{delta_text(sorted(extent))}]")
+    return ",".join(entries)
+
+
+def structure_page(
+    structure: "StructuralIndex | AkIndexFamily", level_no: int, page_no: int
+) -> tuple[str, str]:
+    """One page's ``extents`` entries and ``parent`` entries, each
+    comma-joined ("" if none; a 1-index and level 0 have no parents)."""
+    if structure.kind != AkIndexFamily.kind:
+        extents = structure._extent_arr
+        return _extent_entries(extents, _ids_on_page(extents, page_no)), ""
+    level = structure.levels[level_no]
+    parents = ""
+    if level_no:
+        parent = level.parent
+        parents = ",".join(f"[{a},{parent[a]}]" for a in _ids_on_page(parent, page_no))
+    return _extent_entries(level.extents, _ids_on_page(level.extents, page_no)), parents
+
+
+def structure_json(
+    structure: "StructuralIndex | AkIndexFamily",
+    pages: Mapping[tuple[int, int], tuple[str, str]],
+) -> str:
+    """The structure's canonical text from its pages' texts (keyed as
+    :func:`structure_pages`; empty page texts are skipped)."""
+    ordered = [(key[0], pages[key]) for key in sorted(pages)]
+    if structure.kind != AkIndexFamily.kind:
+        return canonical_object(
+            {
+                "format_version": canonical(INDEX_FORMAT_VERSION),
+                "inodes": canonical_array(filter(None, (text[0] for _, text in ordered))),
+                "next_id": canonical(structure._next_id),
+            }
+        )
+    levels = []
+    for level_no, level in enumerate(structure.levels):
+        texts = [text for at, text in ordered if at == level_no]
+        levels.append(
+            canonical_object(
+                {
+                    "extents": canonical_array(filter(None, (ext for ext, _ in texts))),
+                    "parent": canonical_array(filter(None, (par for _, par in texts))),
+                    "next_token": canonical(level.next_token),
+                }
+            )
+        )
+    return canonical_object(
+        {
+            "format_version": canonical(INDEX_FORMAT_VERSION),
+            "k": canonical(structure.k),
+            "levels": canonical_array(levels),
+        }
+    )
+
+
+def structure_to_json(structure: "StructuralIndex | AkIndexFamily") -> str:
+    """``canonical(structure_to_dict(structure))`` for either structure.
+
+    Every page rendered by :func:`structure_page` and joined: the cold
+    case of a checkpoint's paged text.
+    """
+    pages = structure_pages(structure)
+    return structure_json(structure, {key: structure_page(structure, *key) for key in pages})
 
 
 def structure_from_dict(

@@ -31,6 +31,11 @@ class Structure(Protocol):
     #: the leaf level of an A(k) family; 0 for a 1-index, which has no bound
     k: int
 
+    @property
+    def generation(self) -> int:
+        """A counter every mutation bumps: one comparison tells whether
+        anything changed since a caller last looked."""
+
     def leaf(self) -> Any:
         """The live read surface a published version freezes
         (``inodes`` / ``has_inode`` / ``extent`` / ``label_of`` / ``isucc`` /

@@ -87,9 +87,7 @@ class AkSplitMergeMaintainer:
         Replaces every level with a fresh minimum construction; tokens
         are not preserved across a rebuild.
         """
-        fresh = AkIndexFamily.build(self.graph, self.family.k)
-        self.family.levels = fresh.levels
-        self.family.label_tokens = fresh.label_tokens
+        self.family._adopt_from(AkIndexFamily.build(self.graph, self.family.k))
 
     # ------------------------------------------------------------------
     # Node insertion / deletion (composed from the edge machinery)

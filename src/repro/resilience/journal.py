@@ -174,8 +174,9 @@ class TouchedSet:
             if level == target.k:
                 self.inodes.add(token)
         elif op == "class_reparented":
-            level, _, old, new = payload
-            self.tokens.update(((level - 1, old), (level - 1, new)))
+            # the class's own parent link changed, and both parents' child sets
+            level, token, old, new = payload
+            self.tokens.update(((level, token), (level - 1, old), (level - 1, new)))
         # unknown ops fall through silently: the journal's rollback path
         # is the format authority and raises on drift
 

@@ -15,11 +15,19 @@ CRC envelope of :mod:`repro.core.codec`::
         "index": {...}         # repro.index.serialize.structure_to_dict
     }}
 
-The file is written as text, not from those dicts: :func:`write_checkpoint`
-joins :func:`~repro.graph.serialize.graph_to_json` and
-:func:`~repro.index.serialize.structure_to_json` — emitters that read the
-slab core in bulk and are tested byte-equal to the canonical JSON of the
-dict writers, which stay the reference and the public wire form.
+The file is written as text, not from those dicts, and the text is kept
+between checkpoints one 1 024-key page at a time (:class:`CheckpointText`,
+held by the :class:`Checkpointer`): each commit's
+:class:`~repro.resilience.journal.TouchedSet` marks the pages it changed,
+and a cadence checkpoint re-renders only those and joins the rest, so its
+encoding costs O(touched pages) — the bytes it writes are still the whole
+file.  :func:`~repro.graph.serialize.graph_to_json` and
+:func:`~repro.index.serialize.structure_to_json` are the same renderers
+run over every page (the first checkpoint of a process, and
+:func:`write_checkpoint` without pages); all of it is tested byte-equal to
+the canonical JSON of the dict writers, which stay the reference and the
+public wire form.  ``/health`` reports the pages the last checkpoint
+rendered of those it holds (``last_checkpoint_pages``).
 
 It is written **atomically**: serialise to ``<name>.tmp``, flush + fsync,
 then ``os.replace`` onto the final name (and fsync the directory).  A crash
@@ -44,14 +52,31 @@ from functools import partial
 from typing import Any, Optional
 
 from repro.core.codec import canonical, canonical_object, seal_canonical, unseal
+from repro.core.intmap import PAGE_BITS
 from repro.exceptions import CheckpointError
 from repro.graph.datagraph import DataGraph
-from repro.graph.serialize import check_format_version, graph_from_dict, graph_to_json
-from repro.index.serialize import structure_from_dict, structure_to_json
+from repro.graph.serialize import (
+    check_format_version,
+    graph_from_dict,
+    graph_json,
+    graph_labels,
+    graph_page_edges,
+    graph_page_nodes,
+    graph_pages,
+    graph_to_json,
+)
+from repro.index.serialize import (
+    structure_from_dict,
+    structure_json,
+    structure_page,
+    structure_pages,
+    structure_to_json,
+)
 from repro.index.structure import KINDS, Structure
 from repro.maintenance import maintainer_for
 from repro.obs import current as current_obs
 from repro.resilience.faults import FaultInjector
+from repro.resilience.journal import TouchedSet
 from repro.store.wal import TMP_SUFFIX, WriteAheadLog, replace_file
 
 #: current checkpoint format version; bump on structural changes.
@@ -107,6 +132,132 @@ class Checkpoint:
         return graph, maintainer_for(structure)
 
 
+class CheckpointText:
+    """The last checkpoint's graph and structure text, one entry per page.
+
+    A page is the :class:`~repro.core.intmap.PagedIntMap`'s 1 024-key
+    page: a graph page holds the ``nodes`` and the ``edges`` entries of
+    the oids ``[p << PAGE_BITS, (p + 1) << PAGE_BITS)``, a structure
+    page ``(level, p)`` the extents (and, above level 0, the parent
+    links) of the ids in that range.  :meth:`mark` folds a commit's
+    :class:`~repro.resilience.journal.TouchedSet` into dirty page
+    numbers; :meth:`render` re-renders only those pages and joins them
+    with the rest, unchanged.  The text is byte-equal to
+    :func:`~repro.graph.serialize.graph_to_json` /
+    :func:`~repro.index.serialize.structure_to_json` of the live pair:
+    those functions are the cold case of the same renderers.
+
+    A node entry names its label by rank among the labels in use, so
+    when that set changes every page's node text is re-rendered (edge
+    text never names a label and keeps its pages).  The pages hold only
+    while every change to the pair since they were rendered went through
+    :meth:`mark`: they are stamped with the pair's ``generation``
+    counters, and a pair that moved past its stamp unmarked — a
+    rolled-back batch, a mutation no journal saw — or that is not the
+    pair the pages came from is rendered whole, as is the first render
+    and the one after ``touched.full``.  Marks clear only once a render
+    succeeds.
+    """
+
+    def __init__(self) -> None:
+        #: the (graph, structure) pair the pages hold; ``None`` = no pages
+        self._source: Optional[tuple[DataGraph, Structure]] = None
+        #: the pair's generations the pages plus the marks account for
+        self._stamp: tuple[int, int] = (-1, -1)
+        self._labels: list[str] = []
+        self._nodes: dict[int, str] = {}
+        self._edges: dict[int, str] = {}
+        self._structure: dict[tuple[int, int], tuple[str, str]] = {}
+        self._dirty_graph: set[int] = set()
+        self._dirty_structure: set[tuple[int, int]] = set()
+        #: ``(pages rendered, pages held)`` by the last :meth:`render`
+        self.last_pages: Optional[tuple[int, int]] = None
+
+    def expect(self) -> None:
+        """Drop every page unless the pair they hold is as the last mark or
+        render left it (called before a commit applies)."""
+        if self._source is not None and _stamp(self._source[1]) != self._stamp:
+            self._drop()
+
+    def mark(self, touched: TouchedSet, structure: Structure) -> None:
+        """Fold *touched* — what the commit since :meth:`expect` changed in
+        *structure* and its graph — into the dirty pages.
+
+        ``dnodes`` mark graph pages; ``inodes`` (1-index inodes, A(k) leaf
+        tokens) mark pages of the leaf level ``structure.k``; ``tokens``
+        mark ``(level, page)``.  ``touched.full`` drops every page: the
+        index was rebuilt, and a full set records no further dnodes.
+        """
+        if self._source is None:
+            return
+        if touched.full:
+            self._drop()
+            return
+        self._dirty_graph.update(dnode >> PAGE_BITS for dnode in touched.dnodes)
+        leaf = structure.k
+        self._dirty_structure.update((leaf, inode >> PAGE_BITS) for inode in touched.inodes)
+        self._dirty_structure.update(
+            (level, token >> PAGE_BITS) for level, token in touched.tokens if token is not None
+        )
+        self._stamp = _stamp(structure)
+
+    def _drop(self) -> None:
+        self._source = None
+        self._nodes, self._edges, self._structure = {}, {}, {}
+        self._dirty_graph, self._dirty_structure = set(), set()
+
+    def render(self, graph: DataGraph, structure: Structure) -> tuple[str, str]:
+        """The canonical graph and structure texts of the live pair,
+        re-rendering only the dirty pages."""
+        labels, wire_of = graph_labels(graph)
+        source, stamp = self._source, _stamp(structure)
+        if (
+            source is None
+            or source[0] is not graph
+            or source[1] is not structure
+            or stamp != self._stamp
+        ):
+            nodes: dict[int, str] = {}
+            edges: dict[int, str] = {}
+            pages: dict[tuple[int, int], tuple[str, str]] = {}
+            edge_pages = graph_pages(graph)
+            node_pages = edge_pages
+            structure_keys = structure_pages(structure)
+        else:
+            nodes, edges, pages = dict(self._nodes), dict(self._edges), dict(self._structure)
+            edge_pages = self._dirty_graph
+            node_pages = edge_pages if labels == self._labels else edge_pages | nodes.keys()
+            structure_keys = self._dirty_structure
+        for page_no in node_pages:
+            _keep(nodes, page_no, graph_page_nodes(graph, page_no, wire_of))
+        for page_no in edge_pages:
+            _keep(edges, page_no, graph_page_edges(graph, page_no))
+        for key in structure_keys:
+            _keep(pages, key, structure_page(structure, *key))
+        graph_text = graph_json(
+            graph, labels, [nodes[p] for p in sorted(nodes)], [edges[p] for p in sorted(edges)]
+        )
+        structure_text = structure_json(structure, pages)
+        self._source, self._stamp, self._labels = (graph, structure), stamp, labels
+        self._nodes, self._edges, self._structure = nodes, edges, pages
+        self._dirty_graph, self._dirty_structure = set(), set()
+        held = len(nodes.keys() | edges.keys()) + len(pages)
+        self.last_pages = (len(node_pages) + len(structure_keys), held)
+        return graph_text, structure_text
+
+
+def _stamp(structure: Structure) -> tuple[int, int]:
+    return structure.graph.generation, structure.generation
+
+
+def _keep(table: dict, key: Any, text: Any) -> None:
+    """Hold a page's text; a page left empty goes."""
+    if text and text != ("", ""):
+        table[key] = text
+    else:
+        table.pop(key, None)
+
+
 def write_checkpoint(
     directory: str,
     graph: DataGraph,
@@ -115,6 +266,7 @@ def write_checkpoint(
     wal_lsn: int,
     version: int,
     fault_injector: Optional[FaultInjector] = None,
+    text: Optional[CheckpointText] = None,
 ) -> str:
     """Atomically write *graph* and *structure* as one checkpoint file;
     returns its path.
@@ -122,15 +274,23 @@ def write_checkpoint(
     The tmp-write / fsync / rename sequence guarantees no reader ever
     selects a partial file; *fault_injector* (io hook) can kill the
     sequence between any two of those steps for the atomicity tests.
-    The ``store.checkpoint`` span and ``store.checkpoint_write_seconds``
-    cover the encoding as well as the write: at scale the encoding is
-    most of the stall.
+    With *text*, the pair's text comes from those pages (only the dirty
+    ones re-rendered); without, it is rendered whole.  The
+    ``store.checkpoint`` span and ``store.checkpoint_write_seconds``
+    cover the encoding as well as the write.
     """
     kind = structure.kind
     final_path = os.path.join(directory, checkpoint_name(wal_lsn))
     obs = current_obs()
     started = time.perf_counter()
     with obs.span("store.checkpoint", lsn=wal_lsn, kind=kind) as span:
+        if text is None:
+            graph_text, structure_text = graph_to_json(graph), structure_to_json(structure)
+        else:
+            graph_text, structure_text = text.render(graph, structure)
+            rendered, held = text.last_pages
+            span.set(pages_rendered=rendered, pages=held)
+            obs.add("store.checkpoint_pages_rendered", rendered)
         document = seal_canonical(
             canonical_object(
                 {
@@ -139,8 +299,8 @@ def write_checkpoint(
                     "k": canonical(structure.k),
                     "wal_lsn": canonical(wal_lsn),
                     "version": canonical(version),
-                    "graph": graph_to_json(graph),
-                    "index": structure_to_json(structure),
+                    "graph": graph_text,
+                    "index": structure_text,
                 }
             )
         )
@@ -282,6 +442,11 @@ class Checkpointer:
         #: ``None`` until this process has written one
         self.last_checkpoint_ms: Optional[float] = None
         self.last_checkpoint_bytes: Optional[int] = None
+        #: ``(pages rendered, pages held)`` of that checkpoint's text
+        self.last_checkpoint_pages: Optional[tuple[int, int]] = None
+        #: the last checkpoint's text, per page; the store marks what
+        #: each commit changed (``text.expect`` / ``text.mark``)
+        self.text = CheckpointText()
 
     def note_record(self) -> bool:
         """Count one appended WAL record; report whether a checkpoint is due."""
@@ -292,7 +457,11 @@ class Checkpointer:
         )
 
     def checkpoint(self, graph: DataGraph, structure: Structure, *, version: int) -> str:
-        """Snapshot now, truncate the WAL behind it, prune old checkpoints."""
+        """Snapshot now, truncate the WAL behind it, prune old checkpoints.
+
+        The text is :attr:`text`'s: only the pages marked since the last
+        checkpoint (or every page, when it holds none) are rendered.
+        """
         started = time.perf_counter()
         lsn = self.wal.last_lsn
         path = write_checkpoint(
@@ -302,6 +471,7 @@ class Checkpointer:
             wal_lsn=lsn,
             version=version,
             fault_injector=self.fault_injector,
+            text=self.text,
         )
         self.wal.truncate_upto(lsn)
         prune_checkpoints(self.directory, keep=self.keep)
@@ -309,4 +479,5 @@ class Checkpointer:
         self.checkpoints_written += 1
         self.last_checkpoint_ms = (time.perf_counter() - started) * 1e3
         self.last_checkpoint_bytes = os.path.getsize(path)
+        self.last_checkpoint_pages = self.text.last_pages
         return path

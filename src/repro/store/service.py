@@ -166,13 +166,17 @@ class ServiceStore:
         Called before the batch is applied, while failing is free: a
         batch the log cannot carry — a value that is not JSON — raises
         :class:`SerializationError` here and nothing has changed.
-        Returns the wire-encoded ops and the record line.
+        Returns the wire-encoded ops and the record line.  The
+        checkpointer's pages outlive this commit only if nothing changed
+        the live pair since the last one (its ``expect``).
         """
         ops = batch_to_wire(calls)
         try:
-            return ops, encode_record(self.wal.next_lsn, ops)
+            record = ops, encode_record(self.wal.next_lsn, ops)
         except (TypeError, ValueError) as exc:
             raise SerializationError(f"the log cannot carry this batch: {exc}") from exc
+        self.checkpointer.text.expect()
+        return record
 
     def log(self, service: IndexService, ops: list, line: bytes) -> None:
         """Log one applied batch, as :meth:`encode` lowered it; checkpoint
@@ -191,11 +195,17 @@ class ServiceStore:
             service.fence(current)
             raise StalePrimaryError(self.epoch, current)
         self.wal.append(ops, line)
+        self.checkpointer.text.mark(service.guarded.touched, service.structure)
         if self.checkpointer.note_record():
             self.checkpoint(service, service.version + 1)
 
     def checkpoint(self, service: IndexService, version: int) -> str:
-        """Write *service*'s live pair as *version* (its writer lock held)."""
+        """Write *service*'s live pair as *version* (its writer lock held).
+
+        Only the pages the commits since the last checkpoint marked are
+        re-rendered — every page if the pair changed since the last
+        commit (a rolled-back batch) or a rebuild dropped them.
+        """
         return self.checkpointer.checkpoint(service.graph, service.structure, version=version)
 
     def health(self) -> dict:
@@ -212,6 +222,7 @@ class ServiceStore:
             "records_since_checkpoint": self.checkpointer.records_since_checkpoint,
             "last_checkpoint_ms": self.checkpointer.last_checkpoint_ms,
             "last_checkpoint_bytes": self.checkpointer.last_checkpoint_bytes,
+            "last_checkpoint_pages": self.checkpointer.last_checkpoint_pages,
         }
 
     def close(self) -> None:

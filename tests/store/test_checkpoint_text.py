@@ -1,7 +1,7 @@
 """The checkpoint is written as text off the slab core; the dict writers
 are the reference it must equal, byte for byte.
 
-Four pins:
+Six pins:
 
 * **differential** — ``*_to_json(x) == canonical(*_to_dict(x))`` over
   Hypothesis graphs (values of every JSON type, escape-heavy and
@@ -14,11 +14,21 @@ Four pins:
 * **no per-dnode accessor** — the public accessors the dict writers walk
   are not called once during ``write_checkpoint``, at 1x and at 4x;
 * **no orphan** — a ``.tmp`` left by a fault before the rename is gone
-  after the next checkpoint, and recovery reads the same state.
+  after the next checkpoint, and recovery reads the same state;
+* **paged** — a durable service's checkpoint text, kept per 1 024-key
+  page and re-rendered where commits marked it, equals the dict writers
+  after every commit of a seeded churn (1-index, A(2), A(4)), through a
+  new label and its last node's removal, a rolled-back batch, a degrade
+  rebuild, faulted checkpoints, recovery, emptied and freshly opened
+  pages; every entry whose text changed was marked by the commit;
+* **work** — a checkpoint renders the touched pages and no others (every
+  node half after a label change), with no per-dnode accessor.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import os
 import random
 from pathlib import Path
@@ -28,6 +38,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.codec import canonical, seal
+from repro.core.intmap import PAGE_BITS
 from repro.exceptions import InjectedFaultError
 from repro.graph.datagraph import DataGraph, EdgeKind
 from repro.graph.serialize import graph_to_dict, graph_to_json
@@ -36,18 +47,20 @@ from repro.index.base import StructuralIndex
 from repro.index.oneindex import OneIndex
 from repro.index.serialize import (
     family_to_dict,
-    family_to_json,
     index_to_dict,
-    index_to_json,
+    structure_pages,
     structure_to_dict,
     structure_to_json,
 )
 from repro.maintenance import maintainer_for
 from repro.resilience.faults import FaultInjector
-from repro.service import IndexService, Update
+from repro.resilience.journal import Transaction
+from repro.service import IndexService, ServiceConfig, Update
 from repro.store import StoreConfig, recover
+from repro.store import checkpoint as checkpoint_module
 from repro.store.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
+    checkpoint_lsn,
     checkpoint_name,
     list_checkpoints,
     write_checkpoint,
@@ -145,10 +158,10 @@ def graphs(draw) -> DataGraph:
 def test_the_emitters_write_the_canonical_text_of_the_dicts(graph, k):
     assert graph_to_json(graph) == canonical(graph_to_dict(graph))
     index = OneIndex.build(graph)
-    assert index_to_json(index) == canonical(index_to_dict(index))
+    assert structure_to_json(index) == canonical(index_to_dict(index))
     assert structure_to_json(index) == canonical(structure_to_dict(index))
     family = AkIndexFamily.build(graph, k)
-    assert family_to_json(family) == canonical(family_to_dict(family))
+    assert structure_to_json(family) == canonical(family_to_dict(family))
     assert structure_to_json(family) == canonical(structure_to_dict(family))
 
 
@@ -324,3 +337,375 @@ def test_a_tmp_left_before_the_rename_is_pruned_and_changes_nothing(store_dir):
     again = IndexService.recover(store_dir, store_config=config)
     assert again.version == 2 and again.snapshot.fingerprint() == fingerprint
     again.close(checkpoint=False)
+
+
+# ----------------------------------------------------------------------
+# (e) The paged text follows every commit
+# ----------------------------------------------------------------------
+
+#: two oid pages; a 1-index's inode ids end just short of its second page
+PAGED_XMARK = XMarkConfig(
+    num_items=38,
+    num_persons=44,
+    num_open_auctions=30,
+    num_closed_auctions=20,
+    num_categories=10,
+)
+
+
+def text_entries(graph, structure) -> dict:
+    """Every entry of the checkpoint text, off the dict writers, under the
+    key a commit must mark for it: ``("dnode", oid)`` for a node entry and
+    a source's edge entries, ``("class", level, id)`` for an extent and a
+    parent link."""
+    graph_dict = graph_to_dict(graph)
+    entries: dict = {}
+    for oid, label, value in graph_dict["nodes"]:
+        entries[("dnode", oid)] = [graph_dict["labels"][label], value]
+    for source, target, kind in graph_dict["edges"]:
+        entries.setdefault(("edges", source), []).append((target, kind))
+    payload = structure_to_dict(structure)
+    levels = payload.get("levels", [{"extents": payload.get("inodes", []), "parent": []}])
+    for level_no, level in enumerate(levels):
+        for ident, extent in level["extents"]:
+            entries[("class", level_no, ident)] = extent
+        for ident, parent in level["parent"]:
+            entries[("parent", level_no, ident)] = parent
+    return entries
+
+
+def edge_update(step) -> Update:
+    op, source, target = step
+    if op == "insert":
+        return Update.insert_edge(source, target, EdgeKind.IDREF)
+    return Update.delete_edge(source, target)
+
+
+class PagedRun:
+    """A durable service whose checkpoint text is checked after every commit.
+
+    The marks each commit hands the checkpointer are recorded; after the
+    commit, every entry whose text changed must be under one of them, the
+    checkpointer's text (rendered on a copy, so the check itself renders
+    nothing) must equal the dict writers, and a checkpoint the commit
+    wrote must be the reference file byte for byte.
+    """
+
+    def __init__(self, monkeypatch):
+        #: checkpoints that rendered every page (the cold path lists them)
+        self.colds = 0
+        self.probing = False
+        listing = checkpoint_module.graph_pages
+
+        def counting(graph):
+            self.colds += not self.probing
+            return listing(graph)
+
+        monkeypatch.setattr(checkpoint_module, "graph_pages", counting)
+
+    def adopt(self, service: IndexService) -> None:
+        self.service = service
+        self.marks: list[tuple] = []
+        text = service.checkpointer.text
+        mark = text.mark
+
+        def recording(touched, structure):
+            self.marks.append(
+                (set(touched.dnodes), set(touched.inodes), set(touched.tokens), touched.full)
+            )
+            mark(touched, structure)
+
+        text.mark = recording
+        self.entries = text_entries(service.graph, service.structure)
+        self.written = 0  # a fresh service wrote checkpoint 0, a recovered one none
+        if service.checkpointer.checkpoints_written:
+            self.verify_checkpoint()
+
+    def commit(self, *updates: Update) -> None:
+        for update in updates:
+            self.service.submit(update)
+        while self.service.flush() is not None:  # a commit per batch bound
+            self.verify()
+
+    def verify(self) -> None:
+        service = self.service
+        graph, structure = service.graph, service.structure
+        entries = text_entries(graph, structure)
+        if not any(full for *_, full in self.marks):
+            dnodes = set().union(*(m[0] for m in self.marks))
+            inodes = set().union(*(m[1] for m in self.marks))
+            tokens = set().union(*(m[2] for m in self.marks))
+            for key in entries.keys() | self.entries.keys():
+                if entries.get(key) == self.entries.get(key):
+                    continue
+                if key[0] in ("dnode", "edges"):
+                    assert key[1] in dnodes, f"unmarked text change {key}"
+                else:
+                    _, level, ident = key
+                    assert (level, ident) in tokens or (
+                        level == structure.k and ident in inodes
+                    ), f"unmarked text change {key}"
+        self.marks.clear()
+        self.entries = entries
+        self.probing = True
+        text = copy.copy(service.checkpointer.text).render(graph, structure)
+        self.probing = False
+        assert text == (canonical(graph_to_dict(graph)), canonical(structure_to_dict(structure)))
+        if service.checkpointer.checkpoints_written != self.written:
+            self.verify_checkpoint()
+
+    def verify_checkpoint(self) -> None:
+        """The newest checkpoint file is the dict writers' document."""
+        service = self.service
+        self.written = service.checkpointer.checkpoints_written
+        newest = list_checkpoints(service.store_dir)[-1]
+        lsn = checkpoint_lsn(newest)
+        assert lsn == service.wal.last_lsn
+        assert Path(service.store_dir, newest).read_bytes() == reference_document(
+            service.graph, service.structure, wal_lsn=lsn, version=service.version
+        )
+
+
+def graft(base: int, rng: random.Random) -> tuple[DataGraph, int]:
+    """A twelve-node subtree whose oids start at *base* (a fresh page)."""
+    sub = DataGraph()
+    top = sub.add_node("item", "grafted", oid=base)
+    for offset in range(1, 12):
+        node = sub.add_node(rng.choice(["name", "item", "é"]), offset, oid=base + offset)
+        sub.add_edge(rng.choice(sorted(sub.nodes())[:offset]), node)
+    return sub, top
+
+
+@pytest.mark.parametrize("family,k", [("one", 0), ("ak", 2), ("ak", 4)])
+def test_the_paged_text_follows_every_commit(family, k, tmp_path, monkeypatch):
+    rng = random.Random(211 + CRASH_SEED)
+    graph = generate_xmark(PAGED_XMARK).graph
+    steps = MixedUpdateWorkload.prepare(graph, seed=37 + CRASH_SEED).steps(1000)
+    store_dir = str(tmp_path / "store")
+    store_config = StoreConfig(fsync="off", checkpoint_every_records=3)
+    config = ServiceConfig(family=family, k=k)
+    run = PagedRun(monkeypatch)
+    run.adopt(IndexService(graph, config, store_dir=store_dir, store_config=store_config))
+    assert run.colds == 1  # checkpoint 0 renders every page
+    service = run.service
+    guard = service.guarded
+    inode_pages = set(structure_pages(service.structure))
+    written = 1
+
+    def churn(commits: int) -> None:
+        for _ in range(commits):
+            run.commit(*(edge_update(next(steps)) for _ in range(rng.randint(1, 6))))
+
+    churn(7)
+    # new labels: every node half is re-rendered; under a 1-index each new
+    # label's inode takes a fresh id, enough of them to open a page
+    fresh_ids = 1026 - service.structure._next_id if family == "one" else 0
+    labels = [f"brand-new-{i}" for i in range(max(6, fresh_ids))]
+    anchor = rng.choice([oid for oid in service.graph.nodes() if service.graph.out_degree(oid)])
+    run.commit(*(Update.insert_node(anchor, label, "é") for label in labels))
+    fresh = [oid for label in labels for oid in service.graph.nodes_with_label(label)]
+    if family == "one":
+        assert inode_pages == {(0, 0)} != set(structure_pages(service.structure))
+    # an explicit checkpoint; then a degrade rebuild (touched.full), which
+    # renames every inode, drops every page
+    service.checkpoint()
+    run.verify_checkpoint()
+    colds, degradations = run.colds, guard.stats.degradations
+    guard.fault_injector = FaultInjector(at_record=1)
+    run.commit(edge_update(next(steps)))
+    assert guard.stats.degradations == degradations + 1
+    guard.fault_injector = None
+    service.checkpoint()
+    run.verify_checkpoint()
+    assert run.colds == colds + 1
+    churn(2)
+    # the new labels' last nodes go
+    run.commit(*map(Update.delete_node, fresh))
+    # fresh oids open a page; deleting them empties it
+    pages_before = graph_pages_of(service)
+    base = ((max(service.graph.nodes()) >> PAGE_BITS) + 2) << PAGE_BITS
+    sub, top = graft(base, rng)
+    run.commit(Update.add_subgraph(sub, top, [(anchor, top)], preserve_oids=True))
+    assert base >> PAGE_BITS in graph_pages_of(service) - pages_before
+    churn(2)
+    run.commit(Update.delete_subgraph(top))
+    assert graph_pages_of(service) == pages_before
+    # a batch rolled back inside maintenance (after its first mutations);
+    # the next commit carries on
+    rollbacks = guard.stats.rollbacks
+    guard.config = dataclasses.replace(guard.config, policy="raise")
+    guard.fault_injector = FaultInjector(at_record=3)
+    service.submit(Update.insert_node(anchor, "item", "rolled back"))
+    with pytest.raises(InjectedFaultError):
+        service.flush()
+    assert guard.stats.rollbacks == rollbacks + 1
+    guard.config = config.guard
+    guard.fault_injector = None
+    churn(2)
+    # a change no journal saw (the graph mutated behind the guard's back):
+    # the next commit starts from no pages, and its checkpoint from every one
+    service.checkpoint()
+    run.verify_checkpoint()
+    colds = run.colds
+    first, last = min(service.graph.nodes()), max(service.graph.nodes())
+    assert first >> PAGE_BITS != last >> PAGE_BITS
+    service.graph.set_value(last, "behind the guard")
+    run.entries = text_entries(service.graph, service.structure)
+    run.commit(Update.set_value(first, "through the guard"))
+    service.checkpoint()
+    run.verify_checkpoint()
+    assert run.colds == colds + 1
+    # an explicit checkpoint, then faults at the tmp write and the rename
+    churn(1)
+    service.checkpoint()
+    run.verify_checkpoint()
+    for at_io in (1, 2):
+        churn(1)
+        service.checkpointer.fault_injector = FaultInjector(at_io=at_io)
+        with pytest.raises(InjectedFaultError):
+            service.checkpoint()
+        service.checkpointer.fault_injector = None
+        run.verify()
+    service.checkpoint()
+    run.verify_checkpoint()
+    churn(5)
+    written += service.checkpointer.checkpoints_written
+    service.close(checkpoint=False)
+    # recovery: its first checkpoint renders every page
+    colds = run.colds
+    run.adopt(IndexService.recover(store_dir, config, store_config=store_config))
+    churn(6)
+    assert run.colds > colds
+    written += run.service.checkpointer.checkpoints_written
+    assert run.colds < written  # the rest re-rendered the marked pages only
+    run.service.close(checkpoint=False)
+
+
+@pytest.mark.parametrize("family", ["one", "ak"])
+def test_a_structure_changed_behind_the_journal_is_rendered_whole(family, tmp_path):
+    """The pages' stamp holds the structure's generation too: a change
+    that leaves the graph alone and no mark — a move made directly, a
+    journal rolled back outside any commit, a rebuild — is written."""
+    service = IndexService(
+        generate_xmark(PAGED_XMARK).graph,
+        ServiceConfig(family=family, k=2),
+        store_dir=str(tmp_path / "store"),
+        store_config=StoreConfig(fsync="off", checkpoint_every_records=0),
+    )
+    graph, structure = service.graph, service.structure
+    leaf = next(oid for oid in sorted(graph.nodes()) if not graph.out_degree(oid))
+    held = service.checkpointer.last_checkpoint_pages[1]
+
+    def checkpoint_is_whole_and_exact() -> None:
+        generation = graph.generation
+        path = service.checkpoint()
+        assert graph.generation == generation
+        assert service.checkpointer.last_checkpoint_pages == (held, held)
+        assert Path(path).read_bytes() == reference_document(
+            graph, structure, wal_lsn=service.wal.last_lsn, version=service.version
+        )
+
+    def move_behind_the_journal() -> None:
+        if family == "one":
+            structure.move_dnode(leaf, structure.new_inode(graph.label(leaf)))
+        else:
+            classes = structure.levels[structure.k].extents
+            other = next(t for t in classes if leaf not in classes[t] and len(classes[t]) > 1)
+            structure.move(structure.k, leaf, other)
+
+    move_behind_the_journal()
+    checkpoint_is_whole_and_exact()
+    txn = Transaction(graph, structure).begin()
+    move_behind_the_journal()
+    txn.rollback()
+    checkpoint_is_whole_and_exact()
+    service.guarded.maintainer.rebuild_from_graph()
+    checkpoint_is_whole_and_exact()
+    service.close(checkpoint=False)
+
+
+def graph_pages_of(service: IndexService) -> set[int]:
+    """The oid pages holding a node of *service*'s graph."""
+    return {oid >> PAGE_BITS for oid in service.graph.nodes()}
+
+
+# ----------------------------------------------------------------------
+# (f) The work pin: the touched pages, nothing else, and no accessor
+# ----------------------------------------------------------------------
+
+#: six oid pages; four inode pages under a 1-index
+WORK_XMARK = XMarkConfig(
+    num_items=150,
+    num_persons=200,
+    num_open_auctions=125,
+    num_closed_auctions=75,
+    num_categories=25,
+)
+
+RENDERERS = ("graph_page_nodes", "graph_page_edges", "structure_page")
+
+
+@pytest.mark.parametrize("family", ["one", "ak"])
+def test_a_checkpoint_renders_the_touched_pages_only(family, tmp_path, monkeypatch):
+    rng = random.Random(307 + CRASH_SEED)
+    graph = generate_xmark(WORK_XMARK).graph
+    steps = MixedUpdateWorkload.prepare(graph, seed=41 + CRASH_SEED).steps(200)
+    service = IndexService(
+        graph,
+        ServiceConfig(family=family, k=2),
+        store_dir=str(tmp_path / "store"),
+        store_config=StoreConfig(fsync="off", checkpoint_every_records=0),
+    )
+    rendered, held = service.checkpointer.last_checkpoint_pages
+    assert rendered == held >= 8
+    calls = dict.fromkeys(RENDERERS + tuple(name for _, name in WALKED_BY_THE_DICT_WRITERS), 0)
+
+    def counting(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    for name in RENDERERS:
+        monkeypatch.setattr(
+            checkpoint_module, name, counting(name, getattr(checkpoint_module, name))
+        )
+    for owner, name in WALKED_BY_THE_DICT_WRITERS:
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    marked: list = []
+    mark = service.checkpointer.text.mark
+    service.checkpointer.text.mark = lambda touched, structure: (
+        marked.append((set(touched.dnodes), set(touched.inodes), set(touched.tokens))),
+        mark(touched, structure),
+    )
+
+    def commit_and_checkpoint(*updates: Update) -> tuple[set, set]:
+        for update in updates:
+            service.submit(update)
+        service.flush()
+        dnode_pages = {d >> PAGE_BITS for m in marked for d in m[0]}
+        structure_pages = {(service.structure.k, i >> PAGE_BITS) for m in marked for i in m[1]}
+        structure_pages |= {(lv, t >> PAGE_BITS) for m in marked for lv, t in m[2] if t is not None}
+        marked.clear()
+        calls.update(dict.fromkeys(calls, 0))
+        service.checkpoint()
+        return dnode_pages, structure_pages
+
+    for _ in range(4):
+        dnode_pages, structure_pages = commit_and_checkpoint(
+            *(edge_update(next(steps)) for _ in range(3))
+        )
+        assert calls["graph_page_nodes"] == calls["graph_page_edges"] == len(dnode_pages)
+        assert calls["structure_page"] == len(structure_pages)
+        rendered, held = service.checkpointer.last_checkpoint_pages
+        assert rendered == len(dnode_pages) + len(structure_pages) < held
+        assert all(calls[name] == 0 for _, name in WALKED_BY_THE_DICT_WRITERS)
+    # a label appears: every node half, and only the touched edge halves
+    anchor = rng.choice(sorted(service.graph.nodes()))
+    dnode_pages, _ = commit_and_checkpoint(Update.insert_node(anchor, "brand-new"))
+    node_pages = {oid >> PAGE_BITS for oid in service.graph.nodes()}
+    assert calls["graph_page_nodes"] == len(node_pages) > len(dnode_pages)
+    assert calls["graph_page_edges"] == len(dnode_pages)
+    assert all(calls[name] == 0 for _, name in WALKED_BY_THE_DICT_WRITERS)
+    service.close(checkpoint=False)

@@ -12,6 +12,8 @@ import pytest
 from repro.exceptions import WalCorruptionError
 from repro.index.oneindex import OneIndex
 from repro.obs import InMemorySink, observed
+from repro.service import IndexService, Update
+from repro.store import StoreConfig
 from repro.store.checkpoint import prune_checkpoints, write_checkpoint
 from repro.store.recovery import recover
 from repro.store.wal import WriteAheadLog, list_segments, read_records
@@ -140,6 +142,46 @@ class TestCheckpointTelemetry:
         (span,) = sink.spans("store.checkpoint")
         assert span["attrs"]["bytes"] == os.path.getsize(path)
         assert span["dur_ms"] >= wall * 1e3 / 2
+
+
+    def test_health_and_a_counter_tell_a_cold_checkpoint_from_an_incremental_one(
+        self, store_dir
+    ):
+        graph = generate_xmark(
+            XMarkConfig(
+                num_items=120,
+                num_persons=150,
+                num_open_auctions=80,
+                num_closed_auctions=50,
+                num_categories=20,
+            )
+        ).graph
+        config = StoreConfig(fsync="off", checkpoint_every_records=0)
+        sink = InMemorySink()
+        with observed(sink) as obs:
+            service = IndexService(graph, store_dir=store_dir, store_config=config)
+            rendered, held = service.health()["store"]["last_checkpoint_pages"]
+            assert rendered == held > 4  # checkpoint 0 renders every page
+            cold = obs.metrics.counter("store.checkpoint_pages_rendered").value
+            assert cold == held
+            leaf = next(oid for oid in service.graph.nodes() if not service.graph.out_degree(oid))
+            service.submit(Update.set_value(leaf, "changed"))
+            service.flush()
+            service.checkpoint()
+            # one graph page, no structure page (a value is index-neutral)
+            assert service.health()["store"]["last_checkpoint_pages"] == (1, held)
+            assert obs.metrics.counter("store.checkpoint_pages_rendered").value == cold + 1
+            spans = sink.spans("store.checkpoint")
+            assert [(s["attrs"]["pages_rendered"], s["attrs"]["pages"]) for s in spans] == [
+                (held, held),
+                (1, held),
+            ]
+            service.close(checkpoint=False)
+        recovered = IndexService.recover(store_dir, store_config=config)
+        assert recovered.health()["store"]["last_checkpoint_pages"] is None
+        recovered.checkpoint()  # the first after a recovery renders every page
+        assert recovered.health()["store"]["last_checkpoint_pages"] == (held, held)
+        recovered.close(checkpoint=False)
 
 
 class TestRecoveryTelemetry:

@@ -158,6 +158,54 @@ def test_the_checkpoint_text_has_one_writer():
     ]
 
 
+def test_the_whole_text_is_every_page_rendered_and_joined():
+    """``graph_to_json`` / ``structure_to_json`` are the cold case of the
+    checkpoint's paged text: they list the pages, call the page renderers
+    on each and join, with no loop of their own over the graph or the
+    structure; the checkpointer renders through the same functions."""
+    emitters = (
+        ("graph/serialize.py", "graph_to_json", "graph_pages",
+         {"graph_page_nodes", "graph_page_edges", "graph_json"}),
+        ("index/serialize.py", "structure_to_json", "structure_pages",
+         {"structure_page", "structure_json"}),
+    )
+    renderers = set()
+    for module, name, lister, called in emitters:
+        (function,) = [
+            node
+            for node in ast.walk(TREES[module])
+            if isinstance(node, ast.FunctionDef) and node.name == name
+        ]
+        calls = {
+            getattr(node.func, "id", None)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call)
+        }
+        assert called | {lister} <= calls
+        assert not [
+            node for node in ast.walk(function) if isinstance(node, (ast.For, ast.While))
+        ]
+        (listing,) = [
+            node.targets[0].id
+            for node in ast.walk(function)
+            if isinstance(node, ast.Assign)
+            and getattr(getattr(node.value, "func", None), "id", None) == lister
+        ]
+        walked = [
+            ast.unparse(node.iter)
+            for node in ast.walk(function)
+            if isinstance(node, ast.comprehension)
+        ]
+        assert walked and set(walked) == {listing}
+        renderers |= called
+    checkpoint_calls = {
+        getattr(node.func, "id", None)
+        for node in ast.walk(TREES["store/checkpoint.py"])
+        if isinstance(node, ast.Call)
+    }
+    assert renderers | {"graph_pages", "structure_pages"} <= checkpoint_calls
+
+
 def test_one_function_walks_the_wal_segments():
     walkers = [
         function.name
