@@ -622,28 +622,19 @@ class DataGraph:
     # Invariants
     # ------------------------------------------------------------------
 
-    def check_invariants(self, nodes: Optional[Iterable[int]] = None) -> None:
+    def check_invariants(self) -> None:
         """Verify internal consistency; raise :class:`AssertionError` on bugs.
 
         Beyond the node bookkeeping this also verifies edge-kind
         consistency: every IDREF entry corresponds to a live edge,
         ``pred``/``succ`` mirror each other in *both* directions, the
         slot maps are bijective, and no IDREF edge targets the root.
-        O(n + m).
-
-        With *nodes* only those oids are examined, at a cost of the sum
-        of their degrees: a live one's slot entry and both adjacency
-        mirrors, a dead one's absence from every map.  The whole-graph
-        facts are :meth:`check_totals`, which the unscoped check ends with.
+        O(n + m).  The guard states the same per-oid facts in one pass
+        with the structure's (:mod:`repro.index.stability`); this is the
+        reference it is differenced against.
         """
         slot_of = self._slot_of
-        entries = slot_of.items()
-        if nodes is not None:
-            entries = ((oid, slot_of.get(oid)) for oid in nodes)
-        for source, slot in entries:
-            if slot is None:
-                assert source not in self._values, f"value leaked for dead oid {source}"
-                continue
+        for source, slot in slot_of.items():
             assert 0 <= slot < len(self._oid_at) and self._oid_at[slot] == source, (
                 f"slot map broken for oid {source}"
             )
@@ -664,17 +655,20 @@ class DataGraph:
                 assert self._succ_slabs.contains(origin_slot, source), (
                     f"succ missing for {origin}->{source}"
                 )
-        if nodes is None:
-            self.check_totals()
-        if self._root is not None:
-            root_slot = slot_of.get(self._root)
-            assert root_slot is not None, f"root oid {self._root} is not a live node"
-            assert (
-                self._interner.name_of(self._label_at[root_slot]) == ROOT_LABEL
-            ), "root label corrupted"
-            assert self._pred_slabs.length(root_slot) == 0, (
-                "root must have no incoming edges"
-            )
+        self.check_totals()
+        self.check_root()
+
+    def check_root(self) -> None:
+        """The root's facts: live, labelled ``ROOT``, no incoming edge.  O(1)."""
+        if self._root is None:
+            return
+        root_slot = self._slot_of.get(self._root)
+        if root_slot is None:
+            raise AssertionError(f"root oid {self._root} is not a live node")
+        if self._interner.name_of(self._label_at[root_slot]) != ROOT_LABEL:
+            raise AssertionError("root label corrupted")
+        if self._pred_slabs.length(root_slot):
+            raise AssertionError("root must have no incoming edges")
 
     def check_totals(self) -> None:
         """The facts no per-oid check states: the live-slot count, the
@@ -685,16 +679,18 @@ class DataGraph:
         for _, slot in slot_of.items():
             live_slots += 1
             edge_count += out_degree(slot)
-        assert live_slots == len(slot_of), "slot count out of sync"
-        assert edge_count == self._num_edges, "edge counter out of sync"
+        if live_slots != len(slot_of):
+            raise AssertionError("slot count out of sync")
+        if edge_count != self._num_edges:
+            raise AssertionError("edge counter out of sync")
         mask = OID_LIMIT - 1
         for packed in self._idref:
             source, target = packed >> _OID_SHIFT, packed & mask
             source_slot = slot_of.get(source)
-            assert source_slot is not None and self._succ_slabs.contains(
-                source_slot, target
-            ), f"IDREF entry for non-edge {source}->{target}"
-            assert target != self._root, f"IDREF edge {source}->{target} targets root"
+            if source_slot is None or not self._succ_slabs.contains(source_slot, target):
+                raise AssertionError(f"IDREF entry for non-edge {source}->{target}")
+            if target == self._root:
+                raise AssertionError(f"IDREF edge {source}->{target} targets root")
 
     # ------------------------------------------------------------------
     # Journal undo (repro.resilience)

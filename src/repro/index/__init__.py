@@ -26,7 +26,6 @@ from repro.index.serialize import (
     structure_to_dict,
 )
 from repro.index.stability import (
-    depth_violations,
     is_minimal_1index,
     is_minimum_1index,
     is_minimum_ak,
@@ -45,7 +44,6 @@ __all__ = [
     "Structure",
     "KINDS",
     "build_structure",
-    "depth_violations",
     "structure_to_dict",
     "structure_from_dict",
     "StructuralIndex",

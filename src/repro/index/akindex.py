@@ -26,14 +26,11 @@ outside a transaction) and an exact inverse in ``_undo_journal``, token
 issue included, so a family rolls back and reports what a batch touched
 the way a graph and a 1-index do.
 
-:meth:`~AkIndexFamily.check_invariants` and
-:meth:`~AkIndexFamily.signature_violations` are the oracles of the
-post-check's local scope and of the unscoped check: O(k) lookups and one
-frozenset signature per examined dnode and level.  An audit slice's whole
-leaf classes go through :func:`repro.index.stability.audit_classes`
-instead, which states the same facts from one read of each member —
-≈ 1.2–1.8 µs a visit at A(4) and ≈ 0.9–1.3 at A(2) on XMark(1), against
-≈ 3.5–6 and ≈ 2.4–4.5 for these oracles with the graph's.
+:meth:`~AkIndexFamily.check_invariants` (also the checkpoint loader's
+check) and :meth:`~AkIndexFamily.signature_violations` are the oracles
+the guard's one pass, :func:`repro.index.stability.audit_classes`, is
+differenced against; the pass asks the latter, over its scope, only for
+the exact pair of a Definition 4 test that failed.
 """
 
 from __future__ import annotations
@@ -398,71 +395,57 @@ class AkIndexFamily:
     # Invariants
     # ------------------------------------------------------------------
 
-    def check_invariants(
-        self,
-        dnodes: Optional[Iterable[int]] = None,
-        tokens: Optional[Iterable[tuple[int, int]]] = None,
-        inodes: object = None,
-    ) -> None:
-        """Assert structural consistency of all levels and tree links.
+    def check_invariants(self) -> None:
+        """Raise :class:`AssertionError` unless all levels and tree links are
+        consistent — explicitly, so the check also holds under ``python -O``
+        (it is the checkpoint loader's).
 
-        At every level each examined dnode must be a member of the class
-        its map entry names, inside that class's tree parent (Lemma 2;
-        level 0 is by label), and each examined class non-empty and
-        linked both ways to its tree parent and children.
-
-        Unscoped that is every dnode and leaf class, then :meth:`check_totals`.
-        With *dnodes* / ``(level, token)`` *tokens* (what a batch touched;
-        dead ones are verified absent from every map) it costs
-        O(k · given ids).  (*inodes* is the 1-index's part of a scope; the
-        leaf tokens it holds for a family are among *tokens*.  An audit
-        slice of whole leaf classes is
-        :func:`repro.index.stability.audit_classes`.)
+        At every level each dnode must be a member of the class its map
+        entry names, inside that class's tree parent (Lemma 2; level 0 is
+        by label), and each class non-empty and linked both ways to its
+        tree parent and children; then :meth:`check_totals`.  O(k · n).
         """
         graph = self.graph
-        if dnodes is None and tokens is None:
-            leaves = [(self.k, token) for token in self.levels[self.k].extents]
-            self.check_invariants(graph.nodes(), leaves)
-            self.check_totals()
-            return
-        live: list[int] = []
-        dead: list[int] = []
-        for w in dnodes or ():
-            (live if graph.has_node(w) else dead).append(w)
+        live = list(graph.nodes())
         for i, level in enumerate(self.levels):
             coarser = self.levels[i - 1] if i else None
-            for w in dead:
-                assert w not in level.class_of, f"dead dnode {w} still classed at level {i}"
             for w in live:
                 token = level.class_of.get(w)
                 extent = level.extents.get(token, ())
-                assert w in extent, f"class map broken at level {i} for dnode {w}"
+                if w not in extent:
+                    raise AssertionError(f"class map broken at level {i} for dnode {w}")
                 if coarser is None:
-                    assert graph.label(w) == graph.label(next(iter(extent))), (
-                        f"inode {token}@0 mixes labels at dnode {w}"
-                    )
-                else:
-                    assert coarser.class_of.get(w) == level.parent.get(token), (
-                        f"inode {token}@{i} spans tree parents at dnode {w}"
-                    )
-            for token in [t for lvl, t in tokens or () if lvl == i]:
-                extent = level.extents.get(token)
-                if extent is None:
-                    assert token not in level.parent and token not in level.children, (
-                        f"dead inode {token}@{i} leaked a tree link"
-                    )
-                    continue
-                assert extent, f"empty inode {token} at level {i}"
-                if coarser is not None:
-                    parent = level.parent.get(token)
-                    assert (
-                        parent == coarser.class_of.get(next(iter(extent)))
-                        and token in coarser.children.get(parent, ())
-                    ), f"tree parent wrong for {token}@{i}"
-                for child in level.children.get(token, ()):
-                    assert self.levels[i + 1].parent.get(child) == token, (
-                        f"stale child {child} under {token}@{i}"
-                    )
+                    if graph.label(w) != graph.label(next(iter(extent))):
+                        raise AssertionError(f"inode {token}@0 mixes labels at dnode {w}")
+                elif coarser.class_of.get(w) != level.parent.get(token):
+                    raise AssertionError(f"inode {token}@{i} spans tree parents at dnode {w}")
+        for token in self.levels[self.k].extents:
+            self._check_class(self.k, token)
+        self.check_totals()
+
+    def _check_class(self, i: int, token: int) -> None:
+        """The links of class *token* at level *i*: if dead, none are left;
+        if live, it is non-empty, listed under the tree parent its first
+        member's class names, and each listed child names it as parent."""
+        level = self.levels[i]
+        extent = level.extents.get(token)
+        if extent is None:
+            if token in level.parent or token in level.children:
+                raise AssertionError(f"dead inode {token}@{i} leaked a tree link")
+            return
+        if not extent:
+            raise AssertionError(f"empty inode {token} at level {i}")
+        if i:
+            coarser = self.levels[i - 1]
+            parent = level.parent.get(token)
+            if parent != coarser.class_of.get(next(iter(extent))) or token not in (
+                coarser.children.get(parent, ())
+            ):
+                raise AssertionError(f"tree parent wrong for {token}@{i}")
+        finer = self.levels[i + 1].parent if i < self.k else {}
+        for child in level.children.get(token, ()):
+            if finer.get(child) != token:
+                raise AssertionError(f"stale child {child} under {token}@{i}")
 
     def check_totals(self) -> None:
         """What no whole leaf class states: every level covers the graph
@@ -470,14 +453,13 @@ class AkIndexFamily:
         above the leaf level are sound.  O(#classes + #tree links)."""
         for i, level in enumerate(self.levels):
             covered = sum(map(len, level.extents.values()))
-            assert len(level.class_of) == covered == self.graph.num_nodes, (
-                f"level {i} does not cover the graph exactly once"
-            )
-            assert i == 0 or level.parent.keys() == level.extents.keys(), (
-                f"parent keys drift @{i}"
-            )
-        inner = [(i, token) for i in range(self.k) for token in self.levels[i].extents]
-        self.check_invariants((), inner)
+            if not len(level.class_of) == covered == self.graph.num_nodes:
+                raise AssertionError(f"level {i} does not cover the graph exactly once")
+            if i and level.parent.keys() != level.extents.keys():
+                raise AssertionError(f"parent keys drift @{i}")
+            if i < self.k:
+                for token in level.extents:
+                    self._check_class(i, token)
 
     def signature_violations(
         self, dnodes: Optional[Iterable[int]] = None
@@ -492,10 +474,11 @@ class AkIndexFamily:
         when two sign the same: the family is the minimum iff nothing is
         reported (Lemma 6).
 
-        Unscoped, every dnode is examined.  With *dnodes* (those whose
-        class, or a parent's, a batch may have changed) only they are,
-        each against a member of its class outside the scope when there
-        is one, and each such class against its tree siblings.
+        Unscoped, every dnode is examined.  With *dnodes* (those the
+        guard's pass read, when one of its tests failed) only they are,
+        each against a member of its class outside them when there is
+        one, and each such class against its tree siblings: the exact
+        ``(level, token, other)`` the pass reports.
         """
         graph = self.graph
         scoped = dnodes is not None

@@ -40,7 +40,7 @@ from collections.abc import Iterable, Iterator
 from typing import Optional
 
 from repro.core.intmap import PAGE_BITS, PAGE_MASK, PagedIntMap
-from repro.exceptions import InvalidIndexError, NodeNotFoundError, StructuralIndexError
+from repro.exceptions import InvalidIndexError, StructuralIndexError
 from repro.graph.datagraph import DataGraph
 
 
@@ -788,46 +788,24 @@ class StructuralIndex:
                 total += sys.getsizeof(inner) + 56 * len(inner) + 64
         return total
 
-    def check_invariants(
-        self,
-        inodes: Optional[Iterable[int]] = None,
-        dnodes: Optional[Iterable[int]] = None,
-        tokens: object = None,
-    ) -> None:
+    def check_invariants(self) -> None:
         """Assert partition/iedge consistency, re-derived from graph adjacency.
 
-        Every examined dnode must sit in the extent its map entry names
-        (right position, right label), and its inode's incoming support
-        row is recounted from its parents: the stored row must *equal*
-        the recount when every member of the extent was examined and
-        *dominate* it otherwise, and either way the parent inode's
-        outgoing row must mirror each recounted iedge.  (A dedge is
-        recounted at its target, so the scope must hold the children of
-        a dnode that changed inode.)  Every examined inode must have a
-        non-empty extent.
-
-        Unscoped that is every dnode and inode, plus :meth:`check_totals`:
-        O(n + m).  With *inodes* / *dnodes* (the ids a batch touched; dead
-        ones are verified absent from every map) it costs the in-degrees
-        of the given dnodes.  (*tokens* is the family's part of a scope.  An
-        audit slice of whole extents is
-        :func:`repro.index.stability.audit_extents`.)
+        Every dnode must sit in the extent its map entry names (right
+        position, right label), every extent must be non-empty, and each
+        inode's incoming support row, recounted from its members'
+        parents, must equal the stored one and be mirrored by the parent
+        inodes' outgoing rows; then :meth:`check_totals`.  O(n + m).  The
+        guard states the same facts in one pass with the graph's
+        (:func:`repro.index.stability.audit_extents`); this is the
+        reference it is differenced against.
         """
         graph = self.graph
-        scoped = inodes is not None or dnodes is not None
         inode_at, pos_at = self._inode_of.get, self._pos_of.get
         extent_arr, succs, preds = self._extent_arr, self._succ_support, self._pred_support
-        recount: dict[int, dict[int, int]] = {}
-        examined: dict[int, int] = {}
-        for w in (dnodes or ()) if scoped else graph.nodes():
+        recount: dict[int, dict[int, int]] = {inode: {} for inode in extent_arr}
+        for w in graph.nodes():
             inode, pos = inode_at(w), pos_at(w)
-            try:
-                parents = graph.iter_pred(w)
-            except NodeNotFoundError:
-                assert inode is None and pos is None, (
-                    f"dead dnode {w} is still mapped (inode {inode})"
-                )
-                continue
             arr = extent_arr.get(inode)
             assert arr is not None, f"partition does not cover dnode {w}"
             assert pos is not None and pos < len(arr) and arr[pos] == w, (
@@ -836,32 +814,18 @@ class StructuralIndex:
             assert graph.label(w) == self._label.get(inode), (
                 f"label mismatch in inode {inode} at dnode {w}"
             )
-            examined[inode] = examined.get(inode, 0) + 1
-            row = recount.setdefault(inode, {})
-            for j in map(inode_at, parents):
+            row = recount[inode]
+            for j in map(inode_at, graph.iter_pred(w)):
                 row[j] = row.get(j, 0) + 1  # (an uncovered parent counts under None)
         for inode, row in recount.items():
+            assert len(extent_arr[inode]), f"inode {inode} has an empty extent"
             stored = preds.get(inode)
-            assert stored is not None, f"inode {inode} has no support row"
-            every_slot = examined[inode] == len(extent_arr[inode])
-            ok = row == stored if every_slot else all(
-                stored.get(j, 0) >= count for j, count in row.items()
-            )
-            assert ok, f"supports of inode {inode} drifted: {stored} vs {row}"
+            assert stored == row, f"supports of inode {inode} drifted: {stored} vs {row}"
             for j in row:
                 assert succs.get(j, {}).get(inode) == stored[j], (
                     f"iedge from inode {j} to inode {inode} is not mirrored"
                 )
-        tables = (self._label, succs, preds)
-        for inode in (inodes or ()) if scoped else extent_arr:
-            if inode in extent_arr:
-                assert len(extent_arr[inode]), f"inode {inode} has an empty extent"
-            else:
-                assert not any(inode in table for table in tables), (
-                    f"dead inode {inode} leaked a map entry"
-                )
-        if not scoped:
-            self.check_totals()
+        self.check_totals()
 
     def check_totals(self) -> None:
         """The facts no per-id check states.  Every dnode sits at its own
@@ -869,15 +833,12 @@ class StructuralIndex:
         mirrored by an outgoing one: equal totals leave no room for
         duplicates, overlaps or strays.  O(#inodes)."""
         extent_arr, succs, preds = self._extent_arr, self._succ_support, self._pred_support
-        assert sum(map(len, extent_arr.values())) == self.graph.num_nodes, (
-            "extents overlap or hold dnodes outside the graph"
-        )
-        assert sum(map(len, succs.values())) == sum(map(len, preds.values())), (
-            "an outgoing iedge has no incoming mirror"
-        )
-        assert all(table.keys() == extent_arr.keys() for table in (self._label, succs, preds)), (
-            "a dead inode leaked a map entry"
-        )
+        if sum(map(len, extent_arr.values())) != self.graph.num_nodes:
+            raise AssertionError("extents overlap or hold dnodes outside the graph")
+        if sum(map(len, succs.values())) != sum(map(len, preds.values())):
+            raise AssertionError("an outgoing iedge has no incoming mirror")
+        if not all(table.keys() == extent_arr.keys() for table in (self._label, succs, preds)):
+            raise AssertionError("a dead inode leaked a map entry")
 
     # ------------------------------------------------------------------
     # Journal undo (repro.resilience)

@@ -5,14 +5,16 @@ The paper treats the 1-index and the A(k) family as two instances of one
 idea — a partition refined level by level (Definition 4, Lemma 2) and
 repaired by split-then-merge (Figures 3 and 7).  :class:`StructuralIndex`
 and :class:`AkIndexFamily` therefore share the surface below, and a
-transaction, a post-check, a snapshot or a checkpoint takes **the
-structure** as one argument and never asks which of the two it holds.
+transaction, a snapshot or a checkpoint takes **the structure** as one
+argument and never asks which of the two it holds.  The post-check asks
+only to pick its one pass (:func:`repro.index.stability.audit_extents` or
+:func:`~repro.index.stability.audit_classes`), which states every per-id
+fact; the protocol offers what no per-id pass states, the totals.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from typing import Any, Optional, Protocol
+from typing import Any, Protocol
 
 from repro.graph.datagraph import DataGraph
 from repro.index.akindex import AkIndexFamily
@@ -45,21 +47,12 @@ class Structure(Protocol):
     def blocks(self) -> list[frozenset[int]]:
         """The served partition, one frozen extent per inode."""
 
-    def check_invariants(
-        self,
-        *,
-        dnodes: Optional[Iterable[int]] = None,
-        inodes: Optional[Iterable[int]] = None,
-        tokens: Optional[Iterable[tuple[int, int]]] = None,
-    ) -> None:
-        """Assert structural consistency: of everything, or of what a batch
-        touched (each structure reads the ids it has and ignores the rest).
-        An audit slice of whole leaf extents is one pass of
+    def check_totals(self) -> None:
+        """Raise :class:`AssertionError` unless what no leaf extent states
+        holds: counters, cover sums, key sets (a family's classes above the
+        leaf level too).  The per-id facts are the guard's one pass,
         :func:`repro.index.stability.audit_extents` (a 1-index) or
         :func:`~repro.index.stability.audit_classes` (a family)."""
-
-    def check_totals(self) -> None:
-        """Assert what the unscoped check states and no whole leaf extent does."""
 
     def approx_bytes(self) -> int:
         """Approximate resident bytes."""

@@ -1,77 +1,68 @@
 """Post-transaction invariant checking: the batch's neighbourhood, then an audit slice.
 
-The guard reuses the library's oracles instead of reimplementing checks:
-:meth:`DataGraph.check_invariants` and the structure's own
-``check_invariants`` for structural consistency, then
-:func:`repro.index.stability.depth_violations` for what the structure
-claims to be — a valid, or a minimal, 1-index or A(k) family (minimal
-and minimum coincide for A(k), Lemma 6).  It asks which of the two it
-was handed (:class:`repro.index.structure.Structure`) only to audit a
-slice, below.
+Every check the guard makes is one pass of a kernel of
+:mod:`repro.index.stability` — :func:`~repro.index.stability.audit_extents`
+for a 1-index, :func:`~repro.index.stability.audit_classes` for an A(k)
+family (it asks which of the two it was handed,
+:class:`repro.index.structure.Structure`, only to pick one).  The pass
+reads each member's slot, succ segment and pred segment once and states,
+at the configured depth, what the library's oracles state of it: the
+graph's and the structure's consistency, then what the structure claims
+to be — a valid, or a minimal, 1-index or A(k) family (minimal and
+minimum coincide for A(k), Lemma 6).  It asks an oracle only for the
+exact pair of a test that failed.  The oracles themselves
+(:meth:`DataGraph.check_invariants`, the structures' ``check_invariants``,
+:func:`~repro.index.stability.unstable_pairs`, ...) are the reference
+the kernels are differenced against (``tests/resilience/``).
 
-Each oracle takes an optional *scope*.  Split and merge are local — an
-update can only destabilise inodes reachable from the changed edge — and
-a transaction's :class:`~repro.resilience.journal.TouchedSet` is a
-superset of what it changed, so after a batch the same predicates run
-over the touched dnodes, the children of those that changed inode (their
-index parents were renamed) and the touched inodes: O(touched), every
-fact re-derived from graph adjacency; the rest is what the previous
-check accepted.  That induction needs the touched set to really be a
-superset, so the rest of the graph is re-verified behind it by an
-**audit cursor**: every local check is followed by the same oracles over
-the next *slice* of leaf inodes (1-index inodes, leaf classes of a
-family, in id order), cut after :data:`AUDIT_SLICE_VISITS` dnode visits.
-A slice ends with the extent that reaches the constant, so a commit costs
-O(touched + constant + the largest leaf extent) and the whole graph comes
-round every ⌈(|V| + 2|E|) ÷ AUDIT_SLICE_VISITS⌉ commits.
+A pass takes one of three scopes:
 
-The slice of a 1-index is one pass,
-:func:`repro.index.stability.audit_extents`: each member's slot, succ
-segment and pred segment are read once, with one probe of the other
-mirror per adjacency entry, and that one read states every fact the
-three oracles state of those ids — stability by count (the proof of
-Lemma 3: once the recount equals the stored support row, an inode is
-stable iff each member has ``len(row)`` distinct parent inodes).  It
-costs ≈ 1.9 µs a visit at ``valid`` on XMark(1) (one host, in process),
-where the three oracles in turn, each re-reading every member's
-adjacency one lookup call at a time, took ≈ 5.1.  A family's slice is
-the same pass, :func:`repro.index.stability.audit_classes`: each leaf
-class's tree chain resolved once and its members' class maps checked
-along it in one go, Definition 4 tested at every level against a
-parent-class set formed once per class (a member of in-degree 1 is one
-lookup a level), and the oracle asked for the exact pair only when a
-test fails — ≈ 1.2–1.8 µs a visit at A(4) and ≈ 0.9–1.3 at A(2) at
-``minimal`` on XMark(1), where the oracles took ≈ 3.5–6 and ≈ 2.4–4.5.
-One cycle states everything the unscoped check states:
+* **the batch's.**  Split and merge are local — an update can only
+  destabilise inodes reachable from the changed edge — and a
+  transaction's :class:`~repro.resilience.journal.TouchedSet` is a
+  superset of what it changed, so after a batch the pass reads the
+  touched dnodes and the children of those that changed inode (their
+  index parents were renamed), each against its own extent, and the
+  touched inodes or classes by their links: O(touched), every fact
+  re-derived from graph adjacency.  A stored support row must equal the
+  recount where the scope holds a whole extent and dominate it where it
+  holds part; stability is then still by count, and a class read in part
+  is signed against the member outside the scope the oracle would take.
+* **an audit slice.**  That induction needs the touched set to really be
+  a superset, so the rest of the graph is re-verified behind it by an
+  **audit cursor**: every local check is followed by the next *slice* of
+  leaf inodes (1-index inodes, leaf classes of a family, in id order),
+  read whole and cut after :data:`AUDIT_SLICE_VISITS` dnode visits.  A
+  slice ends with the extent that reaches the constant, so a commit
+  costs O(touched + constant + the largest leaf extent) and the whole
+  graph comes round every ⌈(|V| + 2|E|) ÷ AUDIT_SLICE_VISITS⌉ commits.
+* **everything**, when there is no usable scope (``touched`` absent or
+  ``full`` after a degrade-rebuild, recovery's post-check,
+  :meth:`IndexService.check`): one pass over every leaf id, no budget, and
+  the totals.  It restarts the cursor (DESIGN.md §5).
+
+One cycle of slices states everything the unscoped check states:
 
 * a slice takes **whole extents**: stored supports must *equal* the
   recount, and an extent that lists a dnode mapped elsewhere is refused
-  — a slice reads its dnodes off the extents where the unscoped check
-  reads them off the graph;
+  — a slice reads its dnodes off the extents;
 * the facts with no per-id form — counters, cover sums, key sets, a
   family's classes above the leaf level (``check_totals`` of the graph
   and the structure) — run with the slice that ends the cycle;
 * a mergeable pair is found from either side, so the root's inode, which
-  the scoped minimality oracle skips, is covered by its would-be partner
-  (a parentless inode probes every parentless one).  Its sibling probes
-  ride uncounted: ≈ 0.8 per visit on XMark at 1× and 4×, a label
-  comparison each — ≈ 4.4 ms, 22–24 % of a one-pass slice at either
-  scale (≈ 9 % of the three-oracle slice it replaced) — and counting
-  them would break the cycle bound above.  A family's slice signs, as
-  Definition 4's oracle does, each reached class's outside
-  representative and its tree siblings once: ≈ 1.3–1.5 ms a slice at
-  A(4), 8–10 % of it, and ≈ 0.4–0.5 ms, 4–6 %, at A(2), on XMark at 1×
-  and 4× alike;
+  the minimality probe skips, is covered by its would-be partner (a
+  parentless inode probes every parentless one).  Its sibling probes
+  ride uncounted — ≈ 0.8 per visit on XMark, a label comparison each —
+  and counting them would break the cycle bound above.  A family's pass
+  signs, as Definition 4's oracle does, each class it reads in part
+  against its outside representative and its tree siblings once;
 * the cycle walks the ids alive when it began; an id created, or a dnode
   moved, since then was in that batch's touched set — the induction the
   local check already rests on — and dead ids are verified absent.
 
-The unscoped check in one go remains the fall-back when there is no
-usable scope (``touched`` absent or ``full`` after a degrade-rebuild,
-recovery's post-check, :meth:`IndexService.check`); it restarts the
-cursor (DESIGN.md §5).
-
-The :class:`~repro.resilience.guard.GuardedMaintainer` post-checks every
+Every fact raises explicitly, never by ``assert``, so the checks hold
+under ``python -O`` too.  The
+:class:`~repro.resilience.guard.GuardedMaintainer` post-checks every
 transaction it commits; only a guard at level ``""`` checks nothing
 (recovery's replay, which one unscoped check follows).  A failed check
 raises :class:`repro.exceptions.InvariantViolationError`, which the
@@ -84,19 +75,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from typing import Optional
 
-from repro.exceptions import (
-    InvariantViolationError,
-    NodeNotFoundError,
-    StructuralIndexError,
-)
+from repro.exceptions import InvariantViolationError, StructuralIndexError
 from repro.graph.datagraph import DataGraph
 from repro.index.akindex import AkIndexFamily
-from repro.index.stability import (
-    ExtentAudit,
-    audit_classes,
-    audit_extents,
-    depth_violations,
-)
+from repro.index.stability import ExtentAudit, audit_classes, audit_extents
 from repro.index.structure import Structure
 from repro.obs import current as current_obs
 from repro.resilience.journal import TouchedSet
@@ -146,26 +128,33 @@ class InvariantGuard:
         """
         if not self.level:
             return
-        scope: dict = {}
-        if touched is None or touched.full:
+        family = structure.kind == AkIndexFamily.kind
+        kernel = audit_classes if family else audit_extents
+        full = touched is None or touched.full
+        if full:
             self.checks_full += 1
             self._restart_audit()
-            self.last_audit_ok = False  # until the checks below pass
-            self.last_visited = _visits_of_all(graph)
+            self.last_audit_ok = False  # until the check below passes
+            ids = sorted(structure.leaf().inodes())
+            audit = kernel(structure, ids, 0, None, **self._depth())
         else:
             dnodes = touched.dnodes | touched.moved
             for w in touched.moved:
                 if graph.has_node(w):  # its children's index parents changed name
                     dnodes.update(graph.iter_succ(w))
-            scope = {"dnodes": dnodes, "inodes": touched.inodes, "tokens": touched.tokens}
-            self.last_visited = _visits(graph, dnodes)
+            ids = sorted(touched.inodes)
+            if family:  # (a member moved to or from no class is marked ``(level, None)``)
+                ids = sorted(token for token in touched.tokens if token[1] is not None)
+            audit = kernel(structure, ids, 0, None, dnodes=dnodes, **self._depth())
             self.checks_local += 1
-        current_obs().add("resilience.check_visited", self.last_visited)
-        self._run(graph, structure, **scope)
-        if scope:
-            self._audit_slice(graph, structure)
-        else:
+        self.last_visited = audit.visits
+        current_obs().add("resilience.check_visited", audit.visits)
+        if full:
+            _judge(audit, before=(graph, structure))
             self.last_audit_ok = True
+        else:
+            _judge(audit)
+            self._audit_slice(graph, structure)
 
     def adopt_full_check(self, level: str) -> bool:
         """Take over the verdict of an unscoped check that another guard
@@ -182,7 +171,7 @@ class InvariantGuard:
 
     def audit_progress(self, graph: DataGraph) -> dict:
         """Where the cursor stands, for ``/health``."""
-        units = max(1, _visits_of_all(graph))
+        units = max(1, graph.num_nodes + 2 * graph.num_edges)  # a cycle's visits
         return {
             "audit_cursor": self.audit_cursor,
             "audit_coverage": round(min(1.0, self.cycle_visited / units), 4),
@@ -195,6 +184,9 @@ class InvariantGuard:
         self._cycle_done = self.audit_cursor = 0
         self.cycle_visited = self._cycle_slice_max = 0
 
+    def _depth(self) -> dict:
+        return {"stable": self.level != "basic", "minimal": self.level == "minimal"}
+
     def _audit_slice(self, graph: DataGraph, structure: Structure) -> None:
         """Re-verify the next slice of leaf inodes, whole; the slice that
         reaches the end of the cycle states the totals and completes it."""
@@ -202,17 +194,13 @@ class InvariantGuard:
         if not self._cycle_done:
             self._cycle = sorted(leaf.inodes())
         cycle, start = self._cycle, self._cycle_done
-        # one pass over the slice's leaf extents states what the oracles state
         kernel = audit_classes if structure.kind == AkIndexFamily.kind else audit_extents
-        audit = kernel(
-            structure, cycle, start, AUDIT_SLICE_VISITS,
-            stable=self.level != "basic", minimal=self.level == "minimal",
-        )
+        audit = kernel(structure, cycle, start, AUDIT_SLICE_VISITS, **self._depth())
         done, visited = audit.end, audit.visits
         ids = cycle[start:done]
         self.last_audit_ok = False
         try:
-            self._run(graph, structure, totals=done == len(cycle), audit=audit)
+            _judge(audit, after=(graph, structure) if done == len(cycle) else ())
         except InvariantViolationError as exc:
             exc.audit_range = (self.audit_cursor, ids[-1] if ids else self.audit_cursor)
             raise
@@ -231,54 +219,23 @@ class InvariantGuard:
         else:
             self._cycle_done, self.audit_cursor = done, cycle[done]
 
-    def _run(
-        self,
-        graph: DataGraph,
-        structure: Structure,
-        dnodes: Optional[Iterable[int]] = None,
-        inodes: Optional[Iterable[int]] = None,
-        tokens: Optional[Iterable[tuple[int, int]]] = None,
-        totals: bool = False,
-        audit: Optional[ExtentAudit] = None,
-    ) -> None:
-        """The check — graph, structure, depth — over the ids of a scope or
-        (none given) everything, or what the *audit* of a slice found;
-        then the *totals* if asked.  A lookup an oracle misses (a
-        corrupted map) is a violation too."""
-        try:
-            if audit is not None:
-                if audit.broken is not None:
-                    raise audit.broken
-                violations: Iterable[tuple] = audit.violations
-            else:
-                graph.check_invariants(dnodes)
-                structure.check_invariants(dnodes=dnodes, inodes=inodes, tokens=tokens)
-                violations = ()
-                if self.level != "basic":
-                    minimal = self.level == "minimal"
-                    violations = depth_violations(structure, minimal, dnodes, inodes, tokens)
-            for violation in violations:
-                raise InvariantViolationError(*violation)
-            if totals:
-                graph.check_totals()
-                structure.check_totals()
-        except (AssertionError, LookupError, StructuralIndexError) as exc:
-            raise InvariantViolationError(
-                f"structural invariant broken: {type(exc).__name__}: {exc}"
-            ) from exc
 
+def _judge(audit: ExtentAudit, before: Iterable = (), after: Iterable = ()) -> None:
+    """Raise what a pass found, as :class:`InvariantViolationError`: the
+    totals of *before* (graph, structure), the pass's broken structural
+    fact, its depth violation, then the totals of *after*.  A lookup a
+    corrupted map misses is a violation too."""
+    try:
+        for part in before:
+            part.check_totals()
+        if audit.broken is not None:
+            raise audit.broken
+        for violation in audit.violations:
+            raise InvariantViolationError(*violation)
+        for part in after:
+            part.check_totals()
+    except (AssertionError, LookupError, StructuralIndexError) as exc:
+        raise InvariantViolationError(
+            f"structural invariant broken: {type(exc).__name__}: {exc}"
+        ) from exc
 
-def _visits_of_all(graph: DataGraph) -> int:
-    """What :func:`_visits` would count over every dnode: a cycle's worth."""
-    return graph.num_nodes + 2 * graph.num_edges  # both mirrors
-
-
-def _visits(graph: DataGraph, dnodes: Iterable[int]) -> int:
-    """The live *dnodes* and their adjacency entries, both mirrors."""
-    visits = 0
-    for w in dnodes:
-        try:
-            visits += 1 + graph.in_degree(w) + graph.out_degree(w)
-        except NodeNotFoundError:
-            pass  # a dead one: looked up, never walked
-    return visits

@@ -1,19 +1,24 @@
-"""The audit slice's one pass against the oracles it replaces.
+"""The guard's one pass against the oracles it replaced.
 
-A 1-index slice is :func:`repro.index.stability.audit_extents`, a family's
-:func:`repro.index.stability.audit_classes`: one walk over the slice's
-leaf extents that states what :meth:`DataGraph.check_invariants`, the
-structure's ``check_invariants`` over whole leaf extents and
-:func:`depth_violations` state of the same ids.  Here, for either kernel,
+Every check the guard makes is :func:`repro.index.stability.audit_extents`
+(a 1-index) or :func:`repro.index.stability.audit_classes` (a family): an
+audit slice over whole leaf extents, a batch's touched scope read member
+by member, or everything.  The reference is the oracles run in turn over
+the same ids (``tests/resilience/check_reference.py``).  Here, for either
+kernel,
 
 * every row of the corruption matrices for its structure (planted where
   ``CYCLE_MATRIX`` plants them), and a missed merge, is judged slice for
-  slice by the guard (the kernel) and by the three oracles run in
-  sequence over the slice's whole leaf extents: same exception type, same
-  definition, same pair, same ``audit_range`` (seeded by ``CHAOS_SEED``);
+  slice by the guard (the kernel) and by the oracles in sequence over the
+  slice's whole leaf extents: same exception type, same definition, same
+  pair, same ``audit_range`` (seeded by ``CHAOS_SEED``);
+* every row planted inside the batch's touched region is judged by the
+  guard's scoped check and by the oracles over the same scope, at every
+  depth: same exception type, definition and pair;
 * on the clean streams neither raises;
 * the kernel reads each member's own succ and pred segment once, plus one
-  probe per adjacency entry, and calls no oracle on a clean slice;
+  probe per adjacency entry, and calls no oracle on a clean slice or a
+  clean scope;
 * the cut is the one ``1 + in-degree + out-degree`` over the leaf extents
   gives, and ``/health`` shows the same figures.
 """
@@ -31,11 +36,12 @@ from repro.index.akindex import AkIndexFamily, LeafView
 from repro.index.base import StructuralIndex
 from repro.index.oneindex import OneIndex
 from repro.index import stability
-from repro.index.stability import audit_classes, audit_extents, depth_violations
+from repro.index.stability import audit_classes, audit_extents
 from repro.resilience import GuardConfig, InvariantGuard, TouchedSet
 from repro.resilience import invariants
 from repro.service import IndexService, ServiceConfig, Update
 from repro.workload.xmark import XMarkConfig
+from tests.resilience import check_reference as reference
 from tests.resilience.conftest import CHAOS_SEED, edge_call
 from tests.resilience.test_local_check import (
     AK_K,
@@ -47,6 +53,7 @@ from tests.resilience.test_local_check import (
     batched,
     outside,
     prepared,
+    without_audit,
 )
 
 LEVELS = ("basic", "valid", "minimal")
@@ -94,25 +101,22 @@ def reference_cut(graph, structure, cycle, start: int) -> tuple[int, int]:
 
 
 def oracle_verdict(level: str, graph, structure, ids, totals: bool):
-    """The three oracles in sequence over the whole leaf extents of *ids*,
-    as the slice ran them before the one pass; the exception, or ``None``."""
+    """The oracles in sequence over the whole leaf extents of *ids*, as the
+    slice ran them before the one pass; the exception, or ``None``."""
     dnodes: set[int] = set()
     for token in ids:
         dnodes.update(leaf_members(structure, token) or ())
     try:
         try:
-            graph.check_invariants(dnodes)
+            reference.graph_facts(graph, dnodes)
             if structure.kind == "one":
-                structure.check_invariants(dnodes=dnodes, inodes=ids)
+                reference.index_facts(structure, dnodes, ids)
                 classed, size = structure._inode_of.get, structure.extent_size
             else:
-                structure.check_invariants(
-                    dnodes=dnodes, tokens=[(structure.k, token) for token in ids]
-                )
+                reference.family_facts(structure, dnodes, [(structure.k, token) for token in ids])
                 classed = structure.levels[structure.k].class_of.get
                 size = lambda token: len(structure.levels[structure.k].extents[token])  # noqa: E731
-            # each extent examined slot for slot: none lists a stranger (what
-            # the family's ``check_invariants(whole=True)`` stated)
+            # each extent examined slot for slot: none lists a stranger
             own = Counter(classed(w) for w in dnodes if graph.has_node(w))
             for token in ids:
                 if leaf_members(structure, token):
@@ -120,7 +124,8 @@ def oracle_verdict(level: str, graph, structure, ids, totals: bool):
                         f"extent of inode {token} holds a dnode that is not its own"
                     )
             if level != "basic":
-                for violation in depth_violations(structure, level == "minimal", dnodes, ids):
+                depth = reference.depth_violations(structure, level == "minimal", dnodes, ids)
+                for violation in depth:
                     raise InvariantViolationError(*violation)
             if totals:
                 graph.check_totals()
@@ -170,13 +175,9 @@ def both_ways(level: str, graph, structure):
 def one_cycle_finds_what_the_full_check_finds(
     level: str, graph, structure, definition: bool = True
 ) -> None:
-    """... of the same type and, with *definition*, naming the same one."""
-    full = InvariantGuard(level=level)
-    try:
-        full.check(graph, structure)
-        expected = None
-    except InvariantViolationError as exc:
-        expected = exc
+    """... of the same type and, with *definition*, naming the same one —
+    the unscoped oracles called in turn."""
+    expected = reference.verdict(level, graph, structure)
     found, _ = both_ways(level, graph, structure)
     assert type(found) is type(expected), (found, expected)
     if found is not None and definition:
@@ -249,6 +250,54 @@ def test_a_class_below_the_leaf_is_signed_by_the_oracles_representative(below, l
     expected = oracle_verdict(level, graph, family, ids, totals=False)
     assert audit.broken is None and expected is not None and expected.definition == 4
     assert [violation[1:] for violation in audit.violations] == [(4, expected.pair)]
+
+
+#: every row of both matrices with its structure, and a batch that skipped
+#: Figure 3's merge phase (``None``)
+SCOPED_ROWS = list(
+    dict.fromkeys(MATRIX + [(family, corrupt) for family, corrupt, _ in CYCLE_MATRIX])
+) + [("one", None)]
+
+
+def scoped_both_ways(level: str, graph, structure, touched):
+    """The guard's scoped check alone, and the oracles over the same scope:
+    the same verdict; the guard's exception or ``None``."""
+    expected = reference.verdict(level, graph, structure, *reference.scope(graph, touched))
+    guard = InvariantGuard(level=level)
+    try:
+        guard.check(graph, structure, touched)
+    except InvariantViolationError as exc:
+        assert_same_verdict(exc, expected)
+        return exc
+    assert_same_verdict(None, expected)
+    assert guard.checks_local == 1
+    return None
+
+
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize(
+    "family,corrupt",
+    SCOPED_ROWS,
+    ids=[f"{f}-{getattr(c, '__name__', 'missed_merge')}" for f, c in SCOPED_ROWS],
+)
+def test_the_scoped_check_and_the_oracles_agree_over_the_touched_scope(
+    family, corrupt, level, monkeypatch
+):
+    """Each row planted inside the batch's touched region (where it finds
+    a place there), judged by the guard's scoped check and by the oracles
+    over the same scope: same exception type, definition and pair."""
+    without_audit(monkeypatch)
+    if corrupt is None:
+        graph, maintainer, touched = batched(
+            family, lambda _, graph: NoMerge(OneIndex.build(graph)), pairs=32
+        )
+    else:
+        graph, maintainer, touched = batched(family)
+    structure = maintainer.structure
+    if corrupt is not None:
+        assert scoped_both_ways(level, graph, structure, touched) is None
+        corrupt(graph, maintainer, touched)
+    scoped_both_ways(level, graph, structure, touched)
 
 
 def judge_every_slice(family: str, stream: str, monkeypatch) -> None:
@@ -358,18 +407,59 @@ def never_called(name: str):
     return refuse
 
 
+def segment_owners(graph) -> dict[str, dict[int, int]]:
+    """Per slab, the dnode whose non-empty segment starts at each offset."""
+    slot_of = graph._slot_of
+    return {
+        name: {slabs._off[slot_of[w]]: w for w in graph.nodes() if slabs._len[slot_of[w]]}
+        for slabs, name in ((graph._succ_slabs, "succ"), (graph._pred_slabs, "pred"))
+    }
+
+
+def segments_read(starts, owner) -> dict[str, Counter]:
+    return {
+        name: Counter({owner[name][offset]: times for offset, times in counts.items()})
+        for name, counts in starts.items()
+    }
+
+
+def assert_a_scope_reads_each_member_once(graph, structure, touched, tally, starts, owner):
+    """The kernel over a clean batch's touched scope: each live scoped
+    member's own succ and pred segment read once, its visits counted."""
+    dnodes, inodes, tokens = reference.scope(graph, touched)
+    live = [w for w in dnodes if graph.has_node(w)]
+    kernel, ids = audit_extents, sorted(inodes)
+    if structure.kind == "ak":
+        kernel, ids = audit_classes, sorted(tokens)
+    tally.clear()
+    for counts in starts.values():
+        counts.clear()
+    audit = kernel(structure, ids, 0, None, True, True, dnodes=dnodes)
+    assert (audit.broken, audit.violations) == (None, ())
+    assert audit.visits == sum(1 + graph.in_degree(w) + graph.out_degree(w) for w in live)
+    read = segments_read(starts, owner)
+    assert tally["succ segments"] == len(live)
+    assert {w: read["succ"][w] for w in live if graph.out_degree(w)} == {
+        w: 1 for w in live if graph.out_degree(w)
+    }
+    # (a representative outside the scope has its pred segment read too)
+    assert {w: read["pred"][w] for w in live if graph.in_degree(w)} == {
+        w: 1 for w in live if graph.in_degree(w)
+    }
+
+
 @pytest.mark.parametrize("config", [None, XMarkConfig()], ids=["chaos", "xmark1"])
 def test_one_slice_reads_each_member_once_and_calls_no_oracle(config, monkeypatch):
-    graph, maintainer, _ = batched("one") if config is None else batched("one", config=config)
+    graph, maintainer, touched = batched("one") if config is None else batched("one", config=config)
     index = maintainer.index
     with monkeypatch.context() as patch:
         for name in ("extent", "dnode_iparents", "check_invariants"):
             patch.setattr(StructuralIndex, name, never_called(name))
         patch.setattr(DataGraph, "iter_pred", never_called("iter_pred"))
+        patch.setattr(DataGraph, "check_invariants", never_called("check_invariants"))
         patch.setattr(stability, "unstable_pairs", never_called("unstable_pairs"))
-        patch.setattr(invariants, "_visits", never_called("_visits"))
-        patch.setattr(invariants, "depth_violations", never_called("depth_violations"))
         guard = InvariantGuard(level="minimal")
+        guard.check(graph, index, touched)  # the scoped check, then a slice
         while not guard.audits:  # a whole cycle through the guard, no oracle asked
             guard._audit_slice(graph, index)
 
@@ -379,8 +469,9 @@ def test_one_slice_reads_each_member_once_and_calls_no_oracle(config, monkeypatc
     members = [w for inode in cycle[start:end] for w in index._extent_arr[inode]]
     in_entries = sum(graph.in_degree(w) for w in members)
     out_entries = sum(graph.out_degree(w) for w in members)
+    owner = segment_owners(graph)
     tally: Counter = Counter()
-    counted(graph, index, tally)
+    starts = counted(graph, index, tally)
     audit = audit_extents(index, cycle, start, invariants.AUDIT_SLICE_VISITS, True, False)
     assert (audit.end, audit.visits, audit.broken, audit.violations) == (end, visits, None, ())
     assert visits == len(members) + in_entries + out_entries
@@ -397,28 +488,21 @@ def test_one_slice_reads_each_member_once_and_calls_no_oracle(config, monkeypatc
         "inode": len(members) + in_entries,
         "pos": len(members),
     }
+    assert_a_scope_reads_each_member_once(graph, index, touched, tally, starts, owner)
 
 
 @pytest.mark.parametrize("config", [None, XMarkConfig()], ids=["chaos", "xmark1"])
 def test_a_family_slice_reads_each_member_once_and_calls_no_oracle(config, monkeypatch):
-    graph, maintainer, _ = batched("ak") if config is None else batched("ak", config=config)
+    graph, maintainer, touched = batched("ak") if config is None else batched("ak", config=config)
     family = maintainer.family
-    real_check = AkIndexFamily.check_invariants
-
-    def totals_only(self, dnodes=None, tokens=None, inodes=None):
-        # (the cycle's last slice states the totals: the classes above the leaf level)
-        assert dnodes == (), "a clean slice called check_invariants"
-        return real_check(self, dnodes, tokens, inodes)
-
     with monkeypatch.context() as patch:
-        patch.setattr(AkIndexFamily, "check_invariants", totals_only)
-        for name in ("signature_violations", "extent_at", "class_at"):
+        for name in ("check_invariants", "signature_violations", "extent_at", "class_at"):
             patch.setattr(AkIndexFamily, name, never_called(name))
         patch.setattr(LeafView, "extent", never_called("extent"))
         patch.setattr(DataGraph, "iter_pred", never_called("iter_pred"))
-        patch.setattr(invariants, "_visits", never_called("_visits"))
-        patch.setattr(invariants, "depth_violations", never_called("depth_violations"))
+        patch.setattr(DataGraph, "check_invariants", never_called("check_invariants"))
         guard = InvariantGuard(level="minimal")
+        guard.check(graph, family, touched)  # the scoped check, then a slice
         while not guard.audits:  # a whole cycle through the guard, no oracle asked
             guard._audit_slice(graph, family)
 
@@ -433,11 +517,7 @@ def test_a_family_slice_reads_each_member_once_and_calls_no_oracle(config, monke
     with_succ = {w: 1 for w in members if graph.out_degree(w)}
     with_pred = {w: 1 for w in members if graph.in_degree(w)}
     level_0 = {family.levels[0].class_of[w] for w in members}
-    slot_of = graph._slot_of
-    owner = {  # the dnode whose non-empty segment starts at each offset
-        name: {slabs._off[slot_of[w]]: w for w in graph.nodes() if slabs._len[slot_of[w]]}
-        for slabs, name in ((graph._succ_slabs, "succ"), (graph._pred_slabs, "pred"))
-    }
+    owner = segment_owners(graph)
     tally: Counter = Counter()
     starts = counted(graph, family, tally)
     for stable, minimal in ((False, False), (True, False), (True, True)):
@@ -446,10 +526,7 @@ def test_a_family_slice_reads_each_member_once_and_calls_no_oracle(config, monke
             counts.clear()
         audit = audit_classes(family, cycle, start, invariants.AUDIT_SLICE_VISITS, stable, minimal)
         assert (audit.end, audit.visits, audit.broken, audit.violations) == (end, visits, None, ())
-        read = {
-            name: Counter({owner[name][offset]: times for offset, times in counts.items()})
-            for name, counts in starts.items()
-        }
+        read = segments_read(starts, owner)
         # a member's own segments, once each; no other dnode's succ segment
         assert tally["succ segments"] == len(members) and read["succ"] == with_succ
         assert {w: read["pred"][w] for w in with_pred} == with_pred
@@ -460,6 +537,7 @@ def test_a_family_slice_reads_each_member_once_and_calls_no_oracle(config, monke
             # the member's slot, then each neighbour's, the root's and the
             # first member's of each level-0 class the slice reaches
             assert tally["slot"] == visits + 1 + len(level_0)
+    assert_a_scope_reads_each_member_once(graph, family, touched, tally, starts, owner)
 
 
 # ----------------------------------------------------------------------

@@ -543,11 +543,11 @@ def test_an_audit_slice_is_one_pass_over_its_leaf_extents():
             "in_degree", "out_degree", "inode_of", "covers", "label", "contains", "segment",
             "to_list", "class_at", "extent_at",
         } & called_names([kernel]), name
-        checks = [
-            ast.unparse(node) for node in ast.walk(kernel)
-            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "check_invariants"
-        ]
-        assert checks == ["graph.check_invariants(())"], name  # the root's facts
+        # ... and no oracle's consistency check; `_drive` states the root's facts
+        assert "check_invariants" not in called_names([kernel]), name
+        assert "_drive" in called_names([kernel]), name
+    ((_, drive),) = functions_named("_drive")
+    assert called_names([drive]) & {"check_root", "check_invariants"} == {"check_root"}
     # a family's asks the Definition 4 oracle only once a test has failed
     def oracle_calls(tree: ast.AST) -> list[ast.Call]:
         return [
@@ -574,6 +574,69 @@ def test_an_audit_slice_is_one_pass_over_its_leaf_extents():
             if isinstance(node, ast.FunctionDef) and node.name == "check_invariants"
         )
         assert "whole" not in {arg.arg for arg in check.args.args + check.args.kwonlyargs}
+
+
+#: the oracles of ``src/`` and the parameters each takes beyond the
+#: structure: a scope survives only where a kernel's exact-pair fallback
+#: or the minimality probe reads it
+ORACLE_SCOPES = {
+    "check_invariants": [],
+    "check_totals": [],
+    "unstable_pairs": [],
+    "mergeable_pairs": ["inodes"],
+    "signature_violations": ["dnodes"],
+}
+
+
+def test_every_guard_check_is_one_kernel_pass():
+    """The scoped check, the audit slice and the unscoped check all go
+    through ``audit_extents`` / ``audit_classes``: the guard calls no
+    oracle, the structure protocol offers none, and no oracle keeps a
+    scope the guard alone used."""
+    guard = TREES["resilience/invariants.py"]
+    assert not {
+        "check_invariants", "depth_violations", "signature_violations", "unstable_pairs",
+        "mergeable_pairs", "_visits",
+    } & called_names([guard])
+    (check,) = (
+        node for module, node in functions_named("check") if module == "resilience/invariants.py"
+    )
+    ((_, audit_slice),) = functions_named("_audit_slice")
+    for function in (check, audit_slice):
+        names = {node.id for node in ast.walk(function) if isinstance(node, ast.Name)}
+        assert {"audit_extents", "audit_classes"} <= names, function.name
+    (protocol,) = (
+        node for node in ast.walk(TREES["index/structure.py"])
+        if isinstance(node, ast.ClassDef) and node.name == "Structure"
+    )
+    assert "check_invariants" not in {
+        node.name for node in protocol.body if isinstance(node, ast.FunctionDef)
+    }
+    assert not functions_named("depth_violations")
+    scopes = {}
+    for name in ORACLE_SCOPES:
+        for module, node in functions_named(name):
+            args = [arg.arg for arg in node.args.args + node.args.kwonlyargs][1:]
+            scopes.setdefault(name, set()).add(tuple(args))
+    assert scopes == {name: {tuple(args)} for name, args in ORACLE_SCOPES.items()}
+
+
+#: names in ``__all__`` of every package ``__init__`` under ``src/repro``:
+#: a ceiling that only falls
+PUBLIC_NAMES = 298
+
+
+def test_the_public_names_do_not_grow():
+    names = [
+        element.value
+        for module, tree in TREES.items()
+        if module.endswith("__init__.py")
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+        for element in node.value.elts
+    ]
+    assert len(names) <= PUBLIC_NAMES
 
 
 def test_the_guard_commits_one_checked_batch():
