@@ -36,6 +36,7 @@ from typing import Iterator, Optional
 
 from repro.exceptions import ServiceError, StructuralIndexError
 from repro.index.akindex import AkIndexFamily
+from repro.index.base import LabelTable
 from repro.service.snapshot import FrozenGraph, FrozenIndex
 
 
@@ -62,11 +63,13 @@ class LadderLevel:
     Implements what :func:`repro.query.evaluate_on_index` and
     :func:`repro.query.evaluate_on_ak` consume (``evaluation_tables`` /
     ``.graph``) plus the checked public reads.  Extents are computed
-    lazily and memoised — a query pays only for the inodes it matches.
+    lazily and memoised — a query pays only for the inodes it matches —
+    and so is the level's label table, grouped on the first read.
     """
 
     __slots__ = (
-        "level", "graph", "roots", "_leaf", "_groups", "_label", "_isucc", "_extents"
+        "level", "graph", "roots", "_leaf", "_groups", "_label", "_isucc", "_extents",
+        "_labelled",
     )
 
     def __init__(self, level: int, leaf: FrozenIndex, anc: dict[int, int]):
@@ -89,12 +92,16 @@ class LadderLevel:
                 bucket.add(anc[child])
         self._isucc = {ancestor: tuple(s) for ancestor, s in isucc_sets.items()}
         self._extents: dict[int, frozenset[int]] = {}
+        self._labelled: Optional[LabelTable] = None
 
     # -- the evaluation surface of StructuralIndex ---------------------
 
     def evaluation_tables(self) -> tuple:
-        """``(roots, children_of, label_of, extent_of)`` for the query kernel."""
-        return self.roots, self._isucc.__getitem__, self._label.__getitem__, self.extent
+        """``(roots, children_of, labelled, extent_of)`` for the query kernel."""
+        table = self._labelled
+        if table is None:  # racing readers may both group: identical tables
+            table = self._labelled = LabelTable.group(self._label.items())
+        return self.roots, self._isucc.__getitem__, table.__getitem__, self.extent
 
     def inodes(self) -> Iterator[int]:
         """Iterate over the level's tokens."""

@@ -21,11 +21,13 @@ inode id`` (the partition map) and ``oid → position inside its extent
 array``.  Membership is answered by the partition map, removal is an
 O(1) swap-with-last through the position map, and :meth:`extent`
 returns a generation-memoized frozen view (like the ``ipred_set``
-cache).  Support tables remain plain dict-of-dicts — there are few
-inodes and the tests introspect them.  The historical dict-of-sets
-implementation is retained as :class:`repro.core.refimpl.DictIndex`
-(the differential-testing oracle).  Wire dumps delta-encode the sorted
-extents; see :mod:`repro.index.serialize` and DESIGN.md §13.
+cache); so is the query kernel's label → inodes :class:`LabelTable`,
+grouped on the first read of a generation.  Support tables remain plain
+dict-of-dicts — there are few inodes and the tests introspect them.
+The historical dict-of-sets implementation is retained as
+:class:`repro.core.refimpl.DictIndex` (the differential-testing
+oracle).  Wire dumps delta-encode the sorted extents; see
+:mod:`repro.index.serialize` and DESIGN.md §13.
 
 The invariant linking partition and iedges can always be re-derived from
 scratch with :meth:`rebuild_iedges`; :meth:`check_invariants` compares the
@@ -42,6 +44,29 @@ from typing import Optional
 from repro.core.intmap import PAGE_BITS, PAGE_MASK, PagedIntMap
 from repro.exceptions import InvalidIndexError, StructuralIndexError
 from repro.graph.datagraph import DataGraph
+
+
+class LabelTable(dict):
+    """``label -> frozenset of inodes`` of one index version.
+
+    The query kernel's label test (:func:`repro.query.evaluate_on_index`):
+    a layer keeps the children carrying a step's label with one
+    intersection against ``table[label]``.  An absent label reads as the
+    empty set, so ``__getitem__`` is the whole lookup.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def group(cls, labels: Iterable[tuple[int, str]]) -> "LabelTable":
+        """Group ``(inode, label)`` pairs by label."""
+        groups: dict[str, list[int]] = {}
+        for inode, label in labels:
+            groups.setdefault(label, []).append(inode)
+        return cls((label, frozenset(members)) for label, members in groups.items())
+
+    def __missing__(self, label: str) -> frozenset[int]:
+        return frozenset()
 
 
 class INodeView:
@@ -126,6 +151,7 @@ class StructuralIndex:
         self._ipred_view: dict[int, frozenset[int]] = {}
         self._isucc_view: dict[int, frozenset[int]] = {}
         self._extent_view: dict[int, frozenset[int]] = {}
+        self._labelled_view: Optional[LabelTable] = None
         self._view_generation: int = 0
 
     # ------------------------------------------------------------------
@@ -150,6 +176,7 @@ class StructuralIndex:
             self._ipred_view.clear()
             self._isucc_view.clear()
             self._extent_view.clear()
+            self._labelled_view = None
             self._view_generation = self._generation
 
     # ------------------------------------------------------------------
@@ -331,19 +358,25 @@ class StructuralIndex:
         return iter(self._pred_support[inode])
 
     def evaluation_tables(self) -> tuple:
-        """``(roots, children_of, label_of, extent_of)`` for the query kernel.
+        """``(roots, children_of, labelled, extent_of)`` for the query kernel.
 
         The one method every evaluation surface implements (see
         :func:`repro.query.evaluate_on_index`): *roots* is the inode that
         holds ``graph.root`` — never a label scan, so a stray dnode that
         merely carries the ROOT label is not a seed — and the callables
         read the live tables directly (``children_of`` returns the
-        support row, whose keys are the index successors).
+        support row, whose keys are the index successors; ``labelled``
+        the :class:`LabelTable` of this generation, grouped on first read
+        like :meth:`ipred_set`'s views, so the write path never pays).
         """
         graph = self.graph
         root = self._inode_of.get(graph.root) if graph.has_root else None
         roots = () if root is None else (root,)
-        return roots, self._succ_support.__getitem__, self._label.__getitem__, self.extent
+        self._fresh_views()
+        table = self._labelled_view
+        if table is None:
+            table = self._labelled_view = LabelTable.group(self._label.items())
+        return roots, self._succ_support.__getitem__, table.__getitem__, self.extent
 
     @property
     def generation(self) -> int:

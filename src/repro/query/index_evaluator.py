@@ -25,9 +25,12 @@ asks what kind of index it was handed: the live
 :class:`~repro.index.base.StructuralIndex`, a published
 :class:`~repro.service.snapshot.FrozenIndex` and a derived
 :class:`~repro.adaptive.ladder.LadderLevel` each implement one method,
-``evaluation_tables()``, returning ``(roots, children_of, label_of,
+``evaluation_tables()``, returning ``(roots, children_of, labelled,
 extent_of)`` — the seed plus three plain callables, for the frozen
-surfaces the ``__getitem__`` of their own dicts.
+surfaces the ``__getitem__`` of their own tables.  ``labelled(label)``
+is the surface's inodes carrying *label* (a
+:class:`~repro.index.base.LabelTable` kept per version; the empty set
+for a label the index lacks).
 
 * **The seed** is *the inode that holds* ``graph.root``, read off the
   partition map in O(1) (at publish time, for the frozen surfaces) — not
@@ -41,11 +44,13 @@ surfaces the ``__getitem__`` of their own dicts.
   in state order with set operations, no worklist and no
   :meth:`PathNfa.step <repro.query.automaton.PathNfa.step>`: layer 0 is
   the seed, layer i + 1 the children of layer i whose label passes step
-  i, and a loop state's layer is first closed under children.
+  i — ``below & labelled(test)``, one C-level intersection — and a loop
+  state's layer is first closed under children.
 * **Cost follows the layers**: one ``children_of`` read per (inode,
-  state) pair, one ``label_of`` read per child a non-accepting layer
-  reaches, one ``extent_of`` read per accepting inode — ``/site`` reads
-  the same entries whatever hangs below ``site``.  The kernel checks no
+  state) pair, one ``labelled`` read per non-wildcard state and none per
+  child, one ``extent_of`` read per accepting inode — ``/site`` reads
+  the same entries whatever hangs below ``site``, and ``//name`` reads
+  one label set however many inodes it closes over.  The kernel checks no
   inode for existence: inside one version every seed and every iedge
   target is a key of the tables it came from (the public ``label_of`` /
   ``isucc`` / ``extent`` methods keep raising
@@ -116,7 +121,7 @@ def evaluate_on_index(
     layer member's once — with or without a *footprint*.
     """
     nfa = _as_nfa(query)
-    roots, children_of, label_of, extent_of = index.evaluation_tables()
+    roots, children_of, labelled, extent_of = index.evaluation_tables()
     read = footprint.inodes if footprint is not None else None
     if read is not None:
         read.update(roots)
@@ -137,7 +142,7 @@ def evaluate_on_index(
         visited += len(layer)
         if read is not None:
             read |= below
-        layer = below if test == WILDCARD else {c for c in below if label_of(c) == test}
+        layer = below if test == WILDCARD else below & labelled(test)
     # the accepting layer never loops and feeds no further layer: its
     # children are counted, and collected only into a footprint
     visited += len(layer)

@@ -42,10 +42,13 @@ partition map by every ``capture`` / ``evolve`` (O(1); a split can
 move the root to a fresh inode id, so it is re-read, never copied from
 the previous version).  ``FrozenIndex.evaluation_tables()`` hands the
 query kernel that seed and the raw ``__getitem__`` of the version's
-three dicts.  The kernel may skip the per-inode existence check the
-public ``label_of`` / ``isucc`` / ``extent`` methods make because a
-version is closed: its seed and every iedge target are keys of the
-same immutable dicts, so a lookup the kernel makes cannot miss.
+iedge and extent dicts and of its **label table**
+(:class:`~repro.index.base.LabelTable`, ``label -> inodes``), which
+``evolve`` re-forms only for the labels an inode joined or left.  The
+kernel may skip the per-inode existence check the public ``label_of`` /
+``isucc`` / ``extent`` methods make because a version is closed: its
+seed and every iedge target are keys of the same immutable dicts, so a
+lookup the kernel makes cannot miss.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 from repro.exceptions import GraphError, StructuralIndexError
 from repro.graph.datagraph import DataGraph
 from repro.index.akindex import AkIndexFamily, LeafView
-from repro.index.base import StructuralIndex
+from repro.index.base import LabelTable, StructuralIndex
 from repro.index.structure import Structure
 from repro.query.automaton import PathNfa
 from repro.query.evaluator import EvaluationReport
@@ -209,22 +212,24 @@ class FrozenIndex:
     the matching data, never the writer's live copy.
     """
 
-    __slots__ = ("graph", "roots", "_extent", "_label", "_isucc")
+    __slots__ = ("graph", "roots", "_extent", "_isucc", "_labelled")
 
     def __init__(
         self,
         graph: FrozenGraph,
         root: Optional[int],
         extent: dict[int, frozenset[int]],
-        label: dict[int, str],
         isucc: dict[int, tuple[int, ...]],
+        labelled: LabelTable,
     ):
         self.graph = graph
         #: the evaluation seed: the inode holding ``graph.root`` (``()`` if rootless)
         self.roots: tuple[int, ...] = () if root is None else (root,)
         self._extent = extent
-        self._label = label
         self._isucc = isucc
+        #: ``label -> inodes`` of this version, the only place labels are kept:
+        #: an inode's own label is its members' (:meth:`label_of`)
+        self._labelled = labelled
 
     @classmethod
     def capture(
@@ -232,10 +237,10 @@ class FrozenIndex:
     ) -> "FrozenIndex":
         """Freeze an index's partition and iedges against *graph*."""
         extent = {i: frozenset(index.extent(i)) for i in index.inodes()}
-        label = {i: index.label_of(i) for i in index.inodes()}
         isucc = {i: tuple(index.isucc(i)) for i in index.inodes()}
+        labelled = LabelTable.group((i, index.label_of(i)) for i in index.inodes())
         root = index.inode_of(graph.root) if graph.has_root else None
-        return cls(graph, root, extent, label, isucc)
+        return cls(graph, root, extent, isucc, labelled)
 
     @classmethod
     def evolve(
@@ -247,26 +252,41 @@ class FrozenIndex:
     ) -> "FrozenIndex":
         """The next version by structural sharing: re-capture *touched* only.
 
-        Untouched inodes keep the previous version's extent frozenset,
-        label and iedge tuple; touched inodes are re-frozen from the live
-        index, and touched inodes that no longer exist are dropped.
-        Correct iff *touched* is a superset of the inodes whose extent,
-        label or iedges changed since *prev*.
+        Untouched inodes keep the previous version's extent frozenset and
+        iedge tuple; touched inodes are re-frozen from the live index, and
+        touched inodes that no longer exist are dropped.  Correct iff
+        *touched* is a superset of the inodes whose extent or iedges
+        changed since *prev*.  An inode keeps its label while it lives, so
+        the label table changes only where a touched id was created or
+        destroyed: those labels' sets are re-formed, every other set is
+        shared, and a commit that did neither publishes *prev*'s table.
         """
-        extent = prev._extent.copy()
-        label = prev._label.copy()
+        before = prev._extent
+        extent = before.copy()
         isucc = prev._isucc.copy()
+        moved: dict[str, set[int]] = {}  # label -> the ids that joined or left it
         for i in touched:
             if index.has_inode(i):
+                if i not in before:
+                    moved.setdefault(index.label_of(i), set()).add(i)
                 extent[i] = frozenset(index.extent(i))
-                label[i] = index.label_of(i)
                 isucc[i] = tuple(index.isucc(i))
-            else:
-                extent.pop(i, None)
-                label.pop(i, None)
-                isucc.pop(i, None)
+            elif i in before:
+                moved.setdefault(prev.label_of(i), set()).add(i)
+                del extent[i], isucc[i]
+        labelled = prev._labelled
+        if moved:
+            labelled = LabelTable(labelled)
+            for label, ids in moved.items():
+                # leavers are members and joiners are not, so one copy of
+                # the old set with the few ids toggled
+                members = frozenset(ids) ^ labelled[label]
+                if members:
+                    labelled[label] = members
+                else:
+                    del labelled[label]
         root = index.inode_of(graph.root) if graph.has_root else None
-        return cls(graph, root, extent, label, isucc)
+        return cls(graph, root, extent, isucc, labelled)
 
     def same_entry(self, other: "FrozenIndex", token: int) -> bool:
         """Whether *token*'s captured extent/label/iedges agree with *other*.
@@ -284,7 +304,7 @@ class FrozenIndex:
         mine, theirs = self._extent[token], other._extent[token]
         if mine is not theirs and mine != theirs:
             return False
-        if self._label[token] != other._label[token]:
+        if self.label_of(token) != other.label_of(token):
             return False
         mine, theirs = self._isucc[token], other._isucc[token]
         return mine is theirs or set(mine) == set(theirs)
@@ -292,16 +312,17 @@ class FrozenIndex:
     # -- the evaluation surface of StructuralIndex ---------------------
 
     def evaluation_tables(self) -> tuple:
-        """``(roots, children_of, label_of, extent_of)`` for the query kernel.
+        """``(roots, children_of, labelled, extent_of)`` for the query kernel.
 
-        The raw ``__getitem__`` of this version's own dicts: every iedge
-        target of an immutable version is a key of all three, so the
-        kernel needs no per-edge existence check.
+        The raw ``__getitem__`` of this version's own tables: every iedge
+        target of an immutable version is a key of its iedge and extent
+        dicts, so the kernel needs no per-edge existence check, and the
+        label table answers an absent label with the empty set.
         """
         return (
             self.roots,
             self._isucc.__getitem__,
-            self._label.__getitem__,
+            self._labelled.__getitem__,
             self._extent.__getitem__,
         )
 
@@ -312,7 +333,7 @@ class FrozenIndex:
     def label_of(self, inode: int) -> str:
         """The label shared by the extent of *inode*."""
         self._require(inode)
-        return self._label[inode]
+        return self.graph.label(next(iter(self._extent[inode])))
 
     def extent(self, inode: int) -> frozenset[int]:
         """The captured extent of *inode*."""
@@ -447,7 +468,7 @@ class IndexSnapshot:
             "pred": {str(w): sorted(t) for w, t in graph._pred.items()},
             "label": {str(w): lab for w, lab in graph._label.items()},
             "extent": {str(i): sorted(e) for i, e in index._extent.items()},
-            "ilabel": {str(i): lab for i, lab in index._label.items()},
+            "ilabel": {str(i): lab for lab, ids in index._labelled.items() for i in ids},
             "isucc": {str(i): sorted(s) for i, s in index._isucc.items()},
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("ascii")

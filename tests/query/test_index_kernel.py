@@ -1,6 +1,6 @@
 """The index-evaluation kernel against an in-test reference, and its cost as counts.
 
-Four statements, none of them timed:
+Five statements, none of them timed:
 
 * **Differential.**  :func:`reference_evaluation` below walks the
   automaton per iedge with a worklist of state sets, written against each
@@ -19,13 +19,22 @@ Four statements, none of them timed:
 * **Only the root seeds.**  A dnode that merely carries the ROOT label is
   not a seed on any surface (the parent commit seeded by label scan and
   lost 1-index precision on ``root → x → ROOT' → a``).
-* **O(path).**  No served query iterates the index, and ``/site`` reads
-  the same number of table entries on XMark(1) as on XMark at 4x counts.
+* **The label table.**  Every surface's ``labelled(l)`` is its inodes
+  labelled l, and the empty set for a label it lacks — live, frozen and
+  at every ladder level, at every version of the stream, across a batch
+  rolled back inside maintenance, a degrade rebuild, a 1-index
+  reconstruct and a live index mutated between reads; an ``evolve``'s
+  table equals a fresh ``capture``'s, shares *prev*'s when no inode came
+  or went, and re-forms only the labels an inode joined or left.
+* **O(path).**  No served query iterates the index; ``/site`` reads the
+  same number of table entries on XMark(1) as on XMark at 4x counts, and
+  every expression reads one label set per non-wildcard state.
 * **No ``PathNfa.step``.**  The kernel builds one inode layer per
   automaton state with set operations: an automaton of the test's own
   whose ``step`` fails is evaluated unharmed, each inode's iedges are read
   exactly once per state it holds, and the automata shared through the
-  ``as_nfa`` LRU come out of concurrent evaluations as they went in.
+  ``as_nfa`` LRU come out of concurrent evaluations as they went in —
+  also when the readers race a ladder level's first label grouping.
 """
 
 from __future__ import annotations
@@ -40,13 +49,18 @@ import pytest
 
 from repro.adaptive.ladder import LadderLevel, build_ladder_state
 from repro.adaptive.service import AdaptiveConfig, AdaptiveIndexService
+from repro.exceptions import InjectedFaultError
 from repro.experiments.config import SMOKE
 from repro.graph.datagraph import ROOT_LABEL, DataGraph, EdgeKind
 from repro.index.akindex import AkIndexFamily
+from repro.index.base import LabelTable
 from repro.index.oneindex import OneIndex
+from repro.maintenance.split_merge import SplitMergeMaintainer
 from repro.query.automaton import PathNfa, as_nfa
 from repro.query.evaluator import evaluate_on_graph
 from repro.query.index_evaluator import EvalFootprint, evaluate_on_ak, evaluate_on_index
+from repro.query.path_expression import WILDCARD
+from repro.resilience import FaultInjector, GuardConfig
 from repro.service import IndexService, ServiceConfig
 from repro.service.queue import Update
 from repro.service.snapshot import FrozenIndex, IndexSnapshot
@@ -138,6 +152,19 @@ def reference_evaluation(surface, query, roots=None):
     return frozenset(matches), visited, followed, read
 
 
+def assert_label_table(surface, where) -> None:
+    """``labelled(l)`` is the surface's inodes labelled l, read off its public
+    methods, for every label it holds, and empty for a label it lacks."""
+    labelled = surface.evaluation_tables()[2]
+    by_label: dict[str, set[int]] = {}
+    for inode in surface.inodes():
+        by_label.setdefault(surface.label_of(inode), set()).add(inode)
+    for label, inodes in by_label.items():
+        members = labelled(label)
+        assert type(members) is frozenset and members == inodes, (where, label)
+    assert labelled("nosuch") == frozenset(), where
+
+
 def assert_kernel_matches_reference(surface, pool, where, truth=None) -> None:
     """*truth*: the graph's own answers to some of the expressions, for a
     precise surface."""
@@ -163,14 +190,17 @@ def assert_kernel_matches_reference(surface, pool, where, truth=None) -> None:
 # ----------------------------------------------------------------------
 
 
-def start_service(kind: str, family: str):
+def start_service(kind: str, family: str, seed: int):
+    """A service on a small XMark, and its seeded IDREF stream (see :func:`churn`)."""
     graph = generate_xmark(SMALL).graph
+    stream = churn(graph, seed)
     config = ServiceConfig(family=family, k=K, batch_max_ops=8)
     if kind == "plain":
-        return IndexService(graph, config)
-    return AdaptiveIndexService(
+        return IndexService(graph, config), stream
+    service = AdaptiveIndexService(
         graph, config, AdaptiveConfig(levels=LEVELS, retune_every=0)
     )
+    return service, stream
 
 
 def surfaces_of(service) -> dict:
@@ -204,6 +234,7 @@ def check_version(service, pool) -> None:
     # the seed an evolve carried is the seed a cold capture reads
     assert service.snapshot.index.roots == fresh.index.roots, version
     assert service.snapshot.fingerprint() == fresh.fingerprint(), version
+    check_tables(service)
     exact = None
     if service.config.family == "one":  # precise: the index answer is the graph's
         graph = service.snapshot.graph
@@ -218,7 +249,7 @@ def check_version(service, pool) -> None:
 @pytest.mark.parametrize("family", ["one", "ak"])
 @pytest.mark.parametrize("kind", ["plain", "adaptive"])
 def test_kernel_equals_reference_at_every_version(kind, family):
-    service = start_service(kind, family)
+    service, stream = start_service(kind, family, seed=17)
     graph = service.graph
     pool = walk_pool(graph)
     assert len(pool) > 100
@@ -234,11 +265,6 @@ def test_kernel_equals_reference_at_every_version(kind, family):
         assert service.version > before
         check_version(service, pool)
 
-    workload = MixedUpdateWorkload.prepare(graph, seed=17)
-    stream = (
-        Update.insert_edge(s, t, EdgeKind.IDREF) if op == "insert" else Update.delete_edge(s, t)
-        for op, s, t in workload.steps(16, validate=False)
-    )
     for _ in range(3):
         commit(*islice(stream, 4))
     root = graph.root
@@ -262,7 +288,126 @@ def test_kernel_equals_reference_at_every_version(kind, family):
     commit(*islice(stream, 4), full_capture=True)
     for _ in range(2):
         commit(*islice(stream, 4))
+    assert service.guarded.stats.degradations == 0  # every version an evolve
     service.check()
+    service.close()
+
+
+def churn(graph: DataGraph, seed: int):
+    """A seeded IDREF insert/delete stream as updates; it pools its edges out
+    of *graph* at once, so call it before building an index on *graph*."""
+    return (
+        Update.insert_edge(s, t, EdgeKind.IDREF) if op == "insert" else Update.delete_edge(s, t)
+        for op, s, t in MixedUpdateWorkload.prepare(graph, seed=seed).steps(16, validate=False)
+    )
+
+
+def check_tables(service) -> None:
+    """Every surface's label table, and the published one against a capture's."""
+    assert service.snapshot.index._labelled == fresh_capture(service).index._labelled
+    for name, surface in surfaces_of(service).items():
+        assert_label_table(surface, (service.version, name))
+
+
+def next_id(service) -> int:
+    """The id the next fresh inode (A(k) leaf class) of the service takes."""
+    structure = service.structure
+    return structure._next_id if service.config.family == "one" else structure.levels[K].next_token
+
+
+@pytest.mark.parametrize("family", ["one", "ak"])
+def test_the_label_table_across_a_rollback_a_rebuild_and_a_reconstruct(family):
+    graph = generate_xmark(SMALL).graph
+    stream = churn(graph, seed=3)
+    config = ServiceConfig(family=family, k=K, guard=GuardConfig(policy="raise"))
+    service = IndexService(graph, config)
+    check_tables(service)
+    # a batch rolled back inside maintenance: its fresh ids are handed out again
+    batch = list(islice(stream, 4))
+    first, published = next_id(service), service.version
+    injector = service.guarded.fault_injector = FaultInjector(at_phase="split")
+    for update in batch:
+        service.submit(update)
+    with pytest.raises(InjectedFaultError):
+        service.flush()
+    assert injector.fired == 1 and service.version == published
+    assert next_id(service) == first
+    service.guarded.fault_injector = None
+    for update in batch:
+        service.submit(update)
+    service.flush()
+    assert service.version == published + 1
+    assert next_id(service) > first  # the rolled-back batch's ids, reused
+    check_tables(service)
+    if family == "one":  # a reconstruct merges through journaled merges
+        service.submit(Update.reconstruct())
+        service.flush()
+        assert service.version == published + 2
+        check_tables(service)
+    service.close()
+    # a degrade rebuild renames every inode: the table is captured whole
+    graph = generate_xmark(SMALL).graph
+    stream = churn(graph, seed=3)
+    config = ServiceConfig(family=family, k=K, guard=GuardConfig(policy="degrade"))
+    service = IndexService(graph, config, fault_injector=FaultInjector(at_record=1))
+    for version in (1, 2):  # the rebuilt version, then an evolve from it
+        for update in islice(stream, 4):
+            service.submit(update)
+        service.flush()
+        assert service.version == version
+        assert service.guarded.stats.degradations == 1
+        check_tables(service)
+    service.close()
+
+
+def test_a_live_index_regroups_its_labels_between_mutations():
+    graph = generate_xmark(SMALL).graph
+    workload = MixedUpdateWorkload.prepare(graph, seed=3)
+    index = OneIndex.build(graph)
+    maintainer = SplitMergeMaintainer(index)
+    pool = walk_pool(graph)[::25]
+    inodes, changed = set(index.inodes()), 0
+    for op, s, t in workload.steps(6):
+        assert_label_table(index, (op, s, t))  # the read that memoises a table
+        if op == "insert":
+            maintainer.insert_edge(s, t, EdgeKind.IDREF)
+        else:
+            maintainer.delete_edge(s, t)
+        assert_label_table(index, (op, s, t))
+        assert_kernel_matches_reference(index, pool, (op, s, t))
+        changed += inodes != set(index.inodes())
+        inodes = set(index.inodes())
+    assert changed >= 2
+
+
+@pytest.mark.parametrize("family", ["one", "ak"])
+def test_an_evolve_re_forms_only_the_label_sets_an_inode_joined_or_left(family):
+    graph = generate_xmark(SMALL).graph
+    stream = churn(graph, seed=23)
+    service = IndexService(graph, ServiceConfig(family=family, k=K))
+    value = Update.set_value(next(iter(graph.nodes_with_label("name"))), "renamed")
+    shared = reformed = 0
+    for updates in ([value], *([update] for update in islice(stream, 12))):
+        prev = service.snapshot.index
+        for update in updates:
+            service.submit(update)
+        service.flush()
+        new = service.snapshot.index
+        before, after = (
+            LabelTable.group((i, index.label_of(i)) for i in index.inodes()) for index in (prev, new)
+        )
+        changed = {label for label in before.keys() | after.keys()
+                   if before.get(label) != after.get(label)}
+        if not changed:
+            assert new._labelled is prev._labelled, updates
+            shared += 1
+            continue
+        reformed += 1
+        assert {
+            label for label, members in new._labelled.items()
+            if members is not prev._labelled.get(label)
+        } == changed & after.keys(), updates
+    assert shared >= 1 and reformed >= 1
     service.close()
 
 
@@ -413,11 +558,11 @@ class TestOnlyTheRootSeeds:
 @pytest.mark.parametrize("family", ["one", "ak"])
 @pytest.mark.parametrize("kind", ["plain", "adaptive"])
 def test_no_served_query_iterates_the_index(kind, family, monkeypatch):
-    service = start_service(kind, family)
+    service, stream = start_service(kind, family, seed=3)
     pool = walk_pool(service.graph)
-    for op, s, t in MixedUpdateWorkload.prepare(service.graph, seed=3).steps(2):
-        if op == "insert":
-            service.submit(Update.insert_edge(s, t, EdgeKind.IDREF))
+    for update in islice(stream, 4):
+        if update.op == "insert_edge":
+            service.submit(update)
     service.drain()
 
     def iterated(self):
@@ -453,7 +598,7 @@ class CountedReads:
 
             return read
 
-        names = ("children_of", "label_of", "extent_of")
+        names = ("children_of", "labelled", "extent_of")
         return (roots, *(counted(name, table) for name, table in zip(names, tables)))
 
 
@@ -462,8 +607,9 @@ def reads_of(surface, expression) -> Counter:
     report = evaluate_on_index(counted, expression)
     assert report.matches == reference_evaluation(surface, expression)[0]
     assert counted.reads["children_of"] == report.nodes_visited
-    # a label is read per child a non-accepting layer reaches, not per iedge
-    assert counted.reads["label_of"] <= report.edges_followed
+    # one label set per non-wildcard state, however many children it filters
+    tests = [test for test, _ in as_nfa(expression).advance]
+    assert counted.reads["labelled"] == len(tests) - tests.count(WILDCARD)
     return counted.reads
 
 
@@ -494,9 +640,10 @@ def test_a_child_path_reads_the_same_tables_at_four_times_the_index(scaled_surfa
     assert small["/site"] == large["/site"]
     assert small["/site"]["children_of"] == 2 and small["/site"]["extent_of"] == 1
     assert small["/site/regions"] == large["/site/regions"]
-    # //name walks everything reachable, so its reads grow with the index
-    for table in ("children_of", "label_of"):
-        assert 3.0 < large["//name"][table] / small["//name"][table] < 5.0
+    # //name walks everything reachable, so its iedge reads grow with the
+    # index; its one label set is read once at either size
+    assert 3.0 < large["//name"]["children_of"] / small["//name"]["children_of"] < 5.0
+    assert small["//name"]["labelled"] == large["//name"]["labelled"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -546,27 +693,34 @@ def test_the_kernel_never_steps_and_reads_iedges_once_per_state_held(scaled_surf
 def test_the_shared_automata_are_untouched_by_concurrent_readers():
     graph = generate_xmark(SMALL).graph
     frozen = IndexSnapshot.capture(0, graph, OneIndex.build(graph)).index
+    family = AkIndexFamily.build(graph, K)
+    leaf = IndexSnapshot.capture(0, graph, family).index
+    anc = build_ladder_state(family, leaf, 0, LEVELS).anc[1]
     pool = [*walk_pool(graph), *ADVERSARIAL]
     shared = {text: as_nfa(text) for text in pool}  # what the LRU hands every reader
 
-    def one_pass():
+    def one_pass(surface):
         reports = []
         for text in pool:
             footprint = EvalFootprint()
-            report = evaluate_on_index(frozen, text, footprint=footprint)
+            report = evaluate_on_index(surface, text, footprint=footprint)
             reports.append((report, footprint.inodes))
         return reports
 
-    serial = one_pass()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as readers:
-            passes = [readers.submit(one_pass) for _ in range(4)]
-            for concurrent in passes:
-                assert concurrent.result(timeout=120) == serial
-    finally:
-        sys.setswitchinterval(interval)
+    # a ladder level groups its label table on the first read: fresh
+    # levels make the concurrent readers race that grouping
+    for fresh in (lambda: frozen, lambda: LadderLevel(1, leaf, anc)):
+        serial = one_pass(fresh())
+        surface = fresh()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as readers:
+                passes = [readers.submit(one_pass, surface) for _ in range(4)]
+                for concurrent in passes:
+                    assert concurrent.result(timeout=120) == serial
+        finally:
+            sys.setswitchinterval(interval)
     for text, nfa in shared.items():
         assert as_nfa(text) is nfa
         assert set(vars(nfa)) == {"expression", "advance", "loops"}, text

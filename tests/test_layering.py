@@ -623,7 +623,7 @@ def test_every_guard_check_is_one_kernel_pass():
 
 #: names in ``__all__`` of every package ``__init__`` under ``src/repro``:
 #: a ceiling that only falls
-PUBLIC_NAMES = 298
+PUBLIC_NAMES = 294
 
 
 def test_the_public_names_do_not_grow():
@@ -720,6 +720,13 @@ def test_one_kernel_and_an_independent_reference():
     assert not [
         node for node in ast.walk(kernel)
         if isinstance(node, ast.Attribute) and node.attr in ("step", "rows")
+    ]
+    # a layer's label test is one intersection with the surface's label
+    # table: the kernel reads no inode's label
+    assert "labelled" in names
+    assert not [
+        node for node in ast.walk(kernel)
+        if "label_of" in (getattr(node, "id", None), getattr(node, "attr", None))
     ]
     stepping = [
         (module, function.name)
