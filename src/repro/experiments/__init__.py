@@ -23,7 +23,7 @@ from repro.experiments import (
 )
 from repro.experiments.config import PAPER, SCALES, SMALL, SMOKE, ExperimentScale, scale_by_name
 
-#: registry used by the CLI and the benchmarks: id -> module with main()
+#: registry used by the CLI and its tests: id -> module with main()
 EXPERIMENTS = {
     "fig9": fig09_imdb_quality,
     "fig10": fig10_xmark_quality,

@@ -4,9 +4,9 @@ The paper's datasets (167 k–272 k dnodes, 5000 update pairs) take minutes
 per experiment in pure Python, so every experiment is parameterised by an
 :class:`ExperimentScale`:
 
-* ``smoke``  — seconds; used by the test-suite to exercise the harness;
-* ``small``  — the default for ``pytest benchmarks/``; tens of seconds
-  per experiment, large enough for every qualitative trend to show;
+* ``smoke``  — seconds; ``tests/experiments/`` asserts every claim here;
+* ``small``  — the CLI's default; tens of seconds per experiment, large
+  enough for every qualitative trend to show;
 * ``paper``  — approaches the paper's dataset sizes; for an unattended
   full run via ``python -m repro.experiments --scale paper``.
 

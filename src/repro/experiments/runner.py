@@ -28,8 +28,7 @@ from typing import Callable, Optional, Protocol
 from repro.graph.datagraph import DataGraph, EdgeKind
 from repro.maintenance.base import UpdateStats
 from repro.maintenance.reconstruction import ReconstructionPolicy
-from repro.metrics.timing import max_ms, p50_ms, p95_ms
-from repro.obs import MetricsRegistry, Observer, current
+from repro.obs import Histogram, MetricsRegistry, Observer, current
 from repro.workload.updates import MixedUpdateWorkload
 
 
@@ -80,10 +79,8 @@ class MixedRunResult:
     reconstruction_intervals: list[int] = field(default_factory=list)
     final_size: int = 0
     final_minimum: int = 0
-    #: per-update durations (seconds), for tail percentiles
-    update_lap_seconds: list[float] = field(default_factory=list)
-    #: the per-run registry the scalar fields are views of (None when the
-    #: result was built by hand)
+    #: the per-run registry the scalar fields and the tail times are views
+    #: of (None when the result was built by hand)
     metrics: Optional[MetricsRegistry] = None
 
     def sync_from_metrics(self, registry: MetricsRegistry) -> None:
@@ -94,9 +91,7 @@ class MixedRunResult:
         self.total_splits = registry.counter("run.splits").value
         self.total_merges = registry.counter("run.merges").value
         self.peak_inodes = int(registry.gauge("run.peak_inodes").max_value)
-        update_hist = registry.histogram("run.update_seconds")
-        self.update_seconds = update_hist.total
-        self.update_lap_seconds = list(update_hist.values)
+        self.update_seconds = registry.histogram("run.update_seconds").total
         self.reconstructions = registry.counter("run.reconstructions").value
         self.reconstruction_seconds = registry.histogram(
             "run.reconstruction_seconds"
@@ -111,19 +106,27 @@ class MixedRunResult:
         return self.update_seconds / self.updates * 1000
 
     @property
+    def _update_histogram(self) -> Histogram:
+        """The run's ``run.update_seconds`` histogram (an empty one for a
+        result built by hand)."""
+        if self.metrics is None:
+            return Histogram("run.update_seconds")
+        return self.metrics.histogram("run.update_seconds")
+
+    @property
     def p50_update_ms(self) -> float:
-        """Median per-update time (0.0 when laps were not recorded)."""
-        return p50_ms(self.update_lap_seconds)
+        """Median per-update time."""
+        return self._update_histogram.p50 * 1000
 
     @property
     def p95_update_ms(self) -> float:
-        """95th-percentile per-update time (0.0 when laps were not recorded)."""
-        return p95_ms(self.update_lap_seconds)
+        """95th-percentile per-update time."""
+        return self._update_histogram.p95 * 1000
 
     @property
     def max_update_ms(self) -> float:
-        """Worst single update time (0.0 when laps were not recorded)."""
-        return max_ms(self.update_lap_seconds)
+        """Worst single update time, over every update of the run."""
+        return self._update_histogram.max * 1000
 
     @property
     def mean_update_with_recon_ms(self) -> float:

@@ -1,4 +1,4 @@
-"""Metrics: index quality (Section 3), storage (Table 3), timing."""
+"""Metrics: index quality (Section 3) and storage (Table 3)."""
 
 from repro.metrics.quality import (
     ak_family_quality,
@@ -9,7 +9,6 @@ from repro.metrics.quality import (
     quality_from_sizes,
 )
 from repro.metrics.storage import UNIT_BYTES, StorageEstimate, estimate_storage
-from repro.metrics.timing import max_ms, mean_ms, p50_ms, p95_ms
 
 __all__ = [
     "quality_from_sizes",
@@ -21,8 +20,4 @@ __all__ = [
     "StorageEstimate",
     "estimate_storage",
     "UNIT_BYTES",
-    "mean_ms",
-    "p50_ms",
-    "p95_ms",
-    "max_ms",
 ]

@@ -25,8 +25,8 @@ While ``count <= reservoir capacity`` the reservoir holds every sample
 and percentiles are exact — byte-for-byte what the unbounded histogram
 returned — so :meth:`Histogram.summary`/``p50``/``p95`` are backward
 compatible; beyond the cap, quantiles come from the bucket digest.
-:func:`percentile` is the nearest-rank definition shared with
-``repro.metrics.timing``.
+:func:`percentile` is the nearest-rank definition every exact
+percentile in the library uses.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.experiments import runner
@@ -13,10 +15,12 @@ from repro.experiments.reporting import (
 )
 from repro.experiments.runner import MixedRunResult, SeriesPoint, run_mixed_updates
 from repro.index.oneindex import OneIndex
+from repro.maintenance.base import UpdateStats
 from repro.maintenance.reconstruction import ReconstructionPolicy
 from repro.maintenance.split_merge import SplitMergeMaintainer
 from repro.metrics.quality import minimum_1index_size_of
 from repro.obs import MetricsRegistry
+from repro.obs.metrics import DEFAULT_RESERVOIR
 from repro.workload.updates import MixedUpdateWorkload
 from repro.workload.xmark import XMarkConfig, generate_xmark
 
@@ -90,6 +94,54 @@ class TestRunMixedUpdates:
         assert registry.histogram("run.update_seconds").count == 1
         assert registry.counter("run.updates").value == 1
 
+    def test_tails_read_the_whole_run_beyond_the_reservoir(self, monkeypatch):
+        """More updates than the histogram's sample reservoir holds, one
+        of them slow: ``max`` is that update, not the largest *sampled*
+        one, and the percentiles are the histogram's own."""
+        clock = SimpleNamespace(now=0.0)
+        monkeypatch.setattr(runner, "time", SimpleNamespace(perf_counter=lambda: clock.now))
+        registry = MetricsRegistry()
+        monkeypatch.setattr(runner, "MetricsRegistry", lambda: registry)
+
+        class ClockedMaintainer:
+            """Applies edges to the bare graph; every update takes 1 ms of
+            the stubbed clock except the first, which takes 500 ms."""
+
+            def __init__(self, graph):
+                self.graph = graph
+
+            def _lap(self) -> UpdateStats:
+                clock.now += 0.5 if clock.now == 0.0 else 0.001
+                return UpdateStats()
+
+            def insert_edge(self, source, target, kind):
+                self.graph.add_edge(source, target, kind)
+                return self._lap()
+
+            def delete_edge(self, source, target):
+                self.graph.remove_edge(source, target)
+                return self._lap()
+
+            def index_size(self):
+                return 1
+
+        graph = generate_xmark(CONFIG).graph
+        num_pairs = DEFAULT_RESERVOIR  # twice the reservoir's capacity
+        result = run_mixed_updates(
+            name="test",
+            maintainer=ClockedMaintainer(graph),
+            workload=MixedUpdateWorkload.prepare(graph, seed=3),
+            num_pairs=num_pairs,
+            sample_every=10 * num_pairs,
+            minimum_size_fn=lambda graph: 1,
+        )
+        histogram = registry.histogram("run.update_seconds")
+        assert result.updates == histogram.count == 2 * num_pairs
+        assert not histogram.exact
+        assert result.max_update_ms == pytest.approx(500.0)
+        assert result.p50_update_ms == histogram.p50 * 1000
+        assert result.p95_update_ms == histogram.p95 * 1000
+
     def test_mean_with_recon(self):
         result = MixedRunResult(name="x", updates=10)
         result.update_seconds = 1.0
@@ -100,6 +152,9 @@ class TestRunMixedUpdates:
     def test_empty_result_properties(self):
         result = MixedRunResult(name="x")
         assert result.mean_update_ms == 0.0
+        assert result.p50_update_ms == 0.0
+        assert result.p95_update_ms == 0.0
+        assert result.max_update_ms == 0.0
         assert result.mean_update_with_recon_ms == 0.0
         assert result.max_quality == 0.0
         assert result.final_quality == 0.0

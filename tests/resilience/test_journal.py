@@ -268,9 +268,8 @@ class TestTransactionProtocol:
     def test_journaling_work_is_one_record_per_mutator_call(self):
         """The guard-overhead gate, as counts instead of a stopwatch.
 
-        (``benchmarks/bench_guard_overhead.py`` bounded the journaled /
-        unguarded time ratio of a mixed workload; what that ratio
-        measured is this.)  Outside a transaction the hooks find no
+        (A stopwatch gate would bound the journaled / unguarded time
+        ratio of a mixed workload; what that ratio measures is this.)  Outside a transaction the hooks find no
         journal, so an unguarded run leaves none behind; inside one,
         every mutator call — each bumps its structure's generation
         exactly once — appends exactly one record, so journaling adds

@@ -6,10 +6,15 @@ shifts its randomness and its failure artifact, and every row runs under
 seeds 0-2.  A seed variable that no row sets (or that a row sets for the
 wrong directory) would silently run every CI cell on seed 0, so the
 pairing is pinned here rather than trusted.
+
+The paper's evaluation has one harness (``python -m repro.experiments``,
+asserted by ``tests/experiments/``); the pytest-benchmark wrappers that
+once duplicated it, their plugin and their scale variable are pinned out.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -79,3 +84,38 @@ def test_no_other_job_sets_a_seed_variable():
     for name, other in jobs.items():
         if name != "seeded-suites":
             assert "_SEED" not in yaml.safe_dump(other), name
+
+
+def test_no_ci_step_installs_pytest_benchmark():
+    jobs = yaml.safe_load(WORKFLOW.read_text())["jobs"]
+    installs = [
+        step["run"]
+        for job in jobs.values()
+        for step in job["steps"]
+        if "pip install" in step.get("run", "")
+    ]
+    assert installs, "no install step found: the test is blind"
+    assert not [run for run in installs if "pytest-benchmark" in run]
+
+
+def test_the_test_extra_does_not_list_pytest_benchmark():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((REPO / "pyproject.toml").read_text())
+    assert "pytest" in project["project"]["optional-dependencies"]["test"]
+    assert "pytest-benchmark" not in project["project"]["optional-dependencies"]["test"]
+    assert project["tool"]["pytest"]["ini_options"]["python_files"] == ["test_*.py"]
+
+
+def test_no_test_requests_a_benchmark_fixture_or_reads_its_scale_variable():
+    scanned = []
+    for root in ("tests", "benchmarks"):
+        for path in sorted((REPO / root).rglob("*.py")):
+            text = path.read_text()
+            scanned.append(path.relative_to(REPO).as_posix())
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    params = {arg.arg for arg in node.args.args + node.args.kwonlyargs}
+                    assert "benchmark" not in params, (scanned[-1], node.name)
+            if path != Path(__file__).resolve():
+                assert "REPRO_BENCH_SCALE" not in text, scanned[-1]
+    assert "benchmarks/bench_obs_overhead.py" in scanned, "the scan is blind"
