@@ -20,7 +20,8 @@ The derivation leans on two facts:
 
 :class:`LadderLevel` materialises that surface lazily (first query to a
 level at a version pays the O(#leaf tokens + #leaf iedges) projection;
-extents are unioned only for inodes a query actually matches), and
+extents are unioned only for inodes a query actually matches, and a
+descendant step's closure is walked once per level and version), and
 :func:`invalidation_sets` turns a commit's touched leaf tokens plus the
 ancestor-map diff into per-level sets of changed level tokens — the
 currency the result cache intersects against.  The diff term matters:
@@ -64,12 +65,14 @@ class LadderLevel:
     :func:`repro.query.evaluate_on_ak` consume (``evaluation_tables`` /
     ``.graph``) plus the checked public reads.  Extents are computed
     lazily and memoised — a query pays only for the inodes it matches —
-    and so is the level's label table, grouped on the first read.
+    and so is the level's label table, grouped on the first read.  The
+    level keeps its own closure memo for the query kernel: its iedges
+    are not the leaf's, so neither are its loop-state closures.
     """
 
     __slots__ = (
         "level", "graph", "roots", "_leaf", "_groups", "_label", "_isucc", "_extents",
-        "_labelled",
+        "_labelled", "_closures",
     )
 
     def __init__(self, level: int, leaf: FrozenIndex, anc: dict[int, int]):
@@ -93,15 +96,17 @@ class LadderLevel:
         self._isucc = {ancestor: tuple(s) for ancestor, s in isucc_sets.items()}
         self._extents: dict[int, frozenset[int]] = {}
         self._labelled: Optional[LabelTable] = None
+        #: this level's loop-state closures (its iedges are not the leaf's)
+        self._closures: dict = {}
 
     # -- the evaluation surface of StructuralIndex ---------------------
 
     def evaluation_tables(self) -> tuple:
-        """``(roots, children_of, labelled, extent_of)`` for the query kernel."""
+        """``(roots, children_of, labelled, extent_of, closures)`` for the query kernel."""
         table = self._labelled
         if table is None:  # racing readers may both group: identical tables
             table = self._labelled = LabelTable.group(self._label.items())
-        return self.roots, self._isucc.__getitem__, table.__getitem__, self.extent
+        return self.roots, self._isucc.__getitem__, table.__getitem__, self.extent, self._closures
 
     def inodes(self) -> Iterator[int]:
         """Iterate over the level's tokens."""

@@ -3,16 +3,9 @@
 from repro.graph.builder import GraphBuilder
 from repro.graph.datagraph import DELETE_LABEL, ROOT_LABEL, DataGraph, EdgeKind
 from repro.graph.traversal import (
-    bfs_order,
-    count_cycle_edges,
     descendants_within,
-    dfs_order,
-    graph_depth,
     is_acyclic,
-    reachable_from,
     strongly_connected_components,
-    topological_order,
-    unreachable_nodes,
 )
 from repro.graph.serialize import (
     dump_graph,
@@ -30,16 +23,9 @@ __all__ = [
     "GraphBuilder",
     "ROOT_LABEL",
     "DELETE_LABEL",
-    "bfs_order",
-    "dfs_order",
     "descendants_within",
-    "reachable_from",
     "is_acyclic",
-    "topological_order",
     "strongly_connected_components",
-    "count_cycle_edges",
-    "graph_depth",
-    "unreachable_nodes",
     "parse_xml",
     "parse_documents",
     "to_xml",

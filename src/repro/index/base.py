@@ -152,6 +152,8 @@ class StructuralIndex:
         self._isucc_view: dict[int, frozenset[int]] = {}
         self._extent_view: dict[int, frozenset[int]] = {}
         self._labelled_view: Optional[LabelTable] = None
+        #: the query kernel's loop-state closures of this generation
+        self._closures: dict = {}
         self._view_generation: int = 0
 
     # ------------------------------------------------------------------
@@ -177,6 +179,7 @@ class StructuralIndex:
             self._isucc_view.clear()
             self._extent_view.clear()
             self._labelled_view = None
+            self._closures = {}
             self._view_generation = self._generation
 
     # ------------------------------------------------------------------
@@ -358,7 +361,7 @@ class StructuralIndex:
         return iter(self._pred_support[inode])
 
     def evaluation_tables(self) -> tuple:
-        """``(roots, children_of, labelled, extent_of)`` for the query kernel.
+        """``(roots, children_of, labelled, extent_of, closures)`` for the query kernel.
 
         The one method every evaluation surface implements (see
         :func:`repro.query.evaluate_on_index`): *roots* is the inode that
@@ -368,6 +371,8 @@ class StructuralIndex:
         support row, whose keys are the index successors; ``labelled``
         the :class:`LabelTable` of this generation, grouped on first read
         like :meth:`ipred_set`'s views, so the write path never pays).
+        *closures* is the kernel's loop-state memo of this generation: a
+        fresh dict after every mutation, like the label table.
         """
         graph = self.graph
         root = self._inode_of.get(graph.root) if graph.has_root else None
@@ -376,7 +381,8 @@ class StructuralIndex:
         table = self._labelled_view
         if table is None:
             table = self._labelled_view = LabelTable.group(self._label.items())
-        return roots, self._succ_support.__getitem__, table.__getitem__, self.extent
+        succ = self._succ_support
+        return roots, succ.__getitem__, table.__getitem__, self.extent, self._closures
 
     @property
     def generation(self) -> int:

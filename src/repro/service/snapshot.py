@@ -48,7 +48,12 @@ iedge and extent dicts and of its **label table**
 kernel may skip the per-inode existence check the public ``label_of`` /
 ``isucc`` / ``extent`` methods make because a version is closed: its
 seed and every iedge target are keys of the same immutable dicts, so a
-lookup the kernel makes cannot miss.
+lookup the kernel makes cannot miss.  Being closed, a version also
+answers a loop state's closure the same way every time: the tables end
+with the version's **closure memo**, where the kernel keeps the closure
+of each layer entering a loop state (at most four), so ``//x`` pays its
+walk over every reachable inode once per version.  ``evolve`` starts the
+next version's memo empty — a commit may change any reachable iedge.
 """
 
 from __future__ import annotations
@@ -212,7 +217,7 @@ class FrozenIndex:
     the matching data, never the writer's live copy.
     """
 
-    __slots__ = ("graph", "roots", "_extent", "_isucc", "_labelled")
+    __slots__ = ("graph", "roots", "_extent", "_isucc", "_labelled", "_closures")
 
     def __init__(
         self,
@@ -230,6 +235,9 @@ class FrozenIndex:
         #: ``label -> inodes`` of this version, the only place labels are kept:
         #: an inode's own label is its members' (:meth:`label_of`)
         self._labelled = labelled
+        #: the query kernel's loop-state closures of this version, filled
+        #: by its first evaluations and never carried to the next version
+        self._closures: dict = {}
 
     @classmethod
     def capture(
@@ -312,18 +320,21 @@ class FrozenIndex:
     # -- the evaluation surface of StructuralIndex ---------------------
 
     def evaluation_tables(self) -> tuple:
-        """``(roots, children_of, labelled, extent_of)`` for the query kernel.
+        """``(roots, children_of, labelled, extent_of, closures)`` for the query kernel.
 
         The raw ``__getitem__`` of this version's own tables: every iedge
         target of an immutable version is a key of its iedge and extent
         dicts, so the kernel needs no per-edge existence check, and the
-        label table answers an absent label with the empty set.
+        label table answers an absent label with the empty set.  The
+        version's closure memo goes last: readers racing to fill it store
+        identical values.
         """
         return (
             self.roots,
             self._isucc.__getitem__,
             self._labelled.__getitem__,
             self._extent.__getitem__,
+            self._closures,
         )
 
     def inodes(self) -> Iterator[int]:

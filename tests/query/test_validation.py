@@ -423,7 +423,8 @@ class CountedGraph:
 
 
 class CountedSurface:
-    """*index* with a counting graph behind it."""
+    """*index* with a counting graph behind it; its evaluation tables, the
+    closure memo included, are the index's own."""
 
     def __init__(self, index):
         self.evaluation_tables = index.evaluation_tables

@@ -10,6 +10,8 @@ pairing is pinned here rather than trusted.
 The paper's evaluation has one harness (``python -m repro.experiments``,
 asserted by ``tests/experiments/``); the pytest-benchmark wrappers that
 once duplicated it, their plugin and their scale variable are pinned out.
+Every script under ``examples/`` is run by some CI step, so none can rot
+unseen.
 """
 
 from __future__ import annotations
@@ -119,3 +121,14 @@ def test_no_test_requests_a_benchmark_fixture_or_reads_its_scale_variable():
             if path != Path(__file__).resolve():
                 assert "REPRO_BENCH_SCALE" not in text, scanned[-1]
     assert "benchmarks/bench_obs_overhead.py" in scanned, "the scan is blind"
+
+
+def test_every_example_is_run_by_some_ci_step():
+    jobs = yaml.safe_load(WORKFLOW.read_text())["jobs"]
+    commands = "\n".join(
+        step.get("run", "") for job in jobs.values() for step in job["steps"]
+    )
+    examples = sorted((REPO / "examples").glob("*.py"))
+    assert examples, "no example found: the test is blind"
+    for example in examples:
+        assert f"python examples/{example.name}" in commands, example.name
