@@ -19,7 +19,6 @@ which attaches an :class:`AdaptivePlane` to the service.
 
 from repro.adaptive.controller import AdaptiveController, LadderAdvice
 from repro.adaptive.ladder import (
-    LadderLevel,
     LadderState,
     build_ladder_state,
     invalidation_sets,
@@ -48,7 +47,6 @@ __all__ = [
     "CacheStats",
     "DEFAULT_CAPACITY",
     "LadderAdvice",
-    "LadderLevel",
     "LadderState",
     "QueryRouter",
     "ResultCache",

@@ -18,13 +18,15 @@ The derivation leans on two facts:
   one parent-chain walk per leaf token (O(#leaf tokens · k), leaf token
   count ≪ |G|), not a re-freeze of every level.
 
-:class:`LadderLevel` materialises that surface lazily (first query to a
-level at a version pays the O(#leaf tokens + #leaf iedges) projection;
-extents are unioned only for inodes a query actually matches, and a
-descendant step's closure is walked once per level and version), and
-:func:`invalidation_sets` turns a commit's touched leaf tokens plus the
-ancestor-map diff into per-level sets of changed level tokens — the
-currency the result cache intersects against.  The diff term matters:
+A level is therefore one more :class:`~repro.index.frozen.FrozenIndex`,
+made by :meth:`~repro.index.frozen.FrozenIndex.coarsen` on the first
+query to it at a version (which pays the O(#leaf tokens + #leaf iedges)
+projection; extents are unioned only for tokens a query accepts, and a
+descendant step's closure is walked once per level and version, into
+the level's own memo), and :func:`invalidation_sets` turns a commit's
+touched leaf tokens plus the ancestor-map diff into per-level sets of
+changed level tokens — the currency the result cache intersects
+against.  The diff term matters:
 propagation can re-parent a surviving leaf token at level j **without
 any leaf move** (the signature-keeping path of
 ``AkSplitMergeMaintainer._refresh_level``), so touched leaf tokens alone
@@ -33,12 +35,11 @@ under-approximate coarse-level change.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
-from repro.exceptions import ServiceError, StructuralIndexError
+from repro.exceptions import ServiceError
 from repro.index.akindex import AkIndexFamily
-from repro.index.base import LabelTable
-from repro.service.snapshot import FrozenGraph, FrozenIndex
+from repro.index.frozen import FrozenIndex
 
 
 def validate_ladder_levels(levels: tuple[int, ...], k: int) -> tuple[int, ...]:
@@ -56,100 +57,6 @@ def validate_ladder_levels(levels: tuple[int, ...], k: int) -> tuple[int, ...]:
                 f"(levels must satisfy 0 <= level < k)"
             )
     return tuple(cleaned)
-
-
-class LadderLevel:
-    """The frozen A(j) evaluation surface, derived from the leaf level.
-
-    Implements what :func:`repro.query.evaluate_on_index` and
-    :func:`repro.query.evaluate_on_ak` consume (``evaluation_tables`` /
-    ``.graph``) plus the checked public reads.  Extents are computed
-    lazily and memoised — a query pays only for the inodes it matches —
-    and so is the level's label table, grouped on the first read.  The
-    level keeps its own closure memo for the query kernel: its iedges
-    are not the leaf's, so neither are its loop-state closures.
-    """
-
-    __slots__ = (
-        "level", "graph", "roots", "_leaf", "_groups", "_label", "_isucc", "_extents",
-        "_labelled", "_closures",
-    )
-
-    def __init__(self, level: int, leaf: FrozenIndex, anc: dict[int, int]):
-        self.level = level
-        self.graph: FrozenGraph = leaf.graph
-        #: the evaluation seed: the level-j ancestor of the leaf's root token
-        self.roots = tuple(anc[t] for t in leaf.roots)
-        self._leaf = leaf
-        groups: dict[int, list[int]] = {}
-        for token, ancestor in anc.items():
-            groups.setdefault(ancestor, []).append(token)
-        self._groups = groups
-        self._label = {
-            ancestor: leaf.label_of(members[0]) for ancestor, members in groups.items()
-        }
-        isucc_sets: dict[int, set[int]] = {ancestor: set() for ancestor in groups}
-        for token, ancestor in anc.items():
-            bucket = isucc_sets[ancestor]
-            for child in leaf.isucc(token):
-                bucket.add(anc[child])
-        self._isucc = {ancestor: tuple(s) for ancestor, s in isucc_sets.items()}
-        self._extents: dict[int, frozenset[int]] = {}
-        self._labelled: Optional[LabelTable] = None
-        #: this level's loop-state closures (its iedges are not the leaf's)
-        self._closures: dict = {}
-
-    # -- the evaluation surface of StructuralIndex ---------------------
-
-    def evaluation_tables(self) -> tuple:
-        """``(roots, children_of, labelled, extent_of, closures)`` for the query kernel."""
-        table = self._labelled
-        if table is None:  # racing readers may both group: identical tables
-            table = self._labelled = LabelTable.group(self._label.items())
-        return self.roots, self._isucc.__getitem__, table.__getitem__, self.extent, self._closures
-
-    def inodes(self) -> Iterator[int]:
-        """Iterate over the level's tokens."""
-        return iter(self._groups)
-
-    def label_of(self, inode: int) -> str:
-        """The label shared by the extent of *inode*."""
-        self._require(inode)
-        return self._label[inode]
-
-    def isucc(self, inode: int) -> Iterator[int]:
-        """Level-j index successors (image of the leaf iedges)."""
-        self._require(inode)
-        return iter(self._isucc[inode])
-
-    def extent(self, inode: int) -> frozenset[int]:
-        """Union of the leaf extents below *inode* (memoised)."""
-        cached = self._extents.get(inode)
-        if cached is None:
-            members = self._groups[inode]
-            if len(members) == 1:
-                cached = self._leaf.extent(members[0])
-            else:
-                cached = frozenset().union(*(self._leaf.extent(t) for t in members))
-            self._extents[inode] = cached
-        return cached
-
-    def group(self, inode: int) -> list[int]:
-        """The leaf tokens grouped under *inode*."""
-        self._require(inode)
-        return self._groups[inode]
-
-    @property
-    def num_inodes(self) -> int:
-        """Number of level-j tokens."""
-        return len(self._groups)
-
-    def _require(self, inode: int) -> None:
-        if inode not in self._groups:
-            raise StructuralIndexError(f"inode {inode} does not exist at A({self.level})")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<LadderLevel A({self.level}) inodes={self.num_inodes}>"
 
 
 class LadderState:
@@ -187,16 +94,15 @@ class LadderState:
         self.anc = anc
         self.root_tokens = root_tokens
         self.sizes = sizes
-        self._views: dict[int, LadderLevel] = {}
+        self._views: dict[int, FrozenIndex] = {}
 
-    def level_view(self, level: int) -> "LadderLevel | FrozenIndex":
+    def level_view(self, level: int) -> FrozenIndex:
         """The evaluation surface for *level* (the leaf is the index itself)."""
         if level == self.k:
             return self.index
         view = self._views.get(level)
         if view is None:
-            view = LadderLevel(level, self.index, self.anc[level])
-            self._views[level] = view
+            view = self._views[level] = FrozenIndex.coarsen(self.index, self.anc[level])
         return view
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -14,10 +14,11 @@ the compact building blocks the rewritten cores are made of:
 * :class:`~repro.core.labels.LabelInterner` — a string↔int label table;
 * :mod:`~repro.core.codec` — the byte-level codecs: delta-coded sorted
   int arrays (v2 extents), the CRC-stamped log record, the CRC envelope;
-* :mod:`~repro.core.sizing` — deep ``approx_bytes`` accounting;
-* :mod:`~repro.core.refimpl` — the retained dict-backed reference
-  implementations (:class:`DictGraph`/:class:`DictIndex`), kept as the
-  differential-testing oracle.
+* :mod:`~repro.core.sizing` — deep ``approx_bytes`` accounting.
+
+The dict-backed reference implementations the differential tests
+compare these cores against live with the tests, in
+``tests/core/refimpl.py``.
 """
 
 from repro.core.codec import delta_decode, delta_encode

@@ -15,7 +15,7 @@ Storage layout (the array-backed core)
 The public API is the classic adjacency digraph — O(1) membership, O(1)
 edge insert/delete, cheap ``succ``/``pred`` iteration — but the storage
 is slab-backed rather than dict-of-sets (the historical representation
-is retained as :class:`repro.core.refimpl.DictGraph`):
+is retained as the test suite's oracle, ``tests/core/refimpl.py``):
 
 * oids map to dense *slots* through a
   :class:`~repro.core.intmap.PagedIntMap`; a freed slot returns to a

@@ -551,7 +551,7 @@ class AkIndexFamily:
 class LeafView:
     """The live leaf level of a family, read like a :class:`StructuralIndex`.
 
-    The surface :class:`repro.service.snapshot.FrozenIndex` freezes —
+    The surface :class:`repro.index.frozen.FrozenIndex` freezes —
     ``inodes`` / ``has_inode`` / ``extent`` / ``label_of`` / ``isucc`` /
     ``inode_of`` — keyed by **leaf tokens**: unaffected classes keep
     their token across maintenance, so successive versions can share

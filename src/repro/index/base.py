@@ -21,11 +21,12 @@ inode id`` (the partition map) and ``oid → position inside its extent
 array``.  Membership is answered by the partition map, removal is an
 O(1) swap-with-last through the position map, and :meth:`extent`
 returns a generation-memoized frozen view (like the ``ipred_set``
-cache); so is the query kernel's label → inodes :class:`LabelTable`,
-grouped on the first read of a generation.  Support tables remain plain
+cache); so is :meth:`StructuralIndex.frozen`, the
+:class:`~repro.index.frozen.FrozenIndex` a query reads, captured on the
+first read of a generation.  Support tables remain plain
 dict-of-dicts — there are few inodes and the tests introspect them.
 The historical dict-of-sets implementation is retained as
-:class:`repro.core.refimpl.DictIndex` (the differential-testing
+``DictIndex`` in ``tests/core/refimpl.py`` (the differential-testing
 oracle).  Wire dumps delta-encode the sorted extents; see
 :mod:`repro.index.serialize` and DESIGN.md §13.
 
@@ -44,29 +45,7 @@ from typing import Optional
 from repro.core.intmap import PAGE_BITS, PAGE_MASK, PagedIntMap
 from repro.exceptions import InvalidIndexError, StructuralIndexError
 from repro.graph.datagraph import DataGraph
-
-
-class LabelTable(dict):
-    """``label -> frozenset of inodes`` of one index version.
-
-    The query kernel's label test (:func:`repro.query.evaluate_on_index`):
-    a layer keeps the children carrying a step's label with one
-    intersection against ``table[label]``.  An absent label reads as the
-    empty set, so ``__getitem__`` is the whole lookup.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def group(cls, labels: Iterable[tuple[int, str]]) -> "LabelTable":
-        """Group ``(inode, label)`` pairs by label."""
-        groups: dict[str, list[int]] = {}
-        for inode, label in labels:
-            groups.setdefault(label, []).append(inode)
-        return cls((label, frozenset(members)) for label, members in groups.items())
-
-    def __missing__(self, label: str) -> frozenset[int]:
-        return frozenset()
+from repro.index.frozen import FrozenIndex
 
 
 class INodeView:
@@ -151,9 +130,8 @@ class StructuralIndex:
         self._ipred_view: dict[int, frozenset[int]] = {}
         self._isucc_view: dict[int, frozenset[int]] = {}
         self._extent_view: dict[int, frozenset[int]] = {}
-        self._labelled_view: Optional[LabelTable] = None
-        #: the query kernel's loop-state closures of this generation
-        self._closures: dict = {}
+        #: the read surface of this generation (see :meth:`frozen`)
+        self._frozen: Optional[FrozenIndex] = None
         self._view_generation: int = 0
 
     # ------------------------------------------------------------------
@@ -178,8 +156,7 @@ class StructuralIndex:
             self._ipred_view.clear()
             self._isucc_view.clear()
             self._extent_view.clear()
-            self._labelled_view = None
-            self._closures = {}
+            self._frozen = None
             self._view_generation = self._generation
 
     # ------------------------------------------------------------------
@@ -360,29 +337,20 @@ class StructuralIndex:
         self._require(inode)
         return iter(self._pred_support[inode])
 
-    def evaluation_tables(self) -> tuple:
-        """``(roots, children_of, labelled, extent_of, closures)`` for the query kernel.
+    def frozen(self) -> FrozenIndex:
+        """The read surface of this generation, which every query reads.
 
-        The one method every evaluation surface implements (see
-        :func:`repro.query.evaluate_on_index`): *roots* is the inode that
-        holds ``graph.root`` — never a label scan, so a stray dnode that
-        merely carries the ROOT label is not a seed — and the callables
-        read the live tables directly (``children_of`` returns the
-        support row, whose keys are the index successors; ``labelled``
-        the :class:`LabelTable` of this generation, grouped on first read
-        like :meth:`ipred_set`'s views, so the write path never pays).
-        *closures* is the kernel's loop-state memo of this generation: a
-        fresh dict after every mutation, like the label table.
+        A :class:`~repro.index.frozen.FrozenIndex` over the live graph,
+        captured on the first read of a ``generation`` like
+        :meth:`ipred_set`'s views, so the write path never pays, and
+        dropped by the next mutation — with it the label table and the
+        query kernel's closure memo it carries.
         """
-        graph = self.graph
-        root = self._inode_of.get(graph.root) if graph.has_root else None
-        roots = () if root is None else (root,)
         self._fresh_views()
-        table = self._labelled_view
-        if table is None:
-            table = self._labelled_view = LabelTable.group(self._label.items())
-        succ = self._succ_support
-        return roots, succ.__getitem__, table.__getitem__, self.extent, self._closures
+        capture = self._frozen
+        if capture is None:
+            capture = self._frozen = FrozenIndex.capture(self, self.graph)
+        return capture
 
     @property
     def generation(self) -> int:

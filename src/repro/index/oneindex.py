@@ -2,13 +2,11 @@
 
 A 1-index is a label-homogeneous partition of the dnodes that is stable
 with respect to itself.  :class:`OneIndex` is a thin veneer over
-:class:`~repro.index.base.StructuralIndex` adding the two construction
-entry points:
-
-* ``OneIndex.build(graph)`` — the minimum 1-index via signature iteration
-  (fast path, Lemma 1 guarantees uniqueness);
-* ``OneIndex.build(graph, method="worklist")`` — the same partition via
-  the Paige–Tarjan worklist engine (used to cross-check the fast path).
+:class:`~repro.index.base.StructuralIndex` adding its construction entry
+point, ``OneIndex.build(graph)``: the minimum 1-index via signature
+iteration (Lemma 1 guarantees uniqueness; the Paige–Tarjan worklist
+engine, :func:`~repro.index.construction.stabilize_from_labels`, builds
+the same partition and is the tests' cross-check).
 
 Any valid (not necessarily minimum) 1-index can also be wrapped from an
 explicit partition with :meth:`OneIndex.from_partition`.
@@ -19,11 +17,7 @@ from __future__ import annotations
 from repro.exceptions import InvalidIndexError
 from repro.graph.datagraph import DataGraph
 from repro.index.base import StructuralIndex
-from repro.index.construction import (
-    bisimulation_partition,
-    blocks_of,
-    stabilize_from_labels,
-)
+from repro.index.construction import bisimulation_partition, blocks_of
 
 
 class OneIndex(StructuralIndex):
@@ -35,22 +29,12 @@ class OneIndex(StructuralIndex):
     """
 
     @classmethod
-    def build(cls, graph: DataGraph, method: str = "signature") -> "OneIndex":
-        """Construct the minimum 1-index of *graph*.
-
-        *method* selects the construction engine: ``"signature"`` (default,
-        O(m · depth)) or ``"worklist"`` (Paige–Tarjan compound blocks).
-        """
-        if method == "signature":
-            # the refinement loop's output is a partition by construction,
-            # so the validating public entry point is skipped
-            return cls._from_partition_trusted(
-                graph, blocks_of(bisimulation_partition(graph))
-            )
-        if method == "worklist":
-            plain = stabilize_from_labels(graph)
-            return cls._adopt(plain)
-        raise ValueError(f"unknown construction method {method!r}")
+    def build(cls, graph: DataGraph) -> "OneIndex":
+        """Construct the minimum 1-index of *graph* by signature iteration
+        (O(m · depth))."""
+        # the refinement loop's output is a partition by construction,
+        # so the validating public entry point is skipped
+        return cls._from_partition_trusted(graph, blocks_of(bisimulation_partition(graph)))
 
     @classmethod
     def _adopt(cls, index: StructuralIndex) -> "OneIndex":

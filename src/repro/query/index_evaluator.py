@@ -18,24 +18,24 @@ return the union of the extents of the matching inodes.
   every ancestor a loop state may idle through for a descendant-axis one,
   label-pruned at each child step that follows it.
 
-One kernel, every surface
--------------------------
-:func:`evaluate_on_index` is the only index-side evaluator.  It never
-asks what kind of index it was handed: the live
-:class:`~repro.index.base.StructuralIndex`, a published
-:class:`~repro.service.snapshot.FrozenIndex` and a derived
-:class:`~repro.adaptive.ladder.LadderLevel` each implement one method,
-``evaluation_tables()``, returning ``(roots, children_of, labelled,
-extent_of, closures)`` — the seed, three plain callables (for the frozen
-surfaces the ``__getitem__`` of their own tables) and the version's
-closure memo.  ``labelled(label)`` is the surface's inodes carrying
-*label* (a :class:`~repro.index.base.LabelTable` kept per version; the
-empty set for a label the index lacks).  ``closures`` is a plain dict
-every surface version starts empty: entering layer → ``(below, closed
-size, edges read)`` of a loop state.
+One kernel, one surface
+-----------------------
+:func:`evaluate_on_index` is the only index-side evaluator, and it reads
+one kind of surface: a :class:`~repro.index.frozen.FrozenIndex`, a
+closed version of one partition.  It asks whatever it is handed for
+``frozen()`` — a published version and a coarser ladder level
+(:meth:`~repro.index.frozen.FrozenIndex.coarsen`) are their own, a live
+:class:`~repro.index.base.StructuralIndex` hands out the capture of its
+current generation — and reads that version's ``evaluation_tables()``:
+``(roots, children_of, labelled, extent_of, closures)``, the seed, the
+``__getitem__`` of its iedge, label and extent tables, and its closure
+memo.  ``labelled(label)`` is the version's inodes carrying *label* (a
+:class:`~repro.index.frozen.LabelTable`; the empty set for a label the
+index lacks).  ``closures`` is a plain dict every version starts empty:
+entering layer → ``(below, closed size, edges read)`` of a loop state.
 
 * **The seed** is *the inode that holds* ``graph.root``, read off the
-  partition map in O(1) (at publish time, for the frozen surfaces) — not
+  partition map in O(1) when the version is captured — not
   "every inode labelled ROOT".  An element named ``ROOT`` below the real
   root is legal XML; seeding it would return paths that do not start at
   the root and cost the 1-index its precision, besides making every
@@ -137,7 +137,7 @@ def evaluate_on_index(
     *footprint*, and whether a closure was read or taken from the memo.
     """
     nfa = _as_nfa(query)
-    roots, children_of, labelled, extent_of, closures = index.evaluation_tables()
+    roots, children_of, labelled, extent_of, closures = index.frozen().evaluation_tables()
     read = footprint.inodes if footprint is not None else None
     if read is not None:
         read.update(roots)

@@ -37,7 +37,9 @@ from repro.service.service import (
     ServiceConfig,
     ServiceStats,
 )
-from repro.service.snapshot import FrozenGraph, FrozenIndex, IndexSnapshot
+from repro.graph.frozen import FrozenGraph
+from repro.index.frozen import FrozenIndex
+from repro.service.snapshot import IndexSnapshot
 
 __all__ = [
     "IndexService",

@@ -36,7 +36,7 @@ from repro.store.checkpoint import (
 )
 from repro.store.epoch import EPOCH_FILE, read_epoch, write_epoch
 from repro.store.recovery import RecoveryResult, recover
-from repro.store.service import DurableIndexService, ServiceStore, StoreConfig
+from repro.store.service import ServiceStore, StoreConfig
 from repro.store.wal import (
     FSYNC_POLICIES,
     WAL_FORMAT_VERSION,
@@ -65,7 +65,6 @@ __all__ = [
     "write_epoch",
     "RecoveryResult",
     "recover",
-    "DurableIndexService",
     "ServiceStore",
     "StoreConfig",
     "FSYNC_POLICIES",

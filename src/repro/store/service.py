@@ -41,17 +41,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.exceptions import SerializationError, StalePrimaryError, StoreError
-from repro.graph.datagraph import DataGraph
 from repro.obs import current as current_obs
 from repro.resilience.faults import FaultInjector
 from repro.resilience.wire import batch_to_wire
-from repro.service.service import IndexService, ServiceConfig
+from repro.service.service import IndexService
 from repro.store.checkpoint import Checkpointer, latest_checkpoint
 from repro.store.epoch import read_epoch
 from repro.store.recovery import RecoveryResult, recover
 from repro.store.wal import FSYNC_POLICIES, WriteAheadLog, encode_record
 
-__all__ = ["DurableIndexService", "ServiceStore", "StoreConfig", "recover"]
+__all__ = ["ServiceStore", "StoreConfig", "recover"]
 
 
 @dataclass(frozen=True)
@@ -229,24 +228,3 @@ class ServiceStore:
         """Close the WAL (the service has stopped committing)."""
         self.wal.close()
         current_obs().add("store.closes")
-
-
-class DurableIndexService(IndexService):
-    """The name a durable service has always been built under.
-
-    ``DurableIndexService(graph, store_dir, config, store_config, ...)``
-    is ``IndexService(graph, config, ..., store_dir=store_dir,
-    store_config=store_config)``; it adds nothing to the base class.
-    """
-
-    def __init__(
-        self,
-        graph: DataGraph,
-        store_dir: str,
-        config: Optional[ServiceConfig] = None,
-        store_config: Optional[StoreConfig] = None,
-        **parts,
-    ):
-        super().__init__(
-            graph, config, store_dir=store_dir, store_config=store_config, **parts
-        )

@@ -1,7 +1,8 @@
 """Unit tests for the derived A(k) ladder (repro.adaptive.ladder).
 
 The oracle is the live :class:`~repro.index.akindex.AkIndexFamily`
-itself: a derived :class:`LadderLevel` must present exactly the same
+itself: a level coarsened from the leaf (a
+:class:`~repro.index.frozen.FrozenIndex`) must present exactly the same
 partition (extents), labels and index edges as the family's own level,
 and child-only queries evaluated on the derived surface must agree with
 scratch evaluation on the data graph — before and after maintenance.
@@ -12,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.adaptive.ladder import (
-    LadderLevel,
     build_ladder_state,
     invalidation_sets,
     validate_ladder_levels,
@@ -20,9 +20,10 @@ from repro.adaptive.ladder import (
 from repro.exceptions import ServiceError, StructuralIndexError
 from repro.graph.datagraph import EdgeKind
 from repro.index.akindex import AkIndexFamily
+from repro.index.frozen import FrozenIndex
 from repro.maintenance.ak_split_merge import AkSplitMergeMaintainer
 from repro.query.evaluator import evaluate_on_graph
-from repro.query.index_evaluator import evaluate_on_ak
+from repro.query.index_evaluator import evaluate_on_ak, evaluate_on_index
 from repro.service.snapshot import IndexSnapshot
 from repro.workload.queries import QueryWorkload
 from repro.workload.updates import MixedUpdateWorkload
@@ -61,7 +62,7 @@ class TestLadderMatchesFamily:
         view = state.level_view(level)
         if level == K:
             return  # the leaf is the FrozenIndex itself, tested elsewhere
-        assert isinstance(view, LadderLevel)
+        assert isinstance(view, FrozenIndex) and view is not state.index
         # identical partitions: same multiset of extents...
         derived = {view.extent(i) for i in view.inodes()}
         oracle = {frozenset(e) for e in family.levels[level].extents.values()}
@@ -108,6 +109,21 @@ class TestLadderMatchesFamily:
                 assert got == truth, (expression, level)
             checked += 1
         assert checked > 0
+
+    def test_a_level_unions_only_the_extents_of_the_tokens_a_query_accepts(self, xmark_graph):
+        family = AkIndexFamily.build(xmark_graph, K)
+        _, state = capture_state(xmark_graph, family)
+        view = state.level_view(1)
+        classes = family.levels[1].extents
+        unioned = set()
+        for expression in ("/site/nosuch", "/site/people/person", "/site/regions/*/item"):
+            report = evaluate_on_index(view, expression)
+            assert report.matches == evaluate_on_graph(xmark_graph, expression).matches
+            unioned |= {t for t, extent in classes.items() if extent <= report.matches}
+            assert view._extent.keys() == unioned, expression
+        assert 0 < len(unioned) < view.num_inodes
+        for token in unioned:  # formed once, the family's class, read back as stored
+            assert view.extent(token) is view._extent[token] == classes[token]
 
     def test_unknown_inode_raises(self, xmark_graph):
         family = AkIndexFamily.build(xmark_graph, K)

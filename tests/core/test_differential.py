@@ -2,7 +2,7 @@
 
 Every test drives the array-backed :class:`~repro.graph.DataGraph` /
 :class:`~repro.index.StructuralIndex` and the pre-rewrite dict fossils
-(:mod:`repro.core.refimpl`) through *identical* operation sequences and
+(:mod:`tests.core.refimpl`) through *identical* operation sequences and
 asserts the observable states never diverge:
 
 * every graph mutator, in seeded random scripts heavy enough to force
@@ -23,8 +23,8 @@ import random
 
 import pytest
 
-from repro.core.refimpl import DictGraph, build_dict_one_index, to_dict_graph
 from repro.graph.datagraph import DataGraph, EdgeKind
+from repro.graph.frozen import FrozenGraph
 from repro.graph.serialize import graph_from_dict, graph_to_dict
 from repro.index import (
     AkIndexFamily,
@@ -34,11 +34,14 @@ from repro.index import (
     index_from_dict,
     index_to_dict,
 )
+from repro.index.frozen import FrozenIndex
 from repro.maintenance.ak_split_merge import AkSplitMergeMaintainer
 from repro.maintenance.split_merge import SplitMergeMaintainer
 from repro.resilience.journal import Transaction
-from repro.service.snapshot import FrozenGraph, FrozenIndex, IndexSnapshot
+from repro.service.snapshot import IndexSnapshot
 from repro.workload.random_graphs import document_tree
+
+from tests.core.refimpl import DictGraph, build_dict_one_index, to_dict_graph
 
 LABELS = ("item", "person", "name", "price", "desc")
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.exceptions import InvalidIndexError
 from repro.graph.datagraph import DataGraph
+from repro.index.construction import stabilize_from_labels
 from repro.index.oneindex import OneIndex
 from repro.index.stability import is_minimum_1index, is_valid_1index
 from repro.workload.random_graphs import random_cyclic
@@ -20,13 +21,7 @@ class TestBuild:
 
     def test_worklist_build_matches(self, figure2_graph):
         signature = OneIndex.build(figure2_graph)
-        worklist = OneIndex.build(figure2_graph, method="worklist")
-        assert signature.as_blocks() == worklist.as_blocks()
-        assert isinstance(worklist, OneIndex)
-
-    def test_unknown_method_rejected(self, figure2_graph):
-        with pytest.raises(ValueError):
-            OneIndex.build(figure2_graph, method="magic")
+        assert signature.as_blocks() == stabilize_from_labels(figure2_graph).as_blocks()
 
     def test_build_on_cyclic(self, figure4_graph):
         index = OneIndex.build(figure4_graph)

@@ -12,7 +12,7 @@ Six statements, none of them timed:
   four for every expression of a 2000-walk pool — evaluated twice, and
   once more with an empty closure memo — on the live
   :class:`StructuralIndex`, the published :class:`FrozenIndex` and every
-  :class:`LadderLevel`, at every version of a seeded update stream —
+  coarsened ladder level, at every version of a seeded update stream —
   which also compares the seed an ``evolve`` carried with a fresh
   ``capture``'s at each version — and on the cyclic generated graphs
   (IMDB and six seeded random ones) at k = 0..3, where a loop layer's
@@ -23,7 +23,9 @@ Six statements, none of them timed:
   closed and not stored; every version, every ladder level and every
   generation of the live index starts with its own empty memo — across a
   rollback, a reachability change, a degrade rebuild and readers racing
-  the first closure.
+  the first closure.  A live index reads one capture per generation:
+  reused between mutations, taken anew after a commit, a rollback and a
+  degrade rebuild.
 * **Only the root seeds.**  A dnode that merely carries the ROOT label is
   not a seed on any surface (the parent commit seeded by label scan and
   lost 1-index precision on ``root → x → ROOT' → a``).
@@ -42,7 +44,7 @@ Six statements, none of them timed:
   whose ``step`` fails is evaluated unharmed, each inode's iedges are read
   exactly once per state it holds, and the automata shared through the
   ``as_nfa`` LRU come out of concurrent evaluations as they went in —
-  also when the readers race a ladder level's first label grouping.
+  also when the readers race a ladder level's first extent unions.
 """
 
 from __future__ import annotations
@@ -55,13 +57,13 @@ from itertools import islice
 
 import pytest
 
-from repro.adaptive.ladder import LadderLevel, build_ladder_state
+from repro.adaptive.ladder import build_ladder_state
 from repro.adaptive.service import AdaptiveConfig, AdaptiveIndexService
 from repro.exceptions import InjectedFaultError
 from repro.experiments.config import SMOKE
 from repro.graph.datagraph import ROOT_LABEL, DataGraph, EdgeKind
 from repro.index.akindex import AkIndexFamily
-from repro.index.base import LabelTable
+from repro.index.frozen import FrozenIndex, LabelTable
 from repro.index.oneindex import OneIndex
 from repro.maintenance.split_merge import SplitMergeMaintainer
 from repro.query.automaton import PathNfa, as_nfa
@@ -76,7 +78,7 @@ from repro.query.path_expression import WILDCARD
 from repro.resilience import FaultInjector, GuardConfig
 from repro.service import IndexService, ServiceConfig
 from repro.service.queue import Update
-from repro.service.snapshot import FrozenIndex, IndexSnapshot
+from repro.service.snapshot import IndexSnapshot
 from repro.workload.imdb import generate_imdb
 from repro.workload.queries import QueryWorkload
 from repro.workload.random_graphs import random_cyclic
@@ -165,10 +167,15 @@ def reference_evaluation(surface, query, roots=None):
     return frozenset(matches), visited, followed, read
 
 
+def tables(surface) -> tuple:
+    """What the kernel reads of *surface*: its version's evaluation tables."""
+    return surface.frozen().evaluation_tables()
+
+
 def assert_label_table(surface, where) -> None:
     """``labelled(l)`` is the surface's inodes labelled l, read off its public
     methods, for every label it holds, and empty for a label it lacks."""
-    labelled = surface.evaluation_tables()[2]
+    labelled = tables(surface)[2]
     by_label: dict[str, set[int]] = {}
     for inode in surface.inodes():
         by_label.setdefault(surface.label_of(inode), set()).add(inode)
@@ -184,8 +191,11 @@ class Memoless:
     def __init__(self, surface):
         self.surface = surface
 
+    def frozen(self):
+        return self
+
     def evaluation_tables(self):
-        return (*self.surface.evaluation_tables()[:4], {})
+        return (*tables(self.surface)[:4], {})
 
 
 def evaluated(surface, expression) -> tuple:
@@ -203,7 +213,7 @@ def assert_kernel_matches_reference(surface, pool, where, truth=None) -> None:
     and both reports equal the reference's and a memo-less evaluation's."""
     truth = truth or {}
     roots = holder_of_root(surface)
-    assert list(surface.evaluation_tables()[0]) == roots, where
+    assert list(tables(surface)[0]) == roots, where
     for expression in (*pool, *ADVERSARIAL):
         expected = reference_evaluation(surface, expression, roots)
         assert evaluated(Memoless(surface), expression) == expected, (where, expression)
@@ -211,7 +221,7 @@ def assert_kernel_matches_reference(surface, pool, where, truth=None) -> None:
             assert evaluated(surface, expression) == expected, (where, expression)
         if expression in truth:
             assert expected[0] == truth[expression], (where, expression)
-    closures = surface.evaluation_tables()[4]
+    closures = tables(surface)[4]
     assert 0 < len(closures) <= CLOSURES_PER_VERSION, where
     stored = {key: (set(below), *counts) for key, (below, *counts) in closures.items()}
     for expression in ADVERSARIAL:  # a wildcard step hands a stored set onwards
@@ -255,7 +265,7 @@ def surfaces_of(service) -> dict:
     )
     for level in LEVELS:
         view = surfaces[f"ladder A({level})"] = ladder.level_view(level)
-        assert isinstance(view, LadderLevel)
+        assert isinstance(view, FrozenIndex) and view is not snapshot.index
         assert ladder.root_tokens[level] == frozenset(view.roots)
     assert ladder.root_tokens[K] == frozenset(snapshot.index.roots)
     for level in (0, K):
@@ -545,18 +555,18 @@ def test_a_second_descendant_read_reads_no_iedge_of_its_closed_layer():
             assert counted.reads["children_of"] == first.nodes_visited, expression
             # the second evaluation reads iedges only for the states that
             # do not loop: the closed layer comes from the version's memo
-            states_of, _ = reference_states(surface, nfa, list(surface.evaluation_tables()[0]))
+            states_of, _ = reference_states(surface, nfa, list(tables(surface)[0]))
             held = Counter({i: len(states - nfa.loops) for i, states in states_of.items()})
             counted.children_read.clear()
             assert evaluate_on_index(counted, expression) == first, expression
             assert counted.children_read == +held, (surface, expression)
-        assert len(surface.evaluation_tables()[4]) == 3
+        assert len(tables(surface)[4]) == 3
 
 
 def test_a_fifth_entering_layer_is_closed_but_not_stored():
     graph = generate_xmark(SMALL).graph
     frozen = IndexSnapshot.capture(0, graph, OneIndex.build(graph)).index
-    closures = frozen.evaluation_tables()[4]
+    closures = tables(frozen)[4]
     entering = (
         "//name", "/site//name", "/site/regions//name", "/site/people//name",
         "/site/open_auctions//name",
@@ -566,7 +576,7 @@ def test_a_fifth_entering_layer_is_closed_but_not_stored():
         assert evaluated(frozen, expression) == evaluated(Memoless(frozen), expression)
         assert len(closures) == min(count, CLOSURES_PER_VERSION), expression
     stored = dict(closures)
-    assert frozenset(frozen.evaluation_tables()[0]) in stored
+    assert frozenset(tables(frozen)[0]) in stored
     fifth = entering[-1]
     counted = CountedReads(frozen, shared=True)
     report = evaluate_on_index(counted, fifth)
@@ -586,14 +596,76 @@ def test_every_version_and_every_level_closes_into_its_own_memo(family):
     for _ in range(3):
         prev = service.snapshot.index
         evaluate_on_index(prev, "//name")
-        assert prev.evaluation_tables()[4]
+        assert tables(prev)[4]
         for update in islice(stream, 4):
             service.submit(update)
         service.flush()
         new = service.snapshot.index
-        assert new is not prev and new.evaluation_tables()[4] == {}  # evolve starts empty
-        memos = [surface.evaluation_tables()[4] for surface in surfaces_of(service).values()]
+        assert new is not prev and tables(new)[4] == {}  # evolve starts empty
+        memos = [tables(surface)[4] for surface in surfaces_of(service).values()]
         assert len({id(memo) for memo in memos}) == len(memos)
+    service.close()
+
+
+def assert_a_fresh_capture(index, capture, where) -> None:
+    """*capture* is the live index's current generation, with an empty memo."""
+    assert index.frozen() is capture, where
+    fresh = FrozenIndex.capture(index, index.graph)
+    assert capture.roots == fresh.roots, where
+    assert capture._extent == fresh._extent and capture._isucc.keys() == fresh._isucc.keys()
+    assert all(set(capture._isucc[i]) == set(fresh._isucc[i]) for i in fresh._isucc), where
+    assert capture._labelled == fresh._labelled and tables(capture)[4] == {}, where
+
+
+def test_a_live_index_reads_one_capture_per_generation():
+    graph = generate_xmark(SMALL).graph
+    stream = churn(graph, seed=3)
+    config = ServiceConfig(family="one", guard=GuardConfig(policy="raise"))
+    service = IndexService(graph, config)
+    index = service.structure
+    capture = index.frozen()
+    assert_a_fresh_capture(index, capture, "built")
+    for expression in DESCENDANT:  # reads between mutations share one capture
+        evaluate_on_index(index, expression)
+        assert index.frozen() is capture
+    assert tables(capture)[4]
+    # a committed batch
+    for update in islice(stream, 4):
+        service.submit(update)
+    service.flush()
+    committed = index.frozen()
+    assert committed is not capture
+    assert_a_fresh_capture(index, committed, "committed")
+    evaluate_on_index(index, "//name")
+    # a batch rolled back inside maintenance
+    generation = index.generation
+    service.guarded.fault_injector = FaultInjector(at_phase="split")
+    for update in islice(stream, 4):
+        service.submit(update)
+    with pytest.raises(InjectedFaultError):
+        service.flush()
+    assert index.generation != generation
+    rolled_back = index.frozen()
+    assert rolled_back is not committed and rolled_back._extent == committed._extent
+    assert_a_fresh_capture(index, rolled_back, "rolled back")
+    service.close()
+    # a degrade rebuild renames every inode in place
+    graph = generate_xmark(SMALL).graph
+    stream = churn(graph, seed=3)
+    config = ServiceConfig(family="one", guard=GuardConfig(policy="degrade"))
+    service = IndexService(graph, config, fault_injector=FaultInjector(at_record=1))
+    index = service.structure
+    evaluate_on_index(index, "//name")
+    built = index.frozen()
+    for update in islice(stream, 4):
+        service.submit(update)
+    service.flush()
+    assert service.guarded.stats.degradations == 1 and service.structure is index
+    assert index.frozen() is not built
+    assert_a_fresh_capture(index, index.frozen(), "rebuilt")
+    for expression in DESCENDANT:
+        truth = evaluate_on_graph(graph, expression).matches
+        assert evaluate_on_index(index, expression).matches == truth, expression
     service.close()
 
 
@@ -727,7 +799,7 @@ class TestOnlyTheRootSeeds:
         ladder = build_ladder_state(family, ak.index, 0, LEVELS)
         surfaces = [index, one.index, ak.index, *(ladder.level_view(j) for j in LEVELS)]
         for surface in surfaces:
-            assert surface.evaluation_tables()[0] == ()
+            assert tables(surface)[0] == ()
             for expression in ("/a", "//a", "/ROOT/a"):
                 footprint = EvalFootprint()
                 report = evaluate_on_index(surface, expression, footprint=footprint)
@@ -754,8 +826,7 @@ def test_no_served_query_iterates_the_index(kind, family, monkeypatch):
     def iterated(self):
         raise AssertionError(f"a served query iterated {type(self).__name__}.inodes()")
 
-    monkeypatch.setattr(FrozenIndex, "inodes", iterated)
-    monkeypatch.setattr(LadderLevel, "inodes", iterated)
+    monkeypatch.setattr(FrozenIndex, "inodes", iterated)  # every version and level
     for expression in pool:
         served = service.query(expression)
         truth = evaluate_on_graph(service.snapshot.graph, expression).matches
@@ -775,8 +846,11 @@ class CountedReads:
         self.children_read: Counter = Counter()
         self.closures = None if shared else {}
 
+    def frozen(self):
+        return self
+
     def evaluation_tables(self):
-        roots, *tables, closures = self.surface.evaluation_tables()
+        roots, *callables, closures = tables(self.surface)
 
         def counted(name, table):
             def read(key):
@@ -788,7 +862,7 @@ class CountedReads:
             return read
 
         names = ("children_of", "labelled", "extent_of")
-        counted_tables = (counted(name, table) for name, table in zip(names, tables))
+        counted_tables = (counted(name, table) for name, table in zip(names, callables))
         return (roots, *counted_tables, closures if self.closures is None else self.closures)
 
 
@@ -856,7 +930,7 @@ def children_reads_of(surface, expression) -> Counter:
     """How often the kernel read each inode's iedges: once per state it holds."""
     counted = CountedReads(surface)
     report = evaluate_on_index(counted, never_stepped(expression))
-    roots = list(surface.evaluation_tables()[0])
+    roots = list(tables(surface)[0])
     states_of, _ = reference_states(surface, expression, roots)
     assert report.matches == reference_evaluation(surface, expression, roots)[0]
     assert counted.children_read == {i: len(states) for i, states in states_of.items()}
@@ -897,12 +971,12 @@ def test_the_shared_automata_are_untouched_by_concurrent_readers():
             reports.append((report, footprint.inodes))
         return reports
 
-    # a ladder level groups its label table on the first read, and every
+    # a ladder level unions a token's extent on its first read, and every
     # surface version fills its closure memo on the first descendant reads:
     # fresh surfaces make the concurrent readers race both
     fresh_surfaces = (
         lambda: IndexSnapshot.capture(0, graph, index).index,
-        lambda: LadderLevel(1, leaf, anc),
+        lambda: FrozenIndex.coarsen(leaf, anc),
     )
     for fresh in fresh_surfaces:
         serial = one_pass(fresh())

@@ -423,11 +423,11 @@ class CountedGraph:
 
 
 class CountedSurface:
-    """*index* with a counting graph behind it; its evaluation tables, the
-    closure memo included, are the index's own."""
+    """*index* with a counting graph behind it; the version it evaluates, the
+    closure memo included, is the index's own."""
 
     def __init__(self, index):
-        self.evaluation_tables = index.evaluation_tables
+        self.frozen = index.frozen
         self.graph = CountedGraph(index.graph)
 
 

@@ -15,8 +15,8 @@ from typing import Optional
 import pytest
 
 from repro.resilience.faults import FaultInjector
-from repro.service import ServiceConfig, Update
-from repro.store import DurableIndexService, StoreConfig
+from repro.service import IndexService, ServiceConfig, Update
+from repro.store import StoreConfig
 
 from tests.store.conftest import tiny_graph
 
@@ -48,17 +48,17 @@ def make_primary(
     graph=None,
     store_config: Optional[StoreConfig] = None,
     **config_overrides,
-) -> DurableIndexService:
+) -> IndexService:
     """A durable service over *directory*, ready to commit."""
-    return DurableIndexService(
+    return IndexService(
         tiny_graph() if graph is None else graph,
-        directory,
-        config=service_config(family, **config_overrides),
+        service_config(family, **config_overrides),
+        store_dir=directory,
         store_config=store_config if store_config is not None else DURABLE,
     )
 
 
-def commit_inserts(service: DurableIndexService, count: int, tag: str = "n") -> None:
+def commit_inserts(service: IndexService, count: int, tag: str = "n") -> None:
     """*count* single-op commits: one WAL record (and version) each."""
     node = min(service.graph.nodes())
     base = service.version

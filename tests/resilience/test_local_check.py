@@ -53,7 +53,7 @@ from repro.resilience import (
 from repro.resilience import invariants
 from repro.resilience.invariants import AUDIT_SLICE_VISITS as SERVED_SLICE  # (before any patch)
 from repro.service import IndexService, ServiceConfig, Update
-from repro.store import DurableIndexService, StoreConfig
+from repro.store import StoreConfig
 from repro.workload.queries import QueryWorkload
 from repro.workload.sessions import ClosedLoopDriver, SessionMix
 from repro.workload.updates import MixedUpdateWorkload
@@ -830,8 +830,11 @@ def test_untracked_and_full_touched_sets_take_the_full_path(family, small_slices
 
 def test_recovery_post_check_is_a_full_check(tmp_path, monkeypatch):
     graph, workload = prepared(13)
-    service = DurableIndexService(
-        graph, str(tmp_path / "store"), ServiceConfig(), StoreConfig(fsync="off")
+    service = IndexService(
+        graph,
+        ServiceConfig(),
+        store_dir=str(tmp_path / "store"),
+        store_config=StoreConfig(fsync="off"),
     )
     for step in workload.steps(8, validate=True):
         service.submit(Update(*edge_call(step)))
@@ -872,8 +875,11 @@ def test_a_recovered_service_vouches_for_no_more_than_recovery_checked(tmp_path)
     default ``valid`` depth; ``/health`` must not then claim the guard's
     ``minimal`` verdict — the first audit cycle finds the mergeable pair."""
     graph, workload = prepared(13)
-    service = DurableIndexService(
-        graph, str(tmp_path / "store"), ServiceConfig(), StoreConfig(fsync="off")
+    service = IndexService(
+        graph,
+        ServiceConfig(),
+        store_dir=str(tmp_path / "store"),
+        store_config=StoreConfig(fsync="off"),
     )
     index = service.structure
     inode = next(i for i in sorted(index.inodes()) if index.extent_size(i) > 1)
@@ -896,11 +902,11 @@ def test_recovery_refuses_an_invalid_family_at_its_default_level(tmp_path):
     family passes every structural check but holds a dnode among leaf
     classmates that sign differently does not come back as a service."""
     graph, workload = prepared(13)
-    service = DurableIndexService(
+    service = IndexService(
         graph,
-        str(tmp_path / "store"),
         ServiceConfig(family="ak", k=AK_K),
-        StoreConfig(fsync="off"),
+        store_dir=str(tmp_path / "store"),
+        store_config=StoreConfig(fsync="off"),
     )
     for step in workload.steps(8, validate=True):
         service.submit(Update(*edge_call(step)))

@@ -728,7 +728,7 @@ def test_no_subclass_overrides_the_commit_or_read_path():
             if node.name not in services and bases & services:
                 services.add(node.name)
                 grew = True
-    assert {"DurableIndexService", "AdaptiveIndexService", "FollowerIndexService"} < services
+    assert {"AdaptiveIndexService", "FollowerIndexService"} < services
     for node in classes:
         if node.name in services and node.name != "IndexService":
             defined = {

@@ -6,14 +6,16 @@ import pytest
 
 from repro.exceptions import GraphError, StructuralIndexError
 from repro.graph.datagraph import DataGraph, EdgeKind
+from repro.graph.frozen import FrozenGraph
 from repro.index.akindex import AkIndexFamily
+from repro.index.frozen import FrozenIndex
 from repro.index.oneindex import OneIndex
 from repro.maintenance.ak_split_merge import AkSplitMergeMaintainer
 from repro.maintenance.split_merge import SplitMergeMaintainer
 from repro.query.evaluator import evaluate_on_graph
 from repro.resilience import TouchedSet
 from repro.resilience.guard import GuardConfig, GuardedMaintainer
-from repro.service.snapshot import FrozenGraph, FrozenIndex, IndexSnapshot
+from repro.service.snapshot import IndexSnapshot
 
 
 class TestFrozenGraph:

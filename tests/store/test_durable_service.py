@@ -1,4 +1,4 @@
-"""DurableIndexService: the logged commit protocol, end to end."""
+"""A durable IndexService: the logged commit protocol, end to end."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from repro.obs import observed
 from repro.resilience.faults import FaultInjector
 from repro.resilience.guard import GuardConfig
 from repro.service import IndexService, ServiceConfig, Update
-from repro.store import DurableIndexService, StoreConfig, list_segments, recover
+from repro.store import StoreConfig, list_segments, recover
 from repro.store.checkpoint import list_checkpoints
 
 from tests.store.conftest import (
@@ -66,7 +66,7 @@ class TestStoreConfig:
 
 class TestCommitProtocol:
     def test_fresh_store_writes_checkpoint_zero(self, store_dir):
-        service = DurableIndexService(tiny_graph(), store_dir, store_config=VOLATILE)
+        service = IndexService(tiny_graph(), store_dir=store_dir, store_config=VOLATILE)
         assert len(list_checkpoints(store_dir)) == 1
         assert service.version == 0
         service.close(checkpoint=False)
@@ -74,16 +74,14 @@ class TestCommitProtocol:
         assert recover(store_dir).version == 0
 
     def test_reopening_initialised_store_raises(self, store_dir):
-        DurableIndexService(tiny_graph(), store_dir, store_config=VOLATILE).close()
+        IndexService(tiny_graph(), store_dir=store_dir, store_config=VOLATILE).close()
         with pytest.raises(StoreError):
-            DurableIndexService(tiny_graph(), store_dir, store_config=VOLATILE)
+            IndexService(tiny_graph(), store_dir=store_dir, store_config=VOLATILE)
 
     def test_reopen_refusal_leaves_store_untouched(self, store_dir):
         graph = tiny_graph()
         root = min(graph.nodes())
-        service = DurableIndexService(
-            graph, store_dir, config=_config(), store_config=VOLATILE
-        )
+        service = IndexService(graph, _config(), store_dir=store_dir, store_config=VOLATILE)
         service.submit_nowait(Update.insert_node(root, "kept", 0))
         service.flush()
         service.wal.close()  # unclean shutdown: one un-checkpointed record
@@ -93,12 +91,12 @@ class TestCommitProtocol:
             fp.truncate(os.path.getsize(segment) - 1)
         before = _dir_bytes(store_dir)
         with pytest.raises(StoreError):
-            DurableIndexService(tiny_graph(), store_dir, store_config=VOLATILE)
+            IndexService(tiny_graph(), store_dir=store_dir, store_config=VOLATILE)
         # the refusal must not repair the tail, write a checkpoint, or
         # leave any other byte of the store changed
         assert _dir_bytes(store_dir) == before
         # and recover() still reopens it (repairing the tail then)
-        recovered = DurableIndexService.recover(
+        recovered = IndexService.recover(
             store_dir, config=_config(), store_config=VOLATILE
         )
         assert recovered.version == 1
@@ -107,9 +105,7 @@ class TestCommitProtocol:
     def test_every_commit_logs_one_record(self, store_dir, store_graph_dict):
         graph = _graph(store_graph_dict)
         nodes = sorted(graph.nodes())
-        service = DurableIndexService(
-            graph, store_dir, config=_config(), store_config=VOLATILE
-        )
+        service = IndexService(graph, _config(), store_dir=store_dir, store_config=VOLATILE)
         for i in range(3):
             service.submit_nowait(Update.insert_node(nodes[0], "logged", i))
             service.flush()
@@ -121,9 +117,7 @@ class TestCommitProtocol:
     def test_base_recover_alias_round_trips(self, store_dir, store_graph_dict):
         graph = _graph(store_graph_dict)
         nodes = sorted(graph.nodes())
-        service = DurableIndexService(
-            graph, store_dir, config=_config(), store_config=VOLATILE
-        )
+        service = IndexService(graph, _config(), store_dir=store_dir, store_config=VOLATILE)
         service.submit_nowait(Update.insert_node(nodes[0], "kept", "v"))
         service.flush()
         expected = (
@@ -149,11 +143,8 @@ class TestCommitProtocol:
         graph = tiny_graph()
         root = min(graph.nodes())
         leaf = max(graph.nodes())
-        service = DurableIndexService(
-            graph,
-            store_dir,
-            config=_config(coalesce=True),
-            store_config=VOLATILE,
+        service = IndexService(
+            graph, _config(coalesce=True), store_dir=store_dir, store_config=VOLATILE
         )
         # a cancelling pair coalesces to nothing, but still publishes a
         # version — so it must still log an (empty) record
@@ -177,9 +168,7 @@ class TestCommitProtocol:
         sub_root = sub.add_node("wing", oid=100)
         sub_leaf = sub.add_node("feather", oid=101)
         sub.add_edge(sub_root, sub_leaf)
-        service = DurableIndexService(
-            graph, store_dir, config=_config(), store_config=VOLATILE
-        )
+        service = IndexService(graph, _config(), store_dir=store_dir, store_config=VOLATILE)
         service.submit_nowait(Update.insert_node(root, "twig", None))
         service.flush()
         service.submit_nowait(Update.add_subgraph(sub, sub_root, ((root, sub_root),)))
@@ -201,12 +190,8 @@ class TestIoFaultMidCommit:
         # io calls: checkpoint 0 takes 2 (write + rename), then one WAL
         # append per commit (fsync off) — io 4 is commit 2's append
         injector = FaultInjector(at_io=4)
-        service = DurableIndexService(
-            graph,
-            store_dir,
-            config=_config(),
-            store_config=VOLATILE,
-            fault_injector=injector,
+        service = IndexService(
+            graph, _config(), store_dir=store_dir, store_config=VOLATILE, fault_injector=injector
         )
         service.submit_nowait(Update.insert_node(root, "good", 1))
         service.flush()
@@ -240,10 +225,10 @@ class TestCheckpointCadence:
     def test_auto_checkpoint_truncates_wal(self, store_dir):
         graph = tiny_graph()
         root = min(graph.nodes())
-        service = DurableIndexService(
+        service = IndexService(
             graph,
-            store_dir,
-            config=_config(),
+            _config(),
+            store_dir=store_dir,
             store_config=StoreConfig(fsync="off", checkpoint_every_records=2),
         )
         for i in range(5):
@@ -263,14 +248,12 @@ class TestCheckpointCadence:
         graph = tiny_graph()
         root = min(graph.nodes())
         cadence = StoreConfig(fsync="off", checkpoint_every_records=3)
-        service = DurableIndexService(
-            graph, store_dir, config=_config(), store_config=cadence
-        )
+        service = IndexService(graph, _config(), store_dir=store_dir, store_config=cadence)
         service.submit_nowait(Update.insert_node(root, "pre", 0))
         service.flush()
         service.wal.close()  # crash: 1 un-checkpointed record
 
-        recovered = DurableIndexService.recover(
+        recovered = IndexService.recover(
             store_dir, config=_config(), store_config=cadence
         )
         assert recovered.checkpointer.records_since_checkpoint == 1
@@ -286,9 +269,7 @@ class TestCheckpointCadence:
         # mid-apply graph/index against a racing WAL position would
         # produce an inconsistent checkpoint and then truncate segments
         # the published state still needs
-        service = DurableIndexService(
-            tiny_graph(), store_dir, config=_config(), store_config=VOLATILE
-        )
+        service = IndexService(tiny_graph(), _config(), store_dir=store_dir, store_config=VOLATILE)
         assert service._writer_lock.acquire()  # pose as a mid-commit writer
         finished = threading.Event()
         thread = threading.Thread(
@@ -304,18 +285,15 @@ class TestCheckpointCadence:
 
 class TestRecoverConfiguration:
     def test_family_always_comes_from_the_store(self, store_dir):
-        service = DurableIndexService(
-            tiny_graph(),
-            store_dir,
-            config=_config(family="ak"),
-            store_config=VOLATILE,
+        service = IndexService(
+            tiny_graph(), _config(family="ak"), store_dir=store_dir, store_config=VOLATILE
         )
         expected = family_fingerprint(service.guarded.family)
         service.close()
         # the store's structure is served whatever family the caller's
         # config names — and the caller's object is passed through as is
         requested = _config(family="one")
-        recovered = DurableIndexService.recover(
+        recovered = IndexService.recover(
             store_dir, config=requested, store_config=VOLATILE
         )
         assert recovered.config is requested and requested.family == "one"
@@ -327,14 +305,12 @@ class TestRecoverConfiguration:
     def test_recovered_service_rotates_into_existing_log(self, store_dir):
         graph = tiny_graph()
         root = min(graph.nodes())
-        service = DurableIndexService(
-            graph, store_dir, config=_config(), store_config=VOLATILE
-        )
+        service = IndexService(graph, _config(), store_dir=store_dir, store_config=VOLATILE)
         service.submit_nowait(Update.insert_node(root, "a", 0))
         service.flush()
         service.wal.close()
 
-        recovered = DurableIndexService.recover(
+        recovered = IndexService.recover(
             store_dir, config=_config(), store_config=VOLATILE
         )
         recovered.submit_nowait(Update.insert_node(root, "b", 1))
@@ -347,14 +323,12 @@ class TestRecoverConfiguration:
     def test_commit_after_recover_from_clean_close_survives(self, store_dir):
         graph = tiny_graph()
         root = min(graph.nodes())
-        service = DurableIndexService(
-            graph, store_dir, config=_config(), store_config=VOLATILE
-        )
+        service = IndexService(graph, _config(), store_dir=store_dir, store_config=VOLATILE)
         service.submit_nowait(Update.insert_node(root, "pre", 0))
         service.flush()
         service.close()  # clean close: checkpoint + WAL truncated to empty
 
-        recovered = DurableIndexService.recover(
+        recovered = IndexService.recover(
             store_dir, config=_config(), store_config=VOLATILE
         )
         assert recovered.version == 1
@@ -369,10 +343,10 @@ class TestRecoverConfiguration:
     def test_store_keeps_segment_files_bounded(self, store_dir):
         graph = tiny_graph()
         root = min(graph.nodes())
-        service = DurableIndexService(
+        service = IndexService(
             graph,
-            store_dir,
-            config=_config(),
+            _config(),
+            store_dir=store_dir,
             store_config=StoreConfig(
                 fsync="off", checkpoint_every_records=2, keep_checkpoints=1
             ),
@@ -390,9 +364,7 @@ class TestObservability:
         with observed() as obs:
             graph = tiny_graph()
             root = min(graph.nodes())
-            service = DurableIndexService(
-                graph, store_dir, config=_config(), store_config=VOLATILE
-            )
+            service = IndexService(graph, _config(), store_dir=store_dir, store_config=VOLATILE)
             service.submit_nowait(Update.insert_node(root, "seen", 0))
             service.flush()
             service.close()

@@ -9,7 +9,7 @@ across a truncated log, others replay over checkpoint 0).
 
 Protocol per family:
 
-1. run a seeded workload through a ``DurableIndexService``, one batch at
+1. run a seeded workload through a durable ``IndexService``, one batch at
    a time, snapshotting the store directory (``copytree``) and the live
    graph/index fingerprints after every commit — plus once more after
    the mid-run checkpoint;
@@ -32,8 +32,8 @@ import shutil
 import pytest
 
 from repro.resilience.guard import GuardConfig
-from repro.service import ServiceConfig, Update
-from repro.store import DurableIndexService, StoreConfig, recover
+from repro.service import IndexService, ServiceConfig, Update
+from repro.store import StoreConfig, recover
 from repro.store.wal import AppendResult
 from repro.graph.datagraph import EdgeKind
 from repro.workload.updates import MixedUpdateWorkload
@@ -112,8 +112,8 @@ class TortureRun:
         graph = generate_xmark(STORE_XMARK).graph
         updates = MixedUpdateWorkload.prepare(graph, seed=seed)
         store = os.path.join(base_dir, "live")
-        service = DurableIndexService(
-            graph, store, config=_service_config(family), store_config=STORE_CONFIG
+        service = IndexService(
+            graph, _service_config(family), store_dir=store, store_config=STORE_CONFIG
         )
         self._fingerprint(service, 0)
         ops = _workload_ops(graph, updates, NUM_COMMITS * BATCH_OPS, seed + 1)
@@ -247,7 +247,7 @@ class TestResumeAfterRecovery:
         with open(segment_path, "wb") as fp:
             fp.write(original[: span.start])
 
-        service = DurableIndexService.recover(
+        service = IndexService.recover(
             resumed_dir,
             config=_service_config(torture.family),
             store_config=STORE_CONFIG,
@@ -288,7 +288,7 @@ class TestResumeAfterRecovery:
         with open(segment_path, "wb") as fp:
             fp.write(original[: span.end - 1])
 
-        service = DurableIndexService.recover(
+        service = IndexService.recover(
             resumed_dir,
             config=_service_config(torture.family),
             store_config=STORE_CONFIG,

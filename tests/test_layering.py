@@ -42,8 +42,6 @@ RANK = {package: rank for rank, row in enumerate(LAYERS) for package in row}
 #: the upward imports that exist today, ``(importing file, imported package)``.
 #: This set may only shrink.
 UPWARD = {
-    ("core/refimpl.py", "graph"),  # the dict-backed reference implementation
-    ("core/refimpl.py", "index"),  # the differential tests compare against
     ("workload/sessions.py", "service"),  # a workload that drives a service
     ("service/service.py", "adaptive"),  # the two parts a service may hold,
     ("service/service.py", "store"),  # imported where they are attached
@@ -314,6 +312,7 @@ def test_the_replaced_names_are_gone():
         "ReconstructionPolicyProtocol", "max_retries", "simple_ak_memoize", "_unchecked",
         "CostBasedPolicy", "CostInputs", "CostConfig", "note_pressure", "expected_yield",
         "cache_capacity", "ancestors_of", "evaluate_on_subgraph",
+        "LadderLevel", "DurableIndexService", "_labelled_view",
     )
     for path in SRC.rglob("*.py"):
         text = path.read_text()
@@ -623,7 +622,7 @@ def test_every_guard_check_is_one_kernel_pass():
 
 #: names in ``__all__`` of every package ``__init__`` under ``src/repro``:
 #: a ceiling that only falls
-PUBLIC_NAMES = 283
+PUBLIC_NAMES = 281
 
 
 def test_the_public_names_do_not_grow():
@@ -704,8 +703,9 @@ def test_one_kernel_and_an_independent_reference():
     # helper left in the package for a validator to compose
     assert [arg.arg for arg in fixpoint.args.args] == ["graph", "nfa"]
     assert not functions_named("ancestors_of") and not functions_named("evaluate_on_subgraph")
-    # one kernel, the only reader of the surfaces' tables; it builds a
-    # layer per automaton state — no worklist, no transition rows, no step
+    # one kernel, the only reader of the tables, which one class serves:
+    # every surface hands the kernel its frozen version.  It builds a layer
+    # per automaton state — no worklist, no transition rows, no step
     ((home, kernel),) = functions_named("evaluate_on_index")
     table_reads = [
         (module, ast.unparse(node))
@@ -713,8 +713,11 @@ def test_one_kernel_and_an_independent_reference():
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "evaluation_tables"
     ]
-    assert table_reads == [(home, "index.evaluation_tables()")]
+    assert table_reads == [(home, "index.frozen().evaluation_tables()")]
     assert home == "query/index_evaluator.py"
+    assert [module for module, _ in functions_named("evaluation_tables")] == ["index/frozen.py"]
+    # ... and the live index reaches that class down the layers, not up
+    assert "service" not in {imported for imported, _ in imports(TREES["index/base.py"])}
     # ... into the seed, three tables and the version's closure memo, with
     # nothing asked of the surface's type
     (unpacked,) = (
