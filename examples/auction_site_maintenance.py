@@ -18,13 +18,14 @@ Run with::
 from __future__ import annotations
 
 from repro import OneIndex
+from repro.index.stability import minimum_1index_size
 from repro.maintenance import (
     PropagateMaintainer,
     ReconstructionPolicy,
     SplitMergeMaintainer,
     reconstruct_via_index_graph,
 )
-from repro.metrics.quality import minimum_1index_size_of
+from repro.metrics import quality_from_sizes
 from repro.workload import MixedUpdateWorkload, XMarkConfig, generate_xmark
 
 CONFIG = XMarkConfig(
@@ -62,7 +63,7 @@ def run(algorithm: str) -> list[tuple[int, float, int]]:
             reconstruct_via_index_graph(index)
             policy.reconstructed(index.num_inodes)
         if number % SAMPLE_EVERY == 0:
-            quality = index.num_inodes / minimum_1index_size_of(graph) - 1
+            quality = quality_from_sizes(index.num_inodes, minimum_1index_size(graph))
             samples.append((number, quality, policy.reconstructions))
     return samples
 

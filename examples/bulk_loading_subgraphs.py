@@ -22,9 +22,9 @@ from __future__ import annotations
 import time
 
 from repro import OneIndex
-from repro.index.stability import is_minimal_1index, is_minimum_1index
+from repro.index.stability import is_minimal_1index, is_minimum_1index, minimum_1index_size
 from repro.maintenance import SplitMergeMaintainer, reconstruct_from_scratch
-from repro.metrics.quality import minimum_1index_size_of
+from repro.metrics import quality_from_sizes
 from repro.workload import (
     XMarkConfig,
     average_size,
@@ -78,7 +78,7 @@ def load_with(pipeline: str) -> tuple[float, float]:
                 graph.add_edge(mapping.get(a, a), mapping.get(b, b), kind)
             reconstruct_from_scratch(index)
     elapsed = time.perf_counter() - started
-    quality = index.num_inodes / minimum_1index_size_of(graph) - 1
+    quality = quality_from_sizes(index.num_inodes, minimum_1index_size(graph))
     assert is_minimal_1index(index) or pipeline == "edge-by-edge"
     return elapsed, quality
 

@@ -6,8 +6,8 @@ filmography references make the graph cyclic and irregular, so the
 invented for (Section 3).  This script:
 
 1. generates the clustered IMDB-like dataset of Section 7;
-2. compares the sizes of the data graph, the 1-index, A(k) for k = 1..4,
-   and a strong DataGuide;
+2. compares the sizes of the data graph, the 1-index and A(k) for
+   k = 1..4;
 3. runs a batch of path queries through every summary, showing that the
    1-index is precise, that the raw A(k) answer can overshoot on queries
    longer than k, and that validation repairs it at a cost proportional
@@ -20,7 +20,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import AkIndexFamily, OneIndex, build_dataguide
+from repro import AkIndexFamily, OneIndex
 from repro.query import evaluate_on_ak, evaluate_on_graph, evaluate_on_index
 from repro.workload import IMDBConfig, generate_imdb
 
@@ -43,14 +43,12 @@ def main() -> None:
 
     one_index = OneIndex.build(graph)
     families = {k: AkIndexFamily.build(graph, k) for k in (1, 2, 3, 4)}
-    guide = build_dataguide(graph, node_limit=200_000)
 
     print("\nsummary sizes (nodes):")
     print(f"  data graph     {graph.num_nodes:>7}")
     print(f"  1-index        {one_index.num_inodes:>7}")
     for k, family in families.items():
         print(f"  A({k})-index    {family.num_inodes(k):>7}")
-    print(f"  DataGuide      {guide.num_nodes:>7}")
 
     k = 2
     ak_index = families[k].level_index()

@@ -40,13 +40,7 @@ from repro.graph import (
     parse_xml,
     to_xml,
 )
-from repro.index import (
-    AkIndexFamily,
-    DataGuide,
-    OneIndex,
-    StructuralIndex,
-    build_dataguide,
-)
+from repro.index import AkIndexFamily, OneIndex, StructuralIndex
 
 __version__ = "1.0.0"
 
@@ -60,8 +54,6 @@ __all__ = [
     "StructuralIndex",
     "OneIndex",
     "AkIndexFamily",
-    "DataGuide",
-    "build_dataguide",
     "ReproError",
     "GraphError",
     "StructuralIndexError",

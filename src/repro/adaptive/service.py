@@ -157,7 +157,6 @@ class AdaptivePlane:
         self.service.stats.queries_validated += report.validated
         obs = current_obs()
         obs.add("adaptive.queries")
-        obs.observe("adaptive.query_seconds", elapsed)
         obs.add(f"adaptive.routed.{key}")
         obs.add("adaptive.cache_hits" if entry is not None else "adaptive.cache_misses")
         obs.set("adaptive.cache_hit_rate", self.cache.stats.hit_rate)

@@ -9,8 +9,8 @@ See DESIGN.md §11.  The public surface:
   document→update compiler;
 * :class:`~repro.corpus.service.CorpusService` — document-granular
   serving over :class:`~repro.service.service.IndexService`;
-* :class:`~repro.corpus.churn.CorpusChurnWorkload` — seeded
-  arrival/expiry workloads with convergence checking.
+* :func:`~repro.corpus.churn.mutate_document` — the seeded structural
+  edit a churn schedule replaces a document with.
 """
 
 from repro.corpus.builder import (
@@ -20,7 +20,7 @@ from repro.corpus.builder import (
     corpus_fingerprint,
     corpus_graph_fingerprint,
 )
-from repro.corpus.churn import ChurnReport, CorpusChurnWorkload, mutate_document
+from repro.corpus.churn import mutate_document
 from repro.corpus.documents import (
     ID_ATTRIBUTE,
     REF_ATTRIBUTES,
@@ -42,7 +42,5 @@ __all__ = [
     "corpus_fingerprint",
     "corpus_graph_fingerprint",
     "CorpusService",
-    "ChurnReport",
-    "CorpusChurnWorkload",
     "mutate_document",
 ]

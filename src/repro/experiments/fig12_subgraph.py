@@ -25,10 +25,10 @@ from repro.experiments.reporting import format_quality_series, format_table
 from repro.experiments.runner import SeriesPoint
 from repro.graph.datagraph import DataGraph
 from repro.index.oneindex import OneIndex
+from repro.index.stability import minimum_1index_size
 from repro.maintenance.propagate import PropagateMaintainer
 from repro.maintenance.reconstruction import reconstruct_from_scratch
 from repro.maintenance.split_merge import SplitMergeMaintainer
-from repro.metrics.quality import minimum_1index_size_of
 from repro.workload.updates import (
     ExtractedSubgraph,
     average_size,
@@ -123,7 +123,7 @@ def run(scale: ExperimentScale) -> Fig12Result:
                     SeriesPoint(
                         update=number,
                         index_size=index.num_inodes,
-                        minimum_size=minimum_1index_size_of(graph),
+                        minimum_size=minimum_1index_size(graph),
                     )
                 )
         runs[alternative] = run_record

@@ -17,8 +17,8 @@ from repro.experiments.reporting import format_table
 from repro.experiments.runner import MixedRunResult, run_mixed_updates
 from repro.index.base import StructuralIndex
 from repro.index.construction import ak_class_maps, blocks_of
+from repro.index.stability import minimum_ak_size
 from repro.maintenance.ak_simple import SimpleAkMaintainer
-from repro.metrics.quality import minimum_ak_size_of
 from repro.workload.updates import MixedUpdateWorkload
 from repro.workload.xmark import generate_xmark
 
@@ -49,7 +49,7 @@ def run(scale: ExperimentScale) -> Fig13Result:
             workload=workload,
             num_pairs=scale.pairs_ak,
             sample_every=scale.sample_every,
-            minimum_size_fn=lambda g, k=k: minimum_ak_size_of(g, k),
+            minimum_size_fn=lambda g, k=k: minimum_ak_size(g, k),
         )
     return Fig13Result(dataset="XMark(1)", runs=runs)
 

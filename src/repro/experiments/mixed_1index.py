@@ -16,13 +16,13 @@ from typing import Callable
 
 from repro.graph.datagraph import DataGraph
 from repro.index.oneindex import OneIndex
+from repro.index.stability import minimum_1index_size
 from repro.maintenance.propagate import PropagateMaintainer
 from repro.maintenance.reconstruction import (
     ReconstructionPolicy,
     reconstruct_via_index_graph,
 )
 from repro.maintenance.split_merge import SplitMergeMaintainer
-from repro.metrics.quality import minimum_1index_size_of
 from repro.experiments.config import ExperimentScale
 from repro.experiments.runner import MixedRunResult, run_mixed_updates
 from repro.workload.imdb import generate_imdb
@@ -74,7 +74,7 @@ def run_dataset_comparison(
             workload=workload,
             num_pairs=scale.pairs_1index,
             sample_every=scale.sample_every,
-            minimum_size_fn=minimum_1index_size_of,
+            minimum_size_fn=minimum_1index_size,
             policy=policy,
             reconstruct=lambda idx=index: reconstruct_via_index_graph(idx),
         )

@@ -28,6 +28,7 @@ from typing import Callable, Optional, Protocol
 from repro.graph.datagraph import DataGraph, EdgeKind
 from repro.maintenance.base import UpdateStats
 from repro.maintenance.reconstruction import ReconstructionPolicy
+from repro.metrics.quality import quality_from_sizes
 from repro.obs import Histogram, MetricsRegistry, Observer, current
 from repro.workload.updates import MixedUpdateWorkload
 
@@ -53,7 +54,7 @@ class SeriesPoint:
     @property
     def quality(self) -> float:
         """The Section 3 quality metric at this point."""
-        return self.index_size / self.minimum_size - 1.0
+        return quality_from_sizes(self.index_size, self.minimum_size)
 
 
 @dataclass
@@ -148,7 +149,7 @@ class MixedRunResult:
         """Quality at the end of the run."""
         if self.final_minimum == 0:
             return 0.0
-        return self.final_size / self.final_minimum - 1.0
+        return quality_from_sizes(self.final_size, self.final_minimum)
 
 
 def run_mixed_updates(

@@ -25,10 +25,10 @@ from repro.graph.datagraph import DataGraph
 from repro.index.akindex import AkIndexFamily
 from repro.index.base import StructuralIndex
 from repro.index.construction import ak_class_maps, blocks_of
+from repro.index.stability import minimum_ak_size
 from repro.maintenance.ak_simple import SimpleAkMaintainer
 from repro.maintenance.ak_split_merge import AkSplitMergeMaintainer
 from repro.maintenance.reconstruction import ReconstructionPolicy
-from repro.metrics.quality import minimum_ak_size_of
 from repro.workload.imdb import generate_imdb
 from repro.workload.updates import MixedUpdateWorkload
 from repro.workload.xmark import generate_xmark
@@ -82,7 +82,7 @@ def run(scale: ExperimentScale) -> Tab2Result:
                     workload=workload,
                     num_pairs=scale.pairs_ak,
                     sample_every=10**9,
-                    minimum_size_fn=lambda g, k=k: minimum_ak_size_of(g, k),
+                    minimum_size_fn=lambda g, k=k: minimum_ak_size(g, k),
                     policy=policy,
                     reconstruct=reconstruct,
                 )

@@ -1,7 +1,7 @@
 """Structural indexes: representation, construction, validity oracles."""
 
 from repro.index.akindex import AkIndexFamily, AkLevel
-from repro.index.base import INodeView, StructuralIndex
+from repro.index.base import StructuralIndex
 from repro.index.construction import (
     SplitStats,
     ak_class_maps,
@@ -13,7 +13,6 @@ from repro.index.construction import (
     stabilize,
     stabilize_from_labels,
 )
-from repro.index.dataguide import DataGuide, build_dataguide
 from repro.index.oneindex import OneIndex
 from repro.index.serialize import (
     dump_index,
@@ -47,12 +46,9 @@ __all__ = [
     "structure_to_dict",
     "structure_from_dict",
     "StructuralIndex",
-    "INodeView",
     "OneIndex",
     "AkIndexFamily",
     "AkLevel",
-    "DataGuide",
-    "build_dataguide",
     "SplitStats",
     "label_partition",
     "refine_by_signature",

@@ -48,51 +48,6 @@ from repro.graph.datagraph import DataGraph
 from repro.index.frozen import FrozenIndex
 
 
-class INodeView:
-    """A read-only handle on one inode of a :class:`StructuralIndex`.
-
-    Views are cheap throwaway objects; all state lives in the index.
-    """
-
-    __slots__ = ("_index", "_id")
-
-    def __init__(self, index: "StructuralIndex", inode_id: int):
-        self._index = index
-        self._id = inode_id
-
-    @property
-    def id(self) -> int:
-        """The inode identifier."""
-        return self._id
-
-    @property
-    def label(self) -> str:
-        """The shared label of every dnode in the extent."""
-        return self._index.label_of(self._id)
-
-    @property
-    def extent(self) -> frozenset[int]:
-        """The dnodes of this inode."""
-        return frozenset(self._index.extent(self._id))
-
-    @property
-    def isucc(self) -> frozenset[int]:
-        """Ids of index successors."""
-        return frozenset(self._index.isucc(self._id))
-
-    @property
-    def ipred(self) -> frozenset[int]:
-        """Ids of index predecessors."""
-        return frozenset(self._index.ipred(self._id))
-
-    def __len__(self) -> int:
-        return self._index.extent_size(self._id)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        extent = sorted(self._index.extent(self._id))
-        return f"<INode {self._id} label={self.label!r} extent={extent}>"
-
-
 class StructuralIndex:
     """A node-partition structural index over a :class:`DataGraph`.
 
@@ -297,15 +252,6 @@ class StructuralIndex:
     def inodes(self) -> Iterator[int]:
         """Iterate over all live inode ids."""
         return iter(self._extent_arr)
-
-    def view(self, inode: int) -> INodeView:
-        """A read-only :class:`INodeView` for *inode*."""
-        self._require(inode)
-        return INodeView(self, inode)
-
-    def views(self) -> Iterator[INodeView]:
-        """Iterate over read-only views of all inodes."""
-        return (INodeView(self, inode) for inode in list(self._extent_arr))
 
     @property
     def num_inodes(self) -> int:

@@ -3,8 +3,6 @@
 from repro.metrics.quality import (
     ak_family_quality,
     ak_index_quality,
-    minimum_1index_size_of,
-    minimum_ak_size_of,
     one_index_quality,
     quality_from_sizes,
 )
@@ -15,8 +13,6 @@ __all__ = [
     "one_index_quality",
     "ak_index_quality",
     "ak_family_quality",
-    "minimum_1index_size_of",
-    "minimum_ak_size_of",
     "StorageEstimate",
     "estimate_storage",
     "UNIT_BYTES",

@@ -11,10 +11,9 @@ every update.
 
 from __future__ import annotations
 
-from repro.graph.datagraph import DataGraph
 from repro.index.akindex import AkIndexFamily
 from repro.index.base import StructuralIndex
-from repro.index.construction import ak_class_maps, bisimulation_partition
+from repro.index.stability import minimum_1index_size, minimum_ak_size
 
 
 def quality_from_sizes(index_size: int, minimum_size: int) -> float:
@@ -31,27 +30,15 @@ def quality_from_sizes(index_size: int, minimum_size: int) -> float:
 
 def one_index_quality(index: StructuralIndex) -> float:
     """Quality of a 1-index against the freshly computed minimum (O(m·d))."""
-    minimum = len(set(bisimulation_partition(index.graph).values()))
-    return quality_from_sizes(index.num_inodes, minimum)
+    return quality_from_sizes(index.num_inodes, minimum_1index_size(index.graph))
 
 
 def ak_index_quality(index: StructuralIndex, k: int) -> float:
     """Quality of a stand-alone A(k)-index against the fresh minimum."""
-    minimum = len(set(ak_class_maps(index.graph, k)[k].values()))
-    return quality_from_sizes(index.num_inodes, minimum)
+    return quality_from_sizes(index.num_inodes, minimum_ak_size(index.graph, k))
 
 
 def ak_family_quality(family: AkIndexFamily) -> float:
     """Quality of the leaf level of an A(k) family (0.0 when minimum)."""
-    minimum = len(set(ak_class_maps(family.graph, family.k)[family.k].values()))
+    minimum = minimum_ak_size(family.graph, family.k)
     return quality_from_sizes(family.num_inodes(family.k), minimum)
-
-
-def minimum_1index_size_of(graph: DataGraph) -> int:
-    """Denominator helper: size of the minimum 1-index."""
-    return len(set(bisimulation_partition(graph).values()))
-
-
-def minimum_ak_size_of(graph: DataGraph, k: int) -> int:
-    """Denominator helper: size of the minimum A(k)-index."""
-    return len(set(ak_class_maps(graph, k)[k].values()))

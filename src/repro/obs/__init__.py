@@ -14,10 +14,10 @@ compute:
   (:mod:`repro.obs.sinks`);
 * the **live telemetry plane** — time-windowed sliding aggregation of
   the same metric stream (:mod:`repro.obs.live`), Prometheus ``/metrics``
-  and JSON ``/health`` endpoints plus a periodic JSONL reporter
-  (:mod:`repro.obs.export`), a bounded **flight recorder** with
-  automatic post-mortem dumps (:mod:`repro.obs.flight`), and an **SLO
-  watchdog** with burn-rate alerting (:mod:`repro.obs.slo`);
+  and JSON ``/health`` endpoints (:mod:`repro.obs.export`), a bounded
+  **flight recorder** with automatic post-mortem dumps
+  (:mod:`repro.obs.flight`), and an **SLO watchdog** with burn-rate
+  alerting (:mod:`repro.obs.slo`);
 * the :class:`Observer` facade that bundles them and the process-wide
   *current observer* the instrumented hot paths consult.
 
@@ -98,7 +98,6 @@ __all__ = [
     "default_service_rules",
     "default_adaptive_rules",
     "MetricsServer",
-    "JsonlReporter",
     "LiveTelemetry",
     "render_prometheus",
     "health_document",
@@ -325,7 +324,6 @@ from repro.obs.slo import (  # noqa: E402
     load_rules,
 )
 from repro.obs.export import (  # noqa: E402
-    JsonlReporter,
     LiveTelemetry,
     MetricsServer,
     health_document,

@@ -1,6 +1,6 @@
-"""Exporting the telemetry plane: ``/metrics``, ``/health``, JSONL.
+"""Exporting the telemetry plane: ``/metrics`` and ``/health``.
 
-Three consumers, one substrate:
+Two consumers, one substrate:
 
 * :func:`render_prometheus` turns the cumulative
   :class:`~repro.obs.metrics.MetricsRegistry` and the windowed
@@ -10,12 +10,10 @@ Three consumers, one substrate:
 * :class:`MetricsServer` serves that text on ``/metrics`` and a JSON
   health document on ``/health`` from a stdlib
   :class:`~http.server.ThreadingHTTPServer` — no dependencies, safe to
-  run inside tests on an ephemeral port;
-* :class:`JsonlReporter` appends the same health/window snapshot to a
-  JSONL file on a fixed cadence, for runs with no scraper attached.
+  run inside tests on an ephemeral port.
 
 :class:`LiveTelemetry` bundles the whole plane — windows, watchdog,
-flight recorder, server, reporter — behind one ``start()``/``stop()``
+flight recorder, server — behind one ``start()``/``stop()``
 pair; ``IndexService.start_telemetry`` is a thin wrapper over it.
 
 Everything here is read-side only: the exporter thread takes the
@@ -27,7 +25,6 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
@@ -40,7 +37,6 @@ __all__ = [
     "render_prometheus",
     "health_document",
     "MetricsServer",
-    "JsonlReporter",
     "LiveTelemetry",
 ]
 
@@ -300,74 +296,6 @@ class MetricsServer:
             self._thread = None
 
 
-class JsonlReporter:
-    """Appends a telemetry snapshot to a JSONL file every *interval*.
-
-    Each line is ``{"t": <wall clock>, "live": <plane snapshot>,
-    "slo": <watchdog fragment>}`` — the no-scraper deployment story, and
-    what long soak runs archive.  :meth:`tick` is public so tests (and
-    the final flush in :meth:`stop`) can force a line synchronously.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        plane: LivePlane,
-        watchdog: Optional[SloWatchdog] = None,
-        interval_seconds: float = 5.0,
-    ):
-        if interval_seconds <= 0:
-            raise ValueError("reporter interval must be > 0")
-        self.path = path
-        self.plane = plane
-        self.watchdog = watchdog
-        self.interval_seconds = interval_seconds
-        self.lines_written = 0
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self._fp = None
-        self._lock = threading.Lock()
-
-    def tick(self) -> None:
-        """Write one snapshot line now."""
-        record = {"t": time.time(), "live": self.plane.snapshot()}
-        if self.watchdog is not None:
-            record["slo"] = self.watchdog.health()
-        with self._lock:
-            if self._fp is None:
-                self._fp = open(self.path, "a", encoding="utf-8")
-            json.dump(record, self._fp, default=str)
-            self._fp.write("\n")
-            self._fp.flush()
-            self.lines_written += 1
-
-    def start(self) -> "JsonlReporter":
-        if self._thread is not None:
-            return self
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-jsonl-reporter", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval_seconds):
-            self.tick()
-
-    def stop(self) -> None:
-        """Stop the thread and write one final line."""
-        if self._thread is not None:
-            self._stop.set()
-            self._thread.join()
-            self._thread = None
-        self.tick()
-        with self._lock:
-            if self._fp is not None:
-                self._fp.close()
-                self._fp = None
-
-
 class LiveTelemetry:
     """The whole live plane as one start/stop bundle.
 
@@ -376,8 +304,7 @@ class LiveTelemetry:
     * a :class:`LivePlane` attached to the observer (windowed metrics);
     * a :class:`FlightRecorder` added as a sink (when *dump_dir* given);
     * an :class:`SloWatchdog` over *rules*;
-    * a :class:`MetricsServer` (when *serve* — the default);
-    * a :class:`JsonlReporter` (when *jsonl_path* given).
+    * a :class:`MetricsServer` (when *serve* — the default).
 
     ``IndexService.start_telemetry`` constructs one of these against the
     process-wide current observer; standalone use::
@@ -403,8 +330,6 @@ class LiveTelemetry:
         serve: bool = True,
         host: str = "127.0.0.1",
         port: int = 0,
-        jsonl_path: Optional[str] = None,
-        report_interval_seconds: float = 5.0,
     ):
         self.service = service
         self._observer = observer
@@ -422,14 +347,6 @@ class LiveTelemetry:
                 recorder=self.recorder,
                 host=host,
                 port=port,
-            )
-        self.reporter: Optional[JsonlReporter] = None
-        if jsonl_path is not None:
-            self.reporter = JsonlReporter(
-                jsonl_path,
-                self.plane,
-                watchdog=self.watchdog,
-                interval_seconds=report_interval_seconds,
             )
         self._previous_plane = None
         self._started = False
@@ -460,8 +377,6 @@ class LiveTelemetry:
         if self.server is not None:
             self.server.registry = observer.metrics
             self.server.start()
-        if self.reporter is not None:
-            self.reporter.start()
         self._started = True
         return self
 
@@ -479,8 +394,6 @@ class LiveTelemetry:
             return
         if self.server is not None:
             self.server.stop()
-        if self.reporter is not None:
-            self.reporter.stop()
         observer = self.observer
         if observer.live is self.plane:
             observer.attach_live(self._previous_plane)

@@ -43,7 +43,6 @@ __all__ = [
     "SloWatchdog",
     "load_rules",
     "default_service_rules",
-    "default_replication_rules",
     "default_adaptive_rules",
 ]
 
@@ -336,33 +335,6 @@ def default_service_rules(
     ]
 
 
-def default_replication_rules(
-    max_lag_lsns: float = 256.0,
-    apply_p95_seconds: float = 0.5,
-) -> list[SloRule]:
-    """The stock objectives for a replica: staleness (how far behind the
-    primary's log the follower has applied) and apply latency (how long
-    one shipped batch takes to reach the local snapshot)."""
-    return [
-        SloRule(
-            name="replica-lag",
-            metric="replication.lag_lsns",
-            stat="max",
-            op=">",
-            threshold=max_lag_lsns,
-            description="LSNs the follower trails the primary's log end",
-        ),
-        SloRule(
-            name="apply-latency",
-            metric="replication.apply_seconds",
-            stat="p95",
-            op=">",
-            threshold=apply_p95_seconds,
-            description="shipped-batch apply latency on the follower",
-        ),
-    ]
-
-
 def default_adaptive_rules(
     query_p95_seconds: float = 0.25,
     min_cache_hit_rate: float = 0.05,
@@ -383,7 +355,7 @@ def default_adaptive_rules(
     return [
         SloRule(
             name="adaptive-query-latency",
-            metric="adaptive.query_seconds",
+            metric="service.query_seconds",
             stat="p95",
             op=">",
             threshold=query_p95_seconds,

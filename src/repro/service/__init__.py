@@ -18,7 +18,7 @@ Quickstart::
     answer = service.query("//person/name")
     answer.matches, answer.version
 
-Drive it under load with :class:`repro.workload.sessions.ClosedLoopDriver`;
+Drive it under load with ``bench/run.py``;
 ``examples/serving_stack.py`` composes it with every part it can hold.
 """
 

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Optional
@@ -77,17 +76,6 @@ from repro.service.queue import BoundedQueue, CoalesceStats, Update, coalesce
 from repro.service.snapshot import IndexSnapshot
 
 ADMISSION_POLICIES = ("block", "shed", "flush")
-
-#: Samples each :class:`ServiceStats` series keeps.  A service lives for
-#: days and the series' only readers want a trailing window (the adaptive
-#: controller's p95, a driver run's since-mark slice), so the series are
-#: bounded; the lifetime *counts* are the plain integer fields.
-STATS_WINDOW = 4096
-
-
-def _window() -> deque:
-    return deque(maxlen=STATS_WINDOW)
-
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -127,10 +115,11 @@ class ServiceConfig:
 
 @dataclass
 class ServiceStats:
-    """Lifetime tallies of one service (mirrors the ``service.*`` metrics).
+    """Lifetime counts of one service (mirrors the ``service.*`` metrics).
 
-    The counters are lifetime totals; the three sample series are
-    trailing windows of :data:`STATS_WINDOW` entries.
+    Latencies and queries per version are samples, not counts: they are
+    the ``service.batch_commit_seconds``, ``service.query_seconds`` and
+    ``service.queries_per_version`` histograms of the observer.
     """
 
     queries: int = 0
@@ -145,12 +134,6 @@ class ServiceStats:
     applied_ops: int = 0
     versions_published: int = 0
     coalescing: CoalesceStats = field(default_factory=CoalesceStats)
-    #: per-batch commit wall-clock (seconds) of the last STATS_WINDOW batches
-    commit_seconds: deque[float] = field(default_factory=_window)
-    #: per-query wall-clock (seconds) of the last STATS_WINDOW queries
-    query_seconds: deque[float] = field(default_factory=_window)
-    #: queries served by each of the last STATS_WINDOW retired versions
-    queries_per_version: deque[int] = field(default_factory=_window)
 
 
 @dataclass
@@ -303,12 +286,11 @@ class IndexService:
         """Tally one served query against the version that answered it."""
         obs = current_obs()
         self.stats.queries += 1
-        self.stats.query_seconds.append(elapsed)
         with self._query_count_lock:
             if version == self._snapshot.version:
                 self._queries_this_version += 1
             # else: served a just-retired version; its count was already
-            # rolled into queries_per_version by the publisher
+            # observed into service.queries_per_version by the publisher
         obs.add("service.queries")
         obs.observe("service.query_seconds", elapsed)
 
@@ -501,7 +483,6 @@ class IndexService:
         elapsed = time.perf_counter() - started
         self.stats.batches += 1
         self.stats.applied_ops += len(survivors)
-        self.stats.commit_seconds.append(elapsed)
         obs.add("service.batches")
         obs.add("service.applied_ops", len(survivors))
         obs.observe("service.batch_ops", len(survivors))
@@ -583,7 +564,6 @@ class IndexService:
         if self.adaptive is not None:
             self.adaptive.advance(snapshot.version, *changed)
         self._touched.clear()
-        self.stats.queries_per_version.append(retired)
         self.stats.versions_published += 1
         obs.observe("service.queries_per_version", retired)
         obs.add("service.versions")
@@ -660,10 +640,10 @@ class IndexService:
 
         Builds a :class:`repro.obs.export.LiveTelemetry` bundle —
         sliding-window metrics attached to the current observer, an SLO
-        watchdog, optionally a flight recorder (``dump_dir=``) and a
-        JSONL reporter (``jsonl_path=``) — and starts its ``/metrics`` +
-        ``/health`` HTTP endpoint (``port=0`` picks an ephemeral port;
-        pass ``serve=False`` for windows-only operation).  Keyword
+        watchdog, optionally a flight recorder (``dump_dir=``) — and
+        starts its ``/metrics`` + ``/health`` HTTP endpoint (``port=0``
+        picks an ephemeral port; pass ``serve=False`` for windows-only
+        operation).  Keyword
         arguments are forwarded to ``LiveTelemetry``; the bundle is
         stopped by :meth:`close` or an explicit :meth:`stop_telemetry`.
         The adaptive part adds its SLO rules unless the caller supplied
@@ -691,13 +671,21 @@ class IndexService:
             self._telemetry = None
 
     def health(self) -> dict:
-        """Liveness facts for the ``/health`` endpoint, one section per part."""
+        """Liveness facts for the ``/health`` endpoint, one section per part.
+
+        It runs on the telemetry server's thread without the writer lock
+        (``/health`` must answer while a writer is stuck), so it sizes the
+        published version, which no commit changes, never the live dicts
+        the writer is mutating; byte sizes are the per-publish
+        ``graph.bytes`` / ``index.bytes`` gauges on ``/metrics``.
+        """
         guard = self.guarded.invariants
         audited = self._last_audit_version
+        snapshot = self._snapshot
         doc = {
             "family": self.structure.kind,
             "k": self.structure.k,
-            "version": self.version,
+            "version": snapshot.version,
             "closed": self._closed,
             "writer_alive": (
                 self._writer_thread is not None and self._writer_thread.is_alive()
@@ -713,13 +701,15 @@ class IndexService:
             "batch_failures": self.stats.batch_failures,
             "diverged": self._diverged,
             "versions_published": self.stats.versions_published,
-            "graph_bytes": self.graph.approx_bytes(),
-            "index_bytes": self.structure.approx_bytes(),
+            "num_dnodes": snapshot.graph.num_nodes,
+            "num_inodes": snapshot.index.num_inodes,
             "last_audit_version": audited,
             "last_audit_ok": guard.last_audit_ok,
             # commits published since that version (or, before one, by this service)
             "commits_since_audit": (
-                self.stats.versions_published - 1 if audited is None else self.version - audited
+                self.stats.versions_published - 1
+                if audited is None
+                else snapshot.version - audited
             ),
             "checks_local": guard.checks_local,
             "checks_full": guard.checks_full,

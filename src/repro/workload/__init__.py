@@ -1,4 +1,11 @@
-"""Synthetic datasets and update workloads (the Section 7 protocol)."""
+"""Synthetic datasets, update workloads (the Section 7 protocol) and
+seeded query workloads.
+
+The closed-loop load drivers the serving suites run are test code and
+live under ``tests/`` (``tests/workload/sessions.py``,
+``tests/corpus/churn_workload.py``); ``bench/`` drives the served
+benchmark.
+"""
 
 from repro.workload.documents import split_into_documents
 from repro.workload.imdb import GENRES, IMDBConfig, IMDBDataset, generate_imdb
@@ -10,8 +17,7 @@ from repro.workload.random_graphs import (
     random_tree,
     worst_case_gadget,
 )
-from repro.workload.queries import QueryWorkload, ShiftingQueryPool
-from repro.workload.sessions import ClosedLoopDriver, DriverReport, SessionMix
+from repro.workload.queries import QueryWorkload
 from repro.workload.updates import (
     ExtractedSubgraph,
     MixedUpdateWorkload,
@@ -38,10 +44,6 @@ __all__ = [
     "worst_case_gadget",
     "MixedUpdateWorkload",
     "QueryWorkload",
-    "ShiftingQueryPool",
-    "ClosedLoopDriver",
-    "SessionMix",
-    "DriverReport",
     "ExtractedSubgraph",
     "extract_subgraphs",
     "remove_subgraph_raw",

@@ -17,12 +17,12 @@ from repro.exceptions import ServiceError
 from repro.obs.slo import default_adaptive_rules, default_service_rules
 from repro.query.evaluator import evaluate_on_graph
 from repro.service import ServiceConfig, Update
-from repro.workload.queries import QueryWorkload, ShiftingQueryPool
-from repro.workload.sessions import ClosedLoopDriver, SessionMix
+from repro.workload.queries import QueryWorkload
 from repro.workload.updates import MixedUpdateWorkload
 from repro.workload.xmark import generate_xmark
 
 from tests.adaptive.conftest import ADAPT_SEED, ADAPTIVE_XMARK
+from tests.workload.sessions import ClosedLoopDriver, SessionMix, ShiftingQueryPool
 
 STEPS = 300
 

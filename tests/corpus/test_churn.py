@@ -7,14 +7,10 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from repro.corpus import (
-    CorpusChurnWorkload,
-    CorpusService,
-    mutate_document,
-    parse_document,
-)
+from repro.corpus import CorpusService, mutate_document, parse_document
 from repro.service import ServiceConfig
 
+from tests.corpus.churn_workload import CorpusChurnWorkload
 from tests.corpus.test_differential import CORPUS_SEED, make_pool
 
 

@@ -15,10 +15,10 @@ from repro.experiments.reporting import (
 )
 from repro.experiments.runner import MixedRunResult, SeriesPoint, run_mixed_updates
 from repro.index.oneindex import OneIndex
+from repro.index.stability import minimum_1index_size
 from repro.maintenance.base import UpdateStats
 from repro.maintenance.reconstruction import ReconstructionPolicy
 from repro.maintenance.split_merge import SplitMergeMaintainer
-from repro.metrics.quality import minimum_1index_size_of
 from repro.obs import MetricsRegistry
 from repro.obs.metrics import DEFAULT_RESERVOIR
 from repro.workload.updates import MixedUpdateWorkload
@@ -41,7 +41,7 @@ class TestRunMixedUpdates:
             workload=workload,
             num_pairs=10,
             sample_every=5,
-            minimum_size_fn=minimum_1index_size_of,
+            minimum_size_fn=minimum_1index_size,
         )
         assert result.updates == 20
         assert len(result.points) == 4
@@ -63,7 +63,7 @@ class TestRunMixedUpdates:
             workload=workload,
             num_pairs=5,
             sample_every=100,
-            minimum_size_fn=minimum_1index_size_of,
+            minimum_size_fn=minimum_1index_size,
             policy=policy,
             reconstruct=lambda: calls.append(1),
         )
@@ -87,7 +87,7 @@ class TestRunMixedUpdates:
                 workload=workload,
                 num_pairs=5,
                 sample_every=100,
-                minimum_size_fn=minimum_1index_size_of,
+                minimum_size_fn=minimum_1index_size,
             )
         # insert, then the failing delete: one completed lap, none for
         # the update that raised

@@ -6,21 +6,11 @@ import random
 
 import pytest
 
-from repro.exceptions import GraphError
-from repro.graph.builder import GraphBuilder
 from repro.graph.datagraph import DataGraph
 from repro.graph.traversal import (
-    bfs_order,
-    count_cycle_edges,
     descendants_within,
-    dfs_order,
-    graph_depth,
-    induced_edge_count,
     is_acyclic,
-    reachable_from,
     strongly_connected_components,
-    topological_order,
-    unreachable_nodes,
 )
 from repro.workload.random_graphs import random_cyclic, random_dag
 
@@ -34,31 +24,6 @@ def chain() -> tuple[DataGraph, list[int]]:
         g.add_edge(nodes[-1], node)
         nodes.append(node)
     return g, nodes
-
-
-class TestOrders:
-    def test_bfs_on_chain(self, chain):
-        g, nodes = chain
-        assert bfs_order(g, g.root) == nodes
-
-    def test_dfs_on_chain(self, chain):
-        g, nodes = chain
-        assert dfs_order(g, g.root) == nodes
-
-    def test_bfs_visits_each_reachable_once(self, figure2_graph):
-        order = bfs_order(figure2_graph, figure2_graph.root)
-        assert len(order) == len(set(order)) == figure2_graph.num_nodes
-
-    def test_bfs_handles_cycles(self, figure4_graph):
-        order = bfs_order(figure4_graph, figure4_graph.root)
-        assert len(order) == figure4_graph.num_nodes
-
-    def test_reachable_from_subset(self, figure2_graph):
-        # from dnode 3 only 3 and its child 6 are reachable
-        three = [n for n in figure2_graph.nodes() if figure2_graph.label(n) == "B"][0]
-        reach = reachable_from(figure2_graph, three)
-        assert three in reach
-        assert figure2_graph.root not in reach
 
 
 class TestDescendantsWithin:
@@ -87,16 +52,6 @@ class TestAcyclicity:
     def test_cycle_detected(self, figure4_graph):
         assert not is_acyclic(figure4_graph)
 
-    def test_topological_order_respects_edges(self, diamond_dag):
-        order = topological_order(diamond_dag)
-        position = {node: i for i, node in enumerate(order)}
-        for s, t in diamond_dag.edges():
-            assert position[s] < position[t]
-
-    def test_topological_order_raises_on_cycle(self, figure4_graph):
-        with pytest.raises(GraphError):
-            topological_order(figure4_graph)
-
     def test_random_dags_are_acyclic(self):
         rng = random.Random(5)
         for _ in range(10):
@@ -120,10 +75,6 @@ class TestScc:
         comps = strongly_connected_components(diamond_dag)
         assert all(len(c) == 1 for c in comps)
 
-    def test_count_cycle_edges(self, figure4_graph, diamond_dag):
-        assert count_cycle_edges(figure4_graph) == 4  # two 2-cycles
-        assert count_cycle_edges(diamond_dag) == 0
-
     def test_scc_on_random_cyclic_consistent_with_acyclicity(self):
         rng = random.Random(11)
         for _ in range(10):
@@ -132,23 +83,3 @@ class TestScc:
                 len(c) > 1 for c in strongly_connected_components(g)
             ) or any(g.has_edge(n, n) for n in g.nodes())
             assert has_big == (not is_acyclic(g))
-
-
-class TestMisc:
-    def test_graph_depth(self, chain):
-        g, nodes = chain
-        assert graph_depth(g) == len(nodes) - 1
-
-    def test_graph_depth_requires_root(self):
-        with pytest.raises(GraphError):
-            graph_depth(DataGraph())
-
-    def test_unreachable_nodes(self):
-        b = GraphBuilder().edge("root", "a").node("stranded", "S")
-        g = b.build()
-        assert unreachable_nodes(g) == {b.oid("stranded")}
-
-    def test_induced_edge_count(self, diamond_dag):
-        nodes = list(diamond_dag.nodes())
-        assert induced_edge_count(diamond_dag, nodes) == diamond_dag.num_edges
-        assert induced_edge_count(diamond_dag, [diamond_dag.root]) == 0

@@ -71,16 +71,6 @@ class TestLookups:
             labels = {graph.label(w) for w in index.extent(inode)}
             assert labels == {index.label_of(inode)}
 
-    def test_views(self, indexed_figure2):
-        _, index = indexed_figure2
-        views = list(index.views())
-        assert len(views) == index.num_inodes
-        view = views[0]
-        assert view.label == index.label_of(view.id)
-        assert len(view) == index.extent_size(view.id)
-        assert view.isucc == index.isucc_set(view.id)
-        assert view.ipred == index.ipred_set(view.id)
-
 
 class TestIedges:
     def test_iedges_derived_from_partition(self, indexed_figure2):

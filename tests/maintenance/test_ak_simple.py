@@ -9,8 +9,8 @@ import pytest
 from repro.graph.builder import GraphBuilder
 from repro.index.base import StructuralIndex
 from repro.index.construction import ak_class_maps, blocks_of
+from repro.index.stability import minimum_ak_size
 from repro.maintenance.ak_simple import SimpleAkMaintainer
-from repro.metrics.quality import minimum_ak_size_of
 from repro.workload.random_graphs import candidate_edges, random_dag
 
 
@@ -68,7 +68,7 @@ class TestCorrectness:
         for u, v in edges:
             maintainer.delete_edge(u, v)
         # back at the original graph: any excess is pure degradation
-        assert index.num_inodes >= minimum_ak_size_of(graph, 2)
+        assert index.num_inodes >= minimum_ak_size(graph, 2)
 
     def test_reconstruct_restores_minimum(self, maintained):
         b, graph, index, maintainer = maintained
@@ -76,7 +76,7 @@ class TestCorrectness:
         maintainer.delete_edge(b.oid(2), b.oid(4))
         maintainer.reconstruct()
         index.check_invariants()
-        assert index.num_inodes == minimum_ak_size_of(graph, 2)
+        assert index.num_inodes == minimum_ak_size(graph, 2)
 
 
 class TestSignatureRecursion:

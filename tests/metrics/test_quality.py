@@ -7,11 +7,10 @@ import pytest
 from repro.index.akindex import AkIndexFamily
 from repro.index.construction import label_partition, partition_index
 from repro.index.oneindex import OneIndex
+from repro.index.stability import minimum_1index_size, minimum_ak_size
 from repro.metrics.quality import (
     ak_family_quality,
     ak_index_quality,
-    minimum_1index_size_of,
-    minimum_ak_size_of,
     one_index_quality,
     quality_from_sizes,
 )
@@ -43,7 +42,7 @@ class TestIndexQuality:
             figure2_graph, {n: n for n in figure2_graph.nodes()}
         )
         n = figure2_graph.num_nodes
-        minimum = minimum_1index_size_of(figure2_graph)
+        minimum = minimum_1index_size(figure2_graph)
         assert one_index_quality(discrete) == pytest.approx(n / minimum - 1)
 
     def test_ak_quality(self, figure2_graph):
@@ -63,5 +62,5 @@ class TestIndexQuality:
         assert ak_family_quality(family) == 0.0
 
     def test_minimum_size_helpers_agree(self, figure2_graph):
-        deep = minimum_ak_size_of(figure2_graph, 10)
-        assert deep == minimum_1index_size_of(figure2_graph)
+        deep = minimum_ak_size(figure2_graph, 10)
+        assert deep == minimum_1index_size(figure2_graph)

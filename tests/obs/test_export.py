@@ -20,7 +20,6 @@ from repro.obs import (
     install,
     render_prometheus,
 )
-from repro.obs.export import JsonlReporter
 
 BAD_COMMITS = SloRule(
     name="commit-p95", metric="commit_seconds", stat="p95", op=">", threshold=0.05
@@ -144,37 +143,6 @@ class TestMetricsServer:
         assert server.port == port
         server.stop()
         server.stop()
-
-
-class TestJsonlReporter:
-    def test_tick_appends_snapshot_lines(self, tmp_path):
-        plane = LivePlane(clock=lambda: 5.0)
-        plane.observe("lat", 0.25)
-        watchdog = SloWatchdog(plane, [BAD_COMMITS])
-        path = tmp_path / "report.jsonl"
-        reporter = JsonlReporter(str(path), plane, watchdog=watchdog)
-        reporter.tick()
-        reporter.stop()  # writes one final line
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert len(lines) == 2
-        assert lines[0]["live"]["histograms"]["lat"]["count"] == 1
-        assert lines[0]["slo"]["slo"] == "ok"
-        assert reporter.lines_written == 2
-
-    def test_background_thread_reports(self, tmp_path):
-        plane = LivePlane()
-        path = tmp_path / "report.jsonl"
-        reporter = JsonlReporter(str(path), plane, interval_seconds=0.02)
-        reporter.start()
-        import time
-
-        time.sleep(0.1)
-        reporter.stop()
-        assert reporter.lines_written >= 2
-
-    def test_rejects_bad_interval(self, tmp_path):
-        with pytest.raises(ValueError):
-            JsonlReporter(str(tmp_path / "x.jsonl"), LivePlane(), interval_seconds=0)
 
 
 class TestLiveTelemetry:

@@ -11,8 +11,8 @@ from __future__ import annotations
 from repro.experiments.runner import run_mixed_updates
 from repro.graph.builder import GraphBuilder
 from repro.index.oneindex import OneIndex
+from repro.index.stability import minimum_1index_size
 from repro.maintenance.split_merge import SplitMergeMaintainer
-from repro.metrics.quality import minimum_1index_size_of
 from repro.obs import InMemorySink, observed
 from repro.workload.updates import MixedUpdateWorkload
 from repro.workload.xmark import XMarkConfig, generate_xmark
@@ -94,7 +94,7 @@ class TestTracedRun:
                 workload=workload,
                 num_pairs=10,
                 sample_every=5,
-                minimum_size_fn=minimum_1index_size_of,
+                minimum_size_fn=minimum_1index_size,
             )
 
     def test_trace_events_match_result(self):
@@ -139,7 +139,7 @@ class TestTracedRun:
             workload=workload,
             num_pairs=10,
             sample_every=5,
-            minimum_size_fn=minimum_1index_size_of,
+            minimum_size_fn=minimum_1index_size,
         )
         assert result.updates == 20
         assert result.metrics is not None

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import pytest
 
-from repro.corpus import CorpusChurnWorkload, CorpusService
+from repro.corpus import CorpusService
 from repro.exceptions import InvariantViolationError
 from repro.graph.datagraph import EdgeKind
 from repro.index.akindex import AkIndexFamily
@@ -55,11 +55,12 @@ from repro.resilience.invariants import AUDIT_SLICE_VISITS as SERVED_SLICE  # (b
 from repro.service import IndexService, ServiceConfig, Update
 from repro.store import StoreConfig
 from repro.workload.queries import QueryWorkload
-from repro.workload.sessions import ClosedLoopDriver, SessionMix
 from repro.workload.updates import MixedUpdateWorkload
 from repro.workload.xmark import XMarkConfig, generate_xmark
+from tests.corpus.churn_workload import CorpusChurnWorkload
 from tests.resilience import check_reference as reference
 from tests.resilience.conftest import CHAOS_SEED, CHAOS_XMARK, edge_call
+from tests.workload.sessions import ClosedLoopDriver, SessionMix
 
 FAMILIES = ("one", "ak")
 AK_K = 2

@@ -31,12 +31,12 @@ from repro.resilience.faults import FaultInjector
 from repro.service.snapshot import IndexSnapshot
 from repro.resilience.guard import GuardConfig
 from repro.service import IndexService, ServiceConfig
-from repro.workload.queries import QueryWorkload, ShiftingQueryPool
-from repro.workload.sessions import ClosedLoopDriver, SessionMix
+from repro.workload.queries import QueryWorkload
 from repro.workload.updates import MixedUpdateWorkload
 from repro.workload.xmark import generate_xmark
 
 from tests.service.conftest import SERVICE_XMARK, SOAK_SEED
+from tests.workload.sessions import ClosedLoopDriver, SessionMix, ShiftingQueryPool
 
 STEPS = 500
 

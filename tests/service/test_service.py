@@ -13,6 +13,7 @@ from repro.exceptions import (
     ServiceError,
 )
 from repro.graph.datagraph import EdgeKind
+from repro.obs import observed
 from repro.resilience.faults import FaultInjector
 from repro.resilience.guard import GuardConfig
 from repro.service import BatchResult, IndexService, ServiceConfig, Update
@@ -95,17 +96,19 @@ class TestVersioning:
         assert not xmark_graph.has_edge(source, target)
 
     def test_staleness_accounting(self, xmark_graph):
-        service = IndexService(xmark_graph)
-        for _ in range(5):
+        with observed() as obs:
+            service = IndexService(xmark_graph)
+            served = obs.metrics.histogram("service.queries_per_version")
+            for _ in range(5):
+                service.query("//person")
+            (update,) = idref_ops(xmark_graph, 1)
+            service.submit(update)
+            service.flush()
+            assert served.values == [5]
             service.query("//person")
-        (update,) = idref_ops(xmark_graph, 1)
-        service.submit(update)
-        service.flush()
-        assert list(service.stats.queries_per_version) == [5]
-        service.query("//person")
-        service.submit(Update.delete_edge(update.args[0], update.args[1]))
-        service.flush()
-        assert list(service.stats.queries_per_version) == [5, 1]
+            service.submit(Update.delete_edge(update.args[0], update.args[1]))
+            service.flush()
+            assert served.values == [5, 1]
 
 
 class TestAdmission:

@@ -19,11 +19,11 @@ from repro.resilience.faults import FaultInjector
 from repro.resilience.guard import GuardConfig
 from repro.service import IndexService, ServiceConfig, Update
 from repro.workload.queries import QueryWorkload
-from repro.workload.sessions import ClosedLoopDriver, SessionMix
 from repro.workload.updates import MixedUpdateWorkload
 from repro.workload.xmark import generate_xmark
 
 from tests.service.conftest import SERVICE_XMARK, SOAK_SEED
+from tests.workload.sessions import ClosedLoopDriver, SessionMix
 
 
 @pytest.mark.parametrize("family", ["one", "ak"])

@@ -12,6 +12,7 @@ import ast
 import dataclasses
 import importlib
 import pathlib
+from collections import deque
 
 import repro
 from repro.maintenance import OPERATIONS
@@ -42,7 +43,6 @@ RANK = {package: rank for rank, row in enumerate(LAYERS) for package in row}
 #: the upward imports that exist today, ``(importing file, imported package)``.
 #: This set may only shrink.
 UPWARD = {
-    ("workload/sessions.py", "service"),  # a workload that drives a service
     ("service/service.py", "adaptive"),  # the two parts a service may hold,
     ("service/service.py", "store"),  # imported where they are attached
     ("obs/export.py", "query"),  # function-local
@@ -77,6 +77,21 @@ def test_imports_point_down_the_layers():
         if imported != package_of(module) and RANK[imported] >= RANK[package_of(module)]
     }
     assert upward == UPWARD
+
+
+def test_no_module_imports_the_tests():
+    # a driver only the tests use lives in ``tests/``, and nothing here reaches it
+    reaching = [
+        module
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "tests")
+        or (
+            isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "tests" for alias in node.names)
+        )
+    ]
+    assert reaching == []
 
 
 def test_no_private_name_crosses_a_package():
@@ -313,6 +328,12 @@ def test_the_replaced_names_are_gone():
         "CostBasedPolicy", "CostInputs", "CostConfig", "note_pressure", "expected_yield",
         "cache_capacity", "ancestors_of", "evaluate_on_subgraph",
         "LadderLevel", "DurableIndexService", "_labelled_view",
+        "DataGuide", "build_dataguide", "INodeView", "JsonlReporter", "jsonl_path",
+        "report_interval_seconds", "default_replication_rules", "minimum_1index_size_of",
+        "minimum_ak_size_of", "ClosedLoopDriver", "SessionMix", "DriverReport",
+        "ShiftingQueryPool", "CorpusChurnWorkload", "ChurnReport", "_weighted_choice",
+        "STATS_WINDOW", "bfs_order", "dfs_order", "reachable_from", "topological_order",
+        "count_cycle_edges", "unreachable_nodes", "graph_depth", "induced_edge_count",
     )
     for path in SRC.rglob("*.py"):
         text = path.read_text()
@@ -622,7 +643,7 @@ def test_every_guard_check_is_one_kernel_pass():
 
 #: names in ``__all__`` of every package ``__init__`` under ``src/repro``:
 #: a ceiling that only falls
-PUBLIC_NAMES = 281
+PUBLIC_NAMES = 267
 
 
 def test_the_public_names_do_not_grow():
@@ -636,6 +657,21 @@ def test_the_public_names_do_not_grow():
         for element in node.value.elts
     ]
     assert len(names) <= PUBLIC_NAMES
+
+
+def test_the_service_keeps_counts_not_samples():
+    # latencies and queries per version are the observer's histograms;
+    # a sample series in the stats would be a second, unbounded copy
+    from repro.service import service
+
+    stats = service.ServiceStats()
+    series = [
+        field.name
+        for field in dataclasses.fields(stats)
+        if "deque" in str(field.type) or isinstance(getattr(stats, field.name), (list, deque))
+    ]
+    assert series == []
+    assert not hasattr(service, "STATS_WINDOW")
 
 
 def test_the_guard_commits_one_checked_batch():

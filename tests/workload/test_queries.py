@@ -8,8 +8,10 @@ from repro.exceptions import GraphError
 from repro.graph.datagraph import DataGraph
 from repro.query.evaluator import evaluate_on_graph
 from repro.query.path_expression import parse_path
-from repro.workload.queries import QueryWorkload, ShiftingQueryPool
+from repro.workload.queries import QueryWorkload
 from repro.workload.xmark import XMarkConfig, generate_xmark
+
+from tests.workload.sessions import ShiftingQueryPool
 
 CONFIG = XMarkConfig(
     num_items=30, num_persons=40, num_open_auctions=25,

@@ -1,20 +1,15 @@
-"""Unit tests for the closed-loop driver (repro.workload.sessions)."""
+"""Unit tests for the closed-loop test driver (tests/workload/sessions.py)."""
 
 from __future__ import annotations
 
-from itertools import islice
-
 import pytest
 
-from repro.graph.datagraph import EdgeKind
-from repro.obs import percentile
 from repro.service import IndexService, ServiceConfig
-from repro.service.queue import Update
-from repro.service.service import STATS_WINDOW
 from repro.workload.queries import QueryWorkload
-from repro.workload.sessions import ClosedLoopDriver, DriverReport, SessionMix
 from repro.workload.updates import MixedUpdateWorkload
 from repro.workload.xmark import XMarkConfig, generate_xmark
+
+from tests.workload.sessions import ClosedLoopDriver, DriverReport, SessionMix
 
 CONFIG = XMarkConfig(
     num_items=30, num_persons=40, num_open_auctions=25,
@@ -112,70 +107,3 @@ class TestDriverReport:
         assert report.updates_per_second == 0.0
         assert report.mean_queries_per_version == 0.0
         assert report.max_queries_per_version == 0
-
-
-class TestBoundedStats:
-    """ServiceStats keeps trailing windows; the driver counts, not measures, them."""
-
-    WINDOW = 16
-
-    @pytest.fixture
-    def small_window(self, monkeypatch):
-        monkeypatch.setattr("repro.service.service.STATS_WINDOW", self.WINDOW)
-
-    def test_series_stop_growing_at_the_window(self, small_window):
-        driver = build_driver(steps=4)
-        service = driver.service
-        updates = driver.updates.steps(10 * self.WINDOW, validate=False)
-        for op, source, target in islice(updates, 10 * self.WINDOW):
-            for _ in range(3):
-                service.query("/site")
-            if op == "insert":
-                service.submit(Update.insert_edge(source, target, EdgeKind.IDREF))
-            else:
-                service.submit(Update.delete_edge(source, target))
-            service.flush()
-        stats = service.stats
-        assert stats.queries == 30 * self.WINDOW
-        assert stats.batches == 10 * self.WINDOW
-        assert len(stats.query_seconds) == self.WINDOW
-        assert len(stats.commit_seconds) == self.WINDOW
-        assert len(stats.queries_per_version) == self.WINDOW
-        assert set(stats.queries_per_version) == {3}
-        service.close()
-
-    def test_a_run_shorter_than_the_window_reports_its_own_samples(self, monkeypatch):
-        committed, query_laps = [], []
-        driver = build_driver(steps=40)
-        driver.on_commit = committed.append
-        service = driver.service
-        assert service.stats.query_seconds.maxlen == STATS_WINDOW > 40
-        for _ in range(7):  # history from before the run must not leak into it
-            service.query("//person")
-        record = service._record_query
-        monkeypatch.setattr(
-            service,
-            "_record_query",
-            lambda elapsed, version: (query_laps.append(elapsed), record(elapsed, version)),
-        )
-        report = driver.run()
-        service.close()
-        assert len(query_laps) == report.queries == 30
-        assert report.query_p50_ms == percentile(query_laps, 50) * 1000
-        assert report.query_p95_ms == percentile(query_laps, 95) * 1000
-        commit_laps = [result.seconds for result in committed]
-        assert len(commit_laps) == report.batches > 0
-        assert report.commit_p50_ms == percentile(commit_laps, 50) * 1000
-        assert report.commit_p95_ms == percentile(commit_laps, 95) * 1000
-        assert len(report.queries_per_version) == report.versions_published
-        # the 7 earlier queries were served by the version the run retired first
-        assert sum(report.queries_per_version) == report.queries + 7
-
-    def test_a_run_longer_than_the_window_reports_the_trailing_window(self, small_window):
-        driver = build_driver(steps=8 * self.WINDOW)
-        report = driver.run()
-        driver.service.close()
-        assert report.queries == 6 * self.WINDOW  # the count is still the lifetime one
-        assert len(driver.service.stats.query_seconds) == self.WINDOW
-        assert report.query_p50_ms > 0
-        assert len(report.queries_per_version) == min(self.WINDOW, report.versions_published)
