@@ -9,7 +9,6 @@ from repro.index.construction import (
     blocks_of,
     label_partition,
     partition_index,
-    refine_by_signature,
     stabilize,
     stabilize_from_labels,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "AkLevel",
     "SplitStats",
     "label_partition",
-    "refine_by_signature",
     "bisimulation_partition",
     "ak_class_maps",
     "blocks_of",

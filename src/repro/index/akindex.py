@@ -98,9 +98,16 @@ class AkIndexFamily:
 
     @classmethod
     def build(cls, graph: DataGraph, k: int) -> "AkIndexFamily":
-        """Construct the minimum family via k signature-refinement rounds."""
+        """Construct the minimum family via k signature-refinement rounds
+        (each after the first re-signs only the children of the dnodes
+        that changed class; every level is renumbered in O(n))."""
+        return cls._from_class_maps(graph, ak_class_maps(graph, k))
+
+    @classmethod
+    def _from_class_maps(cls, graph: DataGraph, maps: list[dict[int, int]]) -> "AkIndexFamily":
+        """The family whose level *i* is ``maps[i]`` (A(0) first), trusted."""
+        k = len(maps) - 1
         family = cls(graph, k)
-        maps = ak_class_maps(graph, k)
         for i, class_map in enumerate(maps):
             level = family.levels[i]
             for dnode, token in class_map.items():

@@ -351,14 +351,9 @@ class StructuralIndex:
         self._require(inode)
         result: set[int] = set()
         graph = self.graph
-        slot_of = getattr(graph, "_slot_of", None)
-        if slot_of is not None:  # slab fast path: bulk set.update per segment
-            succ_slabs = graph._succ_slabs
-            for w in self._extent_arr[inode]:
-                result.update(succ_slabs.segment(slot_of[w]))
-        else:
-            for w in self._extent_arr[inode]:
-                result.update(graph.iter_succ(w))
+        slot_of, succ_slabs = graph._slot_of, graph._succ_slabs
+        for w in self._extent_arr[inode]:  # bulk set.update per segment
+            result.update(succ_slabs.segment(slot_of[w]))
         return result
 
     def succ_extent_of(self, inodes: Iterable[int]) -> set[int]:
@@ -665,33 +660,25 @@ class StructuralIndex:
         succ_support = self._succ_support
         pred_support = self._pred_support
         graph = self.graph
-        oid_at = getattr(graph, "_oid_at", None)
-        if oid_at is not None:
-            # slab fast path: walk the successor slabs in slot order and
-            # read the paged map's pages directly — every oid seen here
-            # is live, so the absence checks of ``get`` can't fire
-            pages = inode_of._pages
-            succ_slabs = graph._succ_slabs
-            for slot in range(len(oid_at)):
-                source = oid_at[slot]
-                if source < 0:
-                    continue
-                targets = succ_slabs.segment(slot)
-                if not targets:
-                    continue
-                si = pages[source >> PAGE_BITS][source & PAGE_MASK]
-                ssup = succ_support[si]
-                for target in targets:
-                    ti = pages[target >> PAGE_BITS][target & PAGE_MASK]
-                    ssup[ti] = ssup.get(ti, 0) + 1
-                    psup = pred_support[ti]
-                    psup[si] = psup.get(si, 0) + 1
-        else:
-            for source, target in graph.edges():
-                si = inode_of[source]
-                ti = inode_of[target]
-                self._bump(succ_support[si], ti, 1)
-                self._bump(pred_support[ti], si, 1)
+        # walk the successor slabs in slot order and read the paged map's
+        # pages directly — every oid seen here is live, so the absence
+        # checks of ``get`` can't fire
+        oid_at, succ_slabs = graph._oid_at, graph._succ_slabs
+        pages = inode_of._pages
+        for slot in range(len(oid_at)):
+            source = oid_at[slot]
+            if source < 0:
+                continue
+            targets = succ_slabs.segment(slot)
+            if not targets:
+                continue
+            si = pages[source >> PAGE_BITS][source & PAGE_MASK]
+            ssup = succ_support[si]
+            for target in targets:
+                ti = pages[target >> PAGE_BITS][target & PAGE_MASK]
+                ssup[ti] = ssup.get(ti, 0) + 1
+                psup = pred_support[ti]
+                psup[si] = psup.get(si, 0) + 1
         self._generation += 1
 
     def blocks(self) -> list[frozenset[int]]:

@@ -2,15 +2,19 @@
 
 Two construction styles are provided:
 
-* **Signature iteration** — the textbook fixpoint computation of (backward)
-  bisimulation: start from the label partition and repeatedly refine every
-  class by the *signature* ``(class(w), {class(p) | p parent of w})`` until
-  the partition stops changing.  Round ``i`` of this iteration yields
-  exactly the minimum A(i)-index (Definition 4), and the fixpoint is the
-  minimum 1-index (Lemma 1).  Cost is O(m) per round; the number of rounds
-  is the bisimulation depth of the graph (≈ document depth for XML-like
-  data), which makes this the fast path for building indexes from scratch
-  in Python.
+* **Signature refinement** — the fixpoint computation of (backward)
+  bisimulation: start from the label partition and refine every class by
+  the *signature* ``(class(w), {class(p) | p parent of w})`` until the
+  partition stops changing.  Round ``i`` yields exactly the minimum
+  A(i)-index (Definition 4), and the fixpoint is the minimum 1-index
+  (Lemma 1).  Only the first round signs every dnode; each later one
+  re-signs the children of the dnodes that changed class in the round
+  before (:class:`_SignatureRefinement`), so a round costs the in-degree
+  of the dnodes it re-signs plus the out-degree of the previous round's
+  movers, and the class map is renumbered once, in O(n), at the end.  The
+  number of rounds is the bisimulation depth of the graph (≈ document
+  depth for XML-like data).  This is the fast path for building indexes
+  from scratch in Python.
 
 * **Worklist stabilization** (:func:`stabilize`) — the compound-block
   splitting loop of Paige and Tarjan [12] exactly as transcribed in the
@@ -24,11 +28,11 @@ Two construction styles are provided:
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Sequence
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.intmap import PAGE_BITS, PAGE_MASK
 from repro.graph.datagraph import DataGraph
 from repro.index.base import StructuralIndex
 from repro.obs import current as current_obs
@@ -37,166 +41,161 @@ ClassMap = dict[int, int]
 
 
 # ----------------------------------------------------------------------
-# Signature iteration
+# Signature refinement
 # ----------------------------------------------------------------------
 
 
 def label_partition(graph: DataGraph) -> ClassMap:
     """Partition the dnodes by label: the A(0)-index (Definition 4).
 
-    Class ids are dense ints in first-encounter order over ascending
-    oids.  The slab fast path interns by the graph's int label ids
-    straight off the slot arrays; first-encounter order of label ids
-    equals that of label strings (both follow node order), so the two
-    paths produce identical class maps — the cross-core fingerprint
-    contract of the A/B benches.
+    Class ids are dense ints in first-encounter order over the graph's
+    **slot order**, and the keys are inserted in slot order.  Slot order
+    is ascending oid order on a graph built by ascending additions; once
+    a deleted node's slot is recycled the two differ, and slot order is
+    the contract (every class map of this module follows it).
     """
     class_of: ClassMap = {}
-    oid_at = getattr(graph, "_oid_at", None)
-    if oid_at is not None:
-        label_ids: dict[int, int] = {}
-        label_at = graph._label_at
-        for slot in range(len(oid_at)):
-            oid = oid_at[slot]
-            if oid < 0:
-                continue
-            cls = label_ids.get(label_at[slot])
-            if cls is None:
-                cls = label_ids[label_at[slot]] = len(label_ids)
-            class_of[oid] = cls
-        return class_of
-    ids: dict[str, int] = {}
-    for node in graph.nodes():
-        label = graph.label(node)
-        if label not in ids:
-            ids[label] = len(ids)
-        class_of[node] = ids[label]
+    label_ids: dict[int, int] = {}
+    oid_at, label_at = graph._oid_at, graph._label_at
+    for slot in range(len(oid_at)):
+        oid = oid_at[slot]
+        if oid < 0:
+            continue
+        cls = label_ids.get(label_at[slot])
+        if cls is None:
+            cls = label_ids[label_at[slot]] = len(label_ids)
+        class_of[oid] = cls
     return class_of
 
 
-def refine_by_signature(
-    graph: DataGraph,
-    class_of: ClassMap,
-    items: Optional[list[tuple[int, Sequence[int]]]] = None,
-) -> ClassMap:
-    """One refinement round: split classes by parents' classes.
+class _SignatureRefinement:
+    """Signature refinement from the label partition, one round per call.
 
-    Returns a new class map where two dnodes share a class iff they shared
-    one before *and* the sets of their parents' old classes coincide.
-    Fresh class ids are dense integers starting at 0.
+    Round *i* splits every class by the set of its members' parents'
+    classes; after round *i* the partition is the minimum A(i)-index and
+    at the fixpoint the minimum 1-index (Lemma 1).  Class ids are stable
+    across rounds: when a class splits, the members that were not
+    re-signed keep its id (or, when all of them were, its largest piece
+    does) and every other piece takes a fresh id — its members are the
+    round's *movers*.  A dnode none of whose parents moved keeps its
+    parent-class set, so the next round re-signs only the children of
+    the movers: a re-signed dnode has a parent under a fresh id that no
+    un-re-signed one has, which is why the un-re-signed members of a
+    class always form exactly one piece.
 
-    Signatures are interned to those dense ints through a canonical key
-    that avoids frozenset construction for the overwhelmingly common
-    cases (XML-like data is tree-dominated): no parents is ``-1``, a
-    single effective parent class is that bare int, and only a genuinely
-    mixed parent-class set pays for a frozenset.  A singleton class set
-    is collapsed to the bare int so the two spellings of "one parent
-    class" can never intern to different ids.  Class ids are dense
-    non-negative ints, so ``-1`` and bare-int keys cannot collide with
-    anything else.
-
-    On the slab core the predecessor slab is read **in place** through
-    its offset/length headers — no per-node materialisation at all, and
-    the 0/1-parent nodes that dominate document data never touch the
-    slab beyond one array read.  Dict-backed graphs (the differential
-    reference) walk their ``_pred`` table; callers iterating to a
-    fixpoint can pass those materialised *items* once instead of paying
-    the dict walk every round (:func:`bisimulation_partition`).
+    The slabs are read in place through their offset/length headers; no
+    per-node adjacency is copied out.
     """
-    ids: dict[tuple[int, object], int] = {}
-    refined: ClassMap = {}
-    pred_slabs = getattr(graph, "_pred_slabs", None)
-    if items is None and pred_slabs is not None:
+
+    def __init__(self, graph: DataGraph) -> None:
+        self.graph = graph
+        #: dnode -> class id, keys in slot order (never re-inserted)
+        self.class_of = label_partition(graph)
+        #: class id -> member count (label ids are dense from 0)
+        self.size = [count for _, count in sorted(Counter(self.class_of.values()).items())]
         oid_at = graph._oid_at
-        offsets = pred_slabs._off
-        lengths = pred_slabs._len
-        data = pred_slabs._data
-        for slot in range(len(oid_at)):
-            node = oid_at[slot]
-            if node < 0:
-                continue
-            count = lengths[slot]
+        #: the slots to re-sign next round: every live one, then the
+        #: children of the last round's movers
+        self.work = [slot for slot in range(len(oid_at)) if oid_at[slot] >= 0]
+
+    def round(self) -> bool:
+        """Re-sign the work list; True iff some class split."""
+        graph = self.graph
+        class_of, size = self.class_of, self.size
+        oid_at = graph._oid_at
+        pred = graph._pred_slabs
+        p_off, p_len, p_data = pred._off, pred._len, pred._data
+        by_class: dict[int, dict[object, list[int]]] = {}
+        for slot in self.work:
+            count = p_len[slot]
             if count == 0:
                 pkey: object = -1
             elif count == 1:
-                pkey = class_of[data[offsets[slot]]]
+                pkey = class_of[p_data[p_off[slot]]]
             else:
-                start = offsets[slot]
-                classes = {class_of[p] for p in data[start : start + count]}
+                start = p_off[slot]
+                classes = {class_of[p] for p in p_data[start : start + count]}
                 pkey = classes.pop() if len(classes) == 1 else frozenset(classes)
-            signature = (class_of[node], pkey)
-            cls = ids.get(signature)
-            if cls is None:
-                cls = ids[signature] = len(ids)
-            refined[node] = cls
-        return refined
-    if items is None:
-        pred = graph._pred
-        items = ((node, pred[node]) for node in graph.nodes())
-    for node, parents in items:
-        if not parents:
-            pkey = -1
-        elif len(parents) == 1:
-            (parent,) = parents
-            pkey = class_of[parent]
-        else:
-            classes = {class_of[p] for p in parents}
-            pkey = classes.pop() if len(classes) == 1 else frozenset(classes)
-        signature = (class_of[node], pkey)
-        cls = ids.get(signature)
-        if cls is None:
-            cls = ids[signature] = len(ids)
-        refined[node] = cls
-    return refined
+            cls = class_of[oid_at[slot]]
+            pieces = by_class.get(cls)
+            if pieces is None:
+                by_class[cls] = {pkey: [slot]}
+            else:
+                piece = pieces.get(pkey)
+                if piece is None:
+                    pieces[pkey] = [slot]
+                else:
+                    piece.append(slot)
+        movers: list[int] = []
+        for cls, pieces in by_class.items():
+            group = list(pieces.values())
+            if sum(map(len, group)) < size[cls]:
+                keep = None
+            elif len(group) == 1:
+                continue
+            else:
+                keep = max(group, key=len)
+            for piece in group:
+                if piece is keep:
+                    continue
+                fresh = len(size)
+                size.append(len(piece))
+                size[cls] -= len(piece)
+                for slot in piece:
+                    class_of[oid_at[slot]] = fresh
+                movers.extend(piece)
+        succ = graph._succ_slabs
+        s_off, s_len, s_data = succ._off, succ._len, succ._data
+        children: set[int] = set()
+        for slot in movers:
+            start = s_off[slot]
+            children.update(s_data[start : start + s_len[slot]])
+        pages = graph._slot_of._pages
+        self.work = [pages[child >> PAGE_BITS][child & PAGE_MASK] for child in children]
+        return bool(movers)
+
+    def class_map(self) -> ClassMap:
+        """The current partition, renumbered by first encounter in slot order."""
+        ids: dict[int, int] = {}
+        return {node: ids.setdefault(cls, len(ids)) for node, cls in self.class_of.items()}
 
 
 def bisimulation_partition(graph: DataGraph, max_rounds: Optional[int] = None) -> ClassMap:
     """The coarsest label-respecting stable partition: the minimum 1-index.
 
-    Iterates :func:`refine_by_signature` to the fixpoint.  Because every
-    round produces a refinement of the previous partition, the fixpoint is
-    reached exactly when the number of classes stops growing.
+    Runs the signature refinement to the fixpoint — the first round that
+    moves no dnode, which is counted — or for at most *max_rounds*
+    rounds (at least one).
     """
     obs = current_obs()
     with obs.span("construct.bisim_partition", nodes=graph.num_nodes) as span:
-        class_of = label_partition(graph)
-        count = len(set(class_of.values()))
-        rounds = 0
-        # the slab core's refine path reads the pred slab in place each
-        # round; for dict-backed graphs, materialise the (node, parents)
-        # pairs once — the adjacency does not change between rounds
-        items = None
-        if not hasattr(graph, "_pred_slabs"):
-            pred = graph._pred
-            items = [(node, pred[node]) for node in graph.nodes()]
-        while True:
-            refined = refine_by_signature(graph, class_of, items)
-            new_count = len(set(refined.values()))
-            rounds += 1
-            if new_count == count:
-                span.set(rounds=rounds, classes=new_count)
-                obs.add("construct.bisim_rounds", rounds)
-                return refined
-            class_of = refined
-            count = new_count
-            if max_rounds is not None and rounds >= max_rounds:
-                span.set(rounds=rounds, classes=count, truncated=True)
-                obs.add("construct.bisim_rounds", rounds)
-                return class_of
+        refinement = _SignatureRefinement(graph)
+        rounds, moved = 1, refinement.round()
+        while moved and (max_rounds is None or rounds < max_rounds):
+            rounds, moved = rounds + 1, refinement.round()
+        span.set(rounds=rounds, classes=len(refinement.size))
+        if moved:
+            span.set(truncated=True)
+        obs.add("construct.bisim_rounds", rounds)
+        return refinement.class_map()
 
 
 def ak_class_maps(graph: DataGraph, k: int) -> list[ClassMap]:
     """Class maps of the minimum A(0), A(1), ..., A(k)-indexes.
 
-    ``result[i][w]`` is the A(i) class of dnode *w*; ids are dense per
-    level.  Each level is the signature refinement of the previous one —
-    this is the construction algorithm of [9] (time O(km)).
+    ``result[i][w]`` is the A(i) class of dnode *w*: the partition after
+    *i* rounds of the signature refinement, renumbered per level like
+    :func:`label_partition`.  Past the fixpoint every level repeats the
+    last.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    maps = [label_partition(graph)]
+    refinement = _SignatureRefinement(graph)
+    maps = [refinement.class_map()]
+    moved = True
     for _ in range(k):
-        maps.append(refine_by_signature(graph, maps[-1]))
+        moved = moved and refinement.round()
+        maps.append(refinement.class_map() if moved else dict(maps[-1]))
     return maps
 
 

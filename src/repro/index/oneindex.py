@@ -30,8 +30,9 @@ class OneIndex(StructuralIndex):
 
     @classmethod
     def build(cls, graph: DataGraph) -> "OneIndex":
-        """Construct the minimum 1-index of *graph* by signature iteration
-        (O(m · depth))."""
+        """Construct the minimum 1-index of *graph* by signature refinement
+        (a first O(n + m) round, then each round re-signs only the
+        children of the dnodes that changed class)."""
         # the refinement loop's output is a partition by construction,
         # so the validating public entry point is skipped
         return cls._from_partition_trusted(graph, blocks_of(bisimulation_partition(graph)))

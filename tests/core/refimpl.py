@@ -1052,9 +1052,20 @@ def to_dict_graph(graph) -> DictGraph:
 def build_dict_one_index(graph: DictGraph) -> DictIndex:
     """The minimum 1-index over a DictGraph via signature iteration.
 
-    Mirrors ``OneIndex.build(graph)`` on the slab core; the generic
-    (dict-adjacency) path of the construction functions is used.
+    Mirrors ``OneIndex.build(graph)`` on the slab core, through the
+    per-round reference rather than the engine it is compared with.
     """
-    from repro.index.construction import bisimulation_partition, blocks_of
+    from repro.index.construction import blocks_of
 
-    return DictIndex.from_partition(graph, blocks_of(bisimulation_partition(graph)))
+    from tests.index.signature_reference import reference_partition
+
+    return DictIndex.from_partition(graph, blocks_of(reference_partition(graph)))
+
+
+def build_dict_family(graph: DictGraph, k: int):
+    """The minimum A(k) family over a DictGraph, levels from the per-round reference."""
+    from repro.index.akindex import AkIndexFamily
+
+    from tests.index.signature_reference import reference_ak_maps
+
+    return AkIndexFamily._from_class_maps(graph, reference_ak_maps(graph, k))

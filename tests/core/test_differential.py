@@ -41,7 +41,12 @@ from repro.resilience.journal import Transaction
 from repro.service.snapshot import IndexSnapshot
 from repro.workload.random_graphs import document_tree
 
-from tests.core.refimpl import DictGraph, build_dict_one_index, to_dict_graph
+from tests.core.refimpl import (
+    DictGraph,
+    build_dict_family,
+    build_dict_one_index,
+    to_dict_graph,
+)
 
 LABELS = ("item", "person", "name", "price", "desc")
 
@@ -349,7 +354,7 @@ class TestMaintainerEquivalence:
         graph = document_tree(random.Random(k), 120)
         ref_graph = to_dict_graph(graph)
         slab_m = AkSplitMergeMaintainer(AkIndexFamily.build(graph, k))
-        ref_m = AkSplitMergeMaintainer(AkIndexFamily.build(ref_graph, k))
+        ref_m = AkSplitMergeMaintainer(build_dict_family(ref_graph, k))
         assert family_shape(slab_m.family) == family_shape(ref_m.family)
         rng = random.Random(k + 40)
         root = graph.root

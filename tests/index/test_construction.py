@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from repro.corpus.builder import CorpusBuilder
+from repro.experiments.config import SMOKE
 from repro.graph.builder import GraphBuilder
 from repro.graph.datagraph import DataGraph
 from repro.index.construction import (
@@ -14,12 +16,20 @@ from repro.index.construction import (
     blocks_of,
     label_partition,
     partition_index,
-    refine_by_signature,
     stabilize,
     stabilize_from_labels,
 )
 from repro.index.stability import is_minimal_1index, is_valid_1index
+from repro.obs import InMemorySink, observed
+from repro.workload.imdb import generate_imdb
 from repro.workload.random_graphs import random_cyclic, random_dag, random_tree
+from repro.workload.xmark import generate_xmark
+
+from tests.index.signature_reference import (
+    reference_ak_maps,
+    reference_rounds,
+    refine_by_signature,
+)
 
 
 def as_blocks(class_of: dict[int, int]) -> set[frozenset[int]]:
@@ -41,6 +51,8 @@ class TestLabelPartition:
 
 
 class TestSignatureRefinement:
+    """The per-round reference's own properties (it is the engine's oracle)."""
+
     def test_one_round_splits_by_parents(self, figure2_graph):
         level0 = label_partition(figure2_graph)
         level1 = refine_by_signature(figure2_graph, level0)
@@ -188,3 +200,139 @@ class TestPartitionIndex:
         index = partition_index(figure2_graph, classes)
         assert index.as_blocks() == as_blocks(classes)
         assert {frozenset(b) for b in blocks_of(classes)} == as_blocks(classes)
+
+
+# ----------------------------------------------------------------------
+# The refinement engine against the per-round reference
+# ----------------------------------------------------------------------
+
+
+def recycled_slot_graph() -> DataGraph:
+    """Deletions, then additions: slot order is no longer oid order."""
+    rng = random.Random(7)
+    g = random_cyclic(rng, 40, 12)
+    doomed = [w for w in g.nodes() if w != g.root][5:25:2]
+    for w in doomed:
+        g.remove_node(w)
+    survivors = list(g.nodes())
+    for i in range(len(doomed)):
+        node = g.add_node(rng.choice(("A", "B", "C")))
+        g.add_edge(rng.choice(survivors), node)
+        if i % 3 == 0:
+            g.add_edge(node, rng.choice(survivors[1:]))
+        survivors.append(node)
+    return g
+
+
+def self_loop_graph() -> DataGraph:
+    g = DataGraph()
+    root = g.add_root()
+    a, b = g.add_node("A"), g.add_node("A")
+    g.add_edge(root, a)
+    g.add_edge(root, b)
+    g.add_edge(a, a)
+    return g
+
+
+def root_only_graph() -> DataGraph:
+    g = DataGraph()
+    g.add_root()
+    return g
+
+
+def rootless_forest() -> DataGraph:
+    """The shape ``add_subgraph`` refines: no ROOT, several trees, oids far from 0."""
+    g = DataGraph()
+    for base in (2000, 3000):
+        top = g.add_node("S", oid=base)
+        for i in range(1, 4):
+            child = g.add_node("A" if i % 2 else "B", oid=base + i)
+            g.add_edge(top, child)
+            leaf = g.add_node("C", oid=base + 10 + i)
+            g.add_edge(child, leaf)
+    return g
+
+
+def corpus_graph() -> DataGraph:
+    builder = CorpusBuilder()
+    builder.add_all(generate_xmark(SMOKE.xmark).as_documents(8))
+    graph, _ = builder.build()
+    return graph
+
+
+GRAPHS = {
+    "figure2": lambda request: request.getfixturevalue("figure2_graph"),
+    "figure4": lambda request: request.getfixturevalue("figure4_graph"),
+    "self-loop": lambda request: self_loop_graph(),
+    "empty": lambda request: DataGraph(),
+    "root-only": lambda request: root_only_graph(),
+    "rootless-forest": lambda request: rootless_forest(),
+    "recycled-slots": lambda request: recycled_slot_graph(),
+    "random-dag": lambda request: random_dag(random.Random(3), 60, 25),
+    "xmark-smoke": lambda request: generate_xmark(SMOKE.xmark).graph,
+    "imdb-smoke": lambda request: generate_imdb(SMOKE.imdb).graph,
+    "corpus-smoke": lambda request: corpus_graph(),
+}
+
+
+@pytest.fixture(params=sorted(GRAPHS))
+def graph_and_rounds(request):
+    graph = GRAPHS[request.param](request)
+    return graph, reference_rounds(graph)
+
+
+class TestRefinementEngine:
+    """Class maps equal the reference's: values *and* key order."""
+
+    def test_every_round_is_the_reference_round(self, graph_and_rounds):
+        graph, maps = graph_and_rounds
+        fixpoint = len(maps) - 1
+        for rounds in range(1, fixpoint + 1):
+            got = bisimulation_partition(graph, max_rounds=rounds)
+            assert list(got.items()) == list(maps[rounds].items()), rounds
+        assert list(bisimulation_partition(graph).items()) == list(maps[-1].items())
+
+    def test_ak_levels_are_the_reference_levels(self, graph_and_rounds):
+        graph, maps = graph_and_rounds
+        k = len(maps) + 1  # two levels past the fixpoint
+        levels = [list(level.items()) for level in ak_class_maps(graph, k)]
+        assert levels == [list(level.items()) for level in reference_ak_maps(graph, k)]
+
+    def test_rounds_and_classes_are_the_reference_counts(self, graph_and_rounds):
+        graph, maps = graph_and_rounds
+        sink = InMemorySink()
+        with observed(sink) as obs:
+            bisimulation_partition(graph)
+        (span,) = sink.spans("construct.bisim_partition")
+        assert obs.metrics.counter("construct.bisim_rounds").value == len(maps) - 1
+        assert span["attrs"]["rounds"] == len(maps) - 1
+        assert span["attrs"]["classes"] == len(set(maps[-1].values()))
+        assert "truncated" not in span["attrs"]
+
+    def test_a_capped_run_says_it_was_truncated(self, figure2_graph):
+        sink = InMemorySink()
+        with observed(sink):
+            bisimulation_partition(figure2_graph, max_rounds=1)
+        (span,) = sink.spans("construct.bisim_partition")
+        assert span["attrs"]["rounds"] == 1 and span["attrs"]["truncated"] is True
+
+    def test_ids_follow_slot_order_not_oid_order(self):
+        g = DataGraph()
+        root = g.add_root()
+        doomed = g.add_node("A")
+        b = g.add_node("B")
+        g.remove_node(doomed)
+        c = g.add_node("C")  # takes the freed slot
+        assert list(g.nodes()) == [root, b, c]
+        assert list(label_partition(g).items()) == [(root, 0), (c, 1), (b, 2)]
+        g.add_edge(root, b)
+        g.add_edge(root, c)
+        for class_map in (bisimulation_partition(g), *ak_class_maps(g, 2)):
+            assert list(class_map) == [root, c, b]
+
+    def test_xmark1_reaches_the_fixpoint_in_eighteen_rounds(self):
+        graph = generate_xmark().graph
+        with observed() as obs:
+            classes = bisimulation_partition(graph)
+        assert obs.metrics.counter("construct.bisim_rounds").value == 18
+        assert list(classes.items()) == list(reference_rounds(graph)[-1].items())

@@ -334,10 +334,31 @@ def test_the_replaced_names_are_gone():
         "ShiftingQueryPool", "CorpusChurnWorkload", "ChurnReport", "_weighted_choice",
         "STATS_WINDOW", "bfs_order", "dfs_order", "reachable_from", "topological_order",
         "count_cycle_edges", "unreachable_nodes", "graph_depth", "induced_edge_count",
+        "refine_by_signature",
     )
     for path in SRC.rglob("*.py"):
         text = path.read_text()
         assert not [name for name in gone if name in text], path
+
+
+def test_no_module_sniffs_the_graph_core():
+    # the slab core is the only graph in ``src/``: a ``hasattr`` /
+    # ``getattr`` probe for its private storage is a second path kept
+    # for a graph type that lives in the tests
+    from repro.graph.datagraph import DataGraph
+
+    private = {name for name in DataGraph.__slots__ if name.startswith("_")}
+    sniffs = [
+        (module, node.lineno)
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) in ("hasattr", "getattr")
+        and len(node.args) >= 2
+        and isinstance(node.args[1], ast.Constant)
+        and node.args[1].value in private
+    ]
+    assert sniffs == []
 
 
 # ----------------------------------------------------------------------
@@ -643,7 +664,7 @@ def test_every_guard_check_is_one_kernel_pass():
 
 #: names in ``__all__`` of every package ``__init__`` under ``src/repro``:
 #: a ceiling that only falls
-PUBLIC_NAMES = 267
+PUBLIC_NAMES = 266
 
 
 def test_the_public_names_do_not_grow():
