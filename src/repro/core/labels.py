@@ -13,6 +13,8 @@ node's label by re-interning it.
 from __future__ import annotations
 
 import sys
+from array import array
+from collections.abc import Sequence
 
 
 class LabelInterner:
@@ -32,6 +34,13 @@ class LabelInterner:
             self._names.append(name)
             self._ids[name] = label_id
         return label_id
+
+    def intern_all(self, names: Sequence[str]) -> array:
+        """The ids of *names* in order, as an ``array('i')``: :meth:`intern`
+        on each in turn, with one call per distinct name."""
+        for name in dict.fromkeys(names):
+            self.intern(name)
+        return array("i", map(self._ids.__getitem__, names))
 
     def name_of(self, label_id: int) -> str:
         return self._names[label_id]

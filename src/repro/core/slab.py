@@ -13,9 +13,11 @@ A full slot doubles: its segment is copied to the tail of the data slab
 and the old segment becomes a tombstone (counted in ``_dead``).  When
 tombstones exceed half the slab (and a 4096-cell floor), the slab is
 compacted in one O(live) pass that rewrites every live segment with a
-tight capacity.  Removal is swap-with-last inside the segment, so the
-slab never tombstones on removal — only growth and slot clearing leave
-dead cells behind.
+tight capacity.  :meth:`SlotSlabs.from_members` lays a whole
+collection out the same way — every slot tight, from counts and prefix
+sums — so a bulk-loaded slot's first append is a growth.  Removal is
+swap-with-last inside the segment, so the slab never tombstones on
+removal — only growth and slot clearing leave dead cells behind.
 
 Membership
 ----------
@@ -34,6 +36,8 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections.abc import Sequence
+from itertools import accumulate, compress
 from typing import Iterator
 
 #: slots at or above this many members carry a value→position overlay dict
@@ -55,6 +59,40 @@ class SlotSlabs:
         self._free: list[int] = []
         self._dead: int = 0
         self._overlay: dict[int, dict[int, int]] = {}
+
+    @classmethod
+    def from_members(
+        cls, num_slots: int, slots: Sequence[int], members: Sequence[int]
+    ) -> "SlotSlabs":
+        """Slabs of *num_slots* slots where slot ``s`` holds ``members[i]``
+        for every ``i`` with ``slots[i] == s``, in index order.
+
+        Equal, slot for slot, to ``new_slot()`` *num_slots* times and then
+        ``append(slots[i], members[i])`` for each ``i`` in turn, but laid
+        out in one pass: the slots are counted, the offsets are their
+        prefix sums, and each member is written once.  Every slot is tight
+        (capacity = length), nothing is dead, and every slot of at least
+        ``OVERLAY_MIN`` members carries its overlay.
+        """
+        lengths = array("i", bytes(4 * num_slots))
+        for slot in slots:
+            lengths[slot] += 1
+        offsets = array("q", accumulate(lengths, initial=0))
+        offsets.pop()
+        cursor = array("q", offsets)
+        data = array("q", bytes(8 * len(members)))
+        for slot, member in zip(slots, members):
+            position = cursor[slot]
+            data[position] = member
+            cursor[slot] = position + 1
+        slabs = cls()
+        slabs._data = data
+        slabs._off = offsets
+        slabs._len = lengths
+        slabs._cap = array("i", lengths)
+        for slot in compress(range(num_slots), map(OVERLAY_MIN.__le__, lengths)):
+            slabs._build_overlay(slot)
+        return slabs
 
     # ------------------------------------------------------------------
     # Slot lifecycle

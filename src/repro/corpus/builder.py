@@ -38,8 +38,7 @@ from repro.exceptions import (
     DocumentNotFoundError,
     DuplicateDocumentError,
 )
-from repro.graph.datagraph import DataGraph, EdgeKind
-from repro.maintenance.operations import OPERATIONS
+from repro.graph.datagraph import ROOT_LABEL, DataGraph, EdgeKind
 from repro.service.queue import Update
 
 #: cross-reference key: (source_local, target_doc, target_local)
@@ -69,6 +68,26 @@ class DocumentManifest:
     def oids(self) -> set[int]:
         """Every graph oid belonging to this document."""
         return set(self.local_of)
+
+
+@dataclass
+class _Admission:
+    """What one document arrival adds, as the catalog booked it.
+
+    The document's nodes as columns in document order (its oids are
+    consecutive), its intra-document edges in the order its subgraph adds
+    them (tree edges, then materialised IDREFs), and the cross edges —
+    the ROOT splice first — that join it to the host graph.
+    """
+
+    root_oid: int
+    oids: range
+    labels: list[str]
+    values: list[object]
+    sources: list[int]
+    targets: list[int]
+    kinds: list[EdgeKind]
+    cross_edges: list[tuple[int, int, EdgeKind]]
 
 
 class CorpusCatalog:
@@ -109,32 +128,28 @@ class CorpusCatalog:
 
     # -- compile: add --------------------------------------------------
 
-    def compile_add(
-        self, document: ParsedDocument, host_root_oid: int
-    ) -> list[Update]:
-        """Compile a document arrival into one oid-preserving ``add_subgraph``.
+    def _admit(self, document: ParsedDocument, host_root_oid: int) -> _Admission:
+        """Book a document arrival in the catalog and return what it adds.
 
-        The op's subgraph holds the whole document tree plus its
-        materialised intra-document IDREF edges; the cross-edge list
-        holds the ROOT splice (first, so the maintainer's batched
-        root-merge optimisation fires) plus every cross-document edge
-        that is resolvable right now — outbound refs whose target is
-        present, and inbound refs other documents left dangling for us.
+        The catalog bookkeeping both add paths share: oids are allocated in
+        document order, intra-document IDREFs are materialised (not over a
+        tree edge, not twice), outbound cross refs are resolved or left
+        dangling, and inbound refs other documents left dangling for this
+        one are resolved.  The cross-edge list leads with the ROOT splice
+        (so the maintainer's batched root-merge optimisation fires).
         """
         doc_id = document.doc_id
         if doc_id in self.manifests:
             raise DuplicateDocumentError(doc_id)
-        oid_of = {local: self._alloc() for local in document.order}
-        local_of = {oid: local for local, oid in oid_of.items()}
+        order = document.order
+        first = self._next_oid
+        self._next_oid += len(order)
+        oids = range(first, self._next_oid)
+        oid_of = dict(zip(order, oids))
 
-        sub = DataGraph()
-        for local in document.order:
-            sub.add_node(
-                document.labels[local], document.values[local], oid=oid_of[local]
-            )
-        for parent, child in document.tree_edges:
-            sub.add_edge(oid_of[parent], oid_of[child], EdgeKind.TREE)
-
+        sources = [oid_of[parent] for parent, _ in document.tree_edges]
+        targets = [oid_of[child] for _, child in document.tree_edges]
+        kinds = [EdgeKind.TREE] * len(sources)
         materialized_intra: set[tuple[str, str]] = set()
         tree_pairs = set(document.tree_edges)
         outbound: dict[CrossKey, bool] = {}
@@ -147,9 +162,9 @@ class CorpusCatalog:
                 if pair in tree_pairs or pair in materialized_intra:
                     continue
                 materialized_intra.add(pair)
-                sub.add_edge(
-                    oid_of[ref.source_local], oid_of[ref.target_local], EdgeKind.IDREF
-                )
+                sources.append(oid_of[ref.source_local])
+                targets.append(oid_of[ref.target_local])
+                kinds.append(EdgeKind.IDREF)
             else:
                 key = (ref.source_local, ref.target_doc, ref.target_local)
                 if key in outbound:
@@ -192,13 +207,47 @@ class CorpusCatalog:
             doc_id=doc_id,
             root_oid=oid_of[document.root_local],
             oid_of=oid_of,
-            local_of=local_of,
+            local_of=dict(zip(oids, order)),
             document=document,
             materialized_intra=materialized_intra,
         )
+        return _Admission(
+            root_oid=oid_of[document.root_local],
+            oids=oids,
+            labels=list(map(document.labels.__getitem__, order)),
+            values=list(map(document.values.__getitem__, order)),
+            sources=sources,
+            targets=targets,
+            kinds=kinds,
+            cross_edges=cross_edges,
+        )
+
+    def compile_add(
+        self, document: ParsedDocument, host_root_oid: int
+    ) -> list[Update]:
+        """Compile a document arrival into one oid-preserving ``add_subgraph``.
+
+        The op's subgraph holds the whole document tree plus its
+        materialised intra-document IDREF edges; the cross-edge list
+        holds the ROOT splice (first, so the maintainer's batched
+        root-merge optimisation fires) plus every cross-document edge
+        that is resolvable right now — outbound refs whose target is
+        present, and inbound refs other documents left dangling for us.
+        The catalog bookkeeping is the one :meth:`CorpusBuilder.build`
+        shares; the graph surgery is the maintainer's, at apply time.
+        """
+        admission = self._admit(document, host_root_oid)
+        subgraph = DataGraph.from_columns(
+            admission.oids,
+            admission.labels,
+            admission.values,
+            admission.sources,
+            admission.targets,
+            admission.kinds,
+        )
         return [
             Update.add_subgraph(
-                sub, oid_of[document.root_local], cross_edges, preserve_oids=True
+                subgraph, admission.root_oid, admission.cross_edges, preserve_oids=True
             )
         ]
 
@@ -522,12 +571,16 @@ class CorpusCatalog:
 class CorpusBuilder:
     """Collect parsed documents, then build one graph + catalog in bulk.
 
-    The bulk path is the fast path: every document's compiled updates
-    (the ones incremental ingest submits, so bulk and incremental ingest
-    are the same code) are applied through the operation table's
-    index-free graph effect, and the *one* refinement pass happens
-    afterwards when an index is built over the finished graph — no
-    per-edge maintenance.
+    The bulk path is the fast path.  It shares the catalog bookkeeping
+    with incremental ingest — every document is booked exactly as
+    :meth:`CorpusCatalog.compile_add` books it — but not the graph
+    surgery: instead of splicing each document's subgraph in node by node
+    and edge by edge, it gathers every document's nodes and edges into
+    columns and lays the whole graph out once
+    (:meth:`~repro.graph.datagraph.DataGraph.from_columns`), slot for
+    slot the graph the per-document splice would give.  The *one*
+    refinement pass happens afterwards, when an index is built over the
+    finished graph — no per-edge maintenance.
     """
 
     def __init__(self, attribute_nodes: bool = True):
@@ -553,12 +606,33 @@ class CorpusBuilder:
 
     def build(self) -> tuple[DataGraph, CorpusCatalog]:
         """Splice every staged document into a fresh graph under ROOT."""
-        graph = DataGraph()
-        root = graph.add_root()
-        catalog = CorpusCatalog(next_oid=graph._next_oid)
+        root = 0
+        catalog = CorpusCatalog(next_oid=root + 1)
+        oids, labels, values = [root], [ROOT_LABEL], [None]
+        sources: list[int] = []
+        targets: list[int] = []
+        kinds: list[EdgeKind] = []
         for document in self._documents:
-            for update in catalog.compile_add(document, root):
-                OPERATIONS[update.op].raw(graph, *update.args)
+            admission = catalog._admit(document, root)
+            oids.extend(admission.oids)
+            labels.extend(admission.labels)
+            values.extend(admission.values)
+            # the order a subgraph's edges are spliced in: source by source
+            # (the subgraph's slot order), each source's edges in turn
+            by_source = sorted(
+                range(len(admission.sources)), key=admission.sources.__getitem__
+            )
+            for column, own in (
+                (sources, admission.sources),
+                (targets, admission.targets),
+                (kinds, admission.kinds),
+            ):
+                column.extend(map(own.__getitem__, by_source))
+            for source, target, kind in admission.cross_edges:
+                sources.append(source)
+                targets.append(target)
+                kinds.append(kind)
+        graph = DataGraph.from_columns(oids, labels, values, sources, targets, kinds, root)
         return graph, catalog
 
 

@@ -65,9 +65,10 @@ class CorpusService:
     ) -> "CorpusService":
         """Build a corpus from ``(doc_id, text)`` pairs, splice-then-refine.
 
-        Every document subgraph is spliced under ROOT with raw graph
-        surgery; the single refinement pass happens when the service
-        constructor builds its index over the finished graph.  With
+        Every document is booked in the catalog as an arrival would be
+        and the whole graph is laid out once (:meth:`CorpusBuilder.build`);
+        the single refinement pass happens when the service constructor
+        builds its index over the finished graph.  With
         *store_dir* the corpus is served durably (WAL + snapshots), with
         *adaptive* (an ``AdaptiveConfig``) through the adaptive plane.
         """

@@ -41,7 +41,9 @@ from __future__ import annotations
 import enum
 import sys
 from array import array
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import repeat
+from operator import lshift, or_
 from typing import Any, Optional
 
 from repro.core.intmap import PagedIntMap
@@ -69,6 +71,21 @@ DELETE_LABEL = "DELETE"
 OID_LIMIT = 1 << 48
 
 _OID_SHIFT = 48
+
+
+def _first_failing_call(calls: Iterable[tuple[Any, tuple]]) -> None:
+    """Make *calls* in turn until one raises.  A whole-column check that
+    failed sends the bulk constructor here, so the first failing call
+    names the fault, exactly as the per-call build would."""
+    for call, args in calls:
+        call(*args)
+    raise AssertionError("a column check failed where no single call fails")
+
+
+def _all_instances(column: Sequence[Any], kind: type, but: tuple[type, ...] = ()) -> bool:
+    """Whether every entry of *column* is a *kind* and none is a *but*:
+    one test per distinct type, not per entry."""
+    return all(issubclass(t, kind) and not issubclass(t, but) for t in set(map(type, column)))
 
 
 class EdgeKind(enum.Enum):
@@ -151,6 +168,87 @@ class DataGraph:
         self._succ_view: dict[int, frozenset[int]] = {}
         self._pred_view: dict[int, frozenset[int]] = {}
         self._view_generation: int = 0
+
+    @classmethod
+    def from_columns(
+        cls,
+        oids: Sequence[int],
+        labels: Sequence[str],
+        values: Sequence[Any],
+        sources: Sequence[int],
+        targets: Sequence[int],
+        kinds: Sequence[EdgeKind],
+        root: Optional[int] = None,
+    ) -> "DataGraph":
+        """A graph of the given nodes and edges, laid out in one pass.
+
+        Node ``i`` is ``(oids[i], labels[i], values[i])``, edge ``j`` is
+        ``(sources[j], targets[j], kinds[j])``, and *root* (if given) names
+        the node that becomes the root; it must carry ``ROOT``.  The result
+        equals, slot for slot — successor and predecessor order included —
+        :meth:`add_node` on each node in turn (:meth:`add_root` for *root*)
+        followed by :meth:`add_edge` on each edge in turn, and bad columns
+        raise what the first failing call would: :class:`TypeError` for a
+        bad oid or label, :class:`DuplicateNodeError`,
+        :class:`NodeNotFoundError`, :class:`RootError` or
+        :class:`DuplicateEdgeError`.  The checks run over whole columns;
+        only a failed one replays the calls, to name the fault.  Every
+        adjacency slot is tight (:meth:`SlotSlabs.from_members`) and the
+        generation moves once.  The corpus splice and the graph decoder
+        build through it.
+        """
+        num_nodes, num_edges = len(oids), len(sources)
+        if not len(labels) == len(values) == num_nodes:
+            raise ValueError("node columns differ in length")
+        if not len(targets) == len(kinds) == num_edges:
+            raise ValueError("edge columns differ in length")
+        graph = cls()
+        slot_by_oid: dict[int, int] = {}
+        if _all_instances(oids, int, but=(bool,)) and (
+            not num_nodes or (min(oids) >= 0 and max(oids) < OID_LIMIT)
+        ):
+            slot_by_oid = dict(zip(oids, range(num_nodes)))
+        if len(slot_by_oid) != num_nodes or not _all_instances(labels, str):
+            replay = cls()
+            _first_failing_call(
+                (replay.add_node, (label, None, oid)) for oid, label in zip(oids, labels)
+            )
+        graph._slot_of.set_enumerated(oids)
+        graph._oid_at = array("q", oids)
+        graph._label_at = graph._interner.intern_all(labels)
+        graph._values = {oid: value for oid, value in zip(oids, values) if value is not None}
+        graph._next_oid = max(oids) + 1 if num_nodes else 0
+        if root is not None:
+            root_slot = graph._slot(root)
+            if labels[root_slot] != ROOT_LABEL:
+                raise RootError(f"root node {root} must carry the ROOT label")
+            graph._root = root = oids[root_slot]
+
+        source_slots = target_slots = None
+        if _all_instances(sources, int) and _all_instances(targets, int):
+            source_slots = list(map(slot_by_oid.get, sources))
+            target_slots = list(map(slot_by_oid.get, targets))
+        if (
+            source_slots is None
+            or None in source_slots
+            or None in target_slots
+            or (root is not None and root in targets)
+            or len(set(map(or_, map(lshift, sources, repeat(_OID_SHIFT)), targets)))
+            != num_edges
+        ):
+            graph._succ_slabs = SlotSlabs.from_members(num_nodes, (), ())
+            graph._pred_slabs = SlotSlabs.from_members(num_nodes, (), ())
+            _first_failing_call((graph.add_edge, edge) for edge in zip(sources, targets, kinds))
+        graph._succ_slabs = SlotSlabs.from_members(num_nodes, source_slots, targets)
+        graph._pred_slabs = SlotSlabs.from_members(num_nodes, target_slots, sources)
+        graph._idref = {
+            (source << _OID_SHIFT) | target
+            for source, target, kind in zip(sources, targets, kinds)
+            if kind is EdgeKind.IDREF
+        }
+        graph._num_edges = num_edges
+        graph._generation = 1
+        return graph
 
     # ------------------------------------------------------------------
     # Slot management (dense-id layer)

@@ -59,6 +59,8 @@ from repro.graph.datagraph import _OID_SHIFT, ROOT_LABEL, DataGraph, EdgeKind
 #: current graph wire-format version; bump on structural changes
 GRAPH_FORMAT_VERSION = 2
 
+_KIND_OF_VALUE = {kind.value: kind for kind in EdgeKind}
+
 
 def check_format_version(data: Any, current: int, error: type) -> int:
     """Validate a payload's ``format_version`` against *current*.
@@ -197,14 +199,16 @@ def graph_to_json(graph: DataGraph) -> str:
 def graph_from_dict(data: dict[str, Any]) -> DataGraph:
     """Rebuild a graph from :func:`graph_to_dict` output.
 
-    Malformed payloads — wrong shapes, duplicate oids, dangling edge
-    endpoints, unknown edge kinds, a missing root node — raise
-    :class:`SerializationError` (or another :class:`ReproError`
-    subclass) with a descriptive message, never a bare ``KeyError`` /
-    ``TypeError`` / ``ValueError``.
+    The entries are validated and split into columns, and
+    :meth:`DataGraph.from_columns` lays the graph out in one pass, slot for
+    slot what adding them one by one would give.  Malformed payloads —
+    wrong shapes, bad or duplicate oids, non-string labels, dangling,
+    duplicate or root-bound edges, unknown edge kinds, a missing root
+    node — raise :class:`SerializationError` (or another
+    :class:`GraphError` subclass) with a descriptive message, never a bare
+    ``KeyError`` / ``TypeError`` / ``ValueError``.
     """
     version = check_format_version(data, GRAPH_FORMAT_VERSION, SerializationError)
-    graph = DataGraph()
     try:
         nodes = data["nodes"]
         edges = data["edges"]
@@ -216,6 +220,10 @@ def graph_from_dict(data: dict[str, Any]) -> DataGraph:
         not isinstance(labels, list) or any(not isinstance(l, str) for l in labels)
     ):
         raise SerializationError("malformed label table: expected a list of strings")
+    oids: list[Any] = []
+    names: list[Any] = []
+    values: list[Any] = []
+    has_root = False
     for entry in nodes:
         try:
             oid, label, value = entry
@@ -236,27 +244,32 @@ def graph_from_dict(data: dict[str, Any]) -> DataGraph:
                     f"an index into the label table"
                 )
             label = labels[label]
-        try:
-            if root is not None and oid == root:
-                if label != ROOT_LABEL:
-                    raise GraphError(f"root node {oid} must carry the ROOT label")
-                graph.add_root(oid=oid)
-            else:
-                graph.add_node(label, value, oid=oid)
-        except TypeError as exc:
-            raise SerializationError(f"malformed node entry {entry!r}: {exc}") from exc
-    if root is not None and not graph.has_root:
-        raise SerializationError(f"root oid {root!r} is not among the nodes")
+        if root is not None and oid == root:
+            if label != ROOT_LABEL:
+                raise GraphError(f"root node {oid} must carry the ROOT label")
+            has_root = True
+        oids.append(oid)
+        names.append(label)
+        values.append(value)
+    sources: list[Any] = []
+    targets: list[Any] = []
+    kinds: list[EdgeKind] = []
     for entry in edges:
         try:
             source, target, kind = entry
-            kind = EdgeKind(kind)
+            kinds.append(_KIND_OF_VALUE.get(kind) or EdgeKind(kind))
         except (ValueError, TypeError) as exc:
             raise SerializationError(
                 f"malformed edge entry {entry!r}: expected [source, target, kind]"
             ) from exc
-        graph.add_edge(source, target, kind)
-    return graph
+        sources.append(source)
+        targets.append(target)
+    if root is not None and not has_root:
+        raise SerializationError(f"root oid {root!r} is not among the nodes")
+    try:
+        return DataGraph.from_columns(oids, names, values, sources, targets, kinds, root)
+    except TypeError as exc:  # add_node's, for a bad oid or label
+        raise SerializationError(f"malformed node entry: {exc}") from exc
 
 
 def dump_graph(graph: DataGraph, fp: TextIO) -> None:

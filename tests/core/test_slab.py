@@ -211,3 +211,48 @@ class TestCopyAndSizing:
         for v in range(1000):
             s.append(a, v)
         assert s.approx_bytes() > empty
+
+
+class TestFromMembers:
+    """The bulk layout equals the appends it stands for, slot for slot."""
+
+    @staticmethod
+    def appended(num_slots, slots, members):
+        s = SlotSlabs()
+        for _ in range(num_slots):
+            s.new_slot()
+        for slot, member in zip(slots, members):
+            s.append(slot, member)
+        return s
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_appends_and_is_tight(self, seed):
+        rng = random.Random(seed)
+        num_slots = 40
+        # slot 0 is a hub (overlay), slot 1 sits just under the threshold
+        slots = [0] * (OVERLAY_MIN + 7) + [1] * (OVERLAY_MIN - 1)
+        slots += [rng.randrange(2, num_slots - 3) for _ in range(500)]
+        rng.shuffle(slots)
+        members = [rng.randrange(1 << 40) for _ in slots]
+        bulk = SlotSlabs.from_members(num_slots, slots, members)
+        reference = self.appended(num_slots, slots, members)
+        assert bulk.num_slots == reference.num_slots == num_slots
+        for slot in range(num_slots):
+            assert bulk.to_list(slot) == reference.to_list(slot)
+        assert bulk._cap == bulk._len
+        assert bulk._dead == 0 and len(bulk._data) == len(members)
+        assert set(bulk._overlay) == {0}
+        assert bulk._overlay == reference._overlay
+        assert bulk.to_list(num_slots - 1) == []
+
+    def test_appending_to_a_tight_slot_grows_it(self):
+        bulk = SlotSlabs.from_members(3, [2, 0, 2], [7, 8, 9])
+        bulk.append(2, 10)
+        assert bulk.to_list(2) == [7, 9, 10]
+        assert bulk._cap[2] == 4 and bulk._dead == 2
+        assert bulk.to_list(0) == [8]
+        assert bulk.remove(2, 7) and bulk.to_list(2) == [10, 9]
+
+    def test_no_slots(self):
+        bulk = SlotSlabs.from_members(0, [], [])
+        assert bulk.num_slots == 0 and len(bulk._data) == 0

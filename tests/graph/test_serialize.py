@@ -12,7 +12,14 @@ import json
 
 import pytest
 
-from repro.exceptions import GraphError, ReproError, SerializationError
+from repro.exceptions import (
+    DuplicateEdgeError,
+    GraphError,
+    NodeNotFoundError,
+    ReproError,
+    RootError,
+    SerializationError,
+)
 from repro.graph.datagraph import DataGraph, EdgeKind
 from repro.graph.serialize import (
     dumps_graph,
@@ -93,6 +100,43 @@ class TestCorruptPayloads:
         root_entry = next(e for e in payload["nodes"] if e[0] == payload["root"])
         root_entry[1] = "NOTROOT"
         with pytest.raises(GraphError):
+            graph_from_dict(payload)
+
+    def test_duplicate_edge(self, payload):
+        payload["edges"].append(list(payload["edges"][-1]))
+        with pytest.raises(DuplicateEdgeError):
+            graph_from_dict(payload)
+
+    def test_edge_into_root(self, payload):
+        leaf = payload["nodes"][-1][0]
+        payload["edges"].append([leaf, payload["root"], "idref"])
+        with pytest.raises(RootError):
+            graph_from_dict(payload)
+
+    @pytest.mark.parametrize("endpoint", [1.0, "1", None], ids=repr)
+    def test_non_int_edge_endpoint(self, payload, endpoint):
+        payload["edges"].append([endpoint, payload["nodes"][-1][0], "tree"])
+        with pytest.raises(NodeNotFoundError):
+            graph_from_dict(payload)
+
+    @pytest.mark.parametrize("oid", [True, "9", -1, 2**48], ids=repr)
+    def test_bad_oid(self, payload, oid):
+        # add_node's TypeError, reported as the node entry it came from
+        payload["nodes"].append([oid, 0, None])
+        with pytest.raises(SerializationError, match="node entry"):
+            graph_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "version, label", [(1, 7), (1, None), (2, 2.5), (2, True), (2, None)], ids=repr
+    )
+    def test_non_str_label(self, payload, version, label):
+        payload["format_version"] = version
+        if version < 2:  # inline labels, no table
+            names = payload.pop("labels")
+            for entry in payload["nodes"]:
+                entry[1] = names[entry[1]]
+        payload["nodes"][-1][1] = label
+        with pytest.raises(SerializationError, match="node entry"):
             graph_from_dict(payload)
 
     def test_errors_are_repro_errors(self, payload):
