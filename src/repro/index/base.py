@@ -20,8 +20,8 @@ with two :class:`~repro.core.intmap.PagedIntMap` side tables: ``oid →
 inode id`` (the partition map) and ``oid → position inside its extent
 array``.  Membership is answered by the partition map, removal is an
 O(1) swap-with-last through the position map, and :meth:`extent`
-returns a generation-memoized frozen view (like the ``ipred_set``
-cache); so is :meth:`StructuralIndex.frozen`, the
+returns a generation-memoized frozen view; so is
+:meth:`StructuralIndex.frozen`, the
 :class:`~repro.index.frozen.FrozenIndex` a query reads, captured on the
 first read of a generation.  Support tables remain plain
 dict-of-dicts — there are few inodes and the tests introspect them.
@@ -80,10 +80,8 @@ class StructuralIndex:
         #: a transaction is open, ``None`` (a no-op) otherwise.
         self._journal = None
         #: mutation counter: every mutator bumps it, invalidating the
-        #: memoized frozen views (see :meth:`ipred_set`/:meth:`extent`)
+        #: memoized frozen views (see :meth:`extent`/:meth:`frozen`)
         self._generation: int = 0
-        self._ipred_view: dict[int, frozenset[int]] = {}
-        self._isucc_view: dict[int, frozenset[int]] = {}
         self._extent_view: dict[int, frozenset[int]] = {}
         #: the read surface of this generation (see :meth:`frozen`)
         self._frozen: Optional[FrozenIndex] = None
@@ -108,8 +106,6 @@ class StructuralIndex:
 
     def _fresh_views(self) -> None:
         if self._view_generation != self._generation:
-            self._ipred_view.clear()
-            self._isucc_view.clear()
             self._extent_view.clear()
             self._frozen = None
             self._view_generation = self._generation
@@ -225,8 +221,8 @@ class StructuralIndex:
     def extent(self, inode: int) -> frozenset[int]:
         """The extent of *inode* as a frozen set.
 
-        Memoized per generation, like :meth:`ipred_set`: repeated reads
-        between mutations share one frozen object.
+        Memoized per generation: repeated reads between mutations share
+        one frozen object.
         """
         self._require(inode)
         self._fresh_views()
@@ -288,7 +284,7 @@ class StructuralIndex:
 
         A :class:`~repro.index.frozen.FrozenIndex` over the live graph,
         captured on the first read of a ``generation`` like
-        :meth:`ipred_set`'s views, so the write path never pays, and
+        :meth:`extent`'s views, so the write path never pays, and
         dropped by the next mutation — with it the label table and the
         query kernel's closure memo it carries.
         """
@@ -308,31 +304,9 @@ class StructuralIndex:
         return self._generation
 
     def ipred_set(self, inode: int) -> frozenset[int]:
-        """Index predecessors as a frozen set (hashable merge signature).
-
-        Memoized per generation: the split/merge engine probes the same
-        inodes' predecessor signatures repeatedly inside nested loops, so
-        repeated calls between mutations return the same frozen object
-        instead of allocating a copy each time.
-        """
+        """Index predecessors as a frozen set (hashable merge signature)."""
         self._require(inode)
-        self._fresh_views()
-        view = self._ipred_view.get(inode)
-        if view is None:
-            view = self._ipred_view[inode] = frozenset(self._pred_support[inode])
-        return view
-
-    def isucc_set(self, inode: int) -> frozenset[int]:
-        """Index successors as a frozen set.
-
-        Memoized per generation, like :meth:`ipred_set`.
-        """
-        self._require(inode)
-        self._fresh_views()
-        view = self._isucc_view.get(inode)
-        if view is None:
-            view = self._isucc_view[inode] = frozenset(self._succ_support[inode])
-        return view
+        return frozenset(self._pred_support[inode])
 
     def has_iedge(self, source: int, target: int) -> bool:
         """Whether the iedge ``source -> target`` exists."""

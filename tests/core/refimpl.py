@@ -451,9 +451,6 @@ class DictIndex:
         self._next_id = 0
         self._journal = None
         self._generation: int = 0
-        self._ipred_view: dict[int, frozenset[int]] = {}
-        self._isucc_view: dict[int, frozenset[int]] = {}
-        self._view_generation: int = 0
 
     # ------------------------------------------------------------------
     # Construction primitives
@@ -556,25 +553,7 @@ class DictIndex:
 
     def ipred_set(self, inode: int) -> frozenset[int]:
         self._require(inode)
-        if self._view_generation != self._generation:
-            self._ipred_view.clear()
-            self._isucc_view.clear()
-            self._view_generation = self._generation
-        view = self._ipred_view.get(inode)
-        if view is None:
-            view = self._ipred_view[inode] = frozenset(self._pred_support[inode])
-        return view
-
-    def isucc_set(self, inode: int) -> frozenset[int]:
-        self._require(inode)
-        if self._view_generation != self._generation:
-            self._ipred_view.clear()
-            self._isucc_view.clear()
-            self._view_generation = self._generation
-        view = self._isucc_view.get(inode)
-        if view is None:
-            view = self._isucc_view[inode] = frozenset(self._succ_support[inode])
-        return view
+        return frozenset(self._pred_support[inode])
 
     def has_iedge(self, source: int, target: int) -> bool:
         self._require(source)

@@ -113,7 +113,7 @@ class TestCorruptPayloads:
         with pytest.raises(RootError):
             graph_from_dict(payload)
 
-    @pytest.mark.parametrize("endpoint", [1.0, "1", None], ids=repr)
+    @pytest.mark.parametrize("endpoint", [1.0, "1", None, True], ids=repr)
     def test_non_int_edge_endpoint(self, payload, endpoint):
         payload["edges"].append([endpoint, payload["nodes"][-1][0], "tree"])
         with pytest.raises(NodeNotFoundError):

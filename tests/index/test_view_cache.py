@@ -1,12 +1,11 @@
-"""Generation-stamped iedge views: every index mutator invalidates them.
+"""Generation-stamped views: every index mutator invalidates them.
 
-``StructuralIndex.ipred_set()``/``isucc_set()`` are memoized per
-mutation generation (the split/merge engine probes them in nested
-loops).  The contract under test: repeated calls between mutations
-return the same frozen object, and after **any** mutator — including
-transaction rollback and the internal-swap rebuild of
-``reconstruct_from_scratch`` — the views agree with the live support
-tables again.
+``StructuralIndex.extent()`` and ``StructuralIndex.frozen()`` are
+memoized per mutation generation.  The contract under test: repeated
+calls between mutations return the same frozen object, and after
+**any** mutator — including transaction rollback and the internal-swap
+rebuild of ``reconstruct_from_scratch`` — the views agree with the live
+partition and support tables again.
 """
 
 from __future__ import annotations
@@ -37,15 +36,32 @@ def build() -> tuple[DataGraph, StructuralIndex, dict[str, int]]:
 
 
 def warm(index: StructuralIndex) -> None:
+    index.frozen()
     for inode in list(index.inodes()):
-        index.ipred_set(inode)
-        index.isucc_set(inode)
+        index.extent(inode)
+
+
+def views(index: StructuralIndex) -> dict[int, tuple]:
+    """Each inode's memoized extent, and what the frozen capture holds."""
+    frozen = index.frozen()
+    assert sorted(frozen.inodes()) == sorted(index.inodes())
+    return {
+        inode: (
+            index.extent(inode),
+            frozen.label_of(inode),
+            frozen.extent(inode),
+            frozenset(frozen.isucc(inode)),
+        )
+        for inode in index.inodes()
+    }
 
 
 def assert_views_live(index: StructuralIndex) -> None:
-    for inode in list(index.inodes()):
-        assert index.ipred_set(inode) == frozenset(index.ipred(inode))
-        assert index.isucc_set(inode) == frozenset(index.isucc(inode))
+    for inode, (extent, label, frozen_extent, isucc) in views(index).items():
+        live = frozenset(w for w in index.graph.nodes() if index.inode_of(w) == inode)
+        assert extent == frozen_extent == live
+        assert label == index.label_of(inode)
+        assert isucc == frozenset(index.isucc(inode))
 
 
 def _split_b(graph, index, n):
@@ -127,30 +143,28 @@ def test_every_mutator_bumps_generation_and_refreshes_views(name):
 def test_views_are_memoized_between_mutations():
     graph, index, nodes = build()
     inode = index.inode_of(nodes["b1"])
-    first = index.ipred_set(inode)
-    assert index.ipred_set(inode) is first
-    assert index.isucc_set(inode) is index.isucc_set(inode)
+    first = index.extent(inode)
+    assert index.extent(inode) is first
+    assert index.frozen() is index.frozen()
+    capture = index.frozen()
     index.new_inode("ghost")
-    recomputed = index.ipred_set(inode)
+    recomputed = index.extent(inode)
     assert recomputed == first
     assert recomputed is not first
+    assert index.frozen() is not capture
 
 
 def test_rollback_refreshes_views():
     graph, index, nodes = build()
     warm(index)
-    before = {
-        inode: (index.ipred_set(inode), index.isucc_set(inode))
-        for inode in index.inodes()
-    }
+    before = views(index)
     with pytest.raises(ValueError):
         with Transaction(graph, index):
             _split_b(graph, index, nodes)
+            warm(index)
             raise ValueError("abort")
     assert_views_live(index)
-    for inode, (ipred, isucc) in before.items():
-        assert index.ipred_set(inode) == ipred
-        assert index.isucc_set(inode) == isucc
+    assert views(index) == before
 
 
 def test_reconstruct_from_scratch_swap_refreshes_views():
