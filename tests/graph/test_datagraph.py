@@ -56,6 +56,24 @@ class TestNodes:
         with pytest.raises(NodeNotFoundError):
             g.succ(99)
 
+    def test_a_bool_is_no_oid(self):
+        """``True`` never reads as node 1, whichever method looks it up."""
+        g = DataGraph()
+        a, b = g.add_node("A", oid=1), g.add_node("B", oid=2)
+        g.add_edge(a, b)
+        assert not g.has_node(True) and True not in g
+        assert not g.has_edge(True, b) and not g.has_edge(0, True)
+        for lookup in (g.label, g.value, g.succ, g.pred, g.out_degree):
+            with pytest.raises(NodeNotFoundError):
+                lookup(True)
+        with pytest.raises(NodeNotFoundError):
+            g.set_value(True, "x")
+        with pytest.raises(NodeNotFoundError):
+            g.remove_edge(True, b)
+        with pytest.raises(NodeNotFoundError):
+            g.add_edge(b, True)
+        assert g.has_edge(a, b) and g.value(a) is None
+
     def test_remove_node_removes_incident_edges(self):
         g = DataGraph()
         a, b, c = g.add_node("A"), g.add_node("B"), g.add_node("C")
