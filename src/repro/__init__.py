@@ -32,14 +32,8 @@ from repro.exceptions import (
     StructuralIndexError,
     XmlFormatError,
 )
-from repro.graph import (
-    DataGraph,
-    EdgeKind,
-    GraphBuilder,
-    parse_documents,
-    parse_xml,
-    to_xml,
-)
+from repro.corpus import parse_xml
+from repro.graph import DataGraph, EdgeKind, GraphBuilder, to_xml
 from repro.index import AkIndexFamily, OneIndex, StructuralIndex
 
 __version__ = "1.0.0"
@@ -49,7 +43,6 @@ __all__ = [
     "EdgeKind",
     "GraphBuilder",
     "parse_xml",
-    "parse_documents",
     "to_xml",
     "StructuralIndex",
     "OneIndex",

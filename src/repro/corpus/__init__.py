@@ -4,6 +4,8 @@ See DESIGN.md §11.  The public surface:
 
 * :func:`~repro.corpus.documents.parse_document` /
   :class:`~repro.corpus.documents.ParsedDocument` — file-scoped parsing;
+* :func:`~repro.corpus.builder.parse_xml` — one document to a data graph,
+  a one-document corpus build;
 * :class:`~repro.corpus.builder.CorpusBuilder` /
   :class:`~repro.corpus.builder.CorpusCatalog` — bulk ingest and the
   document→update compiler;
@@ -19,6 +21,7 @@ from repro.corpus.builder import (
     DocumentManifest,
     corpus_fingerprint,
     corpus_graph_fingerprint,
+    parse_xml,
 )
 from repro.corpus.churn import mutate_document
 from repro.corpus.documents import (
@@ -36,6 +39,7 @@ __all__ = [
     "ParsedDocument",
     "ScopedRef",
     "parse_document",
+    "parse_xml",
     "CorpusBuilder",
     "CorpusCatalog",
     "DocumentManifest",

@@ -37,6 +37,7 @@ from repro.exceptions import (
     CorpusError,
     DocumentNotFoundError,
     DuplicateDocumentError,
+    XmlFormatError,
 )
 from repro.graph.datagraph import ROOT_LABEL, DataGraph, EdgeKind
 from repro.service.queue import Update
@@ -634,6 +635,27 @@ class CorpusBuilder:
                 kinds.append(kind)
         graph = DataGraph.from_columns(oids, labels, values, sources, targets, kinds, root)
         return graph, catalog
+
+
+def parse_xml(text: str, attribute_nodes: bool = True) -> DataGraph:
+    """Parse one XML document into a :class:`DataGraph` (Section 3, Figure 1).
+
+    A one-document corpus build: the document element hangs under the
+    artificial ROOT, ``id`` / ``idref`` / ``idrefs`` make the IDREF edges
+    and any other attribute a child dnode (when *attribute_nodes*).  A
+    reference the one document leaves dangling — a scoped token names no
+    other document here — raises :class:`XmlFormatError`.
+    """
+    builder = CorpusBuilder(attribute_nodes)
+    builder.add("xml", text)
+    graph, catalog = builder.build()
+    dangling = catalog.dangling_refs()
+    if dangling:
+        _, source, target_doc, target = dangling[0]
+        raise XmlFormatError(
+            f"unresolvable reference {target_doc}/{target} from {source}", source="xml"
+        )
+    return graph
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 import xml.etree.ElementTree as ET
 
+from repro.graph.xml_io import ID_ATTRIBUTE
+
 
 def mutate_document(text: str, rng: random.Random) -> str:
     """Return a structurally perturbed version of *text*.
@@ -39,7 +41,7 @@ def mutate_document(text: str, rng: random.Random) -> str:
             el
             for el in elements
             if el is not root
-            and not any("id" in d.attrib for d in el.iter())
+            and not any(ID_ATTRIBUTE in d.attrib for d in el.iter())
         ]
         if id_free:
             victim = rng.choice(id_free)

@@ -21,22 +21,20 @@ tokens.  A bare token references an explicit id in the *same* document
 and must resolve at parse time; a token containing ``/`` is the scoped
 form ``<doc-id>/<local-id>`` and may reference a document that has not
 arrived yet (the corpus tracks it as *dangling* and resolves it when
-the target appears).
+the target appears).  The attribute names are
+:mod:`repro.graph.xml_io`'s, the writer's, so what one writes the other
+reads.  No name is empty: a document id, an explicit id and either half
+of a scoped token all name something (and a local id holds no ``/``).
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.exceptions import XmlFormatError
-
-#: attribute that defines an element's explicit local id
-ID_ATTRIBUTE = "id"
-
-#: attributes whose whitespace-separated tokens are references
-REF_ATTRIBUTES = ("idref", "idrefs")
+from repro.graph.xml_io import ID_ATTRIBUTE, REF_ATTRIBUTES
 
 
 @dataclass(frozen=True)
@@ -87,41 +85,37 @@ class ParsedDocument:
         )
 
 
-def parse_document(
-    doc_id: str,
-    text: str,
-    attribute_nodes: bool = True,
-    ref_attributes: Sequence[str] = REF_ATTRIBUTES,
-) -> ParsedDocument:
+def parse_document(doc_id: str, text: str, attribute_nodes: bool = True) -> ParsedDocument:
     """Parse one XML document into the corpus' local-id model.
 
     Raises :class:`XmlFormatError` (carrying ``source=doc_id`` and the
-    element path) for malformed XML, duplicate explicit ids, explicit
-    ids colliding with a synthetic id, and unresolvable bare references.
+    element path) for malformed XML, an empty or duplicate explicit id,
+    explicit ids colliding with a synthetic id, a scoped token with an
+    empty half or a second ``/``, and unresolvable bare references.
     """
-    if "/" in doc_id:
+    if not doc_id or "/" in doc_id:
         raise XmlFormatError(
-            f"document id {doc_id!r} must not contain '/' "
-            "(reserved for scoped references)"
+            f"document id {doc_id!r} must be non-empty and must not contain '/' "
+            "(reserved for scoped references)",
+            source=doc_id,
         )
     try:
         element = ET.fromstring(text)
     except ET.ParseError as exc:
         raise XmlFormatError(f"malformed XML: {exc}", source=doc_id) from exc
     document = ParsedDocument(doc_id=doc_id)
-    ref_set = set(ref_attributes)
+    pending: list[tuple[ScopedRef, str]] = []
     _walk(document, element, parent_local=None, path="", position=0,
-          attribute_nodes=attribute_nodes, ref_set=ref_set)
+          attribute_nodes=attribute_nodes, pending=pending)
     document.root_local = document.order[0]
 
-    for ref, path in document._pending_paths:
+    for ref, path in pending:
         if ref.target_doc is None and ref.target_local not in document.explicit_ids:
             raise XmlFormatError(
                 f"unresolvable reference {ref.target_local!r} "
                 f"referenced from {path}",
                 source=doc_id, path=path,
             )
-    del document._pending_paths
     return document
 
 
@@ -132,14 +126,14 @@ def _walk(
     path: str,
     position: int,
     attribute_nodes: bool,
-    ref_set: set[str],
+    pending: list[tuple[ScopedRef, str]],
 ) -> None:
     element_path = f"{path}/{element.tag}[{position}]"
     explicit = element.attrib.get(ID_ATTRIBUTE)
     if explicit is not None:
-        if "/" in explicit:
+        if not explicit or "/" in explicit:
             raise XmlFormatError(
-                f"explicit id {explicit!r} must not contain '/'",
+                f"explicit id {explicit!r} must be non-empty and must not contain '/'",
                 source=document.doc_id, path=element_path,
             )
         if explicit in document.explicit_ids:
@@ -170,22 +164,26 @@ def _walk(
     if parent_local is not None:
         document.tree_edges.append((parent_local, local))
 
-    if not hasattr(document, "_pending_paths"):
-        document._pending_paths = []
     for attr_name, raw in element.attrib.items():
         if attr_name == ID_ATTRIBUTE:
             continue
-        if attr_name in ref_set:
+        if attr_name in REF_ATTRIBUTES:
             for token in raw.split():
                 if "/" in token:
                     target_doc, target_local = token.split("/", 1)
+                    if not target_doc or not target_local or "/" in target_local:
+                        raise XmlFormatError(
+                            f"scoped reference {token!r} needs a document id "
+                            "and a local id without '/'",
+                            source=document.doc_id, path=element_path,
+                        )
                     if target_doc == document.doc_id:
                         target_doc = None  # self-scoped → intra
                 else:
                     target_doc, target_local = None, token
                 ref = ScopedRef(local, target_doc, target_local)
                 document.refs.append(ref)
-                document._pending_paths.append((ref, element_path))
+                pending.append((ref, element_path))
         elif attribute_nodes:
             attr_local = f"{local}.@{attr_name}"
             if attr_local in document.labels:
@@ -204,4 +202,4 @@ def _walk(
         tally[child.tag] = child_position + 1
         _walk(document, child, parent_local=local, path=element_path,
               position=child_position, attribute_nodes=attribute_nodes,
-              ref_set=ref_set)
+              pending=pending)

@@ -268,35 +268,23 @@ class ServiceClosedError(ServiceError):
 class XmlFormatError(ReproError, ValueError):
     """Malformed XML input or unresolvable IDREF.
 
-    Carries optional context so a failure inside a multi-document parse
-    names its origin instead of a bare identifier: *source* is the
-    document's display name (file name, document id), *ordinal* its
-    0-based position in the batch, *path* the ``/tag[i]/...`` element
-    path the error anchors to.
+    Carries optional context so a failure names its origin instead of a
+    bare identifier: *source* is the document's id, *path* the
+    ``/tag[i]/...`` element path the error anchors to.
     """
 
     def __init__(
-        self,
-        message: str,
-        *,
-        source: "str | None" = None,
-        ordinal: "int | None" = None,
-        path: "str | None" = None,
+        self, message: str, *, source: "str | None" = None, path: "str | None" = None
     ):
         details = []
-        if source is not None and ordinal is not None:
-            details.append(f"document #{ordinal} ({source})")
-        elif source is not None:
+        if source is not None:
             details.append(f"document {source}")
-        elif ordinal is not None:
-            details.append(f"document #{ordinal}")
         if path is not None:
             details.append(f"at {path}")
         if details:
             message = f"{message} [{', '.join(details)}]"
         super().__init__(message)
         self.source = source
-        self.ordinal = ordinal
         self.path = path
 
 

@@ -15,7 +15,7 @@ from repro.graph.serialize import (
     load_graph,
     loads_graph,
 )
-from repro.graph.xml_io import describe, parse_documents, parse_xml, to_xml
+from repro.graph.xml_io import describe, to_xml
 
 __all__ = [
     "DataGraph",
@@ -26,8 +26,6 @@ __all__ = [
     "descendants_within",
     "is_acyclic",
     "strongly_connected_components",
-    "parse_xml",
-    "parse_documents",
     "to_xml",
     "describe",
     "graph_to_dict",

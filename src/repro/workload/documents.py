@@ -5,7 +5,8 @@ sections → units), but the corpus engine (:mod:`repro.corpus`) ingests
 *XML documents*.  :func:`split_into_documents` bridges the two: it deals
 the unit subtrees (items, persons, auctions, movies, ...) round-robin
 into *n* documents that each replicate the site/section shell, then
-serialises every document back to XML text.
+writes every document with :func:`repro.graph.xml_io.element_writer`, the
+element writer :func:`~repro.graph.xml_io.to_xml` uses.
 
 Reference edges are preserved across the split.  Every IDREF target
 gets a stable ``id="n<oid>"`` attribute; a reference whose target landed
@@ -19,16 +20,14 @@ shapes without any new dataset.
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
-from collections import defaultdict
+from collections.abc import Callable
 
 from repro.exceptions import WorkloadError
 from repro.graph.datagraph import DataGraph, EdgeKind
+from repro.graph.xml_io import element_writer, tree_children
 
 
-def split_into_documents(
-    graph: DataGraph, n: int, doc_prefix: str = "doc"
-) -> list[tuple[str, str]]:
+def split_into_documents(graph: DataGraph, n: int) -> list[tuple[str, str]]:
     """Split *graph* into *n* ``(doc_id, xml_text)`` pseudo-documents.
 
     *graph* must be shaped like the synthetic generators' output: ROOT →
@@ -42,31 +41,30 @@ def split_into_documents(
     root = graph.root
     if root is None:
         raise WorkloadError("cannot split a graph without a ROOT node")
-    tops = [
-        child
-        for child in sorted(graph.iter_succ(root))
-        if graph.edge_kind(root, child) is EdgeKind.TREE
-    ]
+    tops = tree_children(graph, root)
     if len(tops) != 1:
         raise WorkloadError(
             f"expected exactly one top element under ROOT, found {len(tops)}"
         )
     top = tops[0]
-    sections = _tree_children(graph, top)
+    sections = tree_children(graph, top)
 
-    doc_ids = [f"{doc_prefix}{i:02d}" for i in range(n)]
+    doc_ids = [f"doc{i:02d}" for i in range(n)]
     doc_of: dict[int, str] = {}
-    units_of: dict[str, dict[int, list[int]]] = {
-        doc_id: defaultdict(list) for doc_id in doc_ids
+    # each document's shell: what its top and section elements nest
+    shells: dict[str, dict[int, list[int]]] = {
+        doc_id: {top: sections, **{section: [] for section in sections}}
+        for doc_id in doc_ids
     }
     for section in sections:
-        for position, unit in enumerate(_tree_children(graph, section)):
+        for position, unit in enumerate(tree_children(graph, section)):
             doc_id = doc_ids[position % n]
-            units_of[doc_id][section].append(unit)
+            shells[doc_id][section].append(unit)
             for oid in _tree_subtree(graph, unit):
+                if oid in doc_of:
+                    raise WorkloadError(f"dnode {oid} lies in two unit subtrees")
                 doc_of[oid] = doc_id
 
-    id_targets = {target for _, target in graph.edges_of_kind(EdgeKind.IDREF)}
     for source, target in graph.edges_of_kind(EdgeKind.IDREF):
         for endpoint in (source, target):
             if endpoint not in doc_of:
@@ -75,27 +73,14 @@ def split_into_documents(
                     "this graph shape cannot be split into documents"
                 )
 
-    documents: list[tuple[str, str]] = []
-    for doc_id in doc_ids:
-        top_el = ET.Element(graph.label(top))
-        for section in sections:
-            section_el = ET.SubElement(top_el, graph.label(section))
-            for unit in units_of[doc_id][section]:
-                section_el.append(
-                    _build_element(graph, unit, doc_id, doc_of, id_targets)
-                )
-        documents.append(
-            (doc_id, ET.tostring(top_el, encoding="unicode"))
+    def spelled_in(doc_id: str) -> Callable[[int], str]:
+        # bare within the document, scoped across documents
+        return lambda target: (
+            f"n{target}" if doc_of[target] == doc_id else f"{doc_of[target]}/n{target}"
         )
-    return documents
 
-
-def _tree_children(graph: DataGraph, oid: int) -> list[int]:
-    return [
-        child
-        for child in sorted(graph.iter_succ(oid))
-        if graph.edge_kind(oid, child) is EdgeKind.TREE
-    ]
+    write = element_writer(graph)
+    return [(doc_id, write(top, spelled_in(doc_id), shells[doc_id])) for doc_id in doc_ids]
 
 
 def _tree_subtree(graph: DataGraph, start: int) -> list[int]:
@@ -111,29 +96,3 @@ def _tree_subtree(graph: DataGraph, start: int) -> list[int]:
                 seen.add(child)
                 stack.append(child)
     return sorted(seen)
-
-
-def _build_element(
-    graph: DataGraph,
-    oid: int,
-    doc_id: str,
-    doc_of: dict[int, str],
-    id_targets: set[int],
-) -> ET.Element:
-    element = ET.Element(graph.label(oid))
-    if graph.value(oid) is not None:
-        element.text = str(graph.value(oid))
-    if oid in id_targets:
-        element.set("id", f"n{oid}")
-    refs = []
-    for child in sorted(graph.iter_succ(oid)):
-        if graph.edge_kind(oid, child) is EdgeKind.IDREF:
-            if doc_of[child] == doc_id:
-                refs.append(f"n{child}")
-            else:
-                refs.append(f"{doc_of[child]}/n{child}")
-    if refs:
-        element.set("idrefs" if len(refs) > 1 else "idref", " ".join(refs))
-    for child in _tree_children(graph, oid):
-        element.append(_build_element(graph, child, doc_id, doc_of, id_targets))
-    return element

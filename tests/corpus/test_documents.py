@@ -97,6 +97,25 @@ class TestErrors:
         with pytest.raises(XmlFormatError, match="must not contain"):
             parse_document("d", "<r><a id='x/y'/></r>")
 
+    @pytest.mark.parametrize(
+        "doc_id, text, path",
+        [
+            ("", "<r/>", None),
+            ("d", "<r><a id=''/></r>", "/r[0]/a[0]"),
+            ("d", "<r><b idref='x/'/></r>", "/r[0]/b[0]"),
+            ("d", "<r><b idrefs='x/y /x'/></r>", "/r[0]/b[0]"),
+            ("d", "<r><b idref='x/y/z'/></r>", "/r[0]/b[0]"),
+        ],
+        ids=["document-id", "explicit-id", "scoped-local", "scoped-document", "scoped-slash"],
+    )
+    def test_names_that_cannot_resolve_rejected(self, doc_id, text, path):
+        # an empty name would book a reference only an empty id resolves,
+        # and no explicit id holds the '/' of a local "y/z"
+        with pytest.raises(XmlFormatError) as err:
+            parse_document(doc_id, text)
+        assert err.value.source == doc_id
+        assert err.value.path == path
+
     def test_explicit_id_colliding_with_synthetic_rejected(self):
         with pytest.raises(XmlFormatError, match="collides"):
             parse_document("d", "<r><a/><b id='.r.a[0]'/></r>")
