@@ -17,20 +17,24 @@ service instance (and with it this catalog) must be treated as lost —
 and it is what lets a later compile in the same batch window reference
 oids the stream has not materialised yet.
 
-Cross-document references are tracked in three structures: per-source
-``outbound_state`` (every cross ref the document declares, resolved or
-not), per-target ``inbound_resolved`` (edges that exist) and
-``dangling`` (refs whose target document or target id is absent).  A
-document's arrival resolves its dangling inbound refs; its removal
-demotes inbound edges back to dangling, so a re-arrival re-links them.
+Cross-document references live in one ledger, indexed from both ends:
+``outbound[src_doc]`` maps every cross ref a document declares to one
+flag (linked: its IDREF edge exists; unlinked: the target document or
+target id is absent), and ``inbound[tgt_doc]`` names every ref to a
+document, linked or not.  Three steps change it — a ref is *declared*
+(linked if it can be) or *retracted*, and the refs naming a document
+*flip* when the document arrives, leaves or is replaced — so a
+document's removal leaves its inbound refs dangling and its re-arrival
+re-links them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from collections.abc import Collection
+from dataclasses import dataclass
+from typing import Iterable
 
 from repro.corpus.documents import ParsedDocument
 from repro.exceptions import (
@@ -46,6 +50,8 @@ from repro.service.queue import Update
 CrossKey = tuple[str, str, str]
 #: cross-reference entry under a target document: (source_doc, source_local, target_local)
 InboundEntry = tuple[str, str, str]
+#: a graph edge: (source_oid, target_oid, kind)
+Edge = tuple[int, int, EdgeKind]
 
 
 @dataclass
@@ -53,22 +59,45 @@ class DocumentManifest:
     """Where one document's nodes live in the shared graph."""
 
     doc_id: str
-    root_oid: int
     oid_of: dict[str, int]
-    local_of: dict[int, str]
     document: ParsedDocument
-    #: intra-document ``(source_local, target_local)`` pairs that carry
-    #: an actual IDREF edge.  A reference whose pair already carries a
-    #: TREE edge (an element referencing its own child) or repeats an
-    #: earlier reference is *not* materialised — the data model has no
-    #: parallel edges — and a diff must never delete an edge that was
-    #: never added.
-    materialized_intra: set[tuple[str, str]] = field(default_factory=set)
+
+    @property
+    def root_oid(self) -> int:
+        """The oid of the document element."""
+        return self.oid_of[self.document.root_local]
+
+    @property
+    def local_of(self) -> dict[int, str]:
+        """oid -> local id (the inverse of ``oid_of``)."""
+        return {oid: local for local, oid in self.oid_of.items()}
 
     @property
     def oids(self) -> set[int]:
         """Every graph oid belonging to this document."""
-        return set(self.local_of)
+        return set(self.oid_of.values())
+
+
+def _refs(document: ParsedDocument) -> tuple[list[tuple[str, str]], list[CrossKey]]:
+    """What *document*'s references book, in document order: the intra
+    ``(source_local, target_local)`` pairs that carry an IDREF edge, and the
+    cross keys.
+
+    An intra reference whose pair already carries a TREE edge (an element
+    referencing its own child) is *not* materialised — the data model has
+    no parallel edges — and a diff must never delete an edge that was
+    never added.  A repeated reference is booked once.
+    """
+    tree = set(document.tree_edges)
+    intra = dict.fromkeys(
+        (ref.source_local, ref.target_local) for ref in document.refs if ref.target_doc is None
+    )
+    cross = dict.fromkeys(
+        (ref.source_local, ref.target_doc, ref.target_local)
+        for ref in document.refs
+        if ref.target_doc is not None
+    )
+    return [pair for pair in intra if pair not in tree], list(cross)
 
 
 @dataclass
@@ -88,25 +117,21 @@ class _Admission:
     sources: list[int]
     targets: list[int]
     kinds: list[EdgeKind]
-    cross_edges: list[tuple[int, int, EdgeKind]]
+    cross_edges: list[Edge]
 
 
 class CorpusCatalog:
-    """Manifests + cross-reference state + the op compiler."""
+    """Manifests + the cross-reference ledger + the op compiler."""
 
     def __init__(self, next_oid: int = 0):
         self.manifests: dict[str, DocumentManifest] = {}
         self._next_oid = next_oid
-        self.outbound_state: dict[str, dict[CrossKey, bool]] = {}
-        self.inbound_resolved: dict[str, set[InboundEntry]] = {}
-        self.dangling: dict[str, set[InboundEntry]] = {}
+        #: src_doc -> {(src_local, tgt_doc, tgt_local): linked}
+        self.outbound: dict[str, dict[CrossKey, bool]] = {}
+        #: tgt_doc -> {(src_doc, src_local, tgt_local)}, linked or not
+        self.inbound: dict[str, set[InboundEntry]] = {}
 
     # -- bookkeeping ---------------------------------------------------
-
-    def _alloc(self) -> int:
-        oid = self._next_oid
-        self._next_oid += 1
-        return oid
 
     def document_ids(self) -> list[str]:
         """The ids of all present documents, sorted."""
@@ -121,11 +146,55 @@ class CorpusCatalog:
 
     def dangling_refs(self) -> list[tuple[str, str, str, str]]:
         """Unresolved cross refs as ``(src_doc, src_local, tgt_doc, tgt_local)``."""
-        out = []
-        for tgt_doc, entries in self.dangling.items():
-            for src_doc, src_local, tgt_local in entries:
-                out.append((src_doc, src_local, tgt_doc, tgt_local))
-        return sorted(out)
+        return sorted(
+            (src_doc, src_local, tgt_doc, tgt_local)
+            for src_doc, flags in self.outbound.items()
+            for (src_local, tgt_doc, tgt_local), linked in flags.items()
+            if not linked
+        )
+
+    # -- the reference ledger ------------------------------------------
+
+    def _declare(self, doc_id: str, key: CrossKey, source_oid: int) -> list[Edge]:
+        """Book a cross ref *doc_id* declares, linked if its target is present;
+        the IDREF edge to add, if linked."""
+        src_local, tgt_doc, tgt_local = key
+        target = self.manifests.get(tgt_doc)
+        linked = target is not None and tgt_local in target.document.explicit_ids
+        self.outbound.setdefault(doc_id, {})[key] = linked
+        self.inbound.setdefault(tgt_doc, set()).add((doc_id, src_local, tgt_local))
+        return [(source_oid, target.oid_of[tgt_local], EdgeKind.IDREF)] if linked else []
+
+    def _retract(self, doc_id: str, key: CrossKey, source_oid: int) -> list[Edge]:
+        """Forget a cross ref *doc_id* declared; the IDREF edge to delete, if linked."""
+        src_local, tgt_doc, tgt_local = key
+        entries = self.inbound[tgt_doc]
+        entries.discard((doc_id, src_local, tgt_local))
+        if not entries:
+            del self.inbound[tgt_doc]
+        flags = self.outbound[doc_id]
+        linked = flags.pop(key)
+        if not flags:
+            del self.outbound[doc_id]
+        if linked:
+            return [(source_oid, self.manifests[tgt_doc].oid_of[tgt_local], EdgeKind.IDREF)]
+        return []
+
+    def _flip(
+        self, doc_id: str, link: bool, targets: Collection[str], oid_of: dict[str, int]
+    ) -> list[Edge]:
+        """Link (or unlink) the refs naming *doc_id* whose target local is in
+        *targets*; the IDREF edges to add (or delete), ordered by ref, with
+        the target's oid from *oid_of*."""
+        edges = []
+        for src_doc, src_local, tgt_local in sorted(self.inbound.get(doc_id, ())):
+            flags = self.outbound[src_doc]
+            key = (src_local, doc_id, tgt_local)
+            if flags[key] != link and tgt_local in targets:
+                flags[key] = link
+                source_oid = self.manifests[src_doc].oid_of[src_local]
+                edges.append((source_oid, oid_of[tgt_local], EdgeKind.IDREF))
+        return edges
 
     # -- compile: add --------------------------------------------------
 
@@ -133,11 +202,11 @@ class CorpusCatalog:
         """Book a document arrival in the catalog and return what it adds.
 
         The catalog bookkeeping both add paths share: oids are allocated in
-        document order, intra-document IDREFs are materialised (not over a
-        tree edge, not twice), outbound cross refs are resolved or left
-        dangling, and inbound refs other documents left dangling for this
-        one are resolved.  The cross-edge list leads with the ROOT splice
-        (so the maintainer's batched root-merge optimisation fires).
+        document order, intra-document IDREFs are materialised, outbound
+        cross refs are declared, and inbound refs other documents left
+        dangling for this one are linked.  The cross-edge list leads with
+        the ROOT splice (so the maintainer's batched root-merge
+        optimisation fires).
         """
         doc_id = document.doc_id
         if doc_id in self.manifests:
@@ -148,70 +217,17 @@ class CorpusCatalog:
         oids = range(first, self._next_oid)
         oid_of = dict(zip(order, oids))
 
-        sources = [oid_of[parent] for parent, _ in document.tree_edges]
-        targets = [oid_of[child] for _, child in document.tree_edges]
-        kinds = [EdgeKind.TREE] * len(sources)
-        materialized_intra: set[tuple[str, str]] = set()
-        tree_pairs = set(document.tree_edges)
-        outbound: dict[CrossKey, bool] = {}
-        cross_edges: list[tuple[int, int, EdgeKind]] = [
-            (host_root_oid, oid_of[document.root_local], EdgeKind.TREE)
-        ]
-        for ref in document.refs:
-            if ref.target_doc is None:
-                pair = (ref.source_local, ref.target_local)
-                if pair in tree_pairs or pair in materialized_intra:
-                    continue
-                materialized_intra.add(pair)
-                sources.append(oid_of[ref.source_local])
-                targets.append(oid_of[ref.target_local])
-                kinds.append(EdgeKind.IDREF)
-            else:
-                key = (ref.source_local, ref.target_doc, ref.target_local)
-                if key in outbound:
-                    continue
-                target = self.manifests.get(ref.target_doc)
-                if (
-                    target is not None
-                    and ref.target_local in target.document.explicit_ids
-                ):
-                    outbound[key] = True
-                    cross_edges.append((
-                        oid_of[ref.source_local],
-                        target.oid_of[ref.target_local],
-                        EdgeKind.IDREF,
-                    ))
-                    self.inbound_resolved.setdefault(ref.target_doc, set()).add(
-                        (doc_id, ref.source_local, ref.target_local)
-                    )
-                else:
-                    outbound[key] = False
-                    self.dangling.setdefault(ref.target_doc, set()).add(
-                        (doc_id, ref.source_local, ref.target_local)
-                    )
+        intra, cross = _refs(document)
+        edges = document.tree_edges + intra
+        sources = [oid_of[source] for source, _ in edges]
+        targets = [oid_of[target] for _, target in edges]
+        kinds = [EdgeKind.TREE] * len(document.tree_edges) + [EdgeKind.IDREF] * len(intra)
+        cross_edges: list[Edge] = [(host_root_oid, oid_of[document.root_local], EdgeKind.TREE)]
+        for key in cross:
+            cross_edges += self._declare(doc_id, key, oid_of[key[0]])
+        cross_edges += self._flip(doc_id, True, document.explicit_ids, oid_of)
 
-        # inbound refs other documents left dangling for this one
-        for entry in sorted(self.dangling.get(doc_id, set())):
-            src_doc, src_local, tgt_local = entry
-            if tgt_local not in document.explicit_ids:
-                continue
-            source = self.manifests[src_doc]
-            cross_edges.append((
-                source.oid_of[src_local], oid_of[tgt_local], EdgeKind.IDREF
-            ))
-            self.dangling[doc_id].discard(entry)
-            self.inbound_resolved.setdefault(doc_id, set()).add(entry)
-            self.outbound_state[src_doc][(src_local, doc_id, tgt_local)] = True
-
-        self.outbound_state[doc_id] = outbound
-        self.manifests[doc_id] = DocumentManifest(
-            doc_id=doc_id,
-            root_oid=oid_of[document.root_local],
-            oid_of=oid_of,
-            local_of=dict(zip(oids, order)),
-            document=document,
-            materialized_intra=materialized_intra,
-        )
+        self.manifests[doc_id] = DocumentManifest(doc_id, oid_of, document)
         return _Admission(
             root_oid=oid_of[document.root_local],
             oids=oids,
@@ -229,28 +245,17 @@ class CorpusCatalog:
         """Compile a document arrival into one oid-preserving ``add_subgraph``.
 
         The op's subgraph holds the whole document tree plus its
-        materialised intra-document IDREF edges; the cross-edge list
-        holds the ROOT splice (first, so the maintainer's batched
-        root-merge optimisation fires) plus every cross-document edge
-        that is resolvable right now — outbound refs whose target is
-        present, and inbound refs other documents left dangling for us.
-        The catalog bookkeeping is the one :meth:`CorpusBuilder.build`
-        shares; the graph surgery is the maintainer's, at apply time.
+        materialised intra-document IDREF edges; the cross edges are the
+        ones :meth:`_admit` books, which :meth:`CorpusBuilder.build`
+        shares.  The graph surgery is the maintainer's, at apply time.
         """
         admission = self._admit(document, host_root_oid)
         subgraph = DataGraph.from_columns(
-            admission.oids,
-            admission.labels,
-            admission.values,
-            admission.sources,
-            admission.targets,
-            admission.kinds,
+            admission.oids, admission.labels, admission.values,
+            admission.sources, admission.targets, admission.kinds,
         )
-        return [
-            Update.add_subgraph(
-                subgraph, admission.root_oid, admission.cross_edges, preserve_oids=True
-            )
-        ]
+        cross_edges = admission.cross_edges
+        return [Update.add_subgraph(subgraph, admission.root_oid, cross_edges, preserve_oids=True)]
 
     # -- compile: remove -----------------------------------------------
 
@@ -258,39 +263,18 @@ class CorpusCatalog:
         """Compile a document departure into an ordered deletion sequence.
 
         Cross-document edges are deleted first — explicitly, from the
-        manifest-derived catalog state, in both directions — then one
-        ``delete_subgraph`` drops the document tree (whose TREE-reachable
-        set is exactly the manifest's oid set).  Inbound refs from the
-        surviving documents are demoted to dangling so the document's
-        re-arrival re-links them.
+        ledger, in both directions — then one ``delete_subgraph`` drops
+        the document tree (whose TREE-reachable set is exactly the
+        manifest's oid set).  Inbound refs from the surviving documents
+        are unlinked, so the document's re-arrival re-links them.
         """
         manifest = self.manifest(doc_id)
-        updates: list[Update] = []
-
-        for key in sorted(self.outbound_state[doc_id]):
-            src_local, tgt_doc, tgt_local = key
-            if self.outbound_state[doc_id][key]:
-                target = self.manifests[tgt_doc]
-                updates.append(Update.delete_edge(
-                    manifest.oid_of[src_local], target.oid_of[tgt_local]
-                ))
-                self.inbound_resolved[tgt_doc].discard((doc_id, src_local, tgt_local))
-            else:
-                self.dangling[tgt_doc].discard((doc_id, src_local, tgt_local))
-                if not self.dangling[tgt_doc]:
-                    del self.dangling[tgt_doc]
-
-        for entry in sorted(self.inbound_resolved.get(doc_id, set())):
-            src_doc, src_local, tgt_local = entry
-            source = self.manifests[src_doc]
-            updates.append(Update.delete_edge(
-                source.oid_of[src_local], manifest.oid_of[tgt_local]
-            ))
-            self.outbound_state[src_doc][(src_local, doc_id, tgt_local)] = False
-            self.dangling.setdefault(doc_id, set()).add(entry)
-
-        self.inbound_resolved.pop(doc_id, None)
-        del self.outbound_state[doc_id]
+        oid_of = manifest.oid_of
+        edges: list[Edge] = []
+        for key in sorted(self.outbound.get(doc_id, ())):
+            edges += self._retract(doc_id, key, oid_of[key[0]])
+        edges += self._flip(doc_id, False, manifest.document.explicit_ids, oid_of)
+        updates = [Update.delete_edge(source, target) for source, target, _ in edges]
         del self.manifests[doc_id]
         updates.append(Update.delete_subgraph(manifest.root_oid))
         return updates
@@ -345,82 +329,43 @@ class CorpusCatalog:
 
         old_tree = set(old.tree_edges)
         new_tree = set(document.tree_edges)
-        old_intra = manifest.materialized_intra
-        new_intra: set[tuple[str, str]] = set()
-        for ref in document.refs:
-            if ref.target_doc is None:
-                pair = (ref.source_local, ref.target_local)
-                if pair not in new_tree and pair not in new_intra:
-                    new_intra.add(pair)
+        old_intra = set(_refs(old)[0])
+        new_intra, new_cross_keys = map(set, _refs(document))
 
         oid_of = dict(manifest.oid_of)  # grows with added, shrinks at the end
         updates: list[Update] = []
 
         # --- phase a: edge deletions -----------------------------------
-        for parent, child in sorted(old_tree):
-            if child in survivors and (parent, child) not in new_tree:
-                updates.append(
-                    Update.delete_edge(oid_of[parent], oid_of[child])
-                )
-        for source, target in sorted(old_intra):
-            if (
-                source in survivors
-                and target in survivors
-                and (source, target) not in new_intra
-            ):
-                updates.append(
-                    Update.delete_edge(oid_of[source], oid_of[target])
-                )
-        new_cross_keys: set[CrossKey] = {
-            (ref.source_local, ref.target_doc, ref.target_local)
-            for ref in document.refs
-            if ref.target_doc is not None
-        }
-        outbound = self.outbound_state[doc_id]
+        for parent, child in sorted(old_tree - new_tree):
+            if child in survivors:
+                updates.append(Update.delete_edge(oid_of[parent], oid_of[child]))
+        for source, target in sorted(old_intra - new_intra):
+            if source in survivors and target in survivors:
+                updates.append(Update.delete_edge(oid_of[source], oid_of[target]))
+        outbound = self.outbound.get(doc_id, {})
+        stale: list[Edge] = []
         for key in sorted(outbound):
-            src_local, tgt_doc, tgt_local = key
-            if key in new_cross_keys and src_local in survivors:
-                continue  # the ref survives; its state is unchanged
-            if outbound.pop(key):
-                target = self.manifests[tgt_doc]
-                updates.append(Update.delete_edge(
-                    oid_of[src_local], target.oid_of[tgt_local]
-                ))
-                self.inbound_resolved[tgt_doc].discard((doc_id, src_local, tgt_local))
-            else:
-                self.dangling[tgt_doc].discard((doc_id, src_local, tgt_local))
-                if not self.dangling[tgt_doc]:
-                    del self.dangling[tgt_doc]
-        for entry in sorted(self.inbound_resolved.get(doc_id, set())):
-            src_doc, src_local, tgt_local = entry
-            if tgt_local in survivors:
-                continue
-            source = self.manifests[src_doc]
-            updates.append(Update.delete_edge(
-                source.oid_of[src_local], oid_of[tgt_local]
-            ))
-            self.inbound_resolved[doc_id].discard(entry)
-            self.outbound_state[src_doc][(src_local, doc_id, tgt_local)] = False
-            self.dangling.setdefault(doc_id, set()).add(entry)
+            if key not in new_cross_keys or key[0] not in survivors:  # else it survives
+                stale += self._retract(doc_id, key, oid_of[key[0]])
+        stale += self._flip(doc_id, False, removed, oid_of)
+        updates += [Update.delete_edge(source, target) for source, target, _ in stale]
 
         # --- phase b: removals -----------------------------------------
         old_parent = old.parent_of()
-        removal_roots = sorted(
-            local
-            for local in removed
-            if local == old.root_local or old_parent[local] in survivors
-        )
-        for local in removal_roots:
-            updates.append(Update.delete_subgraph(oid_of[local]))
+        for local in sorted(removed):
+            if local == old.root_local or old_parent[local] in survivors:
+                updates.append(Update.delete_subgraph(oid_of[local]))
 
         # --- phase c: added components ---------------------------------
         for local in document.order:
             if local in added:
-                oid_of[local] = self._alloc()
+                oid_of[local] = self._next_oid
+                self._next_oid += 1
         new_parent = document.parent_of()
         comp_index: dict[str, int] = {}
         comp_nodes: list[list[str]] = []
-        comp_splice: list[tuple[int, int, EdgeKind]] = []
+        #: per component: the splice edge from its surviving parent first
+        comp_cross: list[list[Edge]] = []
         for local in document.order:  # parents precede children
             if local not in added:
                 continue
@@ -432,58 +377,42 @@ class CorpusCatalog:
                 index = len(comp_nodes)
                 comp_nodes.append([local])
                 parent_oid = host_root_oid if parent is None else oid_of[parent]
-                comp_splice.append((parent_oid, oid_of[local], EdgeKind.TREE))
+                comp_cross.append([(parent_oid, oid_of[local], EdgeKind.TREE)])
             comp_index[local] = index
+        interior: list[list[Edge]] = [[] for _ in comp_nodes]
+        survivor_edges: list[Edge] = []
 
-        comp_cross: list[list[tuple[int, int, EdgeKind]]] = [
-            [splice] for splice in comp_splice
-        ]
-        survivor_edges: list[tuple[int, int, EdgeKind]] = []
-
-        def place(source: str, target: str, kind: EdgeKind) -> Optional[int]:
-            """Assign an intra-document edge: a component (by index) or
-            the survivor phase (``None``); interior edges are handled by
-            the caller."""
-            ci = comp_index.get(source)
-            cj = comp_index.get(target)
+        def place(source: str, target: str, kind: EdgeKind) -> None:
+            """File an intra-document edge outside every component's interior:
+            with the latest component it touches, or in the survivor phase."""
+            ci, cj = comp_index.get(source), comp_index.get(target)
+            edge = (oid_of[source], oid_of[target], kind)
             if ci is None and cj is None:
-                survivor_edges.append((oid_of[source], oid_of[target], kind))
-                return None
-            index = max(i for i in (ci, cj) if i is not None)
-            comp_cross[index].append((oid_of[source], oid_of[target], kind))
-            return index
+                survivor_edges.append(edge)
+            else:
+                comp_cross[max(i for i in (ci, cj) if i is not None)].append(edge)
 
-        interior_tree: list[list[tuple[str, str]]] = [[] for _ in comp_nodes]
         for parent, child in sorted(new_tree):
-            if child in added and comp_index.get(parent) == comp_index[child]:
-                interior_tree[comp_index[child]].append((parent, child))
-            elif child in added and parent not in added:
-                pass  # the splice edge, already first in comp_cross
+            if child in added:
+                if parent in added:  # else the splice edge, first in comp_cross
+                    interior[comp_index[child]].append(
+                        (oid_of[parent], oid_of[child], EdgeKind.TREE)
+                    )
             elif (parent, child) not in old_tree:
                 place(parent, child, EdgeKind.TREE)
-        interior_ref: list[list[tuple[str, str]]] = [[] for _ in comp_nodes]
         for source, target in sorted(new_intra):
             ci, cj = comp_index.get(source), comp_index.get(target)
             if ci is not None and ci == cj:
-                interior_ref[ci].append((source, target))
-            elif ci is None and cj is None:
-                if (source, target) not in old_intra:
-                    survivor_edges.append(
-                        (oid_of[source], oid_of[target], EdgeKind.IDREF)
-                    )
-            else:
+                interior[ci].append((oid_of[source], oid_of[target], EdgeKind.IDREF))
+            elif ci is not None or cj is not None or (source, target) not in old_intra:
                 place(source, target, EdgeKind.IDREF)
 
         for index, locals_ in enumerate(comp_nodes):
             sub = DataGraph()
             for local in locals_:
-                sub.add_node(
-                    document.labels[local], document.values[local], oid=oid_of[local]
-                )
-            for parent, child in interior_tree[index]:
-                sub.add_edge(oid_of[parent], oid_of[child], EdgeKind.TREE)
-            for source, target in interior_ref[index]:
-                sub.add_edge(oid_of[source], oid_of[target], EdgeKind.IDREF)
+                sub.add_node(document.labels[local], document.values[local], oid=oid_of[local])
+            for edge in interior[index]:
+                sub.add_edge(*edge)
             updates.append(Update.add_subgraph(
                 sub, oid_of[locals_[0]], comp_cross[index], preserve_oids=True
             ))
@@ -491,59 +420,36 @@ class CorpusCatalog:
         # --- phase d: survivor edges + cross-document resolution -------
         for source_oid, target_oid, kind in survivor_edges:
             updates.append(Update.insert_edge(source_oid, target_oid, kind))
-        for key in sorted(new_cross_keys):
-            src_local, tgt_doc, tgt_local = key
-            if key in outbound:
-                continue  # survived phase (a) untouched
-            target = self.manifests.get(tgt_doc)
-            if target is not None and tgt_local in target.document.explicit_ids:
-                outbound[key] = True
-                updates.append(Update.insert_edge(
-                    oid_of[src_local], target.oid_of[tgt_local], EdgeKind.IDREF
-                ))
-                self.inbound_resolved.setdefault(tgt_doc, set()).add(
-                    (doc_id, src_local, tgt_local)
-                )
-            else:
-                outbound[key] = False
-                self.dangling.setdefault(tgt_doc, set()).add(
-                    (doc_id, src_local, tgt_local)
-                )
-        for entry in sorted(self.dangling.get(doc_id, set())):
-            src_doc, src_local, tgt_local = entry
-            if tgt_local not in document.explicit_ids:
-                continue
-            source = self.manifests[src_doc]
-            updates.append(Update.insert_edge(
-                source.oid_of[src_local], oid_of[tgt_local], EdgeKind.IDREF
-            ))
-            self.dangling[doc_id].discard(entry)
-            self.inbound_resolved.setdefault(doc_id, set()).add(entry)
-            self.outbound_state[src_doc][(src_local, doc_id, tgt_local)] = True
+        resolved: list[Edge] = []
+        for key in sorted(new_cross_keys - outbound.keys()):  # the rest survived (a)
+            resolved += self._declare(doc_id, key, oid_of[key[0]])
+        resolved += self._flip(doc_id, True, document.explicit_ids, oid_of)
+        updates += [Update.insert_edge(*edge) for edge in resolved]
 
         # --- phase e: value changes ------------------------------------
         for local in sorted(survivors):
             if old.values[local] != document.values[local]:
-                updates.append(Update.set_value(
-                    oid_of[local], document.values[local]
-                ))
+                updates.append(Update.set_value(oid_of[local], document.values[local]))
 
         for local in removed:
             del oid_of[local]
         manifest.oid_of = oid_of
-        manifest.local_of = {oid: local for local, oid in oid_of.items()}
-        manifest.root_oid = oid_of[document.root_local]
         manifest.document = document
-        manifest.materialized_intra = new_intra
         return updates
 
     # -- invariants ----------------------------------------------------
 
     def check(self, graph: DataGraph) -> None:
-        """Verify the catalog against the graph (test/debug oracle)."""
+        """Verify the catalog against the graph (test/debug oracle).
+
+        Every manifest oid is a node with its document's label and every
+        other node is ROOT; the ledger's two directions name one set of
+        references, a linked one's IDREF edge is in the graph, and an
+        unlinked one's target document is absent or lacks the target id.
+        """
         claimed: dict[int, str] = {}
         for doc_id, manifest in self.manifests.items():
-            for oid, local in manifest.local_of.items():
+            for local, oid in manifest.oid_of.items():
                 if oid in claimed:
                     raise CorpusError(
                         f"oid {oid} claimed by both {claimed[oid]!r} and {doc_id!r}"
@@ -562,6 +468,33 @@ class CorpusCatalog:
         for oid in graph.nodes():
             if oid != root and oid not in claimed:
                 raise CorpusError(f"graph oid {oid} belongs to no document")
+
+        flags = {
+            (src_doc, *key): linked
+            for src_doc, outbound in self.outbound.items()
+            for key, linked in outbound.items()
+        }
+        named = {
+            (src_doc, src_local, tgt_doc, tgt_local)
+            for tgt_doc, entries in self.inbound.items()
+            for src_doc, src_local, tgt_local in entries
+        }
+        if not self.outbound.keys() <= self.manifests.keys():
+            raise CorpusError("the ledger names a source document that is not resident")
+        if flags.keys() != named:
+            raise CorpusError(
+                f"the ledger's two directions disagree on {sorted(flags.keys() ^ named)[:1]}"
+            )
+        for ref, linked in flags.items():
+            src_doc, src_local, tgt_doc, tgt_local = ref
+            target = self.manifests.get(tgt_doc)
+            if linked != (target is not None and tgt_local in target.document.explicit_ids):
+                state = ("linked", "absent") if linked else ("unlinked", "present")
+                raise CorpusError("cross ref %s is %s but its target is %s" % (ref, *state))
+            if linked:
+                edge = (self.manifests[src_doc].oid_of[src_local], target.oid_of[tgt_local])
+                if not (graph.has_edge(*edge) and graph.edge_kind(*edge) is EdgeKind.IDREF):
+                    raise CorpusError(f"cross ref {ref} is linked but has no IDREF edge")
 
 
 # ----------------------------------------------------------------------
@@ -666,7 +599,7 @@ def parse_xml(text: str, attribute_nodes: bool = True) -> DataGraph:
 def _scoped_names(graph: DataGraph, catalog: CorpusCatalog) -> dict[int, str]:
     names = {graph.root: "ROOT"}
     for doc_id, manifest in catalog.manifests.items():
-        for oid, local in manifest.local_of.items():
+        for local, oid in manifest.oid_of.items():
             names[oid] = f"{doc_id}/{local}"
     return names
 

@@ -30,7 +30,16 @@ from repro.corpus.builder import (
     corpus_graph_fingerprint,
 )
 from repro.corpus.documents import ParsedDocument, parse_document
+from repro.exceptions import CorpusError
 from repro.service.service import IndexService, ServiceConfig
+
+
+def _refuse_shedding(config: Optional[ServiceConfig]) -> None:
+    """A compile books its document in the catalog before the service
+    admits the ops, so a shed op would leave the catalog naming nodes the
+    graph never gets: a corpus runs over no shedding service."""
+    if config is not None and config.admission == "shed":
+        raise CorpusError("a corpus cannot be served with admission='shed'")
 
 
 class CorpusService:
@@ -44,6 +53,7 @@ class CorpusService:
 
     def __init__(self, service: IndexService, catalog: CorpusCatalog,
                  attribute_nodes: bool = True):
+        _refuse_shedding(service.config)
         self.service = service
         self.catalog = catalog
         self.attribute_nodes = attribute_nodes
@@ -72,6 +82,7 @@ class CorpusService:
         *store_dir* the corpus is served durably (WAL + snapshots), with
         *adaptive* (an ``AdaptiveConfig``) through the adaptive plane.
         """
+        _refuse_shedding(config)
         builder = CorpusBuilder(attribute_nodes)
         builder.add_all(documents)
         graph, catalog = builder.build()

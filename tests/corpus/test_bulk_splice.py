@@ -58,12 +58,10 @@ def _catalog_state(catalog: CorpusCatalog) -> dict:
     return {
         "next_oid": catalog._next_oid,
         "manifests": {
-            doc_id: (m.root_oid, m.oid_of, m.local_of, m.materialized_intra)
-            for doc_id, m in catalog.manifests.items()
+            doc_id: (m.oid_of, m.document) for doc_id, m in catalog.manifests.items()
         },
-        "outbound": catalog.outbound_state,
-        "inbound": catalog.inbound_resolved,
-        "dangling": catalog.dangling,
+        "outbound": catalog.outbound,
+        "inbound": catalog.inbound,
     }
 
 
@@ -92,8 +90,9 @@ def test_the_pools_cover_every_cross_ref_case():
         _, catalog = builder.build()
         resolved = [
             (position[source_doc], position[target_doc])
-            for target_doc, entries in catalog.inbound_resolved.items()
-            for source_doc, _, _ in entries
+            for source_doc, flags in catalog.outbound.items()
+            for (_, target_doc, _), linked in flags.items()
+            if linked
         ]
         assert any(source < target for source, target in resolved), name
         assert any(source > target for source, target in resolved), name

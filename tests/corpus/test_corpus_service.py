@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.corpus import CorpusBuilder, CorpusService
+from repro.corpus import CorpusBuilder, CorpusCatalog, CorpusService
 from repro.exceptions import (
+    CorpusError,
     DocumentNotFoundError,
     DuplicateDocumentError,
 )
 from repro.graph.datagraph import EdgeKind
-from repro.service import ServiceConfig
+from repro.service import IndexService, ServiceConfig
 
 DOCS = [
     ("a", "<a><x id='x1'>hi</x><y idref='b/y1 x1'/></a>"),
@@ -78,6 +79,18 @@ class TestBulkLoad:
         assert (tmp_path / "store").exists()
         assert corpus.has_document("d")
         corpus.close()
+
+    def test_a_corpus_refuses_a_shedding_service(self, tmp_path):
+        # a compile books the document before the service admits its ops:
+        # a shed op would leave the catalog naming nodes the graph never got
+        shedding = ServiceConfig(admission="shed", queue_capacity=1)
+        with pytest.raises(CorpusError, match="shed"):
+            CorpusService.empty(config=shedding, store_dir=str(tmp_path / "store"))
+        assert not (tmp_path / "store").exists()
+        service = IndexService(CorpusBuilder().build()[0], shedding)
+        with pytest.raises(CorpusError, match="shed"):
+            CorpusService(service, CorpusCatalog(next_oid=1))
+        service.close()
 
 
 class TestAddRemove:
@@ -161,6 +174,45 @@ class TestCrossDocumentRefs:
         corpus.await_quiescent()
         assert corpus.dangling_refs() == [("a", ".a.b[0]", "c", ".c.w[0]")]
         corpus.check()
+        corpus.close()
+
+
+class TestLedgerOracle:
+    """``check`` reads the reference ledger against the graph: a corrupted
+    flag, inbound entry or IDREF edge is a :class:`CorpusError`."""
+
+    LINKED = (".a.y[0]", "b", "y1")
+
+    def _corpus(self):
+        corpus = corpus_of(DOCS + [("d", "<d><r idref='ghost/g'/></d>")])
+        corpus.check()
+        return corpus
+
+    def test_a_flipped_flag_is_caught(self):
+        corpus = self._corpus()
+        corpus.catalog.outbound["a"][self.LINKED] = False
+        with pytest.raises(CorpusError, match="unlinked but its target is present"):
+            corpus.check()
+        corpus.catalog.outbound["a"][self.LINKED] = True
+        corpus.catalog.outbound["d"][(".d.r[0]", "ghost", "g")] = True
+        with pytest.raises(CorpusError, match="linked but its target is absent"):
+            corpus.check()
+        corpus.close()
+
+    def test_a_dropped_entry_is_caught(self):
+        corpus = self._corpus()
+        corpus.catalog.inbound["b"].discard(("a", ".a.y[0]", "y1"))
+        with pytest.raises(CorpusError, match="two directions disagree"):
+            corpus.check()
+        corpus.close()
+
+    def test_a_removed_edge_is_caught(self):
+        corpus = self._corpus()
+        a, b = corpus.catalog.manifest("a"), corpus.catalog.manifest("b")
+        graph = corpus.service.graph.copy()
+        graph.remove_edge(a.oid_of[".a.y[0]"], b.oid_of["y1"])
+        with pytest.raises(CorpusError, match="no IDREF edge"):
+            corpus.catalog.check(graph)
         corpus.close()
 
 

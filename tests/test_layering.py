@@ -551,6 +551,58 @@ def test_section_3_is_read_once_and_written_once():
     ]
 
 
+#: the catalog's reference ledger, and the names of the maps it replaced
+LEDGER = {"outbound", "inbound", "outbound_state", "inbound_resolved", "dangling"}
+
+
+def test_each_reference_step_is_written_once():
+    """A cross-document reference lives in one ledger, and each step of its
+    life — declare, retract, flip — is one catalog helper: only those
+    helpers write ``outbound`` / ``inbound`` (directly or through a name
+    bound to either), and no other module names the ledger."""
+    strangers = [
+        (module, node.attr)
+        for module, tree in TREES.items()
+        if module != "corpus/builder.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in LEDGER
+    ]
+    assert strangers == []
+
+    nodes = list(enclosing_functions(TREES["corpus/builder.py"]))
+    aliases: set[tuple[str, str]] = set()
+
+    def in_ledger(node: ast.AST, function: str) -> bool:
+        """``self.<ledger>``, anything subscripted, looked up or called off it."""
+        while isinstance(node, (ast.Subscript, ast.Attribute, ast.Call)):
+            if isinstance(node, ast.Attribute) and node.attr in LEDGER:
+                return ast.unparse(node.value) == "self"
+            node = node.func if isinstance(node, ast.Call) else node.value
+        return isinstance(node, ast.Name) and (function, node.id) in aliases
+
+    for node, function in nodes:
+        if isinstance(node, ast.Assign) and in_ledger(node.value, function):
+            aliases.update((function, t.id) for t in node.targets if isinstance(t, ast.Name))
+    writers = set()
+    for node, function in nodes:
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+            targets = getattr(node, "targets", None) or [node.target]
+            written = any(
+                isinstance(target, (ast.Subscript, ast.Attribute)) and in_ledger(target, function)
+                for target in targets
+            )
+        else:
+            written = (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MUTATORS | {"setdefault"}
+                and in_ledger(node.func.value, function)
+            )
+        if written:
+            writers.add(function)
+    assert writers == {"__init__", "_declare", "_retract", "_flip"}
+
+
 def test_one_reconstruction_trigger():
     """The paper's 5 % policy is the only trigger, and nothing the SLO
     plane says reaches it: no cost module, no alert hook."""
